@@ -9,6 +9,8 @@ passes cost plain numpy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -345,7 +347,8 @@ class Tensor:
         return Tensor(np.array(out_value), True, (self,), backward)
 
     def take(self, indices):
-        """Gather rows along axis 0; `indices` may be any integer array."""
+        """Gather rows along axis 0; `indices` may be any non-negative
+        integer array."""
         idx = np.asarray(indices)
         out_value = self.value[idx]
         if not self.requires_grad:
@@ -353,9 +356,16 @@ class Tensor:
         shape = self.value.shape
 
         def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, idx, g)
-            self._accumulate(full)
+            # One bincount over flat (row, column) positions: it adds the
+            # gathered rows back in input order, as np.add.at would.
+            rows, width = shape[0], math.prod(shape[1:])
+            flat = idx.reshape(-1)
+            if width != 1:
+                flat = (flat[:, None] * width
+                        + np.arange(width, dtype=np.intp)).reshape(-1)
+            full = np.bincount(flat, weights=g.reshape(-1),
+                               minlength=rows * width)
+            self._accumulate(full.reshape(shape))
 
         return Tensor(out_value, True, (self,), backward)
 

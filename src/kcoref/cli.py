@@ -127,6 +127,7 @@ def cmd_evaluate(args) -> int:
     config = load_config(_resolve(args, "config"))
     data, _, _ = _prepare(config)
     store = tr.ParameterStore.load(_resolve(args, "checkpoint"))
+    tr.check_parameters(store, config.model)
     if config.eval_corpus not in data.corpora:
         raise ConfigError(f"eval corpus {config.eval_corpus!r} is not declared "
                           f"under 'corpora'")
@@ -169,6 +170,7 @@ def cmd_project(args) -> int:
     config = load_config(_resolve(args, "config"))
     data, _, _ = _prepare(config)
     store = tr.ParameterStore.load(_resolve(args, "checkpoint"))
+    tr.check_parameters(store, config.model)
     docs = data.corpora.get(config.eval_corpus) \
         or data.corpora[training_corpus_names(config)[0]]
     lexicon = config.projection.lexicon or config.objective.scaffold_lexicon

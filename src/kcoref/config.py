@@ -172,7 +172,12 @@ class RunData:
 
 
 def load_run_data(config: RunConfig) -> RunData:
-    """Load corpora and lexicons; apply annotate-enabled lexicons everywhere."""
+    """Load corpora and lexicons; apply annotate-enabled lexicons everywhere.
+
+    Every `alpha_k` key must name a loaded lexicon or one that annotates
+    some corpus, the lexicons `scaffold_classes` can draw on; a misspelled
+    id would otherwise set d_k = 1 for every pair.
+    """
     corpora: dict[str, list[Document]] = {}
     for name, corpus_path in config.corpora.items():
         if not corpus_path.exists():
@@ -192,6 +197,16 @@ def load_run_data(config: RunConfig) -> RunData:
             for name in corpora:
                 corpora[name] = annotate_documents(corpora[name], lexicon,
                                                    entry.policy)
+
+    known = set(lexicons).union(*(doc.concept_annotations
+                                  for docs in corpora.values()
+                                  for doc in docs))
+    for i, phase in enumerate(config.phases):
+        for lexicon_id in phase.weights.alpha_k:
+            if lexicon_id not in known:
+                raise ConfigError(f"phases[{i}]: alpha_k names {lexicon_id!r}, "
+                                  f"which no loaded lexicon or corpus "
+                                  f"annotation provides")
 
     vocab = None
     if config.subword_vocab is not None:

@@ -18,16 +18,24 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+
+import numpy as np
+
+T = TypeVar("T")
 
 
 class CorpusError(ValueError):
     """Raised for malformed corpus or vocab input."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SpanRef:
-    """Inclusive token span [start, end] within one document."""
+    """Inclusive token span [start, end] within one document.
+
+    Slotted: documents keep their span tables (`Document.cached`), so a
+    span should cost two fields, not a dict.
+    """
 
     start: int
     end: int
@@ -123,6 +131,18 @@ class Document:
             if span in cluster:
                 return cluster
         return None
+
+    def cached(self, key: Hashable, build: Callable[[], T]) -> T:
+        """`build()`, computed on the first call per key and kept on this
+        document.
+
+        Documents are immutable, so whatever is derived from one stays valid
+        for as long as it lives, and is freed with it.
+        """
+        derived = self.__dict__.setdefault("_derived", {})
+        if key not in derived:
+            derived[key] = build()
+        return derived[key]
 
     def with_annotations(self, lexicon_id: str,
                          labels: Mapping[SpanRef, str]) -> "Document":
@@ -232,6 +252,11 @@ def concept_chain_stats(docs: list[Document],
                 sizes.setdefault(found[0], []).append(len(cluster))
     return {label: (len(v), sum(v) / len(v))
             for label, v in sorted(sizes.items())}
+
+
+def span_keys(spans: Iterable[SpanRef]) -> np.ndarray:
+    """One int64 per span, ordered as the spans are: (start << 32) + end."""
+    return np.array([(s.start << 32) + s.end for s in spans], dtype=np.int64)
 
 
 def enumerate_candidate_spans(doc: Document, max_width: int) -> list[SpanRef]:

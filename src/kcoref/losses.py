@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as m
 from .autodiff import Tensor
-from .corpus import Document, SpanRef, enumerate_candidate_spans
+from .corpus import Document, SpanRef, enumerate_candidate_spans, span_keys
 
 log = logging.getLogger(__name__)
 
@@ -57,16 +57,35 @@ class LossWeights:
         return LossWeights(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
-    """Deduplicated unordered span pairs internal to one document."""
+    """Deduplicated unordered span pairs internal to one document.
+
+    Pair p joins `spans[first[p]]` and `spans[second[p]]`, where `spans` is
+    sorted and first[p] < second[p].
+    """
 
     doc_id: str
-    pairs: tuple[tuple[SpanRef, SpanRef], ...]
+    spans: tuple[SpanRef, ...]
+    first: np.ndarray
+    second: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.pairs)
+        return len(self.first)
+
+    @property
+    def pairs(self) -> tuple[tuple[SpanRef, SpanRef], ...]:
+        span = self.spans.__getitem__
+        return tuple(zip(map(span, self.first.tolist()),
+                         map(span, self.second.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, PairSet):
+            return NotImplemented
+        return (self.doc_id == other.doc_id and self.spans == other.spans
+                and np.array_equal(self.first, other.first)
+                and np.array_equal(self.second, other.second))
 
 
 @dataclass
@@ -131,6 +150,28 @@ def target_distance(span_i: SpanRef, span_j: SpanRef, doc: Document,
     return total
 
 
+def pair_target_distances(index: DocumentIndex, rows_i: np.ndarray,
+                          rows_j: np.ndarray, weights: LossWeights,
+                          unlabeled: str = "strict") -> np.ndarray:
+    """`target_distance` of every (rows_i[p], rows_j[p]) pair of table rows.
+
+    The terms are added in `target_distance`'s order, so each target equals
+    it bit for bit; a skipped term adds 0.0.
+    """
+    c_i, c_j = index.cluster[rows_i], index.cluster[rows_j]
+    total = weights.alpha_c * ((c_i < 0) | (c_i != c_j))
+    for lexicon_id, alpha in weights.alpha_k.items():
+        if alpha == 0.0:
+            continue
+        ids = index.concept_ids(lexicon_id)
+        a, b = ids[rows_i], ids[rows_j]
+        term = alpha * ((a < 0) | (a != b))
+        if unlabeled == "skip":
+            term = np.where((a >= 0) & (b >= 0), term, 0.0)
+        total = total + term
+    return total
+
+
 def cosine_distance(u, v) -> float:
     """1 - cos(u, v), in [0, 2]; zero vectors degrade to distance 1."""
     u = np.asarray(u, dtype=np.float64)
@@ -157,15 +198,19 @@ def build_pair_set(doc: Document, extra_spans: Sequence[SpanRef],
                    budget: int, rng: np.random.Generator) -> PairSet:
     """Pairs over gold-cluster spans plus `extra_spans`, capped at `budget`.
 
-    Enumeration order is deterministic; over-budget sets are thinned by
-    seeded sampling without replacement.
+    Pairs run in itertools.combinations order over the sorted spans;
+    over-budget sets are thinned by seeded sampling without replacement.
     """
-    spans = sorted(set(doc.gold_spans()) | set(extra_spans))
-    pairs = list(itertools.combinations(spans, 2))
-    if len(pairs) > budget:
-        chosen = np.sort(rng.choice(len(pairs), size=budget, replace=False))
-        pairs = [pairs[i] for i in chosen]
-    return PairSet(doc.doc_id, tuple(pairs))
+    offered = (*itertools.chain(*doc.gold_clusters), *extra_spans)
+    by_key = dict(zip(span_keys(offered).tolist(), offered))
+    spans = tuple(map(by_key.__getitem__, sorted(by_key)))
+    # Every (i, j) with i < j, row by row: np.triu_indices(len(spans), 1).
+    order = np.arange(len(spans))
+    first, second = np.nonzero(np.less.outer(order, order))
+    if len(first) > budget:
+        chosen = np.sort(rng.choice(len(first), size=budget, replace=False))
+        first, second = first[chosen], second[chosen]
+    return PairSet(doc.doc_id, spans, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +333,15 @@ class ObjectiveConfig:
     source_phase_rl: bool = True
     grad_accumulation: int = 1
 
+    def __post_init__(self):
+        if self.unlabeled_knowledge not in ("strict", "skip"):
+            raise LossError(f"unlabeled_knowledge must be 'strict' or 'skip', "
+                            f"not {self.unlabeled_knowledge!r}")
+        if self.grad_accumulation < 1:
+            raise LossError("grad_accumulation must be >= 1")
+        if self.pair_budget < 0:
+            raise LossError("pair_budget must be >= 0")
+
 
 @dataclass
 class DocumentLosses:
@@ -303,23 +357,107 @@ class DocumentLosses:
     pair_set: PairSet | None
 
 
-def scaffold_targets(doc: Document, scaffold: ScaffoldParams,
+@dataclass(frozen=True)
+class DocumentIndex:
+    """The span table of one document's objective, and its static structure.
+
+    The table holds the enumerated candidate spans plus, when the objective
+    needs them, the gold spans and the scaffold lexicon's labeled spans,
+    sorted by position. Every array below has one entry per table row.
+    """
+
+    layout: m.SpanLayout               # the table, with its gather plan
+    keys: np.ndarray                   # span_keys of the table, ascending
+    enumerated: list[SpanRef]          # enumerate_candidate_spans order
+    enum_rows: np.ndarray              # table row of each enumerated span
+    cluster: np.ndarray                # gold cluster id, -1 when unclustered
+    anaphoric: np.ndarray              # not the first span of its gold cluster
+    concepts: Mapping[str, np.ndarray]      # lexicon -> concept id, or -1
+    labels: Mapping[str, tuple[str, ...]]   # lexicon -> label per concept id
+
+    def concept_ids(self, lexicon_id: str) -> np.ndarray:
+        ids = self.concepts.get(lexicon_id)
+        return np.full(len(self.keys), -1, dtype=np.intp) if ids is None \
+            else ids
+
+    def rows_of(self, spans: Sequence[SpanRef]) -> np.ndarray:
+        keys = span_keys(spans)
+        rows = np.searchsorted(self.keys, keys)
+        if len(rows) and (rows.max() >= len(self.keys)
+                          or (self.keys[rows] != keys).any()):
+            raise LossError("span outside the document's span table")
+        return rows
+
+
+def document_index(doc: Document, config: m.ModelConfig, with_gold: bool,
+                   scaffold_lexicon: str | None) -> DocumentIndex:
+    """The index of `doc` for one span rule, built once and kept on `doc`."""
+    key = ("objective_index", config.max_span_width,
+           tuple(config.width_bucket_edges), with_gold, scaffold_lexicon)
+    return doc.cached(key, lambda: _build_index(doc, config, with_gold,
+                                                scaffold_lexicon))
+
+
+def _build_index(doc: Document, config: m.ModelConfig, with_gold: bool,
+                 scaffold_lexicon: str | None) -> DocumentIndex:
+    enumerated = enumerate_candidate_spans(doc, config.max_span_width)
+    table: set[SpanRef] = set(enumerated)
+    if with_gold:
+        table.update(doc.gold_spans())
+    if scaffold_lexicon:
+        table.update(doc.concept_annotations.get(scaffold_lexicon, {}))
+    spans = sorted(table)
+    row = {span: i for i, span in enumerate(spans)}
+
+    cluster = np.full(len(spans), -1, dtype=np.intp)
+    anaphoric = np.zeros(len(spans), dtype=bool)
+    for cluster_id, members in enumerate(doc.gold_clusters):
+        first = min(members)
+        for span in members.intersection(row):
+            cluster[row[span]] = cluster_id
+            anaphoric[row[span]] = span != first
+
+    concepts: dict[str, np.ndarray] = {}
+    labels: dict[str, tuple[str, ...]] = {}
+    for lexicon_id, spans_labels in doc.concept_annotations.items():
+        names = tuple(sorted(set(spans_labels.values())))
+        ids = np.full(len(spans), -1, dtype=np.intp)
+        for span, label in spans_labels.items():
+            if span in row:
+                ids[row[span]] = names.index(label)
+        concepts[lexicon_id], labels[lexicon_id] = ids, names
+
+    return DocumentIndex(
+        m.span_layout(spans, config), span_keys(spans), enumerated,
+        np.array([row[s] for s in enumerated], dtype=np.intp), cluster,
+        anaphoric, concepts, labels)
+
+
+def scaffold_targets(index: DocumentIndex, scaffold: ScaffoldParams,
                      objective: ObjectiveConfig,
-                     spans: Sequence[SpanRef]) -> list[tuple[SpanRef, str]]:
-    """(span, class) pairs contributing to the scaffold loss for one doc."""
-    if objective.scaffold_lexicon is None:
-        return []
-    labels = doc.concept_annotations.get(objective.scaffold_lexicon, {})
-    out = []
-    for span in spans:
-        concept = labels.get(span)
-        if concept is None:
-            if objective.scaffold_include_unlabeled and scaffold.none_class:
-                out.append((span, scaffold.none_class))
-            continue
-        if concept in scaffold.class_index:
-            out.append((span, concept))
-    return out
+                     candidate_rows: np.ndarray) -> np.ndarray:
+    """(table row, class index) of each span the scaffold loss scores.
+
+    The spans are the gold spans and the spans the scaffold lexicon labels,
+    plus the candidates when unlabeled spans train the none class, in
+    table order.
+    """
+    lexicon_id = objective.scaffold_lexicon
+    if lexicon_id is None:
+        return np.zeros((0, 2), dtype=np.intp)
+    ids = index.concept_ids(lexicon_id)
+    unlabeled = -1
+    if objective.scaffold_include_unlabeled and scaffold.none_class:
+        unlabeled = scaffold.class_index[scaffold.none_class]
+    # Concept id -1 picks the last entry: the class of an unlabeled span.
+    class_of = np.array([scaffold.class_index.get(name, -1)
+                         for name in index.labels.get(lexicon_id, ())]
+                        + [unlabeled], dtype=np.intp)[ids]
+    pool = (index.cluster >= 0) | (ids >= 0)
+    if objective.scaffold_include_unlabeled:
+        pool[candidate_rows] = True
+    rows = np.flatnonzero(pool & (class_of >= 0))
+    return np.stack([rows, class_of[rows]], axis=1)
 
 
 def document_objective(doc: Document, enc: m.EncoderParams,
@@ -334,29 +472,21 @@ def document_objective(doc: Document, enc: m.EncoderParams,
         empty = m.CandidateSet([], np.zeros(0), np.zeros(0, dtype=np.intp))
         return DocumentLosses(combined_loss(zero, zero, zero, weights), zero,
                               zero, zero, 0, empty, None, None)
+    with_scaffold = b3 > 0 and scaffold is not None
+    index = document_index(
+        doc, config, with_gold=b2 > 0 or b3 > 0,
+        scaffold_lexicon=objective.scaffold_lexicon if with_scaffold else None)
     token_vecs = m.encode_tokens(doc, enc)
-    enumerated = enumerate_candidate_spans(doc, config.max_span_width)
-
-    gold = doc.gold_spans()
-    union: set[SpanRef] = set(enumerated)
-    if b2 > 0 or b3 > 0:
-        union.update(gold)
-    if b3 > 0 and scaffold is not None and objective.scaffold_lexicon:
-        union.update(doc.concept_annotations.get(objective.scaffold_lexicon, {}))
-    union_spans = sorted(union)
-
-    reps = m.build_span_representations(token_vecs, union_spans, enc, config)
+    reps = m.build_span_representations(token_vecs, index.layout, enc, config)
     scores_t = m.mention_scores(reps, scoring)
-    scores = scores_t.value
-
-    enum_rows = np.array([reps.row(s) for s in enumerated], dtype=np.intp)
-    candidates = m.prune_mentions(doc, enumerated, scores[enum_rows],
+    candidates = m.prune_mentions(doc, index.enumerated,
+                                  scores_t.value[index.enum_rows],
                                   config.prune_ratio)
 
     zero = Tensor(0.0)
     cl, misses = (zero, 0)
     if b1 > 0:
-        cl, misses = _coref_loss_graph(doc, candidates, reps, scores_t,
+        cl, misses = _coref_loss_graph(index, candidates, reps, scores_t,
                                        scoring, config)
 
     rl, pair_set = zero, None
@@ -365,102 +495,73 @@ def document_objective(doc: Document, enc: m.EncoderParams,
             rng = np.random.default_rng(objective.pair_seed)
         pair_set = build_pair_set(doc, candidates.spans, objective.pair_budget,
                                   rng)
-        rl = _retrofit_loss_graph(doc, pair_set, reps, weights,
+        rl = _retrofit_loss_graph(index, pair_set, reps, weights,
                                   objective.unlabeled_knowledge)
 
     sl = zero
-    scaffold_spans: list[tuple[SpanRef, str]] = []
-    if b3 > 0 and scaffold is not None:
-        pool: set[SpanRef] = set(gold)
-        if objective.scaffold_lexicon:
-            pool.update(doc.concept_annotations.get(objective.scaffold_lexicon,
-                                                    {}))
-        if objective.scaffold_include_unlabeled:
-            pool.update(candidates.spans)
-        scaffold_spans = scaffold_targets(doc, scaffold, objective, sorted(pool))
-        if scaffold_spans:
-            sl = _scaffold_loss_graph(scaffold_spans, reps, scaffold)
+    if with_scaffold:
+        targets = scaffold_targets(index, scaffold, objective,
+                                   index.enum_rows[candidates.indices])
+        if len(targets):
+            sl = _scaffold_loss_graph(targets, reps, scaffold)
 
     total = combined_loss(cl, rl, sl, weights)
     return DocumentLosses(total, cl, rl, sl, misses, candidates, reps, pair_set)
 
 
-def _coref_loss_graph(doc: Document, candidates: m.CandidateSet,
+def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
                       reps: m.BatchedSpans, scores_t: Tensor,
                       scoring: m.ScoringParams,
                       config: m.ModelConfig) -> tuple[Tensor, int]:
-    cand_rows = np.array([reps.row(s) for s in candidates.spans], dtype=np.intp)
-    pair_i: list[int] = []
-    pair_j: list[int] = []
-    segments: list[tuple[int, int]] = []
-    for k in range(len(candidates)):
-        window = m.antecedent_window(k, config.max_antecedents)
-        lo = len(pair_i)
-        for j in window:
-            pair_i.append(cand_rows[k])
-            pair_j.append(cand_rows[j])
-        segments.append((lo, len(pair_i)))
+    """Summed marginal NLL of each candidate's gold antecedents, or of the
+    dummy when none is in its window, and the count of pruning misses."""
+    rows = index.enum_rows[candidates.indices]
+    pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
+    cluster = index.cluster[rows]
+    mention, antecedent = cluster[pairs.mention], cluster[pairs.antecedent]
+    gold = np.append((mention >= 0) & (mention == antecedent),
+                     [False, False])[pairs.grid]
+    has_gold = gold.any(axis=1)
+    misses = int(np.count_nonzero(index.anaphoric[rows] & ~has_gold))
+    n_pairs = len(pairs.mention)
+    if n_pairs == 0:
+        return Tensor(0.0), misses
 
-    if pair_i:
-        rows_i = np.array(pair_i, dtype=np.intp)
-        rows_j = np.array(pair_j, dtype=np.intp)
-        h_i = reps.full.take(rows_i)
-        h_j = reps.full.take(rows_j)
-        s_a = scoring.antecedent.apply(m.pair_features(h_i, h_j))
-        pair_scores = s_a + scores_t.take(rows_i) + scores_t.take(rows_j)
-    else:
-        pair_scores = None
-
-    epsilon = Tensor(np.zeros(1))
-    total = Tensor(0.0)
-    misses = 0
-    for k in range(len(candidates)):
-        lo, hi = segments[k]
-        window = m.antecedent_window(k, config.max_antecedents)
-        if hi > lo:
-            seg = pair_scores.narrow(lo, hi)
-            denom = ad.concat([seg, epsilon]).logsumexp()
-        else:
-            seg = None
-            denom = Tensor(0.0)
-        rows, missed = gold_antecedent_rows(doc, candidates, k, window)
-        misses += missed
-        if rows:
-            numer = seg.take(np.array(rows, dtype=np.intp)).logsumexp()
-        else:
-            numer = Tensor(0.0)
-        total = total + (denom - numer)
-    return total, misses
+    rows_i, rows_j = rows[pairs.mention], rows[pairs.antecedent]
+    s_a = scoring.antecedent.apply(
+        m.pair_features(reps.full.take(rows_i), reps.full.take(rows_j)))
+    pair_scores = s_a + scores_t.take(rows_i) + scores_t.take(rows_j)
+    slots = ad.concat([pair_scores, Tensor([-np.inf, 0.0])])
+    numer_grid = np.where(gold, pairs.grid, n_pairs)
+    numer_grid[~has_gold, -1] = n_pairs + 1
+    denom = slots.take(pairs.grid).logsumexp(axis=1)
+    numer = slots.take(numer_grid).logsumexp(axis=1)
+    return (denom - numer).sum(), misses
 
 
-def _retrofit_loss_graph(doc: Document, pair_set: PairSet,
+def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
                          reps: m.BatchedSpans, weights: LossWeights,
                          unlabeled: str) -> Tensor:
     if pair_set.count == 0:
-        log.warning("%s: empty pair set contributes 0", doc.doc_id)
+        log.warning("%s: empty pair set contributes 0", pair_set.doc_id)
         return Tensor(0.0)
-    rows_i = np.array([reps.row(a) for a, _ in pair_set.pairs], dtype=np.intp)
-    rows_j = np.array([reps.row(b) for _, b in pair_set.pairs], dtype=np.intp)
-    targets = Tensor(np.array([
-        target_distance(a, b, doc, weights, unlabeled)
-        for a, b in pair_set.pairs]))
-    x_i = reps.internal.take(rows_i)
-    x_j = reps.internal.take(rows_j)
-    dots = (x_i * x_j).sum(axis=1)
-    norm_i = (x_i * x_i).sum(axis=1).sqrt()
-    norm_j = (x_j * x_j).sum(axis=1).sqrt()
-    distances = 1.0 - dots / (norm_i * norm_j + _NORM_EPS)
+    pool_rows = index.rows_of(pair_set.spans)
+    rows_i, rows_j = pool_rows[pair_set.first], pool_rows[pair_set.second]
+    targets = Tensor(pair_target_distances(index, rows_i, rows_j, weights,
+                                           unlabeled))
+    # Norms once per table row: the same sums as per pair, fewer nodes.
+    norms = (reps.internal * reps.internal).sum(axis=1).sqrt()
+    dots = (reps.internal.take(rows_i) * reps.internal.take(rows_j)).sum(axis=1)
+    distances = 1.0 - dots / (norms.take(rows_i) * norms.take(rows_j)
+                              + _NORM_EPS)
     return (targets - distances).abs().mean()
 
 
-def _scaffold_loss_graph(scaffold_spans: Sequence[tuple[SpanRef, str]],
-                         reps: m.BatchedSpans,
+def _scaffold_loss_graph(targets: np.ndarray, reps: m.BatchedSpans,
                          scaffold: ScaffoldParams) -> Tensor:
-    rows = np.array([reps.row(s) for s, _ in scaffold_spans], dtype=np.intp)
-    targets = np.array([scaffold.class_index[c] for _, c in scaffold_spans],
-                       dtype=np.intp)
+    rows, classes = targets[:, 0], targets[:, 1]
     logits = reps.internal.take(rows) @ scaffold.weights.transpose()
     onehot = np.zeros((len(rows), len(scaffold.classes)))
-    onehot[np.arange(len(rows)), targets] = 1.0
+    onehot[np.arange(len(rows)), classes] = 1.0
     true_logits = (logits * Tensor(onehot)).sum(axis=1)
     return (logits.logsumexp(axis=1) - true_logits).mean()

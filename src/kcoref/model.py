@@ -9,6 +9,7 @@ feature. Scoring heads are small feed-forward networks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -175,47 +176,73 @@ class BatchedSpans:
     full: Tensor
     index: dict[SpanRef, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {span: i for i, span in enumerate(self.spans)}
-
     def row(self, span: SpanRef) -> int:
+        if not self.index:
+            self.index = {s: i for i, s in enumerate(self.spans)}
         return self.index[span]
 
 
-def build_span_representations(token_vecs: Tensor, spans: Sequence[SpanRef],
-                               enc: EncoderParams,
-                               config: ModelConfig) -> BatchedSpans:
-    """Vectorized equivalent of build_span_representation over many spans."""
+@dataclass(frozen=True)
+class SpanLayout:
+    """The gather plan of `build_span_representations` for a span list.
+
+    It depends only on the spans and the width buckets, so a caller that
+    represents the same spans repeatedly can build it once.
+    """
+
+    spans: list[SpanRef]
+    tokens: np.ndarray   # (spans, max width) token per slot, end repeated
+    mask: np.ndarray     # 1.0 on the slots inside the span
+    buckets: np.ndarray  # width bucket per span
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.tokens[:, 0]
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.tokens[:, -1]
+
+
+def span_layout(spans: Sequence[SpanRef], config: ModelConfig) -> SpanLayout:
     spans = list(spans)
     if not spans:
         raise ValueError("no spans to represent")
     starts = np.array([s.start for s in spans], dtype=np.intp)
     ends = np.array([s.end for s in spans], dtype=np.intp)
     widths = ends - starts + 1
-    max_w = int(widths.max())
-
-    offsets = np.arange(max_w, dtype=np.intp)
-    idx = np.minimum(starts[:, None] + offsets[None, :], ends[:, None])
+    offsets = np.arange(int(widths.max()), dtype=np.intp)
+    tokens = np.minimum(starts[:, None] + offsets[None, :], ends[:, None])
     mask = (offsets[None, :] < widths[:, None]).astype(np.float64)
+    buckets = np.minimum(np.searchsorted(config.width_bucket_edges, widths),
+                         config.n_width_buckets - 1)
+    return SpanLayout(spans, tokens, mask, buckets)
+
+
+def build_span_representations(token_vecs: Tensor,
+                               spans: Sequence[SpanRef] | SpanLayout,
+                               enc: EncoderParams,
+                               config: ModelConfig) -> BatchedSpans:
+    """Vectorized equivalent of build_span_representation over many spans."""
+    layout = spans if isinstance(spans, SpanLayout) \
+        else span_layout(spans, config)
+    n_spans, max_w = layout.tokens.shape
+    mask = layout.mask
 
     att_all = token_vecs @ enc.attention_w
-    logits = att_all.take(idx)
+    logits = att_all.take(layout.tokens)
     shift = np.where(mask > 0, logits.value, -np.inf).max(axis=1, keepdims=True)
     exps = (logits - shift).exp() * mask
     weights = exps / exps.sum(axis=1, keepdims=True)
-    span_tokens = token_vecs.take(idx)
-    n_spans = len(spans)
+    span_tokens = token_vecs.take(layout.tokens)
     internal = (weights.reshape(n_spans, max_w, 1) * span_tokens).sum(axis=1)
 
-    buckets = np.array(
-        [min(width_bucket_index(int(w), config.width_bucket_edges),
-             config.n_width_buckets - 1) for w in widths], dtype=np.intp)
-    start_vecs = token_vecs.take(starts)
-    end_vecs = token_vecs.take(ends)
-    width_feats = enc.width_embeddings.take(buckets)
+    start_vecs = token_vecs.take(layout.starts)
+    end_vecs = token_vecs.take(layout.ends)
+    width_feats = enc.width_embeddings.take(layout.buckets)
     full = ad.concat([start_vecs, end_vecs, internal, width_feats], axis=1)
-    return BatchedSpans(spans, start_vecs, end_vecs, internal, width_feats, full)
+    return BatchedSpans(layout.spans, start_vecs, end_vecs, internal,
+                        width_feats, full)
 
 
 def mention_score(rep: SpanRepresentation | Tensor, scoring: ScoringParams) -> Tensor:
@@ -274,3 +301,37 @@ def antecedent_distribution(pair_scores: np.ndarray) -> np.ndarray:
 def antecedent_window(k: int, max_antecedents: int) -> range:
     """Indices of the candidates considered as antecedents of candidate k."""
     return range(max(0, k - max_antecedents), k)
+
+
+@dataclass(frozen=True)
+class AntecedentPairs:
+    """Every (candidate, antecedent) pair of `antecedent_window`, two ways.
+
+    `mention` and `antecedent` list the P pairs flat, candidate by
+    candidate and each window in order. `grid` lays them out as one row per
+    candidate with a column per window slot plus a last dummy column; its
+    entries index the flat pair scores extended by two slots, P for a
+    padding slot (score -inf) and P + 1 for the dummy (score 0).
+    """
+
+    mention: np.ndarray
+    antecedent: np.ndarray
+    grid: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def antecedent_pairs(n_candidates: int, max_antecedents: int) -> AntecedentPairs:
+    k = np.arange(n_candidates, dtype=np.intp)
+    lo = np.maximum(k - max_antecedents, 0)
+    sizes = k - lo
+    slots = np.arange(int(sizes.max(initial=0)), dtype=np.intp)
+    inside = slots[None, :] < sizes[:, None]
+    mention = np.broadcast_to(k[:, None], inside.shape)[inside]
+    antecedent = (lo[:, None] + slots[None, :])[inside]
+    n_pairs = len(mention)
+    grid = np.full((n_candidates, len(slots) + 1), n_pairs, dtype=np.intp)
+    grid[:, :-1][inside] = np.arange(n_pairs, dtype=np.intp)
+    grid[:, -1] = n_pairs + 1
+    for array in (mention, antecedent, grid):
+        array.flags.writeable = False
+    return AntecedentPairs(mention, antecedent, grid)

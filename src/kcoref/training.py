@@ -9,6 +9,7 @@ forces the knowledge weights and the scaffold weight to zero.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -94,24 +95,35 @@ class ParameterStore:
         if int(version) != CHECKPOINT_VERSION:
             raise TrainingError(f"{path}: unsupported checkpoint version "
                                 f"{version}")
-        pos = 1
-        seed = int(lines[pos].split()[1]); pos += 1
-        step = int(lines[pos].split()[1]); pos += 1
-        n_vocab = int(lines[pos].split()[1]); pos += 1
-        vocab = tuple(lines[pos:pos + n_vocab]); pos += n_vocab
-        n_classes = int(lines[pos].split()[1]); pos += 1
-        classes = tuple(lines[pos:pos + n_classes]); pos += n_classes
-        tensors: dict[str, np.ndarray] = {}
-        while pos < len(lines) and lines[pos] != "end":
-            header = lines[pos].split(); pos += 1
-            if header[0] != "tensor":
-                raise TrainingError(f"{path}: malformed tensor header "
-                                    f"{' '.join(header)!r}")
-            name, ndim = header[1], int(header[2])
-            shape = tuple(int(d) for d in header[3:3 + ndim])
-            values = np.array([float.fromhex(tok)
-                               for tok in lines[pos].split()]); pos += 1
-            tensors[name] = values.reshape(shape)
+        try:
+            pos = 1
+            seed = int(lines[pos].split()[1]); pos += 1
+            step = int(lines[pos].split()[1]); pos += 1
+            n_vocab = int(lines[pos].split()[1]); pos += 1
+            vocab = tuple(lines[pos:pos + n_vocab]); pos += n_vocab
+            n_classes = int(lines[pos].split()[1]); pos += 1
+            classes = tuple(lines[pos:pos + n_classes]); pos += n_classes
+            tensors: dict[str, np.ndarray] = {}
+            while lines[pos] != "end":
+                header = lines[pos].split(); pos += 1
+                if len(header) < 3 or header[0] != "tensor":
+                    raise TrainingError(f"{path}: malformed tensor header "
+                                        f"{' '.join(header)!r}")
+                name, ndim = header[1], int(header[2])
+                shape = tuple(int(d) for d in header[3:3 + ndim])
+                values = np.array([float.fromhex(tok)
+                                   for tok in lines[pos].split()]); pos += 1
+                if values.size != math.prod(shape):
+                    raise TrainingError(f"{path}: tensor {name} has "
+                                        f"{values.size} values for shape "
+                                        f"{shape}")
+                tensors[name] = values.reshape(shape)
+        except IndexError:
+            raise TrainingError(f"{path}: truncated checkpoint (no 'end' "
+                                f"line)") from None
+        except ValueError as exc:
+            raise TrainingError(f"{path}: malformed checkpoint: {exc}") \
+                from None
         return cls(tensors, vocab, classes, step, seed)
 
 
@@ -146,6 +158,26 @@ def _tensor_specs(config: ModelConfig, n_vocab: int,
     if n_classes > 0:
         specs.append(("scaffold.weights", (n_classes, d), "zeros"))
     return specs
+
+
+def check_parameters(store: ParameterStore, config: ModelConfig) -> None:
+    """Require exactly the tensors, and shapes, that `config` builds.
+
+    A checkpoint that lacks a tensor would otherwise bind silently to a
+    different model (a missing `w2` makes a head linear).
+    """
+    expected = {name: shape for name, shape, _ in _tensor_specs(
+        config, len(store.vocab), len(store.scaffold_classes))}
+    missing = sorted(expected.keys() - store.tensors.keys())
+    extra = sorted(store.tensors.keys() - expected.keys())
+    if missing or extra:
+        raise TrainingError(f"parameters do not match the model config: "
+                            f"missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if store.tensors[name].shape != shape:
+            raise TrainingError(f"tensor {name} has shape "
+                                f"{store.tensors[name].shape}, the model "
+                                f"config needs {shape}")
 
 
 def init_parameters(config: ModelConfig, vocab: tuple[str, ...],

@@ -140,3 +140,18 @@ def eig2x2(a: float, b: float, c: float):
     mean = (a + c) / 2.0
     root = math.sqrt(((a - c) / 2.0) ** 2 + b * b)
     return mean + root, mean - root
+
+
+# ---------------------------------------------------------------------------
+# Retrofitting pair population, as spelled out before it was vectorized.
+
+
+def pair_set_reference(doc, extra_spans, budget: int, rng) -> list:
+    """Sorted gold + extra spans, every pair in combinations order, thinned
+    to `budget` by the same seeded draw."""
+    spans = sorted(set(doc.gold_spans()) | set(extra_spans))
+    pairs = list(itertools.combinations(spans, 2))
+    if len(pairs) > budget:
+        chosen = np.sort(rng.choice(len(pairs), size=budget, replace=False))
+        pairs = [pairs[i] for i in chosen]
+    return pairs

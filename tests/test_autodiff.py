@@ -75,6 +75,23 @@ def test_gather_and_slice():
     check_grad(lambda a: (a.transpose() @ a).sum(), [(3, 2)])
 
 
+@pytest.mark.parametrize("shape, index", [
+    ((7,), [3, 3, 0, 6, 3, 1, 3]),                       # repeated 1-D
+    ((5, 4), [4, 0, 4, 4, 2, 0]),                        # 2-D rows
+    ((6, 3), [[0, 1, 1], [5, 5, 5], [2, 0, 1], [1, 1, 4]]),  # (N, 3) index
+])
+def test_take_backward_matches_add_at(shape, index):
+    rng = np.random.default_rng(4)
+    idx = np.array(index)
+    a = ad.Tensor.param(rng.normal(size=shape))
+    out = a.take(idx)
+    upstream = rng.normal(size=out.shape)
+    (out * ad.Tensor(upstream)).sum().backward()
+    expected = np.zeros(shape)
+    np.add.at(expected, idx, upstream)
+    assert np.array_equal(a.grad, expected)
+
+
 def test_concat_stack():
     check_grad(lambda a, b: ad.concat([a, b], axis=0).sum(), [(2, 3), (4, 3)])
     check_grad(lambda a, b: ad.concat([a, b], axis=1).sum(), [(2, 3), (2, 1)])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kcoref import cli
+from kcoref import training as tr
 from kcoref.config import ConfigError, load_config, load_run_data
 from kcoref.corpus import load_corpus, load_subword_vocab
 from kcoref.lexicon import load_lexicon
@@ -147,6 +148,18 @@ class TestErrors:
                          "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "project"])
+    def test_checkpoint_missing_a_tensor_is_named(self, workspace, tmp_path,
+                                                  capsys, command):
+        store = tr.ParameterStore.load(workspace / "run" / "checkpoint.ckpt")
+        del store.tensors["scorer.mention.w2"]
+        store.save(tmp_path / "partial.ckpt")
+        code = cli.main(["--quiet", command, str(workspace / "config.json"),
+                         str(tmp_path / "partial.ckpt"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "scorer.mention.w2" in capsys.readouterr().err
+
 
 class TestConfigModule:
     def test_relative_paths_resolve_against_config(self, workspace):
@@ -172,6 +185,29 @@ class TestConfigModule:
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="missing"):
             load_config(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("objective, field", [
+        ({"unlabeled_knowledge": "skp"}, "unlabeled_knowledge"),
+        ({"grad_accumulation": 0}, "grad_accumulation"),
+        ({"pair_budget": -1}, "pair_budget"),
+    ])
+    def test_bad_objective_values_rejected(self, tmp_path, objective, field):
+        cfg = {"corpora": {"a": "x.jsonl"}, "objective": objective,
+               "phases": [{"corpus": "a", "epochs": 1}]}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=field):
+            load_config(tmp_path / "c.json")
+
+    def test_unknown_alpha_k_lexicon_rejected(self, workspace, tmp_path):
+        raw = json.loads((workspace / "config.json").read_text())
+        raw["phases"][0]["weights"]["alpha_k"] = {"coarse": 0.5, "fnie": 0.2}
+        path = workspace / "misspelled.json"
+        path.write_text(json.dumps(raw))
+        config = load_config(path)
+        with pytest.raises(ConfigError, match="'fnie'"):
+            load_run_data(config)
+        assert cli.main(["--quiet", "train", str(path),
+                         "--out", str(tmp_path)]) == 1
 
     def test_annotate_adds_fine_labels(self, workspace):
         config = load_config(workspace / "config.json")

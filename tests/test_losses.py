@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.autodiff import Tensor
-from kcoref.corpus import SpanRef
+from kcoref.corpus import SpanRef, truncate_document
 from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
                            ScaffoldParams, build_pair_set, combined_loss,
                            coref_distance, coref_loss, cosine_distance,
@@ -17,7 +19,7 @@ from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
                            knowledge_distance, retrofit_loss, scaffold_loss,
                            target_distance)
 
-from oracles import softmax_by_hand
+from oracles import pair_set_reference, softmax_by_hand
 from test_corpus import make_doc
 
 S = SpanRef
@@ -140,6 +142,14 @@ class TestPairSet:
         assert ps1 == ps2
 
 
+def pair_set(doc_id, *pairs):
+    """A PairSet holding exactly `pairs`, in the order given."""
+    spans = tuple(sorted({s for pair in pairs for s in pair}))
+    first = np.array([spans.index(a) for a, _ in pairs], dtype=np.intp)
+    second = np.array([spans.index(b) for _, b in pairs], dtype=np.intp)
+    return PairSet(doc_id, spans, first, second)
+
+
 def internals_for(doc_id, vectors):
     return {doc_id: {s: Tensor(np.asarray(v, dtype=float))
                      for s, v in vectors.items()}}
@@ -151,7 +161,7 @@ class TestRetrofitLoss:
         w = LossWeights(alpha_c=1.0)
         vectors = internals_for("d0", {S(0, 0): [1.0, 0.0],
                                        S(1, 1): [2.0, 0.0]})  # cos dist 0
-        ps = PairSet("d0", ((S(0, 0), S(1, 1)),))
+        ps = pair_set("d0", (S(0, 0), S(1, 1)))
         out = retrofit_loss([doc], [ps], vectors, w)
         assert float(out.value) == pytest.approx(0.0, abs=1e-12)
 
@@ -163,7 +173,7 @@ class TestRetrofitLoss:
         vectors = internals_for(
             "d0", {S(0, 0): [1.0, 0.0],
                    S(1, 1): [math.cos(theta), math.sin(theta)]})
-        ps = PairSet("d0", ((S(0, 0), S(1, 1)),))
+        ps = pair_set("d0", (S(0, 0), S(1, 1)))
         out = retrofit_loss([doc], [ps], vectors, w)
         assert float(out.value) == pytest.approx(1.0, abs=1e-12)
 
@@ -174,10 +184,10 @@ class TestRetrofitLoss:
         w = LossWeights(alpha_c=1.0)
         va = {S(0, 0): [1.0, 0.0], S(1, 1): [0.0, 1.0], S(2, 2): [1.0, 0.0]}
         # pairs: (0,1): |0 - 1| = 1; (0,2): |0 - 0| = 0; (1,2): |0 - 1| = 1
-        ps_a = PairSet("d0", ((S(0, 0), S(1, 1)), (S(0, 0), S(2, 2))))
+        ps_a = pair_set("d0", (S(0, 0), S(1, 1)), (S(0, 0), S(2, 2)))
         theta = math.acos(0.5)
         vb = {S(0, 0): [1.0, 0.0], S(1, 1): [math.cos(theta), math.sin(theta)]}
-        ps_b = PairSet("d1", ((S(0, 0), S(1, 1)),))
+        ps_b = pair_set("d1", (S(0, 0), S(1, 1)))
         vectors = {**internals_for("d0", va), **internals_for("d1", vb)}
         out = retrofit_loss([doc_a, doc_b], [ps_a, ps_b], vectors, w)
         assert float(out.value) == pytest.approx(1.0 / 2 + 0.5, abs=1e-12)
@@ -185,7 +195,7 @@ class TestRetrofitLoss:
     def test_empty_pair_set_contributes_zero(self, caplog):
         doc = doc_with([])
         with caplog.at_level("WARNING"):
-            out = retrofit_loss([doc], [PairSet("d0", ())], {"d0": {}},
+            out = retrofit_loss([doc], [pair_set("d0")], {"d0": {}},
                                 LossWeights())
         assert float(out.value) == 0.0
         assert "empty pair set" in caplog.text
@@ -195,7 +205,7 @@ class TestRetrofitLoss:
         w = LossWeights(alpha_c=1.0)
         base = {S(0, 0): [1.0, 2.0], S(1, 1): [-1.0, 0.5]}
         scaled = {S(0, 0): [3.0, 6.0], S(1, 1): [-1.0, 0.5]}
-        ps = PairSet("d0", ((S(0, 0), S(1, 1)),))
+        ps = pair_set("d0", (S(0, 0), S(1, 1)))
         out1 = retrofit_loss([doc], [ps], internals_for("d0", base), w)
         out2 = retrofit_loss([doc], [ps], internals_for("d0", scaled), w)
         assert float(out1.value) == pytest.approx(float(out2.value), abs=1e-9)
@@ -465,3 +475,147 @@ class TestLossGradients:
         report = tr.gradient_check(store, build, config,
                                    coords_per_tensor=12, seed=2)
         assert report.passed, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# The indexed paths against the reference forms, on random documents
+
+INDEX_CONFIG = m.ModelConfig(d_token=4, d_width=2, window_radius=1,
+                             scorer_hidden=3, max_span_width=3,
+                             prune_ratio=0.9, max_antecedents=2)
+
+
+@st.composite
+def random_documents(draw):
+    """Up to 14 tokens; disjoint gold clusters over distinct spans of width
+    <= 4 (some wider than INDEX_CONFIG enumerates); two labeled lexicons."""
+    n = draw(st.integers(4, 14))
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, 3)).map(
+            lambda sw: (sw[0], min(sw[0] + sw[1], n - 1))),
+        min_size=2, max_size=10, unique=True))
+    owners = draw(st.lists(st.integers(-1, 3), min_size=len(spans),
+                           max_size=len(spans)))
+    clusters = [[s for s, o in zip(spans, owners) if o == c] for c in range(4)]
+    concepts = {}
+    for lexicon_id in ("coarse", "fine"):
+        labels = draw(st.lists(st.sampled_from([None, "a", "b", "c"]),
+                               min_size=len(spans), max_size=len(spans)))
+        concepts[lexicon_id] = {S(*s): lab for s, lab in zip(spans, labels)
+                                if lab is not None}
+    return make_doc([f"w{i % 5}" for i in range(n)],
+                    [c for c in clusters if c], concepts)
+
+
+def reference_distributions(out, scoring, config):
+    """Antecedent distributions, one window at a time, from the pair-score
+    definition over the document's span representations."""
+    full = out.reps.full.value
+    mention = scoring.mention.apply(Tensor(full)).value
+    rows = [out.reps.row(s) for s in out.candidates.spans]
+    dists = []
+    for k in range(len(rows)):
+        scores = []
+        for j in m.antecedent_window(k, config.max_antecedents):
+            s_a = scoring.antecedent.apply(
+                m.pair_features(Tensor(full[rows[k]]), Tensor(full[rows[j]])))
+            scores.append(float(s_a.value) + mention[rows[k]]
+                          + mention[rows[j]])
+        dists.append(m.antecedent_distribution(np.array(scores)))
+    return dists
+
+
+class TestIndexedPathsMatchReferences:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(doc=random_documents(), seed=st.integers(0, 2**16))
+    def test_cl_loss_and_misses(self, doc, seed):
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
+                                   seed=seed)
+        enc, scoring, _, _ = tr.bind_parameters(store, INDEX_CONFIG,
+                                                trainable=False)
+        out = document_objective(doc, enc, scoring, None,
+                                 LossWeights(beta=(1.0, 0.0, 0.0)),
+                                 INDEX_CONFIG, ObjectiveConfig())
+        assert len(out.candidates) > INDEX_CONFIG.max_antecedents
+        expected, misses = L.coref_loss_with_misses(
+            doc, out.candidates,
+            reference_distributions(out, scoring, INDEX_CONFIG),
+            INDEX_CONFIG.max_antecedents)
+        assert float(out.cl.value) == pytest.approx(expected, abs=1e-9)
+        assert out.pruning_misses == misses
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(doc=random_documents(),
+           alphas=st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.3]),
+                           min_size=3, max_size=3),
+           alpha_c=st.sampled_from([0.0, 1.0, 0.7]),
+           unlabeled=st.sampled_from(["strict", "skip"]))
+    def test_rl_targets_bit_identical(self, doc, alphas, alpha_c, unlabeled):
+        weights = LossWeights(alpha_c=alpha_c, alpha_k=dict(
+            zip(("fine", "absent", "coarse"), alphas)))
+        index = L.document_index(doc, INDEX_CONFIG, True, None)
+        spans = index.layout.spans
+        rows_i, rows_j = np.nonzero(np.less.outer(np.arange(len(spans)),
+                                                  np.arange(len(spans))))
+        got = L.pair_target_distances(index, rows_i, rows_j, weights,
+                                      unlabeled)
+        expected = [target_distance(spans[a], spans[b], doc, weights,
+                                    unlabeled)
+                    for a, b in zip(rows_i, rows_j)]
+        assert got.tolist() == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(doc=random_documents(), budget=st.integers(0, 40),
+           extra=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                          max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_pair_sets_match_combinations(self, doc, budget, extra, seed):
+        extra_spans = [S(s, s + w) for s, w in extra]
+        got = build_pair_set(doc, extra_spans, budget,
+                             np.random.default_rng(seed))
+        expected = pair_set_reference(doc, extra_spans, budget,
+                                      np.random.default_rng(seed))
+        assert got.pairs == tuple(expected)
+        assert got.count == len(expected)
+
+
+class TestDocumentIndexLifetime:
+    def doc(self):
+        return make_doc([f"w{i}" for i in range(6)],
+                        [[(0, 0), (2, 3)], [(1, 1), (5, 5)]],
+                        {"coarse": {S(0, 0): "a", S(1, 1): "a",
+                                    S(5, 5): "b"}})
+
+    def test_index_is_reused_then_freed_with_its_document(self):
+        doc = self.doc()
+        index = L.document_index(doc, INDEX_CONFIG, True, "coarse")
+        assert L.document_index(doc, INDEX_CONFIG, True, "coarse") is index
+        doc_ref, index_ref = weakref.ref(doc), weakref.ref(index)
+        del doc, index
+        gc.collect()
+        assert doc_ref() is None and index_ref() is None
+
+    def concept_gap(self, doc, a, b):
+        index = L.document_index(doc, INDEX_CONFIG, True, None)
+        rows = index.rows_of([a, b])
+        weights = LossWeights(alpha_c=0.0, alpha_k={"coarse": 1.0})
+        return float(L.pair_target_distances(index, rows[:1], rows[1:],
+                                             weights)[0])
+
+    def test_with_annotations_gets_fresh_concept_ids(self):
+        doc = self.doc()
+        assert self.concept_gap(doc, S(0, 0), S(1, 1)) == 0.0
+        relabeled = doc.with_annotations("coarse", {S(0, 0): "a",
+                                                    S(1, 1): "b"})
+        assert self.concept_gap(relabeled, S(0, 0), S(1, 1)) == 1.0
+        assert self.concept_gap(doc, S(0, 0), S(1, 1)) == 0.0
+
+    def test_truncated_document_gets_its_own_index(self):
+        doc = self.doc()
+        full = L.document_index(doc, INDEX_CONFIG, True, None)
+        cut = truncate_document(doc, 4)
+        index = L.document_index(cut, INDEX_CONFIG, True, None)
+        assert index is not full
+        assert int(index.layout.ends.max()) == 3
+        assert index.concepts["coarse"].max() == 0   # only "a" is left
+        assert self.concept_gap(cut, S(0, 0), S(1, 1)) == 0.0

@@ -301,6 +301,48 @@ class TestCheckpoint:
         with pytest.raises(TrainingError, match="not a checkpoint"):
             ParameterStore.load(path)
 
+    def saved_lines(self, tmp_path):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+        store.save(tmp_path / "full.ckpt")
+        return (tmp_path / "full.ckpt").read_text().splitlines()
+
+    def test_rejects_file_cut_before_last_tensor(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        assert lines[-1] == "end" and lines[-3].startswith("tensor ")
+        path = tmp_path / "cut.ckpt"
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(TrainingError, match="truncated"):
+            ParameterStore.load(path)
+
+    def test_rejects_short_value_row(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("tensor encoder.mixer_b")) + 1
+        lines[row] = " ".join(lines[row].split()[:-1])
+        path = tmp_path / "short.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrainingError, match="encoder.mixer_b"):
+            ParameterStore.load(path)
+
+    def test_missing_tensor_fails_the_config_check(self, tmp_path):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+        tr.check_parameters(store, CONFIG)
+        del store.tensors["scorer.mention.w2"]
+        store.save(tmp_path / "partial.ckpt")
+        loaded = ParameterStore.load(tmp_path / "partial.ckpt")
+        with pytest.raises(TrainingError, match="scorer.mention.w2"):
+            tr.check_parameters(loaded, CONFIG)
+
+    def test_extra_or_misshapen_tensor_fails_the_config_check(self):
+        store = init_parameters(CONFIG, VOCAB, seed=3)
+        store.tensors["scorer.extra"] = np.zeros(2)
+        with pytest.raises(TrainingError, match="scorer.extra"):
+            tr.check_parameters(store, CONFIG)
+        del store.tensors["scorer.extra"]
+        store.tensors["encoder.mixer_b"] = np.zeros(CONFIG.d_token + 1)
+        with pytest.raises(TrainingError, match="encoder.mixer_b"):
+            tr.check_parameters(store, CONFIG)
+
 
 class TestGradientCheck:
     def test_quadratic_loss_is_exact(self):
