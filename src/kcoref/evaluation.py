@@ -1,13 +1,23 @@
 """Cluster decoding and the MUC / B-cubed / CEAF-e metric suite.
 
+Decoding scores every (candidate, antecedent) pair of a document in one
+batched pass and picks each candidate's antecedent row by row from the
+padded score grid.
+
 Corpus-level scores pool every document's clusters into one clustering with
 document-tagged mentions; all three metrics decompose over documents, so
-pooling equals micro-averaging. MUC and B-cubed are computed with exact
-rational arithmetic internally and converted to float at the boundary.
+pooling equals micro-averaging. Each metric reads the sparse overlap table
+of `contingency`, which holds |G_i ∩ P_j| only for the cluster pairs that
+share a mention. MUC and B-cubed sum over its entries with exact integer and
+rational arithmetic, converted to float at the boundary. CEAF-e splits the
+table into connected blocks and solves one assignment per block, since
+clusters in different blocks have similarity 0.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -106,7 +116,8 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
                         config: m.ModelConfig) -> dict[SpanRef, SpanRef | None]:
     """Argmax antecedent per candidate mention; None is the dummy choice.
 
-    Score ties break toward the dummy, then toward the nearest antecedent.
+    Every (candidate, antecedent) pair of `model.antecedent_pairs` is scored
+    in one batched pass; `select_antecedents` then picks per candidate.
     """
     if len(doc) == 0:
         return {}
@@ -117,42 +128,37 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     scores = m.mention_scores(reps, scoring).value
     candidates = m.prune_mentions(doc, spans, scores, config.prune_ratio)
 
-    links: dict[SpanRef, SpanRef | None] = {}
-    cand_rows = np.array([reps.row(s) for s in candidates.spans], dtype=np.intp)
-    full = reps.full
-    for k, span in enumerate(candidates.spans):
-        window = m.antecedent_window(k, config.max_antecedents)
-        if len(window) == 0:
-            links[span] = None
-            continue
-        rows_i = np.full(len(window), cand_rows[k], dtype=np.intp)
-        rows_j = cand_rows[window.start:window.stop]
-        h_i = full.take(rows_i)
-        h_j = full.take(rows_j)
-        s_a = scoring.antecedent.apply(m.pair_features(h_i, h_j)).value
-        pair_scores = s_a + scores[cand_rows[k]] + scores[rows_j]
-        if np.isnan(pair_scores).any():
-            raise ValueError(f"{doc.doc_id}: NaN antecedent score")
-        pick = select_antecedent(pair_scores)
-        links[span] = None if pick is None \
-            else candidates.spans[window.start + pick]
-    return links
+    pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
+    rows_i = candidates.indices[pairs.mention]
+    rows_j = candidates.indices[pairs.antecedent]
+    s_a = scoring.antecedent.apply(m.pair_features(
+        reps.full.take(rows_i), reps.full.take(rows_j))).value
+    pair_scores = s_a + scores[rows_i] + scores[rows_j]
+    if np.isnan(pair_scores).any():
+        raise ValueError(f"{doc.doc_id}: NaN antecedent score")
+    picks = select_antecedents(
+        np.append(pair_scores, -np.inf)[pairs.grid[:, :-1]])
+    window_start = np.maximum(
+        np.arange(len(candidates)) - config.max_antecedents, 0)
+    chosen = np.where(picks >= 0, window_start + picks, -1).tolist()
+    return {span: candidates.spans[j] if j >= 0 else None
+            for span, j in zip(candidates.spans, chosen)}
 
 
-def select_antecedent(pair_scores: np.ndarray) -> int | None:
-    """Argmax against the implicit zero-scored dummy antecedent.
+def select_antecedents(grid: np.ndarray) -> np.ndarray:
+    """Row-wise argmax against the implicit zero-scored dummy antecedent.
 
-    Returns the window-relative index of the chosen antecedent, or None for
-    the dummy. Ties break toward the dummy, then toward the nearest (latest)
-    antecedent.
+    Row k holds candidate k's antecedent scores in window order, padded at
+    the end with -inf. Returns the window-relative column chosen per row,
+    or -1 for the dummy. Ties break toward the dummy, then toward the
+    nearest (latest) antecedent.
     """
-    if len(pair_scores) == 0:
-        return None
-    best = pair_scores.max()
-    if best <= 0.0:
-        return None
-    ties = np.flatnonzero(pair_scores == best)
-    return int(ties[-1])
+    n_rows, width = grid.shape
+    if width == 0:
+        return np.full(n_rows, -1, dtype=np.intp)
+    best = grid.max(axis=1)
+    latest = width - 1 - np.argmax(grid[:, ::-1] == best[:, None], axis=1)
+    return np.where(best > 0.0, latest, -1)
 
 
 def decode_clusters(links: Mapping[SpanRef, SpanRef | None]) -> PredictedClusters:
@@ -175,72 +181,108 @@ def predict_clusters(doc: Document, store: tr.ParameterStore,
 # Metrics
 
 
-def _cluster_map(clusters: Clustering) -> dict[Hashable, frozenset]:
-    out: dict[Hashable, frozenset] = {}
-    for cluster in clusters:
-        frozen = frozenset(cluster)
-        for mention in cluster:
-            out[mention] = frozen
-    return out
+def contingency(gold: Clustering,
+                pred: Clustering) -> dict[tuple[int, int], int]:
+    """The sparse overlap table {(i, j): |gold[i] ∩ pred[j]|}.
+
+    Only pairs that share a mention have an entry. A mention listed twice,
+    on either side, raises ValueError: the metrics need partitions.
+    """
+    home = {mention: j for j, cluster in enumerate(pred) for mention in cluster}
+    if len(home) != sum(len(c) for c in pred):
+        raise ValueError(_repeated_mention(pred, "predicted"))
+    table: dict[tuple[int, int], int] = {}
+    seen: set = set()
+    for i, cluster in enumerate(gold):
+        seen.update(cluster)
+        for j in map(home.get, cluster):
+            if j is not None:
+                table[i, j] = table.get((i, j), 0) + 1
+    if len(seen) != sum(len(c) for c in gold):
+        raise ValueError(_repeated_mention(gold, "gold"))
+    return table
+
+
+def _repeated_mention(clusters: Clustering, side: str) -> str:
+    counts = Counter(mention for cluster in clusters for mention in cluster)
+    mention = next(m for m, n in counts.items() if n > 1)
+    return f"mention {mention!r} is listed twice in the {side} clusters"
 
 
 def muc(gold: Clustering, pred: Clustering) -> RPF1:
-    """Link-based metric: partitions of each cluster by the other side."""
+    """Link-based metric: partitions of each cluster by the other side.
 
-    def side(clusters: Clustering, other_map) -> tuple[int, int]:
-        num = den = 0
-        for cluster in clusters:
-            cells = set()
-            for mention in cluster:
-                home = other_map.get(mention)
-                cells.add(home if home is not None else ("solo", mention))
-            num += len(cluster) - len(cells)
-            den += len(cluster) - 1
-        return num, den
-
-    r_num, r_den = side(gold, _cluster_map(pred))
-    p_num, p_den = side(pred, _cluster_map(gold))
-    recall = r_num / r_den if r_den else 0.0
-    precision = p_num / p_den if p_den else 0.0
+    A cluster C falls into one part per overlapping cluster plus a
+    singleton per uncovered mention, and keeps |C| - parts of its |C| - 1
+    links; summed over either side, the kept links are sum(n_ij - 1) over
+    the overlap table.
+    """
+    table = contingency(gold, pred)
+    kept = sum(table.values()) - len(table)
+    r_den = sum(len(c) - 1 for c in gold)
+    p_den = sum(len(c) - 1 for c in pred)
+    recall = kept / r_den if r_den else 0.0
+    precision = kept / p_den if p_den else 0.0
     return RPF1.from_rp(recall, precision)
 
 
 def b_cubed(gold: Clustering, pred: Clustering) -> RPF1:
-    """Per-mention overlap metric; missing mentions act as singletons."""
+    """Per-mention overlap metric; missing mentions act as singletons.
 
-    def side(a_clusters: Clustering, b_map) -> Fraction:
-        total = Fraction(0)
-        count = 0
-        for cluster in a_clusters:
-            for mention in cluster:
-                b_cluster = b_map.get(mention, frozenset([mention]))
-                total += Fraction(len(cluster & b_cluster), len(cluster))
-                count += 1
-        return total / count if count else Fraction(0)
+    A mention of C scores |C ∩ its cluster on the other side| / |C|, so C
+    adds (sum_j n_ij^2 + its uncovered mentions) / |C|; the sum is exact.
+    """
+    table = contingency(gold, pred)
 
-    recall = float(side(gold, _cluster_map(pred)))
-    precision = float(side(pred, _cluster_map(gold)))
-    return RPF1.from_rp(recall, precision)
+    def side(clusters: Clustering, axis: int) -> float:
+        covered = [0] * len(clusters)
+        squares = [0] * len(clusters)
+        for key, n in table.items():
+            covered[key[axis]] += n
+            squares[key[axis]] += n * n
+        by_size: dict[int, int] = {}
+        for cluster, cov, sq in zip(clusters, covered, squares):
+            size = len(cluster)
+            if size:
+                by_size[size] = by_size.get(size, 0) + sq + size - cov
+        total = sum(Fraction(num, size) for size, num in by_size.items())
+        count = sum(len(c) for c in clusters)
+        return float(total / count) if count else 0.0
+
+    return RPF1.from_rp(side(gold, 0), side(pred, 1))
 
 
 def ceaf_e(gold: Clustering, pred: Clustering) -> RPF1:
     """Entity-alignment metric with the similarity 2|G∩P| / (|G|+|P|).
 
-    The one-to-one alignment maximizing total similarity is found with the
+    The similarity is 0 between clusters in different connected blocks of
+    the overlap table, so the one-to-one alignment maximizing the total is
+    found per block: a 1×1 block aligns its pair, a larger one goes to the
     Kuhn-Munkres assignment.
     """
-    gold = [frozenset(c) for c in gold]
-    pred = [frozenset(c) for c in pred]
+    table = contingency(gold, pred)
     if not gold and not pred:
         return RPF1(1.0, 1.0, 1.0)
     if not gold or not pred:
         return RPF1(0.0, 0.0, 0.0)
-    phi = np.zeros((len(gold), len(pred)))
-    for i, g in enumerate(gold):
-        for j, p in enumerate(pred):
-            phi[i, j] = 2.0 * len(g & p) / (len(g) + len(p))
-    rows, cols = linear_sum_assignment(phi, maximize=True)
-    total = float(phi[rows, cols].sum())
+
+    def phi(i: int, j: int) -> float:
+        return 2.0 * table.get((i, j), 0) / (len(gold[i]) + len(pred[j]))
+
+    blocks = UnionFind()  # gold i is node i, pred j is node ~j
+    for i, j in table:
+        blocks.union(i, ~j)
+    aligned: list[float] = []
+    for block in blocks.groups():
+        rows = sorted(x for x in block if x >= 0)
+        cols = sorted(~x for x in block if x < 0)
+        if len(rows) == len(cols) == 1:
+            aligned.append(phi(rows[0], cols[0]))
+            continue
+        sim = np.array([[phi(i, j) for j in cols] for i in rows])
+        picked_rows, picked_cols = linear_sum_assignment(sim, maximize=True)
+        aligned.extend(sim[picked_rows, picked_cols].tolist())
+    total = math.fsum(aligned)
     return RPF1.from_rp(total / len(gold), total / len(pred))
 
 

@@ -11,6 +11,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from kcoref import model as m
+from kcoref import training as tr
+from kcoref.corpus import enumerate_candidate_spans
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -125,6 +130,27 @@ def ceaf_e_brute_force(gold, pred):
     return r, p, f
 
 
+def ceaf_e_dense(gold, pred):
+    """CEAF-e from the dense gold x pred similarity matrix and one
+    Kuhn-Munkres assignment over all of it."""
+    gold = [frozenset(c) for c in gold]
+    pred = [frozenset(c) for c in pred]
+    if not gold and not pred:
+        return 1.0, 1.0, 1.0
+    if not gold or not pred:
+        return 0.0, 0.0, 0.0
+    phi = np.zeros((len(gold), len(pred)))
+    for i, g in enumerate(gold):
+        for j, p in enumerate(pred):
+            phi[i, j] = 2.0 * len(g & p) / (len(g) + len(p))
+    rows, cols = linear_sum_assignment(phi, maximize=True)
+    total = float(phi[rows, cols].sum())
+    r = total / len(gold)
+    p = total / len(pred)
+    f = 2 * p * r / (p + r) if p + r else 0.0
+    return r, p, f
+
+
 def random_clustering(rng, n_mentions: int, max_clusters: int):
     """Random partition of a subset of mention ids 0..n_mentions-1."""
     mentions = [m for m in range(n_mentions) if rng.random() < 0.9]
@@ -155,3 +181,55 @@ def pair_set_reference(doc, extra_spans, budget: int, rng) -> list:
         chosen = np.sort(rng.choice(len(pairs), size=budget, replace=False))
         pairs = [pairs[i] for i in chosen]
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# Antecedent decoding, one candidate at a time.
+
+
+def select_antecedent(pair_scores):
+    """Argmax of one window against the implicit zero-scored dummy.
+
+    Returns the window-relative index of the chosen antecedent, or None for
+    the dummy. Ties break toward the dummy, then toward the nearest (latest)
+    antecedent.
+    """
+    if len(pair_scores) == 0:
+        return None
+    best = pair_scores.max()
+    if best <= 0.0:
+        return None
+    ties = np.flatnonzero(pair_scores == best)
+    return int(ties[-1])
+
+
+def predict_antecedents_reference(doc, store, config):
+    """Per-candidate decode: the antecedent FFN once per window."""
+    if len(doc) == 0:
+        return {}
+    enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
+    token_vecs = m.encode_tokens(doc, enc)
+    spans = enumerate_candidate_spans(doc, config.max_span_width)
+    reps = m.build_span_representations(token_vecs, spans, enc, config)
+    scores = m.mention_scores(reps, scoring).value
+    candidates = m.prune_mentions(doc, spans, scores, config.prune_ratio)
+
+    links = {}
+    cand_rows = np.array([reps.row(s) for s in candidates.spans], dtype=np.intp)
+    full = reps.full
+    for k, span in enumerate(candidates.spans):
+        window = m.antecedent_window(k, config.max_antecedents)
+        if len(window) == 0:
+            links[span] = None
+            continue
+        rows_i = np.full(len(window), cand_rows[k], dtype=np.intp)
+        rows_j = cand_rows[window.start:window.stop]
+        s_a = scoring.antecedent.apply(
+            m.pair_features(full.take(rows_i), full.take(rows_j))).value
+        pair_scores = s_a + scores[cand_rows[k]] + scores[rows_j]
+        if np.isnan(pair_scores).any():
+            raise ValueError(f"{doc.doc_id}: NaN antecedent score")
+        pick = select_antecedent(pair_scores)
+        links[span] = None if pick is None \
+            else candidates.spans[window.start + pick]
+    return links

@@ -3,19 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcoref import evaluation as ev
 from kcoref import training as tr
 from kcoref.corpus import SpanRef, SubwordVocab
 from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
                                average_report, b_cubed, bucket_key, ceaf_e,
-                               decode_clusters, muc, pool_documents,
-                               predict_antecedents, predict_clusters,
-                               score_documents, select_antecedent,
-                               slice_by_concept, slice_by_subword_bucket)
+                               contingency, decode_clusters, muc,
+                               pool_documents, predict_antecedents,
+                               predict_clusters, score_documents,
+                               select_antecedents, slice_by_concept,
+                               slice_by_subword_bucket)
 
-from oracles import (b_cubed_reference, ceaf_e_brute_force, muc_reference,
-                     random_clustering)
+from oracles import (b_cubed_reference, ceaf_e_brute_force, ceaf_e_dense,
+                     muc_reference, predict_antecedents_reference,
+                     random_clustering, select_antecedent)
 from test_corpus import make_doc
-from test_losses import tiny_setup
+from test_losses import INDEX_CONFIG, random_documents, tiny_setup
 
 S = SpanRef
 
@@ -57,21 +60,78 @@ class TestUnionFind:
         assert g1 == g2
 
 
+def picks(window):
+    """`select_antecedents` on a one-row grid."""
+    return select_antecedents(
+        np.array(window, dtype=np.float64).reshape(1, -1)).tolist()
+
+
 class TestSelectAntecedent:
+    """The tie rule of `select_antecedents`, one grid row per window."""
+
     def test_all_zero_scores_choose_dummy(self):
-        assert select_antecedent(np.zeros(4)) is None
+        assert picks(np.zeros(4)) == [-1]
 
     def test_empty_window_chooses_dummy(self):
-        assert select_antecedent(np.array([])) is None
+        assert picks([]) == [-1]
 
     def test_dominant_score_chosen(self):
-        assert select_antecedent(np.array([0.1, 5.0, 0.2])) == 1
+        assert picks([0.1, 5.0, 0.2]) == [1]
 
     def test_negative_scores_choose_dummy(self):
-        assert select_antecedent(np.array([-3.0, -0.5])) is None
+        assert picks([-3.0, -0.5]) == [-1]
 
     def test_equal_maxima_choose_nearest(self):
-        assert select_antecedent(np.array([2.0, 1.0, 2.0])) == 2
+        assert picks([2.0, 1.0, 2.0]) == [2]
+
+    def test_padded_rows_follow_the_scalar_rule(self):
+        windows = [[], [0.0, 0.0], [0.1, 5.0, 0.2], [-3.0, -0.5],
+                   [2.0, 1.0, 2.0], [3.0], [0.5, 0.5, 0.5, 0.5]]
+        grid = np.full((len(windows), 4), -np.inf)
+        for k, w in enumerate(windows):
+            grid[k, :len(w)] = w
+        want = [select_antecedent(np.array(w)) for w in windows]
+        assert select_antecedents(grid).tolist() == \
+            [-1 if p is None else p for p in want]
+
+
+class TestBatchedDecodeMatchesReference:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(doc=random_documents(), seed=st.integers(0, 2**16),
+           bias=st.sampled_from([0.0, 0.3, 2.0]))
+    def test_random_documents_and_stores(self, doc, seed, bias):
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
+                                   seed=seed)
+        store.tensors["scorer.antecedent.b2"] = np.array(bias)
+        got = predict_antecedents(doc, store, INDEX_CONFIG)
+        assert len(got) > INDEX_CONFIG.max_antecedents
+        assert got == predict_antecedents_reference(doc, store, INDEX_CONFIG)
+
+    def test_zero_store(self):
+        doc = make_doc([f"w{i % 3}" for i in range(12)], [[(0, 0), (3, 3)]])
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
+                                   zero_init=True)
+        got = predict_antecedents(doc, store, INDEX_CONFIG)
+        assert got == predict_antecedents_reference(doc, store, INDEX_CONFIG)
+        assert got and all(a is None for a in got.values())
+
+    def test_exact_tie_picks_the_nearest_antecedent(self):
+        doc = make_doc([f"w{i % 3}" for i in range(12)], [[(0, 0), (3, 3)]])
+        # zero weights and antecedent bias 1: every pair scores exactly 1.0
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
+                                   zero_init=True)
+        store.tensors["scorer.antecedent.b2"] = np.array(1.0)
+        got = predict_antecedents(doc, store, INDEX_CONFIG)
+        assert got == predict_antecedents_reference(doc, store, INDEX_CONFIG)
+        spans = list(got)
+        assert got[spans[0]] is None
+        assert all(got[b] == a for a, b in zip(spans, spans[1:]))
+
+    def test_nan_score_rejected(self):
+        docs, config, store, _, _ = tiny_setup()
+        store.tensors["scorer.antecedent.b2"] = np.array(np.nan)
+        with pytest.raises(ValueError, match="NaN antecedent score"):
+            predict_antecedents(docs[0], store, config)
 
 
 class TestDecodeClusters:
@@ -237,6 +297,138 @@ class TestMetricProperties:
         for fn in (muc, b_cubed, ceaf_e):
             got = fn(GOLD_EX, [C(*c) for c in GOLD_EX])
             assert got == RPF1(1.0, 1.0, 1.0)
+
+
+class TestRepeatedMentionsRejected:
+    @pytest.mark.parametrize("metric", [muc, b_cubed, ceaf_e])
+    @pytest.mark.parametrize("pred", [PRED_EX, []])
+    def test_gold_side(self, metric, pred):
+        gold = [C("a", "b", "c"), C("c", "d")]
+        with pytest.raises(ValueError,
+                           match="mention 'c' is listed twice in the gold"):
+            metric(gold, pred)
+
+    @pytest.mark.parametrize("metric", [muc, b_cubed, ceaf_e])
+    @pytest.mark.parametrize("gold", [GOLD_EX, []])
+    def test_pred_side(self, metric, gold):
+        pred = [C("a", "d"), C("d", "e")]
+        with pytest.raises(
+                ValueError,
+                match="mention 'd' is listed twice in the predicted"):
+            metric(gold, pred)
+
+
+def overlap_blocks(gold, pred):
+    """(gold clusters, pred clusters) of each connected block of overlapping
+    clusters, found by search over the cluster pairs."""
+    gold, pred = [set(c) for c in gold], [set(c) for c in pred]
+    placed, blocks = set(), []
+    for start in range(len(gold)):
+        if start in placed:
+            continue
+        rows, cols, frontier = {start}, set(), [("g", start)]
+        while frontier:
+            side, k = frontier.pop()
+            if side == "g":
+                new = [("p", j) for j, p in enumerate(pred)
+                       if j not in cols and gold[k] & p]
+                cols.update(j for _, j in new)
+            else:
+                new = [("g", i) for i, g in enumerate(gold)
+                       if i not in rows and pred[k] & g]
+                rows.update(i for _, i in new)
+            frontier.extend(new)
+        placed |= rows
+        if cols:
+            blocks.append((len(rows), len(cols)))
+    return blocks
+
+
+def pooled_random(seed):
+    """Pooled gold and pred over 1-5 documents of random clusterings."""
+    rng = np.random.default_rng(seed)
+    n_docs = int(rng.integers(1, 6))
+    gold, pred = [], []
+    for _ in range(n_docs):
+        n = int(rng.integers(3, 13))
+        gold.append(random_clustering(rng, n, int(rng.integers(1, 6))))
+        pred.append(random_clustering(rng, n, int(rng.integers(1, 6))))
+    return pool_documents(gold), pool_documents(pred)
+
+
+# Hand-built pooled cases: G > P, P > G, 2x2 and 3x2 blocks, gold clusters
+# that overlap nothing, and a pred cluster spanning two gold clusters.
+POOLED_CASES = {
+    "more_gold": ([[C(1, 2), C(3, 4), C(5, 6)], [C(1, 2)]],
+                  [[C(1, 2, 3)], [C(1, 2)]]),
+    "more_pred": ([[C(1, 2, 3, 4)]], [[C(1, 2), C(3, 4), C(5, 6)]]),
+    "block_2x2": ([[C(1, 2, 3), C(4, 5, 6)]], [[C(1, 2, 4), C(3, 5, 6)]]),
+    "block_3x2": ([[C(1, 2), C(3, 4), C(5, 6)], [C(1, 2)]],
+                  [[C(1, 3, 5), C(2, 4, 6)], [C(1, 7)]]),
+    "gold_unmatched": ([[C(1, 2), C(8, 9)], [C(3, 4)]],
+                       [[C(1, 2)], [C(5, 6)]]),
+}
+
+
+class TestPooledMetricsMatchReferences:
+    def check(self, gold, pred):
+        got = ceaf_e(gold, pred)
+        want = ceaf_e_dense(gold, pred)
+        for a, b in zip((got.recall, got.precision, got.f1), want):
+            assert a == pytest.approx(b, abs=1e-12)
+        got_m, got_b = muc(gold, pred), b_cubed(gold, pred)
+        assert (got_m.recall, got_m.precision, got_m.f1) == \
+            muc_reference(gold, pred)
+        assert (got_b.recall, got_b.precision, got_b.f1) == \
+            b_cubed_reference(gold, pred)
+
+    @pytest.mark.parametrize("case", sorted(POOLED_CASES))
+    def test_hand_built_cases(self, case):
+        gold_docs, pred_docs = POOLED_CASES[case]
+        self.check(pool_documents(gold_docs), pool_documents(pred_docs))
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_pooled_clusterings(self, seed):
+        self.check(*pooled_random(seed))
+
+    def test_contingency_worked_example(self):
+        assert contingency(GOLD_EX, PRED_EX) == {(0, 0): 2, (0, 1): 1,
+                                                 (1, 1): 2}
+
+    def test_assignment_sees_one_block_at_a_time(self, monkeypatch):
+        shapes = []
+        real = ev.linear_sum_assignment
+
+        def recording(matrix, maximize=False):
+            shapes.append(matrix.shape)
+            return real(matrix, maximize=maximize)
+
+        monkeypatch.setattr(ev, "linear_sum_assignment", recording)
+        inputs = [(pool_documents(g), pool_documents(p))
+                  for g, p in POOLED_CASES.values()]
+        inputs += [pooled_random(seed) for seed in range(40)]
+        seen = []
+        for gold, pred in inputs:
+            shapes.clear()
+            ceaf_e(gold, pred)
+            blocks = overlap_blocks(gold, pred)
+            assert sorted(shapes) == sorted(b for b in blocks if b != (1, 1))
+            seen += shapes
+        assert {(2, 2), (3, 2)} <= set(seen)
+
+    def test_hand_built_cases_are_what_they_say(self):
+        def pooled(case):
+            return [pool_documents(docs) for docs in POOLED_CASES[case]]
+
+        gold, pred = pooled("more_gold")
+        assert len(gold) > len(pred)
+        gold, pred = pooled("more_pred")
+        assert len(pred) > len(gold)
+        assert (2, 2) in overlap_blocks(*pooled("block_2x2"))
+        assert (3, 2) in overlap_blocks(*pooled("block_3x2"))
+        gold, pred = pooled("gold_unmatched")
+        assert sum(rows for rows, _ in overlap_blocks(gold, pred)) < len(gold)
 
 
 class TestAverageReport:
