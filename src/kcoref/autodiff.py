@@ -4,7 +4,9 @@ A small tensor-valued tape: each op returns a new Tensor holding its numpy
 value and a closure that routes the upstream gradient to its parents.
 All arithmetic is float64. Tensors whose inputs carry no gradient are
 returned as constants with no tape entry, so inference-only forward
-passes cost plain numpy.
+passes cost plain numpy. A stage of many small ops can instead be one
+`fused` node that computes its value and its parents' gradients in plain
+numpy.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        if np.shape(grad) != self.value.shape:
+            raise ValueError(f"gradient of shape {np.shape(grad)} for a tensor "
+                             f"of shape {self.value.shape}")
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float64)
         else:
@@ -356,29 +361,21 @@ class Tensor:
         shape = self.value.shape
 
         def backward(g):
-            # One bincount over flat (row, column) positions: it adds the
-            # gathered rows back in input order, as np.add.at would.
-            rows, width = shape[0], math.prod(shape[1:])
-            flat = idx.reshape(-1)
-            if width != 1:
-                flat = (flat[:, None] * width
-                        + np.arange(width, dtype=np.intp)).reshape(-1)
-            full = np.bincount(flat, weights=g.reshape(-1),
-                               minlength=rows * width)
-            self._accumulate(full.reshape(shape))
+            self._accumulate(scatter_rows(idx, g, shape))
 
         return Tensor(out_value, True, (self,), backward)
 
-    def narrow(self, start: int, stop: int):
-        """Contiguous slice along axis 0."""
-        out_value = self.value[start:stop]
+    def narrow(self, start: int, stop: int, axis: int = 0):
+        """Contiguous slice along `axis`."""
+        where = (slice(None),) * axis + (slice(start, stop),)
+        out_value = self.value[where]
         if not self.requires_grad:
             return Tensor(out_value)
         shape = self.value.shape
 
         def backward(g):
             full = np.zeros(shape, dtype=np.float64)
-            full[start:stop] = g
+            full[where] = g
             self._accumulate(full)
 
         return Tensor(out_value, True, (self,), backward)
@@ -406,26 +403,37 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor(out_value, True, tuple(tensors), backward)
 
 
-def stack(tensors) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_value = np.stack([t.value for t in tensors])
-    if not any(t.requires_grad for t in tensors):
-        return Tensor(out_value)
+def scatter_rows(index, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """An array of `shape` whose row r sums the rows of `values` at the
+    positions where `index` is r: the backward of gathering rows `index`.
 
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(g[i])
+    One bincount over flat (row, column) positions adds them in input
+    order, as np.add.at would.
+    """
+    rows, width = shape[0], math.prod(shape[1:])
+    flat = np.asarray(index).reshape(-1)
+    if width != 1:
+        flat = (flat[:, None] * width
+                + np.arange(width, dtype=np.intp)).reshape(-1)
+    full = np.bincount(flat, weights=np.reshape(values, -1),
+                       minlength=rows * width)
+    return full.reshape(shape)
 
-    return Tensor(out_value, True, tuple(tensors), backward)
 
+def fused(value, parents, backward) -> Tensor:
+    """One tape node with a hand-written backward.
 
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    return (u * v).sum()
+    `backward(g)` returns one gradient per parent, each of that parent's
+    shape. When no parent needs a gradient, `value` comes back as a
+    constant with no tape entry.
+    """
+    parents = tuple(parents)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(value)
 
+    def route(g):
+        for parent, grad in zip(parents, backward(g)):
+            if parent.requires_grad:
+                parent._accumulate(grad)
 
-def softmax(t: Tensor) -> Tensor:
-    """Softmax over the last axis of a 1-D tensor, max-shifted for stability."""
-    shifted = t - float(np.max(t.value))
-    exps = shifted.exp()
-    return exps / exps.sum()
+    return Tensor(value, True, parents, route)

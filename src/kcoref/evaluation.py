@@ -118,6 +118,9 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
 
     Every (candidate, antecedent) pair of `model.antecedent_pairs` is scored
     in one batched pass; `select_antecedents` then picks per candidate.
+    Candidates with byte-identical representations share one row, and each
+    distinct pair of rows is scored once, so pairs with identical features
+    tie exactly and the nearest-antecedent rule decides between them.
     """
     if len(doc) == 0:
         return {}
@@ -128,12 +131,17 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     scores = m.mention_scores(reps, scoring).value
     candidates = m.prune_mentions(doc, spans, scores, config.prune_ratio)
 
+    x = reps.full.value[candidates.indices]
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
+    _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
     pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
-    rows_i = candidates.indices[pairs.mention]
-    rows_j = candidates.indices[pairs.antecedent]
-    s_a = scoring.antecedent.apply(m.pair_features(
-        reps.full.take(rows_i), reps.full.take(rows_j))).value
-    pair_scores = s_a + scores[rows_i] + scores[rows_j]
+    rows_i, rows_j = row_of[pairs.mention], row_of[pairs.antecedent]
+    codes, pair_of = np.unique(rows_i * len(first) + rows_j,
+                               return_inverse=True)
+    s_a = m.antecedent_scores(x[first], codes // len(first),
+                              codes % len(first), scoring.antecedent).scores
+    s_m = scores[candidates.indices[first]]
+    pair_scores = s_a[pair_of] + s_m[rows_i] + s_m[rows_j]
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
     picks = select_antecedents(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -183,13 +182,6 @@ def cosine_distance(u, v) -> float:
     return float(1.0 - np.dot(u, v) / (nu * nv))
 
 
-def cosine_distance_t(u: Tensor, v: Tensor) -> Tensor:
-    """Differentiable cosine distance between two vectors."""
-    dot_uv = ad.dot(u, v)
-    norms = ad.dot(u, u).sqrt() * ad.dot(v, v).sqrt()
-    return 1.0 - dot_uv / (norms + _NORM_EPS)
-
-
 # ---------------------------------------------------------------------------
 # Pair population for the retrofitting loss
 
@@ -214,96 +206,7 @@ def build_pair_set(doc: Document, extra_spans: Sequence[SpanRef],
 
 
 # ---------------------------------------------------------------------------
-# Loss operations (reference forms over explicit structures)
-
-
-def retrofit_loss(docs: Sequence[Document], pair_sets: Sequence[PairSet],
-                  internals: Mapping[str, Mapping[SpanRef, Tensor]],
-                  weights: LossWeights, unlabeled: str = "strict") -> Tensor:
-    """Mean absolute gap between target and cosine distance, summed over docs."""
-    by_id = {d.doc_id: d for d in docs}
-    total = Tensor(0.0)
-    for pair_set in pair_sets:
-        doc = by_id[pair_set.doc_id]
-        if pair_set.count == 0:
-            log.warning("%s: empty pair set contributes 0", doc.doc_id)
-            continue
-        vectors = internals[doc.doc_id]
-        acc = Tensor(0.0)
-        for span_i, span_j in pair_set.pairs:
-            target = target_distance(span_i, span_j, doc, weights, unlabeled)
-            gap = Tensor(target) - cosine_distance_t(vectors[span_i],
-                                                     vectors[span_j])
-            acc = acc + gap.abs()
-        total = total + acc / float(pair_set.count)
-    return total
-
-
-def scaffold_loss(labeled: Mapping[str, Sequence[tuple[SpanRef, str]]],
-                  internals: Mapping[str, Mapping[SpanRef, Tensor]],
-                  scaffold: ScaffoldParams) -> Tensor:
-    """Per-document mean concept negative log-likelihood, summed over docs."""
-    total = Tensor(0.0)
-    for doc_id in sorted(labeled):
-        spans = [(s, c) for s, c in labeled[doc_id] if c in scaffold.class_index]
-        if not spans:
-            continue
-        acc = Tensor(0.0)
-        for span, concept in spans:
-            logits = scaffold.weights @ internals[doc_id][span]
-            nll = logits.logsumexp() - logits.take(scaffold.class_index[concept])
-            acc = acc + nll
-        total = total + acc / float(len(spans))
-    return total
-
-
-def gold_antecedent_rows(doc: Document, candidates: m.CandidateSet,
-                         k: int, window: range) -> tuple[list[int], bool]:
-    """Window positions of candidate k's gold antecedents.
-
-    Returns (positions, missed) where `missed` flags an anaphoric mention
-    whose every gold antecedent fell outside the candidate window.
-    """
-    span = candidates.spans[k]
-    cluster = doc.cluster_of(span)
-    if cluster is None:
-        return [], False
-    rows = [j - window.start for j in window
-            if candidates.spans[j] in cluster]
-    if rows:
-        return rows, False
-    anaphoric = any(other < span for other in cluster)
-    return [], anaphoric
-
-
-def coref_loss(doc: Document, candidates: m.CandidateSet,
-               distributions: Sequence[np.ndarray],
-               max_antecedents: int = 50) -> float:
-    """Marginal negative log-likelihood of correct antecedents.
-
-    `distributions[k]` covers candidate k's antecedent window with the dummy
-    antecedent last, as produced by `model.antecedent_distribution`.
-    """
-    loss, _ = coref_loss_with_misses(doc, candidates, distributions,
-                                     max_antecedents)
-    return loss
-
-
-def coref_loss_with_misses(doc: Document, candidates: m.CandidateSet,
-                           distributions: Sequence[np.ndarray],
-                           max_antecedents: int = 50) -> tuple[float, int]:
-    total = 0.0
-    misses = 0
-    for k in range(len(candidates)):
-        window = m.antecedent_window(k, max_antecedents)
-        probs = distributions[k]
-        if len(probs) != len(window) + 1:
-            raise LossError(f"distribution {k} does not cover its window")
-        rows, missed = gold_antecedent_rows(doc, candidates, k, window)
-        misses += missed
-        mass = probs[rows].sum() if rows else probs[-1]
-        total -= math.log(mass)
-    return total, misses
+# Combination and the document-level objective graph
 
 
 def combined_loss(cl, rl, sl, weights: LossWeights):
@@ -315,10 +218,6 @@ def combined_loss(cl, rl, sl, weights: LossWeights):
             raise LossError(f"{name} loss is NaN")
     b1, b2, b3 = weights.beta
     return b1 * cl + b2 * rl + b3 * sl
-
-
-# ---------------------------------------------------------------------------
-# Document-level objective graph (vectorized; used by training and eval)
 
 
 @dataclass
@@ -523,20 +422,82 @@ def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
                      [False, False])[pairs.grid]
     has_gold = gold.any(axis=1)
     misses = int(np.count_nonzero(index.anaphoric[rows] & ~has_gold))
-    n_pairs = len(pairs.mention)
-    if n_pairs == 0:
+    if len(pairs.mention) == 0:
         return Tensor(0.0), misses
+    numer = gold.copy()
+    numer[:, -1] = ~has_gold
+    return antecedent_nll(reps.full, scores_t, rows, pairs, numer,
+                          scoring.antecedent), misses
 
-    rows_i, rows_j = rows[pairs.mention], rows[pairs.antecedent]
-    s_a = scoring.antecedent.apply(
-        m.pair_features(reps.full.take(rows_i), reps.full.take(rows_j)))
-    pair_scores = s_a + scores_t.take(rows_i) + scores_t.take(rows_j)
-    slots = ad.concat([pair_scores, Tensor([-np.inf, 0.0])])
-    numer_grid = np.where(gold, pairs.grid, n_pairs)
-    numer_grid[~has_gold, -1] = n_pairs + 1
-    denom = slots.take(pairs.grid).logsumexp(axis=1)
-    numer = slots.take(numer_grid).logsumexp(axis=1)
-    return (denom - numer).sum(), misses
+
+def _logsumexp_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted log-sum-exp over the last axis, and the softmax."""
+    shift = values.max(axis=-1, keepdims=True)
+    exps = np.exp(values - shift)
+    total = exps.sum(axis=-1, keepdims=True)
+    return (np.log(total) + shift)[..., 0], exps / total
+
+
+def antecedent_nll(full: Tensor, mention_scores: Tensor, rows: np.ndarray,
+                   pairs: m.AntecedentPairs, numer: np.ndarray,
+                   head: m.FeedForward) -> Tensor:
+    """sum_k [logsumexp of candidate k's `pairs.grid` row - logsumexp of
+    the slots of that row that `numer` marks], as one tape node.
+
+    Candidate k is row `rows[k]` of `full` and `mention_scores` (the rows
+    are distinct); a pair scores s_m(i) + s_m(j) + s_a(i, j), with s_a from
+    the `head` FFN, and the dummy column scores 0.
+    """
+    x = full.value[rows]
+    mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
+    d = x.shape[1]
+    ffn = m.antecedent_scores(x, mention, antecedent, head)
+    s = mention_scores.value[rows]
+    slots = np.concatenate([ffn.scores + s[mention] + s[antecedent],
+                            [-np.inf, 0.0]])[pairs.grid]
+    # Row-wise over every slot (denominator) and the marked ones (numerator).
+    lse, probs = _logsumexp_rows(np.stack([slots,
+                                           np.where(numer, slots, -np.inf)]))
+    loss = (lse[0] - lse[1]).sum()
+    params = [t for t in (head.w1, head.b1, head.w2, head.b2) if t is not None]
+
+    def backward(g):
+        # Each pair has one window slot, in flat pair order.
+        g_pair = (g * (probs[0] - probs[1]))[:, :-1][inside]
+        n_pairs = len(g_pair)
+        w1 = head.w1.value.reshape(3 * d, -1)
+        width = w1.shape[1]
+        head_grads = []
+        if ffn.hidden is None:
+            g_layer = g_pair[:, None]
+        else:
+            g_layer = (np.outer(g_pair, head.w2.value)
+                       * (1.0 - ffn.hidden ** 2))
+            head_grads = [g_layer.sum(axis=0), ffn.hidden.T @ g_pair]
+        # Per candidate, one sparse product sums the layer gradient over
+        # the pairs it is the mention of, over those it is the antecedent
+        # of, and the pair-score gradient over both.
+        block = np.zeros((2 * n_pairs, 2 * width + 1))
+        block[:n_pairs, :width] = g_layer
+        block[n_pairs:, width:-1] = g_layer
+        block[:n_pairs, -1] = g_pair
+        block[n_pairs:, -1] = g_pair
+        sums = pairs.scatter @ block
+        g_u, g_v = sums[:, :width], sums[:, width:-1]
+        g_mention_scores = np.zeros(mention_scores.shape)
+        g_mention_scores[rows] = sums[:, -1]
+
+        g_products = g_layer @ w1[2 * d:].T
+        g_full = np.zeros(full.shape)
+        g_full[rows] = (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
+                        + pairs.scatter @ (ffn.partners * g_products)
+                        .reshape(2 * n_pairs, d))
+        g_w1 = np.concatenate([x.T @ g_u, x.T @ g_v,
+                               ffn.products.T @ g_layer])
+        return (g_full, g_mention_scores, g_w1.reshape(head.w1.shape),
+                *head_grads, g_pair.sum())
+
+    return ad.fused(loss, (full, mention_scores, *params), backward)
 
 
 def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
@@ -545,23 +506,76 @@ def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
     if pair_set.count == 0:
         log.warning("%s: empty pair set contributes 0", pair_set.doc_id)
         return Tensor(0.0)
-    pool_rows = index.rows_of(pair_set.spans)
-    rows_i, rows_j = pool_rows[pair_set.first], pool_rows[pair_set.second]
-    targets = Tensor(pair_target_distances(index, rows_i, rows_j, weights,
-                                           unlabeled))
-    # Norms once per table row: the same sums as per pair, fewer nodes.
-    norms = (reps.internal * reps.internal).sum(axis=1).sqrt()
-    dots = (reps.internal.take(rows_i) * reps.internal.take(rows_j)).sum(axis=1)
-    distances = 1.0 - dots / (norms.take(rows_i) * norms.take(rows_j)
-                              + _NORM_EPS)
-    return (targets - distances).abs().mean()
+    rows = index.rows_of(pair_set.spans)
+    targets = pair_target_distances(index, rows[pair_set.first],
+                                    rows[pair_set.second], weights, unlabeled)
+    return mean_cosine_gap(reps.full, reps.internal_columns, rows,
+                           pair_set.first, pair_set.second, targets)
+
+
+def mean_cosine_gap(full: Tensor, columns: slice, rows: np.ndarray,
+                    first: np.ndarray, second: np.ndarray,
+                    targets: np.ndarray) -> Tensor:
+    """Mean over pairs p of |targets[p] - cosine distance(v[rows[first[p]]],
+    v[rows[second[p]]])|, where v is the `columns` block of `full`; one
+    tape node. No (first, second) pair may repeat.
+
+    Zero vectors keep the cosine finite through `_NORM_EPS`, and their norm
+    passes no gradient (a pair with one has a zero dot product).
+    """
+    v = full.value[rows, columns]
+    norms = np.sqrt((v * v).sum(axis=1))
+    dots = (v[first] * v[second]).sum(axis=1)
+    norms_i, norms_j = norms[first], norms[second]
+    den = norms_i * norms_j + _NORM_EPS
+    gaps = targets - (1.0 - dots / den)
+    loss = np.abs(gaps).sum() / float(len(gaps))
+
+    def backward(g):
+        g_gaps = g * np.sign(gaps) / float(len(gaps))
+        # d/dv of the pair dots and norm products, through (M, M) grids
+        # over the pooled rows.
+        g_dots = np.zeros((len(v), len(v)))
+        g_dots[first, second] = g_gaps / den
+        g_den = np.zeros((len(v), len(v)))
+        g_den[first, second] = -g_gaps * dots / den ** 2
+        g_norms = g_den @ norms + g_den.T @ norms
+        g_v = g_dots @ v + g_dots.T @ v + np.divide(
+            g_norms, norms, out=np.zeros_like(norms),
+            where=norms > 0)[:, None] * v
+        g_full = np.zeros(full.shape)
+        g_full[:, columns] = ad.scatter_rows(rows, g_v,
+                                             (len(g_full), v.shape[1]))
+        return (g_full,)
+
+    return ad.fused(loss, (full,), backward)
 
 
 def _scaffold_loss_graph(targets: np.ndarray, reps: m.BatchedSpans,
                          scaffold: ScaffoldParams) -> Tensor:
     rows, classes = targets[:, 0], targets[:, 1]
-    logits = reps.internal.take(rows) @ scaffold.weights.transpose()
-    onehot = np.zeros((len(rows), len(scaffold.classes)))
-    onehot[np.arange(len(rows)), classes] = 1.0
-    true_logits = (logits * Tensor(onehot)).sum(axis=1)
-    return (logits.logsumexp(axis=1) - true_logits).mean()
+    return mean_concept_nll(reps.full, reps.internal_columns, rows, classes,
+                            scaffold.weights)
+
+
+def mean_concept_nll(full: Tensor, columns: slice, rows: np.ndarray,
+                     classes: np.ndarray, weights: Tensor) -> Tensor:
+    """Mean over targets t of the softmax NLL of class `classes[t]` under
+    the logits `weights @ v[rows[t]]`, where v is the `columns` block of
+    `full`; one tape node. The rows are distinct.
+    """
+    v = full.value[rows, columns]
+    targets = np.arange(len(rows))
+    logits = v @ weights.value.T
+    lse, probs = _logsumexp_rows(logits)
+    loss = (lse - logits[targets, classes]).sum() / float(len(rows))
+
+    def backward(g):
+        g_logits = probs.copy()
+        g_logits[targets, classes] -= 1.0
+        g_logits *= g / float(len(rows))
+        g_full = np.zeros(full.shape)
+        g_full[rows, columns] = g_logits @ weights.value
+        return g_full, g_logits.T @ v
+
+    return ad.fused(loss, (full, weights), backward)

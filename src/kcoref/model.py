@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Document, SpanRef, width_bucket_index
+from .corpus import Document, SpanRef
 
 UNK_TOKEN = "<unk>"
-
-
-class OrderingError(ValueError):
-    """An antecedent was scored against a mention it does not precede."""
 
 
 @dataclass
@@ -39,10 +36,19 @@ class ModelConfig:
     max_antecedents: int = 50
 
     def __post_init__(self):
+        for name, low in (("d_token", 1), ("d_width", 0),
+                          ("window_radius", 0), ("scorer_hidden", 0),
+                          ("max_span_width", 1), ("max_antecedents", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, "
+                                 f"not {getattr(self, name)}")
         if not 0.0 < self.prune_ratio <= 1.0:
             raise ValueError("prune_ratio must be in (0, 1]")
-        if self.window_radius < 0:
-            raise ValueError("window_radius must be >= 0")
+        edges = self.width_bucket_edges
+        if not all(isinstance(e, (int, np.integer)) and e > 0 for e in edges) \
+                or any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ValueError(f"width_bucket_edges must be strictly "
+                             f"increasing positive integers, not {edges}")
 
     @property
     def n_width_buckets(self) -> int:
@@ -97,18 +103,6 @@ class ScoringParams:
 
 
 @dataclass
-class SpanRepresentation:
-    """The four-part span vector, with the internal vector exposed alone."""
-
-    span: SpanRef
-    boundary_start: Tensor
-    boundary_end: Tensor
-    internal: Tensor
-    width_feature: Tensor
-    full: Tensor
-
-
-@dataclass
 class CandidateSet:
     """Pruned candidate mentions in (start, end) order."""
 
@@ -141,40 +135,27 @@ def encode_tokens(doc: Document, enc: EncoderParams) -> Tensor:
     return windows @ enc.mixer_w + enc.mixer_b
 
 
-def attend_span(token_vecs: Tensor, span: SpanRef, enc: EncoderParams) -> Tensor:
-    """Attention-weighted combination of the span's token vectors."""
-    if span.end >= token_vecs.shape[0]:
-        raise ValueError(f"span [{span.start}, {span.end}] out of bounds")
-    span_vecs = token_vecs.narrow(span.start, span.end + 1)
-    logits = span_vecs @ enc.attention_w
-    weights = ad.softmax(logits)
-    return weights @ span_vecs
-
-
-def build_span_representation(token_vecs: Tensor, span: SpanRef,
-                              enc: EncoderParams,
-                              config: ModelConfig) -> SpanRepresentation:
-    bucket = width_bucket_index(span.width, config.width_bucket_edges)
-    bucket = min(bucket, config.n_width_buckets - 1)
-    start_vec = token_vecs.take(span.start)
-    end_vec = token_vecs.take(span.end)
-    internal = attend_span(token_vecs, span, enc)
-    width_feat = enc.width_embeddings.take(bucket)
-    full = ad.concat([start_vec, end_vec, internal, width_feat], axis=0)
-    return SpanRepresentation(span, start_vec, end_vec, internal, width_feat, full)
-
-
 @dataclass
 class BatchedSpans:
-    """Span representations for many spans at once (rows align with `spans`)."""
+    """Span representations for many spans at once (rows align with `spans`).
+
+    A row of `full` is [start vector, end vector, internal vector, width
+    feature]; `internal` is its third block of `d_token` columns.
+    """
 
     spans: list[SpanRef]
-    start_vecs: Tensor
-    end_vecs: Tensor
-    internal: Tensor
-    width_features: Tensor
     full: Tensor
+    d_token: int
     index: dict[SpanRef, int] = field(default_factory=dict)
+
+    @property
+    def internal_columns(self) -> slice:
+        return slice(2 * self.d_token, 3 * self.d_token)
+
+    @property
+    def internal(self) -> Tensor:
+        cols = self.internal_columns
+        return self.full.narrow(cols.start, cols.stop, axis=1)
 
     def row(self, span: SpanRef) -> int:
         if not self.index:
@@ -223,31 +204,46 @@ def build_span_representations(token_vecs: Tensor,
                                spans: Sequence[SpanRef] | SpanLayout,
                                enc: EncoderParams,
                                config: ModelConfig) -> BatchedSpans:
-    """Vectorized equivalent of build_span_representation over many spans."""
+    """Every span's representation, as one tape node.
+
+    The internal vector weighs the span's token vectors by a softmax of
+    their attention logits over the slots inside the span.
+    """
     layout = spans if isinstance(spans, SpanLayout) \
         else span_layout(spans, config)
-    n_spans, max_w = layout.tokens.shape
-    mask = layout.mask
+    tokens, mask = layout.tokens, layout.mask
+    x, attention = token_vecs.value, enc.attention_w.value
+    table = enc.width_embeddings.value
+    d = x.shape[1]
 
-    att_all = token_vecs @ enc.attention_w
-    logits = att_all.take(layout.tokens)
-    shift = np.where(mask > 0, logits.value, -np.inf).max(axis=1, keepdims=True)
-    exps = (logits - shift).exp() * mask
+    logits = (x @ attention)[tokens]
+    # A padding slot repeats the end token, so each row's max is a slot's.
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True)) * mask
     weights = exps / exps.sum(axis=1, keepdims=True)
-    span_tokens = token_vecs.take(layout.tokens)
-    internal = (weights.reshape(n_spans, max_w, 1) * span_tokens).sum(axis=1)
+    span_tokens = x[tokens]
+    full = np.concatenate([span_tokens[:, 0], span_tokens[:, -1],
+                           np.einsum("sw,swd->sd", weights, span_tokens),
+                           table[layout.buckets]], axis=1)
 
-    start_vecs = token_vecs.take(layout.starts)
-    end_vecs = token_vecs.take(layout.ends)
-    width_feats = enc.width_embeddings.take(layout.buckets)
-    full = ad.concat([start_vecs, end_vecs, internal, width_feats], axis=1)
-    return BatchedSpans(layout.spans, start_vecs, end_vecs, internal,
-                        width_feats, full)
+    def backward(g):
+        g_internal = g[:, 2 * d:3 * d]
+        g_weights = np.einsum("swd,sd->sw", span_tokens, g_internal)
+        g_logits = weights * (g_weights - (weights * g_weights)
+                              .sum(axis=1, keepdims=True))
+        g_attention = np.bincount(tokens.reshape(-1), g_logits.reshape(-1),
+                                  minlength=len(x))
+        # Slot 0 of a span is its start token and the last slot its end
+        # token, so one scatter over the slots also carries the boundaries.
+        g_slots = weights[:, :, None] * g_internal[:, None, :]
+        g_slots[:, 0] += g[:, :d]
+        g_slots[:, -1] += g[:, d:2 * d]
+        g_x = ad.scatter_rows(tokens, g_slots, x.shape)
+        return (g_x + np.outer(g_attention, attention), g_attention @ x,
+                ad.scatter_rows(layout.buckets, g[:, 3 * d:], table.shape))
 
-
-def mention_score(rep: SpanRepresentation | Tensor, scoring: ScoringParams) -> Tensor:
-    h = rep.full if isinstance(rep, SpanRepresentation) else rep
-    return scoring.mention.apply(h)
+    node = ad.fused(full, (token_vecs, enc.attention_w,
+                           enc.width_embeddings), backward)
+    return BatchedSpans(layout.spans, node, d)
 
 
 def mention_scores(reps: BatchedSpans, scoring: ScoringParams) -> Tensor:
@@ -270,53 +266,57 @@ def prune_mentions(doc: Document, spans: Sequence[SpanRef],
                         np.asarray(scores)[chosen], chosen)
 
 
-def pair_features(h_i: Tensor, h_j: Tensor) -> Tensor:
-    return ad.concat([h_i, h_j, h_i * h_j], axis=h_i.ndim - 1)
+@dataclass(frozen=True)
+class PairScores:
+    """The antecedent FFN over a batch of pairs, and what its backward reads."""
+
+    scores: np.ndarray           # s_a(i, j) per pair
+    partners: np.ndarray         # (2, P, D): h_j per pair, then h_i
+    products: np.ndarray         # h_i * h_j
+    hidden: np.ndarray | None    # the tanh layer; None for a linear head
 
 
-def pair_score(rep_i: SpanRepresentation, rep_j: SpanRepresentation,
-               scoring: ScoringParams) -> Tensor:
-    """s(i, j) = s_m(i) + s_m(j) + s_a(i, j); the dummy antecedent scores 0."""
-    if not (rep_j.span < rep_i.span):
-        raise OrderingError(
-            f"antecedent {rep_j.span} must precede mention {rep_i.span}")
-    s_a = scoring.antecedent.apply(pair_features(rep_i.full, rep_j.full))
-    return mention_score(rep_i, scoring) + mention_score(rep_j, scoring) + s_a
+def antecedent_scores(x: np.ndarray, mention: np.ndarray,
+                      antecedent: np.ndarray, head: FeedForward) -> PairScores:
+    """s_a of each pair (h_i, h_j) = (x[mention[p]], x[antecedent[p]]).
 
-
-def antecedent_distribution(pair_scores: np.ndarray) -> np.ndarray:
-    """Probabilities over [candidates..., dummy]; the dummy scores 0.
-
-    The dummy antecedent is the last entry of the returned vector.
+    The first layer applies to [h_i, h_j, h_i * h_j]; its h_i and h_j blocks
+    are applied once per row of `x`, only the product block once per pair.
     """
-    scores = np.asarray(pair_scores, dtype=np.float64)
-    if np.isnan(scores).any():
-        raise ValueError("NaN in antecedent scores")
-    with_dummy = np.concatenate([scores, [0.0]])
-    shifted = with_dummy - with_dummy.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
-
-
-def antecedent_window(k: int, max_antecedents: int) -> range:
-    """Indices of the candidates considered as antecedents of candidate k."""
-    return range(max(0, k - max_antecedents), k)
+    d = x.shape[1]
+    w1 = head.w1.value.reshape(3 * d, -1)
+    partners = x[np.concatenate([antecedent, mention])].reshape(2, -1, d)
+    products = partners[0] * partners[1]
+    layer = ((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
+             + products @ w1[2 * d:])
+    if head.w2 is None:
+        return PairScores(layer[:, 0] + head.b2.value, partners, products,
+                          None)
+    hidden = np.tanh(layer + head.b1.value)
+    return PairScores(hidden @ head.w2.value + head.b2.value, partners,
+                      products, hidden)
 
 
 @dataclass(frozen=True)
 class AntecedentPairs:
-    """Every (candidate, antecedent) pair of `antecedent_window`, two ways.
+    """Every (candidate, antecedent) pair, two ways.
 
-    `mention` and `antecedent` list the P pairs flat, candidate by
+    Candidate k's antecedents are the `max_antecedents` candidates before
+    it. `mention` and `antecedent` list the P pairs flat, candidate by
     candidate and each window in order. `grid` lays them out as one row per
     candidate with a column per window slot plus a last dummy column; its
     entries index the flat pair scores extended by two slots, P for a
-    padding slot (score -inf) and P + 1 for the dummy (score 0).
+    padding slot (score -inf) and P + 1 for the dummy (score 0); `inside`
+    marks the window slots that hold a pair. `scatter` is the sparse
+    (candidates, 2P) one-hot of [mention, antecedent]: it sums per-pair
+    rows, stacked mention side first, onto their candidates.
     """
 
     mention: np.ndarray
     antecedent: np.ndarray
     grid: np.ndarray
+    inside: np.ndarray
+    scatter: sparse.csr_matrix
 
 
 @functools.lru_cache(maxsize=64)
@@ -332,6 +332,11 @@ def antecedent_pairs(n_candidates: int, max_antecedents: int) -> AntecedentPairs
     grid = np.full((n_candidates, len(slots) + 1), n_pairs, dtype=np.intp)
     grid[:, :-1][inside] = np.arange(n_pairs, dtype=np.intp)
     grid[:, -1] = n_pairs + 1
-    for array in (mention, antecedent, grid):
+    scatter = sparse.csr_matrix(
+        (np.ones(2 * n_pairs), (np.concatenate([mention, antecedent]),
+                                np.arange(2 * n_pairs))),
+        shape=(n_candidates, 2 * n_pairs))
+    for array in (mention, antecedent, grid, inside, scatter.data,
+                  scatter.indices, scatter.indptr):
         array.flags.writeable = False
-    return AntecedentPairs(mention, antecedent, grid)
+    return AntecedentPairs(mention, antecedent, grid, inside, scatter)

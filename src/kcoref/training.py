@@ -92,9 +92,9 @@ class ParameterStore:
         if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
             raise TrainingError(f"{path}: not a checkpoint file")
         version = lines[0].split(" v")[-1]
-        if int(version) != CHECKPOINT_VERSION:
+        if not version.isdigit() or int(version) != CHECKPOINT_VERSION:
             raise TrainingError(f"{path}: unsupported checkpoint version "
-                                f"{version}")
+                                f"{version!r}")
         try:
             pos = 1
             seed = int(lines[pos].split()[1]); pos += 1
@@ -110,6 +110,9 @@ class ParameterStore:
                     raise TrainingError(f"{path}: malformed tensor header "
                                         f"{' '.join(header)!r}")
                 name, ndim = header[1], int(header[2])
+                if name in tensors:
+                    raise TrainingError(f"{path}: tensor {name} is listed "
+                                        f"twice")
                 shape = tuple(int(d) for d in header[3:3 + ndim])
                 values = np.array([float.fromhex(tok)
                                    for tok in lines[pos].split()]); pos += 1

@@ -7,15 +7,21 @@ route than the package code, so the two sides can disagree.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from kcoref import autodiff as ad
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.corpus import enumerate_candidate_spans
+from kcoref.autodiff import Tensor
+from kcoref.corpus import SpanRef, enumerate_candidate_spans, \
+    width_bucket_index
+from kcoref.losses import LossError, target_distance
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -184,6 +190,243 @@ def pair_set_reference(doc, extra_spans, budget: int, rng) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Span representations and pair scores, one span or pair at a time, on the
+# autodiff tape.
+
+
+class OrderingError(ValueError):
+    """An antecedent was scored against a mention it does not precede."""
+
+
+def softmax(t: Tensor) -> Tensor:
+    """Softmax of a 1-D tensor, max-shifted for stability."""
+    shifted = t - float(np.max(t.value))
+    exps = shifted.exp()
+    return exps / exps.sum()
+
+
+def attend_span(token_vecs: Tensor, span: SpanRef, enc) -> Tensor:
+    """Attention-weighted combination of the span's token vectors."""
+    if span.end >= token_vecs.shape[0]:
+        raise ValueError(f"span [{span.start}, {span.end}] out of bounds")
+    span_vecs = token_vecs.narrow(span.start, span.end + 1)
+    weights = softmax(span_vecs @ enc.attention_w)
+    return weights @ span_vecs
+
+
+@dataclass
+class SpanRepresentation:
+    """The four-part span vector, with the internal vector exposed alone."""
+
+    span: SpanRef
+    boundary_start: Tensor
+    boundary_end: Tensor
+    internal: Tensor
+    width_feature: Tensor
+    full: Tensor
+
+
+def build_span_representation(token_vecs: Tensor, span: SpanRef, enc,
+                              config: m.ModelConfig) -> SpanRepresentation:
+    bucket = width_bucket_index(span.width, config.width_bucket_edges)
+    bucket = min(bucket, config.n_width_buckets - 1)
+    start_vec = token_vecs.take(span.start)
+    end_vec = token_vecs.take(span.end)
+    internal = attend_span(token_vecs, span, enc)
+    width_feat = enc.width_embeddings.take(bucket)
+    full = ad.concat([start_vec, end_vec, internal, width_feat], axis=0)
+    return SpanRepresentation(span, start_vec, end_vec, internal, width_feat,
+                              full)
+
+
+def mention_score(rep, scoring) -> Tensor:
+    h = rep.full if isinstance(rep, SpanRepresentation) else rep
+    return scoring.mention.apply(h)
+
+
+def pair_features(h_i: Tensor, h_j: Tensor) -> Tensor:
+    return ad.concat([h_i, h_j, h_i * h_j], axis=h_i.ndim - 1)
+
+
+def pair_score(rep_i: SpanRepresentation, rep_j: SpanRepresentation,
+               scoring) -> Tensor:
+    """s(i, j) = s_m(i) + s_m(j) + s_a(i, j); the dummy antecedent scores 0."""
+    if not (rep_j.span < rep_i.span):
+        raise OrderingError(
+            f"antecedent {rep_j.span} must precede mention {rep_i.span}")
+    s_a = scoring.antecedent.apply(pair_features(rep_i.full, rep_j.full))
+    return mention_score(rep_i, scoring) + mention_score(rep_j, scoring) + s_a
+
+
+def antecedent_distribution(pair_scores) -> np.ndarray:
+    """Probabilities over [candidates..., dummy]; the dummy scores 0 and is
+    the last entry."""
+    scores = np.asarray(pair_scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ValueError("NaN in antecedent scores")
+    with_dummy = np.concatenate([scores, [0.0]])
+    exps = np.exp(with_dummy - with_dummy.max())
+    return exps / exps.sum()
+
+
+def antecedent_window(k: int, max_antecedents: int) -> range:
+    """Indices of the candidates considered as antecedents of candidate k."""
+    return range(max(0, k - max_antecedents), k)
+
+
+# ---------------------------------------------------------------------------
+# The three losses in loop form, over explicit spans and distributions.
+
+
+def cosine_distance_t(u: Tensor, v: Tensor) -> Tensor:
+    """Differentiable cosine distance between two vectors."""
+    norms = (u * u).sum().sqrt() * (v * v).sum().sqrt()
+    return 1.0 - (u * v).sum() / (norms + 1e-30)
+
+
+def retrofit_loss(docs, pair_sets, internals, weights,
+                  unlabeled: str = "strict") -> Tensor:
+    """Mean absolute gap between target and cosine distance, summed over docs."""
+    by_id = {d.doc_id: d for d in docs}
+    total = Tensor(0.0)
+    for pair_set in pair_sets:
+        doc = by_id[pair_set.doc_id]
+        if pair_set.count == 0:
+            logging.getLogger(__name__).warning(
+                "%s: empty pair set contributes 0", doc.doc_id)
+            continue
+        vectors = internals[doc.doc_id]
+        acc = Tensor(0.0)
+        for span_i, span_j in pair_set.pairs:
+            target = target_distance(span_i, span_j, doc, weights, unlabeled)
+            gap = Tensor(target) - cosine_distance_t(vectors[span_i],
+                                                     vectors[span_j])
+            acc = acc + gap.abs()
+        total = total + acc / float(pair_set.count)
+    return total
+
+
+def scaffold_loss(labeled, internals, scaffold) -> Tensor:
+    """Per-document mean concept negative log-likelihood, summed over docs."""
+    total = Tensor(0.0)
+    for doc_id in sorted(labeled):
+        spans = [(s, c) for s, c in labeled[doc_id] if c in scaffold.class_index]
+        if not spans:
+            continue
+        acc = Tensor(0.0)
+        for span, concept in spans:
+            logits = scaffold.weights @ internals[doc_id][span]
+            nll = logits.logsumexp() - logits.take(scaffold.class_index[concept])
+            acc = acc + nll
+        total = total + acc / float(len(spans))
+    return total
+
+
+def gold_antecedent_rows(doc, candidates, k: int,
+                         window: range) -> tuple[list[int], bool]:
+    """Window positions of candidate k's gold antecedents, and whether an
+    anaphoric mention lost every gold antecedent to the window."""
+    span = candidates.spans[k]
+    cluster = doc.cluster_of(span)
+    if cluster is None:
+        return [], False
+    rows = [j - window.start for j in window
+            if candidates.spans[j] in cluster]
+    if rows:
+        return rows, False
+    return [], any(other < span for other in cluster)
+
+
+def coref_loss(doc, candidates, distributions,
+               max_antecedents: int = 50) -> float:
+    """Marginal negative log-likelihood of correct antecedents.
+
+    `distributions[k]` covers candidate k's antecedent window with the dummy
+    antecedent last, as `antecedent_distribution` gives it.
+    """
+    loss, _ = coref_loss_with_misses(doc, candidates, distributions,
+                                     max_antecedents)
+    return loss
+
+
+def coref_loss_with_misses(doc, candidates, distributions,
+                           max_antecedents: int = 50) -> tuple[float, int]:
+    total = 0.0
+    misses = 0
+    for k in range(len(candidates)):
+        window = antecedent_window(k, max_antecedents)
+        probs = distributions[k]
+        if len(probs) != len(window) + 1:
+            raise LossError(f"distribution {k} does not cover its window")
+        rows, missed = gold_antecedent_rows(doc, candidates, k, window)
+        misses += missed
+        mass = probs[rows].sum() if rows else probs[-1]
+        total -= math.log(mass)
+    return total, misses
+
+
+# ---------------------------------------------------------------------------
+# The fused tape nodes, composed from small tape ops: their gradient
+# references.
+
+
+def span_representations_tape(token_vecs: Tensor, layout: m.SpanLayout,
+                              enc) -> Tensor:
+    """`full` of `model.build_span_representations`."""
+    n_spans, max_w = layout.tokens.shape
+    mask = layout.mask
+    logits = (token_vecs @ enc.attention_w).take(layout.tokens)
+    shift = np.where(mask > 0, logits.value, -np.inf).max(axis=1,
+                                                          keepdims=True)
+    exps = (logits - shift).exp() * mask
+    weights = exps / exps.sum(axis=1, keepdims=True)
+    internal = (weights.reshape(n_spans, max_w, 1)
+                * token_vecs.take(layout.tokens)).sum(axis=1)
+    return ad.concat([token_vecs.take(layout.starts),
+                      token_vecs.take(layout.ends), internal,
+                      enc.width_embeddings.take(layout.buckets)], axis=1)
+
+
+def antecedent_nll_tape(full: Tensor, mention_scores: Tensor, rows,
+                        pairs: m.AntecedentPairs, numer,
+                        head: m.FeedForward) -> Tensor:
+    """`losses.antecedent_nll`, with the antecedent FFN applied to the
+    concatenated pair features."""
+    rows_i, rows_j = rows[pairs.mention], rows[pairs.antecedent]
+    s_a = head.apply(pair_features(full.take(rows_i), full.take(rows_j)))
+    pair_scores = s_a + mention_scores.take(rows_i) \
+        + mention_scores.take(rows_j)
+    slots = ad.concat([pair_scores, Tensor([-np.inf, 0.0])])
+    n_pairs = len(pairs.mention)
+    numer_grid = np.where(numer, pairs.grid, n_pairs)
+    denom = slots.take(pairs.grid).logsumexp(axis=1)
+    return (denom - slots.take(numer_grid).logsumexp(axis=1)).sum()
+
+
+def mean_cosine_gap_tape(full: Tensor, columns: slice, rows, first, second,
+                         targets) -> Tensor:
+    """`losses.mean_cosine_gap`."""
+    v = full.narrow(columns.start, columns.stop, axis=1)
+    rows_i, rows_j = rows[first], rows[second]
+    norms = (v * v).sum(axis=1).sqrt()
+    dots = (v.take(rows_i) * v.take(rows_j)).sum(axis=1)
+    distances = 1.0 - dots / (norms.take(rows_i) * norms.take(rows_j)
+                              + 1e-30)
+    return (Tensor(targets) - distances).abs().mean()
+
+
+def mean_concept_nll_tape(full: Tensor, columns: slice, rows, classes,
+                          weights: Tensor) -> Tensor:
+    """`losses.mean_concept_nll`."""
+    logits = (full.take(rows).narrow(columns.start, columns.stop, axis=1)
+              @ weights.transpose())
+    onehot = np.zeros((len(rows), weights.shape[0]))
+    onehot[np.arange(len(rows)), classes] = 1.0
+    true_logits = (logits * Tensor(onehot)).sum(axis=1)
+    return (logits.logsumexp(axis=1) - true_logits).mean()
+
+
+# ---------------------------------------------------------------------------
 # Antecedent decoding, one candidate at a time.
 
 
@@ -203,8 +446,16 @@ def select_antecedent(pair_scores):
     return int(ties[-1])
 
 
+def pair_score_value(h_i: np.ndarray, h_j: np.ndarray, scoring) -> float:
+    """s(i, j) of one pair of span vectors, from one-row FFN calls."""
+    s_a = scoring.antecedent.apply(pair_features(Tensor(h_i), Tensor(h_j)))
+    s_i = scoring.mention.apply(Tensor(h_i))
+    s_j = scoring.mention.apply(Tensor(h_j))
+    return float(s_a.value) + float(s_i.value) + float(s_j.value)
+
+
 def predict_antecedents_reference(doc, store, config):
-    """Per-candidate decode: the antecedent FFN once per window."""
+    """Per-candidate decode, scoring one pair per call."""
     if len(doc) == 0:
         return {}
     enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
@@ -215,18 +466,14 @@ def predict_antecedents_reference(doc, store, config):
     candidates = m.prune_mentions(doc, spans, scores, config.prune_ratio)
 
     links = {}
-    cand_rows = np.array([reps.row(s) for s in candidates.spans], dtype=np.intp)
-    full = reps.full
+    full = reps.full.value
+    cand_rows = [reps.row(s) for s in candidates.spans]
     for k, span in enumerate(candidates.spans):
-        window = m.antecedent_window(k, config.max_antecedents)
-        if len(window) == 0:
-            links[span] = None
-            continue
-        rows_i = np.full(len(window), cand_rows[k], dtype=np.intp)
-        rows_j = cand_rows[window.start:window.stop]
-        s_a = scoring.antecedent.apply(
-            m.pair_features(full.take(rows_i), full.take(rows_j))).value
-        pair_scores = s_a + scores[cand_rows[k]] + scores[rows_j]
+        window = antecedent_window(k, config.max_antecedents)
+        pair_scores = np.array([
+            pair_score_value(full[cand_rows[k]].copy(),
+                             full[cand_rows[j]].copy(), scoring)
+            for j in window])
         if np.isnan(pair_scores).any():
             raise ValueError(f"{doc.doc_id}: NaN antecedent score")
         pick = select_antecedent(pair_scores)

@@ -198,6 +198,23 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match=field):
             load_config(tmp_path / "c.json")
 
+    @pytest.mark.parametrize("model, field", [
+        ({"d_token": 0}, "d_token"),
+        ({"d_width": -1}, "d_width"),
+        ({"scorer_hidden": -1}, "scorer_hidden"),
+        ({"max_span_width": 0}, "max_span_width"),
+        ({"max_antecedents": -3}, "max_antecedents"),
+        ({"width_bucket_edges": [4, 2, 1]}, "width_bucket_edges"),
+        ({"width_bucket_edges": [0, 2]}, "width_bucket_edges"),
+        ({"width_bucket_edges": [1, 2.5]}, "width_bucket_edges"),
+    ])
+    def test_bad_model_values_rejected(self, tmp_path, model, field):
+        cfg = {"corpora": {"a": "x.jsonl"}, "model": model,
+               "phases": [{"corpus": "a", "epochs": 1}]}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=f"model: {field}"):
+            load_config(tmp_path / "c.json")
+
     def test_unknown_alpha_k_lexicon_rejected(self, workspace, tmp_path):
         raw = json.loads((workspace / "config.json").read_text())
         raw["phases"][0]["weights"]["alpha_k"] = {"coarse": 0.5, "fnie": 0.2}

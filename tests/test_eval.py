@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref import evaluation as ev
+from kcoref import model as m
 from kcoref import training as tr
 from kcoref.corpus import SpanRef, SubwordVocab
 from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
@@ -126,6 +127,22 @@ class TestBatchedDecodeMatchesReference:
         spans = list(got)
         assert got[spans[0]] is None
         assert all(got[b] == a for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("seed", [2, 3, 9])
+    def test_identical_antecedents_tie_exactly(self, seed):
+        # Tokens 1, 3 and 5 are "a" between two "x": with one token of
+        # context on each side their spans have identical representations,
+        # so as antecedents of (6, 6) they must tie exactly and the nearest,
+        # (5, 5), wins. For these init seeds, scoring each pair in a batched
+        # matrix product gave identical pairs scores a last bit apart, and
+        # the batched and the per-candidate decodes picked different links.
+        doc = make_doc("x a x a x a x b".split())
+        config = m.ModelConfig(d_token=4, d_width=2, window_radius=1,
+                               max_span_width=1, prune_ratio=1.0)
+        store = tr.init_parameters(config, tr.build_vocab([doc]), seed=seed)
+        got = predict_antecedents(doc, store, config)
+        assert got[S(6, 6)] == S(5, 5)
+        assert got == predict_antecedents_reference(doc, store, config)
 
     def test_nan_score_rejected(self):
         docs, config, store, _, _ = tiny_setup()

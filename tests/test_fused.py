@@ -1,0 +1,370 @@
+"""The fused tape nodes against their composed-tape references.
+
+Each fused node computes its value and every parent gradient in closed
+form; the references in `oracles` build the same function from small tape
+ops. Values must agree to 1e-12 relative, and the gradients to 1e-12 of the
+largest entry of the whole gradient (every parent's, flattened together):
+a saturated softmax leaves some entries as small differences of O(1)
+terms, which either side rounds on its own route.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcoref import autodiff as ad
+from kcoref import losses as L
+from kcoref import model as m
+from kcoref.autodiff import Tensor
+from kcoref.corpus import SpanRef
+
+import oracles as O
+
+TOL = 1e-12
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def largest(*arrays):
+    return max(np.abs(a).max(initial=0.0) for a in arrays)
+
+
+def assert_close(got, want, scale=None):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = largest(got, want) if scale is None else scale
+    assert np.abs(got - want).max(initial=0.0) <= TOL * scale
+
+
+def gradients(build, values, upstream=None):
+    """The value of build(*params) and the gradient of each param, with the
+    output contracted against `upstream` when it is not a scalar."""
+    params = [Tensor.param(np.array(v, dtype=np.float64)) for v in values]
+    out = build(*params)
+    loss = out if upstream is None else (out * Tensor(upstream)).sum()
+    loss.backward()
+    return out.value, [p.grad for p in params]
+
+
+def assert_node_matches(fused, tape, values, upstream=None):
+    value, grads = gradients(fused, values, upstream)
+    want_value, want_grads = gradients(tape, values, upstream)
+    assert_close(value, want_value)
+    scale = largest(*grads, *want_grads)
+    for got, want in zip(grads, want_grads):
+        assert_close(got, want, scale)
+
+
+def assert_constant(out):
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
+# ---------------------------------------------------------------------------
+# Span representations
+
+
+def span_case(n, d, d_width, spans, seed, scale=1.0):
+    config = m.ModelConfig(d_token=d, d_width=d_width,
+                           width_bucket_edges=(1, 2, 4))
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=(n, d)), rng.normal(size=d) * scale,
+              rng.normal(size=(config.n_width_buckets, d_width))]
+    upstream = rng.normal(size=(len(spans), config.span_dim))
+    return m.span_layout(spans, config), config, values, upstream
+
+
+@st.composite
+def span_cases(draw):
+    n = draw(st.integers(1, 8))
+    starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    widths = draw(st.lists(st.integers(0, 3), min_size=len(starts),
+                           max_size=len(starts)))
+    spans = sorted({SpanRef(s, min(s + w, n - 1))
+                    for s, w in zip(starts, widths)})
+    return span_case(n, draw(st.integers(1, 4)), draw(st.integers(0, 3)),
+                     spans, draw(st.integers(0, 2**16)),
+                     draw(st.sampled_from([0.0, 1.0, 30.0])))
+
+
+SPANS = [SpanRef(0, 0), SpanRef(0, 2), SpanRef(1, 4), SpanRef(3, 3)]
+
+
+def encoder(attention, width_embeddings):
+    return m.EncoderParams(embeddings=Tensor(np.zeros((1, 1))),
+                           mixer_w=Tensor(np.zeros((1, 1))),
+                           mixer_b=Tensor(np.zeros(1)),
+                           attention_w=attention,
+                           width_embeddings=width_embeddings, vocab={})
+
+
+class TestSpanRepresentations:
+    @SETTINGS
+    @given(case=span_cases())
+    def test_value_and_gradients_match_the_tape(self, case):
+        layout, config, values, upstream = case
+
+        def fused(x, a, table):
+            return m.build_span_representations(x, layout, encoder(a, table),
+                                                config).full
+
+        def tape(x, a, table):
+            return O.span_representations_tape(x, layout, encoder(a, table))
+
+        assert_node_matches(fused, tape, values, upstream)
+
+    def test_internal_is_the_third_block_of_full(self):
+        layout, config, values, _ = span_case(5, 3, 2, SPANS, 1)
+        reps = m.build_span_representations(
+            Tensor(values[0]), layout,
+            encoder(Tensor(values[1]), Tensor(values[2])), config)
+        d = config.d_token
+        assert np.array_equal(reps.internal.value,
+                              reps.full.value[:, 2 * d:3 * d])
+
+    def test_constant_inputs_build_no_tape(self):
+        layout, config, values, _ = span_case(5, 3, 2, SPANS, 2)
+        reps = m.build_span_representations(
+            Tensor(values[0]), layout,
+            encoder(Tensor(values[1]), Tensor(values[2])), config)
+        assert_constant(reps.full)
+
+
+# ---------------------------------------------------------------------------
+# Antecedent scoring and the coreference loss
+
+
+def coref_case(k, extra_rows, d, hidden, max_antecedents, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    n_rows = k + extra_rows
+    rows = rng.permutation(n_rows)[:k]
+    cluster = rng.integers(-1, 3, size=k)
+    pairs = m.antecedent_pairs(k, max_antecedents)
+    # The gold and dummy marks of losses._coref_loss_graph.
+    mention, antecedent = cluster[pairs.mention], cluster[pairs.antecedent]
+    numer = np.append((mention >= 0) & (mention == antecedent),
+                      [False, False])[pairs.grid]
+    numer[:, -1] = ~numer.any(axis=1)
+    values = [rng.normal(size=(n_rows, d)) * scale, rng.normal(size=n_rows)]
+    if hidden:
+        values += [rng.normal(size=(3 * d, hidden)), rng.normal(size=hidden),
+                   rng.normal(size=hidden), rng.normal(size=())]
+    else:
+        values += [rng.normal(size=3 * d), rng.normal(size=())]
+    return rows, pairs, numer, values
+
+
+@st.composite
+def coref_cases(draw):
+    return coref_case(draw(st.integers(1, 8)), draw(st.integers(0, 4)),
+                      draw(st.integers(1, 4)), draw(st.integers(0, 3)),
+                      draw(st.integers(1, 8)), draw(st.integers(0, 2**16)),
+                      draw(st.sampled_from([0.0, 1.0, 5.0])))
+
+
+def head_of(params):
+    if len(params) == 4:
+        w1, b1, w2, b2 = params
+        return m.FeedForward(w1=w1, b1=b1, w2=w2, b2=b2)
+    return m.FeedForward(w1=params[0], b2=params[1])
+
+
+class TestAntecedentNll:
+    @SETTINGS
+    @given(case=coref_cases())
+    def test_value_and_gradients_match_the_tape(self, case):
+        rows, pairs, numer, values = case
+
+        def fused(full, scores, *head):
+            return L.antecedent_nll(full, scores, rows, pairs, numer,
+                                    head_of(head))
+
+        def tape(full, scores, *head):
+            return O.antecedent_nll_tape(full, scores, rows, pairs, numer,
+                                         head_of(head))
+
+        assert_node_matches(fused, tape, values)
+
+    def test_windows_cut_by_max_antecedents(self):
+        rows, pairs, numer, values = coref_case(7, 2, 2, 3, 2, seed=3)
+        assert pairs.grid.shape == (7, 3) and len(pairs.mention) == 11
+        assert numer[:, :-1].any()
+        assert_node_matches(
+            lambda f, s, *h: L.antecedent_nll(f, s, rows, pairs, numer,
+                                              head_of(h)),
+            lambda f, s, *h: O.antecedent_nll_tape(f, s, rows, pairs, numer,
+                                                   head_of(h)), values)
+
+    def test_single_candidate_has_no_pairs(self):
+        rows, pairs = np.array([2]), m.antecedent_pairs(1, 5)
+        numer = np.ones((1, 1), dtype=bool)
+        values = [np.ones((3, 2)), np.ones(3), np.ones(6), np.ones(())]
+        value, grads = gradients(
+            lambda f, s, *h: L.antecedent_nll(f, s, rows, pairs, numer,
+                                              head_of(h)), values)
+        want_value, want_grads = gradients(
+            lambda f, s, *h: O.antecedent_nll_tape(f, s, rows, pairs, numer,
+                                                   head_of(h)), values)
+        assert value == want_value == 0.0
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want) and not got.any()
+
+    def test_constant_inputs_build_no_tape(self):
+        rows, pairs, numer, values = coref_case(5, 1, 3, 2, 2, seed=4)
+        params = [Tensor(v) for v in values]
+        out = L.antecedent_nll(params[0], params[1], rows, pairs, numer,
+                               head_of(params[2:]))
+        assert_constant(out)
+
+    def test_decode_and_training_share_the_pair_scores(self):
+        rows, pairs, _, values = coref_case(6, 2, 3, 4, 3, seed=5)
+        head = head_of([Tensor(v) for v in values[2:]])
+        x = values[0][rows]
+        got = m.antecedent_scores(x, pairs.mention, pairs.antecedent,
+                                  head).scores
+        want = head.apply(O.pair_features(
+            Tensor(x[pairs.mention]), Tensor(x[pairs.antecedent]))).value
+        assert_close(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The retrofitting gap
+
+
+def gap_case(n_rows, d, offset, pool, n_pairs, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(n_rows)[:pool]
+    first, second = np.nonzero(np.less.outer(np.arange(pool),
+                                             np.arange(pool)))
+    keep = np.sort(rng.permutation(len(first))[:n_pairs])
+    full = rng.normal(size=(n_rows, offset + d + 2))
+    targets = rng.choice([0.0, 0.7, 1.0, 1.5], size=len(keep))
+    return (full, slice(offset, offset + d), rows, first[keep],
+            second[keep], targets)
+
+
+@st.composite
+def gap_cases(draw):
+    n_rows = draw(st.integers(2, 9))
+    pool = draw(st.integers(2, n_rows))
+    # From 2 columns: in one, every cosine is +-1 and its gradient is 0 up
+    # to rounding on either side.
+    return gap_case(n_rows, draw(st.integers(2, 4)), draw(st.integers(0, 3)),
+                    pool, draw(st.integers(1, pool * (pool - 1) // 2)),
+                    draw(st.integers(0, 2**16)))
+
+
+def gap_nodes(columns, rows, first, second, targets):
+    return (lambda f: L.mean_cosine_gap(f, columns, rows, first, second,
+                                        targets),
+            lambda f: O.mean_cosine_gap_tape(f, columns, rows, first, second,
+                                             targets))
+
+
+class TestMeanCosineGap:
+    @SETTINGS
+    @given(case=gap_cases())
+    def test_value_and_gradients_match_the_tape(self, case):
+        full, *args = case
+        assert_node_matches(*gap_nodes(*args), [full])
+
+    def test_zero_norm_rows(self):
+        full, columns, rows, first, second, targets = gap_case(
+            8, 3, 2, pool=5, n_pairs=7, seed=6)
+        zero = rows[first[0]]
+        full[zero, columns] = 0.0
+        fused, tape = gap_nodes(columns, rows, first, second, targets)
+        value, (grad,) = gradients(fused, [full])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want_value, (want,) = gradients(tape, [full])
+        assert_close(value, want_value)
+        # The tape's sqrt backward divides by the zero norm; the fused node
+        # passes no gradient through it and stays finite.
+        assert np.isfinite(grad).all()
+        bad = ~np.isfinite(want)
+        assert bad[zero].any()
+        assert (bad.any(axis=1) <= (np.abs(full[:, columns]).sum(axis=1)
+                                    == 0)).all()
+        assert_close(np.where(bad, 0.0, grad), np.where(bad, 0.0, want))
+
+    def test_empty_pair_set_contributes_a_constant_zero(self, caplog):
+        reps = m.BatchedSpans([SpanRef(0, 0)], Tensor.param(np.ones((1, 5))),
+                              1)
+        empty = L.PairSet("d0", (), np.zeros(0, dtype=np.intp),
+                          np.zeros(0, dtype=np.intp))
+        with caplog.at_level("WARNING"):
+            out = L._retrofit_loss_graph(None, empty, reps, L.LossWeights(),
+                                         "strict")
+        assert float(out.value) == 0.0
+        assert_constant(out)
+        assert "empty pair set" in caplog.text
+
+    def test_constant_inputs_build_no_tape(self):
+        full, *args = gap_case(6, 2, 1, pool=4, n_pairs=4, seed=7)
+        assert_constant(L.mean_cosine_gap(Tensor(full), *args))
+
+
+# ---------------------------------------------------------------------------
+# The scaffold loss
+
+
+def concept_case(n_rows, d, offset, n_targets, n_classes, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(n_rows)[:n_targets]
+    classes = rng.integers(0, n_classes, size=len(rows))
+    values = [rng.normal(size=(n_rows, offset + d + 1)) * scale,
+              rng.normal(size=(n_classes, d))]
+    return slice(offset, offset + d), rows, classes, values
+
+
+@st.composite
+def concept_cases(draw):
+    n_rows = draw(st.integers(1, 9))
+    return concept_case(n_rows, draw(st.integers(1, 4)),
+                        draw(st.integers(0, 3)),
+                        draw(st.integers(1, n_rows)), draw(st.integers(1, 5)),
+                        draw(st.integers(0, 2**16)),
+                        draw(st.sampled_from([0.0, 0.5, 2.0])))
+
+
+class TestMeanConceptNll:
+    @SETTINGS
+    @given(case=concept_cases())
+    def test_value_and_gradients_match_the_tape(self, case):
+        columns, rows, classes, values = case
+        assert_node_matches(
+            lambda f, w: L.mean_concept_nll(f, columns, rows, classes, w),
+            lambda f, w: O.mean_concept_nll_tape(f, columns, rows, classes,
+                                                 w), values)
+
+    def test_constant_inputs_build_no_tape(self):
+        columns, rows, classes, values = concept_case(5, 2, 1, 3, 4, seed=8)
+        assert_constant(L.mean_concept_nll(Tensor(values[0]), columns, rows,
+                                           classes, Tensor(values[1])))
+
+
+# ---------------------------------------------------------------------------
+# The fused-node helper
+
+
+def test_fused_routes_each_gradient_to_its_parent():
+    a, b = Tensor.param(np.ones(3)), Tensor(np.ones(2))
+    out = ad.fused(np.array(2.0), (a, b),
+                   lambda g: (g * np.arange(3.0), np.full(2, 7.0)))
+    out.backward()
+    assert np.array_equal(a.grad, [0.0, 1.0, 2.0])
+    assert b.grad is None
+
+
+def test_fused_without_gradient_parents_is_a_constant():
+    calls = []
+    out = ad.fused(np.ones(2), (Tensor(np.ones(2)),), calls.append)
+    assert_constant(out)
+    assert calls == []
+
+
+def test_misshapen_gradient_is_rejected():
+    a = Tensor.param(np.ones(16))
+    out = ad.fused(np.array(1.0), (a,), lambda g: (np.ones((1, 16)),))
+    with pytest.raises(ValueError, match=r"\(1, 16\).*\(16,\)"):
+        out.backward()

@@ -14,12 +14,13 @@ from kcoref.autodiff import Tensor
 from kcoref.corpus import SpanRef, truncate_document
 from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
                            ScaffoldParams, build_pair_set, combined_loss,
-                           coref_distance, coref_loss, cosine_distance,
-                           cosine_distance_t, document_objective,
-                           knowledge_distance, retrofit_loss, scaffold_loss,
+                           coref_distance, cosine_distance,
+                           document_objective, knowledge_distance,
                            target_distance)
 
-from oracles import pair_set_reference, softmax_by_hand
+import oracles as O
+from oracles import (coref_loss, cosine_distance_t, pair_set_reference,
+                     retrofit_loss, scaffold_loss, softmax_by_hand)
 from test_corpus import make_doc
 
 S = SpanRef
@@ -289,7 +290,7 @@ class TestCorefLoss:
         doc = doc_with([[(0, 0), (3, 3)]])
         candidates = zero_candidates(doc, [S(3, 3)])  # antecedent pruned away
         dists = [np.array([1.0])]
-        loss, misses = L.coref_loss_with_misses(doc, candidates, dists)
+        loss, misses = O.coref_loss_with_misses(doc, candidates, dists)
         assert misses == 1
         assert loss == pytest.approx(0.0)
 
@@ -375,17 +376,17 @@ class TestDocumentObjective:
                                    config, objective)
         dists = []
         for k in range(len(out.candidates)):
-            window = m.antecedent_window(k, config.max_antecedents)
+            window = O.antecedent_window(k, config.max_antecedents)
             scores = []
             for j in window:
-                rep_i = m.build_span_representation(
+                rep_i = O.build_span_representation(
                     m.encode_tokens(docs[0], enc), out.candidates.spans[k],
                     enc, config)
-                rep_j = m.build_span_representation(
+                rep_j = O.build_span_representation(
                     m.encode_tokens(docs[0], enc), out.candidates.spans[j],
                     enc, config)
-                scores.append(float(m.pair_score(rep_i, rep_j, scoring).value))
-            dists.append(m.antecedent_distribution(np.array(scores)))
+                scores.append(float(O.pair_score(rep_i, rep_j, scoring).value))
+            dists.append(O.antecedent_distribution(np.array(scores)))
         expected = coref_loss(docs[0], out.candidates, dists,
                               config.max_antecedents)
         assert float(out.cl.value) == pytest.approx(expected, abs=1e-9)
@@ -516,12 +517,12 @@ def reference_distributions(out, scoring, config):
     dists = []
     for k in range(len(rows)):
         scores = []
-        for j in m.antecedent_window(k, config.max_antecedents):
+        for j in O.antecedent_window(k, config.max_antecedents):
             s_a = scoring.antecedent.apply(
-                m.pair_features(Tensor(full[rows[k]]), Tensor(full[rows[j]])))
+                O.pair_features(Tensor(full[rows[k]]), Tensor(full[rows[j]])))
             scores.append(float(s_a.value) + mention[rows[k]]
                           + mention[rows[j]])
-        dists.append(m.antecedent_distribution(np.array(scores)))
+        dists.append(O.antecedent_distribution(np.array(scores)))
     return dists
 
 
@@ -537,7 +538,7 @@ class TestIndexedPathsMatchReferences:
                                  LossWeights(beta=(1.0, 0.0, 0.0)),
                                  INDEX_CONFIG, ObjectiveConfig())
         assert len(out.candidates) > INDEX_CONFIG.max_antecedents
-        expected, misses = L.coref_loss_with_misses(
+        expected, misses = O.coref_loss_with_misses(
             doc, out.candidates,
             reference_distributions(out, scoring, INDEX_CONFIG),
             INDEX_CONFIG.max_antecedents)

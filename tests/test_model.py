@@ -7,13 +7,15 @@ from kcoref import model as m
 from kcoref.autodiff import Tensor
 from kcoref.corpus import SpanRef
 from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
-                          ModelConfig, OrderingError, ScoringParams,
-                          antecedent_distribution, antecedent_window,
-                          attend_span, build_span_representation,
+                          ModelConfig, ScoringParams,
                           build_span_representations, encode_tokens,
-                          mention_score, pair_score, prune_mentions)
+                          prune_mentions)
 
-from oracles import finite_difference, relative_error, softmax_by_hand
+from oracles import (OrderingError, SpanRepresentation,
+                     antecedent_distribution, antecedent_window, attend_span,
+                     build_span_representation, finite_difference,
+                     mention_score, pair_score, relative_error,
+                     softmax_by_hand)
 from test_corpus import make_doc
 
 
@@ -230,7 +232,7 @@ class TestPrune:
 class TestPairScore:
     def rep(self, span, h):
         h = Tensor(np.asarray(h, dtype=float))
-        return m.SpanRepresentation(span, h, h, h, h, h)
+        return SpanRepresentation(span, h, h, h, h, h)
 
     def test_zero_weight_scorers_give_zero(self):
         scoring = linear_scoring(np.zeros(3), np.zeros(9))
@@ -299,6 +301,30 @@ def test_antecedent_window_caps_lookback():
     assert list(antecedent_window(5, 3)) == [2, 3, 4]
     assert list(antecedent_window(2, 50)) == [0, 1]
     assert list(antecedent_window(0, 50)) == []
+
+
+class TestModelConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("d_token", 0), ("d_width", -1), ("scorer_hidden", -1),
+        ("max_span_width", 0), ("max_antecedents", -3),
+        ("max_antecedents", 0), ("window_radius", -1),
+    ])
+    def test_out_of_range_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >="):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("edges", [(4, 2, 1), (1, 1, 2), (0, 3),
+                                       (-1, 2), (1, 2.5)])
+    def test_bucket_edges_must_increase_strictly(self, edges):
+        with pytest.raises(ValueError, match="width_bucket_edges"):
+            ModelConfig(width_bucket_edges=edges)
+
+    def test_smallest_valid_values_accepted(self):
+        config = ModelConfig(d_token=1, d_width=0, window_radius=0,
+                             scorer_hidden=0, max_span_width=1,
+                             max_antecedents=1, width_bucket_edges=())
+        assert config.n_width_buckets == 1
+        assert config.span_dim == 3
 
 
 def test_candidate_set_len():

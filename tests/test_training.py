@@ -324,6 +324,26 @@ class TestCheckpoint:
         with pytest.raises(TrainingError, match="encoder.mixer_b"):
             ParameterStore.load(path)
 
+    def test_rejects_non_numeric_version(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        lines[0] = "kcoref-checkpoint vX"
+        path = tmp_path / "version.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrainingError, match="unsupported checkpoint "
+                                                "version 'X'"):
+            ParameterStore.load(path)
+
+    def test_rejects_a_tensor_listed_twice(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("tensor encoder.mixer_b"))
+        lines[-1:-1] = lines[row:row + 2]
+        path = tmp_path / "twice.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrainingError,
+                           match="tensor encoder.mixer_b is listed twice"):
+            ParameterStore.load(path)
+
     def test_missing_tensor_fails_the_config_check(self, tmp_path):
         store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
         tr.check_parameters(store, CONFIG)
