@@ -261,7 +261,11 @@ class Tensor:
             return Tensor(out_value)
 
         def backward(g):
-            self._accumulate(g * 0.5 / out_value)
+            # A zero output passes no gradient, as a zero norm does in the
+            # fused nodes; 0.5 / 0 would make it NaN even where g is 0.
+            self._accumulate(np.divide(g * 0.5, out_value,
+                                       out=np.zeros(np.shape(out_value)),
+                                       where=out_value != 0))
 
         return Tensor(out_value, True, (self,), backward)
 

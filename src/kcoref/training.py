@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -44,9 +44,50 @@ class TrainingDiverged(TrainingError):
         self.records = records
 
 
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def _views(buffer: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
+    """Each tensor of `layout` as a view of its stretch of the flat buffer."""
+    views, start = {}, 0
+    for name, shape in layout:
+        end = start + math.prod(shape)
+        views[name] = buffer[start:end].reshape(shape)
+        start = end
+    return views
+
+
+class Gradients(Mapping[str, np.ndarray]):
+    """Named gradients held as one flat vector in a store's buffer order;
+    each value is a view of it."""
+
+    def __init__(self, flat: np.ndarray, layout: Layout):
+        self.flat, self.layout = flat, layout
+        self._named: dict[str, np.ndarray] | None = None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if self._named is None:
+            self._named = _views(self.flat, self.layout)
+        return self._named[name]
+
+    def __iter__(self):
+        return (name for name, _ in self.layout)
+
+    def __len__(self) -> int:
+        return len(self.layout)
+
+
 @dataclass
 class ParameterStore:
-    """Named tensors plus the vocabulary and scaffold class list."""
+    """Named tensors plus the vocabulary and scaffold class list.
+
+    The tensors live in one contiguous float64 buffer, in sorted name order,
+    and each entry of `tensors` is a view of it (arrays passed in are copied
+    into it), so one vectorized update covers every parameter. Entries may
+    still be replaced, added or deleted: the store re-packs its buffer from
+    the current entries before it next reads it (`buffer`, `gather`,
+    `copy`).
+    """
 
     tensors: dict[str, np.ndarray]
     vocab: tuple[str, ...]
@@ -58,15 +99,65 @@ class ParameterStore:
         if self.vocab and self.vocab[0] != UNK_TOKEN:
             raise TrainingError(f"vocab must start with {UNK_TOKEN!r}")
         self._vocab_index = {tok: i for i, tok in enumerate(self.vocab)}
+        self._pack()
 
     @property
     def vocab_index(self) -> Mapping[str, int]:
         return self._vocab_index
 
+    def _pack(self) -> None:
+        arrays = {name: np.asarray(self.tensors[name], dtype=np.float64)
+                  for name in sorted(self.tensors)}
+        buffer = (np.concatenate(list(arrays.values()), axis=None)
+                  if arrays else np.zeros(0))
+        self._adopt(buffer, tuple((name, arr.shape)
+                                  for name, arr in arrays.items()))
+
+    def _adopt(self, buffer: np.ndarray, layout: Layout) -> None:
+        self._buffer, self._layout = buffer, layout
+        self._packed = _views(buffer, layout)
+        self.tensors.update(self._packed)
+
+    def _sync(self) -> None:
+        """Re-pack when an entry of `tensors` is no longer the buffer's view."""
+        tensors, packed = self.tensors, self._packed
+        if len(tensors) != len(packed) or any(
+                tensors.get(name) is not view for name, view in packed.items()):
+            self._pack()
+
+    def buffer(self) -> np.ndarray:
+        """The flat parameter buffer, holding the current entries."""
+        self._sync()
+        return self._buffer
+
+    def gather(self, grads: Mapping[str, np.ndarray]) -> Gradients:
+        """Named gradients as one flat vector in buffer order.
+
+        There must be a gradient for exactly the store's tensors, each of its
+        tensor's shape. Gradients already in this layout pass as they are.
+        """
+        self._sync()
+        if isinstance(grads, Gradients) and grads.layout == self._layout:
+            return grads
+        packed = self._packed
+        if grads.keys() != packed.keys():
+            missing = sorted(packed.keys() - grads.keys())
+            extra = sorted(grads.keys() - packed.keys())
+            raise TrainingError(f"gradients do not match the parameters: "
+                                f"missing {missing}, unexpected {extra}")
+        parts = [grads[name] for name in packed]
+        for (name, shape), grad in zip(self._layout, parts):
+            if grad.shape != shape:
+                raise TrainingError(f"gradient shape mismatch for {name}: "
+                                    f"{grad.shape}, the tensor is {shape}")
+        return Gradients(np.concatenate(parts, axis=None, dtype=np.float64)
+                         if parts else np.zeros(0), self._layout)
+
     def copy(self) -> "ParameterStore":
-        return ParameterStore({k: v.copy() for k, v in self.tensors.items()},
-                              self.vocab, self.scaffold_classes,
-                              self.step, self.seed)
+        clone = ParameterStore({}, self.vocab, self.scaffold_classes,
+                               self.step, self.seed)
+        clone._adopt(self.buffer().copy(), self._layout)
+        return clone
 
     def save(self, path) -> None:
         path = Path(path)
@@ -244,8 +335,7 @@ LossBuilder = Callable[[m.EncoderParams, m.ScoringParams,
 
 
 def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
-                      config: ModelConfig,
-                      ) -> tuple[dict[str, np.ndarray], float]:
+                      config: ModelConfig) -> tuple[Gradients, float]:
     """Reverse-mode gradients of a scalar loss over every named tensor."""
     enc, scoring, scaffold, leaves = bind_parameters(store, config)
     loss = build_loss(enc, scoring, scaffold)
@@ -253,13 +343,13 @@ def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
     if not np.isfinite(value):
         raise TrainingError(f"loss is not finite: {value}")
     loss.backward()
-    grads: dict[str, np.ndarray] = {}
-    for name, leaf in leaves.items():
-        grad = leaf.grad if leaf.grad is not None \
-            else np.zeros_like(store.tensors[name])
-        if not np.isfinite(grad).all():
-            raise TrainingError(f"non-finite gradient in tensor {name}")
-        grads[name] = grad
+    grads = store.gather({name: leaf.grad if leaf.grad is not None
+                          else np.zeros_like(store.tensors[name])
+                          for name, leaf in leaves.items()})
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, grad in grads.items()
+                    if not np.isfinite(grad).all())
+        raise TrainingError(f"non-finite gradient in tensor {name}")
     return grads, value
 
 
@@ -278,34 +368,66 @@ class LearningRates:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for the adaptive-moment update."""
+    """First/second moment accumulators for the adaptive-moment update.
+
+    `m`, `v` and the per-element learning rates `lr` are flat, in the buffer
+    order of `layout`; `lr` is rebuilt from `LearningRates.rate_for` only
+    when the learning rates change.
+    """
 
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    lr: np.ndarray | None = None
+    layout: Layout | None = None
+    rates: LearningRates | None = None
+
+    def bind(self, layout: Layout, rates: LearningRates) -> None:
+        """Size the moments for `layout` and build its rate vector."""
+        if layout != self.layout:
+            if self.t:
+                raise TrainingError("the parameters' tensors or shapes "
+                                    "changed after the first optimizer step")
+            size = sum(math.prod(shape) for _, shape in layout)
+            self.m, self.v = np.zeros(size), np.zeros(size)
+            self.layout, self.rates = layout, None
+        if rates != self.rates:
+            self.lr = np.repeat(
+                [float(rates.rate_for(name)) for name, _ in layout],
+                [math.prod(shape) for _, shape in layout])
+            self.rates = LearningRates(rates.base, rates.task)
 
 
 def optimizer_step(store: ParameterStore, grads: Mapping[str, np.ndarray],
                    rates: LearningRates, state: AdamState) -> ParameterStore:
-    """One adaptive-moment update, in place; returns the store."""
+    """One adaptive-moment update of the store's buffer, in place; returns
+    the store.
+
+    Every element goes through the IEEE operations of the per-tensor update,
+    in the same order, so the result is bit-identical to it.
+    """
+    grad = store.gather(grads).flat
+    # gather has re-packed the buffer if an entry was replaced
+    params = store._buffer
+    state.bind(store._layout, rates)
     state.t += 1
-    for name, grad in grads.items():
-        if name not in store.tensors:
-            raise TrainingError(f"gradient for unknown tensor {name}")
-        if grad.shape != store.tensors[name].shape:
-            raise TrainingError(f"gradient shape mismatch for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(grad)
-            state.v[name] = np.zeros_like(grad)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * grad
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * grad**2
-        m_hat = state.m[name] / (1 - state.beta1**state.t)
-        v_hat = state.v[name] / (1 - state.beta2**state.t)
-        store.tensors[name] -= rates.rate_for(name) * m_hat / (
-            np.sqrt(v_hat) + state.epsilon)
+    m, v = state.m, state.v
+    b1, b2 = state.beta1, state.beta2
+    square = np.square(grad)
+    scaled = np.multiply(grad, 1 - b1)
+    m *= b1
+    m += scaled
+    v *= b2
+    v += np.multiply(square, 1 - b2, out=square)
+    denom = np.sqrt(np.divide(v, 1 - b2**state.t, out=square), out=square)
+    denom += state.epsilon
+    update = np.divide(m, 1 - b1**state.t, out=scaled)
+    update *= state.lr
+    update /= denom
+    params -= update
     store.step += 1
     return store
 
@@ -330,6 +452,11 @@ class Phase:
             raise TrainingError("epochs must be >= 1")
         if self.role not in ("source", "target"):
             raise TrainingError(f"unknown phase role {self.role!r}")
+        for name in ("base_lr", "task_lr"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise TrainingError(f"{name} must be finite and >= 0, "
+                                    f"got {rate!r}")
 
 
 @dataclass
@@ -385,15 +512,18 @@ def run_schedule(schedule: TrainingSchedule,
                                 f"{phase.corpus!r}")
         docs = list(corpora[phase.corpus])
         weights = effective_weights(phase, objective)
+        draws_pairs = weights.beta[1] > 0
         rates = LearningRates(phase.base_lr, phase.task_lr)
         for epoch in range(1, phase.epochs + 1):
             sums = {"cl": 0.0, "rl": 0.0, "sl": 0.0, "total": 0.0}
             misses = 0
-            pending: dict[str, np.ndarray] | None = None
+            pending: Gradients | None = None
             pending_count = 0
             for doc_no, doc in enumerate(docs):
-                rng = np.random.default_rng(
+                # Only RL draws pairs (document_objective's beta2 > 0).
+                rng = (np.random.default_rng(
                     [objective.pair_seed, phase_no, epoch, doc_no])
+                    if draws_pairs else None)
                 result: dict = {}
 
                 def build(enc, scoring, scaffold, doc=doc, rng=rng):
@@ -423,8 +553,8 @@ def run_schedule(schedule: TrainingSchedule,
                 if pending is None:
                     pending = grads
                 else:
-                    for name in pending:
-                        pending[name] = pending[name] + grads[name]
+                    pending = Gradients(pending.flat + grads.flat,
+                                        pending.layout)
                 pending_count += 1
                 if (pending_count >= objective.grad_accumulation
                         or doc_no == len(docs) - 1):

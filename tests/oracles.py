@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -480,3 +480,36 @@ def predict_antecedents_reference(doc, store, config):
         links[span] = None if pick is None \
             else candidates.spans[window.start + pick]
     return links
+
+
+# ---------------------------------------------------------------------------
+# The adaptive-moment update, one tensor at a time.
+
+
+@dataclass
+class AdamMoments:
+    """Per-tensor first/second moments, created at a tensor's first step."""
+
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def optimizer_step_reference(tensors: dict, grads: dict, rates,
+                             state: AdamMoments) -> None:
+    """One adaptive-moment update of each named array, in place."""
+    state.t += 1
+    for name, grad in grads.items():
+        if name not in state.m:
+            state.m[name] = np.zeros_like(grad)
+            state.v[name] = np.zeros_like(grad)
+        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * grad
+        state.v[name] = state.beta2 * state.v[name] \
+            + (1 - state.beta2) * grad**2
+        m_hat = state.m[name] / (1 - state.beta1**state.t)
+        v_hat = state.v[name] / (1 - state.beta2**state.t)
+        tensors[name] -= rates.rate_for(name) * m_hat / (
+            np.sqrt(v_hat) + state.epsilon)

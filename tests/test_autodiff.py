@@ -50,6 +50,16 @@ def test_unary_ops():
     check_grad(lambda a: (a * a + 0.5).sqrt().sum(), [(5,)])
 
 
+def test_sqrt_zero_output_passes_zero_gradient():
+    t = ad.Tensor.param(np.array([0.0, 4.0, 0.0]))
+    (t.sqrt() * ad.Tensor(np.array([0.0, 1.0, 3.0]))).sum().backward()
+    assert np.array_equal(t.grad, [0.0, 0.25, 0.0])
+    # the norm of a zero vector: an upstream 0 reaches x through sqrt
+    z = ad.Tensor.param(np.zeros(3))
+    ((z * z).sum().sqrt() * 0.0 + z.sum()).backward()
+    assert np.array_equal(z.grad, np.ones(3))
+
+
 def test_abs_away_from_kink():
     rng = np.random.default_rng(3)
     v = rng.normal(size=7) + np.sign(rng.normal(size=7)) * 0.5

@@ -198,6 +198,19 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match=field):
             load_config(tmp_path / "c.json")
 
+    @pytest.mark.parametrize("phase, field", [
+        ({"base_lr": -0.01}, "base_lr"),
+        ({"task_lr": float("nan")}, "task_lr"),
+        ({"base_lr": float("inf")}, "base_lr"),
+    ])
+    def test_bad_learning_rates_rejected(self, tmp_path, phase, field):
+        cfg = {"corpora": {"a": "x.jsonl"},
+               "phases": [{"corpus": "a", "epochs": 1},
+                          {"corpus": "a", "epochs": 1, **phase}]}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=rf"phases\[1\]: {field}"):
+            load_config(tmp_path / "c.json")
+
     @pytest.mark.parametrize("model, field", [
         ({"d_token": 0}, "d_token"),
         ({"d_width": -1}, "d_width"),

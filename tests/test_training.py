@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles as O
 from kcoref import losses as L
 from kcoref import training as tr
 from kcoref.model import ModelConfig
-from kcoref.training import (AdamState, LearningRates, ParameterStore, Phase,
-                             TrainingDiverged, TrainingError, TrainingSchedule,
-                             build_vocab, compute_gradients, effective_weights,
+from kcoref.training import (AdamState, Gradients, LearningRates,
+                             ParameterStore, Phase, TrainingDiverged,
+                             TrainingError, TrainingSchedule, build_vocab,
+                             compute_gradients, effective_weights,
                              gradient_check, init_parameters, optimizer_step,
                              run_schedule, write_loss_log)
 
 from test_corpus import make_doc
 from test_losses import tiny_corpus, tiny_setup
 
+TENSOR_NAMES = ("encoder.e", "encoder.mixer_w", "scorer.mention.b2",
+                "scorer.antecedent.w1", "scaffold.weights", "extra")
 CONFIG = ModelConfig(d_token=5, d_width=3, window_radius=1, scorer_hidden=4,
                      max_span_width=2, prune_ratio=0.5, max_antecedents=10)
 VOCAB = ("<unk>", "a", "b", "c")
@@ -102,6 +108,12 @@ class TestComputeGradients:
         grads, _ = compute_gradients(store, build, CONFIG)
         for name in ("encoder.embeddings", "scorer.mention.w1"):
             np.testing.assert_allclose(grads[name], features[name])
+        # one flat vector in the store's buffer order, named by views
+        assert list(grads) == sorted(store.tensors)
+        assert np.array_equal(grads.flat, np.concatenate(
+            [grads[name] for name in grads], axis=None))
+        assert all(np.shares_memory(grads[name], grads.flat)
+                   for name in grads if grads[name].size)
 
     def test_nan_component_reported_by_name(self):
         store = init_parameters(CONFIG, VOCAB, seed=0)
@@ -114,6 +126,19 @@ class TestComputeGradients:
                                         L.ObjectiveConfig()).total
 
         with pytest.raises(L.LossError, match="coreference"):
+            compute_gradients(store, build, CONFIG)
+
+    def test_non_finite_gradient_names_its_tensor(self):
+        store = init_parameters(CONFIG, VOCAB, seed=0)
+
+        def build(enc, scoring, scaffold):
+            # mixer_b starts at 0, where the square root's slope is infinite
+            return (enc.mixer_b ** 0.5).sum() \
+                + (scoring.mention.w1 * scoring.mention.w1).sum()
+
+        with np.errstate(divide="ignore"), \
+                pytest.raises(TrainingError, match="non-finite gradient in "
+                                                   "tensor encoder.mixer_b"):
             compute_gradients(store, build, CONFIG)
 
     def test_non_finite_loss_rejected(self):
@@ -164,6 +189,114 @@ class TestOptimizerStep:
         with pytest.raises(TrainingError, match="shape"):
             optimizer_step(store, {"scorer.x": np.zeros(3)},
                            LearningRates(0.1, 0.1), AdamState())
+
+    def test_missing_and_extra_gradient_names_rejected(self):
+        store = init_parameters(CONFIG, VOCAB, seed=4)
+        before = store.copy()
+        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
+        del grads["scorer.mention.b2"]
+        state = AdamState()
+        with pytest.raises(TrainingError, match="missing "
+                                                "\\['scorer.mention.b2'\\]"):
+            optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+        grads["scorer.mention.b2"] = np.ones(())
+        grads["scorer.extra"] = np.ones(2)
+        with pytest.raises(TrainingError,
+                           match="unexpected \\['scorer.extra'\\]"):
+            optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+        assert state.t == 0 and store.step == 0
+        for name in store.tensors:
+            assert np.array_equal(store.tensors[name], before.tensors[name])
+
+    def test_gathered_gradients_are_checked_against_the_current_tensors(self):
+        store = init_parameters(CONFIG, VOCAB, seed=3)
+        grads = store.gather({k: np.ones_like(v)
+                              for k, v in store.tensors.items()})
+        store.tensors["scorer.extra"] = np.zeros(2)
+        with pytest.raises(TrainingError,
+                           match="missing \\['scorer.extra'\\]"):
+            optimizer_step(store, grads, LearningRates(0.1, 0.1), AdamState())
+
+    def test_replaced_entry_is_copied_and_stepped(self):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+        weights = np.full((2, CONFIG.d_token), 0.5)
+        store.tensors["scaffold.weights"] = weights
+        clone = store.copy()
+        assert np.array_equal(clone.tensors["scaffold.weights"], weights)
+        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
+        optimizer_step(store, grads, LearningRates(0.0, 0.1), AdamState())
+        stepped = store.tensors["scaffold.weights"]
+        np.testing.assert_allclose(stepped, 0.4, rtol=1e-6)
+        assert np.shares_memory(stepped, store.buffer())
+        assert np.array_equal(clone.tensors["scaffold.weights"], weights)
+        assert np.array_equal(weights, np.full((2, CONFIG.d_token), 0.5))
+
+    def test_added_and_deleted_entries_follow_the_dict(self):
+        store = init_parameters(CONFIG, VOCAB, seed=3)
+        del store.tensors["scorer.mention.b2"]
+        store.tensors["scorer.extra"] = np.zeros(2)
+        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
+        state = AdamState()
+        optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+        np.testing.assert_allclose(store.tensors["scorer.extra"], -0.1,
+                                   rtol=1e-6)
+        assert "scorer.mention.b2" not in store.copy().tensors
+        assert store.buffer().size == sum(v.size
+                                          for v in store.tensors.values())
+        # the moments belong to this tensor set
+        store.tensors["scorer.more"] = np.zeros(1)
+        grads["scorer.more"] = np.ones(1)
+        with pytest.raises(TrainingError, match="changed after the first"):
+            optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+
+    def test_copy_is_independent(self):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=5)
+        store.step = 3
+        clone = store.copy()
+        assert (clone.vocab, clone.scaffold_classes, clone.step,
+                clone.seed) == (store.vocab, store.scaffold_classes, 3, 5)
+        assert not np.shares_memory(clone.buffer(), store.buffer())
+        original = store.tensors["encoder.embeddings"].copy()
+        clone.tensors["encoder.embeddings"][0, 0] += 1.0
+        assert np.array_equal(store.tensors["encoder.embeddings"], original)
+        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
+        optimizer_step(store, grads, LearningRates(0.1, 0.1), AdamState())
+        assert clone.step == 3
+        assert clone.tensors["encoder.embeddings"][0, 0] == original[0, 0] + 1
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=st.data())
+    def test_flat_update_matches_the_per_tensor_reference(self, case):
+        draw = case.draw
+        names = draw(st.lists(st.sampled_from(TENSOR_NAMES), min_size=1,
+                              max_size=len(TENSOR_NAMES), unique=True))
+        shapes = [tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+                  for _ in names]
+        rates = LearningRates(draw(st.sampled_from([0.0, 1e-3, 0.3])),
+                              draw(st.sampled_from([1e-3, 0.05, 2.0])))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        store = ParameterStore({n: rng.normal(size=s)
+                                for n, s in zip(names, shapes)}, ("<unk>",))
+        reference = {n: v.copy() for n, v in store.tensors.items()}
+        state, moments = AdamState(), O.AdamMoments()
+        for accumulated in draw(st.lists(st.integers(1, 3), min_size=1,
+                                         max_size=4)):
+            parts = [{n: rng.normal(size=s) * rng.choice([0.0, 1e-4, 3.0])
+                      for n, s in zip(names, shapes)}
+                     for _ in range(accumulated)]
+            pending = store.gather(parts[0])
+            for grads in parts[1:]:
+                pending = Gradients(pending.flat + store.gather(grads).flat,
+                                    pending.layout)
+            optimizer_step(store, pending, rates, state)
+            summed = parts[0]
+            for grads in parts[1:]:
+                summed = {n: summed[n] + grads[n] for n in names}
+            O.optimizer_step_reference(reference, summed, rates, moments)
+            for name in names:
+                assert store.tensors[name].shape == reference[name].shape
+                assert np.array_equal(store.tensors[name], reference[name])
+        assert state.t == moments.t
 
     def test_step_counter_advances(self):
         store = ParameterStore({"scorer.x": np.zeros(1)}, ("<unk>",))
@@ -251,6 +384,68 @@ class TestSchedule:
         sched = TrainingSchedule([Phase("c", 1, weights, 1e-3, 1e-3)])
         store, _ = run_schedule(sched, {"c": docs}, config, objective, store)
         assert store.step == 1  # two docs, one accumulated step
+
+    def test_accumulated_steps_match_the_per_tensor_reference(self):
+        docs, config, store, weights, objective = tiny_setup(seed=2)
+        docs = [docs[0], docs[1], docs[0]]
+        objective.grad_accumulation = 2
+        rates = LearningRates(1e-2, 3e-2)
+        sched = TrainingSchedule([Phase("c", 2, weights, rates.base,
+                                        rates.task)])
+        trained, _ = run_schedule(sched, {"c": docs}, config, objective,
+                                  store.copy())
+        assert trained.step == 4
+
+        reference = {n: v.copy() for n, v in store.tensors.items()}
+        moments = O.AdamMoments()
+        for epoch in (1, 2):
+            pending = None
+            for doc_no, doc in enumerate(docs):
+                rng = np.random.default_rng([objective.pair_seed, 1, epoch,
+                                             doc_no])
+
+                def build(enc, scoring, scaffold, doc=doc, rng=rng):
+                    return L.document_objective(doc, enc, scoring, scaffold,
+                                                weights, config, objective,
+                                                rng).total
+
+                grads, _ = compute_gradients(
+                    ParameterStore(dict(reference), store.vocab,
+                                   store.scaffold_classes), build, config)
+                pending = grads if pending is None else \
+                    {n: pending[n] + grads[n] for n in grads}
+                if doc_no % 2 == 1 or doc_no == len(docs) - 1:
+                    O.optimizer_step_reference(reference, pending, rates,
+                                               moments)
+                    pending = None
+        for name in reference:
+            assert np.array_equal(trained.tensors[name], reference[name])
+
+    def test_pair_rng_is_built_only_when_rl_draws_pairs(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        docs, config, store, no_rl, objective = tiny_setup(
+            beta=(1.0, 0.0, 0.5))
+        weights = L.LossWeights(no_rl.alpha_c, no_rl.alpha_k, (1.0, 0.5, 0.5))
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run_schedule(TrainingSchedule([Phase("c", 2, no_rl)]),
+                     {"c": docs}, config, objective, store.copy())
+        assert seeds == []
+        # a source phase drops RL when source_phase_rl is off
+        objective.source_phase_rl = False
+        run_schedule(TrainingSchedule([Phase("c", 2, weights,
+                                             role="source")]),
+                     {"c": docs}, config, objective, store.copy())
+        assert seeds == []
+        run_schedule(TrainingSchedule([Phase("c", 1, weights)]),
+                     {"c": docs}, config, objective, store.copy())
+        assert seeds == [[objective.pair_seed, 1, 1, 0],
+                         [objective.pair_seed, 1, 1, 1]]
 
     def test_unknown_corpus_rejected(self):
         docs, config, store, weights, objective = tiny_setup()
@@ -396,6 +591,19 @@ class TestGradientCheck:
         text = report.summary()
         for name in store.tensors:
             assert name in text
+
+
+@pytest.mark.parametrize("field, rate", [
+    ("base_lr", -1e-3), ("task_lr", -1e-3), ("base_lr", float("nan")),
+    ("task_lr", float("inf")), ("base_lr", float("-inf"))])
+def test_phase_rejects_bad_learning_rates(field, rate):
+    with pytest.raises(TrainingError, match=field):
+        Phase("c", 1, L.LossWeights(), **{field: rate})
+
+
+def test_phase_allows_zero_learning_rates():
+    phase = Phase("c", 1, L.LossWeights(), base_lr=0.0, task_lr=0.0)
+    assert (phase.base_lr, phase.task_lr) == (0.0, 0.0)
 
 
 def test_build_vocab_sorted_and_unk_first():
