@@ -15,7 +15,6 @@ unknown symbol on the first line.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
@@ -86,6 +85,8 @@ class Document:
                     f"{self.doc_id}: token index {tok.index} at position {i}")
         seen: set[SpanRef] = set()
         for cluster in self.gold_clusters:
+            if not cluster:
+                raise CorpusError(f"{self.doc_id}: empty gold cluster")
             for span in cluster:
                 if span.end >= n:
                     raise CorpusError(
@@ -259,14 +260,27 @@ def span_keys(spans: Iterable[SpanRef]) -> np.ndarray:
     return np.array([(s.start << 32) + s.end for s in spans], dtype=np.int64)
 
 
-def enumerate_candidate_spans(doc: Document, max_width: int) -> list[SpanRef]:
-    """All spans of width <= max_width, ordered by (start, end)."""
+def bounds_keys(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """`span_keys` of the spans [starts[i], ends[i]]."""
+    return (starts.astype(np.int64) << 32) + ends
+
+
+def span_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (starts, ends) of the spans whose `span_keys` are `keys`."""
+    return keys >> 32, keys & 0xFFFFFFFF
+
+
+def enumerate_candidate_spans(doc: Document,
+                              max_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of all spans of width <= max_width, in (start, end)
+    order."""
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
     n = len(doc)
-    return [SpanRef(start, end)
-            for start in range(n)
-            for end in range(start, min(start + max_width, n))]
+    last = np.arange(n, dtype=np.intp)[:, None] \
+        + np.arange(min(max_width, n), dtype=np.intp)
+    starts, offsets = np.nonzero(last < n)
+    return starts, starts + offsets
 
 
 def truncate_document(doc: Document, max_tokens: int) -> Document:
@@ -377,7 +391,3 @@ def subword_bucket(mean_pieces: float, width: float = 1.7,
     k = int(mean_pieces // width)
     return min(k, n_buckets)
 
-
-def width_bucket_index(width: int, edges: tuple[int, ...]) -> int:
-    """Bucket index for a span width given ascending inclusive upper edges."""
-    return bisect_left(edges, width)

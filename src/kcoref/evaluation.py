@@ -126,10 +126,14 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
         return {}
     enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
     token_vecs = m.encode_tokens(doc, enc)
-    spans = enumerate_candidate_spans(doc, config.max_span_width)
-    reps = m.build_span_representations(token_vecs, spans, enc, config)
+    starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
+    layout = m.span_layout(starts, ends, config)
+    reps = m.build_span_representations(token_vecs, layout, enc)
     scores = m.mention_scores(reps, scoring).value
-    candidates = m.prune_mentions(doc, spans, scores, config.prune_ratio)
+    # Pruning would silently rank NaN scores last.
+    if np.isnan(scores).any():
+        raise ValueError(f"{doc.doc_id}: NaN mention score")
+    candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
     x = reps.full.value[candidates.indices]
     keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
@@ -170,13 +174,18 @@ def select_antecedents(grid: np.ndarray) -> np.ndarray:
 
 
 def decode_clusters(links: Mapping[SpanRef, SpanRef | None]) -> PredictedClusters:
-    """Connected components of the non-dummy links; singletons dropped."""
+    """Connected components of the non-dummy links, found over span numbers
+    and sorted by their first span; singletons dropped."""
+    number: dict[SpanRef, int] = {}
     uf = UnionFind()
     for mention, antecedent in links.items():
         if antecedent is not None:
-            uf.union(mention, antecedent)
-    clusters = [frozenset(g) for g in uf.groups() if len(g) >= 2]
-    clusters.sort(key=lambda c: sorted(c)[0])
+            uf.union(number.setdefault(mention, len(number)),
+                     number.setdefault(antecedent, len(number)))
+    spans = list(number)
+    clusters = [frozenset(map(spans.__getitem__, g)) for g in uf.groups()
+                if len(g) >= 2]
+    clusters.sort(key=min)
     return PredictedClusters(clusters)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model as m
 from .autodiff import Tensor
-from .corpus import Document, SpanRef, enumerate_candidate_spans, span_keys
+from .corpus import (Document, SpanRef, bounds_keys, enumerate_candidate_spans,
+                     span_bounds, span_keys)
 
 log = logging.getLogger(__name__)
 
@@ -263,11 +264,13 @@ class DocumentIndex:
     The table holds the enumerated candidate spans plus, when the objective
     needs them, the gold spans and the scaffold lexicon's labeled spans,
     sorted by position. Every array below has one entry per table row.
+    `enumerated` is what pruning picks from; its `SpanRef`s are built with
+    the index, so a doc-step on an indexed document builds none.
     """
 
     layout: m.SpanLayout               # the table, with its gather plan
     keys: np.ndarray                   # span_keys of the table, ascending
-    enumerated: list[SpanRef]          # enumerate_candidate_spans order
+    enumerated: m.SpanLayout           # enumerate_candidate_spans order
     enum_rows: np.ndarray              # table row of each enumerated span
     cluster: np.ndarray                # gold cluster id, -1 when unclustered
     anaphoric: np.ndarray              # not the first span of its gold cluster
@@ -299,37 +302,42 @@ def document_index(doc: Document, config: m.ModelConfig, with_gold: bool,
 
 def _build_index(doc: Document, config: m.ModelConfig, with_gold: bool,
                  scaffold_lexicon: str | None) -> DocumentIndex:
-    enumerated = enumerate_candidate_spans(doc, config.max_span_width)
-    table: set[SpanRef] = set(enumerated)
-    if with_gold:
-        table.update(doc.gold_spans())
+    starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
+    enum_keys = bounds_keys(starts, ends)
+    extra = doc.gold_spans() if with_gold else []
     if scaffold_lexicon:
-        table.update(doc.concept_annotations.get(scaffold_lexicon, {}))
-    spans = sorted(table)
-    row = {span: i for i, span in enumerate(spans)}
+        extra.extend(doc.concept_annotations.get(scaffold_lexicon, {}))
+    keys = np.array(sorted({*enum_keys.tolist(), *span_keys(extra).tolist()}),
+                    dtype=np.int64)
+    row = dict(zip(keys.tolist(), range(len(keys))))
 
-    cluster = np.full(len(spans), -1, dtype=np.intp)
-    anaphoric = np.zeros(len(spans), dtype=bool)
+    cluster = np.full(len(keys), -1, dtype=np.intp)
+    anaphoric = np.zeros(len(keys), dtype=bool)
     for cluster_id, members in enumerate(doc.gold_clusters):
-        first = min(members)
-        for span in members.intersection(row):
-            cluster[row[span]] = cluster_id
-            anaphoric[row[span]] = span != first
+        member_keys = span_keys(members).tolist()
+        for key in row.keys() & member_keys:
+            cluster[row[key]] = cluster_id
+            anaphoric[row[key]] = key != min(member_keys)
 
     concepts: dict[str, np.ndarray] = {}
     labels: dict[str, tuple[str, ...]] = {}
     for lexicon_id, spans_labels in doc.concept_annotations.items():
         names = tuple(sorted(set(spans_labels.values())))
-        ids = np.full(len(spans), -1, dtype=np.intp)
-        for span, label in spans_labels.items():
-            if span in row:
-                ids[row[span]] = names.index(label)
+        ids = np.full(len(keys), -1, dtype=np.intp)
+        for key, label in zip(span_keys(spans_labels).tolist(),
+                              spans_labels.values()):
+            if key in row:
+                ids[row[key]] = names.index(label)
         concepts[lexicon_id], labels[lexicon_id] = ids, names
 
-    return DocumentIndex(
-        m.span_layout(spans, config), span_keys(spans), enumerated,
-        np.array([row[s] for s in enumerated], dtype=np.intp), cluster,
-        anaphoric, concepts, labels)
+    layout = m.span_layout(*span_bounds(keys), config)
+    # Often the extra spans are all enumerated, and the table is the same.
+    enumerated = layout if len(keys) == len(enum_keys) \
+        else m.span_layout(starts, ends, config)
+    enumerated.spans  # built once here; pruning then takes its kept rows
+    return DocumentIndex(layout, keys, enumerated,
+                         np.searchsorted(keys, enum_keys), cluster, anaphoric,
+                         concepts, labels)
 
 
 def scaffold_targets(index: DocumentIndex, scaffold: ScaffoldParams,
@@ -376,7 +384,7 @@ def document_objective(doc: Document, enc: m.EncoderParams,
         doc, config, with_gold=b2 > 0 or b3 > 0,
         scaffold_lexicon=objective.scaffold_lexicon if with_scaffold else None)
     token_vecs = m.encode_tokens(doc, enc)
-    reps = m.build_span_representations(token_vecs, index.layout, enc, config)
+    reps = m.build_span_representations(token_vecs, index.layout, enc)
     scores_t = m.mention_scores(reps, scoring)
     candidates = m.prune_mentions(doc, index.enumerated,
                                   scores_t.value[index.enum_rows],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -108,7 +108,7 @@ class CandidateSet:
 
     spans: list[SpanRef]
     scores: np.ndarray
-    indices: np.ndarray  # rows into the span list the scores were drawn from
+    indices: np.ndarray  # rows into the layout the scores were drawn from
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -143,10 +143,14 @@ class BatchedSpans:
     feature]; `internal` is its third block of `d_token` columns.
     """
 
-    spans: list[SpanRef]
+    layout: SpanLayout
     full: Tensor
     d_token: int
     index: dict[SpanRef, int] = field(default_factory=dict)
+
+    @property
+    def spans(self) -> list[SpanRef]:
+        return self.layout.spans
 
     @property
     def internal_columns(self) -> slice:
@@ -165,52 +169,56 @@ class BatchedSpans:
 
 @dataclass(frozen=True)
 class SpanLayout:
-    """The gather plan of `build_span_representations` for a span list.
+    """A span table as index arrays, with the gather plan of
+    `build_span_representations`.
 
     It depends only on the spans and the width buckets, so a caller that
-    represents the same spans repeatedly can build it once.
+    represents the same spans repeatedly can build it once. The table's
+    `SpanRef`s are built on first use of `spans` and kept.
     """
 
-    spans: list[SpanRef]
+    starts: np.ndarray
+    ends: np.ndarray
     tokens: np.ndarray   # (spans, max width) token per slot, end repeated
     mask: np.ndarray     # 1.0 on the slots inside the span
     buckets: np.ndarray  # width bucket per span
 
-    @property
-    def starts(self) -> np.ndarray:
-        return self.tokens[:, 0]
+    def __len__(self) -> int:
+        return len(self.starts)
 
-    @property
-    def ends(self) -> np.ndarray:
-        return self.tokens[:, -1]
+    @functools.cached_property
+    def spans(self) -> list[SpanRef]:
+        return list(map(SpanRef, self.starts.tolist(), self.ends.tolist()))
+
+    def refs(self, rows: np.ndarray) -> list[SpanRef]:
+        """The `SpanRef`s of `rows`, built for them alone until `spans` is."""
+        if "spans" in self.__dict__:
+            return list(map(self.spans.__getitem__, rows.tolist()))
+        return list(map(SpanRef, self.starts[rows].tolist(),
+                        self.ends[rows].tolist()))
 
 
-def span_layout(spans: Sequence[SpanRef], config: ModelConfig) -> SpanLayout:
-    spans = list(spans)
-    if not spans:
+def span_layout(starts: np.ndarray, ends: np.ndarray,
+                config: ModelConfig) -> SpanLayout:
+    """The layout of the spans [starts[i], ends[i]], in that order."""
+    if len(starts) == 0:
         raise ValueError("no spans to represent")
-    starts = np.array([s.start for s in spans], dtype=np.intp)
-    ends = np.array([s.end for s in spans], dtype=np.intp)
     widths = ends - starts + 1
     offsets = np.arange(int(widths.max()), dtype=np.intp)
     tokens = np.minimum(starts[:, None] + offsets[None, :], ends[:, None])
     mask = (offsets[None, :] < widths[:, None]).astype(np.float64)
     buckets = np.minimum(np.searchsorted(config.width_bucket_edges, widths),
                          config.n_width_buckets - 1)
-    return SpanLayout(spans, tokens, mask, buckets)
+    return SpanLayout(starts, ends, tokens, mask, buckets)
 
 
-def build_span_representations(token_vecs: Tensor,
-                               spans: Sequence[SpanRef] | SpanLayout,
-                               enc: EncoderParams,
-                               config: ModelConfig) -> BatchedSpans:
+def build_span_representations(token_vecs: Tensor, layout: SpanLayout,
+                               enc: EncoderParams) -> BatchedSpans:
     """Every span's representation, as one tape node.
 
     The internal vector weighs the span's token vectors by a softmax of
     their attention logits over the slots inside the span.
     """
-    layout = spans if isinstance(spans, SpanLayout) \
-        else span_layout(spans, config)
     tokens, mask = layout.tokens, layout.mask
     x, attention = token_vecs.value, enc.attention_w.value
     table = enc.width_embeddings.value
@@ -243,16 +251,17 @@ def build_span_representations(token_vecs: Tensor,
 
     node = ad.fused(full, (token_vecs, enc.attention_w,
                            enc.width_embeddings), backward)
-    return BatchedSpans(layout.spans, node, d)
+    return BatchedSpans(layout, node, d)
 
 
 def mention_scores(reps: BatchedSpans, scoring: ScoringParams) -> Tensor:
     return scoring.mention.apply(reps.full)
 
 
-def prune_mentions(doc: Document, spans: Sequence[SpanRef],
+def prune_mentions(doc: Document, spans: SpanLayout,
                    scores: np.ndarray, prune_ratio: float) -> CandidateSet:
-    """Keep the ceil(ratio * document length) best-scored spans.
+    """Keep the ceil(ratio * document length) best-scored spans of a layout
+    in (start, end) order.
 
     Ties break toward earlier (start, end) position; the result is returned
     in position order.
@@ -262,8 +271,8 @@ def prune_mentions(doc: Document, spans: Sequence[SpanRef],
     keep = min(len(spans), math.ceil(prune_ratio * len(doc)))
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     chosen = np.sort(order[:keep])
-    return CandidateSet([spans[i] for i in chosen],
-                        np.asarray(scores)[chosen], chosen)
+    return CandidateSet(spans.refs(chosen), np.asarray(scores)[chosen],
+                        chosen)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import model as m
 from . import training as tr
-from .corpus import Document, SpanRef, SubwordVocab, Token
+from .corpus import (Document, SpanRef, SubwordVocab, Token, span_bounds,
+                     span_keys)
 from .lexicon import ConceptLexicon
 
 log = logging.getLogger(__name__)
@@ -60,9 +61,10 @@ def span_internals(doc: Document, spans: Sequence[SpanRef],
     """Attention-weighted internal vectors for the given spans."""
     enc, _, _, _ = tr.bind_parameters(store, config, trainable=False)
     token_vecs = m.encode_tokens(doc, enc)
-    reps = m.build_span_representations(token_vecs, sorted(set(spans)), enc,
-                                        config)
-    return {span: reps.internal.value[reps.row(span)] for span in reps.spans}
+    keys = np.unique(span_keys(spans))
+    reps = m.build_span_representations(
+        token_vecs, m.span_layout(*span_bounds(keys), config), enc)
+    return dict(zip(reps.spans, reps.internal.value))
 
 
 def mention_antecedent_offsets(docs: Sequence[Document],

@@ -211,6 +211,9 @@ class ParameterStore:
                     raise TrainingError(f"{path}: tensor {name} has "
                                         f"{values.size} values for shape "
                                         f"{shape}")
+                if not np.isfinite(values).all():
+                    raise TrainingError(f"{path}: tensor {name} has a "
+                                        f"non-finite value")
                 tensors[name] = values.reshape(shape)
         except IndexError:
             raise TrainingError(f"{path}: truncated checkpoint (no 'end' "

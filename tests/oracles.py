@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,8 +20,7 @@ from kcoref import autodiff as ad
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.autodiff import Tensor
-from kcoref.corpus import SpanRef, enumerate_candidate_spans, \
-    width_bucket_index
+from kcoref.corpus import SpanRef
 from kcoref.losses import LossError, target_distance
 
 
@@ -58,6 +58,41 @@ def enumerate_spans_brute(n: int, max_width: int) -> list[tuple[int, int]]:
             if end - start + 1 <= max_width:
                 out.append((start, end))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# Span tables as SpanRef lists: the references of the array forms.
+
+
+def enumerate_candidate_spans_reference(doc, max_width: int) -> list[SpanRef]:
+    """`corpus.enumerate_candidate_spans` as SpanRefs, (start, end) order."""
+    if max_width < 1:
+        raise ValueError("max_width must be >= 1")
+    n = len(doc)
+    return [SpanRef(start, end)
+            for start in range(n)
+            for end in range(start, min(start + max_width, n))]
+
+
+def width_bucket_index(width: int, edges: tuple[int, ...]) -> int:
+    """Bucket index for a span width given ascending inclusive upper edges."""
+    return bisect_left(edges, width)
+
+
+def span_layout_reference(spans: list[SpanRef],
+                          config: m.ModelConfig) -> m.SpanLayout:
+    """`model.span_layout` of a SpanRef list, one span and slot at a time."""
+    max_width = max(s.width for s in spans)
+    tokens = [[min(s.start + k, s.end) for k in range(max_width)]
+              for s in spans]
+    mask = [[1.0 if k < s.width else 0.0 for k in range(max_width)]
+            for s in spans]
+    buckets = [min(width_bucket_index(s.width, config.width_bucket_edges),
+                   config.n_width_buckets - 1) for s in spans]
+    return m.SpanLayout(np.array([s.start for s in spans], dtype=np.intp),
+                        np.array([s.end for s in spans], dtype=np.intp),
+                        np.array(tokens, dtype=np.intp), np.array(mask),
+                        np.array(buckets, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +495,12 @@ def predict_antecedents_reference(doc, store, config):
         return {}
     enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
     token_vecs = m.encode_tokens(doc, enc)
-    spans = enumerate_candidate_spans(doc, config.max_span_width)
-    reps = m.build_span_representations(token_vecs, spans, enc, config)
+    layout = span_layout_reference(
+        enumerate_candidate_spans_reference(doc, config.max_span_width),
+        config)
+    reps = m.build_span_representations(token_vecs, layout, enc)
     scores = m.mention_scores(reps, scoring).value
-    candidates = m.prune_mentions(doc, spans, scores, config.prune_ratio)
+    candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
     links = {}
     full = reps.full.value
@@ -480,6 +517,20 @@ def predict_antecedents_reference(doc, store, config):
         links[span] = None if pick is None \
             else candidates.spans[window.start + pick]
     return links
+
+
+def decode_clusters_reference(links) -> list[frozenset]:
+    """Connected components of the non-dummy links, grown one link at a
+    time, singletons dropped, sorted by their first span."""
+    clusters: list[set] = []
+    for mention, antecedent in links.items():
+        if antecedent is None:
+            continue
+        touched = [c for c in clusters if mention in c or antecedent in c]
+        merged = {mention, antecedent}.union(*touched)
+        clusters = [c for c in clusters if c not in touched] + [merged]
+    return sorted((frozenset(c) for c in clusters if len(c) >= 2),
+                  key=lambda c: sorted(c)[0])
 
 
 # ---------------------------------------------------------------------------

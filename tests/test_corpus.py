@@ -10,10 +10,9 @@ from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab, Token,
                            load_corpus, load_subword_vocab,
                            mean_subwords_per_span, save_corpus,
                            save_subword_vocab, subword_bucket, subword_count,
-                           tokenize_subwords, truncate_document,
-                           width_bucket_index)
+                           tokenize_subwords, truncate_document)
 
-from oracles import enumerate_spans_brute
+from oracles import enumerate_spans_brute, width_bucket_index
 
 
 def make_doc(tokens, clusters=(), concepts=None, doc_id="d0"):
@@ -54,6 +53,12 @@ class TestDocument:
     def test_overlapping_cluster_membership(self):
         with pytest.raises(CorpusError, match="more than one cluster"):
             make_doc(["a", "b", "c"], [[(0, 0), (1, 1)], [(0, 0), (2, 2)]])
+
+    def test_empty_cluster_rejected(self):
+        # It would count as a gold entity: a perfect prediction then reads
+        # MUC recall 0 and CEAF-e recall 1/2.
+        with pytest.raises(CorpusError, match="d0: empty gold cluster"):
+            make_doc(["a", "b"], [[(0, 0), (1, 1)], []])
 
     def test_empty_token_rejected(self):
         with pytest.raises(CorpusError, match="empty token"):
@@ -156,19 +161,23 @@ class TestCorpusStats:
         assert stats == {"problem": (1, 2.0), "test": (1, 3.0)}
 
 
+def enumerated(doc, max_width):
+    starts, ends = enumerate_candidate_spans(doc, max_width)
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 class TestEnumerateSpans:
     def test_unigrams(self):
         doc = make_doc(["a", "b", "c"])
-        assert [(s.start, s.end) for s in enumerate_candidate_spans(doc, 1)] \
-            == [(0, 0), (1, 1), (2, 2)]
+        assert enumerated(doc, 1) == [(0, 0), (1, 1), (2, 2)]
 
     def test_full_width(self):
         doc = make_doc(["a", "b", "c"])
-        assert len(enumerate_candidate_spans(doc, 3)) == 6
+        assert len(enumerated(doc, 3)) == 6
 
     def test_n5_w2_hand_enumeration(self):
         doc = make_doc(list("abcde"))
-        spans = [(s.start, s.end) for s in enumerate_candidate_spans(doc, 2)]
+        spans = enumerated(doc, 2)
         assert spans == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3),
                          (3, 3), (3, 4), (4, 4)]
 
@@ -177,8 +186,7 @@ class TestEnumerateSpans:
     def test_matches_brute_force(self, n, data):
         max_width = data.draw(st.integers(1, n))
         doc = make_doc(["t"] * n)
-        spans = [(s.start, s.end)
-                 for s in enumerate_candidate_spans(doc, max_width)]
+        spans = enumerated(doc, max_width)
         assert spans == enumerate_spans_brute(n, max_width)
         expected = sum(max(0, n - w + 1) for w in range(1, max_width + 1))
         assert len(spans) == expected

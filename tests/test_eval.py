@@ -15,9 +15,11 @@ from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
                                select_antecedents, slice_by_concept,
                                slice_by_subword_bucket)
 
+from kcoref import losses as L
 from oracles import (b_cubed_reference, ceaf_e_brute_force, ceaf_e_dense,
-                     muc_reference, predict_antecedents_reference,
-                     random_clustering, select_antecedent)
+                     decode_clusters_reference, muc_reference,
+                     predict_antecedents_reference, random_clustering,
+                     select_antecedent)
 from test_corpus import make_doc
 from test_losses import INDEX_CONFIG, random_documents, tiny_setup
 
@@ -150,6 +152,16 @@ class TestBatchedDecodeMatchesReference:
         with pytest.raises(ValueError, match="NaN antecedent score"):
             predict_antecedents(docs[0], store, config)
 
+    def test_nan_mention_score_rejected(self):
+        # One NaN embedding row: pruning would rank the spans over its
+        # token last and decode the rest without a word.
+        docs, config, store, _, _ = tiny_setup()
+        row = store.vocab.index(docs[0].tokens[2].surface)
+        store.tensors["encoder.embeddings"][row] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"{docs[0].doc_id}: NaN mention score"):
+            predict_antecedents(docs[0], store, config)
+
 
 class TestDecodeClusters:
     def test_transitive_links_merge(self):
@@ -187,6 +199,48 @@ class TestDecodeClusters:
         seen = [s for c in out.clusters for s in c]
         assert len(seen) == len(set(seen))  # disjoint
         assert set(seen) == linked          # exactly the non-dummy-linked spans
+        assert out.clusters == decode_clusters_reference(links)
+
+
+class TestSpanRefBudget:
+    """SpanRefs are built only for what leaves the model."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        check = SpanRef.__post_init__
+
+        def counting(span):
+            built.append((span.start, span.end))
+            check(span)
+
+        monkeypatch.setattr(SpanRef, "__post_init__", counting)
+        return built
+
+    def test_predict_clusters_builds_only_the_candidates(self, built):
+        docs, config, store, _, _ = tiny_setup(seed=3)
+        for doc in docs:
+            built.clear()
+            links = predict_antecedents(doc, store, config)
+            assert 0 < len(built) <= len(links)
+            built.clear()
+            assert predict_clusters(doc, store, config).clusters
+            assert len(built) <= len(links)
+
+    def test_doc_step_on_an_indexed_document_builds_none(self, built):
+        docs, config, store, weights, objective = tiny_setup(
+            beta=(1.0, 0.5, 0.5))
+        enc, scoring, scaffold, _ = tr.bind_parameters(store, config)
+        for doc in docs:
+            L.document_objective(doc, enc, scoring, scaffold, weights,
+                                 config, objective)
+        built.clear()
+        for doc in docs:
+            out = L.document_objective(doc, enc, scoring, scaffold, weights,
+                                       config, objective)
+            out.total.backward()
+            assert out.pair_set.count and len(out.candidates)
+        assert built == []
 
 
 class TestPredictIntegration:

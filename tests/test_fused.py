@@ -71,7 +71,9 @@ def span_case(n, d, d_width, spans, seed, scale=1.0):
     values = [rng.normal(size=(n, d)), rng.normal(size=d) * scale,
               rng.normal(size=(config.n_width_buckets, d_width))]
     upstream = rng.normal(size=(len(spans), config.span_dim))
-    return m.span_layout(spans, config), config, values, upstream
+    layout = m.span_layout(np.array([s.start for s in spans]),
+                           np.array([s.end for s in spans]), config)
+    return layout, config, values, upstream
 
 
 @st.composite
@@ -105,8 +107,8 @@ class TestSpanRepresentations:
         layout, config, values, upstream = case
 
         def fused(x, a, table):
-            return m.build_span_representations(x, layout, encoder(a, table),
-                                                config).full
+            return m.build_span_representations(x, layout,
+                                                encoder(a, table)).full
 
         def tape(x, a, table):
             return O.span_representations_tape(x, layout, encoder(a, table))
@@ -117,7 +119,7 @@ class TestSpanRepresentations:
         layout, config, values, _ = span_case(5, 3, 2, SPANS, 1)
         reps = m.build_span_representations(
             Tensor(values[0]), layout,
-            encoder(Tensor(values[1]), Tensor(values[2])), config)
+            encoder(Tensor(values[1]), Tensor(values[2])))
         d = config.d_token
         assert np.array_equal(reps.internal.value,
                               reps.full.value[:, 2 * d:3 * d])
@@ -126,7 +128,7 @@ class TestSpanRepresentations:
         layout, config, values, _ = span_case(5, 3, 2, SPANS, 2)
         reps = m.build_span_representations(
             Tensor(values[0]), layout,
-            encoder(Tensor(values[1]), Tensor(values[2])), config)
+            encoder(Tensor(values[1]), Tensor(values[2])))
         assert_constant(reps.full)
 
 
@@ -282,8 +284,8 @@ class TestMeanCosineGap:
         assert_close(grad, want)
 
     def test_empty_pair_set_contributes_a_constant_zero(self, caplog):
-        reps = m.BatchedSpans([SpanRef(0, 0)], Tensor.param(np.ones((1, 5))),
-                              1)
+        layout = m.span_layout(np.array([0]), np.array([0]), m.ModelConfig())
+        reps = m.BatchedSpans(layout, Tensor.param(np.ones((1, 5))), 1)
         empty = L.PairSet("d0", (), np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp))
         with caplog.at_level("WARNING"):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kcoref import model as m
 from kcoref.autodiff import Tensor
-from kcoref.corpus import SpanRef
+from kcoref.corpus import SpanRef, enumerate_candidate_spans
 from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
                           ModelConfig, ScoringParams,
                           build_span_representations, encode_tokens,
@@ -13,10 +13,17 @@ from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
 
 from oracles import (OrderingError, SpanRepresentation,
                      antecedent_distribution, antecedent_window, attend_span,
-                     build_span_representation, finite_difference,
+                     build_span_representation,
+                     enumerate_candidate_spans_reference, finite_difference,
                      mention_score, pair_score, relative_error,
-                     softmax_by_hand)
+                     softmax_by_hand, span_layout_reference)
 from test_corpus import make_doc
+
+
+def layout_of(spans, config=None):
+    return m.span_layout(np.array([s.start for s in spans]),
+                         np.array([s.end for s in spans]),
+                         config or ModelConfig())
 
 
 def encoder(embeddings, radius=0, attention=None, width_emb=None,
@@ -159,13 +166,58 @@ class TestSpanRepresentation:
                       width_emb=rng.normal(size=(6, 2)))
         config = ModelConfig(d_token=3, d_width=2)
         spans = [SpanRef(0, 0), SpanRef(0, 2), SpanRef(2, 5), SpanRef(4, 4)]
-        batch = build_span_representations(vecs, spans, enc, config)
+        batch = build_span_representations(vecs, layout_of(spans, config),
+                                           enc)
         span = spans[span_pick]
         single = build_span_representation(vecs, span, enc, config)
         np.testing.assert_allclose(batch.full.value[batch.row(span)],
                                    single.full.value, atol=1e-12)
         np.testing.assert_allclose(batch.internal.value[batch.row(span)],
                                    single.internal.value, atol=1e-12)
+
+
+@st.composite
+def bucket_edges(draw):
+    edges = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5,
+                          unique=True))
+    return tuple(sorted(edges))
+
+
+class TestSpanLayout:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(n=st.integers(1, 14), max_width=st.integers(1, 18),
+           edges=bucket_edges())
+    def test_matches_the_span_list_reference(self, n, max_width, edges):
+        config = ModelConfig(width_bucket_edges=edges,
+                             max_span_width=max_width)
+        doc = make_doc(["t"] * n)
+        starts, ends = enumerate_candidate_spans(doc, max_width)
+        spans = enumerate_candidate_spans_reference(doc, max_width)
+        assert list(zip(starts.tolist(), ends.tolist())) \
+            == [(s.start, s.end) for s in spans]
+        got = m.span_layout(starts, ends, config)
+        want = span_layout_reference(spans, config)
+        for name in ("starts", "ends", "tokens", "mask", "buckets"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert len(got) == len(spans) and got.spans == spans
+
+    def test_empty_document_has_no_spans_to_lay_out(self):
+        starts, ends = enumerate_candidate_spans(make_doc([]), 3)
+        assert starts.shape == ends.shape == (0,)
+        assert starts.dtype == ends.dtype == np.intp
+        with pytest.raises(ValueError, match="no spans"):
+            m.span_layout(starts, ends, ModelConfig())
+
+    def test_refs_build_only_the_asked_rows_until_spans_is_built(self):
+        layout = layout_of([SpanRef(0, 0), SpanRef(0, 1), SpanRef(1, 1)])
+        assert layout.refs(np.array([2, 0])) == [SpanRef(1, 1),
+                                                 SpanRef(0, 0)]
+        assert "spans" not in layout.__dict__
+        spans = layout.spans
+        assert layout.spans is spans
+        assert layout.refs(np.array([1]))[0] is spans[1]
 
 
 class TestMentionScore:
@@ -205,26 +257,26 @@ class TestPrune:
     def test_lambda_one_keeps_all(self):
         doc = make_doc(["a"] * 4)
         spans = [SpanRef(i, i) for i in range(4)]
-        kept = prune_mentions(doc, spans, np.arange(4.0), 1.0)
+        kept = prune_mentions(doc, layout_of(spans), np.arange(4.0), 1.0)
         assert kept.spans == spans
 
     def test_ceiling_rule(self):
         doc = make_doc(["a"] * 10)
         spans = [SpanRef(i, i) for i in range(10)]
-        kept = prune_mentions(doc, spans, np.arange(10.0), 0.4)
+        kept = prune_mentions(doc, layout_of(spans), np.arange(10.0), 0.4)
         assert len(kept) == 4
 
     def test_ties_keep_position_order(self):
         doc = make_doc(["a"] * 10)
         spans = [SpanRef(i, i) for i in range(10)]
-        kept = prune_mentions(doc, spans, np.zeros(10), 0.4)
+        kept = prune_mentions(doc, layout_of(spans), np.zeros(10), 0.4)
         assert kept.spans == spans[:4]
 
     def test_result_sorted_by_position(self):
         doc = make_doc(["a"] * 6)
         spans = [SpanRef(i, i) for i in range(6)]
         scores = np.array([0.0, 5.0, 1.0, 4.0, 2.0, 3.0])
-        kept = prune_mentions(doc, spans, scores, 0.5)
+        kept = prune_mentions(doc, layout_of(spans), scores, 0.5)
         assert kept.spans == sorted(kept.spans)
         assert kept.spans == [spans[1], spans[3], spans[5]]
 

@@ -59,8 +59,9 @@ class TestInit:
         from kcoref.corpus import enumerate_candidate_spans
         enc, scoring, _, _ = tr.bind_parameters(store, CONFIG, trainable=False)
         vecs = m.encode_tokens(docs[0], enc)
-        spans = enumerate_candidate_spans(docs[0], CONFIG.max_span_width)
-        reps = m.build_span_representations(vecs, spans, enc, CONFIG)
+        layout = m.span_layout(*enumerate_candidate_spans(
+            docs[0], CONFIG.max_span_width), CONFIG)
+        reps = m.build_span_representations(vecs, layout, enc)
         scores = m.mention_scores(reps, scoring).value
         assert np.ptp(scores) == 0.0
 
@@ -517,6 +518,17 @@ class TestCheckpoint:
         path = tmp_path / "short.ckpt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TrainingError, match="encoder.mixer_b"):
+            ParameterStore.load(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+        store.tensors["scorer.mention.w1"][0, 0] = value
+        path = tmp_path / "non_finite.ckpt"
+        store.save(path)
+        with pytest.raises(TrainingError, match="tensor scorer.mention.w1 "
+                                                "has a non-finite value"):
             ParameterStore.load(path)
 
     def test_rejects_non_numeric_version(self, tmp_path):
