@@ -200,13 +200,11 @@ def cmd_gradcheck(args) -> int:
     weights = config.phases[-1].weights
 
     def build(enc, scoring, scaffold):
-        total = None
-        for i, doc in enumerate(docs):
-            rng = np.random.default_rng([config.objective.pair_seed, i])
-            losses = document_objective(doc, enc, scoring, scaffold, weights,
-                                        config.model, config.objective, rng)
-            total = losses.total if total is None else total + losses.total
-        return total
+        return [document_objective(
+            doc, enc, scoring, scaffold, weights, config.model,
+            config.objective,
+            np.random.default_rng([config.objective.pair_seed, i]))
+            for i, doc in enumerate(docs)]
 
     report = tr.gradient_check(store, build, config.model,
                                epsilon=args.epsilon, threshold=args.threshold,

@@ -14,7 +14,7 @@ from typing import Mapping
 from .corpus import (Document, SubwordVocab, load_corpus, load_subword_vocab,
                      truncate_document)
 from .lexicon import ConceptLexicon, MatchPolicy, annotate_documents, load_lexicon
-from .losses import LossWeights, ObjectiveConfig
+from .losses import LossError, LossWeights, ObjectiveConfig
 from .model import ModelConfig
 from .training import Phase, TrainingSchedule
 
@@ -61,13 +61,46 @@ def _require(mapping: Mapping, key: str, context: str):
     return mapping[key]
 
 
-def _weights_from(raw: Mapping, context: str) -> LossWeights:
+def _integer(value, field: str, context: str,
+             minimum: int | None = None) -> int:
+    """`value`, required to be an int of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{context}: {field} must be an integer, not "
+                          f"{value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{context}: {field} must be >= {minimum}, not "
+                          f"{value}")
+    return value
+
+
+def _number(value, field: str, context: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: {field} must be a number, not "
+                          f"{value!r}") from None
+
+
+def _weights_from(raw, context: str) -> LossWeights:
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{context}: weights must be a mapping, not "
+                          f"{raw!r}")
+    alpha_k, beta = raw.get("alpha_k", {}), raw.get("beta", (1.0, 0.0, 0.0))
+    if not isinstance(alpha_k, Mapping):
+        raise ConfigError(f"{context}: weights.alpha_k must be a mapping, "
+                          f"not {alpha_k!r}")
+    if not isinstance(beta, (list, tuple)):
+        raise ConfigError(f"{context}: weights.beta must be a list, not "
+                          f"{beta!r}")
     try:
         return LossWeights(
-            alpha_c=float(raw.get("alpha_c", 1.0)),
-            alpha_k={k: float(v) for k, v in raw.get("alpha_k", {}).items()},
-            beta=tuple(float(b) for b in raw.get("beta", (1.0, 0.0, 0.0))))
-    except ValueError as exc:
+            alpha_c=_number(raw.get("alpha_c", 1.0), "weights.alpha_c",
+                            context),
+            alpha_k={k: _number(v, f"weights.alpha_k.{k}", context)
+                     for k, v in alpha_k.items()},
+            beta=tuple(_number(b, f"weights.beta[{i}]", context)
+                       for i, b in enumerate(beta)))
+    except LossError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
@@ -126,14 +159,16 @@ def load_config(path) -> RunConfig:
         role = entry.get("role")
         if role is None:
             role = "source" if (len(phases_raw) > 1 and i == 0) else "target"
+        corpus = _require(entry, "corpus", context)
+        epochs = _integer(_require(entry, "epochs", context), "epochs",
+                          context)
+        weights = _weights_from(entry.get("weights", {}), context)
+        base_lr = _number(entry.get("base_lr", 1e-3), "base_lr", context)
+        task_lr = _number(entry.get("task_lr", 1e-3), "task_lr", context)
         try:
-            phases.append(Phase(
-                corpus=_require(entry, "corpus", context),
-                epochs=int(_require(entry, "epochs", context)),
-                weights=_weights_from(entry.get("weights", {}), context),
-                base_lr=float(entry.get("base_lr", 1e-3)),
-                task_lr=float(entry.get("task_lr", 1e-3)),
-                role=role))
+            phases.append(Phase(corpus=corpus, epochs=epochs,
+                                weights=weights, base_lr=base_lr,
+                                task_lr=task_lr, role=role))
         except (ValueError, RuntimeError) as exc:
             raise ConfigError(f"{context}: {exc}") from None
         if phases[-1].corpus not in corpora:
@@ -141,10 +176,17 @@ def load_config(path) -> RunConfig:
                               f"declared under 'corpora'")
 
     projection_raw = raw.get("projection", {})
+    context = f"{path}: projection"
     projection = ProjectionSettings(
-        sample=int(projection_raw.get("sample", 200)),
-        seed=int(projection_raw.get("seed", 0)),
+        sample=_integer(projection_raw.get("sample", 200), "sample", context,
+                        minimum=1),
+        seed=_integer(projection_raw.get("seed", 0), "seed", context,
+                      minimum=0),
         lexicon=projection_raw.get("lexicon"))
+
+    truncate_tokens = raw.get("truncate_tokens")
+    if truncate_tokens is not None:
+        _integer(truncate_tokens, "truncate_tokens", str(path), minimum=1)
 
     return RunConfig(
         corpora=corpora,
@@ -152,11 +194,11 @@ def load_config(path) -> RunConfig:
         model=model,
         objective=objective,
         phases=phases,
-        seed=int(raw.get("seed", 0)),
+        seed=_integer(raw.get("seed", 0), "seed", str(path), minimum=0),
         subword_vocab=resolve(raw["subword_vocab"])
         if raw.get("subword_vocab") else None,
         eval_corpus=raw.get("eval_corpus", "eval"),
-        truncate_tokens=raw.get("truncate_tokens"),
+        truncate_tokens=truncate_tokens,
         checkpoint_dir=resolve(raw["checkpoint_dir"])
         if raw.get("checkpoint_dir") else None,
         projection=projection)

@@ -125,17 +125,17 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     if len(doc) == 0:
         return {}
     enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
-    token_vecs = m.encode_tokens(doc, enc)
+    token_vecs, _ = m.encode_tokens(doc, enc)
     starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
     layout = m.span_layout(starts, ends, config)
-    reps = m.build_span_representations(token_vecs, layout, enc)
-    scores = m.mention_scores(reps, scoring).value
+    reps, _ = m.build_span_representations(token_vecs, layout, enc)
+    scores, _ = m.mention_scores(reps, scoring)
     # Pruning would silently rank NaN scores last.
     if np.isnan(scores).any():
         raise ValueError(f"{doc.doc_id}: NaN mention score")
     candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
-    x = reps.full.value[candidates.indices]
+    x = reps.full[candidates.indices]
     keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
     _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
     pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)

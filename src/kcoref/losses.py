@@ -3,6 +3,10 @@
 All three losses follow the minimize convention (coreference and scaffold
 terms are negative log-likelihoods), so the combined objective
 ``beta1 * CL + beta2 * RL + beta3 * SL`` is uniformly minimized.
+
+A document's objective runs its forward in plain numpy and comes with the
+closed-form backward of the combined loss, which writes every parameter's
+gradient into views of one flat array.
 """
 
 from __future__ import annotations
@@ -10,13 +14,12 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .autodiff import Tensor
 from .corpus import (Document, SpanRef, bounds_keys, enumerate_candidate_spans,
                      span_bounds, span_keys)
 
@@ -93,7 +96,7 @@ class ScaffoldParams:
     """Per-concept weight vectors for the concept-identification head."""
 
     classes: tuple[str, ...]
-    weights: Tensor
+    weights: np.ndarray
     none_class: str | None = None
 
     def __post_init__(self):
@@ -214,8 +217,7 @@ def combined_loss(cl, rl, sl, weights: LossWeights):
     """beta1 * CL + beta2 * RL + beta3 * SL, with NaN components rejected."""
     named = {"coreference": cl, "retrofitting": rl, "scaffold": sl}
     for name, component in named.items():
-        value = component.value if isinstance(component, Tensor) else component
-        if np.isnan(value).any():
+        if np.isnan(component).any():
             raise LossError(f"{name} loss is NaN")
     b1, b2, b3 = weights.beta
     return b1 * cl + b2 * rl + b3 * sl
@@ -237,24 +239,38 @@ class ObjectiveConfig:
         if self.unlabeled_knowledge not in ("strict", "skip"):
             raise LossError(f"unlabeled_knowledge must be 'strict' or 'skip', "
                             f"not {self.unlabeled_knowledge!r}")
-        if self.grad_accumulation < 1:
-            raise LossError("grad_accumulation must be >= 1")
-        if self.pair_budget < 0:
-            raise LossError("pair_budget must be >= 0")
+        for name, low in (("pair_budget", 0), ("pair_seed", 0),
+                          ("grad_accumulation", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise LossError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise LossError(f"{name} must be >= {low}")
+        for name in ("scaffold_include_unlabeled", "source_phase_rl"):
+            if not isinstance(getattr(self, name), bool):
+                raise LossError(f"{name} must be true or false, not "
+                                f"{getattr(self, name)!r}")
 
 
 @dataclass
 class DocumentLosses:
-    """Loss tensors and forward-pass artifacts for one document."""
+    """One document's loss components, its forward-pass artifacts, and the
+    backward of `total`.
 
-    total: Tensor
-    cl: Tensor
-    rl: Tensor
-    sl: Tensor
+    `backward(g, enc, scoring, scaffold)` writes g times the gradient of
+    `total` into those parameter groups, views of one zeroed flat array;
+    a tensor the objective does not reach is left as it is.
+    """
+
+    total: float
+    cl: float
+    rl: float
+    sl: float
     pruning_misses: int
     candidates: m.CandidateSet
     reps: m.BatchedSpans | None
     pair_set: PairSet | None
+    backward: Callable[..., None]
 
 
 @dataclass(frozen=True)
@@ -375,53 +391,69 @@ def document_objective(doc: Document, enc: m.EncoderParams,
     """Assemble CL, RL, SL, and the combined loss for one document."""
     b1, b2, b3 = weights.beta
     if len(doc) == 0:
-        zero = Tensor(0.0)
         empty = m.CandidateSet([], np.zeros(0), np.zeros(0, dtype=np.intp))
-        return DocumentLosses(combined_loss(zero, zero, zero, weights), zero,
-                              zero, zero, 0, empty, None, None)
+        return DocumentLosses(combined_loss(0.0, 0.0, 0.0, weights), 0.0, 0.0,
+                              0.0, 0, empty, None, None, lambda *_: None)
     with_scaffold = b3 > 0 and scaffold is not None
     index = document_index(
         doc, config, with_gold=b2 > 0 or b3 > 0,
         scaffold_lexicon=objective.scaffold_lexicon if with_scaffold else None)
-    token_vecs = m.encode_tokens(doc, enc)
-    reps = m.build_span_representations(token_vecs, index.layout, enc)
-    scores_t = m.mention_scores(reps, scoring)
+    token_vecs, encode_backward = m.encode_tokens(doc, enc)
+    reps, reps_backward = m.build_span_representations(token_vecs,
+                                                       index.layout, enc)
+    scores, mention_backward = m.mention_scores(reps, scoring)
     candidates = m.prune_mentions(doc, index.enumerated,
-                                  scores_t.value[index.enum_rows],
-                                  config.prune_ratio)
+                                  scores[index.enum_rows], config.prune_ratio)
 
-    zero = Tensor(0.0)
-    cl, misses = (zero, 0)
+    cl, cl_backward, misses = 0.0, None, 0
     if b1 > 0:
-        cl, misses = _coref_loss_graph(index, candidates, reps, scores_t,
-                                       scoring, config)
+        cl, cl_backward, misses = _coref_loss_graph(index, candidates, reps,
+                                                    scores, scoring, config)
 
-    rl, pair_set = zero, None
+    rl, rl_backward, pair_set = 0.0, None, None
     if b2 > 0:
         if rng is None:
             rng = np.random.default_rng(objective.pair_seed)
         pair_set = build_pair_set(doc, candidates.spans, objective.pair_budget,
                                   rng)
-        rl = _retrofit_loss_graph(index, pair_set, reps, weights,
-                                  objective.unlabeled_knowledge)
+        rl, rl_backward = _retrofit_loss_graph(index, pair_set, reps, weights,
+                                               objective.unlabeled_knowledge)
 
-    sl = zero
+    sl, sl_backward = 0.0, None
     if with_scaffold:
         targets = scaffold_targets(index, scaffold, objective,
                                    index.enum_rows[candidates.indices])
         if len(targets):
-            sl = _scaffold_loss_graph(targets, reps, scaffold)
+            sl, sl_backward = _scaffold_loss_graph(targets, reps, scaffold)
 
-    total = combined_loss(cl, rl, sl, weights)
-    return DocumentLosses(total, cl, rl, sl, misses, candidates, reps, pair_set)
+    def backward(g, enc_grad, scoring_grad, scaffold_grad) -> None:
+        if cl_backward is None and rl_backward is None and sl_backward is None:
+            return
+        # The span-table gradient adds CL, the mention head (whose score
+        # gradient only CL makes), RL and SL, in that order: another order
+        # moves the trained parameters in their last bits.
+        g_full = np.zeros(reps.full.shape)
+        if cl_backward is not None:
+            g_scores = np.zeros(len(scores))
+            cl_backward(g * b1, g_full, g_scores, scoring_grad.antecedent)
+            mention_backward(g_scores, g_full, scoring_grad.mention)
+        if rl_backward is not None:
+            rl_backward(g * b2, g_full)
+        if sl_backward is not None:
+            sl_backward(g * b3, g_full, scaffold_grad.weights)
+        encode_backward(reps_backward(g_full, enc_grad), enc_grad)
+
+    return DocumentLosses(combined_loss(cl, rl, sl, weights), cl, rl, sl,
+                          misses, candidates, reps, pair_set, backward)
 
 
 def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
-                      reps: m.BatchedSpans, scores_t: Tensor,
-                      scoring: m.ScoringParams,
-                      config: m.ModelConfig) -> tuple[Tensor, int]:
+                      reps: m.BatchedSpans, scores: np.ndarray,
+                      scoring: m.ScoringParams, config: m.ModelConfig,
+                      ) -> tuple[float, m.Backward | None, int]:
     """Summed marginal NLL of each candidate's gold antecedents, or of the
-    dummy when none is in its window, and the count of pruning misses."""
+    dummy when none is in its window, its backward (None when there are no
+    pairs), and the count of pruning misses."""
     rows = index.enum_rows[candidates.indices]
     pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
     cluster = index.cluster[rows]
@@ -431,11 +463,11 @@ def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
     has_gold = gold.any(axis=1)
     misses = int(np.count_nonzero(index.anaphoric[rows] & ~has_gold))
     if len(pairs.mention) == 0:
-        return Tensor(0.0), misses
+        return 0.0, None, misses
     numer = gold.copy()
     numer[:, -1] = ~has_gold
-    return antecedent_nll(reps.full, scores_t, rows, pairs, numer,
-                          scoring.antecedent), misses
+    return (*antecedent_nll(reps.full, scores, rows, pairs, numer,
+                            scoring.antecedent), misses)
 
 
 def _logsumexp_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,42 +478,43 @@ def _logsumexp_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.log(total) + shift)[..., 0], exps / total
 
 
-def antecedent_nll(full: Tensor, mention_scores: Tensor, rows: np.ndarray,
-                   pairs: m.AntecedentPairs, numer: np.ndarray,
-                   head: m.FeedForward) -> Tensor:
+def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
+                   rows: np.ndarray, pairs: m.AntecedentPairs,
+                   numer: np.ndarray,
+                   head: m.FeedForward) -> tuple[float, m.Backward]:
     """sum_k [logsumexp of candidate k's `pairs.grid` row - logsumexp of
-    the slots of that row that `numer` marks], as one tape node.
+    the slots of that row that `numer` marks], and its backward.
 
     Candidate k is row `rows[k]` of `full` and `mention_scores` (the rows
     are distinct); a pair scores s_m(i) + s_m(j) + s_a(i, j), with s_a from
-    the `head` FFN, and the dummy column scores 0.
+    the `head` FFN, and the dummy column scores 0. The backward adds into
+    `g_full` and `g_scores` and writes the head's gradients into `grad`.
     """
-    x = full.value[rows]
+    x = full[rows]
     mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
     d = x.shape[1]
     ffn = m.antecedent_scores(x, mention, antecedent, head)
-    s = mention_scores.value[rows]
+    s = mention_scores[rows]
     slots = np.concatenate([ffn.scores + s[mention] + s[antecedent],
                             [-np.inf, 0.0]])[pairs.grid]
     # Row-wise over every slot (denominator) and the marked ones (numerator).
     lse, probs = _logsumexp_rows(np.stack([slots,
                                            np.where(numer, slots, -np.inf)]))
-    loss = (lse[0] - lse[1]).sum()
-    params = [t for t in (head.w1, head.b1, head.w2, head.b2) if t is not None]
 
-    def backward(g):
+    def backward(g, g_full: np.ndarray, g_scores: np.ndarray,
+                 grad: m.FeedForward) -> None:
         # Each pair has one window slot, in flat pair order.
         g_pair = (g * (probs[0] - probs[1]))[:, :-1][inside]
         n_pairs = len(g_pair)
-        w1 = head.w1.value.reshape(3 * d, -1)
+        w1 = head.w1.reshape(3 * d, -1)
         width = w1.shape[1]
-        head_grads = []
         if ffn.hidden is None:
             g_layer = g_pair[:, None]
         else:
-            g_layer = (np.outer(g_pair, head.w2.value)
+            g_layer = (np.outer(g_pair, head.w2)
                        * (1.0 - ffn.hidden ** 2))
-            head_grads = [g_layer.sum(axis=0), ffn.hidden.T @ g_pair]
+            grad.b1[...] = g_layer.sum(axis=0)
+            np.matmul(ffn.hidden.T, g_pair, out=grad.w2)
         # Per candidate, one sparse product sums the layer gradient over
         # the pairs it is the mention of, over those it is the antecedent
         # of, and the pair-score gradient over both.
@@ -492,28 +525,27 @@ def antecedent_nll(full: Tensor, mention_scores: Tensor, rows: np.ndarray,
         block[n_pairs:, -1] = g_pair
         sums = pairs.scatter @ block
         g_u, g_v = sums[:, :width], sums[:, width:-1]
-        g_mention_scores = np.zeros(mention_scores.shape)
-        g_mention_scores[rows] = sums[:, -1]
+        g_scores[rows] += sums[:, -1]
 
         g_products = g_layer @ w1[2 * d:].T
-        g_full = np.zeros(full.shape)
-        g_full[rows] = (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
-                        + pairs.scatter @ (ffn.partners * g_products)
-                        .reshape(2 * n_pairs, d))
-        g_w1 = np.concatenate([x.T @ g_u, x.T @ g_v,
-                               ffn.products.T @ g_layer])
-        return (g_full, g_mention_scores, g_w1.reshape(head.w1.shape),
-                *head_grads, g_pair.sum())
+        g_full[rows] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
+                         + pairs.scatter @ (ffn.partners * g_products)
+                         .reshape(2 * n_pairs, d))
+        g_w1 = grad.w1.reshape(3 * d, -1)
+        np.matmul(x.T, g_u, out=g_w1[:d])
+        np.matmul(x.T, g_v, out=g_w1[d:2 * d])
+        np.matmul(ffn.products.T, g_layer, out=g_w1[2 * d:])
+        grad.b2[...] = g_pair.sum()
 
-    return ad.fused(loss, (full, mention_scores, *params), backward)
+    return float((lse[0] - lse[1]).sum()), backward
 
 
 def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
                          reps: m.BatchedSpans, weights: LossWeights,
-                         unlabeled: str) -> Tensor:
+                         unlabeled: str) -> tuple[float, m.Backward | None]:
     if pair_set.count == 0:
         log.warning("%s: empty pair set contributes 0", pair_set.doc_id)
-        return Tensor(0.0)
+        return 0.0, None
     rows = index.rows_of(pair_set.spans)
     targets = pair_target_distances(index, rows[pair_set.first],
                                     rows[pair_set.second], weights, unlabeled)
@@ -521,25 +553,24 @@ def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
                            pair_set.first, pair_set.second, targets)
 
 
-def mean_cosine_gap(full: Tensor, columns: slice, rows: np.ndarray,
+def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
                     first: np.ndarray, second: np.ndarray,
-                    targets: np.ndarray) -> Tensor:
+                    targets: np.ndarray) -> tuple[float, m.Backward]:
     """Mean over pairs p of |targets[p] - cosine distance(v[rows[first[p]]],
-    v[rows[second[p]]])|, where v is the `columns` block of `full`; one
-    tape node. No (first, second) pair may repeat.
+    v[rows[second[p]]])|, where v is the `columns` block of `full`, and its
+    backward, which adds into `g_full`. No (first, second) pair may repeat.
 
     Zero vectors keep the cosine finite through `_NORM_EPS`, and their norm
     passes no gradient (a pair with one has a zero dot product).
     """
-    v = full.value[rows, columns]
+    v = full[rows, columns]
     norms = np.sqrt((v * v).sum(axis=1))
     dots = (v[first] * v[second]).sum(axis=1)
     norms_i, norms_j = norms[first], norms[second]
     den = norms_i * norms_j + _NORM_EPS
     gaps = targets - (1.0 - dots / den)
-    loss = np.abs(gaps).sum() / float(len(gaps))
 
-    def backward(g):
+    def backward(g, g_full: np.ndarray) -> None:
         g_gaps = g * np.sign(gaps) / float(len(gaps))
         # d/dv of the pair dots and norm products, through (M, M) grids
         # over the pooled rows.
@@ -551,39 +582,39 @@ def mean_cosine_gap(full: Tensor, columns: slice, rows: np.ndarray,
         g_v = g_dots @ v + g_dots.T @ v + np.divide(
             g_norms, norms, out=np.zeros_like(norms),
             where=norms > 0)[:, None] * v
-        g_full = np.zeros(full.shape)
-        g_full[:, columns] = ad.scatter_rows(rows, g_v,
-                                             (len(g_full), v.shape[1]))
-        return (g_full,)
+        g_full[:, columns] += ad.scatter_rows(rows, g_v,
+                                              (len(g_full), v.shape[1]))
 
-    return ad.fused(loss, (full,), backward)
+    return float(np.abs(gaps).sum() / float(len(gaps))), backward
 
 
 def _scaffold_loss_graph(targets: np.ndarray, reps: m.BatchedSpans,
-                         scaffold: ScaffoldParams) -> Tensor:
+                         scaffold: ScaffoldParams,
+                         ) -> tuple[float, m.Backward]:
     rows, classes = targets[:, 0], targets[:, 1]
     return mean_concept_nll(reps.full, reps.internal_columns, rows, classes,
                             scaffold.weights)
 
 
-def mean_concept_nll(full: Tensor, columns: slice, rows: np.ndarray,
-                     classes: np.ndarray, weights: Tensor) -> Tensor:
+def mean_concept_nll(full: np.ndarray, columns: slice, rows: np.ndarray,
+                     classes: np.ndarray,
+                     weights: np.ndarray) -> tuple[float, m.Backward]:
     """Mean over targets t of the softmax NLL of class `classes[t]` under
     the logits `weights @ v[rows[t]]`, where v is the `columns` block of
-    `full`; one tape node. The rows are distinct.
+    `full`, and its backward, which adds into `g_full` and writes the
+    weights' gradient into `g_weights`. The rows are distinct.
     """
-    v = full.value[rows, columns]
+    v = full[rows, columns]
     targets = np.arange(len(rows))
-    logits = v @ weights.value.T
+    logits = v @ weights.T
     lse, probs = _logsumexp_rows(logits)
-    loss = (lse - logits[targets, classes]).sum() / float(len(rows))
 
-    def backward(g):
+    def backward(g, g_full: np.ndarray, g_weights: np.ndarray) -> None:
         g_logits = probs.copy()
         g_logits[targets, classes] -= 1.0
         g_logits *= g / float(len(rows))
-        g_full = np.zeros(full.shape)
-        g_full[rows, columns] = g_logits @ weights.value
-        return g_full, g_logits.T @ v
+        g_full[rows, columns] += g_logits @ weights
+        np.matmul(g_logits.T, v, out=g_weights)
 
-    return ad.fused(loss, (full, weights), backward)
+    return (float((lse - logits[targets, classes]).sum() / float(len(rows))),
+            backward)

@@ -5,23 +5,28 @@ token's vector is a linear map of the embeddings in a symmetric window
 around it. Span representations concatenate the two boundary vectors, an
 attention-weighted vector over the span's tokens, and a width-bucket
 feature. Scoring heads are small feed-forward networks.
+
+Each stage runs in plain numpy and returns its value together with its
+backward: a closure that turns the value's gradient into the gradients of
+its inputs and parameters, in closed form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import Document, SpanRef
 
 UNK_TOKEN = "<unk>"
+
+Backward = Callable[..., object]
 
 
 @dataclass
@@ -39,11 +44,16 @@ class ModelConfig:
         for name, low in (("d_token", 1), ("d_width", 0),
                           ("window_radius", 0), ("scorer_hidden", 0),
                           ("max_span_width", 1), ("max_antecedents", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, "
-                                 f"not {getattr(self, name)}")
-        if not 0.0 < self.prune_ratio <= 1.0:
-            raise ValueError("prune_ratio must be in (0, 1]")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, not {value}")
+        if not (isinstance(self.prune_ratio, (int, float))
+                and 0.0 < self.prune_ratio <= 1.0):
+            raise ValueError(f"prune_ratio must be in (0, 1], not "
+                             f"{self.prune_ratio!r}")
         edges = self.width_bucket_edges
         if not all(isinstance(e, (int, np.integer)) and e > 0 for e in edges) \
                 or any(a >= b for a, b in zip(edges, edges[1:])):
@@ -63,27 +73,44 @@ class ModelConfig:
 class FeedForward:
     """One-hidden-layer tanh network, or a plain linear map when hidden=0."""
 
-    w1: Tensor
-    b2: Tensor
-    b1: Tensor | None = None
-    w2: Tensor | None = None
+    w1: np.ndarray
+    b2: np.ndarray
+    b1: np.ndarray | None = None
+    w2: np.ndarray | None = None
 
-    def apply(self, x: Tensor) -> Tensor:
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, Backward]:
+        """The network on the rows of `x`, and its backward: given the
+        output gradient `g`, it adds the input gradient into `g_x` and writes
+        the parameter gradients into `grad`, a FeedForward of views."""
         if self.w2 is None:
-            return x @ self.w1 + self.b2
-        hidden = (x @ self.w1 + self.b1).tanh()
-        return hidden @ self.w2 + self.b2
+            def linear_backward(g, g_x, grad):
+                g_x += np.outer(g, self.w1)
+                np.matmul(x.T, g, out=grad.w1)
+                grad.b2[...] = g.sum(axis=0)
+
+            return x @ self.w1 + self.b2, linear_backward
+        hidden = np.tanh(x @ self.w1 + self.b1)
+
+        def backward(g, g_x, grad):
+            g_hidden = np.outer(g, self.w2) * (1.0 - hidden ** 2)
+            g_x += g_hidden @ self.w1.T
+            np.matmul(x.T, g_hidden, out=grad.w1)
+            grad.b1[...] = g_hidden.sum(axis=0)
+            np.matmul(hidden.T, g, out=grad.w2)
+            grad.b2[...] = g.sum(axis=0)
+
+        return hidden @ self.w2 + self.b2, backward
 
 
 @dataclass
 class EncoderParams:
-    """Trainable encoder tensors plus the token-to-row vocabulary."""
+    """Encoder tensors plus the token-to-row vocabulary."""
 
-    embeddings: Tensor
-    mixer_w: Tensor
-    mixer_b: Tensor
-    attention_w: Tensor
-    width_embeddings: Tensor
+    embeddings: np.ndarray
+    mixer_w: np.ndarray
+    mixer_b: np.ndarray
+    attention_w: np.ndarray
+    width_embeddings: np.ndarray
     vocab: Mapping[str, int]
 
     @property
@@ -119,20 +146,35 @@ def token_ids(doc: Document, vocab: Mapping[str, int]) -> np.ndarray:
     return np.array([vocab.get(t.surface, unk) for t in doc.tokens], dtype=np.intp)
 
 
-def encode_tokens(doc: Document, enc: EncoderParams) -> Tensor:
-    """Per-token vectors: window-concatenated embeddings through one linear map."""
+def encode_tokens(doc: Document,
+                  enc: EncoderParams) -> tuple[np.ndarray, Backward]:
+    """Per-token vectors: window-concatenated embeddings through one linear
+    map; the backward writes the encoder's three gradients into `grad`."""
     ids = token_ids(doc, enc.vocab)
-    emb = enc.embeddings.take(ids)
     radius = enc.window_radius
     n, d = len(ids), enc.d_token
     if radius == 0:
-        windows = emb
+        windows = enc.embeddings[ids]
     else:
-        pad = Tensor(np.zeros((radius, d)))
-        padded = ad.concat([pad, emb, pad], axis=0)
-        windows = ad.concat([padded.narrow(k, k + n) for k in range(2 * radius + 1)],
-                            axis=1)
-    return windows @ enc.mixer_w + enc.mixer_b
+        padded = np.zeros((n + 2 * radius, d))
+        padded[radius:radius + n] = enc.embeddings[ids]
+        windows = np.concatenate([padded[k:k + n]
+                                  for k in range(2 * radius + 1)], axis=1)
+
+    def backward(g: np.ndarray, grad: EncoderParams) -> None:
+        g_windows = g @ enc.mixer_w.T
+        np.matmul(windows.T, g, out=grad.mixer_w)
+        grad.mixer_b[...] = g.sum(axis=0)
+        if radius:
+            # Window k reads padded rows k..k+n-1; the slots add in order.
+            g_padded = np.zeros(padded.shape)
+            for k in range(2 * radius + 1):
+                g_padded[k:k + n] += g_windows[:, k * d:(k + 1) * d]
+            g_windows = g_padded[radius:radius + n]
+        grad.embeddings[...] = ad.scatter_rows(ids, g_windows,
+                                               enc.embeddings.shape)
+
+    return windows @ enc.mixer_w + enc.mixer_b, backward
 
 
 @dataclass
@@ -144,9 +186,8 @@ class BatchedSpans:
     """
 
     layout: SpanLayout
-    full: Tensor
+    full: np.ndarray
     d_token: int
-    index: dict[SpanRef, int] = field(default_factory=dict)
 
     @property
     def spans(self) -> list[SpanRef]:
@@ -157,14 +198,8 @@ class BatchedSpans:
         return slice(2 * self.d_token, 3 * self.d_token)
 
     @property
-    def internal(self) -> Tensor:
-        cols = self.internal_columns
-        return self.full.narrow(cols.start, cols.stop, axis=1)
-
-    def row(self, span: SpanRef) -> int:
-        if not self.index:
-            self.index = {s: i for i, s in enumerate(self.spans)}
-        return self.index[span]
+    def internal(self) -> np.ndarray:
+        return self.full[:, self.internal_columns]
 
 
 @dataclass(frozen=True)
@@ -212,16 +247,19 @@ def span_layout(starts: np.ndarray, ends: np.ndarray,
     return SpanLayout(starts, ends, tokens, mask, buckets)
 
 
-def build_span_representations(token_vecs: Tensor, layout: SpanLayout,
-                               enc: EncoderParams) -> BatchedSpans:
-    """Every span's representation, as one tape node.
+def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
+                               enc: EncoderParams,
+                               ) -> tuple[BatchedSpans, Backward]:
+    """Every span's representation.
 
     The internal vector weighs the span's token vectors by a softmax of
-    their attention logits over the slots inside the span.
+    their attention logits over the slots inside the span. The backward
+    writes the attention and width gradients into `grad` and returns the
+    token vectors' gradient.
     """
     tokens, mask = layout.tokens, layout.mask
-    x, attention = token_vecs.value, enc.attention_w.value
-    table = enc.width_embeddings.value
+    x, attention = token_vecs, enc.attention_w
+    table = enc.width_embeddings
     d = x.shape[1]
 
     logits = (x @ attention)[tokens]
@@ -233,7 +271,7 @@ def build_span_representations(token_vecs: Tensor, layout: SpanLayout,
                            np.einsum("sw,swd->sd", weights, span_tokens),
                            table[layout.buckets]], axis=1)
 
-    def backward(g):
+    def backward(g: np.ndarray, grad: EncoderParams) -> np.ndarray:
         g_internal = g[:, 2 * d:3 * d]
         g_weights = np.einsum("swd,sd->sw", span_tokens, g_internal)
         g_logits = weights * (g_weights - (weights * g_weights)
@@ -246,15 +284,18 @@ def build_span_representations(token_vecs: Tensor, layout: SpanLayout,
         g_slots[:, 0] += g[:, :d]
         g_slots[:, -1] += g[:, d:2 * d]
         g_x = ad.scatter_rows(tokens, g_slots, x.shape)
-        return (g_x + np.outer(g_attention, attention), g_attention @ x,
-                ad.scatter_rows(layout.buckets, g[:, 3 * d:], table.shape))
+        np.matmul(g_attention, x, out=grad.attention_w)
+        grad.width_embeddings[...] = ad.scatter_rows(
+            layout.buckets, g[:, 3 * d:], table.shape)
+        return g_x + np.outer(g_attention, attention)
 
-    node = ad.fused(full, (token_vecs, enc.attention_w,
-                           enc.width_embeddings), backward)
-    return BatchedSpans(layout, node, d)
+    return BatchedSpans(layout, full, d), backward
 
 
-def mention_scores(reps: BatchedSpans, scoring: ScoringParams) -> Tensor:
+def mention_scores(reps: BatchedSpans,
+                   scoring: ScoringParams) -> tuple[np.ndarray, Backward]:
+    """s_m of every span, and the mention head's backward
+    (`FeedForward.apply`)."""
     return scoring.mention.apply(reps.full)
 
 
@@ -293,16 +334,15 @@ def antecedent_scores(x: np.ndarray, mention: np.ndarray,
     are applied once per row of `x`, only the product block once per pair.
     """
     d = x.shape[1]
-    w1 = head.w1.value.reshape(3 * d, -1)
+    w1 = head.w1.reshape(3 * d, -1)
     partners = x[np.concatenate([antecedent, mention])].reshape(2, -1, d)
     products = partners[0] * partners[1]
     layer = ((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
              + products @ w1[2 * d:])
     if head.w2 is None:
-        return PairScores(layer[:, 0] + head.b2.value, partners, products,
-                          None)
-    hidden = np.tanh(layer + head.b1.value)
-    return PairScores(hidden @ head.w2.value + head.b2.value, partners,
+        return PairScores(layer[:, 0] + head.b2, partners, products, None)
+    hidden = np.tanh(layer + head.b1)
+    return PairScores(hidden @ head.w2 + head.b2, partners,
                       products, hidden)
 
 

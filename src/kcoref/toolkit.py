@@ -60,11 +60,11 @@ def span_internals(doc: Document, spans: Sequence[SpanRef],
                    config: m.ModelConfig) -> dict[SpanRef, np.ndarray]:
     """Attention-weighted internal vectors for the given spans."""
     enc, _, _, _ = tr.bind_parameters(store, config, trainable=False)
-    token_vecs = m.encode_tokens(doc, enc)
+    token_vecs, _ = m.encode_tokens(doc, enc)
     keys = np.unique(span_keys(spans))
-    reps = m.build_span_representations(
+    reps, _ = m.build_span_representations(
         token_vecs, m.span_layout(*span_bounds(keys), config), enc)
-    return dict(zip(reps.spans, reps.internal.value))
+    return dict(zip(reps.spans, reps.internal))
 
 
 def mention_antecedent_offsets(docs: Sequence[Document],

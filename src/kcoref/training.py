@@ -16,9 +16,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from . import losses as L
 from . import model as m
-from .autodiff import Tensor
 from .corpus import Document
 from .model import UNK_TOKEN, ModelConfig
 
@@ -294,61 +294,89 @@ def init_parameters(config: ModelConfig, vocab: tuple[str, ...],
     return ParameterStore(tensors, vocab, scaffold_classes, step=0, seed=seed)
 
 
-def bind_parameters(store: ParameterStore, config: ModelConfig,
-                    trainable: bool = True,
-                    ) -> tuple[m.EncoderParams, m.ScoringParams,
-                               L.ScaffoldParams | None, dict[str, Tensor]]:
-    """Wrap the store's arrays as gradient leaves shared by all heads.
-
-    With trainable=False the tensors are constants and forward passes build
-    no tape (used for inference and finite-difference probing).
-    """
-    leaves = {name: Tensor(arr, requires_grad=trainable, name=name)
-              for name, arr in store.tensors.items()}
+def group_parameters(arrays: Mapping[str, np.ndarray], store: ParameterStore,
+                     ) -> tuple[m.EncoderParams, m.ScoringParams,
+                                L.ScaffoldParams | None]:
+    """Named arrays in the store's layout (its tensors, or a gradient) as
+    the encoder, scorer and scaffold parameter groups."""
     enc = m.EncoderParams(
-        embeddings=leaves["encoder.embeddings"],
-        mixer_w=leaves["encoder.mixer_w"],
-        mixer_b=leaves["encoder.mixer_b"],
-        attention_w=leaves["encoder.attention_w"],
-        width_embeddings=leaves["encoder.width_embeddings"],
+        embeddings=arrays["encoder.embeddings"],
+        mixer_w=arrays["encoder.mixer_w"],
+        mixer_b=arrays["encoder.mixer_b"],
+        attention_w=arrays["encoder.attention_w"],
+        width_embeddings=arrays["encoder.width_embeddings"],
         vocab=store.vocab_index)
 
     def head(prefix: str) -> m.FeedForward:
-        if f"{prefix}.w2" in leaves:
-            return m.FeedForward(w1=leaves[f"{prefix}.w1"],
-                                 b1=leaves[f"{prefix}.b1"],
-                                 w2=leaves[f"{prefix}.w2"],
-                                 b2=leaves[f"{prefix}.b2"])
-        return m.FeedForward(w1=leaves[f"{prefix}.w1"],
-                             b2=leaves[f"{prefix}.b2"])
+        if f"{prefix}.w2" in arrays:
+            return m.FeedForward(w1=arrays[f"{prefix}.w1"],
+                                 b1=arrays[f"{prefix}.b1"],
+                                 w2=arrays[f"{prefix}.w2"],
+                                 b2=arrays[f"{prefix}.b2"])
+        return m.FeedForward(w1=arrays[f"{prefix}.w1"],
+                             b2=arrays[f"{prefix}.b2"])
 
     scoring = m.ScoringParams(mention=head("scorer.mention"),
                               antecedent=head("scorer.antecedent"))
     scaffold = None
-    if "scaffold.weights" in leaves:
+    if "scaffold.weights" in arrays:
         classes = store.scaffold_classes
         none_class = classes[-1] if classes and classes[-1] == "<none>" else None
-        scaffold = L.ScaffoldParams(classes, leaves["scaffold.weights"],
+        scaffold = L.ScaffoldParams(classes, arrays["scaffold.weights"],
                                     none_class)
-    return enc, scoring, scaffold, leaves
+    return enc, scoring, scaffold
 
 
+def bind_parameters(store: ParameterStore, config: ModelConfig,
+                    trainable: bool = True,
+                    ) -> tuple[m.EncoderParams, m.ScoringParams,
+                               L.ScaffoldParams | None, ad.Tensor | None]:
+    """The store's tensors as views of its flat buffer, in parameter groups.
+
+    With trainable=True, also one gradient leaf over the whole buffer; with
+    trainable=False the leaf is None (inference and finite-difference
+    probing).
+    """
+    buffer = store.buffer()
+    leaf = ad.Tensor(buffer, requires_grad=True, name="parameters") \
+        if trainable else None
+    return (*group_parameters(store.tensors, store), leaf)
+
+
+# A loss builder returns the objectives whose totals sum to the loss: each
+# has a float `total` and `backward(g, enc, scoring, scaffold)`, which
+# writes g times the gradient of `total` into those groups of gradient
+# views (see `losses.DocumentLosses`).
 LossBuilder = Callable[[m.EncoderParams, m.ScoringParams,
-                        L.ScaffoldParams | None], Tensor]
+                        L.ScaffoldParams | None], Sequence[L.DocumentLosses]]
 
 
 def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
                       config: ModelConfig) -> tuple[Gradients, float]:
-    """Reverse-mode gradients of a scalar loss over every named tensor."""
-    enc, scoring, scaffold, leaves = bind_parameters(store, config)
-    loss = build_loss(enc, scoring, scaffold)
-    value = float(loss.value)
+    """Reverse-mode gradients of a scalar loss over every named tensor.
+
+    The loss is one tape node over one leaf, the flat parameter buffer; its
+    backward runs each objective's closed-form backward into a fresh flat
+    array in the store's layout.
+    """
+    enc, scoring, scaffold, leaf = bind_parameters(store, config)
+    objectives = build_loss(enc, scoring, scaffold)
+    value = sum(objective.total for objective in objectives)
     if not np.isfinite(value):
         raise TrainingError(f"loss is not finite: {value}")
-    loss.backward()
-    grads = store.gather({name: leaf.grad if leaf.grad is not None
-                          else np.zeros_like(store.tensors[name])
-                          for name, leaf in leaves.items()})
+    layout = store._layout
+
+    def backward(g):
+        total = None
+        for objective in objectives:
+            flat = np.zeros(leaf.value.size)
+            objective.backward(g, *group_parameters(Gradients(flat, layout),
+                                                    store))
+            total = flat if total is None else total + flat
+        return (np.zeros(leaf.value.size) if total is None else total,)
+
+    ad.fused(value, (leaf,), backward).backward()
+    grads = Gradients(leaf.grad, layout)
     if not np.isfinite(grads.flat).all():
         name = next(name for name, grad in grads.items()
                     if not np.isfinite(grad).all())
@@ -527,13 +555,13 @@ def run_schedule(schedule: TrainingSchedule,
                 rng = (np.random.default_rng(
                     [objective.pair_seed, phase_no, epoch, doc_no])
                     if draws_pairs else None)
-                result: dict = {}
+                result: list[L.DocumentLosses] = []
 
                 def build(enc, scoring, scaffold, doc=doc, rng=rng):
-                    out = L.document_objective(doc, enc, scoring, scaffold,
-                                               weights, config, objective, rng)
-                    result["losses"] = out
-                    return out.total
+                    result.append(L.document_objective(
+                        doc, enc, scoring, scaffold, weights, config,
+                        objective, rng))
+                    return result
 
                 try:
                     grads, total = compute_gradients(store, build, config)
@@ -546,10 +574,10 @@ def run_schedule(schedule: TrainingSchedule,
                         f"phase {phase_no} epoch {epoch} doc {doc.doc_id}: "
                         f"{exc}", last_good, records) from exc
 
-                losses: L.DocumentLosses = result["losses"]
-                sums["cl"] += float(losses.cl.value)
-                sums["rl"] += float(losses.rl.value)
-                sums["sl"] += float(losses.sl.value)
+                losses = result[0]
+                sums["cl"] += losses.cl
+                sums["rl"] += losses.rl
+                sums["sl"] += losses.sl
                 sums["total"] += total
                 misses += losses.pruning_misses
 
@@ -653,5 +681,5 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
 def _loss_only(store: ParameterStore, build_loss: LossBuilder,
                config: ModelConfig) -> tuple[None, float]:
     enc, scoring, scaffold, _ = bind_parameters(store, config, trainable=False)
-    loss = build_loss(enc, scoring, scaffold)
-    return None, float(loss.value)
+    return None, sum(objective.total
+                     for objective in build_loss(enc, scoring, scaffold))

@@ -10,8 +10,9 @@ import itertools
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,9 +20,361 @@ from scipy.optimize import linear_sum_assignment
 from kcoref import autodiff as ad
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.autodiff import Tensor
 from kcoref.corpus import SpanRef
 from kcoref.losses import LossError, target_distance
+
+
+# ---------------------------------------------------------------------------
+# The reference tape: autodiff.Tensor plus the general op set, one tape node
+# per op. The package's training step is one closed-form node; these ops
+# compose its references.
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+class Tensor(ad.Tensor):
+    """A tape tensor with the general differentiable op set."""
+
+    __slots__ = ()
+
+    # -- construction helpers ------------------------------------------------
+
+    @staticmethod
+    def param(value, name=None) -> "Tensor":
+        return Tensor(value, requires_grad=True, name=name)
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    @property
+    def ndim(self):
+        return self.value.ndim
+
+    def item(self) -> float:
+        return float(self.value)
+
+    def __float__(self) -> float:
+        return float(self.value)
+
+    def __repr__(self):
+        tag = f" name={self.name}" if self.name else ""
+        return f"Tensor(shape={self.value.shape}, grad={self.requires_grad}{tag})"
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        other = as_tensor(other)
+        out_value = self.value + other.value
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(out_value)
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.value.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.value.shape))
+
+        return Tensor(out_value, True, (self, other), backward)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = as_tensor(other)
+        out_value = self.value - other.value
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(out_value)
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.value.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-g, other.value.shape))
+
+        return Tensor(out_value, True, (self, other), backward)
+
+    def __rsub__(self, other):
+        return as_tensor(other) - self
+
+    def __neg__(self):
+        if not self.requires_grad:
+            return Tensor(-self.value)
+
+        def backward(g):
+            self._accumulate(-g)
+
+        return Tensor(-self.value, True, (self,), backward)
+
+    def __mul__(self, other):
+        other = as_tensor(other)
+        out_value = self.value * other.value
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(out_value)
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.value, self.value.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.value, other.value.shape))
+
+        return Tensor(out_value, True, (self, other), backward)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = as_tensor(other)
+        out_value = self.value / other.value
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(out_value)
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g / other.value, self.value.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-g * self.value / other.value**2, other.value.shape))
+
+        return Tensor(out_value, True, (self, other), backward)
+
+    def __rtruediv__(self, other):
+        return as_tensor(other) / self
+
+    def __pow__(self, exponent: float):
+        if not isinstance(exponent, (int, float)):
+            raise TypeError("only scalar exponents are supported")
+        out_value = self.value**exponent
+        if not self.requires_grad:
+            return Tensor(out_value)
+
+        def backward(g):
+            self._accumulate(g * exponent * self.value ** (exponent - 1))
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def __matmul__(self, other):
+        other = as_tensor(other)
+        out_value = self.value @ other.value
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(out_value)
+        a, b = self.value, other.value
+
+        def backward(g):
+            if self.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:
+                    ga = g * b
+                elif a.ndim == 1:          # (d,) @ (d,m) -> (m,)
+                    ga = b @ g
+                elif b.ndim == 1:          # (n,d) @ (d,) -> (n,)
+                    ga = np.outer(g, b)
+                else:                      # (n,d) @ (d,m) -> (n,m)
+                    ga = g @ b.T
+                self._accumulate(ga.reshape(a.shape))
+            if other.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:
+                    gb = g * a
+                elif a.ndim == 1:
+                    gb = np.outer(a, g)
+                elif b.ndim == 1:
+                    gb = a.T @ g
+                else:
+                    gb = a.T @ g
+                other._accumulate(gb.reshape(b.shape))
+
+        return Tensor(out_value, True, (self, other), backward)
+
+    # -- elementwise functions -------------------------------------------------
+
+    def exp(self):
+        out_value = np.exp(self.value)
+        if not self.requires_grad:
+            return Tensor(out_value)
+
+        def backward(g):
+            self._accumulate(g * out_value)
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def log(self):
+        out_value = np.log(self.value)
+        if not self.requires_grad:
+            return Tensor(out_value)
+
+        def backward(g):
+            self._accumulate(g / self.value)
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def tanh(self):
+        out_value = np.tanh(self.value)
+        if not self.requires_grad:
+            return Tensor(out_value)
+
+        def backward(g):
+            self._accumulate(g * (1.0 - out_value**2))
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def sqrt(self):
+        out_value = np.sqrt(self.value)
+        if not self.requires_grad:
+            return Tensor(out_value)
+
+        def backward(g):
+            # A zero output passes no gradient, as a zero norm does in the
+            # fused nodes; 0.5 / 0 would make it NaN even where g is 0.
+            self._accumulate(np.divide(g * 0.5, out_value,
+                                       out=np.zeros(np.shape(out_value)),
+                                       where=out_value != 0))
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def abs(self):
+        out_value = np.abs(self.value)
+        if not self.requires_grad:
+            return Tensor(out_value)
+        sign = np.sign(self.value)
+
+        def backward(g):
+            self._accumulate(g * sign)
+
+        return Tensor(out_value, True, (self,), backward)
+
+    # -- reductions ------------------------------------------------------------
+
+    def sum(self, axis=None, keepdims=False):
+        out_value = self.value.sum(axis=axis, keepdims=keepdims)
+        if not self.requires_grad:
+            return Tensor(out_value)
+        shape = self.value.shape
+
+        def backward(g):
+            if axis is None:
+                expanded = np.broadcast_to(g, shape)
+            else:
+                if not keepdims:
+                    g = np.expand_dims(g, axis)
+                expanded = np.broadcast_to(g, shape)
+            self._accumulate(np.array(expanded))
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def mean(self, axis=None, keepdims=False):
+        if axis is None:
+            count = self.value.size
+        else:
+            count = self.value.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) / float(count)
+
+    def logsumexp(self, axis=None):
+        """Numerically stable log-sum-exp; the max shift is treated as constant."""
+        shift = np.max(self.value, axis=axis, keepdims=True)
+        exps = np.exp(self.value - shift)
+        total = exps.sum(axis=axis, keepdims=True)
+        if axis is not None:
+            out_value = np.squeeze(np.log(total) + shift, axis=axis)
+        else:
+            out_value = (np.log(total) + shift).reshape(())
+        out_value = np.asarray(out_value, dtype=np.float64)
+        if not self.requires_grad:
+            return Tensor(out_value)
+        softmax = exps / total
+
+        def backward(g):
+            if axis is None:
+                self._accumulate(g * softmax)
+            else:
+                self._accumulate(np.expand_dims(g, axis) * softmax)
+
+        return Tensor(out_value, True, (self,), backward)
+
+    # -- shape ops ---------------------------------------------------------------
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and isinstance(shape[0], tuple):
+            shape = shape[0]
+        out_value = self.value.reshape(shape)
+        if not self.requires_grad:
+            return Tensor(out_value)
+        original = self.value.shape
+
+        def backward(g):
+            self._accumulate(g.reshape(original))
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def transpose(self):
+        if self.value.ndim != 2:
+            raise ValueError("transpose requires a 2-D tensor")
+        out_value = self.value.T
+        if not self.requires_grad:
+            return Tensor(out_value)
+
+        def backward(g):
+            self._accumulate(g.T)
+
+        return Tensor(np.array(out_value), True, (self,), backward)
+
+    def take(self, indices):
+        """Gather rows along axis 0; `indices` may be any non-negative
+        integer array."""
+        idx = np.asarray(indices)
+        out_value = self.value[idx]
+        if not self.requires_grad:
+            return Tensor(out_value)
+        shape = self.value.shape
+
+        def backward(g):
+            self._accumulate(ad.scatter_rows(idx, g, shape))
+
+        return Tensor(out_value, True, (self,), backward)
+
+    def narrow(self, start: int, stop: int, axis: int = 0):
+        """Contiguous slice along `axis`."""
+        where = (slice(None),) * axis + (slice(start, stop),)
+        out_value = self.value[where]
+        if not self.requires_grad:
+            return Tensor(out_value)
+        shape = self.value.shape
+
+        def backward(g):
+            full = np.zeros(shape, dtype=np.float64)
+            full[where] = g
+            self._accumulate(full)
+
+        return Tensor(out_value, True, (self,), backward)
+
+
+def as_tensor(value) -> ad.Tensor:
+    return value if isinstance(value, ad.Tensor) else Tensor(value)
+
+
+def concat(tensors, axis=0) -> Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+    out_value = np.concatenate([t.value for t in tensors], axis=axis)
+    if not any(t.requires_grad for t in tensors):
+        return Tensor(out_value)
+    sizes = [t.value.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(sl)])
+
+    return Tensor(out_value, True, tuple(tensors), backward)
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -268,19 +621,28 @@ def build_span_representation(token_vecs: Tensor, span: SpanRef, enc,
     start_vec = token_vecs.take(span.start)
     end_vec = token_vecs.take(span.end)
     internal = attend_span(token_vecs, span, enc)
-    width_feat = enc.width_embeddings.take(bucket)
-    full = ad.concat([start_vec, end_vec, internal, width_feat], axis=0)
+    width_feat = as_tensor(enc.width_embeddings).take(bucket)
+    full = concat([start_vec, end_vec, internal, width_feat], axis=0)
     return SpanRepresentation(span, start_vec, end_vec, internal, width_feat,
                               full)
 
 
+def feed_forward_tape(head: m.FeedForward, x: Tensor) -> Tensor:
+    """`model.FeedForward.apply` on the tape; the head may hold arrays or
+    tape tensors."""
+    w1, b2 = as_tensor(head.w1), as_tensor(head.b2)
+    if head.w2 is None:
+        return x @ w1 + b2
+    return (x @ w1 + as_tensor(head.b1)).tanh() @ as_tensor(head.w2) + b2
+
+
 def mention_score(rep, scoring) -> Tensor:
     h = rep.full if isinstance(rep, SpanRepresentation) else rep
-    return scoring.mention.apply(h)
+    return feed_forward_tape(scoring.mention, h)
 
 
 def pair_features(h_i: Tensor, h_j: Tensor) -> Tensor:
-    return ad.concat([h_i, h_j, h_i * h_j], axis=h_i.ndim - 1)
+    return concat([h_i, h_j, h_i * h_j], axis=h_i.ndim - 1)
 
 
 def pair_score(rep_i: SpanRepresentation, rep_j: SpanRepresentation,
@@ -289,7 +651,8 @@ def pair_score(rep_i: SpanRepresentation, rep_j: SpanRepresentation,
     if not (rep_j.span < rep_i.span):
         raise OrderingError(
             f"antecedent {rep_j.span} must precede mention {rep_i.span}")
-    s_a = scoring.antecedent.apply(pair_features(rep_i.full, rep_j.full))
+    s_a = feed_forward_tape(scoring.antecedent,
+                            pair_features(rep_i.full, rep_j.full))
     return mention_score(rep_i, scoring) + mention_score(rep_j, scoring) + s_a
 
 
@@ -350,7 +713,7 @@ def scaffold_loss(labeled, internals, scaffold) -> Tensor:
             continue
         acc = Tensor(0.0)
         for span, concept in spans:
-            logits = scaffold.weights @ internals[doc_id][span]
+            logits = as_tensor(scaffold.weights) @ internals[doc_id][span]
             nll = logits.logsumexp() - logits.take(scaffold.class_index[concept])
             acc = acc + nll
         total = total + acc / float(len(spans))
@@ -410,16 +773,17 @@ def span_representations_tape(token_vecs: Tensor, layout: m.SpanLayout,
     """`full` of `model.build_span_representations`."""
     n_spans, max_w = layout.tokens.shape
     mask = layout.mask
-    logits = (token_vecs @ enc.attention_w).take(layout.tokens)
+    logits = (token_vecs @ as_tensor(enc.attention_w)).take(layout.tokens)
     shift = np.where(mask > 0, logits.value, -np.inf).max(axis=1,
                                                           keepdims=True)
     exps = (logits - shift).exp() * mask
     weights = exps / exps.sum(axis=1, keepdims=True)
     internal = (weights.reshape(n_spans, max_w, 1)
                 * token_vecs.take(layout.tokens)).sum(axis=1)
-    return ad.concat([token_vecs.take(layout.starts),
-                      token_vecs.take(layout.ends), internal,
-                      enc.width_embeddings.take(layout.buckets)], axis=1)
+    return concat([token_vecs.take(layout.starts),
+                   token_vecs.take(layout.ends), internal,
+                   as_tensor(enc.width_embeddings).take(layout.buckets)],
+                  axis=1)
 
 
 def antecedent_nll_tape(full: Tensor, mention_scores: Tensor, rows,
@@ -428,10 +792,11 @@ def antecedent_nll_tape(full: Tensor, mention_scores: Tensor, rows,
     """`losses.antecedent_nll`, with the antecedent FFN applied to the
     concatenated pair features."""
     rows_i, rows_j = rows[pairs.mention], rows[pairs.antecedent]
-    s_a = head.apply(pair_features(full.take(rows_i), full.take(rows_j)))
+    s_a = feed_forward_tape(head, pair_features(full.take(rows_i),
+                                                full.take(rows_j)))
     pair_scores = s_a + mention_scores.take(rows_i) \
         + mention_scores.take(rows_j)
-    slots = ad.concat([pair_scores, Tensor([-np.inf, 0.0])])
+    slots = concat([pair_scores, Tensor([-np.inf, 0.0])])
     n_pairs = len(pairs.mention)
     numer_grid = np.where(numer, pairs.grid, n_pairs)
     denom = slots.take(pairs.grid).logsumexp(axis=1)
@@ -454,11 +819,162 @@ def mean_concept_nll_tape(full: Tensor, columns: slice, rows, classes,
                           weights: Tensor) -> Tensor:
     """`losses.mean_concept_nll`."""
     logits = (full.take(rows).narrow(columns.start, columns.stop, axis=1)
-              @ weights.transpose())
+              @ as_tensor(weights).transpose())
     onehot = np.zeros((len(rows), weights.shape[0]))
     onehot[np.arange(len(rows)), classes] = 1.0
     true_logits = (logits * Tensor(onehot)).sum(axis=1)
     return (logits.logsumexp(axis=1) - true_logits).mean()
+
+
+# ---------------------------------------------------------------------------
+# The training doc-step on the reference tape, over per-tensor leaves.
+
+
+def encode_tokens_tape(doc, enc) -> Tensor:
+    """`model.encode_tokens`, from take, concat, narrow, @ and +; `enc`
+    holds tape tensors."""
+    unk = enc.vocab[m.UNK_TOKEN]
+    ids = np.array([enc.vocab.get(t.surface, unk) for t in doc.tokens],
+                   dtype=np.intp)
+    emb = enc.embeddings.take(ids)
+    radius = enc.window_radius
+    n, d = len(ids), enc.d_token
+    if radius == 0:
+        windows = emb
+    else:
+        pad = Tensor(np.zeros((radius, d)))
+        padded = concat([pad, emb, pad], axis=0)
+        windows = concat([padded.narrow(k, k + n)
+                          for k in range(2 * radius + 1)], axis=1)
+    return windows @ enc.mixer_w + enc.mixer_b
+
+
+def document_objective_tape(doc, store, weights, config, objective,
+                            rng=None) -> tuple[Tensor, dict[str, Tensor]]:
+    """`losses.document_objective`'s combined loss on the reference tape,
+    and its leaves: one `Tensor.param` per named tensor of `store`.
+
+    The span table, pruning, gold antecedents, RL pairs and targets and
+    the scaffold targets are rebuilt here span by span.
+    """
+    leaves = {name: Tensor.param(np.array(array), name=name)
+              for name, array in store.tensors.items()}
+    enc, scoring, scaffold = tr.group_parameters(leaves, store)
+    b1, b2, b3 = weights.beta
+    with_scaffold = b3 > 0 and scaffold is not None
+    enumerated = enumerate_candidate_spans_reference(doc,
+                                                     config.max_span_width)
+    table = set(enumerated)
+    if b2 > 0 or b3 > 0:
+        table.update(doc.gold_spans())
+    labels = {}
+    if with_scaffold:
+        labels = doc.concept_annotations.get(objective.scaffold_lexicon, {})
+        table.update(labels)
+    table = sorted(table)
+    row = {span: i for i, span in enumerate(table)}
+    full = span_representations_tape(encode_tokens_tape(doc, enc),
+                                     span_layout_reference(table, config),
+                                     enc)
+    scores = feed_forward_tape(scoring.mention, full)
+    values = [float(scores.value[row[s]]) for s in enumerated]
+    keep = min(len(enumerated), math.ceil(config.prune_ratio * len(doc)))
+    kept = sorted(sorted(range(len(enumerated)),
+                         key=lambda i: (-values[i], i))[:keep])
+    candidates = m.CandidateSet([enumerated[i] for i in kept],
+                                np.array([values[i] for i in kept]),
+                                np.array(kept, dtype=np.intp))
+    columns = slice(2 * config.d_token, 3 * config.d_token)
+
+    cl = rl = sl = Tensor(0.0)
+    pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
+    if b1 > 0 and len(pairs.mention):
+        numer = np.zeros(pairs.grid.shape, dtype=bool)
+        for k in range(len(candidates)):
+            window = antecedent_window(k, config.max_antecedents)
+            gold, _ = gold_antecedent_rows(doc, candidates, k, window)
+            numer[k, gold if gold else [-1]] = True
+        cl = antecedent_nll_tape(
+            full, scores, np.array([row[s] for s in candidates.spans]),
+            pairs, numer, scoring.antecedent)
+
+    if b2 > 0:
+        if rng is None:
+            rng = np.random.default_rng(objective.pair_seed)
+        pair_list = pair_set_reference(doc, candidates.spans,
+                                       objective.pair_budget, rng)
+        if pair_list:
+            pool = sorted({span for pair in pair_list for span in pair})
+            at = {span: i for i, span in enumerate(pool)}
+            rl = mean_cosine_gap_tape(
+                full, columns, np.array([row[s] for s in pool]),
+                np.array([at[a] for a, _ in pair_list]),
+                np.array([at[b] for _, b in pair_list]),
+                np.array([target_distance(a, b, doc, weights,
+                                          objective.unlabeled_knowledge)
+                          for a, b in pair_list]))
+
+    if with_scaffold:
+        pool = set(doc.gold_spans()) | set(labels)
+        unlabeled = None
+        if objective.scaffold_include_unlabeled:
+            pool.update(candidates.spans)
+            unlabeled = scaffold.none_class
+        targets = [(row[s], scaffold.class_index[labels.get(s, unlabeled)])
+                   for s in sorted(pool)
+                   if labels.get(s, unlabeled) in scaffold.class_index]
+        if targets:
+            rows, classes = map(np.array, zip(*targets))
+            sl = mean_concept_nll_tape(full, columns, rows, classes,
+                                       scaffold.weights)
+    return b1 * cl + b2 * rl + b3 * sl, leaves
+
+
+def _tape_group(group):
+    """A parameter group with each of its arrays as a tape leaf."""
+    if group is None:
+        return None
+    changes = {}
+    for f in fields(group):
+        value = getattr(group, f.name)
+        if isinstance(value, np.ndarray):
+            changes[f.name] = Tensor.param(value)
+        elif is_dataclass(value):
+            changes[f.name] = _tape_group(value)
+    return replace(group, **changes)
+
+
+def _leaf_views(tape_group, grad_group):
+    """(tape leaf, gradient view) for each parameter of two matching
+    groups."""
+    for f in fields(tape_group) if tape_group is not None else ():
+        leaf = getattr(tape_group, f.name)
+        if isinstance(leaf, Tensor):
+            yield leaf, getattr(grad_group, f.name)
+        elif is_dataclass(leaf):
+            yield from _leaf_views(leaf, getattr(grad_group, f.name))
+
+
+def on_tape(build):
+    """A `training.LossBuilder` from `build(enc, scoring, scaffold)`, a
+    scalar on the reference tape over leaves on the parameter arrays; the
+    objective's backward copies the leaves' gradients into the gradient
+    views."""
+
+    def builder(*groups):
+        tape = [_tape_group(group) for group in groups]
+        root = build(*tape)
+
+        def backward(g, *grads):
+            root.backward()
+            for tape_group, grad_group in zip(tape, grads):
+                for leaf, view in _leaf_views(tape_group, grad_group):
+                    if leaf.grad is not None:
+                        view[...] = g * leaf.grad
+
+        return [SimpleNamespace(total=float(root.value), backward=backward)]
+
+    return builder
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +999,10 @@ def select_antecedent(pair_scores):
 
 def pair_score_value(h_i: np.ndarray, h_j: np.ndarray, scoring) -> float:
     """s(i, j) of one pair of span vectors, from one-row FFN calls."""
-    s_a = scoring.antecedent.apply(pair_features(Tensor(h_i), Tensor(h_j)))
-    s_i = scoring.mention.apply(Tensor(h_i))
-    s_j = scoring.mention.apply(Tensor(h_j))
+    s_a = feed_forward_tape(scoring.antecedent,
+                            pair_features(Tensor(h_i), Tensor(h_j)))
+    s_i = feed_forward_tape(scoring.mention, Tensor(h_i))
+    s_j = feed_forward_tape(scoring.mention, Tensor(h_j))
     return float(s_a.value) + float(s_i.value) + float(s_j.value)
 
 
@@ -494,17 +1011,18 @@ def predict_antecedents_reference(doc, store, config):
     if len(doc) == 0:
         return {}
     enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
-    token_vecs = m.encode_tokens(doc, enc)
+    token_vecs, _ = m.encode_tokens(doc, enc)
     layout = span_layout_reference(
         enumerate_candidate_spans_reference(doc, config.max_span_width),
         config)
-    reps = m.build_span_representations(token_vecs, layout, enc)
-    scores = m.mention_scores(reps, scoring).value
+    reps, _ = m.build_span_representations(token_vecs, layout, enc)
+    scores, _ = m.mention_scores(reps, scoring)
     candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
     links = {}
-    full = reps.full.value
-    cand_rows = [reps.row(s) for s in candidates.spans]
+    full = reps.full
+    row = {s: i for i, s in enumerate(reps.spans)}
+    cand_rows = [row[s] for s in candidates.spans]
     for k, span in enumerate(candidates.spans):
         window = antecedent_window(k, config.max_antecedents)
         pair_scores = np.array([

@@ -175,13 +175,10 @@ def test_criterion_1_gradient_suite():
                                                   config.d_token)) * 0.3
 
         def build(enc, scoring, scaffold):
-            total = None
-            for i, doc in enumerate(docs):
-                rng = np.random.default_rng([objective.pair_seed, i])
-                out = document_objective(doc, enc, scoring, scaffold, weights,
-                                         config, objective, rng)
-                total = out.total if total is None else total + out.total
-            return total
+            return [document_objective(
+                doc, enc, scoring, scaffold, weights, config, objective,
+                np.random.default_rng([objective.pair_seed, i]))
+                for i, doc in enumerate(docs)]
 
         check = tr.gradient_check(store, build, config, epsilon=1e-5,
                                   threshold=1e-4, coords_per_tensor=20,

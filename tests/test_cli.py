@@ -190,6 +190,12 @@ class TestConfigModule:
         ({"unlabeled_knowledge": "skp"}, "unlabeled_knowledge"),
         ({"grad_accumulation": 0}, "grad_accumulation"),
         ({"pair_budget": -1}, "pair_budget"),
+        ({"pair_budget": "600"}, "pair_budget must be an integer"),
+        ({"pair_seed": "x"}, "pair_seed must be an integer, not 'x'"),
+        ({"pair_seed": -1}, "pair_seed must be >= 0"),
+        ({"grad_accumulation": 1.5}, "grad_accumulation must be an integer"),
+        ({"source_phase_rl": "false"}, "source_phase_rl must be true or "
+                                       "false, not 'false'"),
     ])
     def test_bad_objective_values_rejected(self, tmp_path, objective, field):
         cfg = {"corpora": {"a": "x.jsonl"}, "objective": objective,
@@ -220,6 +226,9 @@ class TestConfigModule:
         ({"width_bucket_edges": [4, 2, 1]}, "width_bucket_edges"),
         ({"width_bucket_edges": [0, 2]}, "width_bucket_edges"),
         ({"width_bucket_edges": [1, 2.5]}, "width_bucket_edges"),
+        ({"d_token": "16"}, "d_token must be an integer, not '16'"),
+        ({"max_antecedents": 2.0}, "max_antecedents must be an integer"),
+        ({"prune_ratio": "0.4"}, "prune_ratio must be in"),
     ])
     def test_bad_model_values_rejected(self, tmp_path, model, field):
         cfg = {"corpora": {"a": "x.jsonl"}, "model": model,
@@ -227,6 +236,61 @@ class TestConfigModule:
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match=f"model: {field}"):
             load_config(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"truncate_tokens": -5}, "truncate_tokens must be >= 1, not -5"),
+        ({"truncate_tokens": 0}, "truncate_tokens must be >= 1, not 0"),
+        ({"truncate_tokens": "50"}, "truncate_tokens must be an integer"),
+        ({"seed": "seven"}, "seed must be an integer, not 'seven'"),
+        ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+        ({"seed": -3}, "seed must be >= 0, not -3"),
+        ({"projection": {"sample": 0}}, "projection: sample must be >= 1"),
+        ({"projection": {"sample": "all"}},
+         "projection: sample must be an integer"),
+        ({"projection": {"seed": [4]}}, "projection: seed must be an integer"),
+        ({"phases": [{"corpus": "a", "epochs": 1.5}]},
+         "phases[0]: epochs must be an integer, not 1.5"),
+        ({"phases": [{"corpus": "a", "epochs": "2"}]},
+         "phases[0]: epochs must be an integer, not '2'"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"beta": [1, None, 0]}}]},
+         "phases[0]: weights.beta[1] must be a number, not None"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"beta": 1}}]},
+         "phases[0]: weights.beta must be a list, not 1"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"alpha_k": {"x": None}}}]},
+         "phases[0]: weights.alpha_k.x must be a number, not None"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"alpha_k": [0.5]}}]},
+         "phases[0]: weights.alpha_k must be a mapping, not [0.5]"),
+        ({"phases": [{"corpus": "a", "epochs": 1, "weights": [1, 0, 0]}]},
+         "phases[0]: weights must be a mapping, not [1, 0, 0]"),
+        ({"phases": [{"corpus": "a", "epochs": 1, "base_lr": "fast"}]},
+         "phases[0]: base_lr must be a number, not 'fast'"),
+    ])
+    def test_malformed_field_named_with_its_path(self, tmp_path, capsys,
+                                                fields, message):
+        cfg = {"corpora": {"a": "x.jsonl"},
+               "phases": [{"corpus": "a", "epochs": 1}], **fields}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(str(path)) \
+            and message in str(err.value)
+        assert cli.main(["--quiet", "train", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        stderr = capsys.readouterr().err
+        assert str(path) in stderr and message in stderr
+
+    @pytest.mark.parametrize("value, loaded", [(None, None), (7, 7)])
+    def test_truncate_tokens_may_be_absent_or_positive(self, tmp_path, value,
+                                                       loaded):
+        cfg = {"corpora": {"a": "x.jsonl"}, "truncate_tokens": value,
+               "phases": [{"corpus": "a", "epochs": 1}]}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert load_config(tmp_path / "c.json").truncate_tokens == loaded
 
     def test_unknown_alpha_k_lexicon_rejected(self, workspace, tmp_path):
         raw = json.loads((workspace / "config.json").read_text())

@@ -236,10 +236,15 @@ class TestSpanRefBudget:
                                  config, objective)
         built.clear()
         for doc in docs:
-            out = L.document_objective(doc, enc, scoring, scaffold, weights,
-                                       config, objective)
-            out.total.backward()
-            assert out.pair_set.count and len(out.candidates)
+            outs = []
+
+            def build(enc, scoring, scaffold, doc=doc):
+                outs.append(L.document_objective(doc, enc, scoring, scaffold,
+                                                 weights, config, objective))
+                return outs
+
+            tr.compute_gradients(store, build, config)
+            assert outs[0].pair_set.count and len(outs[0].candidates)
         assert built == []
 
 

@@ -1,8 +1,9 @@
-"""The fused tape nodes against their composed-tape references.
+"""The closed-form stages of a doc-step against their composed-tape
+references.
 
-Each fused node computes its value and every parent gradient in closed
-form; the references in `oracles` build the same function from small tape
-ops. Values must agree to 1e-12 relative, and the gradients to 1e-12 of the
+Each stage computes its value in plain numpy and every input gradient in
+closed form; the references in `oracles` build the same function from
+small ops of the reference tape. Values must agree to 1e-12 relative, and the gradients to 1e-12 of the
 largest entry of the whole gradient (every parent's, flattened together):
 a saturated softmax leaves some entries as small differences of O(1)
 terms, which either side rounds on its own route.
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 from kcoref import autodiff as ad
 from kcoref import losses as L
 from kcoref import model as m
-from kcoref.autodiff import Tensor
 from kcoref.corpus import SpanRef
 
 import oracles as O
+from oracles import Tensor
 
 TOL = 1e-12
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -37,8 +38,9 @@ def assert_close(got, want, scale=None):
 
 
 def gradients(build, values, upstream=None):
-    """The value of build(*params) and the gradient of each param, with the
-    output contracted against `upstream` when it is not a scalar."""
+    """The value of build(*params) on the reference tape and the gradient
+    of each param, with the output contracted against `upstream` when it is
+    not a scalar."""
     params = [Tensor.param(np.array(v, dtype=np.float64)) for v in values]
     out = build(*params)
     loss = out if upstream is None else (out * Tensor(upstream)).sum()
@@ -46,8 +48,15 @@ def gradients(build, values, upstream=None):
     return out.value, [p.grad for p in params]
 
 
-def assert_node_matches(fused, tape, values, upstream=None):
-    value, grads = gradients(fused, values, upstream)
+def closed_form(stage, values, upstream=None):
+    """`stage(*arrays, upstream)`: the closed-form value and the gradient
+    of each array, for the output's gradient `upstream` (1 for a scalar)."""
+    return stage(*[np.array(v, dtype=np.float64) for v in values],
+                 1.0 if upstream is None else upstream)
+
+
+def assert_node_matches(stage, tape, values, upstream=None):
+    value, grads = closed_form(stage, values, upstream)
     want_value, want_grads = gradients(tape, values, upstream)
     assert_close(value, want_value)
     scale = largest(*grads, *want_grads)
@@ -58,6 +67,12 @@ def assert_node_matches(fused, tape, values, upstream=None):
 def assert_constant(out):
     assert not out.requires_grad
     assert out._parents == () and out._backward is None
+
+
+def assert_plain(value):
+    """An inference pass builds no tape: a stage's value is plain numpy."""
+    assert isinstance(value, (float, np.ndarray))
+    assert not isinstance(value, ad.Tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +108,21 @@ SPANS = [SpanRef(0, 0), SpanRef(0, 2), SpanRef(1, 4), SpanRef(3, 3)]
 
 
 def encoder(attention, width_embeddings):
-    return m.EncoderParams(embeddings=Tensor(np.zeros((1, 1))),
-                           mixer_w=Tensor(np.zeros((1, 1))),
-                           mixer_b=Tensor(np.zeros(1)),
+    return m.EncoderParams(embeddings=np.zeros((1, 1)),
+                           mixer_w=np.zeros((1, 1)), mixer_b=np.zeros(1),
                            attention_w=attention,
                            width_embeddings=width_embeddings, vocab={})
+
+
+def span_stage(layout):
+    def stage(x, a, table, upstream):
+        reps, backward = m.build_span_representations(x, layout,
+                                                      encoder(a, table))
+        grad = encoder(np.zeros_like(a), np.zeros_like(table))
+        g_x = backward(upstream, grad)
+        return reps.full, [g_x, grad.attention_w, grad.width_embeddings]
+
+    return stage
 
 
 class TestSpanRepresentations:
@@ -106,30 +131,23 @@ class TestSpanRepresentations:
     def test_value_and_gradients_match_the_tape(self, case):
         layout, config, values, upstream = case
 
-        def fused(x, a, table):
-            return m.build_span_representations(x, layout,
-                                                encoder(a, table)).full
-
         def tape(x, a, table):
             return O.span_representations_tape(x, layout, encoder(a, table))
 
-        assert_node_matches(fused, tape, values, upstream)
+        assert_node_matches(span_stage(layout), tape, values, upstream)
 
     def test_internal_is_the_third_block_of_full(self):
         layout, config, values, _ = span_case(5, 3, 2, SPANS, 1)
-        reps = m.build_span_representations(
-            Tensor(values[0]), layout,
-            encoder(Tensor(values[1]), Tensor(values[2])))
+        reps, _ = m.build_span_representations(
+            values[0], layout, encoder(values[1], values[2]))
         d = config.d_token
-        assert np.array_equal(reps.internal.value,
-                              reps.full.value[:, 2 * d:3 * d])
+        assert np.array_equal(reps.internal, reps.full[:, 2 * d:3 * d])
 
     def test_constant_inputs_build_no_tape(self):
         layout, config, values, _ = span_case(5, 3, 2, SPANS, 2)
-        reps = m.build_span_representations(
-            Tensor(values[0]), layout,
-            encoder(Tensor(values[1]), Tensor(values[2])))
-        assert_constant(reps.full)
+        reps, _ = m.build_span_representations(
+            values[0], layout, encoder(values[1], values[2]))
+        assert_plain(reps.full)
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +189,43 @@ def head_of(params):
     return m.FeedForward(w1=params[0], b2=params[1])
 
 
+def head_params(head):
+    if head.w2 is None:
+        return [head.w1, head.b2]
+    return [head.w1, head.b1, head.w2, head.b2]
+
+
+def coref_stage(rows, pairs, numer):
+    def stage(full, scores, *rest):
+        *head, upstream = rest
+        value, backward = L.antecedent_nll(full, scores, rows, pairs, numer,
+                                           head_of(head))
+        g_full, g_scores = np.zeros_like(full), np.zeros_like(scores)
+        grad = head_of([np.zeros_like(p) for p in head])
+        backward(upstream, g_full, g_scores, grad)
+        return value, [g_full, g_scores, *head_params(grad)]
+
+    return stage
+
+
 class TestAntecedentNll:
     @SETTINGS
     @given(case=coref_cases())
     def test_value_and_gradients_match_the_tape(self, case):
         rows, pairs, numer, values = case
 
-        def fused(full, scores, *head):
-            return L.antecedent_nll(full, scores, rows, pairs, numer,
-                                    head_of(head))
-
         def tape(full, scores, *head):
             return O.antecedent_nll_tape(full, scores, rows, pairs, numer,
                                          head_of(head))
 
-        assert_node_matches(fused, tape, values)
+        assert_node_matches(coref_stage(rows, pairs, numer), tape, values)
 
     def test_windows_cut_by_max_antecedents(self):
         rows, pairs, numer, values = coref_case(7, 2, 2, 3, 2, seed=3)
         assert pairs.grid.shape == (7, 3) and len(pairs.mention) == 11
         assert numer[:, :-1].any()
         assert_node_matches(
-            lambda f, s, *h: L.antecedent_nll(f, s, rows, pairs, numer,
-                                              head_of(h)),
+            coref_stage(rows, pairs, numer),
             lambda f, s, *h: O.antecedent_nll_tape(f, s, rows, pairs, numer,
                                                    head_of(h)), values)
 
@@ -201,9 +233,7 @@ class TestAntecedentNll:
         rows, pairs = np.array([2]), m.antecedent_pairs(1, 5)
         numer = np.ones((1, 1), dtype=bool)
         values = [np.ones((3, 2)), np.ones(3), np.ones(6), np.ones(())]
-        value, grads = gradients(
-            lambda f, s, *h: L.antecedent_nll(f, s, rows, pairs, numer,
-                                              head_of(h)), values)
+        value, grads = closed_form(coref_stage(rows, pairs, numer), values)
         want_value, want_grads = gradients(
             lambda f, s, *h: O.antecedent_nll_tape(f, s, rows, pairs, numer,
                                                    head_of(h)), values)
@@ -213,18 +243,17 @@ class TestAntecedentNll:
 
     def test_constant_inputs_build_no_tape(self):
         rows, pairs, numer, values = coref_case(5, 1, 3, 2, 2, seed=4)
-        params = [Tensor(v) for v in values]
-        out = L.antecedent_nll(params[0], params[1], rows, pairs, numer,
-                               head_of(params[2:]))
-        assert_constant(out)
+        out, _ = L.antecedent_nll(values[0], values[1], rows, pairs, numer,
+                                  head_of(values[2:]))
+        assert_plain(out)
 
     def test_decode_and_training_share_the_pair_scores(self):
         rows, pairs, _, values = coref_case(6, 2, 3, 4, 3, seed=5)
-        head = head_of([Tensor(v) for v in values[2:]])
+        head = head_of(values[2:])
         x = values[0][rows]
         got = m.antecedent_scores(x, pairs.mention, pairs.antecedent,
                                   head).scores
-        want = head.apply(O.pair_features(
+        want = O.feed_forward_tape(head, O.pair_features(
             Tensor(x[pairs.mention]), Tensor(x[pairs.antecedent]))).value
         assert_close(got, want)
 
@@ -257,8 +286,14 @@ def gap_cases(draw):
 
 
 def gap_nodes(columns, rows, first, second, targets):
-    return (lambda f: L.mean_cosine_gap(f, columns, rows, first, second,
-                                        targets),
+    def stage(full, upstream):
+        value, backward = L.mean_cosine_gap(full, columns, rows, first,
+                                            second, targets)
+        g_full = np.zeros_like(full)
+        backward(upstream, g_full)
+        return value, [g_full]
+
+    return (stage,
             lambda f: O.mean_cosine_gap_tape(f, columns, rows, first, second,
                                              targets))
 
@@ -275,8 +310,8 @@ class TestMeanCosineGap:
             8, 3, 2, pool=5, n_pairs=7, seed=6)
         zero = rows[first[0]]
         full[zero, columns] = 0.0
-        fused, tape = gap_nodes(columns, rows, first, second, targets)
-        value, (grad,) = gradients(fused, [full])
+        stage, tape = gap_nodes(columns, rows, first, second, targets)
+        value, (grad,) = closed_form(stage, [full])
         want_value, (want,) = gradients(tape, [full])
         assert_close(value, want_value)
         # Both routes pass no gradient through the zero norm and stay finite.
@@ -285,19 +320,19 @@ class TestMeanCosineGap:
 
     def test_empty_pair_set_contributes_a_constant_zero(self, caplog):
         layout = m.span_layout(np.array([0]), np.array([0]), m.ModelConfig())
-        reps = m.BatchedSpans(layout, Tensor.param(np.ones((1, 5))), 1)
+        reps = m.BatchedSpans(layout, np.ones((1, 5)), 1)
         empty = L.PairSet("d0", (), np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp))
         with caplog.at_level("WARNING"):
-            out = L._retrofit_loss_graph(None, empty, reps, L.LossWeights(),
-                                         "strict")
-        assert float(out.value) == 0.0
-        assert_constant(out)
+            out, backward = L._retrofit_loss_graph(None, empty, reps,
+                                                   L.LossWeights(), "strict")
+        assert out == 0.0
+        assert backward is None   # no gradient to pass on
         assert "empty pair set" in caplog.text
 
     def test_constant_inputs_build_no_tape(self):
         full, *args = gap_case(6, 2, 1, pool=4, n_pairs=4, seed=7)
-        assert_constant(L.mean_cosine_gap(Tensor(full), *args))
+        assert_plain(L.mean_cosine_gap(full, *args)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +358,31 @@ def concept_cases(draw):
                         draw(st.sampled_from([0.0, 0.5, 2.0])))
 
 
+def concept_stage(columns, rows, classes):
+    def stage(full, weights, upstream):
+        value, backward = L.mean_concept_nll(full, columns, rows, classes,
+                                             weights)
+        g_full, g_weights = np.zeros_like(full), np.zeros_like(weights)
+        backward(upstream, g_full, g_weights)
+        return value, [g_full, g_weights]
+
+    return stage
+
+
 class TestMeanConceptNll:
     @SETTINGS
     @given(case=concept_cases())
     def test_value_and_gradients_match_the_tape(self, case):
         columns, rows, classes, values = case
         assert_node_matches(
-            lambda f, w: L.mean_concept_nll(f, columns, rows, classes, w),
+            concept_stage(columns, rows, classes),
             lambda f, w: O.mean_concept_nll_tape(f, columns, rows, classes,
                                                  w), values)
 
     def test_constant_inputs_build_no_tape(self):
         columns, rows, classes, values = concept_case(5, 2, 1, 3, 4, seed=8)
-        assert_constant(L.mean_concept_nll(Tensor(values[0]), columns, rows,
-                                           classes, Tensor(values[1])))
+        assert_plain(L.mean_concept_nll(values[0], columns, rows, classes,
+                                        values[1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +390,7 @@ class TestMeanConceptNll:
 
 
 def test_fused_routes_each_gradient_to_its_parent():
-    a, b = Tensor.param(np.ones(3)), Tensor(np.ones(2))
+    a, b = ad.Tensor(np.ones(3), requires_grad=True), ad.Tensor(np.ones(2))
     out = ad.fused(np.array(2.0), (a, b),
                    lambda g: (g * np.arange(3.0), np.full(2, 7.0)))
     out.backward()
@@ -354,13 +400,13 @@ def test_fused_routes_each_gradient_to_its_parent():
 
 def test_fused_without_gradient_parents_is_a_constant():
     calls = []
-    out = ad.fused(np.ones(2), (Tensor(np.ones(2)),), calls.append)
+    out = ad.fused(np.ones(2), (ad.Tensor(np.ones(2)),), calls.append)
     assert_constant(out)
     assert calls == []
 
 
 def test_misshapen_gradient_is_rejected():
-    a = Tensor.param(np.ones(16))
+    a = ad.Tensor(np.ones(16), requires_grad=True)
     out = ad.fused(np.array(1.0), (a,), lambda g: (np.ones((1, 16)),))
     with pytest.raises(ValueError, match=r"\(1, 16\).*\(16,\)"):
         out.backward()

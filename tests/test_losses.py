@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.autodiff import Tensor
 from kcoref.corpus import SpanRef, truncate_document
 from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
                            ScaffoldParams, build_pair_set, combined_loss,
@@ -19,7 +18,7 @@ from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
                            target_distance)
 
 import oracles as O
-from oracles import (coref_loss, cosine_distance_t, pair_set_reference,
+from oracles import (Tensor, coref_loss, cosine_distance_t, pair_set_reference,
                      retrofit_loss, scaffold_loss, softmax_by_hand)
 from test_corpus import make_doc
 
@@ -380,16 +379,16 @@ class TestDocumentObjective:
             scores = []
             for j in window:
                 rep_i = O.build_span_representation(
-                    m.encode_tokens(docs[0], enc), out.candidates.spans[k],
-                    enc, config)
+                    Tensor(m.encode_tokens(docs[0], enc)[0]),
+                    out.candidates.spans[k], enc, config)
                 rep_j = O.build_span_representation(
-                    m.encode_tokens(docs[0], enc), out.candidates.spans[j],
-                    enc, config)
+                    Tensor(m.encode_tokens(docs[0], enc)[0]),
+                    out.candidates.spans[j], enc, config)
                 scores.append(float(O.pair_score(rep_i, rep_j, scoring).value))
             dists.append(O.antecedent_distribution(np.array(scores)))
         expected = coref_loss(docs[0], out.candidates, dists,
                               config.max_antecedents)
-        assert float(out.cl.value) == pytest.approx(expected, abs=1e-9)
+        assert out.cl == pytest.approx(expected, abs=1e-9)
 
     def test_rl_graph_matches_reference_loss(self):
         docs, config, store, weights, objective = tiny_setup(
@@ -399,13 +398,10 @@ class TestDocumentObjective:
         rng = np.random.default_rng(7)
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective, rng)
-        internals = {docs[0].doc_id: {
-            s: out.reps.internal.narrow(out.reps.row(s), out.reps.row(s) + 1)
-            .reshape(config.d_token)
-            for s in out.reps.spans}}
+        internals = {docs[0].doc_id: dict(zip(
+            out.reps.spans, map(Tensor, out.reps.internal)))}
         expected = retrofit_loss([docs[0]], [out.pair_set], internals, weights)
-        assert float(out.rl.value) == pytest.approx(float(expected.value),
-                                                    abs=1e-9)
+        assert out.rl == pytest.approx(float(expected.value), abs=1e-9)
 
     def test_sl_graph_matches_reference_loss(self):
         docs, config, store, weights, objective = tiny_setup(
@@ -417,14 +413,11 @@ class TestDocumentObjective:
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective)
         labels = docs[0].concept_annotations["i2b2"]
-        internals = {docs[0].doc_id: {
-            s: out.reps.internal.narrow(out.reps.row(s), out.reps.row(s) + 1)
-            .reshape(config.d_token)
-            for s in out.reps.spans}}
+        internals = {docs[0].doc_id: dict(zip(
+            out.reps.spans, map(Tensor, out.reps.internal)))}
         labeled = {docs[0].doc_id: sorted(labels.items())}
         expected = scaffold_loss(labeled, internals, scaffold)
-        assert float(out.sl.value) == pytest.approx(float(expected.value),
-                                                    abs=1e-9)
+        assert out.sl == pytest.approx(float(expected.value), abs=1e-9)
 
     def test_empty_document_contributes_zero(self):
         from kcoref.corpus import Document
@@ -433,7 +426,7 @@ class TestDocumentObjective:
                                                        trainable=False)
         out = L.document_objective(Document("empty", ()), enc, scoring,
                                    scaffold, weights, config, objective)
-        assert float(out.total.value) == 0.0
+        assert out.total == 0.0
         assert len(out.candidates) == 0
 
     def test_components_nonnegative(self):
@@ -446,9 +439,9 @@ class TestDocumentObjective:
             out = L.document_objective(doc, enc, scoring, scaffold, weights,
                                        config, objective,
                                        np.random.default_rng(0))
-            assert float(out.cl.value) >= 0
-            assert float(out.rl.value) >= 0
-            assert float(out.sl.value) >= 0
+            assert out.cl >= 0
+            assert out.rl >= 0
+            assert out.sl >= 0
 
 
 def grad_check_loss(beta, seed=0, loss_seed=5):
@@ -457,13 +450,10 @@ def grad_check_loss(beta, seed=0, loss_seed=5):
     store.tensors["scaffold.weights"] = rng0.normal(size=(2, 5)) * 0.3
 
     def build(enc, scoring, scaffold):
-        total = None
-        for i, doc in enumerate(docs):
-            rng = np.random.default_rng([loss_seed, i])
-            out = document_objective(doc, enc, scoring, scaffold, weights,
-                                     config, objective, rng)
-            total = out.total if total is None else total + out.total
-        return total
+        return [document_objective(doc, enc, scoring, scaffold, weights,
+                                   config, objective,
+                                   np.random.default_rng([loss_seed, i]))
+                for i, doc in enumerate(docs)]
 
     return store, build, config
 
@@ -511,14 +501,16 @@ def random_documents(draw):
 def reference_distributions(out, scoring, config):
     """Antecedent distributions, one window at a time, from the pair-score
     definition over the document's span representations."""
-    full = out.reps.full.value
-    mention = scoring.mention.apply(Tensor(full)).value
-    rows = [out.reps.row(s) for s in out.candidates.spans]
+    full = out.reps.full
+    mention = O.feed_forward_tape(scoring.mention, Tensor(full)).value
+    row = {s: i for i, s in enumerate(out.reps.spans)}
+    rows = [row[s] for s in out.candidates.spans]
     dists = []
     for k in range(len(rows)):
         scores = []
         for j in O.antecedent_window(k, config.max_antecedents):
-            s_a = scoring.antecedent.apply(
+            s_a = O.feed_forward_tape(
+                scoring.antecedent,
                 O.pair_features(Tensor(full[rows[k]]), Tensor(full[rows[j]])))
             scores.append(float(s_a.value) + mention[rows[k]]
                           + mention[rows[j]])
@@ -542,7 +534,7 @@ class TestIndexedPathsMatchReferences:
             doc, out.candidates,
             reference_distributions(out, scoring, INDEX_CONFIG),
             INDEX_CONFIG.max_antecedents)
-        assert float(out.cl.value) == pytest.approx(expected, abs=1e-9)
+        assert out.cl == pytest.approx(expected, abs=1e-9)
         assert out.pruning_misses == misses
 
     @settings(derandomize=True, deadline=None, max_examples=60)

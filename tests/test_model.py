@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref import model as m
-from kcoref.autodiff import Tensor
 from kcoref.corpus import SpanRef, enumerate_candidate_spans
 from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
                           ModelConfig, ScoringParams,
                           build_span_representations, encode_tokens,
                           prune_mentions)
 
-from oracles import (OrderingError, SpanRepresentation,
+from oracles import (OrderingError, SpanRepresentation, Tensor,
                      antecedent_distribution, antecedent_window, attend_span,
                      build_span_representation,
                      enumerate_candidate_spans_reference, finite_difference,
@@ -38,21 +37,21 @@ def encoder(embeddings, radius=0, attention=None, width_emb=None,
         vocab = {m.UNK_TOKEN: 0}
         vocab.update({f"t{i}": i for i in range(1, embeddings.shape[0])})
     return EncoderParams(
-        embeddings=Tensor(embeddings),
-        mixer_w=Tensor(mixer),
-        mixer_b=Tensor(bias if bias is not None else np.zeros(d)),
-        attention_w=Tensor(attention if attention is not None else np.zeros(d)),
-        width_embeddings=Tensor(width_emb if width_emb is not None
-                                else np.zeros((6, 2))),
+        embeddings=embeddings,
+        mixer_w=np.asarray(mixer, dtype=np.float64),
+        mixer_b=bias if bias is not None else np.zeros(d),
+        attention_w=attention if attention is not None else np.zeros(d),
+        width_embeddings=width_emb if width_emb is not None
+        else np.zeros((6, 2)),
         vocab=vocab)
 
 
 def linear_scoring(mention_w, antecedent_w):
     return ScoringParams(
-        mention=FeedForward(w1=Tensor(np.asarray(mention_w, dtype=float)),
-                            b2=Tensor(0.0)),
-        antecedent=FeedForward(w1=Tensor(np.asarray(antecedent_w, dtype=float)),
-                               b2=Tensor(0.0)))
+        mention=FeedForward(w1=np.asarray(mention_w, dtype=float),
+                            b2=np.array(0.0)),
+        antecedent=FeedForward(w1=np.asarray(antecedent_w, dtype=float),
+                               b2=np.array(0.0)))
 
 
 class TestEncodeTokens:
@@ -60,39 +59,39 @@ class TestEncodeTokens:
         emb = np.array([[0.0, 0.0], [1.5, -2.0]])
         enc = encoder(emb, radius=0)
         doc = make_doc(["t1"])
-        out = encode_tokens(doc, enc)
-        np.testing.assert_array_equal(out.value, [[1.5, -2.0]])
+        out, _ = encode_tokens(doc, enc)
+        np.testing.assert_array_equal(out, [[1.5, -2.0]])
 
     def test_zero_embeddings_give_zero_vectors(self):
         enc = encoder(np.zeros((3, 4)), radius=1)
         doc = make_doc(["t1", "t2", "t1"])
-        out = encode_tokens(doc, enc)
-        np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
+        out, _ = encode_tokens(doc, enc)
+        np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_radius_zero_ignores_neighbors(self):
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(4, 3))
         mixer = rng.normal(size=(3, 3))
         enc = encoder(emb, radius=0, mixer=mixer)
-        out_a = encode_tokens(make_doc(["t1", "t2"]), enc)
-        out_b = encode_tokens(make_doc(["t1", "t3"]), enc)
-        np.testing.assert_array_equal(out_a.value[0], out_b.value[0])
+        out_a, _ = encode_tokens(make_doc(["t1", "t2"]), enc)
+        out_b, _ = encode_tokens(make_doc(["t1", "t3"]), enc)
+        np.testing.assert_array_equal(out_a[0], out_b[0])
 
     def test_window_limits_dependence(self):
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(6, 2))
         mixer = rng.normal(size=(3 * 2, 2))
         enc = encoder(emb, radius=1, mixer=mixer)
-        base = encode_tokens(make_doc(["t1", "t2", "t3", "t4"]), enc)
-        far = encode_tokens(make_doc(["t1", "t2", "t3", "t5"]), enc)
-        np.testing.assert_array_equal(base.value[:2], far.value[:2])
-        assert not np.array_equal(base.value[3], far.value[3])
+        base, _ = encode_tokens(make_doc(["t1", "t2", "t3", "t4"]), enc)
+        far, _ = encode_tokens(make_doc(["t1", "t2", "t3", "t5"]), enc)
+        np.testing.assert_array_equal(base[:2], far[:2])
+        assert not np.array_equal(base[3], far[3])
 
     def test_unknown_token_uses_unk_row(self):
         emb = np.array([[9.0, 9.0], [1.0, 1.0]])
         enc = encoder(emb, radius=0)
-        out = encode_tokens(make_doc(["never-seen"]), enc)
-        np.testing.assert_array_equal(out.value, [[9.0, 9.0]])
+        out, _ = encode_tokens(make_doc(["never-seen"]), enc)
+        np.testing.assert_array_equal(out, [[9.0, 9.0]])
 
 
 class TestAttendSpan:
@@ -166,14 +165,15 @@ class TestSpanRepresentation:
                       width_emb=rng.normal(size=(6, 2)))
         config = ModelConfig(d_token=3, d_width=2)
         spans = [SpanRef(0, 0), SpanRef(0, 2), SpanRef(2, 5), SpanRef(4, 4)]
-        batch = build_span_representations(vecs, layout_of(spans, config),
-                                           enc)
+        batch, _ = build_span_representations(
+            vecs.value, layout_of(spans, config), enc)
         span = spans[span_pick]
+        row = batch.spans.index(span)
         single = build_span_representation(vecs, span, enc, config)
-        np.testing.assert_allclose(batch.full.value[batch.row(span)],
-                                   single.full.value, atol=1e-12)
-        np.testing.assert_allclose(batch.internal.value[batch.row(span)],
-                                   single.internal.value, atol=1e-12)
+        np.testing.assert_allclose(batch.full[row], single.full.value,
+                                   atol=1e-12)
+        np.testing.assert_allclose(batch.internal[row], single.internal.value,
+                                   atol=1e-12)
 
 
 @st.composite
@@ -245,7 +245,7 @@ class TestMentionScore:
         t = Tensor.param(w.copy())
         scoring = ScoringParams(
             mention=FeedForward(w1=t, b2=Tensor(0.0)),
-            antecedent=FeedForward(w1=Tensor(np.zeros(24)), b2=Tensor(0.0)))
+            antecedent=FeedForward(w1=np.zeros(24), b2=np.array(0.0)))
         out = mention_score(Tensor(h), scoring)
         out.backward()
         numeric = finite_difference(f, w.copy())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
+from kcoref import autodiff as ad
 from kcoref import losses as L
 from kcoref import training as tr
 from kcoref.model import ModelConfig
@@ -17,7 +18,8 @@ from kcoref.training import (AdamState, Gradients, LearningRates,
                              run_schedule, write_loss_log)
 
 from test_corpus import make_doc
-from test_losses import tiny_corpus, tiny_setup
+from test_losses import (INDEX_CONFIG, random_documents, tiny_corpus,
+                         tiny_setup)
 
 TENSOR_NAMES = ("encoder.e", "encoder.mixer_w", "scorer.mention.b2",
                 "scorer.antecedent.w1", "scaffold.weights", "extra")
@@ -58,11 +60,11 @@ class TestInit:
         from kcoref import model as m
         from kcoref.corpus import enumerate_candidate_spans
         enc, scoring, _, _ = tr.bind_parameters(store, CONFIG, trainable=False)
-        vecs = m.encode_tokens(docs[0], enc)
+        vecs, _ = m.encode_tokens(docs[0], enc)
         layout = m.span_layout(*enumerate_candidate_spans(
             docs[0], CONFIG.max_span_width), CONFIG)
-        reps = m.build_span_representations(vecs, layout, enc)
-        scores = m.mention_scores(reps, scoring).value
+        reps, _ = m.build_span_representations(vecs, layout, enc)
+        scores, _ = m.mention_scores(reps, scoring)
         assert np.ptp(scores) == 0.0
 
     def test_vocab_must_start_with_unk(self):
@@ -76,8 +78,8 @@ class TestComputeGradients:
             beta=(1.0, 0.0, 0.0))  # scaffold never touched
 
         def build(enc, scoring, scaffold):
-            return L.document_objective(docs[0], enc, scoring, scaffold,
-                                        weights, config, objective).total
+            return [L.document_objective(docs[0], enc, scoring, scaffold,
+                                         weights, config, objective)]
 
         grads, _ = compute_gradients(store, build, config)
         assert not grads["scaffold.weights"].any()
@@ -87,12 +89,12 @@ class TestComputeGradients:
         features = {name: np.random.default_rng(1).normal(size=arr.shape)
                     for name, arr in store.tensors.items()}
 
+        @O.on_tape
         def build(enc, scoring, scaffold):
             total = None
             leaves = {**enc.__dict__}
-            from kcoref.autodiff import Tensor
             for name, leaf in _leaves(enc, scoring).items():
-                term = (leaf * Tensor(features[name])).sum()
+                term = (leaf * O.Tensor(features[name])).sum()
                 total = term if total is None else total + term
             return total
 
@@ -122,9 +124,9 @@ class TestComputeGradients:
         doc = make_doc(["a", "b", "a", "b"], [[(0, 0), (2, 2)]])
 
         def build(enc, scoring, scaffold):
-            return L.document_objective(doc, enc, scoring, scaffold,
-                                        L.LossWeights(), CONFIG,
-                                        L.ObjectiveConfig()).total
+            return [L.document_objective(doc, enc, scoring, scaffold,
+                                         L.LossWeights(), CONFIG,
+                                         L.ObjectiveConfig())]
 
         with pytest.raises(L.LossError, match="coreference"):
             compute_gradients(store, build, CONFIG)
@@ -132,6 +134,7 @@ class TestComputeGradients:
     def test_non_finite_gradient_names_its_tensor(self):
         store = init_parameters(CONFIG, VOCAB, seed=0)
 
+        @O.on_tape
         def build(enc, scoring, scaffold):
             # mixer_b starts at 0, where the square root's slope is infinite
             return (enc.mixer_b ** 0.5).sum() \
@@ -143,14 +146,96 @@ class TestComputeGradients:
             compute_gradients(store, build, CONFIG)
 
     def test_non_finite_loss_rejected(self):
-        from kcoref.autodiff import Tensor
         store = init_parameters(CONFIG, VOCAB, seed=0)
 
+        @O.on_tape
         def build(enc, scoring, scaffold):
-            return Tensor(float("inf"))
+            return O.Tensor(float("inf"))
 
         with pytest.raises(TrainingError, match="not finite"):
             compute_gradients(store, build, CONFIG)
+
+
+# The objectives the doc-step is pinned on: beta, then ObjectiveConfig fields.
+OBJECTIVES = {
+    "CL": ((1.0, 0.0, 0.0), {}),
+    "CL+RL strict": ((1.0, 0.8, 0.0), {"unlabeled_knowledge": "strict"}),
+    "CL+RL skip": ((1.0, 0.8, 0.0), {"unlabeled_knowledge": "skip"}),
+    "full": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"}),
+    "full, unlabeled spans": ((1.0, 0.7, 0.4),
+                              {"scaffold_lexicon": "coarse",
+                               "scaffold_include_unlabeled": True}),
+}
+
+
+class TestDocStepMatchesTheReferenceTape:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(doc=random_documents(), seed=st.integers(0, 2**16),
+           case=st.sampled_from(sorted(OBJECTIVES)))
+    def test_flat_gradient_matches_per_tensor_tape_gradients(self, doc, seed,
+                                                             case):
+        beta, fields = OBJECTIVES[case]
+        weights = L.LossWeights(alpha_c=1.0,
+                                alpha_k={"coarse": 0.5, "fine": 0.2},
+                                beta=beta)
+        objective = L.ObjectiveConfig(pair_budget=20, pair_seed=seed,
+                                      **fields)
+        classes = ("a", "b", "c")
+        if objective.scaffold_include_unlabeled:
+            classes += ("<none>",)
+        store = init_parameters(INDEX_CONFIG, build_vocab([doc]), classes,
+                                seed=seed)
+        store.tensors["scaffold.weights"] = np.random.default_rng(
+            seed).normal(size=(len(classes), INDEX_CONFIG.d_token))
+        outs = []
+
+        def build(enc, scoring, scaffold):
+            outs.append(L.document_objective(
+                doc, enc, scoring, scaffold, weights, INDEX_CONFIG, objective,
+                np.random.default_rng(seed)))
+            return outs
+
+        grads, value = compute_gradients(store, build, INDEX_CONFIG)
+        total, leaves = O.document_objective_tape(
+            doc, store, weights, INDEX_CONFIG, objective,
+            np.random.default_rng(seed))
+        total.backward()
+        assert len(outs[0].candidates) > INDEX_CONFIG.max_antecedents
+        assert value == pytest.approx(float(total.value), rel=1e-9)
+        for name, got in grads.items():
+            want = leaves[name].grad
+            if want is None:
+                want = np.zeros_like(got)
+            scale = max(np.abs(got).max(initial=0.0),
+                        np.abs(want).max(initial=0.0))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-9 * scale, name
+
+
+def test_doc_step_tape_is_one_node_over_the_flat_leaf(monkeypatch):
+    # The walk of the traced benchmark's `autodiff.tape_nodes` count.
+    roots = []
+    backward = ad.Tensor.backward
+
+    def recording(self):
+        roots.append(self)
+        return backward(self)
+
+    monkeypatch.setattr(ad.Tensor, "backward", recording)
+    docs, config, store, weights, objective = tiny_setup()
+    run_schedule(TrainingSchedule([Phase("c", 1, weights)]), {"c": docs},
+                 config, objective, store)
+    assert len(roots) == len(docs)
+    for root in roots:
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) == 2
+        (leaf,) = root._parents
+        assert leaf.value is store.buffer() and leaf.grad.shape == (
+            store.buffer().size,)
 
 
 class TestOptimizerStep:
@@ -406,9 +491,9 @@ class TestSchedule:
                                              doc_no])
 
                 def build(enc, scoring, scaffold, doc=doc, rng=rng):
-                    return L.document_objective(doc, enc, scoring, scaffold,
-                                                weights, config, objective,
-                                                rng).total
+                    return [L.document_objective(doc, enc, scoring, scaffold,
+                                                 weights, config, objective,
+                                                 rng)]
 
                 grads, _ = compute_gradients(
                     ParameterStore(dict(reference), store.vocab,
@@ -575,6 +660,7 @@ class TestGradientCheck:
     def test_quadratic_loss_is_exact(self):
         store = init_parameters(CONFIG, VOCAB, seed=6)
 
+        @O.on_tape
         def build(enc, scoring, scaffold):
             return (scoring.mention.w1 * scoring.mention.w1).sum() \
                 + (enc.embeddings * enc.embeddings).sum()
@@ -586,12 +672,12 @@ class TestGradientCheck:
     def test_corrupted_gradient_fails(self):
         # f(x) = x * const(copy of x): the tape differentiates only the live
         # factor (gradient x) while the true derivative of x^2 is 2x
-        from kcoref.autodiff import Tensor
         store = init_parameters(CONFIG, VOCAB, seed=6)
 
+        @O.on_tape
         def build(enc, scoring, scaffold):
             w = scoring.mention.w1
-            return (w * Tensor(w.value.copy())).sum()
+            return (w * O.Tensor(w.value.copy())).sum()
 
         report = gradient_check(store, build, CONFIG, threshold=1e-4)
         assert not report.passed
