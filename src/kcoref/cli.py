@@ -206,8 +206,8 @@ def cmd_gradcheck(args) -> int:
             np.random.default_rng([config.objective.pair_seed, i]))
             for i, doc in enumerate(docs)]
 
-    report = tr.gradient_check(store, build, config.model,
-                               epsilon=args.epsilon, threshold=args.threshold,
+    report = tr.gradient_check(store, build, epsilon=args.epsilon,
+                               threshold=args.threshold,
                                coords_per_tensor=args.coords, seed=config.seed)
     print(report.summary())
     if args.out:

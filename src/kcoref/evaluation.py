@@ -124,7 +124,7 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     """
     if len(doc) == 0:
         return {}
-    enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
+    enc, scoring, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
     starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
     layout = m.span_layout(starts, ends, config)

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as m
 from .corpus import (Document, SpanRef, bounds_keys, enumerate_candidate_spans,
                      span_bounds, span_keys)
@@ -582,8 +581,8 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
         g_v = g_dots @ v + g_dots.T @ v + np.divide(
             g_norms, norms, out=np.zeros_like(norms),
             where=norms > 0)[:, None] * v
-        g_full[:, columns] += ad.scatter_rows(rows, g_v,
-                                              (len(g_full), v.shape[1]))
+        g_full[:, columns] += m.scatter_rows(rows, g_v,
+                                             (len(g_full), v.shape[1]))
 
     return float(np.abs(gaps).sum() / float(len(gaps))), backward
 

@@ -21,7 +21,6 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 
-from . import autodiff as ad
 from .corpus import Document, SpanRef
 
 UNK_TOKEN = "<unk>"
@@ -67,6 +66,23 @@ class ModelConfig:
     @property
     def span_dim(self) -> int:
         return 3 * self.d_token + self.d_width
+
+
+def scatter_rows(index, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """An array of `shape` whose row r sums the rows of `values` at the
+    positions where `index` is r: the backward of gathering rows `index`.
+
+    One bincount over flat (row, column) positions adds them in input
+    order, as np.add.at would.
+    """
+    rows, width = shape[0], math.prod(shape[1:])
+    flat = np.asarray(index).reshape(-1)
+    if width != 1:
+        flat = (flat[:, None] * width
+                + np.arange(width, dtype=np.intp)).reshape(-1)
+    full = np.bincount(flat, weights=np.reshape(values, -1),
+                       minlength=rows * width)
+    return full.reshape(shape)
 
 
 @dataclass
@@ -171,8 +187,8 @@ def encode_tokens(doc: Document,
             for k in range(2 * radius + 1):
                 g_padded[k:k + n] += g_windows[:, k * d:(k + 1) * d]
             g_windows = g_padded[radius:radius + n]
-        grad.embeddings[...] = ad.scatter_rows(ids, g_windows,
-                                               enc.embeddings.shape)
+        grad.embeddings[...] = scatter_rows(ids, g_windows,
+                                            enc.embeddings.shape)
 
     return windows @ enc.mixer_w + enc.mixer_b, backward
 
@@ -283,9 +299,9 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
         g_slots = weights[:, :, None] * g_internal[:, None, :]
         g_slots[:, 0] += g[:, :d]
         g_slots[:, -1] += g[:, d:2 * d]
-        g_x = ad.scatter_rows(tokens, g_slots, x.shape)
+        g_x = scatter_rows(tokens, g_slots, x.shape)
         np.matmul(g_attention, x, out=grad.attention_w)
-        grad.width_embeddings[...] = ad.scatter_rows(
+        grad.width_embeddings[...] = scatter_rows(
             layout.buckets, g[:, 3 * d:], table.shape)
         return g_x + np.outer(g_attention, attention)
 

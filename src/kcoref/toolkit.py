@@ -59,7 +59,7 @@ def span_internals(doc: Document, spans: Sequence[SpanRef],
                    store: tr.ParameterStore,
                    config: m.ModelConfig) -> dict[SpanRef, np.ndarray]:
     """Attention-weighted internal vectors for the given spans."""
-    enc, _, _, _ = tr.bind_parameters(store, config, trainable=False)
+    enc, _, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
     keys = np.unique(span_keys(spans))
     reps, _ = m.build_span_representations(

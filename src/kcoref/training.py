@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from . import losses as L
 from . import model as m
 from .corpus import Document
@@ -82,14 +83,13 @@ class ParameterStore:
     """Named tensors plus the vocabulary and scaffold class list.
 
     The tensors live in one contiguous float64 buffer, in sorted name order,
-    and each entry of `tensors` is a view of it (arrays passed in are copied
-    into it), so one vectorized update covers every parameter. Entries may
-    still be replaced, added or deleted: the store re-packs its buffer from
-    the current entries before it next reads it (`buffer`, `gather`,
-    `copy`).
+    so one vectorized update covers every parameter. The layout is fixed
+    when the store is built: the arrays passed in are copied into the
+    buffer, and `tensors` is a read-only mapping of views of it. Parameters
+    change in place; a different set of tensors needs a new store.
     """
 
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
     vocab: tuple[str, ...]
     scaffold_classes: tuple[str, ...] = ()
     step: int = 0
@@ -98,36 +98,35 @@ class ParameterStore:
     def __post_init__(self):
         if self.vocab and self.vocab[0] != UNK_TOKEN:
             raise TrainingError(f"vocab must start with {UNK_TOKEN!r}")
+        for what, names in (("vocab tokens", self.vocab),
+                            ("scaffold classes", self.scaffold_classes)):
+            if len(set(names)) != len(names):
+                twice = sorted(n for n, k in Counter(names).items() if k > 1)
+                raise TrainingError(f"duplicate {what}: {twice}")
         self._vocab_index = {tok: i for i, tok in enumerate(self.vocab)}
-        self._pack()
+        arrays = {name: np.asarray(self.tensors[name], dtype=np.float64)
+                  for name in sorted(self.tensors)}
+        self._layout = tuple((name, a.shape) for name, a in arrays.items())
+        self._buffer = (np.concatenate(list(arrays.values()), axis=None)
+                        if arrays else np.zeros(0))
+        self.tensors = MappingProxyType(_views(self._buffer, self._layout))
+        self._groups = None
 
     @property
     def vocab_index(self) -> Mapping[str, int]:
         return self._vocab_index
 
-    def _pack(self) -> None:
-        arrays = {name: np.asarray(self.tensors[name], dtype=np.float64)
-                  for name in sorted(self.tensors)}
-        buffer = (np.concatenate(list(arrays.values()), axis=None)
-                  if arrays else np.zeros(0))
-        self._adopt(buffer, tuple((name, arr.shape)
-                                  for name, arr in arrays.items()))
-
-    def _adopt(self, buffer: np.ndarray, layout: Layout) -> None:
-        self._buffer, self._layout = buffer, layout
-        self._packed = _views(buffer, layout)
-        self.tensors.update(self._packed)
-
-    def _sync(self) -> None:
-        """Re-pack when an entry of `tensors` is no longer the buffer's view."""
-        tensors, packed = self.tensors, self._packed
-        if len(tensors) != len(packed) or any(
-                tensors.get(name) is not view for name, view in packed.items()):
-            self._pack()
+    @property
+    def groups(self) -> tuple[m.EncoderParams, m.ScoringParams,
+                              L.ScaffoldParams | None]:
+        """The tensors as the encoder, scorer and scaffold parameter groups
+        (`group_parameters`), built on first use and kept."""
+        if self._groups is None:
+            self._groups = group_parameters(self.tensors, self)
+        return self._groups
 
     def buffer(self) -> np.ndarray:
-        """The flat parameter buffer, holding the current entries."""
-        self._sync()
+        """The flat parameter buffer."""
         return self._buffer
 
     def gather(self, grads: Mapping[str, np.ndarray]) -> Gradients:
@@ -136,16 +135,15 @@ class ParameterStore:
         There must be a gradient for exactly the store's tensors, each of its
         tensor's shape. Gradients already in this layout pass as they are.
         """
-        self._sync()
         if isinstance(grads, Gradients) and grads.layout == self._layout:
             return grads
-        packed = self._packed
-        if grads.keys() != packed.keys():
-            missing = sorted(packed.keys() - grads.keys())
-            extra = sorted(grads.keys() - packed.keys())
+        tensors = self.tensors
+        if grads.keys() != tensors.keys():
+            missing = sorted(tensors.keys() - grads.keys())
+            extra = sorted(grads.keys() - tensors.keys())
             raise TrainingError(f"gradients do not match the parameters: "
                                 f"missing {missing}, unexpected {extra}")
-        parts = [grads[name] for name in packed]
+        parts = [grads[name] for name in tensors]
         for (name, shape), grad in zip(self._layout, parts):
             if grad.shape != shape:
                 raise TrainingError(f"gradient shape mismatch for {name}: "
@@ -154,10 +152,8 @@ class ParameterStore:
                          if parts else np.zeros(0), self._layout)
 
     def copy(self) -> "ParameterStore":
-        clone = ParameterStore({}, self.vocab, self.scaffold_classes,
-                               self.step, self.seed)
-        clone._adopt(self.buffer().copy(), self._layout)
-        return clone
+        return ParameterStore(self.tensors, self.vocab, self.scaffold_classes,
+                              self.step, self.seed)
 
     def save(self, path) -> None:
         path = Path(path)
@@ -180,31 +176,44 @@ class ParameterStore:
     def load(cls, path) -> "ParameterStore":
         path = Path(path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
+        magic, _, version = lines[0].partition(" v") if lines else ("", "", "")
+        if magic != CHECKPOINT_MAGIC:
             raise TrainingError(f"{path}: not a checkpoint file")
-        version = lines[0].split(" v")[-1]
-        if not version.isdigit() or int(version) != CHECKPOINT_VERSION:
+        if version != str(CHECKPOINT_VERSION):
             raise TrainingError(f"{path}: unsupported checkpoint version "
                                 f"{version!r}")
+        pos = 1
+
+        def header(label: str) -> int:
+            nonlocal pos
+            parts = lines[pos].split(" ")
+            if len(parts) != 2 or parts[0] != label or not parts[1].isdigit():
+                raise TrainingError(f"{path}: line {pos + 1} is "
+                                    f"{lines[pos]!r}, not '{label} <n>'")
+            pos += 1
+            return int(parts[1])
+
         try:
-            pos = 1
-            seed = int(lines[pos].split()[1]); pos += 1
-            step = int(lines[pos].split()[1]); pos += 1
-            n_vocab = int(lines[pos].split()[1]); pos += 1
+            seed, step = header("seed"), header("step")
+            n_vocab = header("vocab")
             vocab = tuple(lines[pos:pos + n_vocab]); pos += n_vocab
-            n_classes = int(lines[pos].split()[1]); pos += 1
+            n_classes = header("classes")
             classes = tuple(lines[pos:pos + n_classes]); pos += n_classes
             tensors: dict[str, np.ndarray] = {}
             while lines[pos] != "end":
-                header = lines[pos].split(); pos += 1
-                if len(header) < 3 or header[0] != "tensor":
+                fields = lines[pos].split(); pos += 1
+                if len(fields) < 3 or fields[0] != "tensor":
                     raise TrainingError(f"{path}: malformed tensor header "
-                                        f"{' '.join(header)!r}")
-                name, ndim = header[1], int(header[2])
+                                        f"{' '.join(fields)!r}")
+                name, ndim = fields[1], int(fields[2])
+                if len(fields) != 3 + ndim:
+                    raise TrainingError(f"{path}: tensor {name} lists "
+                                        f"{len(fields) - 3} dims for ndim "
+                                        f"{ndim}")
                 if name in tensors:
                     raise TrainingError(f"{path}: tensor {name} is listed "
                                         f"twice")
-                shape = tuple(int(d) for d in header[3:3 + ndim])
+                shape = tuple(int(d) for d in fields[3:])
                 values = np.array([float.fromhex(tok)
                                    for tok in lines[pos].split()]); pos += 1
                 if values.size != math.prod(shape):
@@ -221,6 +230,8 @@ class ParameterStore:
         except ValueError as exc:
             raise TrainingError(f"{path}: malformed checkpoint: {exc}") \
                 from None
+        if pos != len(lines) - 1:
+            raise TrainingError(f"{path}: text after the 'end' line")
         return cls(tensors, vocab, classes, step, seed)
 
 
@@ -327,22 +338,6 @@ def group_parameters(arrays: Mapping[str, np.ndarray], store: ParameterStore,
     return enc, scoring, scaffold
 
 
-def bind_parameters(store: ParameterStore, config: ModelConfig,
-                    trainable: bool = True,
-                    ) -> tuple[m.EncoderParams, m.ScoringParams,
-                               L.ScaffoldParams | None, ad.Tensor | None]:
-    """The store's tensors as views of its flat buffer, in parameter groups.
-
-    With trainable=True, also one gradient leaf over the whole buffer; with
-    trainable=False the leaf is None (inference and finite-difference
-    probing).
-    """
-    buffer = store.buffer()
-    leaf = ad.Tensor(buffer, requires_grad=True, name="parameters") \
-        if trainable else None
-    return (*group_parameters(store.tensors, store), leaf)
-
-
 # A loss builder returns the objectives whose totals sum to the loss: each
 # has a float `total` and `backward(g, enc, scoring, scaffold)`, which
 # writes g times the gradient of `total` into those groups of gradient
@@ -351,32 +346,25 @@ LossBuilder = Callable[[m.EncoderParams, m.ScoringParams,
                         L.ScaffoldParams | None], Sequence[L.DocumentLosses]]
 
 
-def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
-                      config: ModelConfig) -> tuple[Gradients, float]:
-    """Reverse-mode gradients of a scalar loss over every named tensor.
+def compute_gradients(store: ParameterStore,
+                      build_loss: LossBuilder) -> tuple[Gradients, float]:
+    """Gradients of a scalar loss over every named tensor.
 
-    The loss is one tape node over one leaf, the flat parameter buffer; its
-    backward runs each objective's closed-form backward into a fresh flat
-    array in the store's layout.
+    Each objective's closed-form backward writes into a fresh flat array in
+    the store's layout; the arrays add up in objective order.
     """
-    enc, scoring, scaffold, leaf = bind_parameters(store, config)
-    objectives = build_loss(enc, scoring, scaffold)
+    objectives = build_loss(*store.groups)
     value = sum(objective.total for objective in objectives)
     if not np.isfinite(value):
         raise TrainingError(f"loss is not finite: {value}")
-    layout = store._layout
-
-    def backward(g):
-        total = None
-        for objective in objectives:
-            flat = np.zeros(leaf.value.size)
-            objective.backward(g, *group_parameters(Gradients(flat, layout),
-                                                    store))
-            total = flat if total is None else total + flat
-        return (np.zeros(leaf.value.size) if total is None else total,)
-
-    ad.fused(value, (leaf,), backward).backward()
-    grads = Gradients(leaf.grad, layout)
+    size, layout = store._buffer.size, store._layout
+    total = None
+    for objective in objectives:
+        flat = np.zeros(size)
+        objective.backward(1.0, *group_parameters(Gradients(flat, layout),
+                                                  store))
+        total = flat if total is None else total + flat
+    grads = Gradients(np.zeros(size) if total is None else total, layout)
     if not np.isfinite(grads.flat).all():
         name = next(name for name, grad in grads.items()
                     if not np.isfinite(grad).all())
@@ -441,7 +429,6 @@ def optimizer_step(store: ParameterStore, grads: Mapping[str, np.ndarray],
     in the same order, so the result is bit-identical to it.
     """
     grad = store.gather(grads).flat
-    # gather has re-packed the buffer if an entry was replaced
     params = store._buffer
     state.bind(store._layout, rates)
     state.t += 1
@@ -564,7 +551,7 @@ def run_schedule(schedule: TrainingSchedule,
                     return result
 
                 try:
-                    grads, total = compute_gradients(store, build, config)
+                    grads, total = compute_gradients(store, build)
                 except (TrainingError, L.LossError) as exc:
                     if checkpoint_dir is not None:
                         path = Path(checkpoint_dir) / "last_good.ckpt"
@@ -638,7 +625,7 @@ class GradCheckReport:
 
 
 def gradient_check(store: ParameterStore, build_loss: LossBuilder,
-                   config: ModelConfig, epsilon: float = 1e-5,
+                   epsilon: float = 1e-5,
                    threshold: float = 1e-4, coords_per_tensor: int = 20,
                    seed: int = 0) -> GradCheckReport:
     """Compare reverse-mode gradients against central finite differences.
@@ -646,7 +633,7 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
     Probes at least `coords_per_tensor` seeded coordinates per tensor (all of
     them for small tensors).
     """
-    grads, _ = compute_gradients(store, build_loss, config)
+    grads, _ = compute_gradients(store, build_loss)
     rng = np.random.default_rng(seed)
     probe = store.copy()
     per_tensor: dict[str, float] = {}
@@ -665,9 +652,9 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
         for c in coords:
             original = flat[c]
             flat[c] = original + epsilon
-            _, hi = _loss_only(probe, build_loss, config)
+            hi = _loss_only(probe, build_loss)
             flat[c] = original - epsilon
-            _, lo = _loss_only(probe, build_loss, config)
+            lo = _loss_only(probe, build_loss)
             flat[c] = original
             numeric = (hi - lo) / (2 * epsilon)
             analytic = grads[name].reshape(-1)[c]
@@ -678,8 +665,5 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
     return GradCheckReport(per_tensor, threshold, epsilon)
 
 
-def _loss_only(store: ParameterStore, build_loss: LossBuilder,
-               config: ModelConfig) -> tuple[None, float]:
-    enc, scoring, scaffold, _ = bind_parameters(store, config, trainable=False)
-    return None, sum(objective.total
-                     for objective in build_loss(enc, scoring, scaffold))
+def _loss_only(store: ParameterStore, build_loss: LossBuilder) -> float:
+    return sum(objective.total for objective in build_loss(*store.groups))

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from kcoref import autodiff as ad
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.corpus import SpanRef
@@ -25,8 +24,8 @@ from kcoref.losses import LossError, target_distance
 
 
 # ---------------------------------------------------------------------------
-# The reference tape: autodiff.Tensor plus the general op set, one tape node
-# per op. The package's training step is one closed-form node; these ops
+# The reference tape: a reverse-mode tensor with the general op set, one tape
+# node per op. The package's training step runs in closed form; these ops
 # compose its references.
 
 
@@ -43,10 +42,55 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor(ad.Tensor):
-    """A tape tensor with the general differentiable op set."""
+class Tensor:
+    """A numpy array plus the bookkeeping needed for backpropagation, with
+    the general differentiable op set."""
 
-    __slots__ = ()
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name")
+
+    def __init__(self, value, requires_grad=False, _parents=(), _backward=None,
+                 name=None):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = _parents
+        self._backward = _backward
+        self.name = name
+
+    def backward(self) -> None:
+        """Backpropagate from this (scalar) tensor through the tape."""
+        if self.value.ndim != 0:
+            raise ValueError("backward() requires a scalar tensor")
+        topo = []
+        visited = set()
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in visited:
+                    stack.append((parent, False))
+        self.grad = np.ones_like(self.value)
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        # A first gradient is adopted, not copied: no backward writes into
+        # an array it has passed on.
+        if np.shape(grad) != self.value.shape:
+            raise ValueError(f"gradient of shape {np.shape(grad)} for a tensor "
+                             f"of shape {self.value.shape}")
+        if self.grad is None:
+            self.grad = np.asarray(grad, dtype=np.float64)
+        else:
+            self.grad = self.grad + grad
 
     # -- construction helpers ------------------------------------------------
 
@@ -232,7 +276,7 @@ class Tensor(ad.Tensor):
 
         def backward(g):
             # A zero output passes no gradient, as a zero norm does in the
-            # fused nodes; 0.5 / 0 would make it NaN even where g is 0.
+            # closed-form stages; 0.5 / 0 would make it NaN even where g is 0.
             self._accumulate(np.divide(g * 0.5, out_value,
                                        out=np.zeros(np.shape(out_value)),
                                        where=out_value != 0))
@@ -335,7 +379,7 @@ class Tensor(ad.Tensor):
         shape = self.value.shape
 
         def backward(g):
-            self._accumulate(ad.scatter_rows(idx, g, shape))
+            self._accumulate(m.scatter_rows(idx, g, shape))
 
         return Tensor(out_value, True, (self,), backward)
 
@@ -355,8 +399,8 @@ class Tensor(ad.Tensor):
         return Tensor(out_value, True, (self,), backward)
 
 
-def as_tensor(value) -> ad.Tensor:
-    return value if isinstance(value, ad.Tensor) else Tensor(value)
+def as_tensor(value) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -579,7 +623,7 @@ def pair_set_reference(doc, extra_spans, budget: int, rng) -> list:
 
 # ---------------------------------------------------------------------------
 # Span representations and pair scores, one span or pair at a time, on the
-# autodiff tape.
+# reference tape.
 
 
 class OrderingError(ValueError):
@@ -764,7 +808,7 @@ def coref_loss_with_misses(doc, candidates, distributions,
 
 
 # ---------------------------------------------------------------------------
-# The fused tape nodes, composed from small tape ops: their gradient
+# The closed-form stages, composed from small tape ops: their gradient
 # references.
 
 
@@ -1010,7 +1054,7 @@ def predict_antecedents_reference(doc, store, config):
     """Per-candidate decode, scoring one pair per call."""
     if len(doc) == 0:
         return {}
-    enc, scoring, _, _ = tr.bind_parameters(store, config, trainable=False)
+    enc, scoring, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
     layout = span_layout_reference(
         enumerate_candidate_spans_reference(doc, config.max_span_width),

@@ -170,7 +170,7 @@ def test_criterion_1_gradient_suite():
         weights = LossWeights(alpha_c=1.0,
                               alpha_k={"coarse": 0.5, "fine": 0.2}, beta=beta)
         store = tr.init_parameters(config, vocab, classes, seed=1)
-        store.tensors["scaffold.weights"] = \
+        store.tensors["scaffold.weights"][...] = \
             np.random.default_rng(2).normal(size=(len(classes),
                                                   config.d_token)) * 0.3
 
@@ -180,7 +180,7 @@ def test_criterion_1_gradient_suite():
                 np.random.default_rng([objective.pair_seed, i]))
                 for i, doc in enumerate(docs)]
 
-        check = tr.gradient_check(store, build, config, epsilon=1e-5,
+        check = tr.gradient_check(store, build, epsilon=1e-5,
                                   threshold=1e-4, coords_per_tensor=20,
                                   seed=4)
         worst[label] = check.max_error

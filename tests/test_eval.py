@@ -105,7 +105,7 @@ class TestBatchedDecodeMatchesReference:
     def test_random_documents_and_stores(self, doc, seed, bias):
         store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
                                    seed=seed)
-        store.tensors["scorer.antecedent.b2"] = np.array(bias)
+        store.tensors["scorer.antecedent.b2"][...] = bias
         got = predict_antecedents(doc, store, INDEX_CONFIG)
         assert len(got) > INDEX_CONFIG.max_antecedents
         assert got == predict_antecedents_reference(doc, store, INDEX_CONFIG)
@@ -123,7 +123,7 @@ class TestBatchedDecodeMatchesReference:
         # zero weights and antecedent bias 1: every pair scores exactly 1.0
         store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
                                    zero_init=True)
-        store.tensors["scorer.antecedent.b2"] = np.array(1.0)
+        store.tensors["scorer.antecedent.b2"][...] = 1.0
         got = predict_antecedents(doc, store, INDEX_CONFIG)
         assert got == predict_antecedents_reference(doc, store, INDEX_CONFIG)
         spans = list(got)
@@ -148,7 +148,7 @@ class TestBatchedDecodeMatchesReference:
 
     def test_nan_score_rejected(self):
         docs, config, store, _, _ = tiny_setup()
-        store.tensors["scorer.antecedent.b2"] = np.array(np.nan)
+        store.tensors["scorer.antecedent.b2"][...] = np.nan
         with pytest.raises(ValueError, match="NaN antecedent score"):
             predict_antecedents(docs[0], store, config)
 
@@ -230,7 +230,7 @@ class TestSpanRefBudget:
     def test_doc_step_on_an_indexed_document_builds_none(self, built):
         docs, config, store, weights, objective = tiny_setup(
             beta=(1.0, 0.5, 0.5))
-        enc, scoring, scaffold, _ = tr.bind_parameters(store, config)
+        enc, scoring, scaffold = store.groups
         for doc in docs:
             L.document_objective(doc, enc, scoring, scaffold, weights,
                                  config, objective)
@@ -243,7 +243,7 @@ class TestSpanRefBudget:
                                                  weights, config, objective))
                 return outs
 
-            tr.compute_gradients(store, build, config)
+            tr.compute_gradients(store, build)
             assert outs[0].pair_set.count and len(outs[0].candidates)
         assert built == []
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcoref import autodiff as ad
 from kcoref import losses as L
 from kcoref import model as m
 from kcoref.corpus import SpanRef
@@ -64,15 +63,9 @@ def assert_node_matches(stage, tape, values, upstream=None):
         assert_close(got, want, scale)
 
 
-def assert_constant(out):
-    assert not out.requires_grad
-    assert out._parents == () and out._backward is None
-
-
 def assert_plain(value):
     """An inference pass builds no tape: a stage's value is plain numpy."""
     assert isinstance(value, (float, np.ndarray))
-    assert not isinstance(value, ad.Tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +379,12 @@ class TestMeanConceptNll:
 
 
 # ---------------------------------------------------------------------------
-# The fused-node helper
-
-
-def test_fused_routes_each_gradient_to_its_parent():
-    a, b = ad.Tensor(np.ones(3), requires_grad=True), ad.Tensor(np.ones(2))
-    out = ad.fused(np.array(2.0), (a, b),
-                   lambda g: (g * np.arange(3.0), np.full(2, 7.0)))
-    out.backward()
-    assert np.array_equal(a.grad, [0.0, 1.0, 2.0])
-    assert b.grad is None
-
-
-def test_fused_without_gradient_parents_is_a_constant():
-    calls = []
-    out = ad.fused(np.ones(2), (ad.Tensor(np.ones(2)),), calls.append)
-    assert_constant(out)
-    assert calls == []
+# The reference tape
 
 
 def test_misshapen_gradient_is_rejected():
-    a = ad.Tensor(np.ones(16), requires_grad=True)
-    out = ad.fused(np.array(1.0), (a,), lambda g: (np.ones((1, 16)),))
+    a = Tensor.param(np.ones(16))
+    out = Tensor(np.array(1.0), True, (a,),
+                 lambda g: a._accumulate(np.ones((1, 16))))
     with pytest.raises(ValueError, match=r"\(1, 16\).*\(16,\)"):
         out.backward()

@@ -369,8 +369,7 @@ class TestDocumentObjective:
     def test_cl_graph_matches_reference_loss(self):
         docs, config, store, weights, objective = tiny_setup(
             beta=(1.0, 0.0, 0.0))
-        enc, scoring, scaffold, _ = tr.bind_parameters(store, config,
-                                                       trainable=False)
+        enc, scoring, scaffold = store.groups
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective)
         dists = []
@@ -393,8 +392,7 @@ class TestDocumentObjective:
     def test_rl_graph_matches_reference_loss(self):
         docs, config, store, weights, objective = tiny_setup(
             beta=(0.0, 1.0, 0.0))
-        enc, scoring, scaffold, _ = tr.bind_parameters(store, config,
-                                                       trainable=False)
+        enc, scoring, scaffold = store.groups
         rng = np.random.default_rng(7)
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective, rng)
@@ -407,9 +405,8 @@ class TestDocumentObjective:
         docs, config, store, weights, objective = tiny_setup(
             beta=(0.0, 0.0, 1.0))
         rng = np.random.default_rng(0)
-        store.tensors["scaffold.weights"] = rng.normal(size=(2, 5))
-        enc, scoring, scaffold, _ = tr.bind_parameters(store, config,
-                                                       trainable=False)
+        store.tensors["scaffold.weights"][...] = rng.normal(size=(2, 5))
+        enc, scoring, scaffold = store.groups
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective)
         labels = docs[0].concept_annotations["i2b2"]
@@ -422,8 +419,7 @@ class TestDocumentObjective:
     def test_empty_document_contributes_zero(self):
         from kcoref.corpus import Document
         docs, config, store, weights, objective = tiny_setup()
-        enc, scoring, scaffold, _ = tr.bind_parameters(store, config,
-                                                       trainable=False)
+        enc, scoring, scaffold = store.groups
         out = L.document_objective(Document("empty", ()), enc, scoring,
                                    scaffold, weights, config, objective)
         assert out.total == 0.0
@@ -431,10 +427,9 @@ class TestDocumentObjective:
 
     def test_components_nonnegative(self):
         docs, config, store, weights, objective = tiny_setup()
-        store.tensors["scaffold.weights"] = \
+        store.tensors["scaffold.weights"][...] = \
             np.random.default_rng(1).normal(size=(2, 5))
-        enc, scoring, scaffold, _ = tr.bind_parameters(store, config,
-                                                       trainable=False)
+        enc, scoring, scaffold = store.groups
         for doc in docs:
             out = L.document_objective(doc, enc, scoring, scaffold, weights,
                                        config, objective,
@@ -447,7 +442,7 @@ class TestDocumentObjective:
 def grad_check_loss(beta, seed=0, loss_seed=5):
     docs, config, store, weights, objective = tiny_setup(seed=seed, beta=beta)
     rng0 = np.random.default_rng(1)
-    store.tensors["scaffold.weights"] = rng0.normal(size=(2, 5)) * 0.3
+    store.tensors["scaffold.weights"][...] = rng0.normal(size=(2, 5)) * 0.3
 
     def build(enc, scoring, scaffold):
         return [document_objective(doc, enc, scoring, scaffold, weights,
@@ -463,8 +458,8 @@ class TestLossGradients:
                                       (0.0, 0.0, 1.0), (1.0, 0.7, 0.4)])
     def test_each_component_passes_fd_check(self, beta):
         store, build, config = grad_check_loss(beta)
-        report = tr.gradient_check(store, build, config,
-                                   coords_per_tensor=12, seed=2)
+        report = tr.gradient_check(store, build, coords_per_tensor=12,
+                                   seed=2)
         assert report.passed, report.summary()
 
 
@@ -524,8 +519,7 @@ class TestIndexedPathsMatchReferences:
     def test_cl_loss_and_misses(self, doc, seed):
         store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
                                    seed=seed)
-        enc, scoring, _, _ = tr.bind_parameters(store, INDEX_CONFIG,
-                                                trainable=False)
+        enc, scoring, _ = store.groups
         out = document_objective(doc, enc, scoring, None,
                                  LossWeights(beta=(1.0, 0.0, 0.0)),
                                  INDEX_CONFIG, ObjectiveConfig())

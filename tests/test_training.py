@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from kcoref import autodiff as ad
 from kcoref import losses as L
 from kcoref import training as tr
 from kcoref.model import ModelConfig
@@ -59,7 +58,7 @@ class TestInit:
         store = init_parameters(CONFIG, vocab, zero_init=True)
         from kcoref import model as m
         from kcoref.corpus import enumerate_candidate_spans
-        enc, scoring, _, _ = tr.bind_parameters(store, CONFIG, trainable=False)
+        enc, scoring, _ = store.groups
         vecs, _ = m.encode_tokens(docs[0], enc)
         layout = m.span_layout(*enumerate_candidate_spans(
             docs[0], CONFIG.max_span_width), CONFIG)
@@ -71,6 +70,14 @@ class TestInit:
         with pytest.raises(TrainingError):
             ParameterStore({}, ("a", "b"))
 
+    def test_duplicate_vocab_tokens_or_classes_rejected(self):
+        with pytest.raises(TrainingError,
+                           match=r"duplicate vocab tokens: \['a'\]"):
+            ParameterStore({}, ("<unk>", "a", "b", "a"))
+        with pytest.raises(TrainingError,
+                           match=r"duplicate scaffold classes: \['x'\]"):
+            ParameterStore({}, ("<unk>",), ("x", "y", "x"))
+
 
 class TestComputeGradients:
     def test_unused_tensor_gets_zero_gradient(self):
@@ -81,7 +88,7 @@ class TestComputeGradients:
             return [L.document_objective(docs[0], enc, scoring, scaffold,
                                          weights, config, objective)]
 
-        grads, _ = compute_gradients(store, build, config)
+        grads, _ = compute_gradients(store, build)
         assert not grads["scaffold.weights"].any()
 
     def test_linear_loss_gradient_equals_features(self):
@@ -108,7 +115,7 @@ class TestComputeGradients:
                    "scorer.antecedent.w1": scoring.antecedent.w1}
             return out
 
-        grads, _ = compute_gradients(store, build, CONFIG)
+        grads, _ = compute_gradients(store, build)
         for name in ("encoder.embeddings", "scorer.mention.w1"):
             np.testing.assert_allclose(grads[name], features[name])
         # one flat vector in the store's buffer order, named by views
@@ -129,7 +136,7 @@ class TestComputeGradients:
                                          L.ObjectiveConfig())]
 
         with pytest.raises(L.LossError, match="coreference"):
-            compute_gradients(store, build, CONFIG)
+            compute_gradients(store, build)
 
     def test_non_finite_gradient_names_its_tensor(self):
         store = init_parameters(CONFIG, VOCAB, seed=0)
@@ -143,7 +150,7 @@ class TestComputeGradients:
         with np.errstate(divide="ignore"), \
                 pytest.raises(TrainingError, match="non-finite gradient in "
                                                    "tensor encoder.mixer_b"):
-            compute_gradients(store, build, CONFIG)
+            compute_gradients(store, build)
 
     def test_non_finite_loss_rejected(self):
         store = init_parameters(CONFIG, VOCAB, seed=0)
@@ -153,7 +160,7 @@ class TestComputeGradients:
             return O.Tensor(float("inf"))
 
         with pytest.raises(TrainingError, match="not finite"):
-            compute_gradients(store, build, CONFIG)
+            compute_gradients(store, build)
 
 
 # The objectives the doc-step is pinned on: beta, then ObjectiveConfig fields.
@@ -185,7 +192,7 @@ class TestDocStepMatchesTheReferenceTape:
             classes += ("<none>",)
         store = init_parameters(INDEX_CONFIG, build_vocab([doc]), classes,
                                 seed=seed)
-        store.tensors["scaffold.weights"] = np.random.default_rng(
+        store.tensors["scaffold.weights"][...] = np.random.default_rng(
             seed).normal(size=(len(classes), INDEX_CONFIG.d_token))
         outs = []
 
@@ -195,7 +202,7 @@ class TestDocStepMatchesTheReferenceTape:
                 np.random.default_rng(seed)))
             return outs
 
-        grads, value = compute_gradients(store, build, INDEX_CONFIG)
+        grads, value = compute_gradients(store, build)
         total, leaves = O.document_objective_tape(
             doc, store, weights, INDEX_CONFIG, objective,
             np.random.default_rng(seed))
@@ -209,33 +216,6 @@ class TestDocStepMatchesTheReferenceTape:
             scale = max(np.abs(got).max(initial=0.0),
                         np.abs(want).max(initial=0.0))
             assert np.abs(got - want).max(initial=0.0) <= 1e-9 * scale, name
-
-
-def test_doc_step_tape_is_one_node_over_the_flat_leaf(monkeypatch):
-    # The walk of the traced benchmark's `autodiff.tape_nodes` count.
-    roots = []
-    backward = ad.Tensor.backward
-
-    def recording(self):
-        roots.append(self)
-        return backward(self)
-
-    monkeypatch.setattr(ad.Tensor, "backward", recording)
-    docs, config, store, weights, objective = tiny_setup()
-    run_schedule(TrainingSchedule([Phase("c", 1, weights)]), {"c": docs},
-                 config, objective, store)
-    assert len(roots) == len(docs)
-    for root in roots:
-        seen, stack = {id(root)}, [root]
-        while stack:
-            for parent in stack.pop()._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-        assert len(seen) == 2
-        (leaf,) = root._parents
-        assert leaf.value is store.buffer() and leaf.grad.shape == (
-            store.buffer().size,)
 
 
 class TestOptimizerStep:
@@ -294,46 +274,36 @@ class TestOptimizerStep:
         for name in store.tensors:
             assert np.array_equal(store.tensors[name], before.tensors[name])
 
-    def test_gathered_gradients_are_checked_against_the_current_tensors(self):
-        store = init_parameters(CONFIG, VOCAB, seed=3)
-        grads = store.gather({k: np.ones_like(v)
-                              for k, v in store.tensors.items()})
-        store.tensors["scorer.extra"] = np.zeros(2)
-        with pytest.raises(TrainingError,
-                           match="missing \\['scorer.extra'\\]"):
-            optimizer_step(store, grads, LearningRates(0.1, 0.1), AdamState())
+    def test_tensors_are_read_only_copies_of_the_callers_arrays(self):
+        given = {"scorer.x": np.ones(2), "encoder.e": np.zeros((1, 3))}
+        arrays = dict(given)
+        store = ParameterStore(arrays, ("<unk>",))
+        with pytest.raises(TypeError):
+            store.tensors["scorer.x"] = np.zeros(2)
+        with pytest.raises(TypeError):
+            del store.tensors["scorer.x"]
+        assert sorted(store.tensors) == ["encoder.e", "scorer.x"]
+        assert arrays.keys() == given.keys()
+        assert all(arrays[name] is given[name] for name in given)
+        for name, view in store.tensors.items():
+            assert np.shares_memory(view, store.buffer())
+            assert not np.shares_memory(view, given[name])
 
-    def test_replaced_entry_is_copied_and_stepped(self):
-        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
-        weights = np.full((2, CONFIG.d_token), 0.5)
-        store.tensors["scaffold.weights"] = weights
-        clone = store.copy()
-        assert np.array_equal(clone.tensors["scaffold.weights"], weights)
-        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
-        optimizer_step(store, grads, LearningRates(0.0, 0.1), AdamState())
-        stepped = store.tensors["scaffold.weights"]
-        np.testing.assert_allclose(stepped, 0.4, rtol=1e-6)
-        assert np.shares_memory(stepped, store.buffer())
-        assert np.array_equal(clone.tensors["scaffold.weights"], weights)
-        assert np.array_equal(weights, np.full((2, CONFIG.d_token), 0.5))
-
-    def test_added_and_deleted_entries_follow_the_dict(self):
+    def test_a_new_tensor_set_needs_a_new_store_and_fresh_moments(self):
         store = init_parameters(CONFIG, VOCAB, seed=3)
-        del store.tensors["scorer.mention.b2"]
-        store.tensors["scorer.extra"] = np.zeros(2)
         grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
         state = AdamState()
         optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
-        np.testing.assert_allclose(store.tensors["scorer.extra"], -0.1,
-                                   rtol=1e-6)
-        assert "scorer.mention.b2" not in store.copy().tensors
-        assert store.buffer().size == sum(v.size
-                                          for v in store.tensors.values())
-        # the moments belong to this tensor set
-        store.tensors["scorer.more"] = np.zeros(1)
-        grads["scorer.more"] = np.ones(1)
+        with pytest.raises(TypeError):
+            store.tensors["scorer.extra"] = np.zeros(2)
+        grown = ParameterStore({**store.tensors, "scorer.extra": np.zeros(2)},
+                               store.vocab)
+        grads["scorer.extra"] = np.ones(2)
         with pytest.raises(TrainingError, match="changed after the first"):
-            optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+            optimizer_step(grown, grads, LearningRates(0.1, 0.1), state)
+        optimizer_step(grown, grads, LearningRates(0.1, 0.1), AdamState())
+        np.testing.assert_allclose(grown.tensors["scorer.extra"], -0.1,
+                                   rtol=1e-6)
 
     def test_copy_is_independent(self):
         store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=5)
@@ -496,8 +466,8 @@ class TestSchedule:
                                                  rng)]
 
                 grads, _ = compute_gradients(
-                    ParameterStore(dict(reference), store.vocab,
-                                   store.scaffold_classes), build, config)
+                    ParameterStore(reference, store.vocab,
+                                   store.scaffold_classes), build)
                 pending = grads if pending is None else \
                     {n: pending[n] + grads[n] for n in grads}
                 if doc_no % 2 == 1 or doc_no == len(docs) - 1:
@@ -532,6 +502,24 @@ class TestSchedule:
                      {"c": docs}, config, objective, store.copy())
         assert seeds == [[objective.pair_seed, 1, 1, 0],
                          [objective.pair_seed, 1, 1, 1]]
+
+    def test_an_epoch_groups_the_store_once_and_each_gradient_once(
+            self, monkeypatch):
+        calls = []
+        group_parameters = tr.group_parameters
+
+        def counting(arrays, store):
+            calls.append("gradient" if isinstance(arrays, Gradients)
+                         else "store" if arrays is store.tensors else "other")
+            return group_parameters(arrays, store)
+
+        monkeypatch.setattr(tr, "group_parameters", counting)
+        docs, config, store, weights, objective = tiny_setup()
+        assert len(docs) > 1
+        run_schedule(TrainingSchedule([Phase("c", 1, weights)]), {"c": docs},
+                     config, objective, store)
+        assert calls.count("store") <= 1 and "other" not in calls
+        assert calls.count("gradient") == len(docs)
 
     def test_unknown_corpus_rejected(self):
         docs, config, store, weights, objective = tiny_setup()
@@ -625,6 +613,47 @@ class TestCheckpoint:
                                                 "version 'X'"):
             ParameterStore.load(path)
 
+    @pytest.mark.parametrize("edit, problem", [
+        pytest.param(lambda lines: ["kcoref-checkpointXYZ v1", *lines[1:]],
+                     "not a checkpoint file", id="magic-with-suffix"),
+        pytest.param(lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+                     "line 2 is 'step 0', not 'seed <n>'",
+                     id="seed-and-step-swapped"),
+        pytest.param(lambda lines: [lines[0], "banana 3", *lines[2:]],
+                     "line 2 is 'banana 3', not 'seed <n>'",
+                     id="header-mislabelled"),
+        pytest.param(lambda lines: replaced(lines, "vocab 4", "vocab: 4"),
+                     "line 4 is 'vocab: 4', not 'vocab <n>'",
+                     id="header-label-with-colon"),
+        pytest.param(lambda lines: replaced(lines, "classes 2", "classes 2 x"),
+                     "'classes 2 x', not 'classes <n>'",
+                     id="header-extra-token"),
+        pytest.param(lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
+                                            "tensor encoder.mixer_b 2 5"),
+                     "tensor encoder.mixer_b lists 1 dims for ndim 2",
+                     id="tensor-dim-missing"),
+        pytest.param(lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
+                                            "tensor encoder.mixer_b 1 5 1"),
+                     "tensor encoder.mixer_b lists 2 dims for ndim 1",
+                     id="tensor-dim-extra"),
+        pytest.param(lambda lines: [*lines, "end"],
+                     "text after the 'end' line", id="line-after-end"),
+        pytest.param(lambda lines: replaced(lines, "b", "a"),
+                     r"duplicate vocab tokens: \['a'\]",
+                     id="duplicate-vocab-token"),
+        pytest.param(lambda lines: replaced(lines, "y", "x"),
+                     r"duplicate scaffold classes: \['x'\]",
+                     id="duplicate-scaffold-class"),
+    ])
+    def test_rejects_a_malformed_file(self, tmp_path, edit, problem):
+        lines = self.saved_lines(tmp_path)
+        edited = edit(lines)
+        assert edited != lines
+        path = tmp_path / "malformed.ckpt"
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(TrainingError, match=problem):
+            ParameterStore.load(path)
+
     def test_rejects_a_tensor_listed_twice(self, tmp_path):
         lines = self.saved_lines(tmp_path)
         row = next(i for i, line in enumerate(lines)
@@ -639,21 +668,26 @@ class TestCheckpoint:
     def test_missing_tensor_fails_the_config_check(self, tmp_path):
         store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
         tr.check_parameters(store, CONFIG)
-        del store.tensors["scorer.mention.w2"]
-        store.save(tmp_path / "partial.ckpt")
+        partial = ParameterStore({name: tensor for name, tensor
+                                  in store.tensors.items()
+                                  if name != "scorer.mention.w2"},
+                                 store.vocab, store.scaffold_classes)
+        partial.save(tmp_path / "partial.ckpt")
         loaded = ParameterStore.load(tmp_path / "partial.ckpt")
         with pytest.raises(TrainingError, match="scorer.mention.w2"):
             tr.check_parameters(loaded, CONFIG)
 
     def test_extra_or_misshapen_tensor_fails_the_config_check(self):
         store = init_parameters(CONFIG, VOCAB, seed=3)
-        store.tensors["scorer.extra"] = np.zeros(2)
+        extra = ParameterStore({**store.tensors, "scorer.extra": np.zeros(2)},
+                               store.vocab)
         with pytest.raises(TrainingError, match="scorer.extra"):
-            tr.check_parameters(store, CONFIG)
-        del store.tensors["scorer.extra"]
-        store.tensors["encoder.mixer_b"] = np.zeros(CONFIG.d_token + 1)
+            tr.check_parameters(extra, CONFIG)
+        misshapen = ParameterStore(
+            {**store.tensors, "encoder.mixer_b": np.zeros(CONFIG.d_token + 1)},
+            store.vocab)
         with pytest.raises(TrainingError, match="encoder.mixer_b"):
-            tr.check_parameters(store, CONFIG)
+            tr.check_parameters(misshapen, CONFIG)
 
 
 class TestGradientCheck:
@@ -665,7 +699,7 @@ class TestGradientCheck:
             return (scoring.mention.w1 * scoring.mention.w1).sum() \
                 + (enc.embeddings * enc.embeddings).sum()
 
-        report = gradient_check(store, build, CONFIG, threshold=1e-7)
+        report = gradient_check(store, build, threshold=1e-7)
         assert report.passed
         assert report.max_error < 1e-8
 
@@ -679,13 +713,13 @@ class TestGradientCheck:
             w = scoring.mention.w1
             return (w * O.Tensor(w.value.copy())).sum()
 
-        report = gradient_check(store, build, CONFIG, threshold=1e-4)
+        report = gradient_check(store, build, threshold=1e-4)
         assert not report.passed
 
     def test_summary_mentions_every_tensor(self):
         from test_losses import grad_check_loss
         store, build, config = grad_check_loss((1.0, 0.5, 0.5))
-        report = gradient_check(store, build, config, coords_per_tensor=4)
+        report = gradient_check(store, build, coords_per_tensor=4)
         text = report.summary()
         for name in store.tensors:
             assert name in text
@@ -702,6 +736,12 @@ def test_phase_rejects_bad_learning_rates(field, rate):
 def test_phase_allows_zero_learning_rates():
     phase = Phase("c", 1, L.LossWeights(), base_lr=0.0, task_lr=0.0)
     assert (phase.base_lr, phase.task_lr) == (0.0, 0.0)
+
+
+def replaced(lines, old, new):
+    """`lines` with the one line equal to `old` replaced by `new`."""
+    assert lines.count(old) == 1
+    return [new if line == old else line for line in lines]
 
 
 def test_build_vocab_sorted_and_unk_first():
