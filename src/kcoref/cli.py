@@ -202,8 +202,7 @@ def cmd_gradcheck(args) -> int:
     def build(enc, scoring, scaffold):
         return [document_objective(
             doc, enc, scoring, scaffold, weights, config.model,
-            config.objective,
-            np.random.default_rng([config.objective.pair_seed, i]))
+            config.objective, [config.objective.pair_seed, i])
             for i, doc in enumerate(docs)]
 
     report = tr.gradient_check(store, build, epsilon=args.epsilon,

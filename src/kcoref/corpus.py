@@ -153,11 +153,22 @@ class Document:
         return Document(self.doc_id, self.tokens, self.gold_clusters, merged)
 
 
+_UNLABELED = object()
+
+
+def chain_concepts(chain: Iterable[SpanRef],
+                   labels: Mapping[SpanRef, str]) -> set[str]:
+    """The concept labels of a chain's labeled spans, one lookup per span."""
+    found = {labels.get(span, _UNLABELED) for span in chain}
+    found.discard(_UNLABELED)
+    return found
+
+
 def check_cluster_concept_consistency(doc: Document, lexicon_id: str) -> None:
     """Every labeled span in a gold cluster must carry the same label."""
     labels = doc.concept_annotations.get(lexicon_id, {})
     for cluster in doc.gold_clusters:
-        found = {labels[s] for s in cluster if s in labels}
+        found = chain_concepts(cluster, labels)
         if len(found) > 1:
             raise CorpusError(
                 f"{doc.doc_id}: cluster mixes {lexicon_id} concepts "
@@ -185,9 +196,10 @@ def _parse_record(record: dict, line_no: int) -> Document:
 
 
 def load_corpus(path) -> list[Document]:
-    """Read one Document per line, preserving order."""
+    """Read one Document per line, preserving order; ids must be unique."""
     path = Path(path)
     docs: list[Document] = []
+    first_line: dict[str, int] = {}
     with path.open(encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -198,9 +210,14 @@ def load_corpus(path) -> list[Document]:
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {line_no}: {exc.msg}") from None
             try:
-                docs.append(_parse_record(record, line_no))
+                doc = _parse_record(record, line_no)
             except CorpusError as exc:
                 raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+            first = first_line.setdefault(doc.doc_id, line_no)
+            if first != line_no:
+                raise CorpusError(f"{path}: line {line_no}: doc_id "
+                                  f"{doc.doc_id!r} repeats line {first}")
+            docs.append(doc)
     return docs
 
 
@@ -248,9 +265,9 @@ def concept_chain_stats(docs: list[Document],
     for doc in docs:
         labels = doc.concept_annotations.get(lexicon_id, {})
         for cluster in doc.gold_clusters:
-            found = sorted({labels[s] for s in cluster if s in labels})
+            found = chain_concepts(cluster, labels)
             if len(found) == 1:
-                sizes.setdefault(found[0], []).append(len(cluster))
+                sizes.setdefault(found.pop(), []).append(len(cluster))
     return {label: (len(v), sum(v) / len(v))
             for label, v in sorted(sizes.items())}
 
@@ -373,15 +390,24 @@ def subword_count(surface: str, vocab: SubwordVocab) -> int:
 
 
 def mean_subwords_per_span(chain: Iterable[SpanRef], doc: Document,
-                           vocab: SubwordVocab) -> float:
-    """Mean over spans of the span's total wordpiece count."""
-    spans = sorted(chain)
-    if not spans:
-        raise ValueError("empty chain")
+                           vocab: SubwordVocab,
+                           counts: dict[str, int] | None = None) -> float:
+    """Mean over spans of the span's total wordpiece count.
+
+    `counts` memoizes wordpiece counts by surface under `vocab`; one dict
+    passed to several calls segments each distinct surface once.
+    """
+    counts = {} if counts is None else counts
     totals = []
-    for span in spans:
-        totals.append(sum(subword_count(doc.tokens[i].surface, vocab)
-                          for i in span.tokens()))
+    for span in chain:
+        total = 0
+        for token in doc.tokens[span.start:span.end + 1]:
+            if token.surface not in counts:
+                counts[token.surface] = subword_count(token.surface, vocab)
+            total += counts[token.surface]
+        totals.append(total)
+    if not totals:
+        raise ValueError("empty chain")
     return sum(totals) / len(totals)
 
 

@@ -4,14 +4,17 @@ Decoding scores every (candidate, antecedent) pair of a document in one
 batched pass and picks each candidate's antecedent row by row from the
 padded score grid.
 
-Corpus-level scores pool every document's clusters into one clustering with
-document-tagged mentions; all three metrics decompose over documents, so
-pooling equals micro-averaging. Each metric reads the sparse overlap table
-of `contingency`, which holds |G_i ∩ P_j| only for the cluster pairs that
-share a mention. MUC and B-cubed sum over its entries with exact integer and
+All three metrics are functions of one table, `Overlap`: the sparse
+contingency |G_i ∩ P_j| (entries only for cluster pairs that share a
+mention) plus the cluster sizes of both sides. Corpus-level scores number
+clusters across documents and fill one table from per-document
+contingencies; every metric decomposes over documents, so this equals
+micro-averaging. MUC and B-cubed sum over the table with exact integer and
 rational arithmetic, converted to float at the boundary. CEAF-e splits the
 table into connected blocks and solves one assignment per block, since
-clusters in different blocks have similarity 0.
+clusters in different blocks have similarity 0. A slice of the gold chains
+is a subset of the table's rows: a predicted cluster cut down to the
+slice's mentions has its column sum over those rows as its size.
 """
 
 from __future__ import annotations
@@ -20,18 +23,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import model as m
 from . import training as tr
-from .corpus import (Document, SpanRef, SubwordVocab,
+from .corpus import (Document, SpanRef, SubwordVocab, chain_concepts,
                      enumerate_candidate_spans, mean_subwords_per_span,
                      subword_bucket)
 
-Cluster = frozenset
 Clustering = Sequence[frozenset]
 
 
@@ -226,7 +228,80 @@ def _repeated_mention(clusters: Clustering, side: str) -> str:
     return f"mention {mention!r} is listed twice in the {side} clusters"
 
 
-def muc(gold: Clustering, pred: Clustering) -> RPF1:
+@dataclass(frozen=True, eq=False)
+class Overlap:
+    """A contingency table as arrays, with the sizes of both sides' clusters.
+
+    Entry k says gold cluster `rows[k]` and predicted cluster `cols[k]`
+    share `counts[k]` mentions. MUC, B-cubed and CEAF-e read nothing else.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    gold_sizes: np.ndarray
+    pred_sizes: np.ndarray
+
+    @classmethod
+    def of(cls, gold: Clustering, pred: Clustering) -> "Overlap":
+        return cls._build(contingency(gold, pred), list(map(len, gold)),
+                          list(map(len, pred)))
+
+    @classmethod
+    def pooled(cls, gold_docs: Sequence[Clustering],
+               pred_docs: Sequence[Clustering]) -> "Overlap":
+        """One table over all documents.
+
+        Clusters are numbered across documents in order, and each
+        document's contingency fills the table at its clusters' offsets.
+        """
+        if len(gold_docs) != len(pred_docs):
+            raise ValueError("gold and predicted document counts differ")
+        table: dict[tuple[int, int], int] = {}
+        gold_sizes: list[int] = []
+        pred_sizes: list[int] = []
+        for d, (gold, pred) in enumerate(zip(gold_docs, pred_docs)):
+            try:
+                entries = contingency(gold, pred)
+            except ValueError as exc:
+                raise ValueError(f"document {d}: {exc}") from None
+            di, dj = len(gold_sizes), len(pred_sizes)
+            for (i, j), n in entries.items():
+                table[i + di, j + dj] = n
+            gold_sizes.extend(map(len, gold))
+            pred_sizes.extend(map(len, pred))
+        return cls._build(table, gold_sizes, pred_sizes)
+
+    @classmethod
+    def _build(cls, table: Mapping[tuple[int, int], int],
+               gold_sizes: list[int], pred_sizes: list[int]) -> "Overlap":
+        keys = np.array(list(table), dtype=np.intp).reshape(-1, 2)
+        return cls(keys[:, 0], keys[:, 1],
+                   np.fromiter(table.values(), np.int64, len(table)),
+                   np.array(gold_sizes, dtype=np.int64),
+                   np.array(pred_sizes, dtype=np.int64))
+
+    def restrict(self, gold_rows: Sequence[int]) -> "Overlap":
+        """The gold clusters `gold_rows` against the predicted clusters cut
+        down to those clusters' mentions.
+
+        A cut-down predicted cluster's size is its column sum over the kept
+        rows; clusters left empty drop out, and both sides keep their order.
+        """
+        kept = np.zeros(len(self.gold_sizes), dtype=bool)
+        kept[gold_rows] = True
+        entries = kept[self.rows]
+        cols, counts = self.cols[entries], self.counts[entries]
+        # Sums of small integers are exact in float64.
+        pred_sizes = np.bincount(cols, counts, len(self.pred_sizes)) \
+            .astype(np.int64)
+        live = pred_sizes > 0
+        return Overlap((np.cumsum(kept) - 1)[self.rows[entries]],
+                       (np.cumsum(live) - 1)[cols], counts,
+                       self.gold_sizes[kept], pred_sizes[live])
+
+
+def _muc(table: Overlap) -> RPF1:
     """Link-based metric: partitions of each cluster by the other side.
 
     A cluster C falls into one part per overlapping cluster plus a
@@ -234,42 +309,38 @@ def muc(gold: Clustering, pred: Clustering) -> RPF1:
     links; summed over either side, the kept links are sum(n_ij - 1) over
     the overlap table.
     """
-    table = contingency(gold, pred)
-    kept = sum(table.values()) - len(table)
-    r_den = sum(len(c) - 1 for c in gold)
-    p_den = sum(len(c) - 1 for c in pred)
+    kept = int(table.counts.sum()) - len(table.counts)
+    r_den = int(table.gold_sizes.sum()) - len(table.gold_sizes)
+    p_den = int(table.pred_sizes.sum()) - len(table.pred_sizes)
     recall = kept / r_den if r_den else 0.0
     precision = kept / p_den if p_den else 0.0
     return RPF1.from_rp(recall, precision)
 
 
-def b_cubed(gold: Clustering, pred: Clustering) -> RPF1:
+def _b_cubed(table: Overlap) -> RPF1:
     """Per-mention overlap metric; missing mentions act as singletons.
 
     A mention of C scores |C ∩ its cluster on the other side| / |C|, so C
     adds (sum_j n_ij^2 + its uncovered mentions) / |C|; the sum is exact.
     """
-    table = contingency(gold, pred)
-
-    def side(clusters: Clustering, axis: int) -> float:
-        covered = [0] * len(clusters)
-        squares = [0] * len(clusters)
-        for key, n in table.items():
-            covered[key[axis]] += n
-            squares[key[axis]] += n * n
-        by_size: dict[int, int] = {}
-        for cluster, cov, sq in zip(clusters, covered, squares):
-            size = len(cluster)
-            if size:
-                by_size[size] = by_size.get(size, 0) + sq + size - cov
-        total = sum(Fraction(num, size) for size, num in by_size.items())
-        count = sum(len(c) for c in clusters)
+    def side(sizes: np.ndarray, index: np.ndarray) -> float:
+        # Sums of small integers are exact in float64.
+        covered = np.bincount(index, table.counts, len(sizes))
+        squares = np.bincount(index, table.counts ** 2, len(sizes))
+        present = sizes > 0
+        size_of, group = np.unique(sizes[present], return_inverse=True)
+        numerators = np.bincount(
+            group, (squares + sizes - covered)[present], len(size_of))
+        total = sum(map(Fraction, numerators.astype(np.int64).tolist(),
+                        size_of.tolist()))
+        count = int(sizes.sum())
         return float(total / count) if count else 0.0
 
-    return RPF1.from_rp(side(gold, 0), side(pred, 1))
+    return RPF1.from_rp(side(table.gold_sizes, table.rows),
+                        side(table.pred_sizes, table.cols))
 
 
-def ceaf_e(gold: Clustering, pred: Clustering) -> RPF1:
+def _ceaf_e(table: Overlap) -> RPF1:
     """Entity-alignment metric with the similarity 2|G∩P| / (|G|+|P|).
 
     The similarity is 0 between clusters in different connected blocks of
@@ -277,30 +348,64 @@ def ceaf_e(gold: Clustering, pred: Clustering) -> RPF1:
     found per block: a 1×1 block aligns its pair, a larger one goes to the
     Kuhn-Munkres assignment.
     """
-    table = contingency(gold, pred)
-    if not gold and not pred:
+    n_gold, n_pred = len(table.gold_sizes), len(table.pred_sizes)
+    if not n_gold and not n_pred:
         return RPF1(1.0, 1.0, 1.0)
-    if not gold or not pred:
+    if not n_gold or not n_pred:
         return RPF1(0.0, 0.0, 0.0)
-
-    def phi(i: int, j: int) -> float:
-        return 2.0 * table.get((i, j), 0) / (len(gold[i]) + len(pred[j]))
-
+    rows, cols = table.rows, table.cols
+    phi = 2.0 * table.counts / (table.gold_sizes[rows]
+                                + table.pred_sizes[cols])
+    alone = (np.bincount(rows, minlength=n_gold)[rows] == 1) \
+        & (np.bincount(cols, minlength=n_pred)[cols] == 1)
+    aligned = phi[alone].tolist()
+    shared = np.flatnonzero(~alone)
     blocks = UnionFind()  # gold i is node i, pred j is node ~j
-    for i, j in table:
+    for i, j in zip(rows[shared].tolist(), cols[shared].tolist()):
         blocks.union(i, ~j)
-    aligned: list[float] = []
-    for block in blocks.groups():
-        rows = sorted(x for x in block if x >= 0)
-        cols = sorted(~x for x in block if x < 0)
-        if len(rows) == len(cols) == 1:
-            aligned.append(phi(rows[0], cols[0]))
-            continue
-        sim = np.array([[phi(i, j) for j in cols] for i in rows])
+    roots = np.array([blocks.find(i) for i in rows[shared].tolist()],
+                     dtype=np.intp)
+    _, block = np.unique(roots, return_inverse=True)
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    row_at, n_rows = _rank_in_block(block, rows[shared][order])
+    col_at, n_cols = _rank_in_block(block, cols[shared][order])
+    values = phi[shared][order]
+    bounds = np.searchsorted(block, np.arange(len(n_rows) + 1)).tolist()
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        sim = np.zeros((n_rows[b], n_cols[b]))
+        sim[row_at[lo:hi], col_at[lo:hi]] = values[lo:hi]
         picked_rows, picked_cols = linear_sum_assignment(sim, maximize=True)
         aligned.extend(sim[picked_rows, picked_cols].tolist())
     total = math.fsum(aligned)
-    return RPF1.from_rp(total / len(gold), total / len(pred))
+    return RPF1.from_rp(total / n_gold, total / n_pred)
+
+
+def _rank_in_block(block: np.ndarray,
+                   keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each entry's rank among the distinct keys of its block (ascending),
+    and the number of distinct keys per block; `block` is sorted."""
+    stride = int(keys.max(initial=0)) + 1
+    codes, at = np.unique(block * stride + keys, return_inverse=True)
+    owner = codes // stride
+    return at - np.searchsorted(owner, owner)[at], \
+        np.bincount(owner).tolist()
+
+
+def _report(table: Overlap) -> MetricReport:
+    return MetricReport(_muc(table), _b_cubed(table), _ceaf_e(table))
+
+
+def muc(gold: Clustering, pred: Clustering) -> RPF1:
+    return _muc(Overlap.of(gold, pred))
+
+
+def b_cubed(gold: Clustering, pred: Clustering) -> RPF1:
+    return _b_cubed(Overlap.of(gold, pred))
+
+
+def ceaf_e(gold: Clustering, pred: Clustering) -> RPF1:
+    return _ceaf_e(Overlap.of(gold, pred))
 
 
 def average_report(muc_score: RPF1, b3_score: RPF1, ceafe_score: RPF1) -> RPF1:
@@ -312,25 +417,14 @@ def average_report(muc_score: RPF1, b3_score: RPF1, ceafe_score: RPF1) -> RPF1:
 
 
 def score_clusterings(gold: Clustering, pred: Clustering) -> MetricReport:
-    return MetricReport(muc(gold, pred), b_cubed(gold, pred),
-                        ceaf_e(gold, pred))
-
-
-def pool_documents(per_doc: Sequence[Clustering]) -> list[frozenset]:
-    """Tag mentions with their document index and merge the clusterings."""
-    pooled = []
-    for i, clustering in enumerate(per_doc):
-        for cluster in clustering:
-            pooled.append(frozenset((i, mention) for mention in cluster))
-    return pooled
+    return _report(Overlap.of(gold, pred))
 
 
 def score_documents(gold_docs: Sequence[Clustering],
                     pred_docs: Sequence[Clustering]) -> MetricReport:
-    if len(gold_docs) != len(pred_docs):
-        raise ValueError("gold and predicted document counts differ")
-    return score_clusterings(pool_documents(gold_docs),
-                             pool_documents(pred_docs))
+    """Corpus-level scores: every metric decomposes over documents, so one
+    table over all of them micro-averages."""
+    return _report(Overlap.pooled(gold_docs, pred_docs))
 
 
 def evaluate_model(docs: Sequence[Document], store: tr.ParameterStore,
@@ -344,53 +438,34 @@ def evaluate_model(docs: Sequence[Document], store: tr.ParameterStore,
 # Evaluation slices
 
 
-def _restrict(clusters: Iterable[frozenset], mentions: set) -> list[frozenset]:
-    out = []
-    for cluster in clusters:
-        kept = frozenset(m for m in cluster if m in mentions)
-        if kept:
-            out.append(kept)
-    return out
-
-
-def _chain_label(cluster: frozenset[SpanRef],
-                 labels: Mapping[SpanRef, str]) -> str | None:
-    found = {labels[s] for s in cluster if s in labels}
-    if len(found) == 1:
-        return next(iter(found))
-    return None
+def _slices(table: Overlap, keys: Sequence,
+            name: Callable[..., str]) -> list[EvalSlice]:
+    """One slice per key other than None, in key order, scored from the
+    rows of the gold clusters with that key."""
+    rows_of: dict = {}
+    for row, key in enumerate(keys):
+        rows_of.setdefault(key, []).append(row)
+    rows_of.pop(None, None)
+    return [EvalSlice(name(key), len(rows), _report(table.restrict(rows)))
+            for key, rows in sorted(rows_of.items())]
 
 
 def slice_by_concept(docs: Sequence[Document],
                      pred_docs: Sequence[Clustering],
                      lexicon_id: str) -> list[EvalSlice]:
-    """Per-concept scores over gold chains carrying that concept.
+    """Per-concept scores over the gold chains whose labeled spans carry
+    that one concept.
 
     Predicted clusters are intersected with the slice's gold mentions.
     """
-    keys: set[str] = set()
+    table = Overlap.pooled([doc.gold_clusters for doc in docs], pred_docs)
+    labels = []
     for doc in docs:
-        labels = doc.concept_annotations.get(lexicon_id, {})
-        for cluster in doc.gold_clusters:
-            label = _chain_label(cluster, labels)
-            if label is not None:
-                keys.add(label)
-    slices = []
-    for key in sorted(keys):
-        gold_sel: list[list[frozenset]] = []
-        pred_sel: list[list[frozenset]] = []
-        n_chains = 0
-        for doc, pred in zip(docs, pred_docs):
-            labels = doc.concept_annotations.get(lexicon_id, {})
-            chains = [c for c in doc.gold_clusters
-                      if _chain_label(c, labels) == key]
-            n_chains += len(chains)
-            mentions = {s for c in chains for s in c}
-            gold_sel.append(chains)
-            pred_sel.append(_restrict(pred, mentions))
-        report = score_documents(gold_sel, pred_sel)
-        slices.append(EvalSlice(key, n_chains, report))
-    return slices
+        spans = doc.concept_annotations.get(lexicon_id, {})
+        for chain in doc.gold_clusters:
+            found = chain_concepts(chain, spans)
+            labels.append(found.pop() if len(found) == 1 else None)
+    return _slices(table, labels, str)
 
 
 def bucket_key(bucket: int, width: float = 1.7, n_buckets: int = 5) -> str:
@@ -405,30 +480,13 @@ def slice_by_subword_bucket(docs: Sequence[Document],
                             n_buckets: int = 5) -> list[EvalSlice]:
     """Scores per half-open bucket of mean wordpieces per span per chain.
 
-    Chains past the last bucket pool into an overflow slice.
+    Chains past the last bucket pool into an overflow slice. Predicted
+    clusters are intersected with the slice's gold mentions.
     """
-    assignments: list[list[tuple[frozenset, int]]] = []
-    seen: set[int] = set()
-    for doc in docs:
-        rows = []
-        for cluster in doc.gold_clusters:
-            mean_pieces = mean_subwords_per_span(cluster, doc, vocab)
-            bucket = subword_bucket(mean_pieces, width, n_buckets)
-            rows.append((cluster, bucket))
-            seen.add(bucket)
-        assignments.append(rows)
-    slices = []
-    for bucket in sorted(seen):
-        gold_sel: list[list[frozenset]] = []
-        pred_sel: list[list[frozenset]] = []
-        n_chains = 0
-        for rows, pred in zip(assignments, pred_docs):
-            chains = [c for c, b in rows if b == bucket]
-            n_chains += len(chains)
-            mentions = {s for c in chains for s in c}
-            gold_sel.append(chains)
-            pred_sel.append(_restrict(pred, mentions))
-        report = score_documents(gold_sel, pred_sel)
-        slices.append(EvalSlice(bucket_key(bucket, width, n_buckets),
-                                n_chains, report))
-    return slices
+    table = Overlap.pooled([doc.gold_clusters for doc in docs], pred_docs)
+    pieces: dict[str, int] = {}
+    buckets = [subword_bucket(mean_subwords_per_span(chain, doc, vocab, pieces),
+                              width, n_buckets)
+               for doc in docs for chain in doc.gold_clusters]
+    return _slices(table, buckets,
+                   lambda bucket: bucket_key(bucket, width, n_buckets))

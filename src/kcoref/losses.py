@@ -190,11 +190,14 @@ def cosine_distance(u, v) -> float:
 
 
 def build_pair_set(doc: Document, extra_spans: Sequence[SpanRef],
-                   budget: int, rng: np.random.Generator) -> PairSet:
+                   budget: int,
+                   rng: np.random.Generator | Sequence[int] | int) -> PairSet:
     """Pairs over gold-cluster spans plus `extra_spans`, capped at `budget`.
 
     Pairs run in itertools.combinations order over the sorted spans;
-    over-budget sets are thinned by seeded sampling without replacement.
+    over-budget sets are thinned by sampling without replacement from
+    `np.random.default_rng(rng)`, built only then (a Generator is used as
+    it is).
     """
     offered = (*itertools.chain(*doc.gold_clusters), *extra_spans)
     by_key = dict(zip(span_keys(offered).tolist(), offered))
@@ -203,7 +206,8 @@ def build_pair_set(doc: Document, extra_spans: Sequence[SpanRef],
     order = np.arange(len(spans))
     first, second = np.nonzero(np.less.outer(order, order))
     if len(first) > budget:
-        chosen = np.sort(rng.choice(len(first), size=budget, replace=False))
+        chosen = np.sort(np.random.default_rng(rng).choice(
+            len(first), size=budget, replace=False))
         first, second = first[chosen], second[chosen]
     return PairSet(doc.doc_id, spans, first, second)
 
@@ -386,8 +390,13 @@ def document_objective(doc: Document, enc: m.EncoderParams,
                        scoring: m.ScoringParams, scaffold: ScaffoldParams | None,
                        weights: LossWeights, config: m.ModelConfig,
                        objective: ObjectiveConfig,
-                       rng: np.random.Generator | None = None) -> DocumentLosses:
-    """Assemble CL, RL, SL, and the combined loss for one document."""
+                       rng: np.random.Generator | Sequence[int] | None = None
+                       ) -> DocumentLosses:
+    """Assemble CL, RL, SL, and the combined loss for one document.
+
+    `rng` seeds RL pair sampling (`build_pair_set`); None means
+    `objective.pair_seed`.
+    """
     b1, b2, b3 = weights.beta
     if len(doc) == 0:
         empty = m.CandidateSet([], np.zeros(0), np.zeros(0, dtype=np.intp))
@@ -411,10 +420,9 @@ def document_objective(doc: Document, enc: m.EncoderParams,
 
     rl, rl_backward, pair_set = 0.0, None, None
     if b2 > 0:
-        if rng is None:
-            rng = np.random.default_rng(objective.pair_seed)
-        pair_set = build_pair_set(doc, candidates.spans, objective.pair_budget,
-                                  rng)
+        pair_set = build_pair_set(
+            doc, candidates.spans, objective.pair_budget,
+            objective.pair_seed if rng is None else rng)
         rl, rl_backward = _retrofit_loss_graph(index, pair_set, reps, weights,
                                                objective.unlabeled_knowledge)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import model as m
 from . import training as tr
-from .corpus import (Document, SpanRef, SubwordVocab, Token, span_bounds,
-                     span_keys)
+from .corpus import (Document, SpanRef, SubwordVocab, Token, chain_concepts,
+                     span_bounds, span_keys)
 from .lexicon import ConceptLexicon
 
 log = logging.getLogger(__name__)
@@ -78,10 +78,10 @@ def mention_antecedent_offsets(docs: Sequence[Document],
     The offset points from the mention to its antecedent. When fewer than
     `sample` gold links exist, all of them are used.
     """
-    pool: list[tuple[Document, SpanRef, SpanRef]] = []
-    for doc in docs:
+    pool: list[tuple[int, SpanRef, SpanRef]] = []
+    for d, doc in enumerate(docs):
         for mention, antecedent in gold_links(doc):
-            pool.append((doc, mention, antecedent))
+            pool.append((d, mention, antecedent))
     if len(pool) < sample:
         log.warning("only %d gold mention-antecedent pairs available "
                     "(requested %d)", len(pool), sample)
@@ -90,28 +90,29 @@ def mention_antecedent_offsets(docs: Sequence[Document],
         rng = np.random.default_rng(seed)
         chosen = sorted(rng.choice(len(pool), size=sample, replace=False))
 
-    by_doc: dict[str, list[SpanRef]] = {}
+    # Keyed by position: document ids need not be unique here.
+    by_doc: dict[int, list[SpanRef]] = {}
     for idx in chosen:
-        doc, mention, antecedent = pool[idx]
-        by_doc.setdefault(doc.doc_id, []).extend((mention, antecedent))
+        d, mention, antecedent = pool[idx]
+        by_doc.setdefault(d, []).extend((mention, antecedent))
 
     out: list[ProjectionRecord] = []
-    internals_cache: dict[str, dict[SpanRef, np.ndarray]] = {}
+    internals_cache: dict[int, dict[SpanRef, np.ndarray]] = {}
     for idx in chosen:
-        doc, mention, antecedent = pool[idx]
-        if doc.doc_id not in internals_cache:
-            internals_cache[doc.doc_id] = span_internals(
-                doc, by_doc[doc.doc_id], store, config)
-        vectors = internals_cache[doc.doc_id]
+        d, mention, antecedent = pool[idx]
+        doc = docs[d]
+        if d not in internals_cache:
+            internals_cache[d] = span_internals(doc, by_doc[d], store, config)
+        vectors = internals_cache[d]
         offset = vectors[antecedent] - vectors[mention]
         concept = "none"
         if lexicon_id is not None:
             cluster = doc.cluster_of(mention)
             labels = doc.concept_annotations.get(lexicon_id, {})
             if cluster is not None:
-                found = sorted({labels[s] for s in cluster if s in labels})
+                found = chain_concepts(cluster, labels)
                 if len(found) == 1:
-                    concept = found[0]
+                    concept = found.pop()
             elif mention in labels:
                 concept = labels[mention]
         out.append(ProjectionRecord(concept, span_id(doc, mention),

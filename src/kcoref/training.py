@@ -530,7 +530,6 @@ def run_schedule(schedule: TrainingSchedule,
                                 f"{phase.corpus!r}")
         docs = list(corpora[phase.corpus])
         weights = effective_weights(phase, objective)
-        draws_pairs = weights.beta[1] > 0
         rates = LearningRates(phase.base_lr, phase.task_lr)
         for epoch in range(1, phase.epochs + 1):
             sums = {"cl": 0.0, "rl": 0.0, "sl": 0.0, "total": 0.0}
@@ -538,16 +537,15 @@ def run_schedule(schedule: TrainingSchedule,
             pending: Gradients | None = None
             pending_count = 0
             for doc_no, doc in enumerate(docs):
-                # Only RL draws pairs (document_objective's beta2 > 0).
-                rng = (np.random.default_rng(
-                    [objective.pair_seed, phase_no, epoch, doc_no])
-                    if draws_pairs else None)
+                # Seeds RL pair sampling; a generator is built from it only
+                # when a pair set is over budget.
+                seed = [objective.pair_seed, phase_no, epoch, doc_no]
                 result: list[L.DocumentLosses] = []
 
-                def build(enc, scoring, scaffold, doc=doc, rng=rng):
+                def build(enc, scoring, scaffold, doc=doc, seed=seed):
                     result.append(L.document_objective(
                         doc, enc, scoring, scaffold, weights, config,
-                        objective, rng))
+                        objective, seed))
                     return result
 
                 try:

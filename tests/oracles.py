@@ -17,9 +17,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from kcoref import evaluation as ev
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.corpus import SpanRef
+from kcoref.corpus import SpanRef, subword_bucket, tokenize_subwords
 from kcoref.losses import LossError, target_distance
 
 
@@ -597,6 +598,76 @@ def random_clustering(rng, n_mentions: int, max_clusters: int):
     for m in mentions:
         clusters[rng.integers(0, k)].append(m)
     return [set(c) for c in clusters if len(c) >= 2]
+
+
+# ---------------------------------------------------------------------------
+# Corpus scores and evaluation slices, re-pooled and rescored per slice.
+
+
+def pool_documents(per_doc):
+    """Tag mentions with their document index and merge the clusterings."""
+    pooled = []
+    for i, clustering in enumerate(per_doc):
+        for cluster in clustering:
+            pooled.append(frozenset((i, mention) for mention in cluster))
+    return pooled
+
+
+def score_documents_reference(gold_docs, pred_docs) -> ev.MetricReport:
+    if len(gold_docs) != len(pred_docs):
+        raise ValueError("gold and predicted document counts differ")
+    return ev.score_clusterings(pool_documents(gold_docs),
+                                pool_documents(pred_docs))
+
+
+def _restrict(clusters, mentions):
+    out = []
+    for cluster in clusters:
+        kept = frozenset(m for m in cluster if m in mentions)
+        if kept:
+            out.append(kept)
+    return out
+
+
+def _slices_reference(chains_by_doc, pred_docs, name):
+    """One slice per key of `chains_by_doc` (per document, (chain, key)
+    rows), each re-pooled over the documents and scored on its own."""
+    keys = sorted({key for rows in chains_by_doc for _, key in rows
+                   if key is not None})
+    slices = []
+    for key in keys:
+        gold_sel, pred_sel = [], []
+        for rows, pred in zip(chains_by_doc, pred_docs):
+            chains = [c for c, k in rows if k == key]
+            mentions = {s for c in chains for s in c}
+            gold_sel.append(chains)
+            pred_sel.append(_restrict(pred, mentions))
+        slices.append(ev.EvalSlice(name(key), sum(map(len, gold_sel)),
+                                   score_documents_reference(gold_sel,
+                                                             pred_sel)))
+    return slices
+
+
+def slice_by_concept_reference(docs, pred_docs, lexicon_id):
+    def label(cluster, labels):
+        found = {labels[s] for s in cluster if s in labels}
+        return next(iter(found)) if len(found) == 1 else None
+
+    rows = [[(c, label(c, doc.concept_annotations.get(lexicon_id, {})))
+             for c in doc.gold_clusters] for doc in docs]
+    return _slices_reference(rows, pred_docs, str)
+
+
+def slice_by_subword_bucket_reference(docs, pred_docs, vocab, width=1.7,
+                                      n_buckets=5):
+    def bucket(cluster, doc):
+        totals = [sum(len(tokenize_subwords(doc.tokens[i].surface, vocab))
+                      for i in span.tokens()) for span in sorted(cluster)]
+        return subword_bucket(sum(totals) / len(totals), width, n_buckets)
+
+    rows = [[(c, bucket(c, doc)) for c in doc.gold_clusters] for doc in docs]
+    return _slices_reference(
+        rows, pred_docs, lambda b: ev.bucket_key(b, width, n_buckets))
 
 
 def eig2x2(a: float, b: float, c: float):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab, Token,
-                           concept_chain_stats, corpus_stats,
+                           chain_concepts, concept_chain_stats, corpus_stats,
                            document_to_record, enumerate_candidate_spans,
                            load_corpus, load_subword_vocab,
                            mean_subwords_per_span, save_corpus,
@@ -119,6 +119,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="mixes"):
             load_corpus(path)
 
+    def test_repeated_doc_id_reports_line_and_id(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_doc(["a"], doc_id="d"), make_doc(["b"], doc_id="e"),
+                     make_doc(["a", "b"], doc_id="d")], path)
+        with pytest.raises(CorpusError, match=r"c\.jsonl: line 3: doc_id "
+                                              r"'d' repeats line 1"):
+            load_corpus(path)
+
     def test_save_load_identity(self, tmp_path):
         docs = [
             make_doc(["a", "b", "c", "d"], [[(0, 0), (2, 3)]],
@@ -159,6 +167,13 @@ class TestCorpusStats:
                         SpanRef(4, 4): "test"}})
         stats = concept_chain_stats([doc], "coarse")
         assert stats == {"problem": (1, 2.0), "test": (1, 3.0)}
+
+    def test_chain_concepts(self):
+        a, b, c = SpanRef(0, 0), SpanRef(1, 1), SpanRef(2, 2)
+        labels = {a: "x", b: "y", SpanRef(5, 5): "z"}
+        assert chain_concepts([c], labels) == set()
+        assert chain_concepts({a, c}, labels) == {"x"}
+        assert chain_concepts((a, b, c), labels) == {"x", "y"}
 
 
 def enumerated(doc, max_width):
@@ -254,6 +269,24 @@ class TestMeanSubwords:
         doc = make_doc(["open"])
         with pytest.raises(ValueError):
             mean_subwords_per_span(set(), doc, SECTION_VOCAB)
+
+    def test_shared_counts_segment_each_surface_once(self, monkeypatch):
+        import kcoref.corpus as corpus
+        segmented = []
+        count = corpus.subword_count
+
+        def recording(surface, vocab):
+            segmented.append(surface)
+            return count(surface, vocab)
+
+        monkeypatch.setattr(corpus, "subword_count", recording)
+        doc = make_doc(["open", "laparoscopy", "open", "laparoscopy"])
+        counts = {}
+        means = [mean_subwords_per_span(chain, doc, SECTION_VOCAB, counts)
+                 for chain in ({SpanRef(0, 1)}, {SpanRef(1, 1), SpanRef(2, 3)})]
+        assert means == [5.0, 4.5]
+        assert sorted(segmented) == ["laparoscopy", "open"]
+        assert counts == {"open": 1, "laparoscopy": 4}
 
 
 class TestBuckets:

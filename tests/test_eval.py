@@ -10,7 +10,7 @@ from kcoref.corpus import SpanRef, SubwordVocab
 from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
                                average_report, b_cubed, bucket_key, ceaf_e,
                                contingency, decode_clusters, muc,
-                               pool_documents, predict_antecedents,
+                               predict_antecedents,
                                predict_clusters, score_documents,
                                select_antecedents, slice_by_concept,
                                slice_by_subword_bucket)
@@ -18,8 +18,10 @@ from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
 from kcoref import losses as L
 from oracles import (b_cubed_reference, ceaf_e_brute_force, ceaf_e_dense,
                      decode_clusters_reference, muc_reference,
-                     predict_antecedents_reference, random_clustering,
-                     select_antecedent)
+                     pool_documents, predict_antecedents_reference,
+                     random_clustering, score_documents_reference,
+                     select_antecedent, slice_by_concept_reference,
+                     slice_by_subword_bucket_reference)
 from test_corpus import make_doc
 from test_losses import INDEX_CONFIG, random_documents, tiny_setup
 
@@ -541,6 +543,15 @@ class TestScoreDocuments:
         with pytest.raises(ValueError):
             score_documents([[C("a", "b")]], [])
 
+    def test_repeated_mention_names_the_document(self):
+        gold = [[C("a", "b")], [C("a", "b")]]
+        with pytest.raises(ValueError, match="document 1: mention 'b' is "
+                                             "listed twice in the predicted"):
+            score_documents(gold, [[C("a", "b")], [C("a", "b"), C("b", "c")]])
+        with pytest.raises(ValueError, match="document 0: mention 'a' is "
+                                             "listed twice in the gold"):
+            score_documents([[C("a", "b"), C("a")]], [[]])
+
 
 def labeled_doc(doc_id, concept_by_chain):
     """Two-mention chains at fixed offsets, one concept label per chain."""
@@ -626,6 +637,148 @@ class TestSubwordSlices:
     def test_bucket_key_overflow(self):
         assert bucket_key(5) == "[8.5,inf)"
         assert bucket_key(0) == "[0.0,1.7)"
+
+
+# Words with 1, 1, 2, 2, 4 and 1 (unknown) wordpieces under SLICE_VOCAB.
+SLICE_WORDS = ("w", "lap", "lappy", "laparo", "laparoscopy", "zz")
+SLICE_VOCAB = SubwordVocab(frozenset({"w", "lap"}),
+                           frozenset({"aro", "sco", "py"}), "[UNK]")
+
+
+def random_partition(rng, items, max_parts):
+    parts = [[] for _ in range(int(rng.integers(1, max_parts + 1)))]
+    for item in items:
+        parts[int(rng.integers(0, len(parts)))].append(item)
+    return [p for p in parts if p]
+
+
+def random_corpus(seed, labels=("person", "problem", "test")):
+    """1-5 documents with labeled gold chains, and predictions over fresh
+    `SpanRef` objects for a random subset of the documents' spans.
+
+    Some documents have no gold chains, and some predictions are empty;
+    spans outside every gold chain may be predicted; chains are unlabeled,
+    labeled on some of their spans, or labeled with two concepts.
+    """
+    rng = np.random.default_rng(seed)
+    docs, preds = [], []
+    for d in range(int(rng.integers(1, 6))):
+        n = int(rng.integers(4, 25))
+        tokens = [SLICE_WORDS[k] for k in rng.integers(0, len(SLICE_WORDS), n)]
+        spans, pos = [], int(rng.integers(0, 3))
+        while pos < n:
+            end = min(pos + int(rng.integers(0, 3)), n - 1)
+            spans.append((pos, end))
+            pos = end + 1 + int(rng.integers(0, 3))
+        in_chains = [spans[k] for k in rng.permutation(len(spans))
+                     if rng.random() < 0.7]
+        chains = random_partition(rng, in_chains, 4) \
+            if rng.random() < 0.85 else []
+        annotations = {}
+        for chain in chains:
+            mode = rng.random()
+            label = labels[int(rng.integers(0, len(labels)))]
+            for span in chain:
+                if mode < 0.25 or rng.random() < 0.3:
+                    continue  # unlabeled chain, or an unlabeled span
+                if mode > 0.85:  # a label per span: mixed chains
+                    label = labels[int(rng.integers(0, len(labels)))]
+                annotations[S(*span)] = label
+        docs.append(make_doc(tokens, chains, {"coarse": annotations},
+                             doc_id=f"d{d}"))
+        predicted = [spans[k] for k in rng.permutation(len(spans))
+                     if rng.random() < 0.8]
+        pred = [frozenset(S(*span) for span in part)
+                for part in random_partition(rng, predicted, 4)]
+        preds.append(pred if rng.random() < 0.85 else [])
+    return docs, preds
+
+
+def score_corpus(docs, preds, width=1.7, n_buckets=5):
+    gold = [doc.gold_clusters for doc in docs]
+    return (score_documents(gold, preds),
+            slice_by_concept(docs, preds, "coarse"),
+            slice_by_subword_bucket(docs, preds, SLICE_VOCAB, width,
+                                    n_buckets))
+
+
+class TestCorpusScoresMatchRepooledReferences:
+    """One table per call, slices as row subsets, equal to pooling and
+    rescoring every slice on its own."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(seed=st.integers(0, 2**32 - 1),
+           buckets=st.sampled_from([(1.7, 5), (1.0, 3)]))
+    def test_random_corpora(self, seed, buckets):
+        docs, preds = random_corpus(seed)
+        gold = [doc.gold_clusters for doc in docs]
+        report, concept, subword = score_corpus(docs, preds, *buckets)
+        assert report == score_documents_reference(gold, preds)
+        assert concept == slice_by_concept_reference(docs, preds, "coarse")
+        assert subword == slice_by_subword_bucket_reference(
+            docs, preds, SLICE_VOCAB, *buckets)
+
+    def test_random_corpora_hold_every_case(self):
+        seen = set()
+        for seed in range(60):
+            docs, preds = random_corpus(seed)
+            seen.add(("docs", len(docs) > 1))
+            for doc, pred in zip(docs, preds):
+                labels = doc.concept_annotations["coarse"]
+                chain_of = {s: i for i, c in enumerate(doc.gold_clusters)
+                            for s in c}
+                found = [{labels[s] for s in c if s in labels}
+                         for c in doc.gold_clusters]
+                seen.add(("no chains", not doc.gold_clusters))
+                seen.add(("empty prediction", not pred))
+                seen.update(("labels", len(f)) for f in found)
+                for cluster in pred:
+                    homes = {chain_of.get(s) for s in cluster}
+                    seen.add(("outside", None in homes))
+                    seen.add(("two chains", len(homes - {None}) > 1))
+                    chain_labels = {frozenset(found[i]) for i in homes
+                                    if i is not None and len(found[i]) == 1}
+                    seen.add(("two concepts", len(chain_labels) > 1))
+        assert all((case, True) in seen for case in (
+            "docs", "no chains", "empty prediction", "outside", "two chains",
+            "two concepts"))
+        assert {("labels", 0), ("labels", 1), ("labels", 2)} <= seen
+
+    def test_pred_document_count_checked(self):
+        docs, preds = random_corpus(0)
+        for fn in (lambda p: slice_by_concept(docs, p, "coarse"),
+                   lambda p: slice_by_subword_bucket(docs, p, SLICE_VOCAB)):
+            with pytest.raises(ValueError, match="document counts differ"):
+                fn(preds + [[]])
+
+
+def test_scoring_hashes_each_mention_a_bounded_number_of_times(monkeypatch):
+    """Per call, at most three `SpanRef` hashes per gold or predicted
+    mention, however many slices there are."""
+    labels = tuple(f"c{k}" for k in range(8))
+    corpora = [random_corpus(seed, labels) for seed in range(12)]
+    docs = [doc for corpus_docs, _ in corpora for doc in corpus_docs]
+    preds = [pred for _, corpus_preds in corpora for pred in corpus_preds]
+    gold = [doc.gold_clusters for doc in docs]
+    mentions = sum(len(c) for clusters in gold + preds for c in clusters)
+    calls = [0]
+    real = SpanRef.__hash__
+
+    def counting(span):
+        calls[0] += 1
+        return real(span)
+
+    monkeypatch.setattr(SpanRef, "__hash__", counting)
+    n_slices = []
+    for run in (lambda: score_documents(gold, preds),
+                lambda: slice_by_concept(docs, preds, "coarse"),
+                lambda: slice_by_subword_bucket(docs, preds, SLICE_VOCAB,
+                                                1.0, 8)):
+        calls[0] = 0
+        out = run()
+        n_slices.append(len(out) if isinstance(out, list) else 1)
+        assert calls[0] <= 3 * mentions, (n_slices[-1], calls[0] / mentions)
+    assert min(n_slices[1:]) >= 5
 
 
 def test_report_dataclasses():

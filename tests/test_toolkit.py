@@ -3,7 +3,7 @@ import pytest
 
 from kcoref import toolkit as tk
 from kcoref import training as tr
-from kcoref.corpus import SpanRef, tokenize_subwords
+from kcoref.corpus import Document, SpanRef, tokenize_subwords
 from kcoref.toolkit import (ProjectionRecord, SyntheticSpec, confound_share,
                             generate_synthetic_corpus, gold_links,
                             mention_antecedent_offsets,
@@ -60,6 +60,20 @@ class TestOffsets:
                                              lexicon_id="i2b2", sample=2,
                                              seed=0)
         assert {r.concept for r in records} <= {"problem", "test"}
+
+    def test_repeated_document_ids_keep_their_own_spans(self):
+        docs, config, store, _, _ = tiny_setup()
+        longer = make_doc(["melk", "##ia", "w", "x", "y", "z", "dorv", "##ia"],
+                          [[(0, 1), (6, 7)]], doc_id="d2")
+        # the 5-token document first: the others' spans run past its end
+        distinct = [docs[1], docs[0], longer]
+        named_d = [Document("d", d.tokens, d.gold_clusters,
+                            d.concept_annotations) for d in distinct]
+        want = mention_antecedent_offsets(distinct, store, config, sample=3)
+        got = mention_antecedent_offsets(named_d, store, config, sample=3)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.offset, b.offset)
 
     def test_identical_vectors_give_zero_offset(self):
         docs, config, store, _, _ = tiny_setup()

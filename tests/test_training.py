@@ -478,30 +478,53 @@ class TestSchedule:
             assert np.array_equal(trained.tensors[name], reference[name])
 
     def test_pair_rng_is_built_only_when_rl_draws_pairs(self, monkeypatch):
-        seeds = []
+        """The doc-step's seed list reaches `default_rng` exactly when its
+        pair set is over budget and thinned."""
+        seeds, offered = [], []
         default_rng = np.random.default_rng
+        build_pair_set = L.build_pair_set
 
         def counting(seed=None):
             seeds.append(seed)
             return default_rng(seed)
 
+        def recording(doc, extra_spans, budget, rng):
+            out = build_pair_set(doc, extra_spans, budget, rng)
+            n = len(out.spans)
+            offered.append((rng, n * (n - 1) // 2))
+            return out
+
         docs, config, store, no_rl, objective = tiny_setup(
             beta=(1.0, 0.0, 0.5))
         weights = L.LossWeights(no_rl.alpha_c, no_rl.alpha_k, (1.0, 0.5, 0.5))
         monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(L, "build_pair_set", recording)
         run_schedule(TrainingSchedule([Phase("c", 2, no_rl)]),
                      {"c": docs}, config, objective, store.copy())
-        assert seeds == []
+        assert seeds == [] and offered == []
         # a source phase drops RL when source_phase_rl is off
         objective.source_phase_rl = False
         run_schedule(TrainingSchedule([Phase("c", 2, weights,
                                              role="source")]),
                      {"c": docs}, config, objective, store.copy())
-        assert seeds == []
+        assert seeds == [] and offered == []
+
+        objective.pair_budget = 10 ** 6
         run_schedule(TrainingSchedule([Phase("c", 1, weights)]),
                      {"c": docs}, config, objective, store.copy())
-        assert seeds == [[objective.pair_seed, 1, 1, 0],
-                         [objective.pair_seed, 1, 1, 1]]
+        assert seeds == []
+        assert [rng for rng, _ in offered] == [
+            [objective.pair_seed, 1, 1, d] for d in range(len(docs))]
+        # a budget between the sets' sizes thins some of them, not all
+        sizes = sorted(n for _, n in offered)
+        objective.pair_budget = sizes[0]
+        assert sizes[0] < sizes[-1]
+        offered.clear()
+        run_schedule(TrainingSchedule([Phase("c", 2, weights)]),
+                     {"c": docs}, config, objective, store.copy())
+        thinned = [rng for rng, n in offered if n > objective.pair_budget]
+        assert 0 < len(thinned) < len(offered)
+        assert seeds == thinned
 
     def test_an_epoch_groups_the_store_once_and_each_gradient_once(
             self, monkeypatch):
