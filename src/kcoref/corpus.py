@@ -175,19 +175,37 @@ def check_cluster_concept_consistency(doc: Document, lexicon_id: str) -> None:
                 f"{sorted(found)}")
 
 
-def _parse_record(record: dict, line_no: int) -> Document:
+def _span_field(value, field_name: str) -> SpanRef:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int for v in value)):
+        raise CorpusError(f"{field_name} must be two integers [start, end], "
+                          f"not {value!r}")
+    return SpanRef(*value)
+
+
+def _parse_record(record: dict) -> Document:
     try:
         doc_id = record["doc_id"]
         raw_tokens = record["tokens"]
     except KeyError as exc:
-        raise CorpusError(f"line {line_no}: missing field {exc}") from None
+        raise CorpusError(f"missing field {exc}") from None
     tokens = tuple(Token(s, i) for i, s in enumerate(raw_tokens))
     clusters = tuple(
-        frozenset(SpanRef(int(s), int(e)) for s, e in cluster)
+        frozenset(_span_field(mention, "cluster mention")
+                  for mention in cluster)
         for cluster in record.get("clusters", []))
     annotations: dict[str, dict[SpanRef, str]] = {}
     for entry in record.get("concepts", []):
-        span = SpanRef(int(entry["span"][0]), int(entry["span"][1]))
+        missing = [name for name in ("span", "label", "lexicon")
+                   if not isinstance(entry, dict) or name not in entry]
+        if missing:
+            raise CorpusError(f"concept entry {entry!r} is missing "
+                              f"{', '.join(missing)}")
+        for name in ("label", "lexicon"):
+            if not isinstance(entry[name], str):
+                raise CorpusError(f"concept {name} must be a string, not "
+                                  f"{entry[name]!r}")
+        span = _span_field(entry["span"], "concept span")
         annotations.setdefault(entry["lexicon"], {})[span] = entry["label"]
     doc = Document(doc_id, tokens, clusters, annotations)
     for lexicon_id in annotations:
@@ -210,7 +228,7 @@ def load_corpus(path) -> list[Document]:
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {line_no}: {exc.msg}") from None
             try:
-                doc = _parse_record(record, line_no)
+                doc = _parse_record(record)
             except CorpusError as exc:
                 raise CorpusError(f"{path}: line {line_no}: {exc}") from None
             first = first_line.setdefault(doc.doc_id, line_no)

@@ -413,42 +413,50 @@ def document_objective(doc: Document, enc: m.EncoderParams,
     candidates = m.prune_mentions(doc, index.enumerated,
                                   scores[index.enum_rows], config.prune_ratio)
 
+    rows = index.enum_rows[candidates.indices]
     cl, cl_backward, misses = 0.0, None, 0
     if b1 > 0:
         cl, cl_backward, misses = _coref_loss_graph(index, candidates, reps,
                                                     scores, scoring, config)
 
-    rl, rl_backward, pair_set = 0.0, None, None
+    rl, rl_backward, pair_set, pool = 0.0, None, None, rows[:0]
     if b2 > 0:
         pair_set = build_pair_set(
             doc, candidates.spans, objective.pair_budget,
             objective.pair_seed if rng is None else rng)
-        rl, rl_backward = _retrofit_loss_graph(index, pair_set, reps, weights,
-                                               objective.unlabeled_knowledge)
+        rl, rl_backward, pool = _retrofit_loss_graph(
+            index, pair_set, reps, weights, objective.unlabeled_knowledge)
 
-    sl, sl_backward = 0.0, None
+    sl, sl_backward, labeled = 0.0, None, rows[:0]
     if with_scaffold:
-        targets = scaffold_targets(index, scaffold, objective,
-                                   index.enum_rows[candidates.indices])
+        targets = scaffold_targets(index, scaffold, objective, rows)
         if len(targets):
             sl, sl_backward = _scaffold_loss_graph(targets, reps, scaffold)
+            labeled = targets[:, 0]
 
     def backward(g, enc_grad, scoring_grad, scaffold_grad) -> None:
-        if cl_backward is None and rl_backward is None and sl_backward is None:
+        read = [r for r, b in ((rows, cl_backward), (pool, rl_backward),
+                               (labeled, sl_backward)) if b is not None]
+        if not read:
             return
-        # The span-table gradient adds CL, the mention head (whose score
-        # gradient only CL makes), RL and SL, in that order: another order
-        # moves the trained parameters in their last bits.
-        g_full = np.zeros(reps.full.shape)
+        # `g_live` holds the gradient of the rows a loss reads, in table
+        # order. It adds CL, the mention head (whose score gradient only CL
+        # makes), RL and SL, in that order: another order moves the trained
+        # parameters in their last bits.
+        live = np.unique(np.concatenate(read))
+        g_live = np.zeros((len(live), reps.full.shape[1]))
         if cl_backward is not None:
+            at = np.searchsorted(live, rows)
             g_scores = np.zeros(len(scores))
-            cl_backward(g * b1, g_full, g_scores, scoring_grad.antecedent)
-            mention_backward(g_scores, g_full, scoring_grad.mention)
+            cl_backward(g * b1, g_live, at, g_scores, scoring_grad.antecedent)
+            g_live[at] += mention_backward(g_scores, scoring_grad.mention,
+                                           rows)
         if rl_backward is not None:
-            rl_backward(g * b2, g_full)
+            rl_backward(g * b2, g_live, np.searchsorted(live, pool))
         if sl_backward is not None:
-            sl_backward(g * b3, g_full, scaffold_grad.weights)
-        encode_backward(reps_backward(g_full, enc_grad), enc_grad)
+            sl_backward(g * b3, g_live, np.searchsorted(live, labeled),
+                        scaffold_grad.weights)
+        encode_backward(reps_backward(g_live, enc_grad, live), enc_grad)
 
     return DocumentLosses(combined_loss(cl, rl, sl, weights), cl, rl, sl,
                           misses, candidates, reps, pair_set, backward)
@@ -494,8 +502,9 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
 
     Candidate k is row `rows[k]` of `full` and `mention_scores` (the rows
     are distinct); a pair scores s_m(i) + s_m(j) + s_a(i, j), with s_a from
-    the `head` FFN, and the dummy column scores 0. The backward adds into
-    `g_full` and `g_scores` and writes the head's gradients into `grad`.
+    the `head` FFN, and the dummy column scores 0. The backward adds
+    candidate k's gradient into row `at[k]` of `g_full` and row `rows[k]`
+    of `g_scores`, and writes the head's gradients into `grad`.
     """
     x = full[rows]
     mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
@@ -508,7 +517,7 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
     lse, probs = _logsumexp_rows(np.stack([slots,
                                            np.where(numer, slots, -np.inf)]))
 
-    def backward(g, g_full: np.ndarray, g_scores: np.ndarray,
+    def backward(g, g_full: np.ndarray, at: np.ndarray, g_scores: np.ndarray,
                  grad: m.FeedForward) -> None:
         # Each pair has one window slot, in flat pair order.
         g_pair = (g * (probs[0] - probs[1]))[:, :-1][inside]
@@ -535,9 +544,9 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
         g_scores[rows] += sums[:, -1]
 
         g_products = g_layer @ w1[2 * d:].T
-        g_full[rows] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
-                         + pairs.scatter @ (ffn.partners * g_products)
-                         .reshape(2 * n_pairs, d))
+        g_full[at] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
+                       + pairs.scatter @ (ffn.partners * g_products)
+                       .reshape(2 * n_pairs, d))
         g_w1 = grad.w1.reshape(3 * d, -1)
         np.matmul(x.T, g_u, out=g_w1[:d])
         np.matmul(x.T, g_v, out=g_w1[d:2 * d])
@@ -549,15 +558,17 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
 
 def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
                          reps: m.BatchedSpans, weights: LossWeights,
-                         unlabeled: str) -> tuple[float, m.Backward | None]:
+                         unlabeled: str,
+                         ) -> tuple[float, m.Backward | None, np.ndarray]:
+    """RL, its backward (None for no pairs) and the pooled spans' rows."""
     if pair_set.count == 0:
         log.warning("%s: empty pair set contributes 0", pair_set.doc_id)
-        return 0.0, None
+        return 0.0, None, np.zeros(0, dtype=np.intp)
     rows = index.rows_of(pair_set.spans)
     targets = pair_target_distances(index, rows[pair_set.first],
                                     rows[pair_set.second], weights, unlabeled)
-    return mean_cosine_gap(reps.full, reps.internal_columns, rows,
-                           pair_set.first, pair_set.second, targets)
+    return (*mean_cosine_gap(reps.full, reps.internal_columns, rows,
+                             pair_set.first, pair_set.second, targets), rows)
 
 
 def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
@@ -565,7 +576,8 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
                     targets: np.ndarray) -> tuple[float, m.Backward]:
     """Mean over pairs p of |targets[p] - cosine distance(v[rows[first[p]]],
     v[rows[second[p]]])|, where v is the `columns` block of `full`, and its
-    backward, which adds into `g_full`. No (first, second) pair may repeat.
+    backward, which adds the gradient of row `rows[i]` into row `at[i]` of
+    `g_full`. The rows are distinct, and no (first, second) pair repeats.
 
     Zero vectors keep the cosine finite through `_NORM_EPS`, and their norm
     passes no gradient (a pair with one has a zero dot product).
@@ -577,7 +589,7 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
     den = norms_i * norms_j + _NORM_EPS
     gaps = targets - (1.0 - dots / den)
 
-    def backward(g, g_full: np.ndarray) -> None:
+    def backward(g, g_full: np.ndarray, at: np.ndarray) -> None:
         g_gaps = g * np.sign(gaps) / float(len(gaps))
         # d/dv of the pair dots and norm products, through (M, M) grids
         # over the pooled rows.
@@ -589,8 +601,7 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
         g_v = g_dots @ v + g_dots.T @ v + np.divide(
             g_norms, norms, out=np.zeros_like(norms),
             where=norms > 0)[:, None] * v
-        g_full[:, columns] += m.scatter_rows(rows, g_v,
-                                             (len(g_full), v.shape[1]))
+        g_full[at, columns] += g_v
 
     return float(np.abs(gaps).sum() / float(len(gaps))), backward
 
@@ -608,19 +619,21 @@ def mean_concept_nll(full: np.ndarray, columns: slice, rows: np.ndarray,
                      weights: np.ndarray) -> tuple[float, m.Backward]:
     """Mean over targets t of the softmax NLL of class `classes[t]` under
     the logits `weights @ v[rows[t]]`, where v is the `columns` block of
-    `full`, and its backward, which adds into `g_full` and writes the
-    weights' gradient into `g_weights`. The rows are distinct.
+    `full`, and its backward, which adds the gradient of row `rows[t]` into
+    row `at[t]` of `g_full` and writes the weights' gradient into
+    `g_weights`. The rows are distinct.
     """
     v = full[rows, columns]
     targets = np.arange(len(rows))
     logits = v @ weights.T
     lse, probs = _logsumexp_rows(logits)
 
-    def backward(g, g_full: np.ndarray, g_weights: np.ndarray) -> None:
+    def backward(g, g_full: np.ndarray, at: np.ndarray,
+                 g_weights: np.ndarray) -> None:
         g_logits = probs.copy()
         g_logits[targets, classes] -= 1.0
         g_logits *= g / float(len(rows))
-        g_full[rows, columns] += g_logits @ weights
+        g_full[at, columns] += g_logits @ weights
         np.matmul(g_logits.T, v, out=g_weights)
 
     return (float((lse - logits[targets, classes]).sum() / float(len(rows))),

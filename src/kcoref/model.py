@@ -96,24 +96,26 @@ class FeedForward:
 
     def apply(self, x: np.ndarray) -> tuple[np.ndarray, Backward]:
         """The network on the rows of `x`, and its backward: given the
-        output gradient `g`, it adds the input gradient into `g_x` and writes
-        the parameter gradients into `grad`, a FeedForward of views."""
+        output gradient `g`, zero outside `rows`, it writes the parameter
+        gradients into `grad`, a FeedForward of views, and returns the input
+        gradient of `rows`. The output layer sums all of `g`, zeros too:
+        without them its sums would differ in the last bits."""
         if self.w2 is None:
-            def linear_backward(g, g_x, grad):
-                g_x += np.outer(g, self.w1)
+            def linear_backward(g, grad, rows):
                 np.matmul(x.T, g, out=grad.w1)
                 grad.b2[...] = g.sum(axis=0)
+                return np.outer(g[rows], self.w1)
 
             return x @ self.w1 + self.b2, linear_backward
         hidden = np.tanh(x @ self.w1 + self.b1)
 
-        def backward(g, g_x, grad):
-            g_hidden = np.outer(g, self.w2) * (1.0 - hidden ** 2)
-            g_x += g_hidden @ self.w1.T
-            np.matmul(x.T, g_hidden, out=grad.w1)
+        def backward(g, grad, rows):
+            g_hidden = np.outer(g[rows], self.w2) * (1.0 - hidden[rows] ** 2)
+            np.matmul(x[rows].T, g_hidden, out=grad.w1)
             grad.b1[...] = g_hidden.sum(axis=0)
             np.matmul(hidden.T, g, out=grad.w2)
             grad.b2[...] = g.sum(axis=0)
+            return g_hidden @ self.w1.T
 
         return hidden @ self.w2 + self.b2, backward
 
@@ -270,8 +272,8 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
 
     The internal vector weighs the span's token vectors by a softmax of
     their attention logits over the slots inside the span. The backward
-    writes the attention and width gradients into `grad` and returns the
-    token vectors' gradient.
+    takes the gradient of the spans `rows` alone, writes the attention and
+    width gradients into `grad` and returns the token vectors' gradient.
     """
     tokens, mask = layout.tokens, layout.mask
     x, attention = token_vecs, enc.attention_w
@@ -287,22 +289,24 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
                            np.einsum("sw,swd->sd", weights, span_tokens),
                            table[layout.buckets]], axis=1)
 
-    def backward(g: np.ndarray, grad: EncoderParams) -> np.ndarray:
+    def backward(g: np.ndarray, grad: EncoderParams,
+                 rows: np.ndarray) -> np.ndarray:
+        row_tokens, row_weights = tokens[rows], weights[rows]
         g_internal = g[:, 2 * d:3 * d]
-        g_weights = np.einsum("swd,sd->sw", span_tokens, g_internal)
-        g_logits = weights * (g_weights - (weights * g_weights)
-                              .sum(axis=1, keepdims=True))
-        g_attention = np.bincount(tokens.reshape(-1), g_logits.reshape(-1),
-                                  minlength=len(x))
+        g_weights = np.einsum("swd,sd->sw", span_tokens[rows], g_internal)
+        g_logits = row_weights * (g_weights - (row_weights * g_weights)
+                                  .sum(axis=1, keepdims=True))
+        g_attention = np.bincount(row_tokens.reshape(-1),
+                                  g_logits.reshape(-1), minlength=len(x))
         # Slot 0 of a span is its start token and the last slot its end
         # token, so one scatter over the slots also carries the boundaries.
-        g_slots = weights[:, :, None] * g_internal[:, None, :]
+        g_slots = row_weights[:, :, None] * g_internal[:, None, :]
         g_slots[:, 0] += g[:, :d]
         g_slots[:, -1] += g[:, d:2 * d]
-        g_x = scatter_rows(tokens, g_slots, x.shape)
+        g_x = scatter_rows(row_tokens, g_slots, x.shape)
         np.matmul(g_attention, x, out=grad.attention_w)
         grad.width_embeddings[...] = scatter_rows(
-            layout.buckets, g[:, 3 * d:], table.shape)
+            layout.buckets[rows], g[:, 3 * d:], table.shape)
         return g_x + np.outer(g_attention, attention)
 
     return BatchedSpans(layout, full, d), backward

@@ -111,6 +111,7 @@ class ParameterStore:
                         if arrays else np.zeros(0))
         self.tensors = MappingProxyType(_views(self._buffer, self._layout))
         self._groups = None
+        self._gradient = None
 
     @property
     def vocab_index(self) -> Mapping[str, int]:
@@ -350,21 +351,25 @@ def compute_gradients(store: ParameterStore,
                       build_loss: LossBuilder) -> tuple[Gradients, float]:
     """Gradients of a scalar loss over every named tensor.
 
-    Each objective's closed-form backward writes into a fresh flat array in
-    the store's layout; the arrays add up in objective order.
+    Each objective's closed-form backward writes into a zeroed flat buffer
+    kept per store with its parameter groups; the objectives add up, in
+    order, into a fresh array.
     """
     objectives = build_loss(*store.groups)
     value = sum(objective.total for objective in objectives)
     if not np.isfinite(value):
         raise TrainingError(f"loss is not finite: {value}")
-    size, layout = store._buffer.size, store._layout
-    total = None
+    if store._gradient is None:
+        flat = np.zeros(store._buffer.size)
+        store._gradient = flat, group_parameters(
+            Gradients(flat, store._layout), store)
+    flat, groups = store._gradient
+    total = np.zeros(flat.size)
     for objective in objectives:
-        flat = np.zeros(size)
-        objective.backward(1.0, *group_parameters(Gradients(flat, layout),
-                                                  store))
-        total = flat if total is None else total + flat
-    grads = Gradients(np.zeros(size) if total is None else total, layout)
+        flat.fill(0.0)
+        objective.backward(1.0, *groups)
+        total += flat
+    grads = Gradients(total, store._layout)
     if not np.isfinite(grads.flat).all():
         name = next(name for name, grad in grads.items()
                     if not np.isfinite(grad).all())

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from kcoref import evaluation as ev
+from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.corpus import SpanRef, subword_bucket, tokenize_subwords
@@ -1043,6 +1044,61 @@ def document_objective_tape(doc, store, weights, config, objective,
             sl = mean_concept_nll_tape(full, columns, rows, classes,
                                        scaffold.weights)
     return b1 * cl + b2 * rl + b3 * sl, leaves
+
+
+def document_gradient_full_table(doc, store, weights, config, objective,
+                                 rng=None) -> np.ndarray:
+    """The flat gradient of `losses.document_objective`'s total, with the
+    span-table gradient over every row of the table.
+
+    The stages are the package's, but the table gradient has the table's
+    shape, the mention head's backward and the span representations'
+    backward run over all rows, and the RL gradient is scattered into the
+    table's size: the rows no loss reads carry zeros through all of it.
+    """
+    enc, scoring, scaffold = store.groups
+    b1, b2, b3 = weights.beta
+    with_scaffold = b3 > 0 and scaffold is not None
+    index = L.document_index(
+        doc, config, with_gold=b2 > 0 or b3 > 0,
+        scaffold_lexicon=objective.scaffold_lexicon if with_scaffold else None)
+    token_vecs, encode_backward = m.encode_tokens(doc, enc)
+    reps, reps_backward = m.build_span_representations(token_vecs,
+                                                       index.layout, enc)
+    scores, mention_backward = m.mention_scores(reps, scoring)
+    candidates = m.prune_mentions(doc, index.enumerated,
+                                  scores[index.enum_rows], config.prune_ratio)
+    rows = index.enum_rows[candidates.indices]
+
+    flat = np.zeros(store.buffer().size)
+    enc_grad, scoring_grad, scaffold_grad = tr.group_parameters(
+        tr.Gradients(flat, store._layout), store)
+    g_full = np.zeros(reps.full.shape)
+    every = np.arange(len(g_full))
+    if b1 > 0:
+        _, cl_backward, _ = L._coref_loss_graph(index, candidates, reps,
+                                                scores, scoring, config)
+        if cl_backward is not None:
+            g_scores = np.zeros(len(scores))
+            cl_backward(b1, g_full, rows, g_scores, scoring_grad.antecedent)
+            g_full += mention_backward(g_scores, scoring_grad.mention, every)
+    if b2 > 0:
+        pair_set = L.build_pair_set(
+            doc, candidates.spans, objective.pair_budget,
+            objective.pair_seed if rng is None else rng)
+        _, rl_backward, pool = L._retrofit_loss_graph(
+            index, pair_set, reps, weights, objective.unlabeled_knowledge)
+        if rl_backward is not None:
+            g_pool = np.zeros((len(pool), g_full.shape[1]))
+            rl_backward(b2, g_pool, np.arange(len(pool)))
+            g_full += m.scatter_rows(pool, g_pool, g_full.shape)
+    if with_scaffold:
+        targets = L.scaffold_targets(index, scaffold, objective, rows)
+        if len(targets):
+            _, sl_backward = L._scaffold_loss_graph(targets, reps, scaffold)
+            sl_backward(b3, g_full, targets[:, 0], scaffold_grad.weights)
+    encode_backward(reps_backward(g_full, enc_grad, every), enc_grad)
+    return flat
 
 
 def _tape_group(group):

@@ -119,6 +119,45 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="mixes"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field, message", [
+        ({"concepts": [{"span": [0, 0], "label": None, "lexicon": "coarse"}]},
+         "concept label must be a string, not None"),
+        ({"concepts": [{"span": [0, 0], "label": 3, "lexicon": "coarse"}]},
+         "concept label must be a string, not 3"),
+        ({"concepts": [{"span": [0, 0], "lexicon": "coarse"}]},
+         "is missing label"),
+        ({"concepts": [{"span": [0, 0], "label": "x"}]}, "is missing lexicon"),
+        ({"concepts": [{"label": "x", "lexicon": "coarse"}]},
+         "is missing span"),
+        ({"concepts": [{"span": [0], "label": "x", "lexicon": "coarse"}]},
+         r"concept span must be two integers \[start, end\], not \[0\]"),
+        ({"concepts": [{"span": [0, 0.5], "label": "x",
+                        "lexicon": "coarse"}]}, "concept span must be two"),
+        ({"concepts": [{"span": "0 0", "label": "x", "lexicon": "coarse"}]},
+         "concept span must be two"),
+        ({"clusters": [[[0]]]},
+         r"cluster mention must be two integers \[start, end\], not \[0\]"),
+        ({"clusters": [[[0, 0], [1, "1"]]]}, "cluster mention must be two"),
+        ({"clusters": [[[0, 0], [1, True]]]}, "cluster mention must be two"),
+    ])
+    def test_malformed_entry_names_file_line_and_field(self, tmp_path, field,
+                                                       message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "d0", "tokens": ["a"]}\n'
+                        + json.dumps({"doc_id": "d1", "tokens": ["a", "b"],
+                                      **field}) + "\n")
+        with pytest.raises(CorpusError,
+                           match=r"c\.jsonl: line 2: .*" + message):
+            load_corpus(path)
+
+    def test_missing_document_field_names_it_once(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"tokens": ["a"]}\n')
+        with pytest.raises(CorpusError) as info:
+            load_corpus(path)
+        assert str(info.value).endswith("c.jsonl: line 1: missing field "
+                                        "'doc_id'")
+
     def test_repeated_doc_id_reports_line_and_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         save_corpus([make_doc(["a"], doc_id="d"), make_doc(["b"], doc_id="e"),

@@ -112,7 +112,7 @@ def span_stage(layout):
         reps, backward = m.build_span_representations(x, layout,
                                                       encoder(a, table))
         grad = encoder(np.zeros_like(a), np.zeros_like(table))
-        g_x = backward(upstream, grad)
+        g_x = backward(upstream, grad, np.arange(len(layout)))
         return reps.full, [g_x, grad.attention_w, grad.width_embeddings]
 
     return stage
@@ -195,7 +195,7 @@ def coref_stage(rows, pairs, numer):
                                            head_of(head))
         g_full, g_scores = np.zeros_like(full), np.zeros_like(scores)
         grad = head_of([np.zeros_like(p) for p in head])
-        backward(upstream, g_full, g_scores, grad)
+        backward(upstream, g_full, rows, g_scores, grad)
         return value, [g_full, g_scores, *head_params(grad)]
 
     return stage
@@ -283,7 +283,7 @@ def gap_nodes(columns, rows, first, second, targets):
         value, backward = L.mean_cosine_gap(full, columns, rows, first,
                                             second, targets)
         g_full = np.zeros_like(full)
-        backward(upstream, g_full)
+        backward(upstream, g_full, rows)
         return value, [g_full]
 
     return (stage,
@@ -317,10 +317,10 @@ class TestMeanCosineGap:
         empty = L.PairSet("d0", (), np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp))
         with caplog.at_level("WARNING"):
-            out, backward = L._retrofit_loss_graph(None, empty, reps,
-                                                   L.LossWeights(), "strict")
+            out, backward, rows = L._retrofit_loss_graph(
+                None, empty, reps, L.LossWeights(), "strict")
         assert out == 0.0
-        assert backward is None   # no gradient to pass on
+        assert backward is None and len(rows) == 0   # no gradient to pass on
         assert "empty pair set" in caplog.text
 
     def test_constant_inputs_build_no_tape(self):
@@ -356,7 +356,7 @@ def concept_stage(columns, rows, classes):
         value, backward = L.mean_concept_nll(full, columns, rows, classes,
                                              weights)
         g_full, g_weights = np.zeros_like(full), np.zeros_like(weights)
-        backward(upstream, g_full, g_weights)
+        backward(upstream, g_full, rows, g_weights)
         return value, [g_full, g_weights]
 
     return stage

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 from kcoref import losses as L
+from kcoref import model as m
 from kcoref import training as tr
 from kcoref.model import ModelConfig
 from kcoref.training import (AdamState, Gradients, LearningRates,
@@ -216,6 +218,137 @@ class TestDocStepMatchesTheReferenceTape:
             scale = max(np.abs(got).max(initial=0.0),
                         np.abs(want).max(initial=0.0))
             assert np.abs(got - want).max(initial=0.0) <= 1e-9 * scale, name
+
+
+# The cases the live-row backward is pinned on: beta, ObjectiveConfig
+# fields, then ModelConfig fields that differ from INDEX_CONFIG.
+LIVE_ROW_CASES = {
+    "CL": ((1.0, 0.0, 0.0), {}, {}),
+    "CL+RL": ((1.0, 0.8, 0.0), {}, {}),
+    "CL+RL+SL": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"}, {}),
+    "RL+SL": ((0.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"}, {}),
+    "unlabeled spans": ((1.0, 0.7, 0.4),
+                        {"scaffold_lexicon": "coarse",
+                         "scaffold_include_unlabeled": True}, {}),
+    "empty pair set": ((1.0, 0.7, 0.4),
+                       {"scaffold_lexicon": "coarse", "pair_budget": 0}, {}),
+    "over budget": ((1.0, 0.7, 0.4),
+                    {"scaffold_lexicon": "coarse", "pair_budget": 2}, {}),
+    "one candidate": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"},
+                      {"prune_ratio": 0.01}),
+    "linear heads": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"},
+                     {"scorer_hidden": 0}),
+}
+
+
+def live_row_case(doc, seed, case):
+    beta, fields, model_fields = LIVE_ROW_CASES[case]
+    config = dataclasses.replace(INDEX_CONFIG, **model_fields)
+    weights = L.LossWeights(alpha_c=1.0,
+                            alpha_k={"coarse": 0.5, "fine": 0.2}, beta=beta)
+    objective = L.ObjectiveConfig(**{"pair_budget": 20, "pair_seed": seed,
+                                     **fields})
+    classes = ("a", "b", "c")
+    if objective.scaffold_include_unlabeled:
+        classes += ("<none>",)
+    store = init_parameters(config, build_vocab([doc]), classes, seed=seed)
+    store.tensors["scaffold.weights"][...] = np.random.default_rng(
+        seed).normal(size=(len(classes), config.d_token))
+    return store, weights, config, objective
+
+
+class TestLiveRowBackward:
+    """The doc-step's backward carries the span-table gradient for the rows
+    a loss reads alone; it must equal the whole-table backward bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", sorted(LIVE_ROW_CASES))
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(doc=random_documents(), seed=st.integers(0, 2**16))
+    def test_flat_gradient_equals_the_full_table_reference(self, case, doc,
+                                                           seed):
+        store, weights, config, objective = live_row_case(doc, seed, case)
+        outs = []
+
+        def build(enc, scoring, scaffold):
+            outs.append(L.document_objective(
+                doc, enc, scoring, scaffold, weights, config, objective,
+                [seed, 1]))
+            return outs
+
+        grads, _ = compute_gradients(store, build)
+        want = O.document_gradient_full_table(doc, store, weights, config,
+                                              objective, [seed, 1])
+        assert np.array_equal(grads.flat, want)
+        out = outs[0]
+        if case == "one candidate":
+            assert len(out.candidates) == 1
+        if case == "empty pair set":
+            assert out.pair_set.count == 0
+        if case == "over budget":
+            n = len(out.pair_set.spans)
+            assert n * (n - 1) // 2 > objective.pair_budget
+            assert out.pair_set.count == objective.pair_budget
+
+    def test_span_backward_reads_only_the_live_rows(self, monkeypatch):
+        """The span representations' backward receives exactly the rows of
+        the candidates, the RL pool and the SL targets, in table order."""
+        received = []
+        build_span_representations = m.build_span_representations
+
+        def recording(token_vecs, layout, enc):
+            reps, backward = build_span_representations(token_vecs, layout,
+                                                        enc)
+
+            def spy(g, grad, rows):
+                received.append(rows)
+                return backward(g, grad, rows)
+
+            return reps, spy
+
+        monkeypatch.setattr(m, "build_span_representations", recording)
+        docs, config, store, weights, objective = tiny_setup()
+        for beta in ((1.0, 0.0, 0.0), weights.beta):
+            for doc in docs:
+                received.clear()
+                outs = []
+
+                def build(enc, scoring, scaffold):
+                    outs.append(L.document_objective(
+                        doc, enc, scoring, scaffold,
+                        weights.replace(beta=beta), config, objective))
+                    return outs
+
+                compute_gradients(store, build)
+                out = outs[0]
+                row = {span: i for i, span in enumerate(out.reps.spans)}
+                read = set(out.candidates.spans)
+                if beta[1] > 0:
+                    read.update(out.pair_set.spans)
+                if beta[2] > 0:
+                    read.update(doc.gold_spans())
+                    read.update(doc.concept_annotations["i2b2"])
+                assert len(received) == 1
+                assert received[0].tolist() == sorted(map(row.get, read))
+                assert len(read) < len(row)
+
+    def test_consecutive_gradients_share_no_memory(self):
+        """The backward's buffer is kept per store; what compute_gradients
+        returns is not, so an accumulated gradient stays as it was."""
+        docs, config, store, weights, objective = tiny_setup()
+
+        def build_for(doc):
+            def build(enc, scoring, scaffold):
+                return [L.document_objective(doc, enc, scoring, scaffold,
+                                             weights, config, objective)]
+            return build
+
+        first, _ = compute_gradients(store, build_for(docs[0]))
+        kept = first.flat.copy()
+        second, _ = compute_gradients(store, build_for(docs[1]))
+        assert not np.shares_memory(first.flat, second.flat)
+        assert np.array_equal(first.flat, kept)
+        assert not np.array_equal(first.flat, second.flat)
 
 
 class TestOptimizerStep:
@@ -539,10 +672,11 @@ class TestSchedule:
         monkeypatch.setattr(tr, "group_parameters", counting)
         docs, config, store, weights, objective = tiny_setup()
         assert len(docs) > 1
-        run_schedule(TrainingSchedule([Phase("c", 1, weights)]), {"c": docs},
+        run_schedule(TrainingSchedule([Phase("c", 2, weights)]), {"c": docs},
                      config, objective, store)
         assert calls.count("store") <= 1 and "other" not in calls
-        assert calls.count("gradient") == len(docs)
+        # The gradient's groups are kept per store, not built per doc-step.
+        assert calls.count("gradient") <= 1
 
     def test_unknown_corpus_rejected(self):
         docs, config, store, weights, objective = tiny_setup()
