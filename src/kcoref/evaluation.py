@@ -1,15 +1,17 @@
 """Cluster decoding and the MUC / B-cubed / CEAF-e metric suite.
 
 Decoding scores every (candidate, antecedent) pair of a document in one
-batched pass and picks each candidate's antecedent row by row from the
-padded score grid.
+batched pass, picks each candidate's antecedent row by row from the
+padded score grid, and joins the links into clusters over candidate rows;
+`SpanRef`s are built only for the mentions of the clusters it returns.
 
 All three metrics are functions of one table, `Overlap`: the sparse
 contingency |G_i ∩ P_j| (entries only for cluster pairs that share a
-mention) plus the cluster sizes of both sides. Corpus-level scores number
-clusters across documents and fill one table from per-document
-contingencies; every metric decomposes over documents, so this equals
-micro-averaging. MUC and B-cubed sum over the table with exact integer and
+mention) plus the cluster sizes of both sides. Mentions become int64 ids
+once (`mention_ids`), and the table is filled from one sort of both
+sides' (document, id) pairs. Corpus-level scores number clusters across
+documents; every metric decomposes over documents, so one table over all
+of them equals micro-averaging. MUC and B-cubed sum over the table with exact integer and
 rational arithmetic, converted to float at the boundary. CEAF-e splits the
 table into connected blocks and solves one assignment per block, since
 clusters in different blocks have similarity 0. A slice of the gold chains
@@ -19,11 +21,12 @@ slice's mentions has its column sum over those rows as its size.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,7 +35,7 @@ from . import model as m
 from . import training as tr
 from .corpus import (Document, SpanRef, SubwordVocab, chain_concepts,
                      enumerate_candidate_spans, mean_subwords_per_span,
-                     subword_bucket)
+                     span_keys, subword_bucket)
 
 Clustering = Sequence[frozenset]
 
@@ -103,6 +106,20 @@ class EvalSlice:
     report: MetricReport
 
 
+@dataclass(frozen=True, eq=False)
+class Antecedents:
+    """Each candidate mention's chosen antecedent, as candidate rows.
+
+    Candidate k is the span [starts[k], ends[k]]; candidates are in
+    (start, end) order. `antecedent[k]` is the earlier candidate that k
+    links to, or -1 for the dummy.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    antecedent: np.ndarray
+
+
 @dataclass
 class PredictedClusters:
     """Decoded clusters per document; singletons are already dropped."""
@@ -115,17 +132,19 @@ class PredictedClusters:
 
 
 def predict_antecedents(doc: Document, store: tr.ParameterStore,
-                        config: m.ModelConfig) -> dict[SpanRef, SpanRef | None]:
-    """Argmax antecedent per candidate mention; None is the dummy choice.
+                        config: m.ModelConfig) -> Antecedents:
+    """Argmax antecedent per candidate mention, as candidate rows.
 
     Every (candidate, antecedent) pair of `model.antecedent_pairs` is scored
     in one batched pass; `select_antecedents` then picks per candidate.
-    Candidates with byte-identical representations share one row, and each
-    distinct pair of rows is scored once, so pairs with identical features
-    tie exactly and the nearest-antecedent rule decides between them.
+    When candidates have byte-identical representations, they share one
+    row and each distinct pair of rows is scored once, so pairs with
+    identical features tie exactly and the nearest-antecedent rule decides
+    between them.
     """
     if len(doc) == 0:
-        return {}
+        none = np.zeros(0, dtype=np.intp)
+        return Antecedents(none, none, none)
     enc, scoring, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
     starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
@@ -137,26 +156,48 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
         raise ValueError(f"{doc.doc_id}: NaN mention score")
     candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
-    x = reps.full[candidates.indices]
-    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
-    _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
-    pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
-    rows_i, rows_j = row_of[pairs.mention], row_of[pairs.antecedent]
-    codes, pair_of = np.unique(rows_i * len(first) + rows_j,
-                               return_inverse=True)
-    s_a = m.antecedent_scores(x[first], codes // len(first),
-                              codes % len(first), scoring.antecedent).scores
-    s_m = scores[candidates.indices[first]]
-    pair_scores = s_a[pair_of] + s_m[rows_i] + s_m[rows_j]
+    x, s_m = reps.full[candidates.indices], candidates.scores
+    pairs = m.antecedent_pairs(len(x), config.max_antecedents)
+    rows_i, rows_j = pairs.mention, pairs.antecedent
+    # A repeated hash may be a collision; the byte-level dedupe settles it.
+    if len(set(row_hashes(x).tolist())) == len(x):
+        s_a = m.antecedent_scores(x, rows_i, rows_j, scoring.antecedent).scores
+    else:
+        keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
+        _, first, row_of = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+        x, s_m = x[first], s_m[first]
+        rows_i, rows_j = row_of[rows_i], row_of[rows_j]
+        codes, pair_of = np.unique(rows_i * len(first) + rows_j,
+                                   return_inverse=True)
+        s_a = m.antecedent_scores(x, codes // len(first), codes % len(first),
+                                  scoring.antecedent).scores[pair_of]
+    pair_scores = s_a + s_m[rows_i] + s_m[rows_j]
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
     picks = select_antecedents(
         np.append(pair_scores, -np.inf)[pairs.grid[:, :-1]])
     window_start = np.maximum(
-        np.arange(len(candidates)) - config.max_antecedents, 0)
-    chosen = np.where(picks >= 0, window_start + picks, -1).tolist()
-    return {span: candidates.spans[j] if j >= 0 else None
-            for span, j in zip(candidates.spans, chosen)}
+        np.arange(len(picks)) - config.max_antecedents, 0)
+    rows = candidates.indices
+    return Antecedents(layout.starts[rows], layout.ends[rows],
+                       np.where(picks >= 0, window_start + picks, -1))
+
+
+def row_hashes(x: np.ndarray) -> np.ndarray:
+    """One integer per row of the float64 matrix `x`, equal for rows that
+    are byte-identical: the row's 64-bit words times fixed odd weights,
+    summed modulo 2**64. Rows that differ may still collide."""
+    words = np.ascontiguousarray(x).view(np.uint64)
+    return np.dot(words, _odd_weights(words.shape[1]))
+
+
+@functools.lru_cache(maxsize=8)
+def _odd_weights(width: int) -> np.ndarray:
+    weights = np.arange(1, 2 * width, 2, dtype=np.uint64) \
+        * np.uint64(0x9E3779B97F4A7C15)
+    weights.flags.writeable = False
+    return weights
 
 
 def select_antecedents(grid: np.ndarray) -> np.ndarray:
@@ -175,20 +216,29 @@ def select_antecedents(grid: np.ndarray) -> np.ndarray:
     return np.where(best > 0.0, latest, -1)
 
 
-def decode_clusters(links: Mapping[SpanRef, SpanRef | None]) -> PredictedClusters:
-    """Connected components of the non-dummy links, found over span numbers
-    and sorted by their first span; singletons dropped."""
-    number: dict[SpanRef, int] = {}
-    uf = UnionFind()
-    for mention, antecedent in links.items():
-        if antecedent is not None:
-            uf.union(number.setdefault(mention, len(number)),
-                     number.setdefault(antecedent, len(number)))
-    spans = list(number)
-    clusters = [frozenset(map(spans.__getitem__, g)) for g in uf.groups()
-                if len(g) >= 2]
-    clusters.sort(key=min)
-    return PredictedClusters(clusters)
+def decode_clusters(antecedents: Antecedents) -> PredictedClusters:
+    """Connected components of the non-dummy links, sorted by their first
+    span; singletons dropped.
+
+    Every link points to an earlier candidate, so one forward pass gives
+    each candidate its component's root, the component's first candidate.
+    `SpanRef`s are built for the clustered candidates alone.
+    """
+    root = list(range(len(antecedents.antecedent)))
+    size = [1] * len(root)
+    for k, j in enumerate(antecedents.antecedent.tolist()):
+        if not -1 <= j < k:
+            raise ValueError(f"candidate {k} links to {j}, not to an "
+                             f"earlier candidate or the dummy")
+        if j >= 0:
+            root[k] = root[j]
+            size[root[k]] += 1
+    clusters: dict[int, list[SpanRef]] = {}
+    for r, start, end in zip(root, antecedents.starts.tolist(),
+                             antecedents.ends.tolist()):
+        if size[r] > 1:
+            clusters.setdefault(r, []).append(SpanRef(start, end))
+    return PredictedClusters(list(map(frozenset, clusters.values())))
 
 
 def predict_clusters(doc: Document, store: tr.ParameterStore,
@@ -202,30 +252,48 @@ def predict_clusters(doc: Document, store: tr.ParameterStore,
 
 def contingency(gold: Clustering,
                 pred: Clustering) -> dict[tuple[int, int], int]:
-    """The sparse overlap table {(i, j): |gold[i] ∩ pred[j]|}.
+    """The sparse overlap table {(i, j): |gold[i] ∩ pred[j]|} of
+    `Overlap.of`.
 
     Only pairs that share a mention have an entry. A mention listed twice,
     on either side, raises ValueError: the metrics need partitions.
     """
-    home = {mention: j for j, cluster in enumerate(pred) for mention in cluster}
-    if len(home) != sum(len(c) for c in pred):
-        raise ValueError(_repeated_mention(pred, "predicted"))
-    table: dict[tuple[int, int], int] = {}
-    seen: set = set()
-    for i, cluster in enumerate(gold):
-        seen.update(cluster)
-        for j in map(home.get, cluster):
-            if j is not None:
-                table[i, j] = table.get((i, j), 0) + 1
-    if len(seen) != sum(len(c) for c in gold):
-        raise ValueError(_repeated_mention(gold, "gold"))
-    return table
+    table = Overlap.of(gold, pred)
+    return dict(zip(zip(table.rows.tolist(), table.cols.tolist()),
+                    table.counts.tolist()))
 
 
 def _repeated_mention(clusters: Clustering, side: str) -> str:
     counts = Counter(mention for cluster in clusters for mention in cluster)
     mention = next(m for m, n in counts.items() if n > 1)
     return f"mention {mention!r} is listed twice in the {side} clusters"
+
+
+def mention_ids(mentions: list) -> np.ndarray:
+    """One int64 per mention, equal exactly where the mentions are equal.
+
+    `SpanRef`s get their `span_keys`; other mentions are numbered in order
+    of first appearance by one dict.
+    """
+    if set(map(type, mentions)) <= {SpanRef}:
+        return span_keys(mentions)
+    ids: dict = {}
+    return np.fromiter((ids.setdefault(x, len(ids)) for x in mentions),
+                       np.int64, len(mentions))
+
+
+def _flatten(docs: Sequence[Clustering]
+             ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Every mention of `docs`' clusters, with the cluster sizes (clusters
+    numbered across documents in order), and each mention's cluster and
+    document."""
+    clusters = [cluster for clustering in docs for cluster in clustering]
+    sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
+    per_doc = np.fromiter(map(len, docs), np.intp, len(docs))
+    mentions = [mention for cluster in clusters for mention in cluster]
+    doc_of = np.repeat(np.arange(len(docs)), per_doc)
+    return (mentions, sizes, np.repeat(np.arange(len(clusters)), sizes),
+            np.repeat(doc_of, sizes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,42 +312,50 @@ class Overlap:
 
     @classmethod
     def of(cls, gold: Clustering, pred: Clustering) -> "Overlap":
-        return cls._build(contingency(gold, pred), list(map(len, gold)),
-                          list(map(len, pred)))
+        return cls._join([gold], [pred], pooled=False)
 
     @classmethod
     def pooled(cls, gold_docs: Sequence[Clustering],
                pred_docs: Sequence[Clustering]) -> "Overlap":
-        """One table over all documents.
-
-        Clusters are numbered across documents in order, and each
-        document's contingency fills the table at its clusters' offsets.
-        """
+        """One table over all documents, clusters numbered across documents
+        in order."""
         if len(gold_docs) != len(pred_docs):
             raise ValueError("gold and predicted document counts differ")
-        table: dict[tuple[int, int], int] = {}
-        gold_sizes: list[int] = []
-        pred_sizes: list[int] = []
-        for d, (gold, pred) in enumerate(zip(gold_docs, pred_docs)):
-            try:
-                entries = contingency(gold, pred)
-            except ValueError as exc:
-                raise ValueError(f"document {d}: {exc}") from None
-            di, dj = len(gold_sizes), len(pred_sizes)
-            for (i, j), n in entries.items():
-                table[i + di, j + dj] = n
-            gold_sizes.extend(map(len, gold))
-            pred_sizes.extend(map(len, pred))
-        return cls._build(table, gold_sizes, pred_sizes)
+        return cls._join(gold_docs, pred_docs, pooled=True)
 
     @classmethod
-    def _build(cls, table: Mapping[tuple[int, int], int],
-               gold_sizes: list[int], pred_sizes: list[int]) -> "Overlap":
-        keys = np.array(list(table), dtype=np.intp).reshape(-1, 2)
-        return cls(keys[:, 0], keys[:, 1],
-                   np.fromiter(table.values(), np.int64, len(table)),
-                   np.array(gold_sizes, dtype=np.int64),
-                   np.array(pred_sizes, dtype=np.int64))
+    def _join(cls, gold_docs: Sequence[Clustering],
+              pred_docs: Sequence[Clustering], pooled: bool) -> "Overlap":
+        """The table from one sort of both sides' mentions by (document,
+        `mention_ids`, side): a gold mention next to the same predicted
+        mention adds one to their clusters' entry.
+
+        A mention listed twice in a document, on either side, raises
+        ValueError, checked document by document and the predicted side
+        first; pooled, the message names the document.
+        """
+        gold_mentions, gold_sizes, gold_cluster, gold_doc = _flatten(gold_docs)
+        pred_mentions, pred_sizes, pred_cluster, pred_doc = _flatten(pred_docs)
+        ids = mention_ids(gold_mentions + pred_mentions)
+        doc = np.concatenate([gold_doc, pred_doc])
+        side = np.repeat([0, 1], [len(gold_mentions), len(pred_mentions)])
+        order = np.lexsort((side, ids, doc))
+        doc, ids, side = doc[order], ids[order], side[order]
+        cluster = np.concatenate([gold_cluster, pred_cluster])[order]
+        meet = (doc[1:] == doc[:-1]) & (ids[1:] == ids[:-1])
+        repeated = np.flatnonzero(meet & (side[1:] == side[:-1]))
+        if len(repeated):
+            d = int(doc[repeated].min())
+            pred_side = bool(side[repeated][doc[repeated] == d].any())
+            raise ValueError((f"document {d}: " if pooled else "") + (
+                _repeated_mention(pred_docs[d], "predicted") if pred_side
+                else _repeated_mention(gold_docs[d], "gold")))
+        at = np.flatnonzero(meet)  # gold at `at`, predicted at `at + 1`
+        stride = max(len(pred_sizes), 1)
+        codes, counts = np.unique(cluster[at] * stride + cluster[at + 1],
+                                  return_counts=True)
+        return cls(codes // stride, codes % stride, counts, gold_sizes,
+                   pred_sizes)
 
     def restrict(self, gold_rows: Sequence[int]) -> "Overlap":
         """The gold clusters `gold_rows` against the predicted clusters cut

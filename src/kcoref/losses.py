@@ -399,7 +399,8 @@ def document_objective(doc: Document, enc: m.EncoderParams,
     """
     b1, b2, b3 = weights.beta
     if len(doc) == 0:
-        empty = m.CandidateSet([], np.zeros(0), np.zeros(0, dtype=np.intp))
+        empty = m.CandidateSet(None, np.zeros(0, dtype=np.intp),
+                               np.zeros(0))
         return DocumentLosses(combined_loss(0.0, 0.0, 0.0, weights), 0.0, 0.0,
                               0.0, 0, empty, None, None, lambda *_: None)
     with_scaffold = b3 > 0 and scaffold is not None

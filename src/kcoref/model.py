@@ -149,14 +149,24 @@ class ScoringParams:
 
 @dataclass
 class CandidateSet:
-    """Pruned candidate mentions in (start, end) order."""
+    """Pruned candidate mentions in (start, end) order: the rows `indices`
+    of `layout`, the span table their scores were drawn from (None for a
+    document without spans).
 
-    spans: list[SpanRef]
+    Their `SpanRef`s are built on first use of `spans`, so a caller that
+    works on rows builds none.
+    """
+
+    layout: SpanLayout | None
+    indices: np.ndarray
     scores: np.ndarray
-    indices: np.ndarray  # rows into the layout the scores were drawn from
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self.indices)
+
+    @functools.cached_property
+    def spans(self) -> list[SpanRef]:
+        return [] if self.layout is None else self.layout.refs(self.indices)
 
 
 def token_ids(doc: Document, vocab: Mapping[str, int]) -> np.ndarray:
@@ -332,8 +342,7 @@ def prune_mentions(doc: Document, spans: SpanLayout,
     keep = min(len(spans), math.ceil(prune_ratio * len(doc)))
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     chosen = np.sort(order[:keep])
-    return CandidateSet(spans.refs(chosen), np.asarray(scores)[chosen],
-                        chosen)
+    return CandidateSet(spans, chosen, np.asarray(scores)[chosen])
 
 
 @dataclass(frozen=True)

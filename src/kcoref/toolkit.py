@@ -59,6 +59,8 @@ def span_internals(doc: Document, spans: Sequence[SpanRef],
                    store: tr.ParameterStore,
                    config: m.ModelConfig) -> dict[SpanRef, np.ndarray]:
     """Attention-weighted internal vectors for the given spans."""
+    if not spans:
+        return {}
     enc, _, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
     keys = np.unique(span_keys(spans))

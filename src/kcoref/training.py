@@ -156,6 +156,12 @@ class ParameterStore:
         return ParameterStore(self.tensors, self.vocab, self.scaffold_classes,
                               self.step, self.seed)
 
+    def __reduce__(self):
+        # A pickle carries the tensors as plain arrays; loading it builds
+        # the buffer and its views again.
+        return ParameterStore, (dict(self.tensors), self.vocab,
+                                self.scaffold_classes, self.step, self.seed)
+
     def save(self, path) -> None:
         path = Path(path)
         lines = [f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}",

@@ -614,6 +614,17 @@ def pool_documents(per_doc):
     return pooled
 
 
+def contingency_reference(gold, pred) -> dict:
+    """{(i, j): |gold[i] ∩ pred[j]|} over every cluster pair that shares a
+    mention, by set intersection."""
+    table = {}
+    for i, g in enumerate(gold):
+        for j, p in enumerate(pred):
+            if set(g) & set(p):
+                table[i, j] = len(set(g) & set(p))
+    return table
+
+
 def score_documents_reference(gold_docs, pred_docs) -> ev.MetricReport:
     if len(gold_docs) != len(pred_docs):
         raise ValueError("gold and predicted document counts differ")
@@ -997,9 +1008,9 @@ def document_objective_tape(doc, store, weights, config, objective,
     keep = min(len(enumerated), math.ceil(config.prune_ratio * len(doc)))
     kept = sorted(sorted(range(len(enumerated)),
                          key=lambda i: (-values[i], i))[:keep])
-    candidates = m.CandidateSet([enumerated[i] for i in kept],
-                                np.array([values[i] for i in kept]),
-                                np.array(kept, dtype=np.intp))
+    candidates = m.CandidateSet(span_layout_reference(enumerated, config),
+                                np.array(kept, dtype=np.intp),
+                                np.array([values[i] for i in kept]))
     columns = slice(2 * config.d_token, 3 * config.d_token)
 
     cl = rl = sl = Tensor(0.0)

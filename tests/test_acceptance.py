@@ -9,10 +9,12 @@ model trained on the coreference loss alone.
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -87,18 +89,41 @@ def train_model(train_docs, vocab, classes, weights, config, seed,
     return store, records
 
 
+ARMS = {"cl": CL_WEIGHTS, "full": FULL_WEIGHTS}
+
+
+def train_arm(train_docs, vocab, classes, seed, name):
+    """The trained store of one (seed, arm) run of `seed_runs`."""
+    store, _ = train_model(train_docs, vocab, classes, ARMS[name],
+                           confound_config(), seed)
+    return store
+
+
 @pytest.fixture(scope="module")
 def seed_runs(confound_data):
-    """Six seeds x {CL-only, CL+RL+SL} trained on the confound train split."""
+    """Six seeds x {CL-only, CL+RL+SL} trained on the confound train split.
+
+    The runs are deterministic and independent, so two worker processes
+    train them (`test_seed_runs_match_serial_training`).
+    """
     _, train, test, vocab, classes = confound_data
-    config = confound_config()
-    runs = {}
-    for seed in range(6):
-        for name, weights in (("cl", CL_WEIGHTS), ("full", FULL_WEIGHTS)):
-            store, _ = train_model(train, vocab, classes, weights, config,
-                                   seed)
-            runs[(seed, name)] = store
-    return runs
+    runs = [(seed, name) for seed in range(6) for name in ARMS]
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        stores = pool.map(train_arm, *zip(*[(train, vocab, classes) + run
+                                             for run in runs]),
+                          timeout=600)
+        return dict(zip(runs, stores))
+
+
+def test_seed_runs_match_serial_training(confound_data, seed_runs):
+    _, train, _, vocab, classes = confound_data
+    for name in ARMS:
+        serial = train_arm(train, vocab, classes, 0, name)
+        parallel = seed_runs[(0, name)]
+        assert (parallel.step, parallel.seed) == (serial.step, serial.seed)
+        assert parallel.buffer().tobytes() == serial.buffer().tobytes()
 
 
 def tracked_gold_gap(docs, store, config, weights):
@@ -450,8 +475,11 @@ def _run_cli_pipeline(root: Path) -> dict[str, str]:
 
 
 def test_criterion_9_determinism(tmp_path):
-    first = _run_cli_pipeline(tmp_path / "run1")
-    second = _run_cli_pipeline(tmp_path / "run2")
+    # Two independent pipelines of separate processes, run side by side.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first, second = pool.map(_run_cli_pipeline,
+                                 [tmp_path / "run1", tmp_path / "run2"],
+                                 timeout=600)
     same_names = set(first) == set(second)
     mismatched = [k for k in first if same_names and first[k] != second[k]]
     report(9, "determinism", same_names and not mismatched,

@@ -257,8 +257,9 @@ class TestScaffoldLoss:
 
 
 def zero_candidates(doc, spans):
-    return m.CandidateSet(list(spans), np.zeros(len(spans)),
-                          np.arange(len(spans)))
+    layout = m.span_layout(np.array([s.start for s in spans]),
+                           np.array([s.end for s in spans]), m.ModelConfig())
+    return m.CandidateSet(layout, np.arange(len(spans)), np.zeros(len(spans)))
 
 
 class TestCorefLoss:

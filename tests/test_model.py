@@ -380,5 +380,7 @@ class TestModelConfigValidation:
 
 
 def test_candidate_set_len():
-    cs = CandidateSet([SpanRef(0, 0)], np.array([1.0]), np.array([0]))
+    cs = CandidateSet(layout_of([SpanRef(0, 0), SpanRef(1, 2)]),
+                      np.array([1]), np.array([1.0]))
     assert len(cs) == 1
+    assert cs.spans == [SpanRef(1, 2)]

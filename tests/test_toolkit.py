@@ -31,6 +31,19 @@ class TestGoldLinks:
         assert span_id(doc, S(0, 1)) == "docX:0-1"
 
 
+class TestSpanInternals:
+    def test_no_spans_give_no_vectors(self):
+        docs, config, store, _, _ = tiny_setup()
+        assert tk.span_internals(docs[0], [], store, config) == {}
+
+    def test_one_vector_per_span(self):
+        docs, config, store, _, _ = tiny_setup()
+        spans = [S(1, 1), S(0, 1)]
+        got = tk.span_internals(docs[0], spans, store, config)
+        assert sorted(got) == sorted(spans)
+        assert all(v.shape == (config.d_token,) for v in got.values())
+
+
 class TestOffsets:
     def test_sample_size_honored(self):
         docs, config, store, _, _ = tiny_setup()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -452,6 +453,19 @@ class TestOptimizerStep:
         optimizer_step(store, grads, LearningRates(0.1, 0.1), AdamState())
         assert clone.step == 3
         assert clone.tensors["encoder.embeddings"][0, 0] == original[0, 0] + 1
+
+    def test_pickle_rebuilds_the_store(self):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=5)
+        store.step = 3
+        clone = pickle.loads(pickle.dumps(store))
+        assert (clone.vocab, clone.scaffold_classes, clone.step,
+                clone.seed) == (store.vocab, store.scaffold_classes, 3, 5)
+        assert clone.buffer().tobytes() == store.buffer().tobytes()
+        assert list(clone.tensors) == list(store.tensors)
+        assert all(np.shares_memory(v, clone.buffer())
+                   for v in clone.tensors.values())
+        with pytest.raises(TypeError):
+            clone.tensors["encoder.embeddings"] = np.zeros(1)
 
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(case=st.data())
