@@ -15,6 +15,7 @@ unknown symbol on the first line.
 from __future__ import annotations
 
 import json
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
@@ -305,9 +306,10 @@ def span_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> 32, keys & 0xFFFFFFFF
 
 
-def enumerate_candidate_spans(doc: Document,
+def enumerate_candidate_spans(doc: Sized,
                               max_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of all spans of width <= max_width, in (start, end)
+    """(starts, ends) of all spans of width <= max_width over the len(doc)
+    tokens of a document (or of any sized sequence), in (start, end)
     order."""
     if max_width < 1:
         raise ValueError("max_width must be >= 1")

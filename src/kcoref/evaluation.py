@@ -1,7 +1,8 @@
 """Cluster decoding and the MUC / B-cubed / CEAF-e metric suite.
 
-Decoding scores every (candidate, antecedent) pair of a document in one
-batched pass, picks each candidate's antecedent row by row from the
+Decoding lays out a document's enumerated spans from the layout that
+documents of its length share, scores every (candidate, antecedent) pair
+in one batched pass, picks each candidate's antecedent row by row from the
 padded score grid, and joins the links into clusters over candidate rows;
 `SpanRef`s are built only for the mentions of the clusters it returns.
 
@@ -12,9 +13,11 @@ once (`mention_ids`), and the table is filled from one sort of both
 sides' (document, id) pairs. Corpus-level scores number clusters across
 documents; every metric decomposes over documents, so one table over all
 of them equals micro-averaging. MUC and B-cubed sum over the table with exact integer and
-rational arithmetic, converted to float at the boundary. CEAF-e splits the
-table into connected blocks and solves one assignment per block, since
-clusters in different blocks have similarity 0. A slice of the gold chains
+rational arithmetic, converted to float at the boundary. CEAF-e labels the
+table's connected blocks in one graph pass, since clusters in different
+blocks have similarity 0: a block with one gold or one predicted cluster
+aligns its largest entry, and only a block with at least two of each
+solves an assignment. A slice of the gold chains
 is a subset of the table's rows: a predicted cluster cut down to the
 slice's mentions has its column sum over those rows as its size.
 """
@@ -26,53 +29,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from . import model as m
 from . import training as tr
 from .corpus import (Document, SpanRef, SubwordVocab, chain_concepts,
-                     enumerate_candidate_spans, mean_subwords_per_span,
-                     span_keys, subword_bucket)
+                     mean_subwords_per_span, span_keys, subword_bucket)
 
 Clustering = Sequence[frozenset]
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self):
-        self.parent: dict[Hashable, Hashable] = {}
-        self.size: dict[Hashable, int] = {}
-
-    def find(self, x: Hashable) -> Hashable:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-            return x
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self) -> list[set]:
-        out: dict[Hashable, set] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), set()).add(x)
-        return list(out.values())
 
 
 @dataclass(frozen=True)
@@ -147,8 +116,7 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
         return Antecedents(none, none, none)
     enc, scoring, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
-    starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
-    layout = m.span_layout(starts, ends, config)
+    layout = m.enumerated_layout(len(doc), config)
     reps, _ = m.build_span_representations(token_vecs, layout, enc)
     scores, _ = m.mention_scores(reps, scoring)
     # Pruning would silently rank NaN scores last.
@@ -421,34 +389,39 @@ def _ceaf_e(table: Overlap) -> RPF1:
 
     The similarity is 0 between clusters in different connected blocks of
     the overlap table, so the one-to-one alignment maximizing the total is
-    found per block: a 1×1 block aligns its pair, a larger one goes to the
-    Kuhn-Munkres assignment.
+    found per block. A block with one gold or one predicted cluster aligns
+    its largest entry, all such blocks in one reduction; a block with at
+    least two of each goes to the Kuhn-Munkres assignment.
     """
     n_gold, n_pred = len(table.gold_sizes), len(table.pred_sizes)
     if not n_gold and not n_pred:
         return RPF1(1.0, 1.0, 1.0)
-    if not n_gold or not n_pred:
+    if not n_gold or not n_pred or not len(table.counts):
         return RPF1(0.0, 0.0, 0.0)
     rows, cols = table.rows, table.cols
     phi = 2.0 * table.counts / (table.gold_sizes[rows]
                                 + table.pred_sizes[cols])
-    alone = (np.bincount(rows, minlength=n_gold)[rows] == 1) \
-        & (np.bincount(cols, minlength=n_pred)[cols] == 1)
-    aligned = phi[alone].tolist()
-    shared = np.flatnonzero(~alone)
-    blocks = UnionFind()  # gold i is node i, pred j is node ~j
-    for i, j in zip(rows[shared].tolist(), cols[shared].tolist()):
-        blocks.union(i, ~j)
-    roots = np.array([blocks.find(i) for i in rows[shared].tolist()],
-                     dtype=np.intp)
-    _, block = np.unique(roots, return_inverse=True)
+    # Gold i is node i, predicted j node n_gold + j; an entry is an edge.
+    n_blocks, label = connected_components(sparse.coo_matrix(
+        (np.ones(len(rows)), (rows, n_gold + cols)),
+        shape=(n_gold + n_pred,) * 2), directed=False)
+    n_rows = np.bincount(label[:n_gold], minlength=n_blocks)
+    n_cols = np.bincount(label[n_gold:], minlength=n_blocks)
+    block = label[rows]
     order = np.argsort(block, kind="stable")
-    block = block[order]
-    row_at, n_rows = _rank_in_block(block, rows[shared][order])
-    col_at, n_cols = _rank_in_block(block, cols[shared][order])
-    values = phi[shared][order]
-    bounds = np.searchsorted(block, np.arange(len(n_rows) + 1)).tolist()
-    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+    block, values = block[order], phi[order]
+    first = np.flatnonzero(np.diff(block, prepend=-1))
+    owner = block[first]
+    small = (n_rows[owner] == 1) | (n_cols[owner] == 1)
+    aligned = np.maximum.reduceat(values, first)[small].tolist()
+    large = ~small[np.searchsorted(owner, block)]
+    block = block[large]
+    row_at = _rank_in_block(block, rows[order][large])
+    col_at = _rank_in_block(block, cols[order][large])
+    values = values[large]
+    bounds = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        b = block[lo]
         sim = np.zeros((n_rows[b], n_cols[b]))
         sim[row_at[lo:hi], col_at[lo:hi]] = values[lo:hi]
         picked_rows, picked_cols = linear_sum_assignment(sim, maximize=True)
@@ -457,15 +430,13 @@ def _ceaf_e(table: Overlap) -> RPF1:
     return RPF1.from_rp(total / n_gold, total / n_pred)
 
 
-def _rank_in_block(block: np.ndarray,
-                   keys: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Each entry's rank among the distinct keys of its block (ascending),
-    and the number of distinct keys per block; `block` is sorted."""
+def _rank_in_block(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the distinct keys of its block (ascending);
+    `block` is sorted."""
     stride = int(keys.max(initial=0)) + 1
     codes, at = np.unique(block * stride + keys, return_inverse=True)
     owner = codes // stride
-    return at - np.searchsorted(owner, owner)[at], \
-        np.bincount(owner).tolist()
+    return at - np.searchsorted(owner, owner)[at]
 
 
 def _report(table: Overlap) -> MetricReport:

@@ -19,8 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import model as m
-from .corpus import (Document, SpanRef, bounds_keys, enumerate_candidate_spans,
-                     span_bounds, span_keys)
+from .corpus import Document, SpanRef, bounds_keys, span_bounds, span_keys
 
 log = logging.getLogger(__name__)
 
@@ -283,8 +282,9 @@ class DocumentIndex:
     The table holds the enumerated candidate spans plus, when the objective
     needs them, the gold spans and the scaffold lexicon's labeled spans,
     sorted by position. Every array below has one entry per table row.
-    `enumerated` is what pruning picks from; its `SpanRef`s are built with
-    the index, so a doc-step on an indexed document builds none.
+    `enumerated` is what pruning picks from, the layout that documents of
+    one length share (`model.enumerated_layout`); its `SpanRef`s are built
+    with the first index of that length, so a doc-step builds none.
     """
 
     layout: m.SpanLayout               # the table, with its gather plan
@@ -321,8 +321,8 @@ def document_index(doc: Document, config: m.ModelConfig, with_gold: bool,
 
 def _build_index(doc: Document, config: m.ModelConfig, with_gold: bool,
                  scaffold_lexicon: str | None) -> DocumentIndex:
-    starts, ends = enumerate_candidate_spans(doc, config.max_span_width)
-    enum_keys = bounds_keys(starts, ends)
+    enumerated = m.enumerated_layout(len(doc), config)
+    enum_keys = bounds_keys(enumerated.starts, enumerated.ends)
     extra = doc.gold_spans() if with_gold else []
     if scaffold_lexicon:
         extra.extend(doc.concept_annotations.get(scaffold_lexicon, {}))
@@ -349,11 +349,10 @@ def _build_index(doc: Document, config: m.ModelConfig, with_gold: bool,
                 ids[row[key]] = names.index(label)
         concepts[lexicon_id], labels[lexicon_id] = ids, names
 
-    layout = m.span_layout(*span_bounds(keys), config)
     # Often the extra spans are all enumerated, and the table is the same.
-    enumerated = layout if len(keys) == len(enum_keys) \
-        else m.span_layout(starts, ends, config)
-    enumerated.spans  # built once here; pruning then takes its kept rows
+    layout = enumerated if len(keys) == len(enum_keys) \
+        else m.span_layout(*span_bounds(keys), config)
+    enumerated.spans  # built once per length; pruning takes its kept rows
     return DocumentIndex(layout, keys, enumerated,
                          np.searchsorted(keys, enum_keys), cluster, anaphoric,
                          concepts, labels)

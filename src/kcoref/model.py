@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 
-from .corpus import Document, SpanRef
+from .corpus import Document, SpanRef, enumerate_candidate_spans
 
 UNK_TOKEN = "<unk>"
 
@@ -273,6 +273,30 @@ def span_layout(starts: np.ndarray, ends: np.ndarray,
     buckets = np.minimum(np.searchsorted(config.width_bucket_edges, widths),
                          config.n_width_buckets - 1)
     return SpanLayout(starts, ends, tokens, mask, buckets)
+
+
+def enumerated_layout(n_tokens: int, config: ModelConfig) -> SpanLayout:
+    """The layout of every span of a `n_tokens`-token document up to
+    `config.max_span_width` wide, in (start, end) order.
+
+    It depends only on the length and the span rule, so documents of one
+    length share one layout, built on first use and kept among the 128
+    most recently used; its arrays are read-only.
+    """
+    return _enumerated_layout(n_tokens, config.max_span_width,
+                              tuple(config.width_bucket_edges))
+
+
+@functools.lru_cache(maxsize=128)
+def _enumerated_layout(n_tokens: int, max_span_width: int,
+                       width_bucket_edges: tuple[int, ...]) -> SpanLayout:
+    starts, ends = enumerate_candidate_spans(range(n_tokens), max_span_width)
+    layout = span_layout(starts, ends, ModelConfig(
+        max_span_width=max_span_width, width_bucket_edges=width_bucket_edges))
+    for array in (layout.starts, layout.ends, layout.tokens, layout.mask,
+                  layout.buckets):
+        array.flags.writeable = False
+    return layout
 
 
 def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,

@@ -13,6 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Hashable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -589,6 +590,89 @@ def ceaf_e_dense(gold, pred):
     p = total / len(pred)
     f = 2 * p * r / (p + r) if p + r else 0.0
     return r, p, f
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by size."""
+
+    def __init__(self):
+        self.parent: dict[Hashable, Hashable] = {}
+        self.size: dict[Hashable, int] = {}
+
+    def find(self, x: Hashable) -> Hashable:
+        if x not in self.parent:
+            self.parent[x] = x
+            self.size[x] = 1
+            return x
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: Hashable, b: Hashable) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+    def groups(self) -> list[set]:
+        out: dict[Hashable, set] = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), set()).add(x)
+        return list(out.values())
+
+
+def ceaf_e_reference(table: ev.Overlap) -> ev.RPF1:
+    """`evaluation._ceaf_e`, one block at a time: blocks are labelled by
+    `UnionFind`, a 1×1 block aligns its pair, and every larger one goes to
+    the Kuhn-Munkres assignment."""
+    n_gold, n_pred = len(table.gold_sizes), len(table.pred_sizes)
+    if not n_gold and not n_pred:
+        return ev.RPF1(1.0, 1.0, 1.0)
+    if not n_gold or not n_pred:
+        return ev.RPF1(0.0, 0.0, 0.0)
+    rows, cols = table.rows, table.cols
+    phi = 2.0 * table.counts / (table.gold_sizes[rows]
+                                + table.pred_sizes[cols])
+    alone = (np.bincount(rows, minlength=n_gold)[rows] == 1) \
+        & (np.bincount(cols, minlength=n_pred)[cols] == 1)
+    aligned = phi[alone].tolist()
+    shared = np.flatnonzero(~alone)
+    blocks = UnionFind()  # gold i is node i, pred j is node ~j
+    for i, j in zip(rows[shared].tolist(), cols[shared].tolist()):
+        blocks.union(i, ~j)
+    roots = np.array([blocks.find(i) for i in rows[shared].tolist()],
+                     dtype=np.intp)
+    _, block = np.unique(roots, return_inverse=True)
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    row_at, n_rows = _rank_in_block_reference(block, rows[shared][order])
+    col_at, n_cols = _rank_in_block_reference(block, cols[shared][order])
+    values = phi[shared][order]
+    bounds = np.searchsorted(block, np.arange(len(n_rows) + 1)).tolist()
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        sim = np.zeros((n_rows[b], n_cols[b]))
+        sim[row_at[lo:hi], col_at[lo:hi]] = values[lo:hi]
+        picked_rows, picked_cols = linear_sum_assignment(sim, maximize=True)
+        aligned.extend(sim[picked_rows, picked_cols].tolist())
+    total = math.fsum(aligned)
+    return ev.RPF1.from_rp(total / n_gold, total / n_pred)
+
+
+def _rank_in_block_reference(block: np.ndarray, keys: np.ndarray,
+                             ) -> tuple[np.ndarray, list[int]]:
+    """Each entry's rank among the distinct keys of its block (ascending),
+    and the number of distinct keys per block; `block` is sorted."""
+    stride = int(keys.max(initial=0)) + 1
+    codes, at = np.unique(block * stride + keys, return_inverse=True)
+    owner = codes // stride
+    return at - np.searchsorted(owner, owner)[at], \
+        np.bincount(owner).tolist()
 
 
 def random_clustering(rng, n_mentions: int, max_clusters: int):

@@ -10,7 +10,7 @@ from kcoref import evaluation as ev
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.corpus import SpanRef, SubwordVocab
-from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
+from kcoref.evaluation import (MetricReport, RPF1,
                                average_report, b_cubed, bucket_key, ceaf_e,
                                contingency, decode_clusters, muc,
                                predict_antecedents,
@@ -19,7 +19,8 @@ from kcoref.evaluation import (MetricReport, RPF1, UnionFind,
                                slice_by_subword_bucket)
 
 from kcoref import losses as L
-from oracles import (b_cubed_reference, ceaf_e_brute_force, ceaf_e_dense,
+from oracles import (UnionFind, b_cubed_reference, ceaf_e_brute_force,
+                     ceaf_e_dense, ceaf_e_reference,
                      contingency_reference, decode_clusters_reference,
                      muc_reference,
                      pool_documents, predict_antecedents_reference,
@@ -329,6 +330,50 @@ class TestSpanRefBudget:
         assert built == []
 
 
+class TestSharedEnumeratedLayout:
+    """Documents of one length share one enumerated span layout."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        built = []
+        real = m.span_layout
+
+        def counting(starts, ends, config):
+            built.append(len(starts))
+            return real(starts, ends, config)
+
+        monkeypatch.setattr(m, "span_layout", counting)
+        m._enumerated_layout.cache_clear()
+        yield built
+        m._enumerated_layout.cache_clear()
+
+    def test_predict_clusters_builds_one_layout_per_length(self, layouts):
+        lengths = (6, 9, 6, 12, 9, 6, 12)
+        docs = [make_doc([f"w{i % 4}" for i in range(n)],
+                         [[(0, 0), (2, 2)]]) for n in lengths]
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab(docs), seed=1)
+        for doc in docs:
+            predict_clusters(doc, store, INDEX_CONFIG)
+        assert len(layouts) == len(set(lengths))
+
+    def test_an_empty_document_builds_no_layout(self, layouts):
+        doc = make_doc([])
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
+                                   seed=1)
+        got = predict_antecedents(doc, store, INDEX_CONFIG)
+        assert got.starts.shape == got.ends.shape == got.antecedent.shape \
+            == (0,)
+        assert layouts == []
+
+    def test_the_objective_index_picks_from_the_shared_layout(self, layouts):
+        docs, config, _, _, _ = tiny_setup()
+        for doc in docs:
+            index = L.document_index(doc, config, True, None)
+            assert index.enumerated is m.enumerated_layout(len(doc), config)
+            if len(index.keys) == len(index.enumerated):
+                assert index.layout is index.enumerated
+
+
 class TestPredictIntegration:
     def test_zero_model_links_everything_to_dummy(self):
         docs, config, store, _, _ = tiny_setup()
@@ -570,7 +615,9 @@ class TestPooledMetricsMatchReferences:
             shapes.clear()
             ceaf_e(gold, pred)
             blocks = overlap_blocks(gold, pred)
-            assert sorted(shapes) == sorted(b for b in blocks if b != (1, 1))
+            # A block with one gold or one predicted cluster aligns its
+            # largest entry without an assignment.
+            assert sorted(shapes) == sorted(b for b in blocks if min(b) >= 2)
             seen += shapes
         assert {(2, 2), (3, 2)} <= set(seen)
 
@@ -586,6 +633,111 @@ class TestPooledMetricsMatchReferences:
         assert (3, 2) in overlap_blocks(*pooled("block_3x2"))
         gold, pred = pooled("gold_unmatched")
         assert sum(rows for rows, _ in overlap_blocks(gold, pred)) < len(gold)
+
+
+# Overlap-table blocks as (gold clusters, predicted clusters, entries).
+BLOCK_KINDS = {
+    "1x1": (1, 1, [(0, 0)]),
+    "single_row": (1, 3, [(0, 0), (0, 1), (0, 2)]),
+    "single_col": (3, 1, [(0, 0), (1, 0), (2, 0)]),
+    "l_shaped_2x2": (2, 2, [(0, 0), (0, 1), (1, 0)]),
+    "full_2x2": (2, 2, [(i, j) for i in range(2) for j in range(2)]),
+    "full_3x3": (3, 3, [(i, j) for i in range(3) for j in range(3)]),
+    "gold_alone": (1, 0, []),
+    "pred_alone": (0, 1, []),
+}
+
+
+def overlap_table(kinds, counts, extras, gold_order, pred_order):
+    """An `Overlap` of the `kinds` blocks side by side, entry k counting
+    `counts[k]`, each cluster `extras` mentions larger than its entries
+    (at least 1), and clusters renumbered by `gold_order`/`pred_order`."""
+    counts, extras = iter(counts), iter(extras)
+    entries, gold_sizes, pred_sizes = [], [], []
+    for kind in kinds:
+        n_rows, n_cols, cells = BLOCK_KINDS[kind]
+        r0, c0 = len(gold_sizes), len(pred_sizes)
+        gold_sizes += [0] * n_rows
+        pred_sizes += [0] * n_cols
+        for i, j in cells:
+            n = next(counts)
+            entries.append((r0 + i, c0 + j, n))
+            gold_sizes[r0 + i] += n
+            pred_sizes[c0 + j] += n
+    gold_sizes = [max(size, 1) + next(extras) for size in gold_sizes]
+    pred_sizes = [max(size, 1) + next(extras) for size in pred_sizes]
+    entries = sorted((gold_order[i], pred_order[j], n)
+                     for i, j, n in entries)
+    rows, cols, ns = (np.array(v, dtype=np.int64).reshape(-1)
+                      for v in zip(*entries)) if entries else \
+        (np.zeros(0, dtype=np.int64),) * 3
+
+    def renumbered(sizes, order):
+        out = np.zeros(len(sizes), dtype=np.int64)
+        out[list(order)] = sizes
+        return out
+
+    return ev.Overlap(rows, cols, ns, renumbered(gold_sizes, gold_order),
+                      renumbered(pred_sizes, pred_order))
+
+
+@st.composite
+def overlap_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(BLOCK_KINDS)), max_size=7))
+    n_cells = sum(len(BLOCK_KINDS[k][2]) for k in kinds)
+    n_gold = sum(BLOCK_KINDS[k][0] for k in kinds)
+    n_pred = sum(BLOCK_KINDS[k][1] for k in kinds)
+    # Small counts and extras make tied maxima common.
+    counts = draw(st.lists(st.integers(1, 3), min_size=n_cells,
+                           max_size=n_cells))
+    extras = draw(st.lists(st.integers(0, 2), min_size=n_gold + n_pred,
+                           max_size=n_gold + n_pred))
+    return overlap_table(kinds, counts, extras,
+                         draw(st.permutations(range(n_gold))),
+                         draw(st.permutations(range(n_pred))))
+
+
+class TestCeafEBlocksMatchReference:
+    """`_ceaf_e` aligns single-row and single-column blocks by their largest
+    entry, and gives the same floats as the per-block reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(table=overlap_tables())
+    def test_random_tables(self, table):
+        got, want = ev._ceaf_e(table), ceaf_e_reference(table)
+        assert (got.recall, got.precision, got.f1) \
+            == (want.recall, want.precision, want.f1)
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
+    @pytest.mark.parametrize("counts", ["tied", "distinct"])
+    def test_each_block_kind(self, kind, counts):
+        kinds = [kind, "1x1", kind]
+        n_cells = sum(len(BLOCK_KINDS[k][2]) for k in kinds)
+        n_gold = sum(BLOCK_KINDS[k][0] for k in kinds)
+        n_pred = sum(BLOCK_KINDS[k][1] for k in kinds)
+        cells = [1] * n_cells if counts == "tied" else \
+            [1 + k % 3 for k in range(n_cells)]
+        table = overlap_table(kinds, cells, [0] * (n_gold + n_pred),
+                              range(n_gold)[::-1], range(n_pred))
+        assert ev._ceaf_e(table) == ceaf_e_reference(table)
+
+    def test_empty_sides(self):
+        for kinds in ([], ["gold_alone"], ["pred_alone"],
+                      ["gold_alone", "pred_alone"]):
+            n_gold = sum(BLOCK_KINDS[k][0] for k in kinds)
+            n_pred = sum(BLOCK_KINDS[k][1] for k in kinds)
+            table = overlap_table(kinds, [], [1] * (n_gold + n_pred),
+                                  range(n_gold), range(n_pred))
+            assert ev._ceaf_e(table) == ceaf_e_reference(table)
+
+    def test_a_single_row_block_aligns_its_largest_entry(self):
+        table = overlap_table(["single_row"], [1, 3, 2], [0, 0, 0, 0],
+                              [0], [0, 1, 2])
+        # phi = 2*3 / (6 + 3) for the largest entry; no assignment is run.
+        with mock.patch.object(ev, "linear_sum_assignment") as lsa:
+            got = ev._ceaf_e(table)
+        lsa.assert_not_called()
+        assert got.recall == 6 / 9 and got.precision == 6 / 9 / 3
 
 
 class TestAverageReport:

@@ -220,6 +220,48 @@ class TestSpanLayout:
         assert layout.refs(np.array([1]))[0] is spans[1]
 
 
+LAYOUT_CONFIGS = (ModelConfig(max_span_width=3, width_bucket_edges=(1, 2)),
+                  ModelConfig(max_span_width=10,
+                              width_bucket_edges=(1, 2, 3, 4, 7)))
+LAYOUT_ARRAYS = ("starts", "ends", "tokens", "mask", "buckets")
+
+
+class TestEnumeratedLayout:
+    @pytest.mark.parametrize("config", LAYOUT_CONFIGS)
+    def test_matches_a_fresh_layout_of_the_enumerated_spans(self, config):
+        for n in range(1, 41):
+            got = m.enumerated_layout(n, config)
+            want = m.span_layout(*enumerate_candidate_spans(
+                make_doc(["t"] * n), config.max_span_width), config)
+            for name in LAYOUT_ARRAYS:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), (n, name)
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert m.enumerated_layout(n, config) is got
+
+    def test_arrays_are_read_only(self):
+        layout = m.enumerated_layout(7, LAYOUT_CONFIGS[0])
+        for name in LAYOUT_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(layout, name)[0] = 0
+
+    def test_configs_of_one_length_do_not_share_an_entry(self):
+        first, second = (m.enumerated_layout(12, c) for c in LAYOUT_CONFIGS)
+        assert first is not second
+        assert len(first) != len(second)
+        same_width = ModelConfig(max_span_width=3,
+                                 width_bucket_edges=(1, 3))
+        third = m.enumerated_layout(12, same_width)
+        assert third is not first
+        assert np.array_equal(third.starts, first.starts)
+        assert not np.array_equal(third.buckets, first.buckets)
+
+    def test_a_bucket_edge_list_keys_like_its_tuple(self):
+        config = ModelConfig(max_span_width=3, width_bucket_edges=[1, 2])
+        assert m.enumerated_layout(9, config) \
+            is m.enumerated_layout(9, LAYOUT_CONFIGS[0])
+
+
 class TestMentionScore:
     def test_zero_weights_score_zero(self):
         scoring = linear_scoring(np.zeros(14), np.zeros(42))
