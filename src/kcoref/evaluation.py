@@ -269,7 +269,8 @@ class Overlap:
     """A contingency table as arrays, with the sizes of both sides' clusters.
 
     Entry k says gold cluster `rows[k]` and predicted cluster `cols[k]`
-    share `counts[k]` mentions. MUC, B-cubed and CEAF-e read nothing else.
+    share `counts[k]` mentions; the entries are in (row, col) order. MUC,
+    B-cubed and CEAF-e read nothing else.
     """
 
     rows: np.ndarray
@@ -401,10 +402,7 @@ def _ceaf_e(table: Overlap) -> RPF1:
     rows, cols = table.rows, table.cols
     phi = 2.0 * table.counts / (table.gold_sizes[rows]
                                 + table.pred_sizes[cols])
-    # Gold i is node i, predicted j node n_gold + j; an entry is an edge.
-    n_blocks, label = connected_components(sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, n_gold + cols)),
-        shape=(n_gold + n_pred,) * 2), directed=False)
+    n_blocks, label = _blocks(table)
     n_rows = np.bincount(label[:n_gold], minlength=n_blocks)
     n_cols = np.bincount(label[n_gold:], minlength=n_blocks)
     block = label[rows]
@@ -428,6 +426,18 @@ def _ceaf_e(table: Overlap) -> RPF1:
         aligned.extend(sim[picked_rows, picked_cols].tolist())
     total = math.fsum(aligned)
     return RPF1.from_rp(total / n_gold, total / n_pred)
+
+
+def _blocks(table: Overlap) -> tuple[int, np.ndarray]:
+    """The number of connected blocks of the table, and each cluster's
+    block label: gold i is node i, predicted j node n_gold + j, an entry is
+    an edge, and the row-sorted entries are the graph's CSR as they are."""
+    n_nodes = len(table.gold_sizes) + len(table.pred_sizes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(table.rows, minlength=n_nodes), out=indptr[1:])
+    return connected_components(sparse.csr_matrix(
+        (np.ones(len(table.rows)), len(table.gold_sizes) + table.cols,
+         indptr), shape=(n_nodes, n_nodes)), directed=False)
 
 
 def _rank_in_block(block: np.ndarray, keys: np.ndarray) -> np.ndarray:

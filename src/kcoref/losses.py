@@ -6,15 +6,21 @@ terms are negative log-likelihoods), so the combined objective
 
 A document's objective runs its forward in plain numpy and comes with the
 closed-form backward of the combined loss, which writes every parameter's
-gradient into views of one flat array.
+gradient into views of one flat array. It works on the rows of the
+document's span table (`DocumentIndex`) from end to end: the RL pair pool
+and the SL targets are row sets read from the table's arrays, and no
+`SpanRef` is built or hashed in a doc-step. What does not change between
+steps, the table itself and the scaffold targets, is built once per
+document.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,12 +68,15 @@ class LossWeights:
 class PairSet:
     """Deduplicated unordered span pairs internal to one document.
 
-    Pair p joins `spans[first[p]]` and `spans[second[p]]`, where `spans` is
-    sorted and first[p] < second[p].
+    The pooled spans are the rows `rows` of the span table `layout`, in
+    table order; pair p joins pooled spans `first[p]` and `second[p]`, with
+    first[p] < second[p]. The pooled spans' `SpanRef`s, and the pairs of
+    them, are built only when `spans` or `pairs` is read.
     """
 
     doc_id: str
-    spans: tuple[SpanRef, ...]
+    layout: m.SpanLayout
+    rows: np.ndarray
     first: np.ndarray
     second: np.ndarray
 
@@ -75,18 +84,15 @@ class PairSet:
     def count(self) -> int:
         return len(self.first)
 
+    @functools.cached_property
+    def spans(self) -> tuple[SpanRef, ...]:
+        return tuple(self.layout.refs(self.rows))
+
     @property
     def pairs(self) -> tuple[tuple[SpanRef, SpanRef], ...]:
         span = self.spans.__getitem__
         return tuple(zip(map(span, self.first.tolist()),
                          map(span, self.second.tolist())))
-
-    def __eq__(self, other):
-        if not isinstance(other, PairSet):
-            return NotImplemented
-        return (self.doc_id == other.doc_id and self.spans == other.spans
-                and np.array_equal(self.first, other.first)
-                and np.array_equal(self.second, other.second))
 
 
 @dataclass
@@ -107,57 +113,18 @@ class ScaffoldParams:
 # Distances
 
 
-def coref_distance(span_i: SpanRef, span_j: SpanRef,
-                   gold_clusters: Iterable[frozenset[SpanRef]]) -> int:
-    """0 when both spans share a gold cluster, else 1.
-
-    Pairs in different clusters and pairs where either span is unclustered
-    both count as distance 1.
-    """
-    for cluster in gold_clusters:
-        if span_i in cluster:
-            return 0 if span_j in cluster else 1
-    return 1
-
-
-def knowledge_distance(span_i: SpanRef, span_j: SpanRef,
-                       annotations: Mapping[str, Mapping[SpanRef, str]],
-                       lexicon_id: str) -> int:
-    """0 when both spans carry the same concept from one lexicon, else 1."""
-    labels = annotations.get(lexicon_id, {})
-    a, b = labels.get(span_i), labels.get(span_j)
-    if a is not None and a == b:
-        return 0
-    return 1
-
-
-def target_distance(span_i: SpanRef, span_j: SpanRef, doc: Document,
-                    weights: LossWeights, unlabeled: str = "strict") -> float:
-    """Knowledge-based target distance: alpha_c * d_c + sum alpha_k * d_k.
-
-    With `unlabeled="skip"`, a lexicon's term is dropped for pairs where
-    either span carries no concept from that lexicon.
-    """
-    total = weights.alpha_c * coref_distance(span_i, span_j, doc.gold_clusters)
-    for lexicon_id, alpha in weights.alpha_k.items():
-        if alpha == 0.0:
-            continue
-        if unlabeled == "skip":
-            labels = doc.concept_annotations.get(lexicon_id, {})
-            if span_i not in labels or span_j not in labels:
-                continue
-        total += alpha * knowledge_distance(span_i, span_j,
-                                            doc.concept_annotations, lexicon_id)
-    return total
-
-
 def pair_target_distances(index: DocumentIndex, rows_i: np.ndarray,
                           rows_j: np.ndarray, weights: LossWeights,
                           unlabeled: str = "strict") -> np.ndarray:
-    """`target_distance` of every (rows_i[p], rows_j[p]) pair of table rows.
+    """The knowledge-based target distance alpha_c * d_c + sum alpha_k * d_k
+    of every (rows_i[p], rows_j[p]) pair of table rows.
 
-    The terms are added in `target_distance`'s order, so each target equals
-    it bit for bit; a skipped term adds 0.0.
+    d_c is 0 for two spans of one gold cluster, else 1; d_k is 0 for two
+    spans with the same concept from lexicon k, else 1. With
+    `unlabeled="skip"`, a lexicon's term is dropped for pairs where either
+    span carries no concept from it. The terms are added in the order of
+    the span-level reference `oracles.target_distance`, so each target
+    equals it bit for bit; a skipped term adds 0.0.
     """
     c_i, c_j = index.cluster[rows_i], index.cluster[rows_j]
     total = weights.alpha_c * ((c_i < 0) | (c_i != c_j))
@@ -173,42 +140,32 @@ def pair_target_distances(index: DocumentIndex, rows_i: np.ndarray,
     return total
 
 
-def cosine_distance(u, v) -> float:
-    """1 - cos(u, v), in [0, 2]; zero vectors degrade to distance 1."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        log.warning("cosine_distance of a zero vector; returning 1.0")
-        return 1.0
-    return float(1.0 - np.dot(u, v) / (nu * nv))
-
-
 # ---------------------------------------------------------------------------
 # Pair population for the retrofitting loss
 
 
-def build_pair_set(doc: Document, extra_spans: Sequence[SpanRef],
-                   budget: int,
+def build_pair_set(doc_id: str, index: DocumentIndex,
+                   candidate_rows: np.ndarray, budget: int,
                    rng: np.random.Generator | Sequence[int] | int) -> PairSet:
-    """Pairs over gold-cluster spans plus `extra_spans`, capped at `budget`.
+    """Pairs over the gold-cluster rows of `index` plus `candidate_rows`,
+    capped at `budget`.
 
-    Pairs run in itertools.combinations order over the sorted spans;
-    over-budget sets are thinned by sampling without replacement from
-    `np.random.default_rng(rng)`, built only then (a Generator is used as
-    it is).
+    The pool is in table order, which is span order. Pairs run in
+    itertools.combinations order over it; over-budget sets are thinned by
+    sampling without replacement from `np.random.default_rng(rng)`, built
+    only then (a Generator is used as it is).
     """
-    offered = (*itertools.chain(*doc.gold_clusters), *extra_spans)
-    by_key = dict(zip(span_keys(offered).tolist(), offered))
-    spans = tuple(map(by_key.__getitem__, sorted(by_key)))
-    # Every (i, j) with i < j, row by row: np.triu_indices(len(spans), 1).
-    order = np.arange(len(spans))
+    pooled = index.cluster >= 0
+    pooled[candidate_rows] = True
+    rows = np.flatnonzero(pooled)
+    # Every (i, j) with i < j, row by row: np.triu_indices(len(rows), 1).
+    order = np.arange(len(rows))
     first, second = np.nonzero(np.less.outer(order, order))
     if len(first) > budget:
         chosen = np.sort(np.random.default_rng(rng).choice(
             len(first), size=budget, replace=False))
         first, second = first[chosen], second[chosen]
-    return PairSet(doc.doc_id, spans, first, second)
+    return PairSet(doc_id, index.layout, rows, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +173,11 @@ def build_pair_set(doc: Document, extra_spans: Sequence[SpanRef],
 
 
 def combined_loss(cl, rl, sl, weights: LossWeights):
-    """beta1 * CL + beta2 * RL + beta3 * SL, with NaN components rejected."""
-    named = {"coreference": cl, "retrofitting": rl, "scaffold": sl}
-    for name, component in named.items():
-        if np.isnan(component).any():
+    """beta1 * CL + beta2 * RL + beta3 * SL of three floats, with NaN
+    components rejected."""
+    for name, component in (("coreference", cl), ("retrofitting", rl),
+                            ("scaffold", sl)):
+        if math.isnan(component):
             raise LossError(f"{name} loss is NaN")
     b1, b2, b3 = weights.beta
     return b1 * cl + b2 * rl + b3 * sl
@@ -283,8 +241,8 @@ class DocumentIndex:
     needs them, the gold spans and the scaffold lexicon's labeled spans,
     sorted by position. Every array below has one entry per table row.
     `enumerated` is what pruning picks from, the layout that documents of
-    one length share (`model.enumerated_layout`); its `SpanRef`s are built
-    with the first index of that length, so a doc-step builds none.
+    one length share (`model.enumerated_layout`). `memo` keeps what is
+    derived from the index alone, such as the scaffold targets.
     """
 
     layout: m.SpanLayout               # the table, with its gather plan
@@ -295,19 +253,12 @@ class DocumentIndex:
     anaphoric: np.ndarray              # not the first span of its gold cluster
     concepts: Mapping[str, np.ndarray]      # lexicon -> concept id, or -1
     labels: Mapping[str, tuple[str, ...]]   # lexicon -> label per concept id
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def concept_ids(self, lexicon_id: str) -> np.ndarray:
         ids = self.concepts.get(lexicon_id)
         return np.full(len(self.keys), -1, dtype=np.intp) if ids is None \
             else ids
-
-    def rows_of(self, spans: Sequence[SpanRef]) -> np.ndarray:
-        keys = span_keys(spans)
-        rows = np.searchsorted(self.keys, keys)
-        if len(rows) and (rows.max() >= len(self.keys)
-                          or (self.keys[rows] != keys).any()):
-            raise LossError("span outside the document's span table")
-        return rows
 
 
 def document_index(doc: Document, config: m.ModelConfig, with_gold: bool,
@@ -352,7 +303,6 @@ def _build_index(doc: Document, config: m.ModelConfig, with_gold: bool,
     # Often the extra spans are all enumerated, and the table is the same.
     layout = enumerated if len(keys) == len(enum_keys) \
         else m.span_layout(*span_bounds(keys), config)
-    enumerated.spans  # built once per length; pruning takes its kept rows
     return DocumentIndex(layout, keys, enumerated,
                          np.searchsorted(keys, enum_keys), cluster, anaphoric,
                          concepts, labels)
@@ -365,24 +315,37 @@ def scaffold_targets(index: DocumentIndex, scaffold: ScaffoldParams,
 
     The spans are the gold spans and the spans the scaffold lexicon labels,
     plus the candidates when unlabeled spans train the none class, in
-    table order.
+    table order. Without the candidates the targets depend only on the
+    index and the scaffold classes, so they are built once per index and
+    class list and kept, read-only, in `index.memo`.
     """
     lexicon_id = objective.scaffold_lexicon
     if lexicon_id is None:
         return np.zeros((0, 2), dtype=np.intp)
-    ids = index.concept_ids(lexicon_id)
-    unlabeled = -1
-    if objective.scaffold_include_unlabeled and scaffold.none_class:
-        unlabeled = scaffold.class_index[scaffold.none_class]
-    # Concept id -1 picks the last entry: the class of an unlabeled span.
-    class_of = np.array([scaffold.class_index.get(name, -1)
-                         for name in index.labels.get(lexicon_id, ())]
-                        + [unlabeled], dtype=np.intp)[ids]
-    pool = (index.cluster >= 0) | (ids >= 0)
-    if objective.scaffold_include_unlabeled:
-        pool[candidate_rows] = True
-    rows = np.flatnonzero(pool & (class_of >= 0))
-    return np.stack([rows, class_of[rows]], axis=1)
+    include = objective.scaffold_include_unlabeled
+
+    def build() -> np.ndarray:
+        ids = index.concept_ids(lexicon_id)
+        unlabeled = -1
+        if include and scaffold.none_class:
+            unlabeled = scaffold.class_index[scaffold.none_class]
+        # Concept id -1 picks the last entry: the class of an unlabeled span.
+        class_of = np.array([scaffold.class_index.get(name, -1)
+                             for name in index.labels.get(lexicon_id, ())]
+                            + [unlabeled], dtype=np.intp)[ids]
+        pool = (index.cluster >= 0) | (ids >= 0)
+        if include:
+            pool[candidate_rows] = True
+        rows = np.flatnonzero(pool & (class_of >= 0))
+        return np.stack([rows, class_of[rows]], axis=1)
+
+    if include:
+        return build()
+    key = ("scaffold_targets", lexicon_id, scaffold.classes)
+    if key not in index.memo:
+        index.memo[key] = build()
+        index.memo[key].flags.writeable = False
+    return index.memo[key]
 
 
 def document_objective(doc: Document, enc: m.EncoderParams,
@@ -416,13 +379,13 @@ def document_objective(doc: Document, enc: m.EncoderParams,
     rows = index.enum_rows[candidates.indices]
     cl, cl_backward, misses = 0.0, None, 0
     if b1 > 0:
-        cl, cl_backward, misses = _coref_loss_graph(index, candidates, reps,
-                                                    scores, scoring, config)
+        cl, cl_backward, misses = _coref_loss_graph(
+            index, candidates, reps, scores, scoring, config, rows)
 
     rl, rl_backward, pair_set, pool = 0.0, None, None, rows[:0]
     if b2 > 0:
         pair_set = build_pair_set(
-            doc, candidates.spans, objective.pair_budget,
+            doc.doc_id, index, rows, objective.pair_budget,
             objective.pair_seed if rng is None else rng)
         rl, rl_backward, pool = _retrofit_loss_graph(
             index, pair_set, reps, weights, objective.unlabeled_knowledge)
@@ -440,22 +403,26 @@ def document_objective(doc: Document, enc: m.EncoderParams,
         if not read:
             return
         # `g_live` holds the gradient of the rows a loss reads, in table
-        # order. It adds CL, the mention head (whose score gradient only CL
-        # makes), RL and SL, in that order: another order moves the trained
-        # parameters in their last bits.
-        live = np.unique(np.concatenate(read))
+        # order; `at[r]` is table row r's place in it. It adds CL, the
+        # mention head (whose score gradient only CL makes), RL and SL, in
+        # that order: another order moves the trained parameters in their
+        # last bits.
+        is_live = np.zeros(len(scores), dtype=bool)
+        for r in read:
+            is_live[r] = True
+        live = np.flatnonzero(is_live)
+        at = np.cumsum(is_live) - 1
         g_live = np.zeros((len(live), reps.full.shape[1]))
         if cl_backward is not None:
-            at = np.searchsorted(live, rows)
             g_scores = np.zeros(len(scores))
-            cl_backward(g * b1, g_live, at, g_scores, scoring_grad.antecedent)
-            g_live[at] += mention_backward(g_scores, scoring_grad.mention,
-                                           rows)
+            cl_backward(g * b1, g_live, at[rows], g_scores,
+                        scoring_grad.antecedent)
+            g_live[at[rows]] += mention_backward(g_scores,
+                                                 scoring_grad.mention, rows)
         if rl_backward is not None:
-            rl_backward(g * b2, g_live, np.searchsorted(live, pool))
+            rl_backward(g * b2, g_live, at[pool])
         if sl_backward is not None:
-            sl_backward(g * b3, g_live, np.searchsorted(live, labeled),
-                        scaffold_grad.weights)
+            sl_backward(g * b3, g_live, at[labeled], scaffold_grad.weights)
         encode_backward(reps_backward(g_live, enc_grad, live), enc_grad)
 
     return DocumentLosses(combined_loss(cl, rl, sl, weights), cl, rl, sl,
@@ -465,11 +432,12 @@ def document_objective(doc: Document, enc: m.EncoderParams,
 def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
                       reps: m.BatchedSpans, scores: np.ndarray,
                       scoring: m.ScoringParams, config: m.ModelConfig,
+                      rows: np.ndarray,
                       ) -> tuple[float, m.Backward | None, int]:
     """Summed marginal NLL of each candidate's gold antecedents, or of the
     dummy when none is in its window, its backward (None when there are no
-    pairs), and the count of pruning misses."""
-    rows = index.enum_rows[candidates.indices]
+    pairs), and the count of pruning misses. Candidate k is table row
+    `rows[k]`."""
     pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
     cluster = index.cluster[rows]
     mention, antecedent = cluster[pairs.mention], cluster[pairs.antecedent]
@@ -564,7 +532,7 @@ def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
     if pair_set.count == 0:
         log.warning("%s: empty pair set contributes 0", pair_set.doc_id)
         return 0.0, None, np.zeros(0, dtype=np.intp)
-    rows = index.rows_of(pair_set.spans)
+    rows = pair_set.rows
     targets = pair_target_distances(index, rows[pair_set.first],
                                     rows[pair_set.second], weights, unlabeled)
     return (*mean_cosine_gap(reps.full, reps.internal_columns, rows,

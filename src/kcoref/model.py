@@ -170,8 +170,17 @@ class CandidateSet:
 
 
 def token_ids(doc: Document, vocab: Mapping[str, int]) -> np.ndarray:
-    unk = vocab[UNK_TOKEN]
-    return np.array([vocab.get(t.surface, unk) for t in doc.tokens], dtype=np.intp)
+    """The vocabulary row of each token of `doc` (`UNK_TOKEN`'s when
+    unknown), read-only; kept on `doc` with the vocabulary object they were
+    read from, and read again only for another one."""
+    held = doc.cached("token_ids", lambda: [None, None])
+    if held[0] is not vocab:
+        unk = vocab[UNK_TOKEN]
+        ids = np.array([vocab.get(t.surface, unk) for t in doc.tokens],
+                       dtype=np.intp)
+        ids.flags.writeable = False
+        held[:] = vocab, ids
+    return held[1]
 
 
 def encode_tokens(doc: Document,

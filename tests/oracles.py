@@ -13,17 +13,21 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Hashable
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from kcoref import evaluation as ev
 from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.corpus import SpanRef, subword_bucket, tokenize_subwords
-from kcoref.losses import LossError, target_distance
+from kcoref.corpus import Document, SpanRef, subword_bucket, tokenize_subwords
+from kcoref.losses import LossError, LossWeights
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +668,15 @@ def ceaf_e_reference(table: ev.Overlap) -> ev.RPF1:
     return ev.RPF1.from_rp(total / n_gold, total / n_pred)
 
 
+def blocks_reference(table: ev.Overlap) -> tuple[int, np.ndarray]:
+    """`evaluation._blocks` from a COO matrix of the entries, which scipy
+    converts to CSR itself."""
+    n_gold, n_pred = len(table.gold_sizes), len(table.pred_sizes)
+    return connected_components(sparse.coo_matrix(
+        (np.ones(len(table.rows)), (table.rows, n_gold + table.cols)),
+        shape=(n_gold + n_pred,) * 2), directed=False)
+
+
 def _rank_in_block_reference(block: np.ndarray, keys: np.ndarray,
                              ) -> tuple[np.ndarray, list[int]]:
     """Each entry's rank among the distinct keys of its block (ascending),
@@ -771,6 +784,66 @@ def eig2x2(a: float, b: float, c: float):
     mean = (a + c) / 2.0
     root = math.sqrt(((a - c) / 2.0) ** 2 + b * b)
     return mean + root, mean - root
+
+
+# ---------------------------------------------------------------------------
+# Span-level distances: the definitions `losses.pair_target_distances` and
+# `losses.mean_cosine_gap` compute for whole row sets.
+
+
+def coref_distance(span_i: SpanRef, span_j: SpanRef,
+                   gold_clusters: Iterable[frozenset[SpanRef]]) -> int:
+    """0 when both spans share a gold cluster, else 1.
+
+    Pairs in different clusters and pairs where either span is unclustered
+    both count as distance 1.
+    """
+    for cluster in gold_clusters:
+        if span_i in cluster:
+            return 0 if span_j in cluster else 1
+    return 1
+
+
+def knowledge_distance(span_i: SpanRef, span_j: SpanRef,
+                       annotations: Mapping[str, Mapping[SpanRef, str]],
+                       lexicon_id: str) -> int:
+    """0 when both spans carry the same concept from one lexicon, else 1."""
+    labels = annotations.get(lexicon_id, {})
+    a, b = labels.get(span_i), labels.get(span_j)
+    if a is not None and a == b:
+        return 0
+    return 1
+
+
+def target_distance(span_i: SpanRef, span_j: SpanRef, doc: Document,
+                    weights: LossWeights, unlabeled: str = "strict") -> float:
+    """Knowledge-based target distance: alpha_c * d_c + sum alpha_k * d_k.
+
+    With `unlabeled="skip"`, a lexicon's term is dropped for pairs where
+    either span carries no concept from that lexicon.
+    """
+    total = weights.alpha_c * coref_distance(span_i, span_j, doc.gold_clusters)
+    for lexicon_id, alpha in weights.alpha_k.items():
+        if alpha == 0.0:
+            continue
+        if unlabeled == "skip":
+            labels = doc.concept_annotations.get(lexicon_id, {})
+            if span_i not in labels or span_j not in labels:
+                continue
+        total += alpha * knowledge_distance(span_i, span_j,
+                                            doc.concept_annotations, lexicon_id)
+    return total
+
+
+def cosine_distance(u, v) -> float:
+    """1 - cos(u, v), in [0, 2]; zero vectors degrade to distance 1."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        log.warning("cosine_distance of a zero vector; returning 1.0")
+        return 1.0
+    return float(1.0 - np.dot(u, v) / (nu * nv))
 
 
 # ---------------------------------------------------------------------------
@@ -1126,19 +1199,30 @@ def document_objective_tape(doc, store, weights, config, objective,
                           for a, b in pair_list]))
 
     if with_scaffold:
-        pool = set(doc.gold_spans()) | set(labels)
-        unlabeled = None
-        if objective.scaffold_include_unlabeled:
-            pool.update(candidates.spans)
-            unlabeled = scaffold.none_class
-        targets = [(row[s], scaffold.class_index[labels.get(s, unlabeled)])
-                   for s in sorted(pool)
-                   if labels.get(s, unlabeled) in scaffold.class_index]
+        targets = scaffold_targets_reference(doc, row, scaffold, objective,
+                                             candidates.spans)
         if targets:
             rows, classes = map(np.array, zip(*targets))
             sl = mean_concept_nll_tape(full, columns, rows, classes,
                                        scaffold.weights)
     return b1 * cl + b2 * rl + b3 * sl, leaves
+
+
+def scaffold_targets_reference(doc, row, scaffold, objective,
+                               candidate_spans) -> list[tuple[int, int]]:
+    """(row[span], class index) of each span the scaffold loss scores, span
+    by span in span order: the gold spans and the scaffold lexicon's
+    labeled spans, plus `candidate_spans` under the none class when
+    unlabeled spans train it."""
+    labels = doc.concept_annotations.get(objective.scaffold_lexicon, {})
+    pool = set(doc.gold_spans()) | set(labels)
+    unlabeled = None
+    if objective.scaffold_include_unlabeled:
+        pool.update(candidate_spans)
+        unlabeled = scaffold.none_class
+    return [(row[s], scaffold.class_index[labels.get(s, unlabeled)])
+            for s in sorted(pool)
+            if labels.get(s, unlabeled) in scaffold.class_index]
 
 
 def document_gradient_full_table(doc, store, weights, config, objective,
@@ -1172,14 +1256,14 @@ def document_gradient_full_table(doc, store, weights, config, objective,
     every = np.arange(len(g_full))
     if b1 > 0:
         _, cl_backward, _ = L._coref_loss_graph(index, candidates, reps,
-                                                scores, scoring, config)
+                                                scores, scoring, config, rows)
         if cl_backward is not None:
             g_scores = np.zeros(len(scores))
             cl_backward(b1, g_full, rows, g_scores, scoring_grad.antecedent)
             g_full += mention_backward(g_scores, scoring_grad.mention, every)
     if b2 > 0:
         pair_set = L.build_pair_set(
-            doc, candidates.spans, objective.pair_budget,
+            doc.doc_id, index, rows, objective.pair_budget,
             objective.pair_seed if rng is None else rng)
         _, rl_backward, pool = L._retrofit_loss_graph(
             index, pair_set, reps, weights, objective.unlabeled_knowledge)

@@ -27,12 +27,12 @@ from kcoref import training as tr
 from kcoref.corpus import SubwordVocab, subword_bucket, tokenize_subwords
 from kcoref.evaluation import RPF1, average_report, b_cubed, ceaf_e, muc
 from kcoref.lexicon import MatchPolicy, annotate_documents
-from kcoref.losses import LossWeights, ObjectiveConfig, cosine_distance, \
-    document_objective, target_distance
+from kcoref.losses import LossWeights, ObjectiveConfig, document_objective
 from kcoref.toolkit import SyntheticSpec, generate_synthetic_corpus
 
-from oracles import (b_cubed_reference, ceaf_e_brute_force, eig2x2,
-                     muc_reference, random_clustering)
+from oracles import (b_cubed_reference, ceaf_e_brute_force, cosine_distance,
+                     eig2x2, muc_reference, random_clustering,
+                     target_distance)
 
 
 def report(number, name, passed, detail=""):

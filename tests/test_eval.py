@@ -19,8 +19,8 @@ from kcoref.evaluation import (MetricReport, RPF1,
                                slice_by_subword_bucket)
 
 from kcoref import losses as L
-from oracles import (UnionFind, b_cubed_reference, ceaf_e_brute_force,
-                     ceaf_e_dense, ceaf_e_reference,
+from oracles import (UnionFind, b_cubed_reference, blocks_reference,
+                     ceaf_e_brute_force, ceaf_e_dense, ceaf_e_reference,
                      contingency_reference, decode_clusters_reference,
                      muc_reference,
                      pool_documents, predict_antecedents_reference,
@@ -308,6 +308,25 @@ class TestSpanRefBudget:
             assert clusters
             assert sorted(built) == sorted((s.start, s.end)
                                            for c in clusters for s in c)
+
+    def test_first_doc_step_on_a_fresh_document_builds_none(self, built):
+        """The doc-step that builds a document's span table, on an
+        enumerated layout made for it, builds no `SpanRef` either."""
+        docs, config, store, weights, objective = tiny_setup(
+            beta=(1.0, 0.5, 0.5))
+        m._enumerated_layout.cache_clear()
+        built.clear()
+        for doc in docs:
+            outs = []
+
+            def build(enc, scoring, scaffold, doc=doc):
+                outs.append(L.document_objective(doc, enc, scoring, scaffold,
+                                                 weights, config, objective))
+                return outs
+
+            tr.compute_gradients(store, build)
+            assert outs[0].pair_set.count and len(outs[0].candidates)
+        assert built == []
 
     def test_doc_step_on_an_indexed_document_builds_none(self, built):
         docs, config, store, weights, objective = tiny_setup(
@@ -707,6 +726,16 @@ class TestCeafEBlocksMatchReference:
         got, want = ev._ceaf_e(table), ceaf_e_reference(table)
         assert (got.recall, got.precision, got.f1) \
             == (want.recall, want.precision, want.f1)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(table=overlap_tables())
+    def test_block_labels_match_the_coo_route(self, table):
+        """The CSR built from the row-sorted entries labels the blocks as
+        scipy's own conversion of the COO entries does."""
+        n_blocks, label = ev._blocks(table)
+        want_blocks, want_label = blocks_reference(table)
+        assert n_blocks == want_blocks
+        assert np.array_equal(label, want_label)
 
     @pytest.mark.parametrize("kind", sorted(BLOCK_KINDS))
     @pytest.mark.parametrize("counts", ["tied", "distinct"])

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.corpus import SpanRef, truncate_document
+from kcoref.corpus import SpanRef, bounds_keys, span_keys, truncate_document
 from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
                            ScaffoldParams, build_pair_set, combined_loss,
-                           coref_distance, cosine_distance,
-                           document_objective, knowledge_distance,
-                           target_distance)
+                           document_objective)
 
 import oracles as O
-from oracles import (Tensor, coref_loss, cosine_distance_t, pair_set_reference,
-                     retrofit_loss, scaffold_loss, softmax_by_hand)
+from oracles import (Tensor, coref_distance, coref_loss, cosine_distance,
+                     cosine_distance_t, knowledge_distance, pair_set_reference,
+                     retrofit_loss, scaffold_loss, softmax_by_hand,
+                     target_distance)
 from test_corpus import make_doc
 
 S = SpanRef
@@ -126,28 +126,46 @@ class TestCosineDistance:
         assert got == pytest.approx(cosine_distance(u, v), abs=1e-12)
 
 
+def table_rows(index, spans):
+    """The rows of `spans` in the span table of `index`."""
+    rows = np.searchsorted(index.keys, span_keys(spans))
+    assert (index.keys[rows] == span_keys(spans)).all()
+    return rows
+
+
 class TestPairSet:
     def test_pairs_over_gold_plus_candidates(self):
         doc = doc_with([[(0, 0), (1, 1)]])
+        index = L.document_index(doc, INDEX_CONFIG, True, None)
         rng = np.random.default_rng(0)
-        ps = build_pair_set(doc, [S(2, 2)], budget=100, rng=rng)
+        ps = build_pair_set(doc.doc_id, index, table_rows(index, [S(2, 2)]),
+                            budget=100, rng=rng)
         assert ps.count == 3  # C(3, 2)
+        assert ps.spans == (S(0, 0), S(1, 1), S(2, 2))
         assert all(a < b for a, b in ps.pairs)
 
     def test_budget_caps_and_is_deterministic(self):
         doc = doc_with([[(i, i) for i in range(6)]])
-        ps1 = build_pair_set(doc, [], 5, np.random.default_rng(42))
-        ps2 = build_pair_set(doc, [], 5, np.random.default_rng(42))
+        index = L.document_index(doc, INDEX_CONFIG, True, None)
+        none = np.zeros(0, dtype=np.intp)
+        ps1 = build_pair_set(doc.doc_id, index, none, 5,
+                             np.random.default_rng(42))
+        ps2 = build_pair_set(doc.doc_id, index, none, 5,
+                             np.random.default_rng(42))
         assert ps1.count == 5
-        assert ps1 == ps2
+        assert ps1.pairs == ps2.pairs
 
 
 def pair_set(doc_id, *pairs):
-    """A PairSet holding exactly `pairs`, in the order given."""
-    spans = tuple(sorted({s for pair in pairs for s in pair}))
+    """A PairSet holding exactly `pairs`, in the order given, over the span
+    table of every span of an 8-token document."""
+    layout = m.enumerated_layout(8, m.ModelConfig(max_span_width=8))
+    spans = sorted({s for pair in pairs for s in pair})
+    rows = np.searchsorted(bounds_keys(layout.starts, layout.ends),
+                           span_keys(spans))
     first = np.array([spans.index(a) for a, _ in pairs], dtype=np.intp)
     second = np.array([spans.index(b) for _, b in pairs], dtype=np.intp)
-    return PairSet(doc_id, spans, first, second)
+    return PairSet(doc_id, layout, rows, first, second)
 
 
 def internals_for(doc_id, vectors):
@@ -554,17 +572,64 @@ class TestIndexedPathsMatchReferences:
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(doc=random_documents(), budget=st.integers(0, 40),
-           extra=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
-                          max_size=8),
+           picks=st.lists(st.integers(0, 2**16), max_size=8, unique=True),
            seed=st.integers(0, 2**16))
-    def test_pair_sets_match_combinations(self, doc, budget, extra, seed):
-        extra_spans = [S(s, s + w) for s, w in extra]
-        got = build_pair_set(doc, extra_spans, budget,
+    def test_pair_sets_match_combinations(self, doc, budget, picks, seed):
+        """The pool of table rows pairs as the sorted spans of the gold
+        clusters and of randomly drawn enumerated rows do, thinned by the
+        same draw when over budget."""
+        index = L.document_index(doc, INDEX_CONFIG, True, None)
+        rows = np.unique(index.enum_rows[np.array(picks, dtype=np.intp)
+                                         % len(index.enum_rows)])
+        got = build_pair_set(doc.doc_id, index, rows, budget,
                              np.random.default_rng(seed))
+        extra_spans = [index.layout.spans[r] for r in rows.tolist()]
         expected = pair_set_reference(doc, extra_spans, budget,
                                       np.random.default_rng(seed))
         assert got.pairs == tuple(expected)
         assert got.count == len(expected)
+        assert (np.diff(got.rows) > 0).all()
+
+
+class TestScaffoldTargets:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(doc=random_documents(), include=st.booleans(),
+           none_class=st.booleans(),
+           picks=st.lists(st.integers(0, 2**16), max_size=8, unique=True))
+    def test_cached_targets_equal_the_per_step_reference(
+            self, doc, include, none_class, picks):
+        """Without unlabeled spans the targets are built once per index and
+        class list; with them every call adds its own candidates."""
+        classes = ("a", "b") + (("<none>",) if none_class else ())
+        scaffold = ScaffoldParams(classes, np.zeros((len(classes), 2)),
+                                  "<none>" if none_class else None)
+        objective = ObjectiveConfig(scaffold_lexicon="coarse",
+                                    scaffold_include_unlabeled=include)
+        index = L.document_index(doc, INDEX_CONFIG, True, "coarse")
+        rows = np.unique(index.enum_rows[np.array(picks, dtype=np.intp)
+                                         % len(index.enum_rows)])
+        spans = index.layout.spans
+        row = {span: i for i, span in enumerate(spans)}
+
+        def reference(candidate_rows, scaffold=scaffold):
+            return [list(t) for t in O.scaffold_targets_reference(
+                doc, row, scaffold, objective,
+                [spans[r] for r in candidate_rows.tolist()])]
+
+        got = L.scaffold_targets(index, scaffold, objective, rows)
+        assert got.tolist() == reference(rows)
+        none = rows[:0]
+        again = L.scaffold_targets(index, scaffold, objective, none)
+        assert again.tolist() == reference(none)
+        # Another class list on the same index gets its own targets.
+        other = ScaffoldParams(("c", "a"), np.zeros((2, 2)))
+        assert L.scaffold_targets(index, other, objective, rows).tolist() \
+            == reference(rows, other)
+        if not include:
+            assert again is got and not got.flags.writeable
+        elif none_class:
+            unlabeled = rows[index.concept_ids("coarse")[rows] < 0]
+            assert set(unlabeled.tolist()) <= set(got[:, 0].tolist())
 
 
 class TestDocumentIndexLifetime:
@@ -585,7 +650,7 @@ class TestDocumentIndexLifetime:
 
     def concept_gap(self, doc, a, b):
         index = L.document_index(doc, INDEX_CONFIG, True, None)
-        rows = index.rows_of([a, b])
+        rows = table_rows(index, [a, b])
         weights = LossWeights(alpha_c=0.0, alpha_k={"coarse": 1.0})
         return float(L.pair_target_distances(index, rows[:1], rows[1:],
                                              weights)[0])

@@ -635,9 +635,9 @@ class TestSchedule:
             seeds.append(seed)
             return default_rng(seed)
 
-        def recording(doc, extra_spans, budget, rng):
-            out = build_pair_set(doc, extra_spans, budget, rng)
-            n = len(out.spans)
+        def recording(doc_id, index, candidate_rows, budget, rng):
+            out = build_pair_set(doc_id, index, candidate_rows, budget, rng)
+            n = len(out.rows)
             offered.append((rng, n * (n - 1) // 2))
             return out
 
@@ -691,6 +691,33 @@ class TestSchedule:
         assert calls.count("store") <= 1 and "other" not in calls
         # The gradient's groups are kept per store, not built per doc-step.
         assert calls.count("gradient") <= 1
+
+    def test_one_document_gets_each_vocabulary_its_own_token_ids(self):
+        """A document keeps the token ids of the last vocabulary it was
+        read with; one trained through stores that number its tokens
+        differently trains as a fresh copy of it does under each."""
+        docs, config, store, weights, objective = tiny_setup()
+        renumbered = (store.vocab[0], *reversed(store.vocab[1:]))
+        other = init_parameters(config, renumbered, store.scaffold_classes,
+                                seed=1)
+        sched = TrainingSchedule([Phase("c", 1, weights)])
+        for source in (store, other, store):
+            trained, _ = run_schedule(sched, {"c": docs}, config, objective,
+                                      source.copy())
+            copies = [make_doc([t.surface for t in doc.tokens],
+                               [[(s.start, s.end) for s in c]
+                                for c in doc.gold_clusters],
+                               doc.concept_annotations, doc_id=doc.doc_id)
+                      for doc in docs]
+            fresh, _ = run_schedule(sched, {"c": copies}, config, objective,
+                                    source.copy())
+            assert trained.buffer().tobytes() == fresh.buffer().tobytes()
+            for doc in docs:
+                ids = m.token_ids(doc, source.vocab_index)
+                assert ids.tolist() == [source.vocab.index(t.surface)
+                                        for t in doc.tokens]
+                assert m.token_ids(doc, source.vocab_index) is ids
+        assert renumbered != store.vocab
 
     def test_unknown_corpus_rejected(self):
         docs, config, store, weights, objective = tiny_setup()
