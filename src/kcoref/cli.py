@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -14,7 +15,8 @@ from . import evaluation as ev
 from . import toolkit as tk
 from . import training as tr
 from .config import (ConfigError, RunConfig, load_config, load_run_data,
-                     scaffold_classes, training_corpus_names)
+                     load_synthetic_spec, scaffold_classes,
+                     training_corpus_names)
 from .corpus import CorpusError, save_corpus, save_subword_vocab
 from .lexicon import LexiconError, save_lexicon
 from .losses import LossError, document_objective
@@ -46,15 +48,9 @@ def _resolve(args, name: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    if "suffixes" in raw:
-        raw["suffixes"] = tuple(raw["suffixes"])
-    for key in ("concepts", "chains_per_doc", "chain_length", "filler_gap"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    spec = load_synthetic_spec(args.spec)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    spec = tk.SyntheticSpec(**raw)
+        spec = dataclasses.replace(spec, seed=args.seed)
     corpus = tk.generate_synthetic_corpus(spec)
     out = _out_dir(args)
 

@@ -1,7 +1,8 @@
 """Run configuration: one JSON file wires corpora, lexicons, model dims,
 loss weights, and the phase schedule together.
 
-Relative paths are resolved against the config file's directory.
+Relative paths are resolved against the config file's directory. The
+synthetic-corpus spec of `kcoref synth` is read the same way.
 """
 
 from __future__ import annotations
@@ -9,14 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
-from .corpus import (Document, SubwordVocab, load_corpus, load_subword_vocab,
-                     truncate_document)
+from .corpus import (Document, SubwordVocab, check_field, load_corpus,
+                     load_subword_vocab, truncate_document)
 from .lexicon import ConceptLexicon, MatchPolicy, annotate_documents, load_lexicon
-from .losses import LossError, LossWeights, ObjectiveConfig
+from .losses import LossWeights, ObjectiveConfig
 from .model import ModelConfig
-from .training import Phase, TrainingSchedule
+from .toolkit import SyntheticSpec
+from .training import Phase, TrainingError, TrainingSchedule
 
 
 class ConfigError(ValueError):
@@ -27,7 +28,10 @@ class ConfigError(ValueError):
 class LexiconEntry:
     path: Path
     annotate: bool = False
-    policy: MatchPolicy = field(default_factory=MatchPolicy)
+    match: MatchPolicy = field(default_factory=MatchPolicy)
+
+    def __post_init__(self):
+        check_field(ConfigError, "annotate", self.annotate, "switch")
 
 
 @dataclass
@@ -35,6 +39,12 @@ class ProjectionSettings:
     sample: int = 200
     seed: int = 0
     lexicon: str | None = None
+
+    def __post_init__(self):
+        check_field(ConfigError, "sample", self.sample, "integer", 1)
+        check_field(ConfigError, "seed", self.seed, "integer", 0)
+        if self.lexicon is not None:
+            check_field(ConfigError, "lexicon", self.lexicon, "string")
 
 
 @dataclass
@@ -51,157 +61,109 @@ class RunConfig:
     checkpoint_dir: Path | None = None
     projection: ProjectionSettings = field(default_factory=ProjectionSettings)
 
+    def __post_init__(self):
+        check_field(ConfigError, "seed", self.seed, "integer", 0)
+        check_field(ConfigError, "eval_corpus", self.eval_corpus, "string")
+        if self.truncate_tokens is not None:
+            check_field(ConfigError, "truncate_tokens", self.truncate_tokens,
+                        "integer", 1)
+        if not self.phases:
+            raise ConfigError("phases must not be empty")
+        for i, phase in enumerate(self.phases):
+            if phase.corpus not in self.corpora:
+                raise ConfigError(f"phases[{i}]: corpus {phase.corpus!r} is "
+                                  f"not declared under 'corpora'")
+
     def schedule(self) -> TrainingSchedule:
         return TrainingSchedule(list(self.phases))
 
 
-def _require(mapping: Mapping, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _integer(value, field: str, context: str,
-             minimum: int | None = None) -> int:
-    """`value`, required to be an int of at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: {field} must be an integer, not "
-                          f"{value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{context}: {field} must be >= {minimum}, not "
-                          f"{value}")
-    return value
-
-
-def _number(value, field: str, context: str) -> float:
+def _build(cls, raw, name: str, sep: str = ": ", **parsed):
+    """`cls` built from the JSON object `raw`, with `parsed` in place of its
+    nested sections; every error, a missing or unknown field included, is
+    a ConfigError naming `name`."""
+    check_field(ConfigError, name, raw, "mapping")
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context}: {field} must be a number, not "
-                          f"{value!r}") from None
+        return cls(**{**raw, **parsed})
+    except (ValueError, TypeError, TrainingError) as exc:
+        raise ConfigError(f"{name}{sep}{exc}") from None
 
 
-def _weights_from(raw, context: str) -> LossWeights:
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{context}: weights must be a mapping, not "
-                          f"{raw!r}")
-    alpha_k, beta = raw.get("alpha_k", {}), raw.get("beta", (1.0, 0.0, 0.0))
-    if not isinstance(alpha_k, Mapping):
-        raise ConfigError(f"{context}: weights.alpha_k must be a mapping, "
-                          f"not {alpha_k!r}")
-    if not isinstance(beta, (list, tuple)):
-        raise ConfigError(f"{context}: weights.beta must be a list, not "
-                          f"{beta!r}")
+def _read_json(path: Path):
+    if not path.is_file():
+        raise ConfigError(f"file not found: {path}")
     try:
-        return LossWeights(
-            alpha_c=_number(raw.get("alpha_c", 1.0), "weights.alpha_c",
-                            context),
-            alpha_k={k: _number(v, f"weights.alpha_k.{k}", context)
-                     for k, v in alpha_k.items()},
-            beta=tuple(_number(b, f"weights.beta[{i}]", context)
-                       for i, b in enumerate(beta)))
-    except LossError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line "
+                          f"{exc.lineno})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})")
-    base = path.parent
+    """The run config in JSON file `path`.
 
-    def resolve(p) -> Path:
-        p = Path(p)
+    Each section is built by the dataclass that owns it, which checks its
+    own fields; the loader checks only the JSON shape of sections and list
+    entries, and names the file and the field path in every error.
+    """
+    path = Path(path)
+    raw = check_field(ConfigError, str(path), _read_json(path), "mapping")
+    try:
+        sections = _sections(raw, path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return _build(RunConfig, raw, str(path), **sections)
+
+
+def load_synthetic_spec(path) -> SyntheticSpec:
+    """The generator settings in JSON file `path`."""
+    path = Path(path)
+    return _build(SyntheticSpec, _read_json(path), str(path))
+
+
+def _sections(raw: dict, base: Path) -> dict:
+    def resolve(value, name: str) -> Path:
+        p = Path(check_field(ConfigError, name, value, "string"))
         return p if p.is_absolute() else base / p
 
-    corpora_raw = _require(raw, "corpora", str(path))
-    corpora = {name: resolve(p) for name, p in corpora_raw.items()}
+    sections = {name: _build(cls, raw.get(name, {}), name) for name, cls in
+                (("model", ModelConfig), ("objective", ObjectiveConfig),
+                 ("projection", ProjectionSettings))}
+    for name in ("subword_vocab", "checkpoint_dir"):
+        sections[name] = None if raw.get(name) is None \
+            else resolve(raw[name], name)
+    sections["corpora"] = {
+        name: resolve(p, f"corpora: {name}") for name, p in
+        check_field(ConfigError, "corpora", raw.get("corpora"),
+                    "mapping").items()}
 
-    lexicons = []
-    for i, entry in enumerate(raw.get("lexicons", [])):
-        match = entry.get("match", {})
-        try:
-            policy = MatchPolicy(
-                mode=match.get("mode", "exact"),
-                overlap_threshold=float(match.get("threshold", 1.0)),
-                lowercase=bool(match.get("lowercase", True)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: lexicons[{i}]: {exc}") from None
-        lexicons.append(LexiconEntry(
-            path=resolve(_require(entry, "path", f"lexicons[{i}]")),
-            annotate=bool(entry.get("annotate", False)),
-            policy=policy))
+    sections["lexicons"] = []
+    for i, entry in enumerate(check_field(ConfigError, "lexicons",
+                                          raw.get("lexicons", []), "list")):
+        name = f"lexicons[{i}]"
+        check_field(ConfigError, name, entry, "mapping")
+        match = check_field(ConfigError, f"{name}: match",
+                            entry.get("match", {}), "mapping")
+        policy = _build(MatchPolicy, {
+            "overlap_threshold" if key == "threshold" else key: value
+            for key, value in match.items()}, f"{name}: match")
+        sections["lexicons"].append(_build(
+            LexiconEntry, entry, name, match=policy,
+            path=resolve(entry.get("path"), f"{name}: path")))
 
-    model_raw = dict(raw.get("model", {}))
-    if "width_bucket_edges" in model_raw:
-        model_raw["width_bucket_edges"] = tuple(model_raw["width_bucket_edges"])
-    try:
-        model = ModelConfig(**model_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: model: {exc}") from None
-
-    objective_raw = dict(raw.get("objective", {}))
-    try:
-        objective = ObjectiveConfig(**objective_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: objective: {exc}") from None
-
-    phases_raw = _require(raw, "phases", str(path))
-    if not phases_raw:
-        raise ConfigError(f"{path}: phases must not be empty")
-    phases = []
-    for i, entry in enumerate(phases_raw):
-        context = f"{path}: phases[{i}]"
-        role = entry.get("role")
-        if role is None:
-            role = "source" if (len(phases_raw) > 1 and i == 0) else "target"
-        corpus = _require(entry, "corpus", context)
-        epochs = _integer(_require(entry, "epochs", context), "epochs",
-                          context)
-        weights = _weights_from(entry.get("weights", {}), context)
-        base_lr = _number(entry.get("base_lr", 1e-3), "base_lr", context)
-        task_lr = _number(entry.get("task_lr", 1e-3), "task_lr", context)
-        try:
-            phases.append(Phase(corpus=corpus, epochs=epochs,
-                                weights=weights, base_lr=base_lr,
-                                task_lr=task_lr, role=role))
-        except (ValueError, RuntimeError) as exc:
-            raise ConfigError(f"{context}: {exc}") from None
-        if phases[-1].corpus not in corpora:
-            raise ConfigError(f"{context}: corpus {phases[-1].corpus!r} is not "
-                              f"declared under 'corpora'")
-
-    projection_raw = raw.get("projection", {})
-    context = f"{path}: projection"
-    projection = ProjectionSettings(
-        sample=_integer(projection_raw.get("sample", 200), "sample", context,
-                        minimum=1),
-        seed=_integer(projection_raw.get("seed", 0), "seed", context,
-                      minimum=0),
-        lexicon=projection_raw.get("lexicon"))
-
-    truncate_tokens = raw.get("truncate_tokens")
-    if truncate_tokens is not None:
-        _integer(truncate_tokens, "truncate_tokens", str(path), minimum=1)
-
-    return RunConfig(
-        corpora=corpora,
-        lexicons=lexicons,
-        model=model,
-        objective=objective,
-        phases=phases,
-        seed=_integer(raw.get("seed", 0), "seed", str(path), minimum=0),
-        subword_vocab=resolve(raw["subword_vocab"])
-        if raw.get("subword_vocab") else None,
-        eval_corpus=raw.get("eval_corpus", "eval"),
-        truncate_tokens=truncate_tokens,
-        checkpoint_dir=resolve(raw["checkpoint_dir"])
-        if raw.get("checkpoint_dir") else None,
-        projection=projection)
+    phases = check_field(ConfigError, "phases", raw.get("phases"), "list")
+    sections["phases"] = []
+    for i, entry in enumerate(phases):
+        name = f"phases[{i}]"
+        check_field(ConfigError, name, entry, "mapping")
+        weights = _build(LossWeights, entry.get("weights", {}),
+                         f"{name}: weights", ".")
+        role = "source" if len(phases) > 1 and i == 0 else "target"
+        sections["phases"].append(_build(Phase, {"role": role, **entry}, name,
+                                         weights=weights))
+    return sections
 
 
 @dataclass
@@ -222,7 +184,7 @@ def load_run_data(config: RunConfig) -> RunData:
     """
     corpora: dict[str, list[Document]] = {}
     for name, corpus_path in config.corpora.items():
-        if not corpus_path.exists():
+        if not corpus_path.is_file():
             raise ConfigError(f"corpus {name!r}: file not found: {corpus_path}")
         docs = load_corpus(corpus_path)
         if config.truncate_tokens:
@@ -231,14 +193,14 @@ def load_run_data(config: RunConfig) -> RunData:
 
     lexicons: dict[str, ConceptLexicon] = {}
     for entry in config.lexicons:
-        if not entry.path.exists():
+        if not entry.path.is_file():
             raise ConfigError(f"lexicon file not found: {entry.path}")
         lexicon = load_lexicon(entry.path)
         lexicons[lexicon.lexicon_id] = lexicon
         if entry.annotate:
             for name in corpora:
                 corpora[name] = annotate_documents(corpora[name], lexicon,
-                                                   entry.policy)
+                                                   entry.match)
 
     known = set(lexicons).union(*(doc.concept_annotations
                                   for docs in corpora.values()
@@ -252,7 +214,7 @@ def load_run_data(config: RunConfig) -> RunData:
 
     vocab = None
     if config.subword_vocab is not None:
-        if not config.subword_vocab.exists():
+        if not config.subword_vocab.is_file():
             raise ConfigError(f"subword vocab not found: {config.subword_vocab}")
         vocab = load_subword_vocab(config.subword_vocab)
     return RunData(corpora, lexicons, vocab)

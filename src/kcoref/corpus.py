@@ -15,6 +15,8 @@ unknown symbol on the first line.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections.abc import Sized
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +29,43 @@ T = TypeVar("T")
 
 class CorpusError(ValueError):
     """Raised for malformed corpus or vocab input."""
+
+
+_NUMBER = (int, float, np.integer, np.floating)
+_FIELD_KINDS = {
+    "integer": ((int, np.integer), "an integer"),
+    "number": (_NUMBER, "a number"),
+    "fraction": (_NUMBER, "in (0, 1]"),
+    "switch": (bool, "true or false"),
+    "string": (str, "a string"),
+    "list": ((list, tuple), "a list"),
+    "mapping": (Mapping, "a mapping"),
+}
+
+
+def check_field(error: type[Exception], name: str, value, kind: str,
+                low=None):
+    """`value`, or `error` naming field `name` if it is not of `kind`.
+
+    The one rule for settings and records read from JSON: an "integer" is
+    an int (numpy's too), a "number" a finite int or float, a "fraction" a
+    number in (0, 1], a "switch" true or false, a "string" a str, a "list"
+    a list and a "mapping" a JSON object. A bool is no number, and no
+    string is read as a number or a switch. `low` is an inclusive lower
+    bound on an integer or a number.
+    """
+    types, noun = _FIELD_KINDS[kind]
+    if not isinstance(value, types) \
+            or isinstance(value, bool) and kind != "switch" \
+            or kind == "fraction" and not 0 < value <= 1:
+        raise error(f"{name} must be {noun}, not {value!r}")
+    if kind == "number" and not (abs(value) <= sys.float_info.max
+                                 if isinstance(value, int)
+                                 else math.isfinite(value)):
+        raise error(f"{name} must be finite, not {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -184,31 +223,41 @@ def _span_field(value, field_name: str) -> SpanRef:
     return SpanRef(*value)
 
 
-def _parse_record(record: dict) -> Document:
+def _parse_record(record) -> Document:
+    check_field(CorpusError, "record", record, "mapping")
     try:
-        doc_id = record["doc_id"]
-        raw_tokens = record["tokens"]
+        doc_id = check_field(CorpusError, "doc_id", record["doc_id"], "string")
+        raw_tokens = check_field(CorpusError, "tokens", record["tokens"],
+                                 "list")
     except KeyError as exc:
         raise CorpusError(f"missing field {exc}") from None
-    tokens = tuple(Token(s, i) for i, s in enumerate(raw_tokens))
-    clusters = tuple(
-        frozenset(_span_field(mention, "cluster mention")
-                  for mention in cluster)
-        for cluster in record.get("clusters", []))
+    tokens = tuple(Token(check_field(CorpusError, f"tokens[{i}]", surface,
+                                     "string"), i)
+                   for i, surface in enumerate(raw_tokens))
+    clusters = []
+    for i, cluster in enumerate(check_field(
+            CorpusError, "clusters", record.get("clusters", []), "list")):
+        check_field(CorpusError, f"clusters[{i}]", cluster, "list")
+        clusters.append(frozenset(_span_field(mention, "cluster mention")
+                                  for mention in cluster))
     annotations: dict[str, dict[SpanRef, str]] = {}
-    for entry in record.get("concepts", []):
+    for entry in check_field(CorpusError, "concepts",
+                             record.get("concepts", []), "list"):
         missing = [name for name in ("span", "label", "lexicon")
                    if not isinstance(entry, dict) or name not in entry]
         if missing:
             raise CorpusError(f"concept entry {entry!r} is missing "
                               f"{', '.join(missing)}")
-        for name in ("label", "lexicon"):
-            if not isinstance(entry[name], str):
-                raise CorpusError(f"concept {name} must be a string, not "
-                                  f"{entry[name]!r}")
+        label, lexicon = (check_field(CorpusError, f"concept {name}",
+                                      entry[name], "string")
+                          for name in ("label", "lexicon"))
         span = _span_field(entry["span"], "concept span")
-        annotations.setdefault(entry["lexicon"], {})[span] = entry["label"]
-    doc = Document(doc_id, tokens, clusters, annotations)
+        labels = annotations.setdefault(lexicon, {})
+        if labels.setdefault(span, label) != label:
+            raise CorpusError(f"{lexicon} labels span [{span.start}, "
+                              f"{span.end}] both {labels[span]!r} and "
+                              f"{label!r}")
+    doc = Document(doc_id, tokens, tuple(clusters), annotations)
     for lexicon_id in annotations:
         check_cluster_concept_consistency(doc, lexicon_id)
     return doc

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import Document, SpanRef
+from .corpus import Document, SpanRef, check_field
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +46,9 @@ class MatchPolicy:
     def __post_init__(self):
         if self.mode not in ("exact", "overlap"):
             raise LexiconError(f"unknown match mode {self.mode!r}")
-        if not 0.0 < self.overlap_threshold <= 1.0:
-            raise LexiconError("overlap_threshold must be in (0, 1]")
+        check_field(LexiconError, "overlap_threshold", self.overlap_threshold,
+                    "fraction")
+        check_field(LexiconError, "lowercase", self.lowercase, "switch")
 
     def normalize(self, surface: str) -> str:
         return surface.lower() if self.lowercase else surface

@@ -25,7 +25,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import model as m
-from .corpus import Document, SpanRef, bounds_keys, span_bounds, span_keys
+from .corpus import (Document, SpanRef, bounds_keys, check_field, span_bounds,
+                     span_keys)
 
 log = logging.getLogger(__name__)
 
@@ -50,12 +51,18 @@ class LossWeights:
     beta: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.alpha_c < 0 or any(v < 0 for v in self.alpha_k.values()):
-            raise LossError("distance weights must be non-negative")
-        if len(self.beta) != 3 or any(b < 0 for b in self.beta):
-            raise LossError("beta must be three non-negative weights")
-        if not any(b > 0 for b in self.beta):
+        check_field(LossError, "alpha_c", self.alpha_c, "number", 0)
+        for key, value in check_field(LossError, "alpha_k", self.alpha_k,
+                                      "mapping").items():
+            check_field(LossError, f"alpha_k.{key}", value, "number", 0)
+        beta = check_field(LossError, "beta", self.beta, "list")
+        if len(beta) != 3:
+            raise LossError(f"beta must be three weights, not {beta!r}")
+        for i, b in enumerate(beta):
+            check_field(LossError, f"beta[{i}]", b, "number", 0)
+        if not any(b > 0 for b in beta):
             raise LossError("at least one beta must be positive")
+        object.__setattr__(self, "beta", tuple(beta))
 
     def replace(self, **kwargs) -> "LossWeights":
         data = {"alpha_c": self.alpha_c, "alpha_k": dict(self.alpha_k),
@@ -201,15 +208,12 @@ class ObjectiveConfig:
                             f"not {self.unlabeled_knowledge!r}")
         for name, low in (("pair_budget", 0), ("pair_seed", 0),
                           ("grad_accumulation", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise LossError(f"{name} must be an integer, not {value!r}")
-            if value < low:
-                raise LossError(f"{name} must be >= {low}")
+            check_field(LossError, name, getattr(self, name), "integer", low)
+        if self.scaffold_lexicon is not None:
+            check_field(LossError, "scaffold_lexicon", self.scaffold_lexicon,
+                        "string")
         for name in ("scaffold_include_unlabeled", "source_phase_rl"):
-            if not isinstance(getattr(self, name), bool):
-                raise LossError(f"{name} must be true or false, not "
-                                f"{getattr(self, name)!r}")
+            check_field(LossError, name, getattr(self, name), "switch")
 
 
 @dataclass

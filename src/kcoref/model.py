@@ -21,7 +21,8 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 
-from .corpus import Document, SpanRef, enumerate_candidate_spans
+from .corpus import (Document, SpanRef, check_field,
+                     enumerate_candidate_spans)
 
 UNK_TOKEN = "<unk>"
 
@@ -43,21 +44,17 @@ class ModelConfig:
         for name, low in (("d_token", 1), ("d_width", 0),
                           ("window_radius", 0), ("scorer_hidden", 0),
                           ("max_span_width", 1), ("max_antecedents", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, not {value}")
-        if not (isinstance(self.prune_ratio, (int, float))
-                and 0.0 < self.prune_ratio <= 1.0):
-            raise ValueError(f"prune_ratio must be in (0, 1], not "
-                             f"{self.prune_ratio!r}")
-        edges = self.width_bucket_edges
-        if not all(isinstance(e, (int, np.integer)) and e > 0 for e in edges) \
-                or any(a >= b for a, b in zip(edges, edges[1:])):
+            check_field(ValueError, name, getattr(self, name), "integer", low)
+        check_field(ValueError, "prune_ratio", self.prune_ratio, "fraction")
+        edges = check_field(ValueError, "width_bucket_edges",
+                            self.width_bucket_edges, "list")
+        for i, edge in enumerate(edges):
+            check_field(ValueError, f"width_bucket_edges[{i}]", edge,
+                        "integer", 1)
+        if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError(f"width_bucket_edges must be strictly "
-                             f"increasing positive integers, not {edges}")
+                             f"increasing, not {edges}")
+        self.width_bucket_edges = tuple(edges)
 
     @property
     def n_width_buckets(self) -> int:

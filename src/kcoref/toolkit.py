@@ -19,7 +19,7 @@ import numpy as np
 from . import model as m
 from . import training as tr
 from .corpus import (Document, SpanRef, SubwordVocab, Token, chain_concepts,
-                     span_bounds, span_keys)
+                     check_field, span_bounds, span_keys)
 from .lexicon import ConceptLexicon
 
 log = logging.getLogger(__name__)
@@ -240,6 +240,30 @@ class SyntheticSpec:
     coarse_lexicon_id: str = "coarse"
     fine_lexicon_id: str = "fine"
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_documents", "entities_per_concept", "seed"):
+            check_field(ValueError, name, getattr(self, name), "integer", 0)
+        for name in ("oov_fraction", "determiner_fraction",
+                     "qualifier_fraction"):
+            check_field(ValueError, name, getattr(self, name), "number", 0)
+        for name in ("coarse_lexicon_id", "fine_lexicon_id"):
+            check_field(ValueError, name, getattr(self, name), "string")
+        for name in ("concepts", "suffixes"):
+            names = check_field(ValueError, name, getattr(self, name), "list")
+            if not names:
+                raise ValueError(f"{name} must not be empty")
+            for i, value in enumerate(names):
+                check_field(ValueError, f"{name}[{i}]", value, "string")
+            object.__setattr__(self, name, tuple(names))
+        for name in ("chains_per_doc", "chain_length", "filler_gap"):
+            pair = check_field(ValueError, name, getattr(self, name), "list")
+            for i, value in enumerate(pair):
+                check_field(ValueError, f"{name}[{i}]", value, "integer", 0)
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ValueError(f"{name} must be [low, high] with low <= "
+                                 f"high, not {pair!r}")
+            object.__setattr__(self, name, tuple(pair))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import losses as L
 from . import model as m
-from .corpus import Document
+from .corpus import Document, check_field
 from .model import UNK_TOKEN, ModelConfig
 
 log = logging.getLogger(__name__)
@@ -477,15 +477,12 @@ class Phase:
     role: str = "target"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise TrainingError("epochs must be >= 1")
+        check_field(TrainingError, "corpus", self.corpus, "string")
+        check_field(TrainingError, "epochs", self.epochs, "integer", 1)
         if self.role not in ("source", "target"):
             raise TrainingError(f"unknown phase role {self.role!r}")
         for name in ("base_lr", "task_lr"):
-            rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate >= 0):
-                raise TrainingError(f"{name} must be finite and >= 0, "
-                                    f"got {rate!r}")
+            check_field(TrainingError, name, getattr(self, name), "number", 0)
 
 
 @dataclass

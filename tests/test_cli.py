@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcoref import cli
 from kcoref import training as tr
-from kcoref.config import ConfigError, load_config, load_run_data
-from kcoref.corpus import load_corpus, load_subword_vocab
-from kcoref.lexicon import load_lexicon
+from kcoref.config import (ConfigError, load_config, load_run_data,
+                           scaffold_classes)
+from kcoref.corpus import CorpusError, load_corpus, load_subword_vocab
+from kcoref.lexicon import LexiconError, load_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,25 @@ class TestSynth:
                          "--out", str(tmp_path), "--test-docs", "99"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, setting", [
+        ([1], "must be a mapping, not [1]"),
+        ({"bogus": 1}, "'bogus'"),
+        ({"n_documents": "4"}, "n_documents must be an integer, not '4'"),
+        ({"chains_per_doc": 3}, "chains_per_doc must be a list, not 3"),
+        ({"chains_per_doc": [3, 2]}, "chains_per_doc must be [low, high]"),
+        ({"suffixes": ["ia", 2]}, "suffixes[1] must be a string, not 2"),
+        ({"oov_fraction": None}, "oov_fraction must be a number, not None"),
+    ])
+    def test_malformed_spec_is_one_named_error(self, tmp_path, capsys, spec,
+                                               setting):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = cli.main(["--quiet", "synth", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}") and setting in line
 
 
 class TestTrain:
@@ -147,6 +170,48 @@ class TestErrors:
                          str(tmp_path / "missing.ckpt"),
                          "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("kind, command, text", [
+        ("config", "train", None),
+        ("corpus", "train", "[1, 2]\n"),
+        ("lexicon", "train", "coarse\nC0\tdorvia\n"),
+        ("subword_vocab", "train", "\n\n"),
+        ("checkpoint", "evaluate", "not a checkpoint\n"),
+    ])
+    def test_malformed_input_file_is_one_named_error(self, workspace, tmp_path,
+                                                     capsys, kind, command,
+                                                     text):
+        raw = json.loads((workspace / "config.json").read_text())
+        raw["corpora"] = {name: str(workspace / p)
+                          for name, p in raw["corpora"].items()}
+        for entry in raw["lexicons"]:
+            entry["path"] = str(workspace / entry["path"])
+        raw["subword_vocab"] = str(workspace / raw["subword_vocab"])
+        config = tmp_path / "config.json"
+        bad = {"config": config, "corpus": tmp_path / "bad.jsonl",
+               "lexicon": tmp_path / "bad.lex",
+               "subword_vocab": tmp_path / "bad.vocab",
+               "checkpoint": tmp_path / "bad.ckpt"}[kind]
+        if kind == "config":
+            raw["lexicons"][1]["annotate"] = "false"
+        else:
+            bad.write_text(text)
+        if kind == "corpus":
+            raw["corpora"]["train"] = str(bad)
+        elif kind == "lexicon":
+            raw["lexicons"][0]["path"] = str(bad)
+        elif kind == "subword_vocab":
+            raw["subword_vocab"] = str(bad)
+        config.write_text(json.dumps(raw))
+        checkpoint = bad if kind == "checkpoint" \
+            else workspace / "run" / "checkpoint.ckpt"
+        args = [str(config)] + ([str(checkpoint)] if command == "evaluate"
+                                else [])
+        code = cli.main(["--quiet", command, *args,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(bad) in line
 
     @pytest.mark.parametrize("command", ["evaluate", "project"])
     def test_checkpoint_missing_a_tensor_is_named(self, workspace, tmp_path,
@@ -288,6 +353,89 @@ class TestConfigModule:
         stderr = capsys.readouterr().err
         assert str(path) in stderr and message in stderr
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"corpora": ["a"]}, "corpora must be a mapping, not ['a']"),
+        ({"corpora": {"a": 5}}, "corpora: a must be a string, not 5"),
+        ({"lexicons": ["x"]}, "lexicons[0] must be a mapping, not 'x'"),
+        ({"lexicons": [{"path": 3}]},
+         "lexicons[0]: path must be a string, not 3"),
+        ({"lexicons": [{"path": "x.lex", "annotate": "false"}]},
+         "lexicons[0]: annotate must be true or false, not 'false'"),
+        ({"lexicons": [{"path": "x.lex", "match": {"lowercase": "false"}}]},
+         "lexicons[0]: match: lowercase must be true or false, not 'false'"),
+        ({"lexicons": [{"path": "x.lex", "match": {"threshold": "0.5"}}]},
+         "lexicons[0]: match: overlap_threshold must be in (0, 1], not "
+         "'0.5'"),
+        ({"lexicons": [{"path": "x.lex", "match": []}]},
+         "lexicons[0]: match must be a mapping, not []"),
+        ({"phases": ["a"]}, "phases[0] must be a mapping, not 'a'"),
+        ({"phases": [{"corpus": ["a"], "epochs": 1}]},
+         "phases[0]: corpus must be a string, not ['a']"),
+        ({"phases": [{"corpus": "a", "epochs": 1, "base_lr": "0.001"}]},
+         "phases[0]: base_lr must be a number, not '0.001'"),
+        ({"phases": [{"corpus": "a", "epochs": 1, "base_lr": True}]},
+         "phases[0]: base_lr must be a number, not True"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"beta": ["1", 0, 0]}}]},
+         "phases[0]: weights.beta[0] must be a number, not '1'"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"alpha_c": float("nan")}}]},
+         "phases[0]: weights.alpha_c must be finite, not nan"),
+        ({"phases": [{"corpus": "a", "epochs": 1, "bogus": 1}]},
+         "phases[0]: Phase.__init__() got an unexpected keyword argument "
+         "'bogus'"),
+        ({"model": 5}, "model must be a mapping, not 5"),
+        ({"model": {"prune_ratio": True}},
+         "model: prune_ratio must be in (0, 1], not True"),
+        ({"objective": {"scaffold_lexicon": ["coarse"]}},
+         "objective: scaffold_lexicon must be a string, not ['coarse']"),
+        ({"projection": 3}, "projection must be a mapping, not 3"),
+        ({"projection": {"lexicon": 3}},
+         "projection: lexicon must be a string, not 3"),
+        ({"subword_vocab": 5}, "subword_vocab must be a string, not 5"),
+        ({"eval_corpus": None}, "eval_corpus must be a string, not None"),
+        ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
+    ])
+    def test_malformed_section_is_one_named_error(self, tmp_path, capsys,
+                                                  fields, message):
+        cfg = {"corpora": {"a": "x.jsonl"},
+               "phases": [{"corpus": "a", "epochs": 1}], **fields}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: ") \
+            and str(err.value).endswith(message)
+        assert cli.main(["--quiet", "train", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {err.value}"
+
+    def test_config_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"corpora": {"a": "caf\xe9.jsonl"}}')
+        with pytest.raises(ConfigError, match=f"^{path}: not UTF-8"):
+            load_config(path)
+
+    def test_integer_valued_numbers_train_like_floats(self, workspace,
+                                                      tmp_path):
+        runs = {}
+        for kind, one, zero in (("float", 1.0, 0.0), ("int", 1, 0)):
+            raw = json.loads((workspace / "config.json").read_text())
+            raw["model"]["prune_ratio"] = one
+            raw["phases"][0].update(
+                epochs=1, weights={"alpha_c": one,
+                                   "alpha_k": {"coarse": one, "fine": zero},
+                                   "beta": [one, one, one]})
+            path = workspace / f"{kind}-valued.json"
+            path.write_text(json.dumps(raw))
+            out = tmp_path / kind
+            assert cli.main(["--quiet", "train", str(path),
+                             "--out", str(out)]) == 0
+            runs[kind] = [(out / name).read_bytes()
+                          for name in ("checkpoint.ckpt", "loss_log.tsv")]
+        assert runs["int"] == runs["float"]
+
     @pytest.mark.parametrize("value, loaded", [(None, None), (7, 7)])
     def test_truncate_tokens_may_be_absent_or_positive(self, tmp_path, value,
                                                        loaded):
@@ -313,3 +461,51 @@ class TestConfigModule:
         labeled = [doc for doc in data.corpora["train"]
                    if doc.concept_annotations.get("fine")]
         assert labeled
+
+
+# A valid config with every optional field spelled out: the workspace config
+# plus the match policy, bucket edges, objective switches and caps.
+def _full_config(workspace) -> dict:
+    raw = json.loads((workspace / "config.json").read_text())
+    raw["lexicons"][1]["match"] = {"mode": "exact", "threshold": 1.0,
+                                   "lowercase": True}
+    raw["model"]["width_bucket_edges"] = [1, 2, 3, 4, 7]
+    raw["objective"].update(unlabeled_knowledge="strict",
+                            scaffold_include_unlabeled=False,
+                            source_phase_rl=True, grad_accumulation=1)
+    raw.update(truncate_tokens=1000, checkpoint_dir="ckpt")
+    return raw
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside `node`, nested ones included."""
+    children = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_no_config_value_escapes_as_a_traceback(workspace, data):
+    """Whatever one value of a valid config is replaced by, what `train`
+    runs before training returns or raises a named error: ConfigError, or
+    CorpusError/LexiconError for an existing file that is malformed."""
+    raw = _full_config(workspace)
+    where = data.draw(st.sampled_from(sorted(_paths(raw), key=str)))
+    value = data.draw(st.sampled_from([None, True, "false", "1", [], {}, 1.5,
+                                       -1, float("nan")]))
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = workspace / "mutated.json"
+    path.write_text(json.dumps(raw))
+    try:
+        config = load_config(path)
+        scaffold_classes(config, load_run_data(config))
+    except ConfigError:
+        pass
+    except (CorpusError, LexiconError) as exc:
+        assert Path(str(exc).split(": ")[0]).is_file(), exc

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab, Token,
-                           chain_concepts, concept_chain_stats, corpus_stats,
+                           chain_concepts, check_field, concept_chain_stats, corpus_stats,
                            document_to_record, enumerate_candidate_spans,
                            load_corpus, load_subword_vocab,
                            mean_subwords_per_span, save_corpus,
@@ -150,6 +151,41 @@ class TestLoadCorpus:
                            match=r"c\.jsonl: line 2: .*" + message):
             load_corpus(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ([1, 2], r"record must be a mapping, not \[1, 2\]"),
+        ({"doc_id": "d1", "tokens": ["a"], "clusters": 3},
+         "clusters must be a list, not 3"),
+        ({"doc_id": "d1", "tokens": ["a"], "clusters": [3]},
+         r"clusters\[0\] must be a list, not 3"),
+        ({"doc_id": "d1", "tokens": ["a"], "concepts": 3},
+         "concepts must be a list, not 3"),
+        ({"doc_id": "d1", "tokens": "abc"},
+         "tokens must be a list, not 'abc'"),
+        ({"doc_id": "d1", "tokens": [1, "b"]},
+         r"tokens\[0\] must be a string, not 1"),
+        ({"doc_id": 5, "tokens": ["a"]}, "doc_id must be a string, not 5"),
+        ({"doc_id": "d1", "tokens": ["a", "b"],
+          "concepts": [{"span": [0, 0], "label": "x", "lexicon": "coarse"},
+                       {"span": [0, 0], "label": "y", "lexicon": "coarse"}]},
+         r"coarse labels span \[0, 0\] both 'x' and 'y'"),
+    ])
+    def test_malformed_record_names_file_line_and_field(self, tmp_path,
+                                                        record, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "d0", "tokens": ["a"]}\n'
+                        + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError,
+                           match=r"c\.jsonl: line 2: " + message + "$"):
+            load_corpus(path)
+
+    def test_repeated_concept_label_is_accepted(self, tmp_path):
+        entry = {"span": [0, 0], "label": "x", "lexicon": "coarse"}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": "d0", "tokens": ["a", "b"],
+                                    "concepts": [entry, entry]}) + "\n")
+        [doc] = load_corpus(path)
+        assert doc.concept_annotations == {"coarse": {SpanRef(0, 0): "x"}}
+
     def test_missing_document_field_names_it_once(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"tokens": ["a"]}\n')
@@ -182,6 +218,51 @@ class TestLoadCorpus:
         save_corpus(docs, path)
         assert [d.doc_id for d in load_corpus(path)] == [f"d{i}"
                                                          for i in range(5)]
+
+
+class TestCheckField:
+    @pytest.mark.parametrize("kind, value", [
+        ("integer", 0), ("integer", np.int64(3)), ("number", -2),
+        ("number", 0.5), ("number", np.float32(0.5)), ("fraction", 1),
+        ("fraction", 0.25), ("switch", False), ("string", ""),
+        ("list", []), ("list", (1,)), ("mapping", {}),
+    ])
+    def test_accepts_and_returns_the_value(self, kind, value):
+        assert check_field(ValueError, "f", value, kind) is value
+
+    @pytest.mark.parametrize("kind, value, message", [
+        ("integer", True, "f must be an integer, not True"),
+        ("integer", 1.0, "f must be an integer, not 1.0"),
+        ("integer", "1", "f must be an integer, not '1'"),
+        ("number", False, "f must be a number, not False"),
+        ("number", "0.5", "f must be a number, not '0.5'"),
+        ("number", None, "f must be a number, not None"),
+        ("number", float("nan"), "f must be finite, not nan"),
+        ("number", float("-inf"), "f must be finite, not -inf"),
+        ("number", 10 ** 400, f"f must be finite, not {10 ** 400}"),
+        ("fraction", 0, "f must be in (0, 1], not 0"),
+        ("fraction", 1.5, "f must be in (0, 1], not 1.5"),
+        ("fraction", float("nan"), "f must be in (0, 1], not nan"),
+        ("fraction", "0.5", "f must be in (0, 1], not '0.5'"),
+        ("switch", "false", "f must be true or false, not 'false'"),
+        ("switch", 0, "f must be true or false, not 0"),
+        ("string", 3, "f must be a string, not 3"),
+        ("list", "ab", "f must be a list, not 'ab'"),
+        ("mapping", [], "f must be a mapping, not []"),
+    ])
+    def test_rejects_with_the_field_named(self, kind, value, message):
+        with pytest.raises(KeyError) as info:
+            check_field(KeyError, "f", value, kind)
+        assert info.value.args == (message,)
+
+    @pytest.mark.parametrize("kind, value, low, message", [
+        ("integer", -1, 0, "f must be >= 0, not -1"),
+        ("number", 0.5, 1, "f must be >= 1, not 0.5"),
+    ])
+    def test_lower_bound_is_inclusive(self, kind, value, low, message):
+        assert check_field(ValueError, "f", low, kind, low) == low
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_field(ValueError, "f", value, kind, low)
 
 
 class TestCorpusStats:
