@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import (Document, SubwordVocab, check_field, load_corpus,
-                     load_subword_vocab, truncate_document)
+                     load_subword_vocab, read_text, truncate_document)
 from .lexicon import ConceptLexicon, MatchPolicy, annotate_documents, load_lexicon
 from .losses import LossWeights, ObjectiveConfig
 from .model import ModelConfig
@@ -93,12 +93,10 @@ def _read_json(path: Path):
     if not path.is_file():
         raise ConfigError(f"file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line "
                           f"{exc.lineno})") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
 
 
 def load_config(path) -> RunConfig:
@@ -144,11 +142,7 @@ def _sections(raw: dict, base: Path) -> dict:
                                           raw.get("lexicons", []), "list")):
         name = f"lexicons[{i}]"
         check_field(ConfigError, name, entry, "mapping")
-        match = check_field(ConfigError, f"{name}: match",
-                            entry.get("match", {}), "mapping")
-        policy = _build(MatchPolicy, {
-            "overlap_threshold" if key == "threshold" else key: value
-            for key, value in match.items()}, f"{name}: match")
+        policy = _build(MatchPolicy, entry.get("match", {}), f"{name}: match")
         sections["lexicons"].append(_build(
             LexiconEntry, entry, name, match=policy,
             path=resolve(entry.get("path"), f"{name}: path")))

@@ -68,6 +68,15 @@ def check_field(error: type[Exception], name: str, value, kind: str,
     return value
 
 
+def read_text(path: Path, error: type[Exception]) -> str:
+    """The UTF-8 text of file `path`, or `error` naming it if it is not
+    UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class SpanRef:
     """Inclusive token span [start, end] within one document.
@@ -268,9 +277,13 @@ def load_corpus(path) -> list[Document]:
     path = Path(path)
     docs: list[Document] = []
     first_line: dict[str, int] = {}
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+    with path.open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}: line {line_no}: not UTF-8 "
+                                  f"({exc.reason})") from None
             if not line:
                 continue
             try:
@@ -411,8 +424,7 @@ class SubwordVocab:
 
 def load_subword_vocab(path, lowercase: bool = True) -> SubwordVocab:
     path = Path(path)
-    lines = [ln.rstrip("\n") for ln in path.open(encoding="utf-8")]
-    lines = [ln for ln in lines if ln]
+    lines = [ln for ln in read_text(path, CorpusError).split("\n") if ln]
     if not lines:
         raise CorpusError(f"{path}: empty vocab file")
     unk, pieces = lines[0], lines[1:]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import Document, SpanRef, check_field
+from .corpus import Document, SpanRef, check_field, read_text
 
 log = logging.getLogger(__name__)
 
@@ -35,19 +35,18 @@ class ConceptId:
 class MatchPolicy:
     """How surfaces are matched against a lexicon.
 
-    `overlap_threshold` is the minimum fraction of an entry's tokens that a
+    `threshold` is the minimum fraction of an entry's tokens that a
     span must cover, boundary inclusive; it only applies in overlap mode.
     """
 
     mode: str = "exact"
-    overlap_threshold: float = 1.0
+    threshold: float = 1.0
     lowercase: bool = True
 
     def __post_init__(self):
         if self.mode not in ("exact", "overlap"):
             raise LexiconError(f"unknown match mode {self.mode!r}")
-        check_field(LexiconError, "overlap_threshold", self.overlap_threshold,
-                    "fraction")
+        check_field(LexiconError, "threshold", self.threshold, "fraction")
         check_field(LexiconError, "lowercase", self.lowercase, "switch")
 
     def normalize(self, surface: str) -> str:
@@ -94,8 +93,8 @@ class ConceptLexicon:
 
 def load_lexicon(path) -> ConceptLexicon:
     path = Path(path)
-    lines = [ln.rstrip("\n") for ln in path.open(encoding="utf-8")]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in read_text(path, LexiconError).split("\n")
+             if ln.strip()]
     if not lines:
         raise LexiconError(f"{path}: empty lexicon file")
     header = lines[0].split("\t")
@@ -164,7 +163,7 @@ def assign_concept_overlap(surface: str, lexicon: ConceptLexicon,
             if not entry_tokens:
                 continue
             fraction = len(span_tokens & entry_tokens) / len(entry_tokens)
-            if fraction >= policy.overlap_threshold:
+            if fraction >= policy.threshold:
                 if best is None or fraction > best[0]:
                     best = (fraction, code)
     if best is None:

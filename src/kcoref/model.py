@@ -187,25 +187,20 @@ def encode_tokens(doc: Document,
     ids = token_ids(doc, enc.vocab)
     radius = enc.window_radius
     n, d = len(ids), enc.d_token
-    if radius == 0:
-        windows = enc.embeddings[ids]
-    else:
-        padded = np.zeros((n + 2 * radius, d))
-        padded[radius:radius + n] = enc.embeddings[ids]
-        windows = np.concatenate([padded[k:k + n]
-                                  for k in range(2 * radius + 1)], axis=1)
+    padded = np.zeros((n + 2 * radius, d))
+    padded[radius:radius + n] = enc.embeddings[ids]
+    windows = np.concatenate([padded[k:k + n]
+                              for k in range(2 * radius + 1)], axis=1)
 
     def backward(g: np.ndarray, grad: EncoderParams) -> None:
         g_windows = g @ enc.mixer_w.T
         np.matmul(windows.T, g, out=grad.mixer_w)
         grad.mixer_b[...] = g.sum(axis=0)
-        if radius:
-            # Window k reads padded rows k..k+n-1; the slots add in order.
-            g_padded = np.zeros(padded.shape)
-            for k in range(2 * radius + 1):
-                g_padded[k:k + n] += g_windows[:, k * d:(k + 1) * d]
-            g_windows = g_padded[radius:radius + n]
-        grad.embeddings[...] = scatter_rows(ids, g_windows,
+        # Window k reads padded rows k..k+n-1; the slots add in order.
+        g_padded = np.zeros(padded.shape)
+        for k in range(2 * radius + 1):
+            g_padded[k:k + n] += g_windows[:, k * d:(k + 1) * d]
+        grad.embeddings[...] = scatter_rows(ids, g_padded[radius:radius + n],
                                             enc.embeddings.shape)
 
     return windows @ enc.mixer_w + enc.mixer_b, backward

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import losses as L
 from . import model as m
-from .corpus import Document, check_field
+from .corpus import Document, check_field, read_text
 from .model import UNK_TOKEN, ModelConfig
 
 log = logging.getLogger(__name__)
@@ -46,36 +46,6 @@ class TrainingDiverged(TrainingError):
 
 
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
-
-
-def _views(buffer: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    """Each tensor of `layout` as a view of its stretch of the flat buffer."""
-    views, start = {}, 0
-    for name, shape in layout:
-        end = start + math.prod(shape)
-        views[name] = buffer[start:end].reshape(shape)
-        start = end
-    return views
-
-
-class Gradients(Mapping[str, np.ndarray]):
-    """Named gradients held as one flat vector in a store's buffer order;
-    each value is a view of it."""
-
-    def __init__(self, flat: np.ndarray, layout: Layout):
-        self.flat, self.layout = flat, layout
-        self._named: dict[str, np.ndarray] | None = None
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if self._named is None:
-            self._named = _views(self.flat, self.layout)
-        return self._named[name]
-
-    def __iter__(self):
-        return (name for name, _ in self.layout)
-
-    def __len__(self) -> int:
-        return len(self.layout)
 
 
 @dataclass
@@ -109,7 +79,7 @@ class ParameterStore:
         self._layout = tuple((name, a.shape) for name, a in arrays.items())
         self._buffer = (np.concatenate(list(arrays.values()), axis=None)
                         if arrays else np.zeros(0))
-        self.tensors = MappingProxyType(_views(self._buffer, self._layout))
+        self.tensors = MappingProxyType(self.named(self._buffer))
         self._groups = None
         self._gradient = None
 
@@ -130,27 +100,15 @@ class ParameterStore:
         """The flat parameter buffer."""
         return self._buffer
 
-    def gather(self, grads: Mapping[str, np.ndarray]) -> Gradients:
-        """Named gradients as one flat vector in buffer order.
-
-        There must be a gradient for exactly the store's tensors, each of its
-        tensor's shape. Gradients already in this layout pass as they are.
-        """
-        if isinstance(grads, Gradients) and grads.layout == self._layout:
-            return grads
-        tensors = self.tensors
-        if grads.keys() != tensors.keys():
-            missing = sorted(tensors.keys() - grads.keys())
-            extra = sorted(grads.keys() - tensors.keys())
-            raise TrainingError(f"gradients do not match the parameters: "
-                                f"missing {missing}, unexpected {extra}")
-        parts = [grads[name] for name in tensors]
-        for (name, shape), grad in zip(self._layout, parts):
-            if grad.shape != shape:
-                raise TrainingError(f"gradient shape mismatch for {name}: "
-                                    f"{grad.shape}, the tensor is {shape}")
-        return Gradients(np.concatenate(parts, axis=None, dtype=np.float64)
-                         if parts else np.zeros(0), self._layout)
+    def named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's stretch of `flat`, an array laid out like the
+        buffer (a gradient, say), as a view named by the tensor."""
+        views, start = {}, 0
+        for name, shape in self._layout:
+            end = start + math.prod(shape)
+            views[name] = flat[start:end].reshape(shape)
+            start = end
+        return views
 
     def copy(self) -> "ParameterStore":
         return ParameterStore(self.tensors, self.vocab, self.scaffold_classes,
@@ -182,7 +140,7 @@ class ParameterStore:
     @classmethod
     def load(cls, path) -> "ParameterStore":
         path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, TrainingError).splitlines()
         magic, _, version = lines[0].partition(" v") if lines else ("", "", "")
         if magic != CHECKPOINT_MAGIC:
             raise TrainingError(f"{path}: not a checkpoint file")
@@ -353,9 +311,10 @@ LossBuilder = Callable[[m.EncoderParams, m.ScoringParams,
                         L.ScaffoldParams | None], Sequence[L.DocumentLosses]]
 
 
-def compute_gradients(store: ParameterStore,
-                      build_loss: LossBuilder) -> tuple[Gradients, float]:
-    """Gradients of a scalar loss over every named tensor.
+def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
+                      ) -> tuple[np.ndarray, Sequence[L.DocumentLosses]]:
+    """The gradient of a scalar loss, laid out like `store.buffer()`, and
+    the objectives `build_loss` returned.
 
     Each objective's closed-form backward writes into a zeroed flat buffer
     kept per store with its parameter groups; the objectives add up, in
@@ -367,20 +326,18 @@ def compute_gradients(store: ParameterStore,
         raise TrainingError(f"loss is not finite: {value}")
     if store._gradient is None:
         flat = np.zeros(store._buffer.size)
-        store._gradient = flat, group_parameters(
-            Gradients(flat, store._layout), store)
+        store._gradient = flat, group_parameters(store.named(flat), store)
     flat, groups = store._gradient
     total = np.zeros(flat.size)
     for objective in objectives:
         flat.fill(0.0)
         objective.backward(1.0, *groups)
         total += flat
-    grads = Gradients(total, store._layout)
-    if not np.isfinite(grads.flat).all():
-        name = next(name for name, grad in grads.items()
+    if not np.isfinite(total).all():
+        name = next(name for name, grad in store.named(total).items()
                     if not np.isfinite(grad).all())
         raise TrainingError(f"non-finite gradient in tensor {name}")
-    return grads, value
+    return total, objectives
 
 
 @dataclass
@@ -431,16 +388,18 @@ class AdamState:
             self.rates = LearningRates(rates.base, rates.task)
 
 
-def optimizer_step(store: ParameterStore, grads: Mapping[str, np.ndarray],
+def optimizer_step(store: ParameterStore, grad: np.ndarray,
                    rates: LearningRates, state: AdamState) -> ParameterStore:
-    """One adaptive-moment update of the store's buffer, in place; returns
-    the store.
+    """One adaptive-moment update of the store's buffer by `grad`, an array
+    laid out like it, in place; returns the store.
 
     Every element goes through the IEEE operations of the per-tensor update,
     in the same order, so the result is bit-identical to it.
     """
-    grad = store.gather(grads).flat
     params = store._buffer
+    if np.shape(grad) != params.shape:
+        raise TrainingError(f"gradient has shape {np.shape(grad)}, the "
+                            f"parameter buffer {params.shape}")
     state.bind(store._layout, rates)
     state.t += 1
     m, v = state.m, state.v
@@ -542,22 +501,20 @@ def run_schedule(schedule: TrainingSchedule,
         for epoch in range(1, phase.epochs + 1):
             sums = {"cl": 0.0, "rl": 0.0, "sl": 0.0, "total": 0.0}
             misses = 0
-            pending: Gradients | None = None
+            pending: np.ndarray | None = None
             pending_count = 0
             for doc_no, doc in enumerate(docs):
                 # Seeds RL pair sampling; a generator is built from it only
                 # when a pair set is over budget.
                 seed = [objective.pair_seed, phase_no, epoch, doc_no]
-                result: list[L.DocumentLosses] = []
 
                 def build(enc, scoring, scaffold, doc=doc, seed=seed):
-                    result.append(L.document_objective(
+                    return [L.document_objective(
                         doc, enc, scoring, scaffold, weights, config,
-                        objective, seed))
-                    return result
+                        objective, seed)]
 
                 try:
-                    grads, total = compute_gradients(store, build)
+                    grads, (losses,) = compute_gradients(store, build)
                 except (TrainingError, L.LossError) as exc:
                     if checkpoint_dir is not None:
                         path = Path(checkpoint_dir) / "last_good.ckpt"
@@ -567,18 +524,13 @@ def run_schedule(schedule: TrainingSchedule,
                         f"phase {phase_no} epoch {epoch} doc {doc.doc_id}: "
                         f"{exc}", last_good, records) from exc
 
-                losses = result[0]
                 sums["cl"] += losses.cl
                 sums["rl"] += losses.rl
                 sums["sl"] += losses.sl
-                sums["total"] += total
+                sums["total"] += losses.total
                 misses += losses.pruning_misses
 
-                if pending is None:
-                    pending = grads
-                else:
-                    pending = Gradients(pending.flat + grads.flat,
-                                        pending.layout)
+                pending = grads if pending is None else pending + grads
                 pending_count += 1
                 if (pending_count >= objective.grad_accumulation
                         or doc_no == len(docs) - 1):
@@ -639,7 +591,7 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
     Probes at least `coords_per_tensor` seeded coordinates per tensor (all of
     them for small tensors).
     """
-    grads, _ = compute_gradients(store, build_loss)
+    grads = store.named(compute_gradients(store, build_loss)[0])
     rng = np.random.default_rng(seed)
     probe = store.copy()
     per_tensor: dict[str, float] = {}

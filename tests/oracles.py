@@ -1251,7 +1251,7 @@ def document_gradient_full_table(doc, store, weights, config, objective,
 
     flat = np.zeros(store.buffer().size)
     enc_grad, scoring_grad, scaffold_grad = tr.group_parameters(
-        tr.Gradients(flat, store._layout), store)
+        store.named(flat), store)
     g_full = np.zeros(reps.full.shape)
     every = np.arange(len(g_full))
     if b1 > 0:

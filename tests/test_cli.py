@@ -177,6 +177,11 @@ class TestErrors:
         ("lexicon", "train", "coarse\nC0\tdorvia\n"),
         ("subword_vocab", "train", "\n\n"),
         ("checkpoint", "evaluate", "not a checkpoint\n"),
+        # bytes that are not UTF-8 (0xe9 is Latin-1's e-acute)
+        ("corpus", "train", b'{"doc_id": "d\xe9", "tokens": ["a"]}\n'),
+        ("lexicon", "train", b"coarse\tcoarse\nC0\tdorvi\xe9\n"),
+        ("subword_vocab", "train", b"[UNK]\nd\xe9\n"),
+        ("checkpoint", "evaluate", b"kcoref-checkpoint v1\nseed \xe9\n"),
     ])
     def test_malformed_input_file_is_one_named_error(self, workspace, tmp_path,
                                                      capsys, kind, command,
@@ -194,6 +199,8 @@ class TestErrors:
                "checkpoint": tmp_path / "bad.ckpt"}[kind]
         if kind == "config":
             raw["lexicons"][1]["annotate"] = "false"
+        elif isinstance(text, bytes):
+            bad.write_bytes(text)
         else:
             bad.write_text(text)
         if kind == "corpus":
@@ -364,8 +371,7 @@ class TestConfigModule:
         ({"lexicons": [{"path": "x.lex", "match": {"lowercase": "false"}}]},
          "lexicons[0]: match: lowercase must be true or false, not 'false'"),
         ({"lexicons": [{"path": "x.lex", "match": {"threshold": "0.5"}}]},
-         "lexicons[0]: match: overlap_threshold must be in (0, 1], not "
-         "'0.5'"),
+         "lexicons[0]: match: threshold must be in (0, 1], not '0.5'"),
         ({"lexicons": [{"path": "x.lex", "match": []}]},
          "lexicons[0]: match must be a mapping, not []"),
         ({"phases": ["a"]}, "phases[0] must be a mapping, not 'a'"),

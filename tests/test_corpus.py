@@ -168,12 +168,16 @@ class TestLoadCorpus:
           "concepts": [{"span": [0, 0], "label": "x", "lexicon": "coarse"},
                        {"span": [0, 0], "label": "y", "lexicon": "coarse"}]},
          r"coarse labels span \[0, 0\] both 'x' and 'y'"),
+        # a line that is not UTF-8 (0xe9 is Latin-1's e-acute)
+        (b'{"doc_id": "d\xe9", "tokens": ["a"]}',
+         r"not UTF-8 \(invalid continuation byte\)"),
     ])
     def test_malformed_record_names_file_line_and_field(self, tmp_path,
                                                         record, message):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"doc_id": "d0", "tokens": ["a"]}\n'
-                        + json.dumps(record) + "\n")
+        line = record if isinstance(record, bytes) \
+            else json.dumps(record).encode()
+        path.write_bytes(b'{"doc_id": "d0", "tokens": ["a"]}\n' + line + b"\n")
         with pytest.raises(CorpusError,
                            match=r"c\.jsonl: line 2: " + message + "$"):
             load_corpus(path)

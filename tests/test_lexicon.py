@@ -17,7 +17,7 @@ HEAD_LEXICON = ConceptLexicon(
     granularity="fine")
 
 EXACT = MatchPolicy(mode="exact")
-OVERLAP = MatchPolicy(mode="overlap", overlap_threshold=1.0)
+OVERLAP = MatchPolicy(mode="overlap", threshold=1.0)
 
 
 class TestLoadLexicon:
@@ -106,7 +106,7 @@ class TestOverlapMatch:
     def test_boundary_inclusive_at_half(self):
         lex = ConceptLexicon("umls", {"C-PA": frozenset({"pancreatic cancer"})},
                              "fine")
-        policy = MatchPolicy(mode="overlap", overlap_threshold=0.5)
+        policy = MatchPolicy(mode="overlap", threshold=0.5)
         got = assign_concept_overlap("metastatic gallbladder cancer", lex,
                                      policy)
         assert got == ConceptId("umls", "C-PA")
@@ -116,12 +116,12 @@ class TestOverlapMatch:
             "C2": frozenset({"alpha beta"}),       # 2/2 covered
             "C1": frozenset({"alpha beta gamma"}),  # 2/3 covered
         }, "fine")
-        policy = MatchPolicy(mode="overlap", overlap_threshold=0.5)
+        policy = MatchPolicy(mode="overlap", threshold=0.5)
         assert assign_concept_overlap("alpha beta", lex, policy).code == "C2"
 
     def test_threshold_validation(self):
         with pytest.raises(LexiconError):
-            MatchPolicy(mode="overlap", overlap_threshold=0.0)
+            MatchPolicy(mode="overlap", threshold=0.0)
 
     @given(st.text(alphabet="ab ", min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.model import ModelConfig
-from kcoref.training import (AdamState, Gradients, LearningRates,
+from kcoref.training import (AdamState, LearningRates,
                              ParameterStore, Phase, TrainingDiverged,
                              TrainingError, TrainingSchedule, build_vocab,
                              compute_gradients, effective_weights,
@@ -92,7 +92,7 @@ class TestComputeGradients:
                                          weights, config, objective)]
 
         grads, _ = compute_gradients(store, build)
-        assert not grads["scaffold.weights"].any()
+        assert not store.named(grads)["scaffold.weights"].any()
 
     def test_linear_loss_gradient_equals_features(self):
         store = init_parameters(CONFIG, VOCAB, seed=0)
@@ -118,14 +118,16 @@ class TestComputeGradients:
                    "scorer.antecedent.w1": scoring.antecedent.w1}
             return out
 
-        grads, _ = compute_gradients(store, build)
+        flat, _ = compute_gradients(store, build)
+        grads = store.named(flat)
         for name in ("encoder.embeddings", "scorer.mention.w1"):
             np.testing.assert_allclose(grads[name], features[name])
         # one flat vector in the store's buffer order, named by views
+        assert flat.shape == store.buffer().shape
         assert list(grads) == sorted(store.tensors)
-        assert np.array_equal(grads.flat, np.concatenate(
+        assert np.array_equal(flat, np.concatenate(
             [grads[name] for name in grads], axis=None))
-        assert all(np.shares_memory(grads[name], grads.flat)
+        assert all(np.shares_memory(grads[name], flat)
                    for name in grads if grads[name].size)
 
     def test_nan_component_reported_by_name(self):
@@ -166,15 +168,18 @@ class TestComputeGradients:
             compute_gradients(store, build)
 
 
-# The objectives the doc-step is pinned on: beta, then ObjectiveConfig fields.
+# The objectives the doc-step is pinned on: beta, ObjectiveConfig fields,
+# then ModelConfig fields that differ from INDEX_CONFIG.
 OBJECTIVES = {
-    "CL": ((1.0, 0.0, 0.0), {}),
-    "CL+RL strict": ((1.0, 0.8, 0.0), {"unlabeled_knowledge": "strict"}),
-    "CL+RL skip": ((1.0, 0.8, 0.0), {"unlabeled_knowledge": "skip"}),
-    "full": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"}),
+    "CL": ((1.0, 0.0, 0.0), {}, {}),
+    "CL+RL strict": ((1.0, 0.8, 0.0), {"unlabeled_knowledge": "strict"}, {}),
+    "CL+RL skip": ((1.0, 0.8, 0.0), {"unlabeled_knowledge": "skip"}, {}),
+    "full": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"}, {}),
     "full, unlabeled spans": ((1.0, 0.7, 0.4),
                               {"scaffold_lexicon": "coarse",
-                               "scaffold_include_unlabeled": True}),
+                               "scaffold_include_unlabeled": True}, {}),
+    "full, window radius 0": ((1.0, 0.7, 0.4), {"scaffold_lexicon": "coarse"},
+                              {"window_radius": 0}),
 }
 
 
@@ -184,7 +189,8 @@ class TestDocStepMatchesTheReferenceTape:
            case=st.sampled_from(sorted(OBJECTIVES)))
     def test_flat_gradient_matches_per_tensor_tape_gradients(self, doc, seed,
                                                              case):
-        beta, fields = OBJECTIVES[case]
+        beta, fields, model_fields = OBJECTIVES[case]
+        config = dataclasses.replace(INDEX_CONFIG, **model_fields)
         weights = L.LossWeights(alpha_c=1.0,
                                 alpha_k={"coarse": 0.5, "fine": 0.2},
                                 beta=beta)
@@ -193,26 +199,24 @@ class TestDocStepMatchesTheReferenceTape:
         classes = ("a", "b", "c")
         if objective.scaffold_include_unlabeled:
             classes += ("<none>",)
-        store = init_parameters(INDEX_CONFIG, build_vocab([doc]), classes,
+        store = init_parameters(config, build_vocab([doc]), classes,
                                 seed=seed)
         store.tensors["scaffold.weights"][...] = np.random.default_rng(
-            seed).normal(size=(len(classes), INDEX_CONFIG.d_token))
-        outs = []
+            seed).normal(size=(len(classes), config.d_token))
 
         def build(enc, scoring, scaffold):
-            outs.append(L.document_objective(
-                doc, enc, scoring, scaffold, weights, INDEX_CONFIG, objective,
-                np.random.default_rng(seed)))
-            return outs
+            return [L.document_objective(
+                doc, enc, scoring, scaffold, weights, config, objective,
+                np.random.default_rng(seed))]
 
-        grads, value = compute_gradients(store, build)
+        grads, (out,) = compute_gradients(store, build)
         total, leaves = O.document_objective_tape(
-            doc, store, weights, INDEX_CONFIG, objective,
+            doc, store, weights, config, objective,
             np.random.default_rng(seed))
         total.backward()
-        assert len(outs[0].candidates) > INDEX_CONFIG.max_antecedents
-        assert value == pytest.approx(float(total.value), rel=1e-9)
-        for name, got in grads.items():
+        assert len(out.candidates) > config.max_antecedents
+        assert out.total == pytest.approx(float(total.value), rel=1e-9)
+        for name, got in store.named(grads).items():
             want = leaves[name].grad
             if want is None:
                 want = np.zeros_like(got)
@@ -269,19 +273,16 @@ class TestLiveRowBackward:
     def test_flat_gradient_equals_the_full_table_reference(self, case, doc,
                                                            seed):
         store, weights, config, objective = live_row_case(doc, seed, case)
-        outs = []
 
         def build(enc, scoring, scaffold):
-            outs.append(L.document_objective(
+            return [L.document_objective(
                 doc, enc, scoring, scaffold, weights, config, objective,
-                [seed, 1]))
-            return outs
+                [seed, 1])]
 
-        grads, _ = compute_gradients(store, build)
+        grads, (out,) = compute_gradients(store, build)
         want = O.document_gradient_full_table(doc, store, weights, config,
                                               objective, [seed, 1])
-        assert np.array_equal(grads.flat, want)
-        out = outs[0]
+        assert np.array_equal(grads, want)
         if case == "one candidate":
             assert len(out.candidates) == 1
         if case == "empty pair set":
@@ -312,16 +313,13 @@ class TestLiveRowBackward:
         for beta in ((1.0, 0.0, 0.0), weights.beta):
             for doc in docs:
                 received.clear()
-                outs = []
 
                 def build(enc, scoring, scaffold):
-                    outs.append(L.document_objective(
+                    return [L.document_objective(
                         doc, enc, scoring, scaffold,
-                        weights.replace(beta=beta), config, objective))
-                    return outs
+                        weights.replace(beta=beta), config, objective)]
 
-                compute_gradients(store, build)
-                out = outs[0]
+                _, (out,) = compute_gradients(store, build)
                 row = {span: i for i, span in enumerate(out.reps.spans)}
                 read = set(out.candidates.spans)
                 if beta[1] > 0:
@@ -345,19 +343,19 @@ class TestLiveRowBackward:
             return build
 
         first, _ = compute_gradients(store, build_for(docs[0]))
-        kept = first.flat.copy()
+        kept = first.copy()
         second, _ = compute_gradients(store, build_for(docs[1]))
-        assert not np.shares_memory(first.flat, second.flat)
-        assert np.array_equal(first.flat, kept)
-        assert not np.array_equal(first.flat, second.flat)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
 
 
 class TestOptimizerStep:
     def test_zero_gradients_leave_parameters_unchanged(self):
         store = init_parameters(CONFIG, VOCAB, seed=4)
         before = {k: v.copy() for k, v in store.tensors.items()}
-        grads = {k: np.zeros_like(v) for k, v in store.tensors.items()}
-        optimizer_step(store, grads, LearningRates(0.1, 0.1), AdamState())
+        optimizer_step(store, np.zeros_like(store.buffer()),
+                       LearningRates(0.1, 0.1), AdamState())
         for name in before:
             np.testing.assert_array_equal(store.tensors[name], before[name])
 
@@ -366,8 +364,8 @@ class TestOptimizerStep:
         # r * g / (|g| + eps) = r to within eps
         store = ParameterStore({"scorer.x": np.array([1.0])}, ("<unk>",))
         state = AdamState()
-        optimizer_step(store, {"scorer.x": np.array([1.0])},
-                       LearningRates(0.05, 0.05), state)
+        optimizer_step(store, np.array([1.0]), LearningRates(0.05, 0.05),
+                       state)
         assert store.tensors["scorer.x"][0] == pytest.approx(1.0 - 0.05,
                                                              rel=1e-6)
 
@@ -376,8 +374,7 @@ class TestOptimizerStep:
                                 "scorer.s": np.array([0.0]),
                                 "scaffold.weights": np.array([0.0])},
                                ("<unk>",))
-        grads = {k: np.array([1.0]) for k in store.tensors}
-        optimizer_step(store, grads, LearningRates(base=0.01, task=0.1),
+        optimizer_step(store, np.ones(3), LearningRates(base=0.01, task=0.1),
                        AdamState())
         assert store.tensors["encoder.e"][0] == pytest.approx(-0.01, rel=1e-5)
         assert store.tensors["scorer.s"][0] == pytest.approx(-0.1, rel=1e-5)
@@ -385,25 +382,37 @@ class TestOptimizerStep:
                                                                      rel=1e-5)
 
     def test_shape_mismatch_rejected(self):
-        store = ParameterStore({"scorer.x": np.zeros(2)}, ("<unk>",))
-        with pytest.raises(TrainingError, match="shape"):
-            optimizer_step(store, {"scorer.x": np.zeros(3)},
-                           LearningRates(0.1, 0.1), AdamState())
-
-    def test_missing_and_extra_gradient_names_rejected(self):
+        """Only an array laid out like the buffer is a gradient; any other
+        is rejected before the step, `t` or a parameter changes."""
         store = init_parameters(CONFIG, VOCAB, seed=4)
         before = store.copy()
-        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
-        del grads["scorer.mention.b2"]
+        size = store.buffer().size
         state = AdamState()
-        with pytest.raises(TrainingError, match="missing "
-                                                "\\['scorer.mention.b2'\\]"):
-            optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
-        grads["scorer.mention.b2"] = np.ones(())
-        grads["scorer.extra"] = np.ones(2)
-        with pytest.raises(TrainingError,
-                           match="unexpected \\['scorer.extra'\\]"):
-            optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+        for wrong in (np.ones(size - 1), np.ones(size + 1),
+                      np.ones((1, size))):
+            with pytest.raises(TrainingError, match="shape"):
+                optimizer_step(store, wrong, LearningRates(0.1, 0.1), state)
+        assert state.t == 0 and store.step == 0
+        for name in store.tensors:
+            assert np.array_equal(store.tensors[name], before.tensors[name])
+
+    def test_missing_and_extra_gradient_names_rejected(self):
+        """A gradient that leaves out a tensor, adds one, or comes keyed by
+        name is rejected before the step, `t` or a parameter changes."""
+        store = init_parameters(CONFIG, VOCAB, seed=4)
+        before = store.copy()
+        named = {k: np.ones_like(v) for k, v in store.tensors.items()}
+        missing = dict(named)
+        del missing["scorer.mention.b2"]
+        extra = {**named, "scorer.extra": np.ones(2)}
+        state = AdamState()
+        for grads in (missing, extra, named):
+            flat = np.concatenate([np.ravel(g) for g in grads.values()])
+            for wrong in ((flat, grads) if flat.size != store.buffer().size
+                          else (grads,)):
+                with pytest.raises(TrainingError, match="shape"):
+                    optimizer_step(store, wrong, LearningRates(0.1, 0.1),
+                                   state)
         assert state.t == 0 and store.step == 0
         for name in store.tensors:
             assert np.array_equal(store.tensors[name], before.tensors[name])
@@ -425,14 +434,14 @@ class TestOptimizerStep:
 
     def test_a_new_tensor_set_needs_a_new_store_and_fresh_moments(self):
         store = init_parameters(CONFIG, VOCAB, seed=3)
-        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
         state = AdamState()
-        optimizer_step(store, grads, LearningRates(0.1, 0.1), state)
+        optimizer_step(store, np.ones_like(store.buffer()),
+                       LearningRates(0.1, 0.1), state)
         with pytest.raises(TypeError):
             store.tensors["scorer.extra"] = np.zeros(2)
         grown = ParameterStore({**store.tensors, "scorer.extra": np.zeros(2)},
                                store.vocab)
-        grads["scorer.extra"] = np.ones(2)
+        grads = np.ones_like(grown.buffer())
         with pytest.raises(TrainingError, match="changed after the first"):
             optimizer_step(grown, grads, LearningRates(0.1, 0.1), state)
         optimizer_step(grown, grads, LearningRates(0.1, 0.1), AdamState())
@@ -449,8 +458,8 @@ class TestOptimizerStep:
         original = store.tensors["encoder.embeddings"].copy()
         clone.tensors["encoder.embeddings"][0, 0] += 1.0
         assert np.array_equal(store.tensors["encoder.embeddings"], original)
-        grads = {k: np.ones_like(v) for k, v in store.tensors.items()}
-        optimizer_step(store, grads, LearningRates(0.1, 0.1), AdamState())
+        optimizer_step(store, np.ones_like(store.buffer()),
+                       LearningRates(0.1, 0.1), AdamState())
         assert clone.step == 3
         assert clone.tensors["encoder.embeddings"][0, 0] == original[0, 0] + 1
 
@@ -484,16 +493,19 @@ class TestOptimizerStep:
         state, moments = AdamState(), O.AdamMoments()
         for accumulated in draw(st.lists(st.integers(1, 3), min_size=1,
                                          max_size=4)):
-            parts = [{n: rng.normal(size=s) * rng.choice([0.0, 1e-4, 3.0])
-                      for n, s in zip(names, shapes)}
-                     for _ in range(accumulated)]
-            pending = store.gather(parts[0])
+            parts = []
+            for _ in range(accumulated):
+                part = np.empty(store.buffer().size)
+                for view in store.named(part).values():
+                    view[...] = rng.normal(size=view.shape) * rng.choice(
+                        [0.0, 1e-4, 3.0])
+                parts.append(part)
+            pending = parts[0]
             for grads in parts[1:]:
-                pending = Gradients(pending.flat + store.gather(grads).flat,
-                                    pending.layout)
+                pending = pending + grads
             optimizer_step(store, pending, rates, state)
-            summed = parts[0]
-            for grads in parts[1:]:
+            summed = store.named(parts[0])
+            for grads in map(store.named, parts[1:]):
                 summed = {n: summed[n] + grads[n] for n in names}
             O.optimizer_step_reference(reference, summed, rates, moments)
             for name in names:
@@ -503,8 +515,8 @@ class TestOptimizerStep:
 
     def test_step_counter_advances(self):
         store = ParameterStore({"scorer.x": np.zeros(1)}, ("<unk>",))
-        optimizer_step(store, {"scorer.x": np.zeros(1)},
-                       LearningRates(0.1, 0.1), AdamState())
+        optimizer_step(store, np.zeros(1), LearningRates(0.1, 0.1),
+                       AdamState())
         assert store.step == 1
 
 
@@ -612,13 +624,13 @@ class TestSchedule:
                                                  weights, config, objective,
                                                  rng)]
 
-                grads, _ = compute_gradients(
-                    ParameterStore(reference, store.vocab,
-                                   store.scaffold_classes), build)
-                pending = grads if pending is None else \
-                    {n: pending[n] + grads[n] for n in grads}
+                current = ParameterStore(reference, store.vocab,
+                                         store.scaffold_classes)
+                grads, _ = compute_gradients(current, build)
+                pending = grads if pending is None else pending + grads
                 if doc_no % 2 == 1 or doc_no == len(docs) - 1:
-                    O.optimizer_step_reference(reference, pending, rates,
+                    O.optimizer_step_reference(reference,
+                                               current.named(pending), rates,
                                                moments)
                     pending = None
         for name in reference:
@@ -679,8 +691,7 @@ class TestSchedule:
         group_parameters = tr.group_parameters
 
         def counting(arrays, store):
-            calls.append("gradient" if isinstance(arrays, Gradients)
-                         else "store" if arrays is store.tensors else "other")
+            calls.append("store" if arrays is store.tensors else "gradient")
             return group_parameters(arrays, store)
 
         monkeypatch.setattr(tr, "group_parameters", counting)
@@ -688,7 +699,7 @@ class TestSchedule:
         assert len(docs) > 1
         run_schedule(TrainingSchedule([Phase("c", 2, weights)]), {"c": docs},
                      config, objective, store)
-        assert calls.count("store") <= 1 and "other" not in calls
+        assert calls.count("store") <= 1
         # The gradient's groups are kept per store, not built per doc-step.
         assert calls.count("gradient") <= 1
 
