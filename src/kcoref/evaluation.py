@@ -20,6 +20,8 @@ aligns its largest entry, and only a block with at least two of each
 solves an assignment. A slice of the gold chains
 is a subset of the table's rows: a predicted cluster cut down to the
 slice's mentions has its column sum over those rows as its size.
+scipy's graph labelling and assignment solver are imported on the first
+CEAF-e score, so a process that only trains never loads them.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components
 
 from . import model as m
 from . import training as tr
@@ -428,10 +427,18 @@ def _ceaf_e(table: Overlap) -> RPF1:
     return RPF1.from_rp(total / n_gold, total / n_pred)
 
 
+def linear_sum_assignment(matrix: np.ndarray, maximize: bool = False):
+    """`scipy.optimize.linear_sum_assignment`, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(matrix, maximize=maximize)
+
+
 def _blocks(table: Overlap) -> tuple[int, np.ndarray]:
     """The number of connected blocks of the table, and each cluster's
     block label: gold i is node i, predicted j node n_gold + j, an entry is
     an edge, and the row-sorted entries are the graph's CSR as they are."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
     n_nodes = len(table.gold_sizes) + len(table.pred_sizes)
     indptr = np.zeros(n_nodes + 1, dtype=np.intp)
     np.cumsum(np.bincount(table.rows, minlength=n_nodes), out=indptr[1:])

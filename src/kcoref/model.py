@@ -8,7 +8,8 @@ feature. Scoring heads are small feed-forward networks.
 
 Each stage runs in plain numpy and returns its value together with its
 backward: a closure that turns the value's gradient into the gradients of
-its inputs and parameters, in closed form.
+its inputs and parameters, in closed form. `scipy.sparse` is imported
+when the first antecedent-pair scatter is built, not with the module.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import (Document, SpanRef, check_field,
                      enumerate_candidate_spans)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 UNK_TOKEN = "<unk>"
 
@@ -424,6 +427,7 @@ class AntecedentPairs:
 
 @functools.lru_cache(maxsize=64)
 def antecedent_pairs(n_candidates: int, max_antecedents: int) -> AntecedentPairs:
+    from scipy import sparse
     k = np.arange(n_candidates, dtype=np.intp)
     lo = np.maximum(k - max_antecedents, 0)
     sizes = k - lo

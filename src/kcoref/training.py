@@ -179,8 +179,13 @@ class ParameterStore:
                     raise TrainingError(f"{path}: tensor {name} is listed "
                                         f"twice")
                 shape = tuple(int(d) for d in fields[3:])
-                values = np.array([float.fromhex(tok)
-                                   for tok in lines[pos].split()]); pos += 1
+                try:
+                    values = np.fromiter(map(float.fromhex, lines[pos].split()),
+                                         np.float64)
+                except OverflowError:
+                    raise TrainingError(f"{path}: tensor {name} has a value "
+                                        f"beyond the float64 range") from None
+                pos += 1
                 if values.size != math.prod(shape):
                     raise TrainingError(f"{path}: tensor {name} has "
                                         f"{values.size} values for shape "

@@ -182,6 +182,10 @@ class TestErrors:
         ("lexicon", "train", b"coarse\tcoarse\nC0\tdorvi\xe9\n"),
         ("subword_vocab", "train", b"[UNK]\nd\xe9\n"),
         ("checkpoint", "evaluate", b"kcoref-checkpoint v1\nseed \xe9\n"),
+        # a value beyond the float64 range
+        ("checkpoint", "evaluate", "kcoref-checkpoint v1\nseed 0\nstep 0\n"
+                                   "vocab 1\n<unk>\nclasses 0\n"
+                                   "tensor w 1 1\n0x1.0p+99999\nend\n"),
     ])
     def test_malformed_input_file_is_one_named_error(self, workspace, tmp_path,
                                                      capsys, kind, command,

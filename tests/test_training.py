@@ -845,6 +845,10 @@ class TestCheckpoint:
                                             "tensor encoder.mixer_b 1 5 1"),
                      "tensor encoder.mixer_b lists 2 dims for ndim 1",
                      id="tensor-dim-extra"),
+        pytest.param(lambda lines: [*lines[:-2], " ".join(
+                         ["0x1.0p+99999", *lines[-2].split()[1:]]), "end"],
+                     "tensor scorer.mention.w2 has a value beyond the "
+                     "float64 range", id="value-overflows"),
         pytest.param(lambda lines: [*lines, "end"],
                      "text after the 'end' line", id="line-after-end"),
         pytest.param(lambda lines: replaced(lines, "b", "a"),
