@@ -9,8 +9,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation as ev
 from . import toolkit as tk
 from . import training as tr
@@ -102,21 +100,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _report_dict(report: ev.MetricReport) -> dict:
-    def triple(t: ev.RPF1) -> dict:
-        return {"recall": t.recall, "precision": t.precision, "f1": t.f1}
+_METRICS = ("muc", "b_cubed", "ceaf_e", "average")
 
-    return {"muc": triple(report.muc), "b_cubed": triple(report.b_cubed),
-            "ceaf_e": triple(report.ceaf_e), "average": triple(report.average)}
+
+def _report_dict(report: ev.MetricReport) -> dict:
+    return {name: dataclasses.asdict(getattr(report, name))
+            for name in _METRICS}
 
 
 def _report_rows(section: str, report: ev.MetricReport) -> list[str]:
-    rows = []
-    for name, t in (("muc", report.muc), ("b_cubed", report.b_cubed),
-                    ("ceaf_e", report.ceaf_e), ("average", report.average)):
-        rows.append(f"{section}\t{name}\t{t.recall!r}\t{t.precision!r}"
-                    f"\t{t.f1!r}")
-    return rows
+    return ["\t".join([section, name,
+                       *map(repr, dataclasses.astuple(getattr(report, name)))])
+            for name in _METRICS]
 
 
 def cmd_evaluate(args) -> int:
@@ -133,26 +128,25 @@ def cmd_evaluate(args) -> int:
     gold = [doc.gold_clusters for doc in docs]
     report = ev.score_documents(gold, preds)
 
-    payload = {"overall": _report_dict(report)}
-    rows = ["section\tmetric\trecall\tprecision\tf1"]
-    rows.extend(_report_rows("overall", report))
-
+    sections = []
     slice_lexicon = config.projection.lexicon or \
         config.objective.scaffold_lexicon
     if slice_lexicon:
-        slices = ev.slice_by_concept(docs, preds, slice_lexicon)
-        payload["concept_slices"] = {
-            s.key: {"chains": s.gold_chains, **_report_dict(s.report)}
-            for s in slices}
-        for s in slices:
-            rows.extend(_report_rows(f"concept:{s.key}", s.report))
+        sections.append(("concept", "concept_slices",
+                         ev.slice_by_concept(docs, preds, slice_lexicon)))
     if data.subword_vocab is not None:
-        slices = ev.slice_by_subword_bucket(docs, preds, data.subword_vocab)
-        payload["subword_slices"] = {
+        sections.append(("subwords", "subword_slices",
+                         ev.slice_by_subword_bucket(docs, preds,
+                                                    data.subword_vocab)))
+    payload = {"overall": _report_dict(report)}
+    rows = ["section\tmetric\trecall\tprecision\tf1",
+            *_report_rows("overall", report)]
+    for prefix, key, slices in sections:
+        payload[key] = {
             s.key: {"chains": s.gold_chains, **_report_dict(s.report)}
             for s in slices}
         for s in slices:
-            rows.extend(_report_rows(f"subwords:{s.key}", s.report))
+            rows.extend(_report_rows(f"{prefix}:{s.key}", s.report))
 
     out = _out_dir(args)
     (out / "report.json").write_text(

@@ -94,10 +94,6 @@ class SpanRef:
         if self.end < self.start:
             raise CorpusError(f"end before start: [{self.start}, {self.end}]")
 
-    @property
-    def width(self) -> int:
-        return self.end - self.start + 1
-
     def tokens(self) -> range:
         return range(self.start, self.end + 1)
 
@@ -172,9 +168,6 @@ class Document:
 
     def gold_spans(self) -> list[SpanRef]:
         return sorted(span for cluster in self.gold_clusters for span in cluster)
-
-    def concept_of(self, span: SpanRef, lexicon_id: str) -> str | None:
-        return self.concept_annotations.get(lexicon_id, {}).get(span)
 
     def cluster_of(self, span: SpanRef) -> frozenset[SpanRef] | None:
         for cluster in self.gold_clusters:
@@ -326,31 +319,6 @@ def save_corpus(docs: Iterable[Document], path) -> None:
         for doc in docs:
             handle.write(json.dumps(document_to_record(doc), sort_keys=False))
             handle.write("\n")
-
-
-def corpus_stats(docs: list[Document]) -> tuple[int, float, float]:
-    """(document count, mean tokens per document, mean spans per gold chain)."""
-    if not docs:
-        raise CorpusError("empty corpus")
-    token_counts = [len(d) for d in docs]
-    chain_sizes = [len(c) for d in docs for c in d.gold_clusters]
-    mean_tokens = sum(token_counts) / len(docs)
-    mean_chain = sum(chain_sizes) / len(chain_sizes) if chain_sizes else 0.0
-    return len(docs), mean_tokens, mean_chain
-
-
-def concept_chain_stats(docs: list[Document],
-                        lexicon_id: str) -> dict[str, tuple[int, float]]:
-    """Per-concept (chain count, mean chain length) over gold chains."""
-    sizes: dict[str, list[int]] = {}
-    for doc in docs:
-        labels = doc.concept_annotations.get(lexicon_id, {})
-        for cluster in doc.gold_clusters:
-            found = chain_concepts(cluster, labels)
-            if len(found) == 1:
-                sizes.setdefault(found.pop(), []).append(len(cluster))
-    return {label: (len(v), sum(v) / len(v))
-            for label, v in sorted(sizes.items())}
 
 
 def span_keys(spans: Iterable[SpanRef]) -> np.ndarray:

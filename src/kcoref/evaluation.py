@@ -6,20 +6,21 @@ in one batched pass, picks each candidate's antecedent row by row from the
 padded score grid, and joins the links into clusters over candidate rows;
 `SpanRef`s are built only for the mentions of the clusters it returns.
 
-All three metrics are functions of one table, `Overlap`: the sparse
-contingency |G_i ∩ P_j| (entries only for cluster pairs that share a
-mention) plus the cluster sizes of both sides. Mentions become int64 ids
-once (`mention_ids`), and the table is filled from one sort of both
-sides' (document, id) pairs. Corpus-level scores number clusters across
-documents; every metric decomposes over documents, so one table over all
-of them equals micro-averaging. MUC and B-cubed sum over the table with exact integer and
-rational arithmetic, converted to float at the boundary. CEAF-e labels the
-table's connected blocks in one graph pass, since clusters in different
-blocks have similarity 0: a block with one gold or one predicted cluster
-aligns its largest entry, and only a block with at least two of each
-solves an assignment. A slice of the gold chains
-is a subset of the table's rows: a predicted cluster cut down to the
-slice's mentions has its column sum over those rows as its size.
+`score_documents` is the one scoring entry point: a single document is
+scored as a corpus of one. All three metrics are functions of one table,
+`Overlap`: the sparse contingency |G_i ∩ P_j| (entries only for cluster
+pairs that share a mention) plus the cluster sizes of both sides.
+Mentions become int64 ids once (`mention_ids`), and the table is filled
+from one sort of both sides' (document, id) pairs, clusters numbered
+across documents; every metric decomposes over documents, so one table
+over all of them equals micro-averaging. MUC and B-cubed sum over the
+table with exact integer and rational arithmetic, converted to float at
+the boundary. CEAF-e labels the table's connected blocks in one graph
+pass, since clusters in different blocks have similarity 0: a block with
+one gold or one predicted cluster aligns its largest entry, and only a
+block with at least two of each solves an assignment. A slice of the gold
+chains is a subset of the table's rows: a predicted cluster cut down to
+the slice's mentions has its column sum over those rows as its size.
 scipy's graph labelling and assignment solver are imported on the first
 CEAF-e score, so a process that only trains never loads them.
 """
@@ -217,19 +218,6 @@ def predict_clusters(doc: Document, store: tr.ParameterStore,
 # Metrics
 
 
-def contingency(gold: Clustering,
-                pred: Clustering) -> dict[tuple[int, int], int]:
-    """The sparse overlap table {(i, j): |gold[i] ∩ pred[j]|} of
-    `Overlap.of`.
-
-    Only pairs that share a mention have an entry. A mention listed twice,
-    on either side, raises ValueError: the metrics need partitions.
-    """
-    table = Overlap.of(gold, pred)
-    return dict(zip(zip(table.rows.tolist(), table.cols.tolist()),
-                    table.counts.tolist()))
-
-
 def _repeated_mention(clusters: Clustering, side: str) -> str:
     counts = Counter(mention for cluster in clusters for mention in cluster)
     mention = next(m for m, n in counts.items() if n > 1)
@@ -279,29 +267,19 @@ class Overlap:
     pred_sizes: np.ndarray
 
     @classmethod
-    def of(cls, gold: Clustering, pred: Clustering) -> "Overlap":
-        return cls._join([gold], [pred], pooled=False)
-
-    @classmethod
     def pooled(cls, gold_docs: Sequence[Clustering],
                pred_docs: Sequence[Clustering]) -> "Overlap":
         """One table over all documents, clusters numbered across documents
-        in order."""
-        if len(gold_docs) != len(pred_docs):
-            raise ValueError("gold and predicted document counts differ")
-        return cls._join(gold_docs, pred_docs, pooled=True)
-
-    @classmethod
-    def _join(cls, gold_docs: Sequence[Clustering],
-              pred_docs: Sequence[Clustering], pooled: bool) -> "Overlap":
-        """The table from one sort of both sides' mentions by (document,
+        in order, from one sort of both sides' mentions by (document,
         `mention_ids`, side): a gold mention next to the same predicted
         mention adds one to their clusters' entry.
 
         A mention listed twice in a document, on either side, raises
-        ValueError, checked document by document and the predicted side
-        first; pooled, the message names the document.
+        ValueError naming the document, checked document by document and
+        the predicted side first.
         """
+        if len(gold_docs) != len(pred_docs):
+            raise ValueError("gold and predicted document counts differ")
         gold_mentions, gold_sizes, gold_cluster, gold_doc = _flatten(gold_docs)
         pred_mentions, pred_sizes, pred_cluster, pred_doc = _flatten(pred_docs)
         ids = mention_ids(gold_mentions + pred_mentions)
@@ -315,7 +293,7 @@ class Overlap:
         if len(repeated):
             d = int(doc[repeated].min())
             pred_side = bool(side[repeated][doc[repeated] == d].any())
-            raise ValueError((f"document {d}: " if pooled else "") + (
+            raise ValueError(f"document {d}: " + (
                 _repeated_mention(pred_docs[d], "predicted") if pred_side
                 else _repeated_mention(gold_docs[d], "gold")))
         at = np.flatnonzero(meet)  # gold at `at`, predicted at `at + 1`
@@ -460,18 +438,6 @@ def _report(table: Overlap) -> MetricReport:
     return MetricReport(_muc(table), _b_cubed(table), _ceaf_e(table))
 
 
-def muc(gold: Clustering, pred: Clustering) -> RPF1:
-    return _muc(Overlap.of(gold, pred))
-
-
-def b_cubed(gold: Clustering, pred: Clustering) -> RPF1:
-    return _b_cubed(Overlap.of(gold, pred))
-
-
-def ceaf_e(gold: Clustering, pred: Clustering) -> RPF1:
-    return _ceaf_e(Overlap.of(gold, pred))
-
-
 def average_report(muc_score: RPF1, b3_score: RPF1, ceafe_score: RPF1) -> RPF1:
     """Unweighted arithmetic means of R, P, and F1 across the three metrics."""
     triples = (muc_score, b3_score, ceafe_score)
@@ -480,22 +446,11 @@ def average_report(muc_score: RPF1, b3_score: RPF1, ceafe_score: RPF1) -> RPF1:
                 sum(t.f1 for t in triples) / 3.0)
 
 
-def score_clusterings(gold: Clustering, pred: Clustering) -> MetricReport:
-    return _report(Overlap.of(gold, pred))
-
-
 def score_documents(gold_docs: Sequence[Clustering],
                     pred_docs: Sequence[Clustering]) -> MetricReport:
     """Corpus-level scores: every metric decomposes over documents, so one
     table over all of them micro-averages."""
     return _report(Overlap.pooled(gold_docs, pred_docs))
-
-
-def evaluate_model(docs: Sequence[Document], store: tr.ParameterStore,
-                   config: m.ModelConfig) -> MetricReport:
-    gold = [doc.gold_clusters for doc in docs]
-    pred = [predict_clusters(doc, store, config).clusters for doc in docs]
-    return score_documents(gold, pred)
 
 
 # ---------------------------------------------------------------------------

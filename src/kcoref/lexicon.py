@@ -72,9 +72,6 @@ class ConceptLexicon:
                 raise LexiconError(f"{self.lexicon_id}: concept {code} has no "
                                    f"surfaces")
 
-    def codes(self) -> list[str]:
-        return sorted(self.concepts)
-
     def exact_index(self, lowercase: bool) -> Mapping[str, list[str]]:
         """normalized surface -> sorted codes containing it (cached)."""
         if lowercase not in self._exact_cache:

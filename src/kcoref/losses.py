@@ -16,7 +16,6 @@ document.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,8 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import model as m
-from .corpus import (Document, SpanRef, bounds_keys, check_field, span_bounds,
-                     span_keys)
+from .corpus import Document, bounds_keys, check_field, span_bounds, span_keys
 
 log = logging.getLogger(__name__)
 
@@ -64,25 +62,17 @@ class LossWeights:
             raise LossError("at least one beta must be positive")
         object.__setattr__(self, "beta", tuple(beta))
 
-    def replace(self, **kwargs) -> "LossWeights":
-        data = {"alpha_c": self.alpha_c, "alpha_k": dict(self.alpha_k),
-                "beta": self.beta}
-        data.update(kwargs)
-        return LossWeights(**data)
-
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
     """Deduplicated unordered span pairs internal to one document.
 
-    The pooled spans are the rows `rows` of the span table `layout`, in
+    The pooled spans are the rows `rows` of the document's span table, in
     table order; pair p joins pooled spans `first[p]` and `second[p]`, with
-    first[p] < second[p]. The pooled spans' `SpanRef`s, and the pairs of
-    them, are built only when `spans` or `pairs` is read.
+    first[p] < second[p].
     """
 
     doc_id: str
-    layout: m.SpanLayout
     rows: np.ndarray
     first: np.ndarray
     second: np.ndarray
@@ -90,16 +80,6 @@ class PairSet:
     @property
     def count(self) -> int:
         return len(self.first)
-
-    @functools.cached_property
-    def spans(self) -> tuple[SpanRef, ...]:
-        return tuple(self.layout.refs(self.rows))
-
-    @property
-    def pairs(self) -> tuple[tuple[SpanRef, SpanRef], ...]:
-        span = self.spans.__getitem__
-        return tuple(zip(map(span, self.first.tolist()),
-                         map(span, self.second.tolist())))
 
 
 @dataclass
@@ -172,7 +152,7 @@ def build_pair_set(doc_id: str, index: DocumentIndex,
         chosen = np.sort(np.random.default_rng(rng).choice(
             len(first), size=budget, replace=False))
         first, second = first[chosen], second[chosen]
-    return PairSet(doc_id, index.layout, rows, first, second)
+    return PairSet(doc_id, rows, first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,10 @@ class CandidateSet:
 
     @functools.cached_property
     def spans(self) -> list[SpanRef]:
-        return [] if self.layout is None else self.layout.refs(self.indices)
+        if self.layout is None:
+            return []
+        return list(map(SpanRef, self.layout.starts[self.indices].tolist(),
+                        self.layout.ends[self.indices].tolist()))
 
 
 def token_ids(doc: Document, vocab: Mapping[str, int]) -> np.ndarray:
@@ -256,13 +259,6 @@ class SpanLayout:
     @functools.cached_property
     def spans(self) -> list[SpanRef]:
         return list(map(SpanRef, self.starts.tolist(), self.ends.tolist()))
-
-    def refs(self, rows: np.ndarray) -> list[SpanRef]:
-        """The `SpanRef`s of `rows`, built for them alone until `spans` is."""
-        if "spans" in self.__dict__:
-            return list(map(self.spans.__getitem__, rows.tolist()))
-        return list(map(SpanRef, self.starts[rows].tolist(),
-                        self.ends[rows].tolist()))
 
 
 def span_layout(starts: np.ndarray, ends: np.ndarray,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,9 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "kcoref-checkpoint"
 CHECKPOINT_VERSION = 1
+# A count or dimension as `save` writes it: ASCII digits, no sign or
+# leading zero.
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 TASK_PREFIXES = ("scorer.", "scaffold.")
 
@@ -152,7 +156,8 @@ class ParameterStore:
         def header(label: str) -> int:
             nonlocal pos
             parts = lines[pos].split(" ")
-            if len(parts) != 2 or parts[0] != label or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != label \
+                    or not _DECIMAL.fullmatch(parts[1]):
                 raise TrainingError(f"{path}: line {pos + 1} is "
                                     f"{lines[pos]!r}, not '{label} <n>'")
             pos += 1
@@ -170,7 +175,12 @@ class ParameterStore:
                 if len(fields) < 3 or fields[0] != "tensor":
                     raise TrainingError(f"{path}: malformed tensor header "
                                         f"{' '.join(fields)!r}")
-                name, ndim = fields[1], int(fields[2])
+                name = fields[1]
+                if not all(map(_DECIMAL.fullmatch, fields[2:])):
+                    raise TrainingError(f"{path}: tensor {name} has a shape "
+                                        f"that is not ASCII decimals: "
+                                        f"{' '.join(fields[2:])!r}")
+                ndim = int(fields[2])
                 if len(fields) != 3 + ndim:
                     raise TrainingError(f"{path}: tensor {name} lists "
                                         f"{len(fields) - 3} dims for ndim "

@@ -486,13 +486,14 @@ def width_bucket_index(width: int, edges: tuple[int, ...]) -> int:
 def span_layout_reference(spans: list[SpanRef],
                           config: m.ModelConfig) -> m.SpanLayout:
     """`model.span_layout` of a SpanRef list, one span and slot at a time."""
-    max_width = max(s.width for s in spans)
+    widths = [s.end - s.start + 1 for s in spans]
+    max_width = max(widths)
     tokens = [[min(s.start + k, s.end) for k in range(max_width)]
               for s in spans]
-    mask = [[1.0 if k < s.width else 0.0 for k in range(max_width)]
-            for s in spans]
-    buckets = [min(width_bucket_index(s.width, config.width_bucket_edges),
-                   config.n_width_buckets - 1) for s in spans]
+    mask = [[1.0 if k < w else 0.0 for k in range(max_width)]
+            for w in widths]
+    buckets = [min(width_bucket_index(w, config.width_bucket_edges),
+                   config.n_width_buckets - 1) for w in widths]
     return m.SpanLayout(np.array([s.start for s in spans], dtype=np.intp),
                         np.array([s.end for s in spans], dtype=np.intp),
                         np.array(tokens, dtype=np.intp), np.array(mask),
@@ -725,8 +726,8 @@ def contingency_reference(gold, pred) -> dict:
 def score_documents_reference(gold_docs, pred_docs) -> ev.MetricReport:
     if len(gold_docs) != len(pred_docs):
         raise ValueError("gold and predicted document counts differ")
-    return ev.score_clusterings(pool_documents(gold_docs),
-                                pool_documents(pred_docs))
+    return ev.score_documents([pool_documents(gold_docs)],
+                              [pool_documents(pred_docs)])
 
 
 def _restrict(clusters, mentions):
@@ -900,7 +901,8 @@ class SpanRepresentation:
 
 def build_span_representation(token_vecs: Tensor, span: SpanRef, enc,
                               config: m.ModelConfig) -> SpanRepresentation:
-    bucket = width_bucket_index(span.width, config.width_bucket_edges)
+    bucket = width_bucket_index(span.end - span.start + 1,
+                                config.width_bucket_edges)
     bucket = min(bucket, config.n_width_buckets - 1)
     start_vec = token_vecs.take(span.start)
     end_vec = token_vecs.take(span.end)
@@ -966,25 +968,26 @@ def cosine_distance_t(u: Tensor, v: Tensor) -> Tensor:
     return 1.0 - (u * v).sum() / (norms + 1e-30)
 
 
-def retrofit_loss(docs, pair_sets, internals, weights,
+def retrofit_loss(docs, pairs_by_doc, internals, weights,
                   unlabeled: str = "strict") -> Tensor:
-    """Mean absolute gap between target and cosine distance, summed over docs."""
+    """Mean absolute gap between target and cosine distance, summed over
+    docs; `pairs_by_doc` maps a document id to its (span, span) pairs."""
     by_id = {d.doc_id: d for d in docs}
     total = Tensor(0.0)
-    for pair_set in pair_sets:
-        doc = by_id[pair_set.doc_id]
-        if pair_set.count == 0:
+    for doc_id, pairs in pairs_by_doc.items():
+        doc = by_id[doc_id]
+        if not pairs:
             logging.getLogger(__name__).warning(
                 "%s: empty pair set contributes 0", doc.doc_id)
             continue
         vectors = internals[doc.doc_id]
         acc = Tensor(0.0)
-        for span_i, span_j in pair_set.pairs:
+        for span_i, span_j in pairs:
             target = target_distance(span_i, span_j, doc, weights, unlabeled)
             gap = Tensor(target) - cosine_distance_t(vectors[span_i],
                                                      vectors[span_j])
             acc = acc + gap.abs()
-        total = total + acc / float(pair_set.count)
+        total = total + acc / float(len(pairs))
     return total
 
 

@@ -6,6 +6,7 @@ different concepts share suffix pieces, so surface overlap misleads a
 model trained on the coreference loss alone.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -25,7 +26,7 @@ from kcoref import model as m
 from kcoref import toolkit as tk
 from kcoref import training as tr
 from kcoref.corpus import SubwordVocab, subword_bucket, tokenize_subwords
-from kcoref.evaluation import RPF1, average_report, b_cubed, ceaf_e, muc
+from kcoref.evaluation import RPF1, average_report, score_documents
 from kcoref.lexicon import MatchPolicy, annotate_documents
 from kcoref.losses import LossWeights, ObjectiveConfig, document_objective
 from kcoref.toolkit import SyntheticSpec, generate_synthetic_corpus
@@ -51,7 +52,7 @@ CONFOUND_SPEC = SyntheticSpec(
 
 FULL_WEIGHTS = LossWeights(alpha_c=1.0, alpha_k={"coarse": 0.5, "fine": 0.2},
                            beta=(1.0, 1.0, 0.5))
-RL_WEIGHTS = FULL_WEIGHTS.replace(beta=(1.0, 1.0, 0.0))
+RL_WEIGHTS = dataclasses.replace(FULL_WEIGHTS, beta=(1.0, 1.0, 0.0))
 CL_WEIGHTS = LossWeights(beta=(1.0, 0.0, 0.0))
 
 
@@ -225,8 +226,8 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_metric_oracles():
     gold_ex = [frozenset("abc"), frozenset("de")]
     pred_ex = [frozenset("ab"), frozenset("cde")]
-    got_muc = muc(gold_ex, pred_ex)
-    got_b3 = b_cubed(gold_ex, pred_ex)
+    worked_report = score_documents([gold_ex], [pred_ex])
+    got_muc, got_b3 = worked_report.muc, worked_report.b_cubed
     worked = (got_muc.recall == pytest.approx(2 / 3)
               and got_muc.precision == pytest.approx(2 / 3)
               and got_b3.recall == pytest.approx(11 / 15)
@@ -237,14 +238,15 @@ def test_criterion_2_metric_oracles():
     for case in range(200):
         gold = random_clustering(rng, 12, 6)
         pred = random_clustering(rng, 12, 6)
-        got = ceaf_e(gold, pred)
+        got_report = score_documents([gold], [pred])
+        got = got_report.ceaf_e
         want = ceaf_e_brute_force(gold, pred)
         max_ceaf_err = max(max_ceaf_err, abs(got.recall - want[0]),
                            abs(got.precision - want[1]))
-        assert (muc(gold, pred).recall, muc(gold, pred).precision,
-                muc(gold, pred).f1) == muc_reference(gold, pred), \
-            f"MUC mismatch on case {case}"
-        got_b = b_cubed(gold, pred)
+        got_m = got_report.muc
+        assert (got_m.recall, got_m.precision, got_m.f1) == \
+            muc_reference(gold, pred), f"MUC mismatch on case {case}"
+        got_b = got_report.b_cubed
         assert (got_b.recall, got_b.precision, got_b.f1) == \
             b_cubed_reference(gold, pred), f"B3 mismatch on case {case}"
 
@@ -291,7 +293,10 @@ def test_criterion_4_overfit():
                                          objective, store)
         epochs_used += 25
         cl_per_doc = records[-1].cl / len(docs)
-        best_f1 = ev.evaluate_model(docs, store, config).average.f1
+        best_f1 = score_documents(
+            [doc.gold_clusters for doc in docs],
+            [ev.predict_clusters(doc, store, config).clusters
+             for doc in docs]).average.f1
         if best_f1 >= 0.95 and cl_per_doc < 0.05:
             break
     elapsed = time.monotonic() - started
@@ -351,7 +356,10 @@ def test_criterion_7_direction_of_effect(confound_data, seed_runs):
     for seed in range(6):
         precisions = {}
         for name in ("cl", "full"):
-            rep = ev.evaluate_model(test, seed_runs[(seed, name)], config)
+            rep = score_documents(
+                [doc.gold_clusters for doc in test],
+                [ev.predict_clusters(doc, seed_runs[(seed, name)],
+                                     config).clusters for doc in test])
             precisions[name] = rep.average.precision
         rows.append((seed, precisions["cl"], precisions["full"]))
     print("\n  seed  P(CL-only)  P(CL+RL+SL)")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref import cli
+from kcoref import evaluation as ev
 from kcoref import training as tr
 from kcoref.config import (ConfigError, load_config, load_run_data,
                            scaffold_classes)
@@ -35,7 +36,7 @@ def workspace(tmp_path_factory):
                   "prune_ratio": 0.3, "max_antecedents": 20},
         "objective": {"pair_budget": 200, "pair_seed": 11,
                       "scaffold_lexicon": "coarse"},
-        "phases": [{"corpus": "train", "epochs": 4, "role": "target",
+        "phases": [{"corpus": "train", "epochs": 40, "role": "target",
                     "weights": {"alpha_c": 1.0,
                                 "alpha_k": {"coarse": 0.5, "fine": 0.2},
                                 "beta": [1.0, 0.5, 0.3]},
@@ -91,7 +92,7 @@ class TestTrain:
     def test_artifacts_written(self, workspace):
         assert (workspace / "run" / "checkpoint.ckpt").exists()
         log_lines = (workspace / "run" / "loss_log.tsv").read_text().splitlines()
-        assert len(log_lines) == 5  # header + 4 epochs
+        assert len(log_lines) == 41  # header + 40 epochs
         header = log_lines[0].split("\t")
         assert header[:6] == ["phase", "epoch", "cl", "rl", "sl", "total"]
 
@@ -120,6 +121,52 @@ class TestEvaluate:
         assert tsv[0].split("\t") == ["section", "metric", "recall",
                                       "precision", "f1"]
         assert any(row.startswith("overall\tmuc") for row in tsv)
+
+    def test_report_is_the_library_scores_of_a_linking_model(self, workspace):
+        """The workspace model links mentions, and both report files hold
+        `score_documents` and the two slice functions on its
+        `predict_clusters`, value for value."""
+        out = workspace / "eval_check"
+        assert cli.main(["--quiet", "evaluate", str(workspace / "config.json"),
+                         str(workspace / "run" / "checkpoint.ckpt"),
+                         "--out", str(out)]) == 0
+        config = load_config(workspace / "config.json")
+        data = load_run_data(config)
+        docs = data.corpora["eval"]
+        store = tr.ParameterStore.load(workspace / "run" / "checkpoint.ckpt")
+        preds = [ev.predict_clusters(doc, store, config.model).clusters
+                 for doc in docs]
+        metrics = ("muc", "b_cubed", "ceaf_e", "average")
+
+        def scores(report):
+            return {name: {"recall": getattr(report, name).recall,
+                           "precision": getattr(report, name).precision,
+                           "f1": getattr(report, name).f1}
+                    for name in metrics}
+
+        def slices(found):
+            return {s.key: {"chains": s.gold_chains, **scores(s.report)}
+                    for s in found}
+
+        overall = ev.score_documents([doc.gold_clusters for doc in docs],
+                                     preds)
+        assert overall.muc.f1 > 0
+        want = {"overall": scores(overall),
+                "concept_slices": slices(ev.slice_by_concept(docs, preds,
+                                                             "coarse")),
+                "subword_slices": slices(ev.slice_by_subword_bucket(
+                    docs, preds, data.subword_vocab))}
+        assert json.loads((out / "report.json").read_text()) == want
+        sections = [("overall", want["overall"])]
+        for prefix, key in (("concept", "concept_slices"),
+                            ("subwords", "subword_slices")):
+            sections += [(f"{prefix}:{k}", v) for k, v in want[key].items()]
+        fields = ("recall", "precision", "f1")
+        rows = ["\t".join([section, name,
+                           *(repr(values[name][f]) for f in fields)])
+                for section, values in sections for name in metrics]
+        assert (out / "report.tsv").read_text().splitlines() == \
+            ["section\tmetric\trecall\tprecision\tf1", *rows]
 
 
 class TestProject:

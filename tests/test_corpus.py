@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab, Token,
-                           chain_concepts, check_field, concept_chain_stats, corpus_stats,
+                           chain_concepts, check_field,
                            document_to_record, enumerate_candidate_spans,
                            load_corpus, load_subword_vocab,
                            mean_subwords_per_span, save_corpus,
@@ -41,9 +41,6 @@ class TestSpanRef:
     def test_rejects_negative_start(self):
         with pytest.raises(CorpusError):
             SpanRef(-1, 0)
-
-    def test_width(self):
-        assert SpanRef(2, 4).width == 3
 
 
 class TestDocument:
@@ -270,28 +267,6 @@ class TestCheckField:
 
 
 class TestCorpusStats:
-    def test_single_doc(self):
-        doc = make_doc(list("abcdefghij"), [[(0, 0), (1, 1)]])
-        assert corpus_stats([doc]) == (1, 10.0, 2.0)
-
-    def test_mean_tokens(self):
-        docs = [make_doc(list("abcd")), make_doc(list("abcdef"))]
-        assert corpus_stats(docs)[1] == 5.0
-
-    def test_empty_corpus_raises(self):
-        with pytest.raises(CorpusError, match="empty"):
-            corpus_stats([])
-
-    def test_concept_chain_stats(self):
-        doc = make_doc(
-            list("abcdef"),
-            [[(0, 0), (1, 1)], [(2, 2), (3, 3), (4, 4)]],
-            {"coarse": {SpanRef(0, 0): "problem", SpanRef(1, 1): "problem",
-                        SpanRef(2, 2): "test", SpanRef(3, 3): "test",
-                        SpanRef(4, 4): "test"}})
-        stats = concept_chain_stats([doc], "coarse")
-        assert stats == {"problem": (1, 2.0), "test": (1, 3.0)}
-
     def test_chain_concepts(self):
         a, b, c = SpanRef(0, 0), SpanRef(1, 1), SpanRef(2, 2)
         labels = {a: "x", b: "y", SpanRef(5, 5): "z"}

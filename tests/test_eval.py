@@ -10,9 +10,8 @@ from kcoref import evaluation as ev
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.corpus import SpanRef, SubwordVocab
-from kcoref.evaluation import (MetricReport, RPF1,
-                               average_report, b_cubed, bucket_key, ceaf_e,
-                               contingency, decode_clusters, muc,
+from kcoref.evaluation import (MetricReport, RPF1, average_report,
+                               bucket_key, decode_clusters,
                                predict_antecedents,
                                predict_clusters, score_documents,
                                select_antecedents, slice_by_concept,
@@ -39,6 +38,13 @@ def C(*mentions):
 
 GOLD_EX = [C("a", "b", "c"), C("d", "e")]
 PRED_EX = [C("a", "b"), C("c", "d", "e")]
+METRICS = ("muc", "b_cubed", "ceaf_e")
+
+
+def entries(table):
+    """An `Overlap`'s entries as {(gold row, predicted column): count}."""
+    return dict(zip(zip(table.rows.tolist(), table.cols.tolist()),
+                    table.counts.tolist()))
 
 
 class TestUnionFind:
@@ -412,60 +418,60 @@ class TestPredictIntegration:
 
 class TestMUC:
     def test_identical_clusterings(self):
-        got = muc(GOLD_EX, GOLD_EX)
+        got = score_documents([GOLD_EX], [GOLD_EX]).muc
         assert (got.recall, got.precision, got.f1) == (1.0, 1.0, 1.0)
 
     def test_worked_example_two_thirds(self):
-        got = muc(GOLD_EX, PRED_EX)
+        got = score_documents([GOLD_EX], [PRED_EX]).muc
         assert got.recall == pytest.approx(2 / 3)
         assert got.precision == pytest.approx(2 / 3)
         assert got.f1 == pytest.approx(2 / 3)
 
     def test_singleton_predictions_score_zero_recall(self):
-        got = muc(GOLD_EX, [])
+        got = score_documents([GOLD_EX], [[]]).muc
         assert got.recall == 0.0
 
     def test_no_gold_links_defined_zero(self):
-        got = muc([], PRED_EX)
+        got = score_documents([[]], [PRED_EX]).muc
         assert got.recall == 0.0
 
 
 class TestBCubed:
     def test_identical_clusterings(self):
-        got = b_cubed(GOLD_EX, GOLD_EX)
+        got = score_documents([GOLD_EX], [GOLD_EX]).b_cubed
         assert (got.recall, got.precision, got.f1) == (1.0, 1.0, 1.0)
 
     def test_worked_example_eleven_fifteenths(self):
-        got = b_cubed(GOLD_EX, PRED_EX)
+        got = score_documents([GOLD_EX], [PRED_EX]).b_cubed
         assert got.recall == pytest.approx(11 / 15)
         assert got.precision == pytest.approx(11 / 15)
 
     def test_one_big_cluster_keeps_recall_high(self):
         pred = [C("a", "b", "c", "d", "e")]
-        got = b_cubed(GOLD_EX, pred)
+        got = score_documents([GOLD_EX], [pred]).b_cubed
         assert got.recall == 1.0
         assert got.precision < 1.0
 
 
 class TestCeafE:
     def test_identical_clusterings(self):
-        got = ceaf_e(GOLD_EX, GOLD_EX)
+        got = score_documents([GOLD_EX], [GOLD_EX]).ceaf_e
         assert (got.recall, got.precision, got.f1) == (1.0, 1.0, 1.0)
 
     def test_worked_example_merged_prediction(self):
         gold = [C("a", "b"), C("c", "d")]
         pred = [C("a", "b", "c", "d")]
-        got = ceaf_e(gold, pred)
+        got = score_documents([gold], [pred]).ceaf_e
         assert got.recall == pytest.approx(1 / 3)
         assert got.precision == pytest.approx(2 / 3)
 
     def test_empty_both_sides_is_perfect_by_convention(self):
-        got = ceaf_e([], [])
+        got = score_documents([[]], [[]]).ceaf_e
         assert (got.recall, got.precision, got.f1) == (1.0, 1.0, 1.0)
 
     def test_one_side_empty_is_zero(self):
-        assert ceaf_e(GOLD_EX, []) == RPF1(0.0, 0.0, 0.0)
-        assert ceaf_e([], PRED_EX) == RPF1(0.0, 0.0, 0.0)
+        assert score_documents([GOLD_EX], [[]]).ceaf_e == RPF1(0.0, 0.0, 0.0)
+        assert score_documents([[]], [PRED_EX]).ceaf_e == RPF1(0.0, 0.0, 0.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -473,7 +479,7 @@ class TestCeafE:
         rng = np.random.default_rng(seed)
         gold = random_clustering(rng, 10, 4)
         pred = random_clustering(rng, 10, 4)
-        got = ceaf_e(gold, pred)
+        got = score_documents([gold], [pred]).ceaf_e
         want = ceaf_e_brute_force(gold, pred)
         assert got.recall == pytest.approx(want[0], abs=1e-9)
         assert got.precision == pytest.approx(want[1], abs=1e-9)
@@ -487,17 +493,19 @@ class TestMetricProperties:
         gold = random_clustering(rng, 12, 5)
         pred = random_clustering(rng, 12, 5)
 
-        got = muc(gold, pred)
+        report = score_documents([gold], [pred])
+        got = report.muc
         ref = muc_reference(gold, pred)
         assert (got.recall, got.precision, got.f1) == ref
 
-        got_b = b_cubed(gold, pred)
+        got_b = report.b_cubed
         ref_b = b_cubed_reference(gold, pred)
         assert (got_b.recall, got_b.precision, got_b.f1) == ref_b
 
         # duality: swapping gold and pred swaps R and P
-        for fn in (muc, b_cubed, ceaf_e):
-            fwd, rev = fn(gold, pred), fn(pred, gold)
+        swapped = score_documents([pred], [gold])
+        for name in METRICS:
+            fwd, rev = getattr(report, name), getattr(swapped, name)
             assert fwd.recall == pytest.approx(rev.precision, abs=1e-12)
             assert fwd.precision == pytest.approx(rev.recall, abs=1e-12)
 
@@ -510,33 +518,34 @@ class TestMetricProperties:
         names = {i: f"m{i * 7 + 3}" for i in range(10)}
         gold_r = [frozenset(names[m] for m in c) for c in reversed(gold)]
         pred_r = [frozenset(names[m] for m in c) for c in reversed(pred)]
-        for fn in (muc, b_cubed, ceaf_e):
-            a, b = fn(gold, pred), fn(gold_r, pred_r)
+        report = score_documents([gold], [pred])
+        renamed = score_documents([gold_r], [pred_r])
+        for name in METRICS:
+            a, b = getattr(report, name), getattr(renamed, name)
             assert a.f1 == pytest.approx(b.f1, abs=1e-12)
 
     def test_perfect_prediction_is_perfect_everywhere(self):
-        for fn in (muc, b_cubed, ceaf_e):
-            got = fn(GOLD_EX, [C(*c) for c in GOLD_EX])
-            assert got == RPF1(1.0, 1.0, 1.0)
+        report = score_documents([GOLD_EX], [[C(*c) for c in GOLD_EX]])
+        for name in METRICS:
+            assert getattr(report, name) == RPF1(1.0, 1.0, 1.0)
 
 
 class TestRepeatedMentionsRejected:
-    @pytest.mark.parametrize("metric", [muc, b_cubed, ceaf_e])
+    @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("pred", [PRED_EX, []])
     def test_gold_side(self, metric, pred):
         gold = [C("a", "b", "c"), C("c", "d")]
-        with pytest.raises(ValueError,
-                           match="mention 'c' is listed twice in the gold"):
-            metric(gold, pred)
+        with pytest.raises(ValueError, match="^document 0: mention 'c' is "
+                                             "listed twice in the gold"):
+            getattr(score_documents([gold], [pred]), metric)
 
-    @pytest.mark.parametrize("metric", [muc, b_cubed, ceaf_e])
+    @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("gold", [GOLD_EX, []])
     def test_pred_side(self, metric, gold):
         pred = [C("a", "d"), C("d", "e")]
-        with pytest.raises(
-                ValueError,
-                match="mention 'd' is listed twice in the predicted"):
-            metric(gold, pred)
+        with pytest.raises(ValueError, match="^document 0: mention 'd' is "
+                                             "listed twice in the predicted"):
+            getattr(score_documents([gold], [pred]), metric)
 
 
 def overlap_blocks(gold, pred):
@@ -593,11 +602,12 @@ POOLED_CASES = {
 
 class TestPooledMetricsMatchReferences:
     def check(self, gold, pred):
-        got = ceaf_e(gold, pred)
+        report = score_documents([gold], [pred])
+        got = report.ceaf_e
         want = ceaf_e_dense(gold, pred)
         for a, b in zip((got.recall, got.precision, got.f1), want):
             assert a == pytest.approx(b, abs=1e-12)
-        got_m, got_b = muc(gold, pred), b_cubed(gold, pred)
+        got_m, got_b = report.muc, report.b_cubed
         assert (got_m.recall, got_m.precision, got_m.f1) == \
             muc_reference(gold, pred)
         assert (got_b.recall, got_b.precision, got_b.f1) == \
@@ -614,8 +624,10 @@ class TestPooledMetricsMatchReferences:
         self.check(*pooled_random(seed))
 
     def test_contingency_worked_example(self):
-        assert contingency(GOLD_EX, PRED_EX) == {(0, 0): 2, (0, 1): 1,
-                                                 (1, 1): 2}
+        table = ev.Overlap.pooled([GOLD_EX], [PRED_EX])
+        assert entries(table) == {(0, 0): 2, (0, 1): 1, (1, 1): 2}
+        assert table.gold_sizes.tolist() == [3, 2]
+        assert table.pred_sizes.tolist() == [2, 3]
 
     def test_assignment_sees_one_block_at_a_time(self, monkeypatch):
         shapes = []
@@ -632,7 +644,7 @@ class TestPooledMetricsMatchReferences:
         seen = []
         for gold, pred in inputs:
             shapes.clear()
-            ceaf_e(gold, pred)
+            score_documents([gold], [pred])
             blocks = overlap_blocks(gold, pred)
             # A block with one gold or one predicted cluster aligns its
             # largest entry without an assignment.
@@ -1032,11 +1044,10 @@ class TestKeyJoinMatchesReferences:
         for g, p in ((gold, preds), (as_text(gold), as_text(preds))):
             table = ev.Overlap.pooled(g, p)
             pooled_gold, pooled_pred = pool_documents(g), pool_documents(p)
-            assert contingency(pooled_gold, pooled_pred) == \
-                contingency_reference(pooled_gold, pooled_pred)
-            got = dict(zip(zip(table.rows.tolist(), table.cols.tolist()),
-                           table.counts.tolist()))
-            assert got == contingency_reference(pooled_gold, pooled_pred)
+            want = contingency_reference(pooled_gold, pooled_pred)
+            assert entries(ev.Overlap.pooled([pooled_gold],
+                                             [pooled_pred])) == want
+            assert entries(table) == want
             assert table.gold_sizes.tolist() == list(map(len, pooled_gold))
             assert table.pred_sizes.tolist() == list(map(len, pooled_pred))
             reports.append(score_documents(g, p))
@@ -1073,13 +1084,10 @@ class TestKeyJoinMatchesReferences:
         check([[C(a, b), C(a, c)], ok], [ok, [C(a, b), C(b, c)]],
               f"document 0: mention {a!r} is listed twice in the gold "
               f"clusters")
-        # One table names no document.
-        gold, pred = [C(a, b), C(b, c)], [C(a, c)]
-        if text:
-            gold, pred = as_text([gold])[0], as_text([pred])[0]
-        with pytest.raises(ValueError, match="^mention .* is listed twice "
-                                             "in the gold clusters$"):
-            muc(gold, pred)
+        # A single document is document 0.
+        check([[C(a, b), C(b, c)]], [[C(a, c)]],
+              f"document 0: mention {b!r} is listed twice in the gold "
+              f"clusters")
 
     def test_slices_name_a_repeated_predicted_mention(self):
         docs = [labeled_doc("d0", ["person"]),

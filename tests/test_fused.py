@@ -314,7 +314,7 @@ class TestMeanCosineGap:
     def test_empty_pair_set_contributes_a_constant_zero(self, caplog):
         layout = m.span_layout(np.array([0]), np.array([0]), m.ModelConfig())
         reps = m.BatchedSpans(layout, np.ones((1, 5)), 1)
-        empty = L.PairSet("d0", layout, np.zeros(0, dtype=np.intp),
+        empty = L.PairSet("d0", np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp))
         with caplog.at_level("WARNING"):

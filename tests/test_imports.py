@@ -1,18 +1,74 @@
-"""Which parts of scipy a process loads, checked in a fresh interpreter.
+"""What imports what: the kcoref names the benchmark needs, and which parts
+of scipy a process loads.
 
-Importing kcoref loads no scipy module. The synth and project paths never
-do; a training doc-step loads `scipy.sparse` for the CL backward's
-scatter; the assignment solver and the graph labelling load on the first
-CEAF-e score.
+Every kcoref name that perfbench's workloads import, read through a module
+alias or wrap as a `tracing.Target` must exist, or every benchmark run
+fails. Importing kcoref loads no scipy module, checked in a fresh
+interpreter. The synth and project paths never do; a training doc-step
+loads `scipy.sparse` for the CL backward's scatter; the assignment solver
+and the graph labelling load on the first CEAF-e score.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def benchmark_names(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, dotted name) of each kcoref name a benchmark file imports
+    with `from kcoref... import`, reads as `alias.name[.attr...]` through a
+    module imported that way, or names in a `tracing.Target` call; a
+    module imported from `kcoref` is (module, "")."""
+    aliases, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "kcoref":
+            for alias in node.names:
+                if node.module == "kcoref":
+                    module = aliases[alias.asname or alias.name] = \
+                        f"kcoref.{alias.name}"
+                    names.add((module, ""))
+                else:
+                    names.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root, *path = ast.unparse(node).split(".")
+            if root in aliases and all(map(str.isidentifier, path)):
+                names.add((aliases[root], ".".join(path)))
+        elif isinstance(node, ast.Call) \
+                and ast.unparse(node.func) == "tracing.Target":
+            module, attr = (ast.literal_eval(arg) for arg in node.args[:2])
+            names.add((module, attr))
+    return names
+
+
+def test_every_kcoref_name_the_benchmark_needs_exists():
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(
+        encoding="utf-8"))
+    names = benchmark_names(tree)
+    assert {("kcoref.evaluation", "score_documents"),
+            ("kcoref.training", "ParameterStore.load"),
+            ("kcoref.training", "optimizer_step"),
+            ("kcoref.toolkit", "generate_synthetic_corpus")} <= names
+    missing = []
+    for module, dotted in sorted(names):
+        try:
+            owner = importlib.import_module(module)
+        except ModuleNotFoundError:
+            missing.append(module)
+            continue
+        for part in filter(None, dotted.split(".")):
+            owner = getattr(owner, part, missing)
+        if owner is missing:
+            missing.append(f"{module}.{dotted}")
+    assert not missing, f"perfbench/workloads.py needs {missing}"
 
 SCRIPT = """
 import json, sys

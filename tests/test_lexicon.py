@@ -140,8 +140,8 @@ class TestAnnotate:
         doc = make_doc(["cranial", "pain", "x", "cranial", "pain"],
                        [[(0, 1), (3, 4)]])
         out = annotate_documents([doc], HEAD_LEXICON, EXACT)[0]
-        assert out.concept_of(SpanRef(0, 1), "umls") == "C-HEAD"
-        assert out.concept_of(SpanRef(3, 4), "umls") == "C-HEAD"
+        assert out.concept_annotations["umls"][SpanRef(0, 1)] == "C-HEAD"
+        assert out.concept_annotations["umls"][SpanRef(3, 4)] == "C-HEAD"
 
     def test_no_match_leaves_annotations_unchanged(self):
         doc = make_doc(["aspirin", "x", "aspirin"], [[(0, 0), (2, 2)]])
@@ -153,8 +153,8 @@ class TestAnnotate:
                        {"coarse": {SpanRef(0, 0): "problem",
                                    SpanRef(2, 2): "problem"}})
         out = annotate_documents([doc], HEAD_LEXICON, EXACT)[0]
-        assert out.concept_of(SpanRef(0, 0), "coarse") == "problem"
-        assert out.concept_of(SpanRef(0, 0), "umls") == "C-HEAD"
+        assert out.concept_annotations["coarse"][SpanRef(0, 0)] == "problem"
+        assert out.concept_annotations["umls"][SpanRef(0, 0)] == "C-HEAD"
 
     def test_idempotent(self):
         doc = make_doc(["headaches", "y", "headaches"], [[(0, 0), (2, 2)]])
@@ -166,7 +166,7 @@ class TestAnnotate:
         doc = make_doc(["headaches", "y"], [])
         out = annotate_documents([doc], HEAD_LEXICON, EXACT,
                                  extra_spans={"d0": [SpanRef(0, 0)]})[0]
-        assert out.concept_of(SpanRef(0, 0), "umls") == "C-HEAD"
+        assert out.concept_annotations["umls"][SpanRef(0, 0)] == "C-HEAD"
 
     def test_matching_is_pure(self):
         for _ in range(3):

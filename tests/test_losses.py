@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
-from kcoref.corpus import SpanRef, bounds_keys, span_keys, truncate_document
-from kcoref.losses import (LossError, LossWeights, ObjectiveConfig, PairSet,
+from kcoref.corpus import SpanRef, span_keys, truncate_document
+from kcoref.losses import (LossError, LossWeights, ObjectiveConfig,
                            ScaffoldParams, build_pair_set, combined_loss,
                            document_objective)
 
@@ -141,8 +141,9 @@ class TestPairSet:
         ps = build_pair_set(doc.doc_id, index, table_rows(index, [S(2, 2)]),
                             budget=100, rng=rng)
         assert ps.count == 3  # C(3, 2)
-        assert ps.spans == (S(0, 0), S(1, 1), S(2, 2))
-        assert all(a < b for a, b in ps.pairs)
+        assert ps.rows.tolist() == \
+            table_rows(index, [S(0, 0), S(1, 1), S(2, 2)]).tolist()
+        assert (ps.first < ps.second).all()
 
     def test_budget_caps_and_is_deterministic(self):
         doc = doc_with([[(i, i) for i in range(6)]])
@@ -153,19 +154,9 @@ class TestPairSet:
         ps2 = build_pair_set(doc.doc_id, index, none, 5,
                              np.random.default_rng(42))
         assert ps1.count == 5
-        assert ps1.pairs == ps2.pairs
-
-
-def pair_set(doc_id, *pairs):
-    """A PairSet holding exactly `pairs`, in the order given, over the span
-    table of every span of an 8-token document."""
-    layout = m.enumerated_layout(8, m.ModelConfig(max_span_width=8))
-    spans = sorted({s for pair in pairs for s in pair})
-    rows = np.searchsorted(bounds_keys(layout.starts, layout.ends),
-                           span_keys(spans))
-    first = np.array([spans.index(a) for a, _ in pairs], dtype=np.intp)
-    second = np.array([spans.index(b) for _, b in pairs], dtype=np.intp)
-    return PairSet(doc_id, layout, rows, first, second)
+        assert ps1.rows.tolist() == ps2.rows.tolist()
+        assert ps1.first.tolist() == ps2.first.tolist()
+        assert ps1.second.tolist() == ps2.second.tolist()
 
 
 def internals_for(doc_id, vectors):
@@ -179,8 +170,7 @@ class TestRetrofitLoss:
         w = LossWeights(alpha_c=1.0)
         vectors = internals_for("d0", {S(0, 0): [1.0, 0.0],
                                        S(1, 1): [2.0, 0.0]})  # cos dist 0
-        ps = pair_set("d0", (S(0, 0), S(1, 1)))
-        out = retrofit_loss([doc], [ps], vectors, w)
+        out = retrofit_loss([doc], {"d0": [(S(0, 0), S(1, 1))]}, vectors, w)
         assert float(out.value) == pytest.approx(0.0, abs=1e-12)
 
     def test_absolute_gap(self):
@@ -191,8 +181,7 @@ class TestRetrofitLoss:
         vectors = internals_for(
             "d0", {S(0, 0): [1.0, 0.0],
                    S(1, 1): [math.cos(theta), math.sin(theta)]})
-        ps = pair_set("d0", (S(0, 0), S(1, 1)))
-        out = retrofit_loss([doc], [ps], vectors, w)
+        out = retrofit_loss([doc], {"d0": [(S(0, 0), S(1, 1))]}, vectors, w)
         assert float(out.value) == pytest.approx(1.0, abs=1e-12)
 
     def test_per_document_normalization(self):
@@ -202,19 +191,19 @@ class TestRetrofitLoss:
         w = LossWeights(alpha_c=1.0)
         va = {S(0, 0): [1.0, 0.0], S(1, 1): [0.0, 1.0], S(2, 2): [1.0, 0.0]}
         # pairs: (0,1): |0 - 1| = 1; (0,2): |0 - 0| = 0; (1,2): |0 - 1| = 1
-        ps_a = pair_set("d0", (S(0, 0), S(1, 1)), (S(0, 0), S(2, 2)))
+        pairs_a = [(S(0, 0), S(1, 1)), (S(0, 0), S(2, 2))]
         theta = math.acos(0.5)
         vb = {S(0, 0): [1.0, 0.0], S(1, 1): [math.cos(theta), math.sin(theta)]}
-        ps_b = pair_set("d1", (S(0, 0), S(1, 1)))
+        pairs_b = [(S(0, 0), S(1, 1))]
         vectors = {**internals_for("d0", va), **internals_for("d1", vb)}
-        out = retrofit_loss([doc_a, doc_b], [ps_a, ps_b], vectors, w)
+        out = retrofit_loss([doc_a, doc_b], {"d0": pairs_a, "d1": pairs_b},
+                            vectors, w)
         assert float(out.value) == pytest.approx(1.0 / 2 + 0.5, abs=1e-12)
 
     def test_empty_pair_set_contributes_zero(self, caplog):
         doc = doc_with([])
         with caplog.at_level("WARNING"):
-            out = retrofit_loss([doc], [pair_set("d0")], {"d0": {}},
-                                LossWeights())
+            out = retrofit_loss([doc], {"d0": []}, {"d0": {}}, LossWeights())
         assert float(out.value) == 0.0
         assert "empty pair set" in caplog.text
 
@@ -223,9 +212,9 @@ class TestRetrofitLoss:
         w = LossWeights(alpha_c=1.0)
         base = {S(0, 0): [1.0, 2.0], S(1, 1): [-1.0, 0.5]}
         scaled = {S(0, 0): [3.0, 6.0], S(1, 1): [-1.0, 0.5]}
-        ps = pair_set("d0", (S(0, 0), S(1, 1)))
-        out1 = retrofit_loss([doc], [ps], internals_for("d0", base), w)
-        out2 = retrofit_loss([doc], [ps], internals_for("d0", scaled), w)
+        pairs = {"d0": [(S(0, 0), S(1, 1))]}
+        out1 = retrofit_loss([doc], pairs, internals_for("d0", base), w)
+        out2 = retrofit_loss([doc], pairs, internals_for("d0", scaled), w)
         assert float(out1.value) == pytest.approx(float(out2.value), abs=1e-9)
 
 
@@ -415,9 +404,13 @@ class TestDocumentObjective:
         rng = np.random.default_rng(7)
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective, rng)
+        spans, ps = out.reps.spans, out.pair_set
         internals = {docs[0].doc_id: dict(zip(
-            out.reps.spans, map(Tensor, out.reps.internal)))}
-        expected = retrofit_loss([docs[0]], [out.pair_set], internals, weights)
+            spans, map(Tensor, out.reps.internal)))}
+        pairs = [(spans[a], spans[b]) for a, b in zip(
+            ps.rows[ps.first].tolist(), ps.rows[ps.second].tolist())]
+        expected = retrofit_loss([docs[0]], {docs[0].doc_id: pairs},
+                                 internals, weights)
         assert out.rl == pytest.approx(float(expected.value), abs=1e-9)
 
     def test_sl_graph_matches_reference_loss(self):
@@ -586,8 +579,10 @@ class TestIndexedPathsMatchReferences:
         extra_spans = [index.layout.spans[r] for r in rows.tolist()]
         expected = pair_set_reference(doc, extra_spans, budget,
                                       np.random.default_rng(seed))
-        assert got.pairs == tuple(expected)
         assert got.count == len(expected)
+        for side, column in ((got.first, 0), (got.second, 1)):
+            assert got.rows[side].tolist() == table_rows(
+                index, [pair[column] for pair in expected]).tolist()
         assert (np.diff(got.rows) > 0).all()
 
 

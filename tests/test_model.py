@@ -210,14 +210,12 @@ class TestSpanLayout:
         with pytest.raises(ValueError, match="no spans"):
             m.span_layout(starts, ends, ModelConfig())
 
-    def test_refs_build_only_the_asked_rows_until_spans_is_built(self):
+    def test_candidate_spans_build_only_the_kept_rows(self):
         layout = layout_of([SpanRef(0, 0), SpanRef(0, 1), SpanRef(1, 1)])
-        assert layout.refs(np.array([2, 0])) == [SpanRef(1, 1),
-                                                 SpanRef(0, 0)]
+        kept = CandidateSet(layout, np.array([0, 2]), np.zeros(2))
+        assert kept.spans == [SpanRef(0, 0), SpanRef(1, 1)]
         assert "spans" not in layout.__dict__
-        spans = layout.spans
-        assert layout.spans is spans
-        assert layout.refs(np.array([1]))[0] is spans[1]
+        assert layout.spans is layout.spans
 
 
 LAYOUT_CONFIGS = (ModelConfig(max_span_width=3, width_bucket_edges=(1, 2)),

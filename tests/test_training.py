@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ class TestLiveRowBackward:
         if case == "empty pair set":
             assert out.pair_set.count == 0
         if case == "over budget":
-            n = len(out.pair_set.spans)
+            n = len(out.pair_set.rows)
             assert n * (n - 1) // 2 > objective.pair_budget
             assert out.pair_set.count == objective.pair_budget
 
@@ -317,13 +318,15 @@ class TestLiveRowBackward:
                 def build(enc, scoring, scaffold):
                     return [L.document_objective(
                         doc, enc, scoring, scaffold,
-                        weights.replace(beta=beta), config, objective)]
+                        dataclasses.replace(weights, beta=beta), config,
+                        objective)]
 
                 _, (out,) = compute_gradients(store, build)
                 row = {span: i for i, span in enumerate(out.reps.spans)}
                 read = set(out.candidates.spans)
                 if beta[1] > 0:
-                    read.update(out.pair_set.spans)
+                    read.update(out.reps.spans[r]
+                                for r in out.pair_set.rows.tolist())
                 if beta[2] > 0:
                     read.update(doc.gold_spans())
                     read.update(doc.concept_annotations["i2b2"])
@@ -865,6 +868,37 @@ class TestCheckpoint:
         path = tmp_path / "malformed.ckpt"
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(TrainingError, match=problem):
+            ParameterStore.load(path)
+
+    @pytest.mark.parametrize("old, new, problem", [
+        pytest.param("seed 3", "seed \u0663",
+                     "line 2 is 'seed \u0663', not 'seed <n>'",
+                     id="seed-arabic-indic-digit"),
+        pytest.param("vocab 4", "vocab 04",
+                     "line 4 is 'vocab 04', not 'vocab <n>'",
+                     id="count-leading-zero"),
+        pytest.param("tensor encoder.mixer_b 1 5",
+                     "tensor encoder.mixer_b +1 5",
+                     "tensor encoder.mixer_b has a shape that is not ASCII "
+                     "decimals: '+1 5'", id="ndim-plus-sign"),
+        pytest.param("tensor scaffold.weights 2 2 5",
+                     "tensor scaffold.weights 2 0_2 5",
+                     "tensor scaffold.weights has a shape that is not ASCII "
+                     "decimals: '2 0_2 5'", id="dim-underscore"),
+        pytest.param("tensor scaffold.weights 2 2 5",
+                     "tensor scaffold.weights 2 \uff12 5",
+                     "tensor scaffold.weights has a shape that is not ASCII "
+                     "decimals: '2 \uff12 5'", id="dim-fullwidth-digit"),
+    ])
+    def test_rejects_a_count_that_is_not_an_ascii_decimal(self, tmp_path, old,
+                                                          new, problem):
+        """Counts and dimensions load only as `save` writes them: ASCII
+        digits with no sign, underscore or leading zero."""
+        lines = replaced(self.saved_lines(tmp_path), old, new)
+        path = tmp_path / "malformed.ckpt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TrainingError,
+                           match=f"^{re.escape(f'{path}: {problem}')}$"):
             ParameterStore.load(path)
 
     def test_rejects_a_tensor_listed_twice(self, tmp_path):
