@@ -161,8 +161,8 @@ def cmd_project(args) -> int:
     data, _, _ = _prepare(config)
     store = tr.ParameterStore.load(_resolve(args, "checkpoint"))
     tr.check_parameters(store, config.model)
-    docs = data.corpora.get(config.eval_corpus) \
-        or data.corpora[training_corpus_names(config)[0]]
+    docs = data.corpora[config.eval_corpus if config.eval_corpus in data.corpora
+                        else training_corpus_names(config)[0]]
     lexicon = config.projection.lexicon or config.objective.scaffold_lexicon
     sample = args.sample if args.sample is not None else config.projection.sample
     seed = args.seed if args.seed is not None else config.projection.seed

@@ -14,7 +14,7 @@ from pathlib import Path
 from .corpus import (Document, SubwordVocab, check_field, load_corpus,
                      load_subword_vocab, read_text, truncate_document)
 from .lexicon import ConceptLexicon, MatchPolicy, annotate_documents, load_lexicon
-from .losses import LossWeights, ObjectiveConfig
+from .losses import NONE_CLASS, LossWeights, ObjectiveConfig
 from .model import ModelConfig
 from .toolkit import SyntheticSpec
 from .training import Phase, TrainingError, TrainingSchedule
@@ -181,6 +181,8 @@ def load_run_data(config: RunConfig) -> RunData:
         if not corpus_path.is_file():
             raise ConfigError(f"corpus {name!r}: file not found: {corpus_path}")
         docs = load_corpus(corpus_path)
+        if not docs:
+            raise ConfigError(f"corpus {name!r}: no documents in {corpus_path}")
         if config.truncate_tokens:
             docs = [truncate_document(d, config.truncate_tokens) for d in docs]
         corpora[name] = docs
@@ -232,7 +234,7 @@ def scaffold_classes(config: RunConfig, data: RunData) -> tuple[str, ...]:
         raise ConfigError(f"scaffold lexicon {lexicon_id!r} has no concepts in "
                           f"any loaded lexicon or corpus")
     if config.objective.scaffold_include_unlabeled:
-        classes.append("<none>")
+        classes.append(NONE_CLASS)
     return tuple(classes)
 
 

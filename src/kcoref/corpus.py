@@ -169,12 +169,6 @@ class Document:
     def gold_spans(self) -> list[SpanRef]:
         return sorted(span for cluster in self.gold_clusters for span in cluster)
 
-    def cluster_of(self, span: SpanRef) -> frozenset[SpanRef] | None:
-        for cluster in self.gold_clusters:
-            if span in cluster:
-                return cluster
-        return None
-
     def cached(self, key: Hashable, build: Callable[[], T]) -> T:
         """`build()`, computed on the first call per key and kept on this
         document.
@@ -375,13 +369,12 @@ class SubwordVocab:
     """Greedy longest-match wordpiece inventory.
 
     `initial` holds word-initial pieces, `continuation` the "##"-marked ones
-    (stored without the marker). Lookup lowercases first unless disabled.
+    (stored without the marker). Lookup lowercases first.
     """
 
     initial: frozenset[str]
     continuation: frozenset[str]
     unk: str
-    lowercase: bool = True
 
     def __post_init__(self):
         if not self.unk:
@@ -390,7 +383,7 @@ class SubwordVocab:
             raise CorpusError("empty subword piece")
 
 
-def load_subword_vocab(path, lowercase: bool = True) -> SubwordVocab:
+def load_subword_vocab(path) -> SubwordVocab:
     path = Path(path)
     lines = [ln for ln in read_text(path, CorpusError).split("\n") if ln]
     if not lines:
@@ -398,7 +391,7 @@ def load_subword_vocab(path, lowercase: bool = True) -> SubwordVocab:
     unk, pieces = lines[0], lines[1:]
     initial = frozenset(p for p in pieces if not p.startswith("##"))
     continuation = frozenset(p[2:] for p in pieces if p.startswith("##"))
-    return SubwordVocab(initial, continuation, unk, lowercase)
+    return SubwordVocab(initial, continuation, unk)
 
 
 def save_subword_vocab(vocab: SubwordVocab, path) -> None:
@@ -419,7 +412,7 @@ def tokenize_subwords(surface: str, vocab: SubwordVocab) -> list[str]:
     """
     if not surface:
         raise ValueError("empty surface")
-    word = surface.lower() if vocab.lowercase else surface
+    word = surface.lower()
     pieces: list[str] = []
     pos = 0
     while pos < len(word):
@@ -434,25 +427,21 @@ def tokenize_subwords(surface: str, vocab: SubwordVocab) -> list[str]:
     return pieces
 
 
-def subword_count(surface: str, vocab: SubwordVocab) -> int:
-    return len(tokenize_subwords(surface, vocab))
-
-
 def mean_subwords_per_span(chain: Iterable[SpanRef], doc: Document,
                            vocab: SubwordVocab,
-                           counts: dict[str, int] | None = None) -> float:
+                           counts: dict[str, int]) -> float:
     """Mean over spans of the span's total wordpiece count.
 
     `counts` memoizes wordpiece counts by surface under `vocab`; one dict
     passed to several calls segments each distinct surface once.
     """
-    counts = {} if counts is None else counts
     totals = []
     for span in chain:
         total = 0
         for token in doc.tokens[span.start:span.end + 1]:
             if token.surface not in counts:
-                counts[token.surface] = subword_count(token.surface, vocab)
+                counts[token.surface] = len(tokenize_subwords(token.surface,
+                                                              vocab))
             total += counts[token.surface]
         totals.append(total)
     if not totals:

@@ -1,4 +1,4 @@
-"""Concept lexicons and the matchers that assign concepts to spans.
+"""Concept lexicons and the matcher that assigns concepts to spans.
 
 Lexicon files are UTF-8. The header line is `<lexicon_id>\t<granularity>`
 with granularity `coarse` or `fine`; every following line is one concept:
@@ -19,16 +19,6 @@ log = logging.getLogger(__name__)
 
 class LexiconError(ValueError):
     """Raised for malformed lexicon input."""
-
-
-@dataclass(frozen=True)
-class ConceptId:
-    lexicon_id: str
-    code: str
-
-    def __post_init__(self):
-        if not self.code:
-            raise LexiconError("empty concept code")
 
 
 @dataclass(frozen=True)
@@ -127,29 +117,25 @@ def save_lexicon(lexicon: ConceptLexicon, path) -> None:
             handle.write(f"{code}\t{surfaces}\n")
 
 
-def assign_concept_exact(surface: str, lexicon: ConceptLexicon,
-                         policy: MatchPolicy) -> ConceptId | None:
-    """Whole-string lookup; ambiguity resolves to the smallest code."""
-    if policy.mode != "exact":
-        raise LexiconError("assign_concept_exact needs an exact-mode policy")
-    codes = lexicon.exact_index(policy.lowercase).get(policy.normalize(surface))
-    if not codes:
-        return None
-    if len(codes) > 1:
-        log.warning("%s: surface %r is ambiguous across %d concepts; using %s",
-                    lexicon.lexicon_id, surface, len(codes), codes[0])
-    return ConceptId(lexicon.lexicon_id, codes[0])
+def assign_concept(surface: str, lexicon: ConceptLexicon,
+                   policy: MatchPolicy) -> str | None:
+    """The code of the concept `surface` matches under `policy`, or None.
 
-
-def assign_concept_overlap(surface: str, lexicon: ConceptLexicon,
-                           policy: MatchPolicy) -> ConceptId | None:
-    """Partial match: fraction of an entry's tokens covered by the span.
-
-    A concept matches when some entry reaches the threshold; ties break by
-    highest fraction, then smallest code.
+    Exact mode looks the whole string up; an ambiguous surface resolves to
+    the smallest code. Overlap mode matches a concept when some entry has
+    at least the threshold fraction of its tokens covered by the span; ties
+    break by highest fraction, then smallest code.
     """
-    if policy.mode != "overlap":
-        raise LexiconError("assign_concept_overlap needs an overlap-mode policy")
+    if policy.mode == "exact":
+        codes = lexicon.exact_index(policy.lowercase).get(
+            policy.normalize(surface))
+        if not codes:
+            return None
+        if len(codes) > 1:
+            log.warning("%s: surface %r is ambiguous across %d concepts; "
+                        "using %s", lexicon.lexicon_id, surface, len(codes),
+                        codes[0])
+        return codes[0]
     span_tokens = set(policy.normalize(surface).split())
     if not span_tokens:
         return None
@@ -163,23 +149,12 @@ def assign_concept_overlap(surface: str, lexicon: ConceptLexicon,
             if fraction >= policy.threshold:
                 if best is None or fraction > best[0]:
                     best = (fraction, code)
-    if best is None:
-        return None
-    return ConceptId(lexicon.lexicon_id, best[1])
-
-
-def assign_concept(surface: str, lexicon: ConceptLexicon,
-                   policy: MatchPolicy) -> ConceptId | None:
-    if policy.mode == "exact":
-        return assign_concept_exact(surface, lexicon, policy)
-    return assign_concept_overlap(surface, lexicon, policy)
+    return None if best is None else best[1]
 
 
 def annotate_documents(docs: Iterable[Document], lexicon: ConceptLexicon,
-                       policy: MatchPolicy,
-                       extra_spans: Mapping[str, Iterable[SpanRef]] | None = None,
-                       ) -> list[Document]:
-    """Match every gold span (plus any extra spans) against one lexicon.
+                       policy: MatchPolicy) -> list[Document]:
+    """Match every gold span against one lexicon.
 
     Annotations from other lexicons are preserved; re-running with the same
     lexicon and policy is idempotent.
@@ -189,12 +164,10 @@ def annotate_documents(docs: Iterable[Document], lexicon: ConceptLexicon,
         existing = doc.concept_annotations.get(lexicon.lexicon_id, {})
         spans = set(doc.gold_spans())
         spans.update(existing)
-        if extra_spans is not None:
-            spans.update(extra_spans.get(doc.doc_id, ()))
         labels: dict[SpanRef, str] = dict(existing)
         for span in sorted(spans):
-            concept = assign_concept(doc.span_surface(span), lexicon, policy)
-            if concept is not None:
-                labels[span] = concept.code
+            code = assign_concept(doc.span_surface(span), lexicon, policy)
+            if code is not None:
+                labels[span] = code
         annotated.append(doc.with_annotations(lexicon.lexicon_id, labels))
     return annotated

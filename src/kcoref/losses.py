@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-30  # keeps batched cosine finite for zero vectors
 
+NONE_CLASS = "<none>"  # the scaffold class of unlabeled spans
+
 
 class LossError(ValueError):
     """Raised when a loss component is malformed (NaN, bad weights)."""
@@ -84,16 +86,18 @@ class PairSet:
 
 @dataclass
 class ScaffoldParams:
-    """Per-concept weight vectors for the concept-identification head."""
+    """Per-concept weight vectors for the concept-identification head; a
+    last class `NONE_CLASS` is the class of unlabeled spans."""
 
     classes: tuple[str, ...]
     weights: np.ndarray
-    none_class: str | None = None
 
     def __post_init__(self):
         if len(self.classes) != self.weights.shape[0]:
             raise LossError("one weight vector per scaffold class required")
         self.class_index = {c: i for i, c in enumerate(self.classes)}
+        self.none_class = NONE_CLASS if NONE_CLASS in self.classes[-1:] \
+            else None
 
 
 # ---------------------------------------------------------------------------

@@ -109,14 +109,11 @@ def mention_antecedent_offsets(docs: Sequence[Document],
         offset = vectors[antecedent] - vectors[mention]
         concept = "none"
         if lexicon_id is not None:
-            cluster = doc.cluster_of(mention)
-            labels = doc.concept_annotations.get(lexicon_id, {})
-            if cluster is not None:
-                found = chain_concepts(cluster, labels)
-                if len(found) == 1:
-                    concept = found.pop()
-            elif mention in labels:
-                concept = labels[mention]
+            chain = next(c for c in doc.gold_clusters if mention in c)
+            found = chain_concepts(
+                chain, doc.concept_annotations.get(lexicon_id, {}))
+            if len(found) == 1:
+                concept = found.pop()
         out.append(ProjectionRecord(concept, span_id(doc, mention),
                                     span_id(doc, antecedent), offset))
     return out
@@ -172,8 +169,7 @@ def write_projection_table(records: Sequence[ProjectionRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("concept,x,y,mention,antecedent\n")
         for r in records:
-            x, y = (float(r.point[0]), float(r.point[1])) \
-                if r.point is not None else (0.0, 0.0)
+            x, y = float(r.point[0]), float(r.point[1])
             handle.write(f"{r.concept},{x!r},{y!r},{r.mention_id},"
                          f"{r.antecedent_id}\n")
 

@@ -34,6 +34,9 @@ _DECIMAL = re.compile("0|[1-9][0-9]*")
 
 TASK_PREFIXES = ("scorer.", "scaffold.")
 
+# The adaptive-moment update's decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 class TrainingError(RuntimeError):
     pass
@@ -77,6 +80,10 @@ class ParameterStore:
             if len(set(names)) != len(names):
                 twice = sorted(n for n, k in Counter(names).items() if k > 1)
                 raise TrainingError(f"duplicate {what}: {twice}")
+            broken = [n for n in names if "".join(n.splitlines()) != n]
+            if broken:
+                raise TrainingError(f"{what} with a line boundary cannot be "
+                                    f"saved: {broken}")
         self._vocab_index = {tok: i for i, tok in enumerate(self.vocab)}
         arrays = {name: np.asarray(self.tensors[name], dtype=np.float64)
                   for name in sorted(self.tensors)}
@@ -212,7 +219,10 @@ class ParameterStore:
                 from None
         if pos != len(lines) - 1:
             raise TrainingError(f"{path}: text after the 'end' line")
-        return cls(tensors, vocab, classes, step, seed)
+        try:
+            return cls(tensors, vocab, classes, step, seed)
+        except TrainingError as exc:
+            raise TrainingError(f"{path}: {exc}") from None
 
 
 def build_vocab(docs: Sequence[Document]) -> tuple[str, ...]:
@@ -269,14 +279,14 @@ def check_parameters(store: ParameterStore, config: ModelConfig) -> None:
 
 
 def init_parameters(config: ModelConfig, vocab: tuple[str, ...],
-                    scaffold_classes: tuple[str, ...] = (), seed: int = 0,
-                    zero_init: bool = False) -> ParameterStore:
+                    scaffold_classes: tuple[str, ...] = (),
+                    seed: int = 0) -> ParameterStore:
     """Seeded uniform fan-in initialization; biases and the scaffold start at 0."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape, kind in _tensor_specs(config, len(vocab),
                                            len(scaffold_classes)):
-        if zero_init or kind == "zeros" or not shape:
+        if kind == "zeros" or not shape:
             tensors[name] = np.zeros(shape)
         else:
             fan_in = shape[0] if len(shape) == 1 else shape[-2]
@@ -311,10 +321,8 @@ def group_parameters(arrays: Mapping[str, np.ndarray], store: ParameterStore,
                               antecedent=head("scorer.antecedent"))
     scaffold = None
     if "scaffold.weights" in arrays:
-        classes = store.scaffold_classes
-        none_class = classes[-1] if classes and classes[-1] == "<none>" else None
-        scaffold = L.ScaffoldParams(classes, arrays["scaffold.weights"],
-                                    none_class)
+        scaffold = L.ScaffoldParams(store.scaffold_classes,
+                                    arrays["scaffold.weights"])
     return enc, scoring, scaffold
 
 
@@ -377,9 +385,6 @@ class AdamState:
     when the learning rates change.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -418,7 +423,7 @@ def optimizer_step(store: ParameterStore, grad: np.ndarray,
     state.bind(store._layout, rates)
     state.t += 1
     m, v = state.m, state.v
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     square = np.square(grad)
     scaled = np.multiply(grad, 1 - b1)
     m *= b1
@@ -426,7 +431,7 @@ def optimizer_step(store: ParameterStore, grad: np.ndarray,
     v *= b2
     v += np.multiply(square, 1 - b2, out=square)
     denom = np.sqrt(np.divide(v, 1 - b2**state.t, out=square), out=square)
-    denom += state.epsilon
+    denom += ADAM_EPSILON
     update = np.divide(m, 1 - b1**state.t, out=scaled)
     update *= state.lr
     update /= denom

@@ -1012,7 +1012,7 @@ def gold_antecedent_rows(doc, candidates, k: int,
     """Window positions of candidate k's gold antecedents, and whether an
     anaphoric mention lost every gold antecedent to the window."""
     span = candidates.spans[k]
-    cluster = doc.cluster_of(span)
+    cluster = next((c for c in doc.gold_clusters if span in c), None)
     if cluster is None:
         return [], False
     rows = [j - window.start for j in window

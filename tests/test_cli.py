@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from kcoref import evaluation as ev
 from kcoref import training as tr
 from kcoref.config import (ConfigError, load_config, load_run_data,
                            scaffold_classes)
-from kcoref.corpus import CorpusError, load_corpus, load_subword_vocab
+from kcoref.corpus import (CorpusError, Token, load_corpus, load_subword_vocab,
+                           save_corpus)
 from kcoref.lexicon import LexiconError, load_lexicon
 
 
@@ -168,8 +170,41 @@ class TestEvaluate:
         assert (out / "report.tsv").read_text().splitlines() == \
             ["section\tmetric\trecall\tprecision\tf1", *rows]
 
+    def test_flags_write_the_report_of_positional_arguments(self, workspace,
+                                                           tmp_path):
+        config = str(workspace / "config.json")
+        checkpoint = str(workspace / "run" / "checkpoint.ckpt")
+        assert cli.main(["--quiet", "evaluate", config, checkpoint,
+                         "--out", str(tmp_path / "positional")]) == 0
+        assert cli.main(["--quiet", "evaluate", "--config", config,
+                         "--checkpoint", checkpoint,
+                         "--out", str(tmp_path / "flags")]) == 0
+        assert (tmp_path / "flags" / "report.json").read_bytes() == \
+            (tmp_path / "positional" / "report.json").read_bytes()
+
+
+def _config_with(workspace, name: str, edit) -> str:
+    """The workspace config after `edit(raw)`, saved next to it as `name`."""
+    raw = json.loads((workspace / "config.json").read_text())
+    edit(raw)
+    path = workspace / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
 
 class TestProject:
+    def test_without_an_eval_corpus_projects_the_training_corpus(
+            self, workspace, tmp_path):
+        config = _config_with(workspace, "no-eval.json",
+                              lambda raw: raw["corpora"].pop("eval"))
+        assert cli.main(["--quiet", "project", config,
+                         str(workspace / "run" / "checkpoint.ckpt"),
+                         "--out", str(tmp_path)]) == 0
+        train = {doc.doc_id
+                 for doc in load_corpus(workspace / "data" / "corpus.jsonl")}
+        rows = (tmp_path / "projection.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[3].split(":")[0] for row in rows} <= train
+
     def test_projection_table(self, workspace):
         code = cli.main(["--quiet", "project", str(workspace / "config.json"),
                          str(workspace / "run" / "checkpoint.ckpt"),
@@ -218,6 +253,63 @@ class TestErrors:
                          "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command, corpus", [
+        ("evaluate", "eval"), ("project", "eval"), ("train", "train")])
+    def test_a_corpus_without_documents_is_named(self, workspace, tmp_path,
+                                                 capsys, command, corpus):
+        """A declared corpus with no documents fails to load: an empty eval
+        corpus would score F1 0.3333 over nothing, and an empty training
+        corpus would train nothing."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        config = _config_with(workspace, f"empty-{corpus}.json", lambda raw:
+                              raw["corpora"].update({corpus: str(empty)}))
+        checkpoint = [] if command == "train" \
+            else [str(workspace / "run" / "checkpoint.ckpt")]
+        code = cli.main(["--quiet", command, config, *checkpoint,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: corpus {corpus!r}: no documents in {empty}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, problem", [
+        (["other.json", "--config", "config.json"],
+         "error: config given both positionally (other.json) and as --config "
+         "(config.json)"),
+        ([], "error: missing required config (pass it positionally or with "
+             "--config)"),
+        (["config.json", "run/checkpoint.ckpt", "--checkpoint", "x.ckpt"],
+         "error: checkpoint given both positionally (run/checkpoint.ckpt) and "
+         "as --checkpoint (x.ckpt)"),
+        (["config.json"], "error: missing required checkpoint (pass it "
+                          "positionally or with --checkpoint)"),
+    ])
+    def test_an_argument_given_twice_or_not_at_all_is_one_error(
+            self, workspace, tmp_path, capsys, monkeypatch, args, problem):
+        monkeypatch.chdir(workspace)
+        code = cli.main(["--quiet", "evaluate", *args,
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [problem]
+
+    def test_a_token_with_a_line_boundary_fails_before_training(
+            self, workspace, tmp_path, capsys):
+        docs = load_corpus(workspace / "data" / "corpus.jsonl")
+        tokens = (Token("with\u2028out", 0), *docs[0].tokens[1:])
+        corpus = tmp_path / "broken.jsonl"
+        save_corpus([dataclasses.replace(docs[0], tokens=tokens), *docs[1:]],
+                    corpus)
+        config = _config_with(workspace, "broken-token.json", lambda raw:
+                              raw["corpora"].update(train=str(corpus)))
+        code = cli.main(["--quiet", "train", config,
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == ("error: vocab tokens with a line boundary cannot be "
+                        "saved: ['with\\u2028out']")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("kind, command, text", [
         ("config", "train", None),
         ("corpus", "train", "[1, 2]\n"),
@@ -229,6 +321,9 @@ class TestErrors:
         ("lexicon", "train", b"coarse\tcoarse\nC0\tdorvi\xe9\n"),
         ("subword_vocab", "train", b"[UNK]\nd\xe9\n"),
         ("checkpoint", "evaluate", b"kcoref-checkpoint v1\nseed \xe9\n"),
+        # a vocab token listed twice
+        ("checkpoint", "evaluate", "kcoref-checkpoint v1\nseed 0\nstep 0\n"
+                                   "vocab 2\n<unk>\n<unk>\nclasses 0\nend\n"),
         # a value beyond the float64 range
         ("checkpoint", "evaluate", "kcoref-checkpoint v1\nseed 0\nstep 0\n"
                                    "vocab 1\n<unk>\nclasses 0\n"

@@ -10,7 +10,7 @@ from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab, Token,
                            document_to_record, enumerate_candidate_spans,
                            load_corpus, load_subword_vocab,
                            mean_subwords_per_span, save_corpus,
-                           save_subword_vocab, subword_bucket, subword_count,
+                           save_subword_vocab, subword_bucket,
                            tokenize_subwords, truncate_document)
 
 from oracles import enumerate_spans_brute, width_bucket_index
@@ -67,12 +67,6 @@ class TestDocument:
         assert doc.span_surface(SpanRef(0, 2)) == "the dorvia"
         assert doc.span_surface(SpanRef(1, 2)) == "dorvia"
         assert doc.span_surface(SpanRef(3, 3)) == "sign"
-
-    def test_cluster_of(self):
-        doc = make_doc(["a", "b", "c"], [[(0, 0), (2, 2)]])
-        assert doc.cluster_of(SpanRef(0, 0)) == frozenset({SpanRef(0, 0),
-                                                           SpanRef(2, 2)})
-        assert doc.cluster_of(SpanRef(1, 1)) is None
 
 
 class TestLoadCorpus:
@@ -352,33 +346,33 @@ class TestMeanSubwords:
     def test_two_singleton_spans(self):
         doc = make_doc(["laparoscopy", "x", "laparotomy"])
         chain = {SpanRef(0, 0), SpanRef(2, 2)}
-        assert mean_subwords_per_span(chain, doc, SECTION_VOCAB) == 4.0
+        assert mean_subwords_per_span(chain, doc, SECTION_VOCAB, {}) == 4.0
 
     def test_whole_word_spans_are_one(self):
         doc = make_doc(["open", "open"])
         chain = {SpanRef(0, 0), SpanRef(1, 1)}
-        assert mean_subwords_per_span(chain, doc, SECTION_VOCAB) == 1.0
+        assert mean_subwords_per_span(chain, doc, SECTION_VOCAB, {}) == 1.0
 
     def test_open_laparoscopy_counts_five(self):
         doc = make_doc(["open", "laparoscopy"])
         assert mean_subwords_per_span({SpanRef(0, 1)}, doc,
-                                      SECTION_VOCAB) == 5.0
+                                      SECTION_VOCAB, {}) == 5.0
 
     def test_empty_chain_rejected(self):
         doc = make_doc(["open"])
         with pytest.raises(ValueError):
-            mean_subwords_per_span(set(), doc, SECTION_VOCAB)
+            mean_subwords_per_span(set(), doc, SECTION_VOCAB, {})
 
     def test_shared_counts_segment_each_surface_once(self, monkeypatch):
         import kcoref.corpus as corpus
         segmented = []
-        count = corpus.subword_count
+        tokenize = corpus.tokenize_subwords
 
         def recording(surface, vocab):
             segmented.append(surface)
-            return count(surface, vocab)
+            return tokenize(surface, vocab)
 
-        monkeypatch.setattr(corpus, "subword_count", recording)
+        monkeypatch.setattr(corpus, "tokenize_subwords", recording)
         doc = make_doc(["open", "laparoscopy", "open", "laparoscopy"])
         counts = {}
         means = [mean_subwords_per_span(chain, doc, SECTION_VOCAB, counts)
@@ -419,10 +413,6 @@ class TestTruncate:
         cut = truncate_document(doc, 3)
         assert len(cut) == 3
         assert len(cut.gold_clusters) == 1
-
-
-def test_subword_count_matches_tokenize():
-    assert subword_count("laparotomy", SECTION_VOCAB) == 4
 
 
 def test_record_format_matches_documented_shape():

@@ -195,16 +195,16 @@ class TestBatchedDecodeMatchesReference:
 
     def test_zero_store(self):
         doc = make_doc([f"w{i % 3}" for i in range(12)], [[(0, 0), (3, 3)]])
-        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
-                                   zero_init=True)
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]))
+        store.buffer().fill(0.0)
         got = assert_decodes_as_reference(doc, store, INDEX_CONFIG)
         assert len(got.antecedent) and (got.antecedent == -1).all()
 
     def test_exact_tie_picks_the_nearest_antecedent(self):
         doc = make_doc([f"w{i % 3}" for i in range(12)], [[(0, 0), (3, 3)]])
         # zero weights and antecedent bias 1: every pair scores exactly 1.0
-        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
-                                   zero_init=True)
+        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]))
+        store.buffer().fill(0.0)
         store.tensors["scorer.antecedent.b2"][...] = 1.0
         got = assert_decodes_as_reference(doc, store, INDEX_CONFIG)
         assert got.antecedent.tolist() == list(range(-1,
@@ -402,8 +402,8 @@ class TestSharedEnumeratedLayout:
 class TestPredictIntegration:
     def test_zero_model_links_everything_to_dummy(self):
         docs, config, store, _, _ = tiny_setup()
-        zero = tr.init_parameters(config, store.vocab, store.scaffold_classes,
-                                  zero_init=True)
+        zero = tr.init_parameters(config, store.vocab, store.scaffold_classes)
+        zero.buffer().fill(0.0)
         links = links_of(predict_antecedents(docs[0], zero, config))
         assert all(v is None for v in links.values())
         assert predict_clusters(docs[0], zero, config).clusters == []

@@ -11,6 +11,7 @@ and the graph labelling load on the first CEAF-e score.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -21,27 +22,43 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def benchmark_names(tree: ast.AST) -> set[tuple[str, str]]:
-    """(module, dotted name) of each kcoref name a benchmark file imports
-    with `from kcoref... import`, reads as `alias.name[.attr...]` through a
-    module imported that way, or names in a `tracing.Target` call; a
-    module imported from `kcoref` is (module, "")."""
-    aliases, names = {}, set()
+def kcoref_aliases(tree: ast.AST) -> dict[str, tuple[str, str]]:
+    """Local name -> (module, dotted name) of each name a benchmark file
+    imports with `from kcoref... import`; a module imported from `kcoref`
+    is (module, "")."""
+    aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module \
                 and node.module.split(".")[0] == "kcoref":
             for alias in node.names:
-                if node.module == "kcoref":
-                    module = aliases[alias.asname or alias.name] = \
-                        f"kcoref.{alias.name}"
-                    names.add((module, ""))
-                else:
-                    names.add((node.module, alias.name))
+                aliases[alias.asname or alias.name] = \
+                    (f"kcoref.{alias.name}", "") if node.module == "kcoref" \
+                    else (node.module, alias.name)
+    return aliases
+
+
+def resolve(aliases: dict[str, tuple[str, str]],
+            node: ast.AST) -> tuple[str, str] | None:
+    """(module, dotted name) of `alias.name[.attr...]` through `aliases`."""
+    root, *path = ast.unparse(node).split(".")
+    if root not in aliases or not all(map(str.isidentifier, path)):
+        return None
+    module, dotted = aliases[root]
+    return module, ".".join(filter(None, [dotted, *path]))
+
+
+def benchmark_names(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, dotted name) of each kcoref name a benchmark file imports,
+    reads through a module imported from `kcoref`, or names in a
+    `tracing.Target` call."""
+    aliases = kcoref_aliases(tree)
+    modules = {local: target for local, target in aliases.items()
+               if not target[1]}
+    names = set(aliases.values())
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            root, *path = ast.unparse(node).split(".")
-            if root in aliases and all(map(str.isidentifier, path)):
-                names.add((aliases[root], ".".join(path)))
+        if isinstance(node, ast.Attribute) \
+                and (found := resolve(modules, node)):
+            names.add(found)
         elif isinstance(node, ast.Call) \
                 and ast.unparse(node.func) == "tracing.Target":
             module, attr = (ast.literal_eval(arg) for arg in node.args[:2])
@@ -49,10 +66,19 @@ def benchmark_names(tree: ast.AST) -> set[tuple[str, str]]:
     return names
 
 
+def kcoref_object(module: str, dotted: str):
+    owner = importlib.import_module(module)
+    for part in filter(None, dotted.split(".")):
+        owner = getattr(owner, part)
+    return owner
+
+
+WORKLOADS = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(
+    encoding="utf-8"))
+
+
 def test_every_kcoref_name_the_benchmark_needs_exists():
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(
-        encoding="utf-8"))
-    names = benchmark_names(tree)
+    names = benchmark_names(WORKLOADS)
     assert {("kcoref.evaluation", "score_documents"),
             ("kcoref.training", "ParameterStore.load"),
             ("kcoref.training", "optimizer_step"),
@@ -60,15 +86,35 @@ def test_every_kcoref_name_the_benchmark_needs_exists():
     missing = []
     for module, dotted in sorted(names):
         try:
-            owner = importlib.import_module(module)
-        except ModuleNotFoundError:
-            missing.append(module)
-            continue
-        for part in filter(None, dotted.split(".")):
-            owner = getattr(owner, part, missing)
-        if owner is missing:
-            missing.append(f"{module}.{dotted}")
+            kcoref_object(module, dotted)
+        except (ModuleNotFoundError, AttributeError):
+            missing.append(f"{module}.{dotted}".rstrip("."))
     assert not missing, f"perfbench/workloads.py needs {missing}"
+
+
+def test_every_benchmark_call_to_kcoref_binds():
+    """Each call perfbench's workloads make to a kcoref function or class
+    binds to its signature: a parameter the benchmark passes that was
+    deleted or renamed fails here, not as a failed benchmark run."""
+    aliases = kcoref_aliases(WORKLOADS)
+    checked, unbound = [], []
+    for node in ast.walk(WORKLOADS):
+        target = resolve(aliases, node.func) \
+            if isinstance(node, ast.Call) else None
+        if target is None or any(isinstance(arg, ast.Starred)
+                                 for arg in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        call = f"line {node.lineno}: {ast.unparse(node.func)}"
+        try:
+            inspect.signature(kcoref_object(*target)).bind(
+                *[None] * len(node.args), **{k.arg: None for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{call}: {exc}")
+        checked.append(call)
+    assert len(checked) >= 10, checked
+    assert not unbound, unbound
+
 
 SCRIPT = """
 import json, sys

@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref.corpus import SpanRef
-from kcoref.lexicon import (ConceptId, ConceptLexicon, LexiconError,
-                            MatchPolicy, annotate_documents, assign_concept,
-                            assign_concept_exact, assign_concept_overlap,
-                            load_lexicon, save_lexicon)
+from kcoref.lexicon import (ConceptLexicon, LexiconError, MatchPolicy,
+                            annotate_documents, assign_concept, load_lexicon,
+                            save_lexicon)
 
 from test_corpus import make_doc
 
@@ -63,28 +62,23 @@ class TestLoadLexicon:
 
 class TestExactMatch:
     def test_surface_in_concept(self):
-        assert assign_concept_exact("cranial pain", HEAD_LEXICON, EXACT) == \
-            ConceptId("umls", "C-HEAD")
+        assert assign_concept("cranial pain", HEAD_LEXICON, EXACT) == "C-HEAD"
 
     def test_absent_surface(self):
-        assert assign_concept_exact("aspirin", HEAD_LEXICON, EXACT) is None
+        assert assign_concept("aspirin", HEAD_LEXICON, EXACT) is None
 
     def test_lowercasing_normalization(self):
-        assert assign_concept_exact("Headaches", HEAD_LEXICON, EXACT) == \
-            ConceptId("umls", "C-HEAD")
+        assert assign_concept("Headaches", HEAD_LEXICON, EXACT) == "C-HEAD"
 
     def test_case_sensitive_when_disabled(self):
         policy = MatchPolicy(mode="exact", lowercase=False)
-        assert assign_concept_exact("Headaches", HEAD_LEXICON, policy) is None
+        assert assign_concept("Headaches", HEAD_LEXICON, policy) is None
 
-    def test_ambiguity_resolves_to_smallest_code(self):
+    def test_ambiguity_resolves_to_smallest_code(self, caplog):
         lex = ConceptLexicon("x", {"C2": frozenset({"dup"}),
                                    "C1": frozenset({"dup"})})
-        assert assign_concept_exact("dup", lex, EXACT).code == "C1"
-
-    def test_requires_exact_mode(self):
-        with pytest.raises(LexiconError):
-            assign_concept_exact("x", HEAD_LEXICON, OVERLAP)
+        assert assign_concept("dup", lex, EXACT) == "C1"
+        assert "'dup' is ambiguous across 2 concepts; using C1" in caplog.text
 
 
 class TestOverlapMatch:
@@ -93,23 +87,21 @@ class TestOverlapMatch:
         "C-PA": frozenset({"pancreatic cancer"})}, "fine")
 
     def test_entry_fully_covered(self):
-        got = assign_concept_overlap("metastatic gallbladder cancer",
-                                     self.CANCER, OVERLAP)
-        assert got == ConceptId("umls", "C-GB")
+        assert assign_concept("metastatic gallbladder cancer", self.CANCER,
+                              OVERLAP) == "C-GB"
 
     def test_half_covered_fails_at_full_threshold(self):
         lex = ConceptLexicon("umls", {"C-PA": frozenset({"pancreatic cancer"})},
                              "fine")
-        assert assign_concept_overlap("metastatic gallbladder cancer", lex,
-                                      OVERLAP) is None
+        assert assign_concept("metastatic gallbladder cancer", lex,
+                              OVERLAP) is None
 
     def test_boundary_inclusive_at_half(self):
         lex = ConceptLexicon("umls", {"C-PA": frozenset({"pancreatic cancer"})},
                              "fine")
         policy = MatchPolicy(mode="overlap", threshold=0.5)
-        got = assign_concept_overlap("metastatic gallbladder cancer", lex,
-                                     policy)
-        assert got == ConceptId("umls", "C-PA")
+        assert assign_concept("metastatic gallbladder cancer", lex,
+                              policy) == "C-PA"
 
     def test_tie_breaks_by_fraction_then_code(self):
         lex = ConceptLexicon("umls", {
@@ -117,7 +109,7 @@ class TestOverlapMatch:
             "C1": frozenset({"alpha beta gamma"}),  # 2/3 covered
         }, "fine")
         policy = MatchPolicy(mode="overlap", threshold=0.5)
-        assert assign_concept_overlap("alpha beta", lex, policy).code == "C2"
+        assert assign_concept("alpha beta", lex, policy) == "C2"
 
     def test_threshold_validation(self):
         with pytest.raises(LexiconError):
@@ -127,10 +119,9 @@ class TestOverlapMatch:
     @settings(max_examples=60, deadline=None)
     def test_exact_implies_overlap(self, surface):
         lex = ConceptLexicon("x", {"C1": frozenset({"aa", "b", "a b"})})
-        exact = assign_concept_exact(surface, lex, EXACT)
+        exact = assign_concept(surface, lex, EXACT)
         if exact is not None and surface.strip():
-            overlap = assign_concept_overlap(surface, lex, OVERLAP)
-            assert overlap is not None
+            assert assign_concept(surface, lex, OVERLAP) is not None
 
 
 class TestAnnotate:
@@ -162,13 +153,7 @@ class TestAnnotate:
         twice = annotate_documents(once, HEAD_LEXICON, EXACT)
         assert once == twice
 
-    def test_extra_spans_annotated(self):
-        doc = make_doc(["headaches", "y"], [])
-        out = annotate_documents([doc], HEAD_LEXICON, EXACT,
-                                 extra_spans={"d0": [SpanRef(0, 0)]})[0]
-        assert out.concept_annotations["umls"][SpanRef(0, 0)] == "C-HEAD"
-
     def test_matching_is_pure(self):
         for _ in range(3):
             assert assign_concept("cephalgia", HEAD_LEXICON, EXACT) == \
-                ConceptId("umls", "C-HEAD")
+                "C-HEAD"

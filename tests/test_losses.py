@@ -596,8 +596,7 @@ class TestScaffoldTargets:
         """Without unlabeled spans the targets are built once per index and
         class list; with them every call adds its own candidates."""
         classes = ("a", "b") + (("<none>",) if none_class else ())
-        scaffold = ScaffoldParams(classes, np.zeros((len(classes), 2)),
-                                  "<none>" if none_class else None)
+        scaffold = ScaffoldParams(classes, np.zeros((len(classes), 2)))
         objective = ObjectiveConfig(scaffold_lexicon="coarse",
                                     scaffold_include_unlabeled=include)
         index = L.document_index(doc, INDEX_CONFIG, True, "coarse")

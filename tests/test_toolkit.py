@@ -90,8 +90,8 @@ class TestOffsets:
 
     def test_identical_vectors_give_zero_offset(self):
         docs, config, store, _, _ = tiny_setup()
-        zero = tr.init_parameters(config, store.vocab, store.scaffold_classes,
-                                  zero_init=True)
+        zero = tr.init_parameters(config, store.vocab, store.scaffold_classes)
+        zero.buffer().fill(0.0)
         records = mention_antecedent_offsets(docs, zero, config, sample=2,
                                              seed=0)
         for r in records:

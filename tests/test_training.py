@@ -59,7 +59,8 @@ class TestInit:
     def test_zero_init_gives_equal_mention_scores(self):
         docs = tiny_corpus()
         vocab = build_vocab(docs)
-        store = init_parameters(CONFIG, vocab, zero_init=True)
+        store = init_parameters(CONFIG, vocab)
+        store.buffer().fill(0.0)
         from kcoref import model as m
         from kcoref.corpus import enumerate_candidate_spans
         enc, scoring, _ = store.groups
@@ -81,6 +82,22 @@ class TestInit:
         with pytest.raises(TrainingError,
                            match=r"duplicate scaffold classes: \['x'\]"):
             ParameterStore({}, ("<unk>",), ("x", "y", "x"))
+
+    # Every string `str.splitlines` splits at: `save` writes one name a line.
+    @pytest.mark.parametrize("boundary", ["\n", "\r", "\r\n", "\v", "\f",
+                                          "\x1c", "\x1d", "\x1e", "\x85",
+                                          "\u2028", "\u2029"])
+    def test_a_name_with_a_line_boundary_is_rejected(self, boundary):
+        name = f"a{boundary}b"
+        assert len(name.splitlines()) == 2
+        with pytest.raises(TrainingError, match=re.escape(
+                f"vocab tokens with a line boundary cannot be saved: "
+                f"{[name]}")):
+            ParameterStore({}, ("<unk>", "c", name))
+        with pytest.raises(TrainingError, match=re.escape(
+                f"scaffold classes with a line boundary cannot be saved: "
+                f"{[name + boundary]}")):
+            ParameterStore({}, ("<unk>",), ("x", name + boundary))
 
 
 class TestComputeGradients:
@@ -867,7 +884,8 @@ class TestCheckpoint:
         assert edited != lines
         path = tmp_path / "malformed.ckpt"
         path.write_text("\n".join(edited) + "\n")
-        with pytest.raises(TrainingError, match=problem):
+        with pytest.raises(TrainingError,
+                           match=f"^{re.escape(str(path))}: .*{problem}"):
             ParameterStore.load(path)
 
     @pytest.mark.parametrize("old, new, problem", [
