@@ -94,40 +94,30 @@ class SpanRef:
         if self.end < self.start:
             raise CorpusError(f"end before start: [{self.start}, {self.end}]")
 
-    def tokens(self) -> range:
-        return range(self.start, self.end + 1)
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    index: int
-
-    def __post_init__(self):
-        if not self.surface:
-            raise CorpusError(f"empty token surface at index {self.index}")
-
 
 @dataclass(frozen=True)
 class Document:
     """One ingested document: tokens, gold clusters, concept annotations.
 
-    `concept_annotations` maps lexicon_id -> {span -> concept label}; several
-    lexicons can annotate the same span. Documents are immutable after load.
+    A token is its surface string, never empty. `concept_annotations` maps
+    lexicon_id -> {span -> concept label}; several lexicons can annotate the
+    same span. Documents are immutable after load.
     """
 
     doc_id: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     gold_clusters: tuple[frozenset[SpanRef], ...] = ()
     concept_annotations: Mapping[str, Mapping[SpanRef, str]] = field(
         default_factory=dict)
 
     def __post_init__(self):
         n = len(self.tokens)
-        for i, tok in enumerate(self.tokens):
-            if tok.index != i:
-                raise CorpusError(
-                    f"{self.doc_id}: token index {tok.index} at position {i}")
+        for i, token in enumerate(self.tokens):
+            if not isinstance(token, str):
+                raise CorpusError(f"{self.doc_id}: token at index {i} must "
+                                  f"be a string, not {token!r}")
+            if not token:
+                raise CorpusError(f"{self.doc_id}: empty token at index {i}")
         seen: set[SpanRef] = set()
         for cluster in self.gold_clusters:
             if not cluster:
@@ -152,14 +142,10 @@ class Document:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
     def span_surface(self, span: SpanRef) -> str:
         """Detokenized text of a span; "##" continuation pieces glue on."""
         parts: list[str] = []
-        for i in span.tokens():
-            s = self.tokens[i].surface
+        for s in self.tokens[span.start:span.end + 1]:
             if s.startswith("##") and parts:
                 parts[-1] += s[2:]
             else:
@@ -227,8 +213,7 @@ def _parse_record(record) -> Document:
                                  "list")
     except KeyError as exc:
         raise CorpusError(f"missing field {exc}") from None
-    tokens = tuple(Token(check_field(CorpusError, f"tokens[{i}]", surface,
-                                     "string"), i)
+    tokens = tuple(check_field(CorpusError, f"tokens[{i}]", surface, "string")
                    for i, surface in enumerate(raw_tokens))
     clusters = []
     for i, cluster in enumerate(check_field(
@@ -292,7 +277,7 @@ def load_corpus(path) -> list[Document]:
 def document_to_record(doc: Document) -> dict:
     record = {
         "doc_id": doc.doc_id,
-        "tokens": list(doc.surfaces()),
+        "tokens": list(doc.tokens),
         "clusters": [sorted([s.start, s.end] for s in cluster)
                      for cluster in doc.gold_clusters],
     }
@@ -439,18 +424,22 @@ def mean_subwords_per_span(chain: Iterable[SpanRef], doc: Document,
     for span in chain:
         total = 0
         for token in doc.tokens[span.start:span.end + 1]:
-            if token.surface not in counts:
-                counts[token.surface] = len(tokenize_subwords(token.surface,
-                                                              vocab))
-            total += counts[token.surface]
+            if token not in counts:
+                counts[token] = len(tokenize_subwords(token, vocab))
+            total += counts[token]
         totals.append(total)
     if not totals:
         raise ValueError("empty chain")
     return sum(totals) / len(totals)
 
 
-def subword_bucket(mean_pieces: float, width: float = 1.7,
-                   n_buckets: int = 5) -> int:
+# The subword slices' bucket width and count, in mean wordpieces per span.
+SUBWORD_BUCKET_WIDTH = 1.7
+SUBWORD_BUCKETS = 5
+
+
+def subword_bucket(mean_pieces: float, width: float = SUBWORD_BUCKET_WIDTH,
+                   n_buckets: int = SUBWORD_BUCKETS) -> int:
     """Half-open bucket [k*width, (k+1)*width); returns n_buckets for overflow."""
     k = int(mean_pieces // width)
     return min(k, n_buckets)

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import model as m
 from . import training as tr
-from .corpus import (Document, SpanRef, SubwordVocab, chain_concepts,
+from .corpus import (SUBWORD_BUCKET_WIDTH, SUBWORD_BUCKETS, Document,
+                     SpanRef, SubwordVocab, chain_concepts,
                      mean_subwords_per_span, span_keys, subword_bucket)
 
 Clustering = Sequence[frozenset]
@@ -124,7 +125,7 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
         raise ValueError(f"{doc.doc_id}: NaN mention score")
     candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
-    x, s_m = reps.full[candidates.indices], candidates.scores
+    x, s_m = reps[candidates.indices], candidates.scores
     pairs = m.antecedent_pairs(len(x), config.max_antecedents)
     rows_i, rows_j = pairs.mention, pairs.antecedent
     # A repeated hash may be a collision; the byte-level dedupe settles it.
@@ -487,7 +488,8 @@ def slice_by_concept(docs: Sequence[Document],
     return _slices(table, labels, str)
 
 
-def bucket_key(bucket: int, width: float = 1.7, n_buckets: int = 5) -> str:
+def bucket_key(bucket: int, width: float = SUBWORD_BUCKET_WIDTH,
+               n_buckets: int = SUBWORD_BUCKETS) -> str:
     if bucket >= n_buckets:
         return f"[{n_buckets * width:.1f},inf)"
     return f"[{bucket * width:.1f},{(bucket + 1) * width:.1f})"
@@ -495,8 +497,10 @@ def bucket_key(bucket: int, width: float = 1.7, n_buckets: int = 5) -> str:
 
 def slice_by_subword_bucket(docs: Sequence[Document],
                             pred_docs: Sequence[Clustering],
-                            vocab: SubwordVocab, width: float = 1.7,
-                            n_buckets: int = 5) -> list[EvalSlice]:
+                            vocab: SubwordVocab,
+                            width: float = SUBWORD_BUCKET_WIDTH,
+                            n_buckets: int = SUBWORD_BUCKETS,
+                            ) -> list[EvalSlice]:
     """Scores per half-open bucket of mean wordpieces per span per chain.
 
     Chains past the last bucket pool into an overflow slice. Predicted

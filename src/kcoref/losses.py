@@ -205,9 +205,10 @@ class DocumentLosses:
     """One document's loss components, its forward-pass artifacts, and the
     backward of `total`.
 
-    `backward(g, enc, scoring, scaffold)` writes g times the gradient of
-    `total` into those parameter groups, views of one zeroed flat array;
-    a tensor the objective does not reach is left as it is.
+    `reps` is the span table's representations, one row per table row.
+    `backward(enc, scoring, scaffold)` writes the gradient of `total` into
+    those parameter groups, views of one zeroed flat array; a tensor the
+    objective does not reach is left as it is.
     """
 
     total: float
@@ -216,7 +217,7 @@ class DocumentLosses:
     sl: float
     pruning_misses: int
     candidates: m.CandidateSet
-    reps: m.BatchedSpans | None
+    reps: np.ndarray | None
     pair_set: PairSet | None
     backward: Callable[..., None]
 
@@ -376,16 +377,18 @@ def document_objective(doc: Document, enc: m.EncoderParams,
             doc.doc_id, index, rows, objective.pair_budget,
             objective.pair_seed if rng is None else rng)
         rl, rl_backward, pool = _retrofit_loss_graph(
-            index, pair_set, reps, weights, objective.unlabeled_knowledge)
+            index, pair_set, reps, enc.internal_columns, weights,
+            objective.unlabeled_knowledge)
 
     sl, sl_backward, labeled = 0.0, None, rows[:0]
     if with_scaffold:
         targets = scaffold_targets(index, scaffold, objective, rows)
         if len(targets):
-            sl, sl_backward = _scaffold_loss_graph(targets, reps, scaffold)
+            sl, sl_backward = _scaffold_loss_graph(
+                targets, reps, enc.internal_columns, scaffold)
             labeled = targets[:, 0]
 
-    def backward(g, enc_grad, scoring_grad, scaffold_grad) -> None:
+    def backward(enc_grad, scoring_grad, scaffold_grad) -> None:
         read = [r for r, b in ((rows, cl_backward), (pool, rl_backward),
                                (labeled, sl_backward)) if b is not None]
         if not read:
@@ -400,17 +403,17 @@ def document_objective(doc: Document, enc: m.EncoderParams,
             is_live[r] = True
         live = np.flatnonzero(is_live)
         at = np.cumsum(is_live) - 1
-        g_live = np.zeros((len(live), reps.full.shape[1]))
+        g_live = np.zeros((len(live), reps.shape[1]))
         if cl_backward is not None:
             g_scores = np.zeros(len(scores))
-            cl_backward(g * b1, g_live, at[rows], g_scores,
+            cl_backward(b1, g_live, at[rows], g_scores,
                         scoring_grad.antecedent)
             g_live[at[rows]] += mention_backward(g_scores,
                                                  scoring_grad.mention, rows)
         if rl_backward is not None:
-            rl_backward(g * b2, g_live, at[pool])
+            rl_backward(b2, g_live, at[pool])
         if sl_backward is not None:
-            sl_backward(g * b3, g_live, at[labeled], scaffold_grad.weights)
+            sl_backward(b3, g_live, at[labeled], scaffold_grad.weights)
         encode_backward(reps_backward(g_live, enc_grad, live), enc_grad)
 
     return DocumentLosses(combined_loss(cl, rl, sl, weights), cl, rl, sl,
@@ -418,7 +421,7 @@ def document_objective(doc: Document, enc: m.EncoderParams,
 
 
 def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
-                      reps: m.BatchedSpans, scores: np.ndarray,
+                      reps: np.ndarray, scores: np.ndarray,
                       scoring: m.ScoringParams, config: m.ModelConfig,
                       rows: np.ndarray,
                       ) -> tuple[float, m.Backward | None, int]:
@@ -437,7 +440,7 @@ def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
         return 0.0, None, misses
     numer = gold.copy()
     numer[:, -1] = ~has_gold
-    return (*antecedent_nll(reps.full, scores, rows, pairs, numer,
+    return (*antecedent_nll(reps, scores, rows, pairs, numer,
                             scoring.antecedent), misses)
 
 
@@ -513,18 +516,19 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
 
 
 def _retrofit_loss_graph(index: DocumentIndex, pair_set: PairSet,
-                         reps: m.BatchedSpans, weights: LossWeights,
-                         unlabeled: str,
+                         reps: np.ndarray, columns: slice,
+                         weights: LossWeights, unlabeled: str,
                          ) -> tuple[float, m.Backward | None, np.ndarray]:
-    """RL, its backward (None for no pairs) and the pooled spans' rows."""
+    """RL over the `columns` block of `reps`, its backward (None for no
+    pairs) and the pooled spans' rows."""
     if pair_set.count == 0:
         log.warning("%s: empty pair set contributes 0", pair_set.doc_id)
         return 0.0, None, np.zeros(0, dtype=np.intp)
     rows = pair_set.rows
     targets = pair_target_distances(index, rows[pair_set.first],
                                     rows[pair_set.second], weights, unlabeled)
-    return (*mean_cosine_gap(reps.full, reps.internal_columns, rows,
-                             pair_set.first, pair_set.second, targets), rows)
+    return (*mean_cosine_gap(reps, columns, rows, pair_set.first,
+                             pair_set.second, targets), rows)
 
 
 def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
@@ -562,12 +566,11 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
     return float(np.abs(gaps).sum() / float(len(gaps))), backward
 
 
-def _scaffold_loss_graph(targets: np.ndarray, reps: m.BatchedSpans,
-                         scaffold: ScaffoldParams,
+def _scaffold_loss_graph(targets: np.ndarray, reps: np.ndarray,
+                         columns: slice, scaffold: ScaffoldParams,
                          ) -> tuple[float, m.Backward]:
     rows, classes = targets[:, 0], targets[:, 1]
-    return mean_concept_nll(reps.full, reps.internal_columns, rows, classes,
-                            scaffold.weights)
+    return mean_concept_nll(reps, columns, rows, classes, scaffold.weights)
 
 
 def mean_concept_nll(full: np.ndarray, columns: slice, rows: np.ndarray,

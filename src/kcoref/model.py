@@ -140,6 +140,11 @@ class EncoderParams:
         span = self.mixer_w.shape[0] // self.d_token
         return (span - 1) // 2
 
+    @property
+    def internal_columns(self) -> slice:
+        """The internal-vector block of a span representation's columns."""
+        return slice(2 * self.d_token, 3 * self.d_token)
+
 
 @dataclass
 class ScoringParams:
@@ -179,8 +184,7 @@ def token_ids(doc: Document, vocab: Mapping[str, int]) -> np.ndarray:
     held = doc.cached("token_ids", lambda: [None, None])
     if held[0] is not vocab:
         unk = vocab[UNK_TOKEN]
-        ids = np.array([vocab.get(t.surface, unk) for t in doc.tokens],
-                       dtype=np.intp)
+        ids = np.array([vocab.get(t, unk) for t in doc.tokens], dtype=np.intp)
         ids.flags.writeable = False
         held[:] = vocab, ids
     return held[1]
@@ -212,39 +216,13 @@ def encode_tokens(doc: Document,
     return windows @ enc.mixer_w + enc.mixer_b, backward
 
 
-@dataclass
-class BatchedSpans:
-    """Span representations for many spans at once (rows align with `spans`).
-
-    A row of `full` is [start vector, end vector, internal vector, width
-    feature]; `internal` is its third block of `d_token` columns.
-    """
-
-    layout: SpanLayout
-    full: np.ndarray
-    d_token: int
-
-    @property
-    def spans(self) -> list[SpanRef]:
-        return self.layout.spans
-
-    @property
-    def internal_columns(self) -> slice:
-        return slice(2 * self.d_token, 3 * self.d_token)
-
-    @property
-    def internal(self) -> np.ndarray:
-        return self.full[:, self.internal_columns]
-
-
 @dataclass(frozen=True)
 class SpanLayout:
     """A span table as index arrays, with the gather plan of
     `build_span_representations`.
 
     It depends only on the spans and the width buckets, so a caller that
-    represents the same spans repeatedly can build it once. The table's
-    `SpanRef`s are built on first use of `spans` and kept.
+    represents the same spans repeatedly can build it once.
     """
 
     starts: np.ndarray
@@ -255,10 +233,6 @@ class SpanLayout:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    @functools.cached_property
-    def spans(self) -> list[SpanRef]:
-        return list(map(SpanRef, self.starts.tolist(), self.ends.tolist()))
 
 
 def span_layout(starts: np.ndarray, ends: np.ndarray,
@@ -301,13 +275,15 @@ def _enumerated_layout(n_tokens: int, max_span_width: int,
 
 def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
                                enc: EncoderParams,
-                               ) -> tuple[BatchedSpans, Backward]:
-    """Every span's representation.
+                               ) -> tuple[np.ndarray, Backward]:
+    """Every span's representation, one row per span of `layout`: [start
+    vector, end vector, internal vector, width feature].
 
-    The internal vector weighs the span's token vectors by a softmax of
-    their attention logits over the slots inside the span. The backward
-    takes the gradient of the spans `rows` alone, writes the attention and
-    width gradients into `grad` and returns the token vectors' gradient.
+    The internal vector, the `enc.internal_columns` block, weighs the
+    span's token vectors by a softmax of their attention logits over the
+    slots inside the span. The backward takes the gradient of the spans
+    `rows` alone, writes the attention and width gradients into `grad` and
+    returns the token vectors' gradient.
     """
     tokens, mask = layout.tokens, layout.mask
     x, attention = token_vecs, enc.attention_w
@@ -343,14 +319,14 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
             layout.buckets[rows], g[:, 3 * d:], table.shape)
         return g_x + np.outer(g_attention, attention)
 
-    return BatchedSpans(layout, full, d), backward
+    return full, backward
 
 
-def mention_scores(reps: BatchedSpans,
+def mention_scores(reps: np.ndarray,
                    scoring: ScoringParams) -> tuple[np.ndarray, Backward]:
-    """s_m of every span, and the mention head's backward
-    (`FeedForward.apply`)."""
-    return scoring.mention.apply(reps.full)
+    """s_m of every span representation (a row of `reps`), and the mention
+    head's backward (`FeedForward.apply`)."""
+    return scoring.mention.apply(reps)
 
 
 def prune_mentions(doc: Document, spans: SpanLayout,

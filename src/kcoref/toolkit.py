@@ -10,6 +10,7 @@ confound the knowledge losses are meant to fix.
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import model as m
 from . import training as tr
-from .corpus import (Document, SpanRef, SubwordVocab, Token, chain_concepts,
+from .corpus import (Document, SpanRef, SubwordVocab, chain_concepts,
                      check_field, span_bounds, span_keys)
 from .lexicon import ConceptLexicon
 
@@ -63,10 +64,11 @@ def span_internals(doc: Document, spans: Sequence[SpanRef],
         return {}
     enc, _, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
-    keys = np.unique(span_keys(spans))
+    starts, ends = span_bounds(np.unique(span_keys(spans)))
     reps, _ = m.build_span_representations(
-        token_vecs, m.span_layout(*span_bounds(keys), config), enc)
-    return dict(zip(reps.spans, reps.internal))
+        token_vecs, m.span_layout(starts, ends, config), enc)
+    return dict(zip(map(SpanRef, starts.tolist(), ends.tolist()),
+                    reps[:, enc.internal_columns]))
 
 
 def mention_antecedent_offsets(docs: Sequence[Document],
@@ -166,12 +168,15 @@ def project_offsets(records: Sequence[ProjectionRecord]
 
 
 def write_projection_table(records: Sequence[ProjectionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("concept,x,y,mention,antecedent\n")
+    """One CSV row per record; a field with a comma or a quote is quoted,
+    and a coordinate is its `repr`."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        rows = csv.writer(handle, lineterminator="\n")
+        rows.writerow(("concept", "x", "y", "mention", "antecedent"))
         for r in records:
-            x, y = float(r.point[0]), float(r.point[1])
-            handle.write(f"{r.concept},{x!r},{y!r},{r.mention_id},"
-                         f"{r.antecedent_id}\n")
+            rows.writerow((r.concept, repr(float(r.point[0])),
+                           repr(float(r.point[1])), r.mention_id,
+                           r.antecedent_id))
 
 
 def offset_cosine_statistics(records: Sequence[ProjectionRecord]
@@ -365,7 +370,7 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
                 coarse[span] = entity_by_name[name].concept
         doc = Document(
             f"syn{d:03d}",
-            tuple(Token(s, i) for i, s in enumerate(tokens)),
+            tuple(tokens),
             tuple(clusters),
             {spec.coarse_lexicon_id: coarse})
         documents.append(doc)

@@ -227,7 +227,7 @@ class ParameterStore:
 
 def build_vocab(docs: Sequence[Document]) -> tuple[str, ...]:
     """Deterministic token vocabulary: the unknown symbol, then sorted surfaces."""
-    surfaces = sorted({t.surface for d in docs for t in d.tokens})
+    surfaces = sorted({t for d in docs for t in d.tokens})
     return (UNK_TOKEN, *surfaces)
 
 
@@ -327,9 +327,9 @@ def group_parameters(arrays: Mapping[str, np.ndarray], store: ParameterStore,
 
 
 # A loss builder returns the objectives whose totals sum to the loss: each
-# has a float `total` and `backward(g, enc, scoring, scaffold)`, which
-# writes g times the gradient of `total` into those groups of gradient
-# views (see `losses.DocumentLosses`).
+# has a float `total` and `backward(enc, scoring, scaffold)`, which writes
+# the gradient of `total` into those groups of gradient views (see
+# `losses.DocumentLosses`).
 LossBuilder = Callable[[m.EncoderParams, m.ScoringParams,
                         L.ScaffoldParams | None], Sequence[L.DocumentLosses]]
 
@@ -354,7 +354,7 @@ def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
     total = np.zeros(flat.size)
     for objective in objectives:
         flat.fill(0.0)
-        objective.backward(1.0, *groups)
+        objective.backward(*groups)
         total += flat
     if not np.isfinite(total).all():
         name = next(name for name, grad in store.named(total).items()

@@ -500,6 +500,11 @@ def span_layout_reference(spans: list[SpanRef],
                         np.array(buckets, dtype=np.intp))
 
 
+def layout_spans(layout: m.SpanLayout) -> list[SpanRef]:
+    """The spans of a layout's rows, in row order."""
+    return list(map(SpanRef, layout.starts.tolist(), layout.ends.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Coreference metrics, straight from the definitions.
 # Clusterings are sequences of sets of hashable mention ids.
@@ -771,8 +776,9 @@ def slice_by_concept_reference(docs, pred_docs, lexicon_id):
 def slice_by_subword_bucket_reference(docs, pred_docs, vocab, width=1.7,
                                       n_buckets=5):
     def bucket(cluster, doc):
-        totals = [sum(len(tokenize_subwords(doc.tokens[i].surface, vocab))
-                      for i in span.tokens()) for span in sorted(cluster)]
+        totals = [sum(len(tokenize_subwords(doc.tokens[i], vocab))
+                      for i in range(span.start, span.end + 1))
+                  for span in sorted(cluster)]
         return subword_bucket(sum(totals) / len(totals), width, n_buckets)
 
     rows = [[(c, bucket(c, doc)) for c in doc.gold_clusters] for doc in docs]
@@ -1121,7 +1127,7 @@ def encode_tokens_tape(doc, enc) -> Tensor:
     """`model.encode_tokens`, from take, concat, narrow, @ and +; `enc`
     holds tape tensors."""
     unk = enc.vocab[m.UNK_TOKEN]
-    ids = np.array([enc.vocab.get(t.surface, unk) for t in doc.tokens],
+    ids = np.array([enc.vocab.get(t, unk) for t in doc.tokens],
                    dtype=np.intp)
     emb = enc.embeddings.take(ids)
     radius = enc.window_radius
@@ -1255,7 +1261,7 @@ def document_gradient_full_table(doc, store, weights, config, objective,
     flat = np.zeros(store.buffer().size)
     enc_grad, scoring_grad, scaffold_grad = tr.group_parameters(
         store.named(flat), store)
-    g_full = np.zeros(reps.full.shape)
+    g_full = np.zeros(reps.shape)
     every = np.arange(len(g_full))
     if b1 > 0:
         _, cl_backward, _ = L._coref_loss_graph(index, candidates, reps,
@@ -1269,7 +1275,8 @@ def document_gradient_full_table(doc, store, weights, config, objective,
             doc.doc_id, index, rows, objective.pair_budget,
             objective.pair_seed if rng is None else rng)
         _, rl_backward, pool = L._retrofit_loss_graph(
-            index, pair_set, reps, weights, objective.unlabeled_knowledge)
+            index, pair_set, reps, enc.internal_columns, weights,
+            objective.unlabeled_knowledge)
         if rl_backward is not None:
             g_pool = np.zeros((len(pool), g_full.shape[1]))
             rl_backward(b2, g_pool, np.arange(len(pool)))
@@ -1277,7 +1284,8 @@ def document_gradient_full_table(doc, store, weights, config, objective,
     if with_scaffold:
         targets = L.scaffold_targets(index, scaffold, objective, rows)
         if len(targets):
-            _, sl_backward = L._scaffold_loss_graph(targets, reps, scaffold)
+            _, sl_backward = L._scaffold_loss_graph(
+                targets, reps, enc.internal_columns, scaffold)
             sl_backward(b3, g_full, targets[:, 0], scaffold_grad.weights)
     encode_backward(reps_backward(g_full, enc_grad, every), enc_grad)
     return flat
@@ -1318,12 +1326,12 @@ def on_tape(build):
         tape = [_tape_group(group) for group in groups]
         root = build(*tape)
 
-        def backward(g, *grads):
+        def backward(*grads):
             root.backward()
             for tape_group, grad_group in zip(tape, grads):
                 for leaf, view in _leaf_views(tape_group, grad_group):
                     if leaf.grad is not None:
-                        view[...] = g * leaf.grad
+                        view[...] = leaf.grad
 
         return [SimpleNamespace(total=float(root.value), backward=backward)]
 
@@ -1365,16 +1373,14 @@ def predict_antecedents_reference(doc, store, config):
         return {}
     enc, scoring, _ = store.groups
     token_vecs, _ = m.encode_tokens(doc, enc)
-    layout = span_layout_reference(
-        enumerate_candidate_spans_reference(doc, config.max_span_width),
-        config)
-    reps, _ = m.build_span_representations(token_vecs, layout, enc)
-    scores, _ = m.mention_scores(reps, scoring)
+    spans = enumerate_candidate_spans_reference(doc, config.max_span_width)
+    layout = span_layout_reference(spans, config)
+    full, _ = m.build_span_representations(token_vecs, layout, enc)
+    scores, _ = m.mention_scores(full, scoring)
     candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
 
     links = {}
-    full = reps.full
-    row = {s: i for i, s in enumerate(reps.spans)}
+    row = {s: i for i, s in enumerate(spans)}
     cand_rows = [row[s] for s in candidates.spans]
     for k, span in enumerate(candidates.spans):
         window = antecedent_window(k, config.max_antecedents)

@@ -11,7 +11,7 @@ from kcoref import evaluation as ev
 from kcoref import training as tr
 from kcoref.config import (ConfigError, load_config, load_run_data,
                            scaffold_classes)
-from kcoref.corpus import (CorpusError, Token, load_corpus, load_subword_vocab,
+from kcoref.corpus import (CorpusError, load_corpus, load_subword_vocab,
                            save_corpus)
 from kcoref.lexicon import LexiconError, load_lexicon
 
@@ -296,7 +296,7 @@ class TestErrors:
     def test_a_token_with_a_line_boundary_fails_before_training(
             self, workspace, tmp_path, capsys):
         docs = load_corpus(workspace / "data" / "corpus.jsonl")
-        tokens = (Token("with\u2028out", 0), *docs[0].tokens[1:])
+        tokens = ("with\u2028out", *docs[0].tokens[1:])
         corpus = tmp_path / "broken.jsonl"
         save_corpus([dataclasses.replace(docs[0], tokens=tokens), *docs[1:]],
                     corpus)

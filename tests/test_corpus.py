@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab, Token,
+from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab,
                            chain_concepts, check_field,
                            document_to_record, enumerate_candidate_spans,
                            load_corpus, load_subword_vocab,
@@ -19,7 +19,7 @@ from oracles import enumerate_spans_brute, width_bucket_index
 def make_doc(tokens, clusters=(), concepts=None, doc_id="d0"):
     return Document(
         doc_id,
-        tuple(Token(s, i) for i, s in enumerate(tokens)),
+        tuple(tokens),
         tuple(frozenset(SpanRef(a, b) for a, b in c) for c in clusters),
         concepts or {})
 
@@ -62,6 +62,17 @@ class TestDocument:
         with pytest.raises(CorpusError, match="empty token"):
             make_doc(["a", ""])
 
+    @pytest.mark.parametrize("token, message", [
+        ("", "dX: empty token at index 1"),
+        (3, "dX: token at index 1 must be a string, not 3"),
+        (None, "dX: token at index 1 must be a string, not None"),
+        (b"b", "dX: token at index 1 must be a string, not b'b'"),
+    ])
+    def test_a_token_must_be_a_non_empty_string(self, token, message):
+        with pytest.raises(CorpusError) as info:
+            Document("dX", ("a", token, "c"))
+        assert str(info.value) == message
+
     def test_span_surface_glues_continuations(self):
         doc = make_doc(["the", "dorv", "##ia", "sign"])
         assert doc.span_surface(SpanRef(0, 2)) == "the dorvia"
@@ -76,6 +87,8 @@ class TestLoadCorpus:
                         '"clusters": [[[0, 0], [1, 1]]]}\n')
         docs = load_corpus(path)
         assert len(docs) == 1
+        assert docs[0].tokens == ("a", "b")
+        assert all(type(token) is str for token in docs[0].tokens)
         assert len(docs[0].gold_clusters) == 1
         assert docs[0].gold_clusters[0] == frozenset({SpanRef(0, 0),
                                                       SpanRef(1, 1)})
@@ -162,6 +175,8 @@ class TestLoadCorpus:
         # a line that is not UTF-8 (0xe9 is Latin-1's e-acute)
         (b'{"doc_id": "d\xe9", "tokens": ["a"]}',
          r"not UTF-8 \(invalid continuation byte\)"),
+        ({"doc_id": "d1", "tokens": ["a", ""]},
+         "d1: empty token at index 1"),
     ])
     def test_malformed_record_names_file_line_and_field(self, tmp_path,
                                                         record, message):
@@ -412,6 +427,7 @@ class TestTruncate:
         doc = make_doc(list("abcdef"), [[(0, 0), (1, 1)], [(4, 4), (5, 5)]])
         cut = truncate_document(doc, 3)
         assert len(cut) == 3
+        assert cut.tokens == ("a", "b", "c")
         assert len(cut.gold_clusters) == 1
 
 

@@ -235,7 +235,7 @@ class TestBatchedDecodeMatchesReference:
         # One NaN embedding row: pruning would rank the spans over its
         # token last and decode the rest without a word.
         docs, config, store, _, _ = tiny_setup()
-        row = store.vocab.index(docs[0].tokens[2].surface)
+        row = store.vocab.index(docs[0].tokens[2])
         store.tensors["encoder.embeddings"][row] = np.nan
         with pytest.raises(ValueError,
                            match=f"{docs[0].doc_id}: NaN mention score"):

@@ -9,6 +9,8 @@ a saturated softmax leaves some entries as small differences of O(1)
 terms, which either side rounds on its own route.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,7 +115,7 @@ def span_stage(layout):
                                                       encoder(a, table))
         grad = encoder(np.zeros_like(a), np.zeros_like(table))
         g_x = backward(upstream, grad, np.arange(len(layout)))
-        return reps.full, [g_x, grad.attention_w, grad.width_embeddings]
+        return reps, [g_x, grad.attention_w, grad.width_embeddings]
 
     return stage
 
@@ -131,16 +133,18 @@ class TestSpanRepresentations:
 
     def test_internal_is_the_third_block_of_full(self):
         layout, config, values, _ = span_case(5, 3, 2, SPANS, 1)
-        reps, _ = m.build_span_representations(
-            values[0], layout, encoder(values[1], values[2]))
         d = config.d_token
-        assert np.array_equal(reps.internal, reps.full[:, 2 * d:3 * d])
+        enc = dataclasses.replace(encoder(values[1], values[2]),
+                                  embeddings=np.zeros((1, d)))
+        reps, _ = m.build_span_representations(values[0], layout, enc)
+        assert reps.shape == (len(layout), config.span_dim)
+        assert enc.internal_columns == slice(2 * d, 3 * d)
 
     def test_constant_inputs_build_no_tape(self):
         layout, config, values, _ = span_case(5, 3, 2, SPANS, 2)
         reps, _ = m.build_span_representations(
             values[0], layout, encoder(values[1], values[2]))
-        assert_plain(reps.full)
+        assert_plain(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +316,13 @@ class TestMeanCosineGap:
         assert_close(grad, want)
 
     def test_empty_pair_set_contributes_a_constant_zero(self, caplog):
-        layout = m.span_layout(np.array([0]), np.array([0]), m.ModelConfig())
-        reps = m.BatchedSpans(layout, np.ones((1, 5)), 1)
         empty = L.PairSet("d0", np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp),
                           np.zeros(0, dtype=np.intp))
         with caplog.at_level("WARNING"):
             out, backward, rows = L._retrofit_loss_graph(
-                None, empty, reps, L.LossWeights(), "strict")
+                None, empty, np.ones((1, 5)), slice(2, 3), L.LossWeights(),
+                "strict")
         assert out == 0.0
         assert backward is None and len(rows) == 0   # no gradient to pass on
         assert "empty pair set" in caplog.text

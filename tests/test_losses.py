@@ -404,9 +404,12 @@ class TestDocumentObjective:
         rng = np.random.default_rng(7)
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective, rng)
-        spans, ps = out.reps.spans, out.pair_set
+        spans = O.layout_spans(L.document_index(docs[0], config, True,
+                                                None).layout)
+        assert len(spans) == len(out.reps)
+        ps = out.pair_set
         internals = {docs[0].doc_id: dict(zip(
-            spans, map(Tensor, out.reps.internal)))}
+            spans, map(Tensor, out.reps[:, enc.internal_columns])))}
         pairs = [(spans[a], spans[b]) for a, b in zip(
             ps.rows[ps.first].tolist(), ps.rows[ps.second].tolist())]
         expected = retrofit_loss([docs[0]], {docs[0].doc_id: pairs},
@@ -422,8 +425,11 @@ class TestDocumentObjective:
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective)
         labels = docs[0].concept_annotations["i2b2"]
+        spans = O.layout_spans(L.document_index(
+            docs[0], config, True, objective.scaffold_lexicon).layout)
+        assert len(spans) == len(out.reps)
         internals = {docs[0].doc_id: dict(zip(
-            out.reps.spans, map(Tensor, out.reps.internal)))}
+            spans, map(Tensor, out.reps[:, enc.internal_columns])))}
         labeled = {docs[0].doc_id: sorted(labels.items())}
         expected = scaffold_loss(labeled, internals, scaffold)
         assert out.sl == pytest.approx(float(expected.value), abs=1e-9)
@@ -505,12 +511,14 @@ def random_documents(draw):
                     [c for c in clusters if c], concepts)
 
 
-def reference_distributions(out, scoring, config):
+def reference_distributions(out, spans, scoring, config):
     """Antecedent distributions, one window at a time, from the pair-score
-    definition over the document's span representations."""
-    full = out.reps.full
+    definition over the document's span representations, whose rows are
+    `spans`."""
+    full = out.reps
+    assert len(spans) == len(full)
     mention = O.feed_forward_tape(scoring.mention, Tensor(full)).value
-    row = {s: i for i, s in enumerate(out.reps.spans)}
+    row = {s: i for i, s in enumerate(spans)}
     rows = [row[s] for s in out.candidates.spans]
     dists = []
     for k in range(len(rows)):
@@ -538,7 +546,9 @@ class TestIndexedPathsMatchReferences:
         assert len(out.candidates) > INDEX_CONFIG.max_antecedents
         expected, misses = O.coref_loss_with_misses(
             doc, out.candidates,
-            reference_distributions(out, scoring, INDEX_CONFIG),
+            reference_distributions(out, O.layout_spans(L.document_index(
+                doc, INDEX_CONFIG, False, None).layout), scoring,
+                INDEX_CONFIG),
             INDEX_CONFIG.max_antecedents)
         assert out.cl == pytest.approx(expected, abs=1e-9)
         assert out.pruning_misses == misses
@@ -553,7 +563,7 @@ class TestIndexedPathsMatchReferences:
         weights = LossWeights(alpha_c=alpha_c, alpha_k=dict(
             zip(("fine", "absent", "coarse"), alphas)))
         index = L.document_index(doc, INDEX_CONFIG, True, None)
-        spans = index.layout.spans
+        spans = O.layout_spans(index.layout)
         rows_i, rows_j = np.nonzero(np.less.outer(np.arange(len(spans)),
                                                   np.arange(len(spans))))
         got = L.pair_target_distances(index, rows_i, rows_j, weights,
@@ -576,7 +586,8 @@ class TestIndexedPathsMatchReferences:
                                          % len(index.enum_rows)])
         got = build_pair_set(doc.doc_id, index, rows, budget,
                              np.random.default_rng(seed))
-        extra_spans = [index.layout.spans[r] for r in rows.tolist()]
+        spans = O.layout_spans(index.layout)
+        extra_spans = [spans[r] for r in rows.tolist()]
         expected = pair_set_reference(doc, extra_spans, budget,
                                       np.random.default_rng(seed))
         assert got.count == len(expected)
@@ -602,7 +613,7 @@ class TestScaffoldTargets:
         index = L.document_index(doc, INDEX_CONFIG, True, "coarse")
         rows = np.unique(index.enum_rows[np.array(picks, dtype=np.intp)
                                          % len(index.enum_rows)])
-        spans = index.layout.spans
+        spans = O.layout_spans(index.layout)
         row = {span: i for i, span in enumerate(spans)}
 
         def reference(candidate_rows, scaffold=scaffold):

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from kcoref import model as m
 from kcoref import toolkit as tk
 from kcoref import training as tr
 from kcoref.corpus import Document, SpanRef, tokenize_subwords
@@ -42,6 +45,20 @@ class TestSpanInternals:
         got = tk.span_internals(docs[0], spans, store, config)
         assert sorted(got) == sorted(spans)
         assert all(v.shape == (config.d_token,) for v in got.values())
+
+    def test_vectors_are_the_internal_block_of_the_representations(self):
+        docs, config, store, _, _ = tiny_setup()
+        enc = store.groups[0]
+        layout = m.enumerated_layout(len(docs[0]), config)
+        reps, _ = m.build_span_representations(
+            m.encode_tokens(docs[0], enc)[0], layout, enc)
+        spans = [S(2, 3), S(0, 0)]
+        got = tk.span_internals(docs[0], spans, store, config)
+        for span in spans:
+            row = np.flatnonzero((layout.starts == span.start)
+                                 & (layout.ends == span.end))[0]
+            np.testing.assert_allclose(
+                got[span], reps[row, enc.internal_columns], rtol=1e-12)
 
 
 class TestOffsets:
@@ -176,6 +193,17 @@ class TestProjectionOutput:
         assert lines[0] == "concept,x,y,mention,antecedent"
         assert lines[1] == "problem,0.25,-0.5,d0:0-1,d0:3-4"
 
+    def test_a_field_with_a_comma_reads_back_as_one_field(self, tmp_path):
+        records = [ProjectionRecord("C,1", "doc,7:0-0", "doc,7:2-2",
+                                    np.array([1.0, 0.0]),
+                                    np.array([0.5, 1.0]))]
+        path = tmp_path / "proj.csv"
+        write_projection_table(records, path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            header, row = csv.reader(handle)
+        assert header == ["concept", "x", "y", "mention", "antecedent"]
+        assert row == ["C,1", "0.5", "1.0", "doc,7:0-0", "doc,7:2-2"]
+
     def test_project_offsets_attaches_points(self):
         rng = np.random.default_rng(2)
         records = [ProjectionRecord("c", f"d0:{i}-{i}", "d0:0-0",
@@ -196,12 +224,18 @@ class TestProjectionOutput:
 
 
 class TestSyntheticGenerator:
+    def test_documents_hold_their_tokens_as_strings(self):
+        corpus = generate_synthetic_corpus(SyntheticSpec(n_documents=3, seed=4))
+        for doc in corpus.documents:
+            assert type(doc.tokens) is tuple and doc.tokens
+            assert all(type(t) is str and t for t in doc.tokens)
+
     def test_zero_oov_fraction_uses_whole_words(self):
         spec = SyntheticSpec(n_documents=4, oov_fraction=0.0, seed=1)
         corpus = generate_synthetic_corpus(spec)
         assert all(len(e.pieces) == 1 for e in corpus.entities)
         for doc in corpus.documents:
-            assert not any(t.surface.startswith("##") for t in doc.tokens)
+            assert not any(t.startswith("##") for t in doc.tokens)
 
     def test_fixed_seed_reproducible(self):
         spec = SyntheticSpec(n_documents=6, seed=11)
@@ -260,13 +294,13 @@ class TestSyntheticGenerator:
         for doc in corpus.documents:
             for cluster in doc.gold_clusters:
                 first, rest = sorted(cluster)[0], sorted(cluster)[1:]
-                assert doc.tokens[first.start].surface in qualifiers
+                assert doc.tokens[first.start] in qualifiers
                 for span in rest:
-                    assert doc.tokens[span.start].surface not in qualifiers
+                    assert doc.tokens[span.start] not in qualifiers
 
     def test_qualifiers_absent_by_default(self):
         corpus = generate_synthetic_corpus(SyntheticSpec(n_documents=4, seed=5))
-        surfaces = {t.surface for d in corpus.documents for t in d.tokens}
+        surfaces = {t for d in corpus.documents for t in d.tokens}
         assert not surfaces & set(tk._QUALIFIERS)
 
     def test_gold_span_surfaces_match_lexicon_entries(self):

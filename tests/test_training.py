@@ -313,12 +313,13 @@ class TestLiveRowBackward:
     def test_span_backward_reads_only_the_live_rows(self, monkeypatch):
         """The span representations' backward receives exactly the rows of
         the candidates, the RL pool and the SL targets, in table order."""
-        received = []
+        received, layouts = [], []
         build_span_representations = m.build_span_representations
 
         def recording(token_vecs, layout, enc):
             reps, backward = build_span_representations(token_vecs, layout,
                                                         enc)
+            layouts.append(layout)
 
             def spy(g, grad, rows):
                 received.append(rows)
@@ -331,6 +332,7 @@ class TestLiveRowBackward:
         for beta in ((1.0, 0.0, 0.0), weights.beta):
             for doc in docs:
                 received.clear()
+                layouts.clear()
 
                 def build(enc, scoring, scaffold):
                     return [L.document_objective(
@@ -339,11 +341,13 @@ class TestLiveRowBackward:
                         objective)]
 
                 _, (out,) = compute_gradients(store, build)
-                row = {span: i for i, span in enumerate(out.reps.spans)}
+                [layout] = layouts
+                assert len(out.reps) == len(layout)
+                spans = O.layout_spans(layout)
+                row = {span: i for i, span in enumerate(spans)}
                 read = set(out.candidates.spans)
                 if beta[1] > 0:
-                    read.update(out.reps.spans[r]
-                                for r in out.pair_set.rows.tolist())
+                    read.update(spans[r] for r in out.pair_set.rows.tolist())
                 if beta[2] > 0:
                     read.update(doc.gold_spans())
                     read.update(doc.concept_annotations["i2b2"])
@@ -735,7 +739,7 @@ class TestSchedule:
         for source in (store, other, store):
             trained, _ = run_schedule(sched, {"c": docs}, config, objective,
                                       source.copy())
-            copies = [make_doc([t.surface for t in doc.tokens],
+            copies = [make_doc(list(doc.tokens),
                                [[(s.start, s.end) for s in c]
                                 for c in doc.gold_clusters],
                                doc.concept_annotations, doc_id=doc.doc_id)
@@ -745,7 +749,7 @@ class TestSchedule:
             assert trained.buffer().tobytes() == fresh.buffer().tobytes()
             for doc in docs:
                 ids = m.token_ids(doc, source.vocab_index)
-                assert ids.tolist() == [source.vocab.index(t.surface)
+                assert ids.tolist() == [source.vocab.index(t)
                                         for t in doc.tokens]
                 assert m.token_ids(doc, source.vocab_index) is ids
         assert renumbered != store.vocab
