@@ -15,14 +15,14 @@ from . import training as tr
 from .config import (ConfigError, RunConfig, load_config, load_run_data,
                      load_synthetic_spec, scaffold_classes,
                      training_corpus_names)
-from .corpus import CorpusError, save_corpus, save_subword_vocab
+from .corpus import CorpusError, check_field, save_corpus, save_subword_vocab
 from .lexicon import LexiconError, save_lexicon
 from .losses import LossError, document_objective
 
 log = logging.getLogger("kcoref")
 
 USER_ERRORS = (ConfigError, CorpusError, LexiconError, LossError,
-               tr.TrainingError, FileNotFoundError, ValueError)
+               tr.TrainingError, OSError, ValueError)
 
 
 def _out_dir(args) -> Path:
@@ -80,7 +80,7 @@ def _prepare(config: RunConfig):
 def cmd_train(args) -> int:
     config = load_config(_resolve(args, "config"))
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     data, classes, vocab = _prepare(config)
     store = tr.init_parameters(config.model, vocab, classes, seed=config.seed)
     out = _out_dir(args)
@@ -158,17 +158,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_project(args) -> int:
     config = load_config(_resolve(args, "config"))
+    overrides = {name: getattr(args, name) for name in ("sample", "seed")
+                 if getattr(args, name) is not None}
+    projection = dataclasses.replace(config.projection, **overrides)
     data, _, _ = _prepare(config)
     store = tr.ParameterStore.load(_resolve(args, "checkpoint"))
     tr.check_parameters(store, config.model)
     docs = data.corpora[config.eval_corpus if config.eval_corpus in data.corpora
                         else training_corpus_names(config)[0]]
-    lexicon = config.projection.lexicon or config.objective.scaffold_lexicon
-    sample = args.sample if args.sample is not None else config.projection.sample
-    seed = args.seed if args.seed is not None else config.projection.seed
-    records = tk.mention_antecedent_offsets(docs, store, config.model,
-                                            lexicon_id=lexicon, sample=sample,
-                                            seed=seed)
+    lexicon = projection.lexicon or config.objective.scaffold_lexicon
+    records = tk.mention_antecedent_offsets(
+        docs, store, config.model, lexicon_id=lexicon,
+        sample=projection.sample, seed=projection.seed)
     if len(records) < 3:
         raise ValueError("not enough gold mention-antecedent pairs to project")
     records, explained = tk.project_offsets(records)
@@ -182,6 +183,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_field(ConfigError, "--docs", args.docs, "integer", 1)
+    check_field(ConfigError, "--coords", args.coords, "integer", 1)
+    check_field(ConfigError, "--epsilon", args.epsilon, "fraction")
+    check_field(ConfigError, "--threshold", args.threshold, "number", 0)
     config = load_config(_resolve(args, "config"))
     data, classes, vocab = _prepare(config)
     store = tr.init_parameters(config.model, vocab, classes, seed=config.seed)

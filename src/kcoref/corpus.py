@@ -68,11 +68,12 @@ def check_field(error: type[Exception], name: str, value, kind: str,
     return value
 
 
-def read_text(path: Path, error: type[Exception]) -> str:
+def read_text(path: Path, error: type[Exception], newline=None) -> str:
     """The UTF-8 text of file `path`, or `error` naming it if it is not
-    UTF-8."""
+    UTF-8; `newline` as for `open` ("" keeps CRLF line ends)."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 ({exc.reason})") from None
 

@@ -8,11 +8,12 @@ forces the knowledge weights and the scaffold weight to zero.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
+from os.path import commonprefix
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -27,10 +28,8 @@ from .model import UNK_TOKEN, ModelConfig
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "kcoref-checkpoint"
-CHECKPOINT_VERSION = 1
-# A count or dimension as `save` writes it: ASCII digits, no sign or
-# leading zero.
-_DECIMAL = re.compile("0|[1-9][0-9]*")
+# `save` writes v2; `load` also reads v1 files.
+CHECKPOINT_VERSION = 2
 
 TASK_PREFIXES = ("scorer.", "scaffold.")
 
@@ -131,98 +130,92 @@ class ParameterStore:
         return ParameterStore, (dict(self.tensors), self.vocab,
                                 self.scaffold_classes, self.step, self.seed)
 
+    def checkpoint_text(self, version: int = CHECKPOINT_VERSION) -> str:
+        """The checkpoint file of this store in format `version`: v2 holds
+        each tensor's values as the hex of their little-endian float64 bytes
+        and ends with a SHA-256 digest of every byte above it, v1 holds
+        `float.hex` strings and no digest."""
+        lines = [f"{CHECKPOINT_MAGIC} v{version}", f"seed {self.seed}",
+                 f"step {self.step}", f"vocab {len(self.vocab)}", *self.vocab,
+                 f"classes {len(self.scaffold_classes)}",
+                 *self.scaffold_classes]
+        for name, tensor in self.tensors.items():
+            lines.append(" ".join(["tensor", name, str(tensor.ndim),
+                                   *map(str, tensor.shape)]))
+            lines.append(tensor.astype("<f8").tobytes().hex() if version > 1
+                         else " ".join(map(float.hex, tensor.reshape(-1))))
+        text = "\n".join(lines) + "\n"
+        if version > 1:
+            text += f"sha256 {hashlib.sha256(text.encode()).hexdigest()}\n"
+        return text + "end\n"
+
     def save(self, path) -> None:
-        path = Path(path)
-        lines = [f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}",
-                 f"seed {self.seed}", f"step {self.step}",
-                 f"vocab {len(self.vocab)}"]
-        lines.extend(self.vocab)
-        lines.append(f"classes {len(self.scaffold_classes)}")
-        lines.extend(self.scaffold_classes)
-        for name in sorted(self.tensors):
-            tensor = self.tensors[name]
-            dims = " ".join(str(d) for d in tensor.shape)
-            lines.append(f"tensor {name} {tensor.ndim}"
-                         + (f" {dims}" if tensor.ndim else ""))
-            lines.append(" ".join(float(x).hex() for x in tensor.reshape(-1)))
-        lines.append("end")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_bytes(self.checkpoint_text().encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
+        """The store in checkpoint file `path`, which must be exactly the
+        `checkpoint_text` of that store in the file's version, with finite
+        values. The file is parsed leniently and compared with that text, so
+        any byte `save` would not write fails; in v2 an edited value fails on
+        the digest line."""
         path = Path(path)
-        lines = read_text(path, TrainingError).splitlines()
-        magic, _, version = lines[0].partition(" v") if lines else ("", "", "")
+        text = read_text(path, TrainingError, newline="")
+        lines = text.splitlines() or [""]
+        magic, _, version = lines[0].partition(" v")
         if magic != CHECKPOINT_MAGIC:
             raise TrainingError(f"{path}: not a checkpoint file")
-        if version != str(CHECKPOINT_VERSION):
+        if version not in ("1", "2"):
             raise TrainingError(f"{path}: unsupported checkpoint version "
                                 f"{version!r}")
-        pos = 1
+        pos, rows, tensors = 1, {}, {}  # rows: value-row line -> tensor
 
-        def header(label: str) -> int:
+        def header(names: bool):
+            """The number on line `pos`, or the `names` lines it counts."""
             nonlocal pos
-            parts = lines[pos].split(" ")
-            if len(parts) != 2 or parts[0] != label \
-                    or not _DECIMAL.fullmatch(parts[1]):
-                raise TrainingError(f"{path}: line {pos + 1} is "
-                                    f"{lines[pos]!r}, not '{label} <n>'")
-            pos += 1
-            return int(parts[1])
+            n = int(lines[pos].partition(" ")[2])
+            listed = tuple(lines[pos + 1:pos + 1 + max(n, 0)]) if names else ()
+            pos += 1 + len(listed)
+            return listed if names else n
 
         try:
-            seed, step = header("seed"), header("step")
-            n_vocab = header("vocab")
-            vocab = tuple(lines[pos:pos + n_vocab]); pos += n_vocab
-            n_classes = header("classes")
-            classes = tuple(lines[pos:pos + n_classes]); pos += n_classes
-            tensors: dict[str, np.ndarray] = {}
-            while lines[pos] != "end":
-                fields = lines[pos].split(); pos += 1
-                if len(fields) < 3 or fields[0] != "tensor":
-                    raise TrainingError(f"{path}: malformed tensor header "
-                                        f"{' '.join(fields)!r}")
-                name = fields[1]
-                if not all(map(_DECIMAL.fullmatch, fields[2:])):
-                    raise TrainingError(f"{path}: tensor {name} has a shape "
-                                        f"that is not ASCII decimals: "
-                                        f"{' '.join(fields[2:])!r}")
-                ndim = int(fields[2])
-                if len(fields) != 3 + ndim:
-                    raise TrainingError(f"{path}: tensor {name} lists "
-                                        f"{len(fields) - 3} dims for ndim "
-                                        f"{ndim}")
-                if name in tensors:
-                    raise TrainingError(f"{path}: tensor {name} is listed "
-                                        f"twice")
-                shape = tuple(int(d) for d in fields[3:])
-                try:
-                    values = np.fromiter(map(float.fromhex, lines[pos].split()),
-                                         np.float64)
-                except OverflowError:
-                    raise TrainingError(f"{path}: tensor {name} has a value "
-                                        f"beyond the float64 range") from None
+            seed, step = header(False), header(False)
+            vocab, classes = header(True), header(True)
+            while lines[pos].startswith("tensor "):
+                _, name, _, *dims = lines[pos].split()
                 pos += 1
-                if values.size != math.prod(shape):
-                    raise TrainingError(f"{path}: tensor {name} has "
-                                        f"{values.size} values for shape "
-                                        f"{shape}")
+                rows[pos] = name
+                values = np.frombuffer(bytes.fromhex(lines[pos]), "<f8") \
+                    if version == "2" else \
+                    np.array([float.fromhex(v) for v in lines[pos].split()])
                 if not np.isfinite(values).all():
-                    raise TrainingError(f"{path}: tensor {name} has a "
-                                        f"non-finite value")
-                tensors[name] = values.reshape(shape)
-        except IndexError:
-            raise TrainingError(f"{path}: truncated checkpoint (no 'end' "
-                                f"line)") from None
-        except ValueError as exc:
-            raise TrainingError(f"{path}: malformed checkpoint: {exc}") \
-                from None
-        if pos != len(lines) - 1:
-            raise TrainingError(f"{path}: text after the 'end' line")
-        try:
-            return cls(tensors, vocab, classes, step, seed)
+                    raise TrainingError(f"tensor {name} has a non-finite value")
+                tensors[name] = values.reshape([int(d) for d in dims])
+                pos += 1
+            store = cls(tensors, vocab, classes, step, seed)
+        except (IndexError, ValueError, OverflowError):
+            raise TrainingError(f"{path}: line {pos + 1} does not parse "
+                                f"({_shown(lines, pos, rows)})") from None
         except TrainingError as exc:
             raise TrainingError(f"{path}: {exc}") from None
+        if text != (expected := store.checkpoint_text(int(version))):
+            got, want = text.splitlines(True), expected.splitlines(True)
+            i = len(commonprefix([got, want]))  # the first line that differs
+            what = "other text" if i in rows else _shown(want, i, rows)
+            raise TrainingError(f"{path}: line {i + 1} is {_shown(got, i, rows)}"
+                                f", where save writes {what}")
+        return store
+
+
+def _shown(lines: Sequence[str], i: int, rows: Mapping[int, str]) -> str:
+    """Line `i` of a checkpoint as an error shows it: a value row by its
+    tensor, a long line by its length."""
+    if i in rows:
+        return f"the values of tensor {rows[i]}"
+    if i >= len(lines):
+        return "the end of the file"
+    return repr(lines[i]) if len(lines[i]) <= 80 \
+        else f"a line of {len(lines[i])} characters"
 
 
 def build_vocab(docs: Sequence[Document]) -> tuple[str, ...]:

@@ -228,6 +228,26 @@ class TestGradcheck:
         assert (tmp_path / "gradcheck.txt").read_text().strip().endswith("PASS")
 
 
+    @pytest.mark.parametrize("args, problem", [
+        (["--docs", "0"], "error: --docs must be >= 1, not 0"),
+        (["--coords", "0"], "error: --coords must be >= 1, not 0"),
+        (["--coords", "-3"], "error: --coords must be >= 1, not -3"),
+        (["--epsilon", "0"], "error: --epsilon must be in (0, 1], not 0.0"),
+        (["--threshold", "-1"], "error: --threshold must be >= 0, not -1.0"),
+        (["--threshold", "nan"], "error: --threshold must be finite, not nan"),
+    ], ids=["docs-0", "coords-0", "coords-negative", "epsilon-0",
+            "threshold-negative", "threshold-nan"])
+    def test_a_flag_that_would_probe_nothing_is_one_named_error(
+            self, workspace, tmp_path, capsys, args, problem):
+        """No documents or coordinates would print PASS with nothing
+        probed, and a zero step would divide by zero."""
+        code = cli.main(["--quiet", "gradcheck", str(workspace / "config.json"),
+                         "--out", str(tmp_path / "out"), *args])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [problem]
+        assert not (tmp_path / "out").exists()
+
+
 class TestErrors:
     def test_missing_config_is_actionable(self, capsys):
         code = cli.main(["--quiet", "train", "/nope/missing.json",
@@ -292,6 +312,38 @@ class TestErrors:
                          "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [problem]
+
+    @pytest.mark.parametrize("command, args, problem", [
+        ("evaluate", ["config.json", "data"],
+         "error: [Errno 21] Is a directory: 'data'"),
+        ("train", ["config.json", "--out", "data/corpus.jsonl"],
+         "error: [Errno 17] File exists: 'data/corpus.jsonl'"),
+    ], ids=["checkpoint-is-a-directory", "out-is-a-file"])
+    def test_a_path_the_command_cannot_use_is_one_named_error(
+            self, workspace, capsys, monkeypatch, command, args, problem):
+        monkeypatch.chdir(workspace)
+        code = cli.main(["--quiet", command, "--out", "unused", *args])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [problem]
+        assert not (workspace / "unused").exists()
+
+    @pytest.mark.parametrize("command, flag, value, problem", [
+        ("train", "--seed", "-1", "error: seed must be >= 0, not -1"),
+        ("project", "--seed", "-1", "error: seed must be >= 0, not -1"),
+        ("project", "--sample", "-5", "error: sample must be >= 1, not -5"),
+        ("project", "--sample", "0", "error: sample must be >= 1, not 0"),
+    ], ids=["train-seed", "project-seed", "project-sample-negative",
+            "project-sample-0"])
+    def test_an_override_flag_is_checked_by_the_setting_it_replaces(
+            self, workspace, tmp_path, capsys, command, flag, value, problem):
+        checkpoint = [] if command == "train" \
+            else [str(workspace / "run" / "checkpoint.ckpt")]
+        code = cli.main(["--quiet", command, str(workspace / "config.json"),
+                         *checkpoint, flag, value,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [problem]
+        assert not (tmp_path / "out").exists()
 
     def test_a_token_with_a_line_boundary_fails_before_training(
             self, workspace, tmp_path, capsys):

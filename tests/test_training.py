@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,9 +773,141 @@ class TestSchedule:
                                         "1.75", "2"]
 
 
+# A checkpoint of `init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)` as the
+# v1 writer saved it; `load` still reads v1 files.
+V1_CHECKPOINT = Path(__file__).parent / "data" / "v1.ckpt"
+
+
+def checkpoint_lines(version: int) -> list[str]:
+    """The lines of the checkpoint of `init_parameters(CONFIG, VOCAB, ("x",
+    "y"), seed=3)` in format `version`: v1 from the committed file, v2 as
+    `save` writes it."""
+    if version == 1:
+        return V1_CHECKPOINT.read_text(encoding="utf-8").splitlines()
+    store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+    return store.checkpoint_text().splitlines()
+
+
+def rejected(path, lines) -> str:
+    """The message `load` raises for the file of `lines`."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TrainingError) as err:
+        ParameterStore.load(path)
+    return str(err.value)
+
+
+def value_row(lines, name: str) -> int:
+    """The index of tensor `name`'s value row in `lines`."""
+    return next(i for i, line in enumerate(lines)
+                if line.startswith(f"tensor {name} ")) + 1
+
+
+def with_row(lines, name: str, row: str) -> list[str]:
+    """`lines` with tensor `name`'s value row replaced by `row`."""
+    i = value_row(lines, name)
+    return [*lines[:i], row, *lines[i + 1:]]
+
+
+# Edits of a checkpoint's lines, and what the error names after the file's
+# path; the last field says whether the edited line is in v2 as well (a v1
+# value row is not).
+MALFORMED_EDITS = [
+    ("magic-with-suffix",
+     lambda lines: [lines[0].replace(" v", "XYZ v"), *lines[1:]],
+     "not a checkpoint file", True),
+    ("seed-and-step-swapped",
+     lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+     "line 2 is 'step 0\\n', where save writes 'seed 0\\n'", True),
+    ("header-mislabelled", lambda lines: [lines[0], "banana 3", *lines[2:]],
+     "line 2 is 'banana 3\\n', where save writes 'seed 3\\n'", True),
+    ("header-label-with-colon",
+     lambda lines: replaced(lines, "vocab 4", "vocab: 4"),
+     "line 4 is 'vocab: 4\\n', where save writes 'vocab 4\\n'", True),
+    ("header-extra-token",
+     lambda lines: replaced(lines, "classes 2", "classes 2 x"),
+     "line 9 does not parse ('classes 2 x')", True),
+    ("tensor-dim-missing",
+     lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
+                            "tensor encoder.mixer_b 2 5"),
+     "line 16 is 'tensor encoder.mixer_b 2 5\\n', where save writes "
+     "'tensor encoder.mixer_b 1 5\\n'", True),
+    ("tensor-dim-extra",
+     lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
+                            "tensor encoder.mixer_b 1 5 1"),
+     "line 16 is 'tensor encoder.mixer_b 1 5 1\\n', where save writes "
+     "'tensor encoder.mixer_b 2 5 1\\n'", True),
+    ("value-overflows",
+     lambda lines: [*lines[:-2], " ".join(
+         ["0x1.0p+99999", *lines[-2].split()[1:]]), "end"],
+     "line 39 does not parse (the values of tensor scorer.mention.w2)",
+     False),
+    ("line-after-end", lambda lines: [*lines, "end"],
+     "is 'end\\n', where save writes the end of the file", True),
+    ("duplicate-vocab-token", lambda lines: replaced(lines, "b", "a"),
+     "duplicate vocab tokens: ['a']", True),
+    ("duplicate-scaffold-class", lambda lines: replaced(lines, "y", "x"),
+     "duplicate scaffold classes: ['x']", True),
+    # edits that the v1 loader accepted, reading a value other than the
+    # file's or writing other bytes back
+    ("value-as-decimal",
+     lambda lines: with_row(lines, "scorer.mention.b2", "1.5"),
+     "line 35 is the values of tensor scorer.mention.b2, where save writes "
+     "other text", False),
+    ("value-short-hex",
+     lambda lines: with_row(lines, "scorer.mention.b2", "0x1.8p+0"),
+     "line 35 is the values of tensor scorer.mention.b2, where save writes "
+     "other text", False),
+    ("trailing-space",
+     lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
+                            "tensor encoder.mixer_b 1 5 "),
+     "line 16 is 'tensor encoder.mixer_b 1 5 \\n', where save writes "
+     "'tensor encoder.mixer_b 1 5\\n'", True),
+    ("crlf-line-ends", lambda lines: [line + "\r" for line in lines],
+     "\\r\\n', where save writes 'kcoref-checkpoint v", True),
+]
+
+# Counts and dimensions that `int` reads but `save` does not write: the
+# line replaced, its replacement, and what the error names after the path.
+NON_DECIMAL_EDITS = [
+    ("seed-arabic-indic-digit", "seed 3", "seed \u0663",
+     "line 2 is 'seed \u0663\\n', where save writes 'seed 3\\n'"),
+    ("count-leading-zero", "vocab 4", "vocab 04",
+     "line 4 is 'vocab 04\\n', where save writes 'vocab 4\\n'"),
+    ("ndim-plus-sign", "tensor encoder.mixer_b 1 5",
+     "tensor encoder.mixer_b +1 5",
+     "line 16 is 'tensor encoder.mixer_b +1 5\\n', where save writes "
+     "'tensor encoder.mixer_b 1 5\\n'"),
+    ("dim-underscore", "tensor scaffold.weights 2 2 5",
+     "tensor scaffold.weights 2 0_2 5",
+     "line 22 is 'tensor scaffold.weights 2 0_2 5\\n', where save writes "
+     "'tensor scaffold.weights 2 2 5\\n'"),
+    ("dim-fullwidth-digit", "tensor scaffold.weights 2 2 5",
+     "tensor scaffold.weights 2 \uff12 5",
+     "line 22 is 'tensor scaffold.weights 2 \uff12 5\\n', where save "
+     "writes 'tensor scaffold.weights 2 2 5\\n'"),
+]
+
+
+def mutated(data: bytes, draw) -> bytes:
+    """`data` with one byte replaced, inserted or deleted, cut short, or
+    with one line repeated."""
+    kind = draw(st.sampled_from(["replace", "insert", "delete", "truncate",
+                                 "repeat"]))
+    if kind == "repeat":
+        lines = data.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        return b"".join(lines[:i + 1] + lines[i:])
+    i = draw(st.integers(0, len(data) - 1))
+    if kind == "replace":
+        byte = draw(st.integers(0, 255).filter(lambda b: b != data[i]))
+        return data[:i] + bytes([byte]) + data[i + 1:]
+    if kind == "insert":
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i:]
+    return data[:i] + data[i + 1:] if kind == "delete" else data[:i]
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
         store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=13)
         store.tensors["encoder.embeddings"][0, 0] = -0.0
         store.tensors["encoder.embeddings"][0, 1] = 1e-300
@@ -790,6 +924,49 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
             assert np.signbit(a).tolist() == np.signbit(b).tolist()
 
+    def test_v2_round_trip_is_bit_exact_and_byte_exact(self, tmp_path):
+        """0-d tensors (the `b2` biases), a zero-size tensor (`d_width=0`),
+        -0.0 and a subnormal load as saved, and load then save gives the
+        file's bytes back."""
+        config = dataclasses.replace(CONFIG, d_width=0)
+        store = init_parameters(config, VOCAB, ("x", "y"), seed=13)
+        store.tensors["encoder.embeddings"][0, :2] = (-0.0, 1e-300)
+        assert store.tensors["scorer.mention.b2"].shape == ()
+        assert store.tensors["encoder.width_embeddings"].size == 0
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        loaded = ParameterStore.load(path)
+        for name in store.tensors:
+            a, b = store.tensors[name], loaded.tensors[name]
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_save_writes_v2_with_a_digest_of_the_text_above_it(self,
+                                                              tmp_path):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+        store.save(tmp_path / "model.ckpt")
+        data = (tmp_path / "model.ckpt").read_bytes()
+        lines = data.decode("utf-8").split("\n")
+        assert lines[0] == "kcoref-checkpoint v2" and lines[-2:] == ["end", ""]
+        body = data[:data.rindex(b"\nsha256 ") + 1]
+        assert lines[-3] == f"sha256 {hashlib.sha256(body).hexdigest()}"
+        assert lines[value_row(lines, "encoder.mixer_w")] == \
+            store.tensors["encoder.mixer_w"].astype("<f8").tobytes().hex()
+
+    def test_v1_file_loads_to_the_store_it_was_written_for(self):
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
+        loaded = ParameterStore.load(V1_CHECKPOINT)
+        assert (loaded.vocab, loaded.scaffold_classes, loaded.step,
+                loaded.seed) == (VOCAB, ("x", "y"), 0, 3)
+        assert list(loaded.tensors) == list(store.tensors)
+        for name in store.tensors:
+            assert store.tensors[name].tobytes() == \
+                loaded.tensors[name].tobytes()
+        assert loaded.checkpoint_text(1) == \
+            V1_CHECKPOINT.read_text(encoding="utf-8")
+
     def test_save_is_deterministic(self, tmp_path):
         store = init_parameters(CONFIG, VOCAB, seed=2)
         store.save(tmp_path / "a.ckpt")
@@ -803,28 +980,21 @@ class TestCheckpoint:
         with pytest.raises(TrainingError, match="not a checkpoint"):
             ParameterStore.load(path)
 
-    def saved_lines(self, tmp_path):
-        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
-        store.save(tmp_path / "full.ckpt")
-        return (tmp_path / "full.ckpt").read_text().splitlines()
-
     def test_rejects_file_cut_before_last_tensor(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
+        lines = checkpoint_lines(1)
         assert lines[-1] == "end" and lines[-3].startswith("tensor ")
         path = tmp_path / "cut.ckpt"
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(TrainingError, match="truncated"):
-            ParameterStore.load(path)
+        assert rejected(path, lines[:-3]) == \
+            f"{path}: line 38 does not parse (the end of the file)"
 
     def test_rejects_short_value_row(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        row = next(i for i, line in enumerate(lines)
-                   if line.startswith("tensor encoder.mixer_b")) + 1
+        lines = checkpoint_lines(1)
+        row = value_row(lines, "encoder.mixer_b")
         lines[row] = " ".join(lines[row].split()[:-1])
         path = tmp_path / "short.ckpt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TrainingError, match="encoder.mixer_b"):
-            ParameterStore.load(path)
+        assert rejected(path, lines) == \
+            f"{path}: line 17 does not parse (the values of tensor " \
+            f"encoder.mixer_b)"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -837,8 +1007,24 @@ class TestCheckpoint:
                                                 "has a non-finite value"):
             ParameterStore.load(path)
 
+    def test_a_v1_value_spelled_as_the_v1_writer_spelled_it_loads(self,
+                                                                  tmp_path):
+        """The control of the value-as-decimal and value-short-hex rows."""
+        path = tmp_path / "one_and_a_half.ckpt"
+        path.write_text("\n".join(with_row(checkpoint_lines(1),
+                                           "scorer.mention.b2",
+                                           "0x1.8000000000000p+0")) + "\n")
+        assert ParameterStore.load(path).tensors["scorer.mention.b2"] == 1.5
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_a_non_finite_v1_value(self, tmp_path, value):
+        path = tmp_path / "non_finite.ckpt"
+        assert rejected(path, with_row(checkpoint_lines(1),
+                                       "scorer.mention.b2", value)) == \
+            f"{path}: tensor scorer.mention.b2 has a non-finite value"
+
     def test_rejects_non_numeric_version(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
+        lines = checkpoint_lines(1)
         lines[0] = "kcoref-checkpoint vX"
         path = tmp_path / "version.ckpt"
         path.write_text("\n".join(lines) + "\n")
@@ -847,92 +1033,118 @@ class TestCheckpoint:
             ParameterStore.load(path)
 
     @pytest.mark.parametrize("edit, problem", [
-        pytest.param(lambda lines: ["kcoref-checkpointXYZ v1", *lines[1:]],
-                     "not a checkpoint file", id="magic-with-suffix"),
-        pytest.param(lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
-                     "line 2 is 'step 0', not 'seed <n>'",
-                     id="seed-and-step-swapped"),
-        pytest.param(lambda lines: [lines[0], "banana 3", *lines[2:]],
-                     "line 2 is 'banana 3', not 'seed <n>'",
-                     id="header-mislabelled"),
-        pytest.param(lambda lines: replaced(lines, "vocab 4", "vocab: 4"),
-                     "line 4 is 'vocab: 4', not 'vocab <n>'",
-                     id="header-label-with-colon"),
-        pytest.param(lambda lines: replaced(lines, "classes 2", "classes 2 x"),
-                     "'classes 2 x', not 'classes <n>'",
-                     id="header-extra-token"),
-        pytest.param(lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
-                                            "tensor encoder.mixer_b 2 5"),
-                     "tensor encoder.mixer_b lists 1 dims for ndim 2",
-                     id="tensor-dim-missing"),
-        pytest.param(lambda lines: replaced(lines, "tensor encoder.mixer_b 1 5",
-                                            "tensor encoder.mixer_b 1 5 1"),
-                     "tensor encoder.mixer_b lists 2 dims for ndim 1",
-                     id="tensor-dim-extra"),
-        pytest.param(lambda lines: [*lines[:-2], " ".join(
-                         ["0x1.0p+99999", *lines[-2].split()[1:]]), "end"],
-                     "tensor scorer.mention.w2 has a value beyond the "
-                     "float64 range", id="value-overflows"),
-        pytest.param(lambda lines: [*lines, "end"],
-                     "text after the 'end' line", id="line-after-end"),
-        pytest.param(lambda lines: replaced(lines, "b", "a"),
-                     r"duplicate vocab tokens: \['a'\]",
-                     id="duplicate-vocab-token"),
-        pytest.param(lambda lines: replaced(lines, "y", "x"),
-                     r"duplicate scaffold classes: \['x'\]",
-                     id="duplicate-scaffold-class"),
-    ])
+        pytest.param(edit, problem, id=name)
+        for name, edit, problem, _ in MALFORMED_EDITS])
     def test_rejects_a_malformed_file(self, tmp_path, edit, problem):
-        lines = self.saved_lines(tmp_path)
+        lines = checkpoint_lines(1)
         edited = edit(lines)
         assert edited != lines
         path = tmp_path / "malformed.ckpt"
-        path.write_text("\n".join(edited) + "\n")
-        with pytest.raises(TrainingError,
-                           match=f"^{re.escape(str(path))}: .*{problem}"):
-            ParameterStore.load(path)
+        message = rejected(path, edited)
+        assert message.startswith(f"{path}: ") and problem in message
 
     @pytest.mark.parametrize("old, new, problem", [
-        pytest.param("seed 3", "seed \u0663",
-                     "line 2 is 'seed \u0663', not 'seed <n>'",
-                     id="seed-arabic-indic-digit"),
-        pytest.param("vocab 4", "vocab 04",
-                     "line 4 is 'vocab 04', not 'vocab <n>'",
-                     id="count-leading-zero"),
-        pytest.param("tensor encoder.mixer_b 1 5",
-                     "tensor encoder.mixer_b +1 5",
-                     "tensor encoder.mixer_b has a shape that is not ASCII "
-                     "decimals: '+1 5'", id="ndim-plus-sign"),
-        pytest.param("tensor scaffold.weights 2 2 5",
-                     "tensor scaffold.weights 2 0_2 5",
-                     "tensor scaffold.weights has a shape that is not ASCII "
-                     "decimals: '2 0_2 5'", id="dim-underscore"),
-        pytest.param("tensor scaffold.weights 2 2 5",
-                     "tensor scaffold.weights 2 \uff12 5",
-                     "tensor scaffold.weights has a shape that is not ASCII "
-                     "decimals: '2 \uff12 5'", id="dim-fullwidth-digit"),
-    ])
+        pytest.param(old, new, problem, id=name)
+        for name, old, new, problem in NON_DECIMAL_EDITS])
     def test_rejects_a_count_that_is_not_an_ascii_decimal(self, tmp_path, old,
                                                           new, problem):
         """Counts and dimensions load only as `save` writes them: ASCII
         digits with no sign, underscore or leading zero."""
-        lines = replaced(self.saved_lines(tmp_path), old, new)
+        lines = replaced(checkpoint_lines(1), old, new)
         path = tmp_path / "malformed.ckpt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(TrainingError,
-                           match=f"^{re.escape(f'{path}: {problem}')}$"):
-            ParameterStore.load(path)
+        assert rejected(path, lines) == f"{path}: {problem}"
 
     def test_rejects_a_tensor_listed_twice(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        row = next(i for i, line in enumerate(lines)
-                   if line.startswith("tensor encoder.mixer_b"))
+        lines = checkpoint_lines(1)
+        row = value_row(lines, "encoder.mixer_b") - 1
         lines[-1:-1] = lines[row:row + 2]
         path = tmp_path / "twice.ckpt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TrainingError,
-                           match="tensor encoder.mixer_b is listed twice"):
+        assert rejected(path, lines) == \
+            f"{path}: line 40 is 'tensor encoder.mixer_b 1 5\\n', where " \
+            f"save writes 'end\\n'"
+
+    @pytest.mark.parametrize("edit, problem", [
+        *(pytest.param(edit, problem, id=name)
+          for name, edit, problem, in_v2 in MALFORMED_EDITS if in_v2),
+        *(pytest.param(lambda lines, old=old, new=new:
+                       replaced(lines, old, new), problem, id=name)
+          for name, old, new, problem in NON_DECIMAL_EDITS),
+        pytest.param(lambda lines: lines[:-4],
+                     "line 38 does not parse (the end of the file)",
+                     id="cut-before-last-tensor"),
+        pytest.param(lambda lines: with_row(
+                         lines, "encoder.mixer_b",
+                         lines[value_row(lines, "encoder.mixer_b")][:-16]),
+                     "line 17 does not parse (the values of tensor "
+                     "encoder.mixer_b)", id="short-value-row"),
+        pytest.param(lambda lines: with_row(
+                         lines, "encoder.mixer_b",
+                         lines[value_row(lines, "encoder.mixer_b")][:-1]),
+                     "line 17 does not parse (the values of tensor "
+                     "encoder.mixer_b)", id="odd-hex-digits"),
+        pytest.param(lambda lines: with_row(
+                         lines, "encoder.mixer_w",
+                         lines[value_row(lines, "encoder.mixer_w")].upper()),
+                     "line 19 is the values of tensor encoder.mixer_w, where "
+                     "save writes other text", id="upper-case-hex"),
+        # the encoder.mixer_b block again, before the digest
+        pytest.param(lambda lines: [*lines[:-2], *lines[15:17], *lines[-2:]],
+                     "line 40 is 'tensor encoder.mixer_b 1 5\\n', where save "
+                     "writes 'sha256 ", id="tensor-listed-twice"),
+        pytest.param(lambda lines: [*lines[:-2], lines[-1]],
+                     "line 40 is 'end\\n', where save writes 'sha256 ",
+                     id="digest-missing"),
+        pytest.param(lambda lines: ["kcoref-checkpoint vX", *lines[1:]],
+                     "unsupported checkpoint version 'X'",
+                     id="non-numeric-version"),
+    ])
+    def test_rejects_a_malformed_v2_file(self, tmp_path, edit, problem):
+        lines = checkpoint_lines(2)
+        edited = edit(lines)
+        assert edited != lines
+        path = tmp_path / "malformed.ckpt"
+        message = rejected(path, edited)
+        assert message.startswith(f"{path}: ") and problem in message
+
+    def test_v2_digest_catches_a_changed_value(self, tmp_path):
+        """A value row that still parses, and that `save` writes for the
+        changed value, fails on the digest line."""
+        lines = checkpoint_lines(2)
+        row = value_row(lines, "encoder.attention_w")
+        digit = "2" if lines[row][0] != "2" else "3"
+        lines[row] = digit + lines[row][1:]
+        body = "\n".join(lines[:-2]) + "\n"
+        path = tmp_path / "changed.ckpt"
+        assert rejected(path, lines) == (
+            f"{path}: line 40 is {lines[-2] + chr(10)!r}, where save writes "
+            f"'sha256 {hashlib.sha256(body.encode()).hexdigest()}\\n'")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_no_single_byte_mutation_of_a_v2_file_loads(self,
+                                                       tmp_path_factory,
+                                                       data):
+        original = "\n".join(checkpoint_lines(2)).encode() + b"\n"
+        path = tmp_path_factory.getbasetemp() / "mutated-v2.ckpt"
+        path.write_bytes(mutated(original, data.draw))
+        with pytest.raises(TrainingError, match=f"^{re.escape(str(path))}: "):
             ParameterStore.load(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_a_v1_file_loads_only_as_its_own_v1_text(self, tmp_path_factory,
+                                                     data):
+        """A single-byte mutation of a v1 file fails, or is itself the v1
+        text of the store it loads."""
+        bad = mutated(V1_CHECKPOINT.read_bytes(), data.draw)
+        path = tmp_path_factory.getbasetemp() / "mutated-v1.ckpt"
+        path.write_bytes(bad)
+        try:
+            store = ParameterStore.load(path)
+        except TrainingError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert store.checkpoint_text(1).encode("utf-8") == bad
 
     def test_missing_tensor_fails_the_config_check(self, tmp_path):
         store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)
