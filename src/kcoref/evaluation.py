@@ -15,14 +15,14 @@ from one sort of both sides' (document, id) pairs, clusters numbered
 across documents; every metric decomposes over documents, so one table
 over all of them equals micro-averaging. MUC and B-cubed sum over the
 table with exact integer and rational arithmetic, converted to float at
-the boundary. CEAF-e labels the table's connected blocks in one graph
-pass, since clusters in different blocks have similarity 0: a block with
-one gold or one predicted cluster aligns its largest entry, and only a
-block with at least two of each solves an assignment. A slice of the gold
-chains is a subset of the table's rows: a predicted cluster cut down to
-the slice's mentions has its column sum over those rows as its size.
-scipy's graph labelling and assignment solver are imported on the first
-CEAF-e score, so a process that only trains never loads them.
+the boundary. CEAF-e labels the table's connected blocks, since clusters
+in different blocks have similarity 0: a block with one gold or one
+predicted cluster aligns its largest entry, and only a block with at
+least two of each solves an assignment. The labelling is numpy label
+propagation and the assignment a port of scipy's solver, so scoring loads
+no scipy module. A slice of the gold chains is a subset of the table's
+rows: a predicted cluster cut down to the slice's mentions has its column
+sum over those rows as its size.
 """
 
 from __future__ import annotations
@@ -406,24 +406,105 @@ def _ceaf_e(table: Overlap) -> RPF1:
     return RPF1.from_rp(total / n_gold, total / n_pred)
 
 
-def linear_sum_assignment(matrix: np.ndarray, maximize: bool = False):
-    """`scipy.optimize.linear_sum_assignment`, imported on the first call."""
-    from scipy.optimize import linear_sum_assignment as solve
-    return solve(matrix, maximize=maximize)
+def linear_sum_assignment(matrix: np.ndarray, maximize: bool = False
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of a minimum-cost (or, with `maximize`, a
+    maximum-cost) one-to-one assignment of the finite cost `matrix`.
+
+    A port of the shortest augmenting path algorithm that
+    `scipy.optimize.linear_sum_assignment` runs (Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms"), with its order of
+    operations, so it returns scipy's assignment, ties included: a tall
+    matrix is solved transposed, rows are augmented in order, the free
+    columns are scanned in reverse index order, and a tie goes to an
+    unassigned column. The blocks CEAF-e solves are a few clusters a side,
+    where a loop over Python floats is fast.
+    """
+    cost = np.asarray(matrix, dtype=np.float64)
+    if cost.ndim != 2 or not np.isfinite(cost).all():
+        raise ValueError(f"the cost matrix must be 2-D and finite; it has "
+                         f"shape {cost.shape}")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    if maximize:
+        cost = -cost
+    n_rows, n_cols = cost.shape
+    cost = cost.tolist()
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col = [-1] * n_rows, [-1] * n_cols
+    path = [-1] * n_cols
+    for cur_row in range(n_rows):
+        # Dijkstra over the reduced costs from `cur_row` to a free column.
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, min_val, sink = cur_row, 0.0, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest \
+                        or shortest[j] == lowest and row4col[j] == -1:
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                seen_rows.append(i)
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in seen_rows:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    rows = np.arange(n_rows)
+    cols = np.array(col4row, dtype=np.intp)
+    if transpose:
+        order = np.argsort(cols)
+        return cols[order], rows[order]
+    return rows, cols
 
 
 def _blocks(table: Overlap) -> tuple[int, np.ndarray]:
     """The number of connected blocks of the table, and each cluster's
-    block label: gold i is node i, predicted j node n_gold + j, an entry is
-    an edge, and the row-sorted entries are the graph's CSR as they are."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    n_nodes = len(table.gold_sizes) + len(table.pred_sizes)
-    indptr = np.zeros(n_nodes + 1, dtype=np.intp)
-    np.cumsum(np.bincount(table.rows, minlength=n_nodes), out=indptr[1:])
-    return connected_components(sparse.csr_matrix(
-        (np.ones(len(table.rows)), len(table.gold_sizes) + table.cols,
-         indptr), shape=(n_nodes, n_nodes)), directed=False)
+    block label: gold i is node i, predicted j node n_gold + j, and an
+    entry is an edge. Blocks are numbered in order of their lowest node,
+    as scipy's `connected_components` numbers them.
+
+    Every node starts labelled by itself. In each round, for every edge,
+    the node that one end is labelled with takes the other end's label if
+    that is lower; then every node takes its label's label. When a round
+    changes nothing, each label is its block's lowest node. A randomly
+    numbered path of n nodes takes about log2(n) rounds.
+    """
+    n_gold = len(table.gold_sizes)
+    label = np.arange(n_gold + len(table.pred_sizes))
+    ends = np.concatenate([table.rows, n_gold + table.cols])
+    others = np.concatenate([n_gold + table.cols, table.rows])
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, label[ends], label[others])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    roots, label = np.unique(label, return_inverse=True)
+    return len(roots), label
 
 
 def _rank_in_block(block: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ feature. Scoring heads are small feed-forward networks.
 Each stage runs in plain numpy and returns its value together with its
 backward: a closure that turns the value's gradient into the gradients of
 its inputs and parameters, in closed form. `scipy.sparse` is imported
-when the first antecedent-pair scatter is built, not with the module.
+when a CL backward first reads an antecedent-pair scatter, so prediction
+never loads it.
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .corpus import (Document, SpanRef, check_field,
                      enumerate_candidate_spans)
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 UNK_TOKEN = "<unk>"
 
@@ -385,21 +383,34 @@ class AntecedentPairs:
     candidate with a column per window slot plus a last dummy column; its
     entries index the flat pair scores extended by two slots, P for a
     padding slot (score -inf) and P + 1 for the dummy (score 0); `inside`
-    marks the window slots that hold a pair. `scatter` is the sparse
-    (candidates, 2P) one-hot of [mention, antecedent]: it sums per-pair
-    rows, stacked mention side first, onto their candidates.
+    marks the window slots that hold a pair.
     """
 
     mention: np.ndarray
     antecedent: np.ndarray
     grid: np.ndarray
     inside: np.ndarray
-    scatter: sparse.csr_matrix
+
+    @functools.cached_property
+    def scatter(self):
+        """The sparse (candidates, 2P) one-hot of [mention, antecedent], a
+        `scipy.sparse.csr_matrix`: it sums per-pair rows, stacked mention
+        side first, onto their candidates. Only the CL backward reads it,
+        so it is built, and scipy.sparse imported, on its first read."""
+        from scipy import sparse
+        n_pairs = len(self.mention)
+        scatter = sparse.csr_matrix(
+            (np.ones(2 * n_pairs), (np.concatenate([self.mention,
+                                                    self.antecedent]),
+                                    np.arange(2 * n_pairs))),
+            shape=(len(self.grid), 2 * n_pairs))
+        for array in (scatter.data, scatter.indices, scatter.indptr):
+            array.flags.writeable = False
+        return scatter
 
 
 @functools.lru_cache(maxsize=64)
 def antecedent_pairs(n_candidates: int, max_antecedents: int) -> AntecedentPairs:
-    from scipy import sparse
     k = np.arange(n_candidates, dtype=np.intp)
     lo = np.maximum(k - max_antecedents, 0)
     sizes = k - lo
@@ -411,11 +422,6 @@ def antecedent_pairs(n_candidates: int, max_antecedents: int) -> AntecedentPairs
     grid = np.full((n_candidates, len(slots) + 1), n_pairs, dtype=np.intp)
     grid[:, :-1][inside] = np.arange(n_pairs, dtype=np.intp)
     grid[:, -1] = n_pairs + 1
-    scatter = sparse.csr_matrix(
-        (np.ones(2 * n_pairs), (np.concatenate([mention, antecedent]),
-                                np.arange(2 * n_pairs))),
-        shape=(n_candidates, 2 * n_pairs))
-    for array in (mention, antecedent, grid, inside, scatter.data,
-                  scatter.indices, scatter.indptr):
+    for array in (mention, antecedent, grid, inside):
         array.flags.writeable = False
-    return AntecedentPairs(mention, antecedent, grid, inside, scatter)
+    return AntecedentPairs(mention, antecedent, grid, inside)

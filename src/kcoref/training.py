@@ -72,6 +72,8 @@ class ParameterStore:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("seed", "step"):
+            check_field(TrainingError, name, getattr(self, name), "integer", 0)
         if self.vocab and self.vocab[0] != UNK_TOKEN:
             raise TrainingError(f"vocab must start with {UNK_TOKEN!r}")
         for what, names in (("vocab tokens", self.vocab),
@@ -171,10 +173,13 @@ class ParameterStore:
         pos, rows, tensors = 1, {}, {}  # rows: value-row line -> tensor
 
         def header(names: bool):
-            """The number on line `pos`, or the `names` lines it counts."""
+            """The number on line `pos`, or the `names` lines it counts; a
+            negative number does not parse."""
             nonlocal pos
             n = int(lines[pos].partition(" ")[2])
-            listed = tuple(lines[pos + 1:pos + 1 + max(n, 0)]) if names else ()
+            if n < 0:
+                raise ValueError(n)
+            listed = tuple(lines[pos + 1:pos + 1 + n]) if names else ()
             pos += 1 + len(listed)
             return listed if names else n
 

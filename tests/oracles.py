@@ -675,8 +675,8 @@ def ceaf_e_reference(table: ev.Overlap) -> ev.RPF1:
 
 
 def blocks_reference(table: ev.Overlap) -> tuple[int, np.ndarray]:
-    """`evaluation._blocks` from a COO matrix of the entries, which scipy
-    converts to CSR itself."""
+    """`evaluation._blocks` by scipy's `connected_components` over a COO
+    matrix of the entries."""
     n_gold, n_pred = len(table.gold_sizes), len(table.pred_sizes)
     return connected_components(sparse.coo_matrix(
         (np.ones(len(table.rows)), (table.rows, n_gold + table.cols)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from kcoref import evaluation as ev
 from kcoref import model as m
@@ -586,7 +587,7 @@ def pooled_random(seed):
     return pool_documents(gold), pool_documents(pred)
 
 
-# Hand-built pooled cases: G > P, P > G, 2x2 and 3x2 blocks, gold clusters
+# Hand-built pooled cases: G > P, P > G, 2x2, 3x2 and 3x3 blocks, gold clusters
 # that overlap nothing, and a pred cluster spanning two gold clusters.
 POOLED_CASES = {
     "more_gold": ([[C(1, 2), C(3, 4), C(5, 6)], [C(1, 2)]],
@@ -595,6 +596,8 @@ POOLED_CASES = {
     "block_2x2": ([[C(1, 2, 3), C(4, 5, 6)]], [[C(1, 2, 4), C(3, 5, 6)]]),
     "block_3x2": ([[C(1, 2), C(3, 4), C(5, 6)], [C(1, 2)]],
                   [[C(1, 3, 5), C(2, 4, 6)], [C(1, 7)]]),
+    "block_3x3": ([[C(1, 2, 3), C(4, 5, 6), C(7, 8, 9)]],
+                  [[C(1, 4, 7), C(2, 5, 8), C(3, 6, 9)]]),
     "gold_unmatched": ([[C(1, 2), C(8, 9)], [C(3, 4)]],
                        [[C(1, 2)], [C(5, 6)]]),
 }
@@ -650,7 +653,7 @@ class TestPooledMetricsMatchReferences:
             # largest entry without an assignment.
             assert sorted(shapes) == sorted(b for b in blocks if min(b) >= 2)
             seen += shapes
-        assert {(2, 2), (3, 2)} <= set(seen)
+        assert {(2, 2), (3, 2), (3, 3)} <= set(seen)
 
     def test_hand_built_cases_are_what_they_say(self):
         def pooled(case):
@@ -662,6 +665,7 @@ class TestPooledMetricsMatchReferences:
         assert len(pred) > len(gold)
         assert (2, 2) in overlap_blocks(*pooled("block_2x2"))
         assert (3, 2) in overlap_blocks(*pooled("block_3x2"))
+        assert (3, 3) in overlap_blocks(*pooled("block_3x3"))
         gold, pred = pooled("gold_unmatched")
         assert sum(rows for rows, _ in overlap_blocks(gold, pred)) < len(gold)
 
@@ -674,6 +678,9 @@ BLOCK_KINDS = {
     "l_shaped_2x2": (2, 2, [(0, 0), (0, 1), (1, 0)]),
     "full_2x2": (2, 2, [(i, j) for i in range(2) for j in range(2)]),
     "full_3x3": (3, 3, [(i, j) for i in range(3) for j in range(3)]),
+    # a path: gold i shares mentions with predicted i and i - 1
+    "staircase_4x4": (4, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2),
+                             (3, 3)]),
     "gold_alone": (1, 0, []),
     "pred_alone": (0, 1, []),
 }
@@ -742,8 +749,8 @@ class TestCeafEBlocksMatchReference:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(table=overlap_tables())
     def test_block_labels_match_the_coo_route(self, table):
-        """The CSR built from the row-sorted entries labels the blocks as
-        scipy's own conversion of the COO entries does."""
+        """Label propagation labels and numbers the blocks as scipy's
+        `connected_components` does."""
         n_blocks, label = ev._blocks(table)
         want_blocks, want_label = blocks_reference(table)
         assert n_blocks == want_blocks
@@ -779,6 +786,84 @@ class TestCeafEBlocksMatchReference:
             got = ev._ceaf_e(table)
         lsa.assert_not_called()
         assert got.recall == 6 / 9 and got.precision == 6 / 9 / 3
+
+
+def path_table(n: int, seed: int) -> ev.Overlap:
+    """n gold and n predicted clusters of 3 mentions on one path, gold i
+    sharing a mention with predicted i and with predicted i - 1, both sides
+    numbered in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    gold, pred = rng.permutation(n), rng.permutation(n)
+    rows = np.concatenate([gold, gold[1:]])
+    cols = np.concatenate([pred, pred[:-1]])
+    order = np.lexsort((cols, rows))
+    return ev.Overlap(rows[order], cols[order], np.ones(2 * n - 1, np.int64),
+                      np.full(n, 3, np.int64), np.full(n, 3, np.int64))
+
+
+# Costs that float64 holds only rounded, so sums of them round differently
+# in another order of operations.
+INEXACT_COSTS = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3)
+
+
+@st.composite
+def cost_matrices(draw):
+    """0×0 to 7×7 cost matrices of one kind: integers 0-3 (many ties),
+    CEAF-e's 2n / (a + b) of such entries n with each cluster 1-3 mentions
+    larger than its entries, or `INEXACT_COSTS`."""
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+
+    def values(elements, count):
+        return np.array(draw(st.lists(elements, min_size=count,
+                                      max_size=count)), dtype=np.float64)
+
+    kind = draw(st.sampled_from(["integer", "ceaf", "inexact"]))
+    if kind == "inexact":
+        return values(st.sampled_from(INEXACT_COSTS),
+                      n_rows * n_cols).reshape(n_rows, n_cols)
+    cells = values(st.integers(0, 3), n_rows * n_cols).reshape(n_rows, n_cols)
+    if kind == "integer":
+        return cells
+    gold = cells.sum(axis=1) + values(st.integers(1, 3), n_rows)
+    pred = cells.sum(axis=0) + values(st.integers(1, 3), n_cols)
+    return 2.0 * cells / (gold[:, None] + pred[None, :])
+
+
+class TestBlocksAndAssignmentMatchScipy:
+    """`_blocks` and `linear_sum_assignment` are numpy and Python; scipy's
+    `connected_components` and solver are their references."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_block_labels_on_a_long_path(self, n, seed):
+        """One block spanning every cluster: labels travel the whole path,
+        whatever the numbering."""
+        table = path_table(n, seed)
+        n_blocks, label = ev._blocks(table)
+        want_blocks, want_label = blocks_reference(table)
+        assert n_blocks == want_blocks == 1
+        assert np.array_equal(label, want_label)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+    def test_ceaf_e_on_a_large_path_block(self, n, seed):
+        table = path_table(n, seed)
+        assert ev._ceaf_e(table) == ceaf_e_reference(table)
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(matrix=cost_matrices(), maximize=st.booleans())
+    def test_assignment_is_scipys(self, matrix, maximize):
+        got = ev.linear_sum_assignment(matrix, maximize=maximize)
+        want = scipy_assignment(matrix, maximize=maximize)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("matrix", [np.array([[0.0, np.nan]]),
+                                        np.array([[np.inf]]), np.zeros(3)])
+    def test_assignment_rejects_a_cost_that_is_not_a_finite_matrix(self,
+                                                                   matrix):
+        with pytest.raises(ValueError, match="2-D and finite"):
+            ev.linear_sum_assignment(matrix)
 
 
 class TestAverageReport:

@@ -4,9 +4,10 @@ of scipy a process loads.
 Every kcoref name that perfbench's workloads import, read through a module
 alias or wrap as a `tracing.Target` must exist, or every benchmark run
 fails. Importing kcoref loads no scipy module, checked in a fresh
-interpreter. The synth and project paths never do; a training doc-step
-loads `scipy.sparse` for the CL backward's scatter; the assignment solver
-and the graph labelling load on the first CEAF-e score.
+interpreter. The synth, project and evaluate paths never do; a training
+doc-step loads `scipy.sparse` for the CL backward's scatter and nothing
+else of scipy. The source has one scipy import, where that scatter is
+built.
 """
 
 import ast
@@ -124,6 +125,10 @@ def loaded():
                   if name == "scipy" or name.startswith("scipy."))
 
 stages = {}
+if sys.argv[1] == "sparse":
+    from scipy import sparse
+    print(json.dumps({"sparse": loaded()}))
+    sys.exit()
 import kcoref.cli
 from kcoref import evaluation as ev, losses as L, toolkit as tk
 from kcoref import training as tr
@@ -143,31 +148,99 @@ store = tr.init_parameters(config, tr.build_vocab(docs),
 tk.mention_antecedent_offsets(docs, store, config, sample=4)
 stages["synth_project"] = loaded()
 
-weights = L.LossWeights(alpha_k={"coarse": 0.5}, beta=(1.0, 1.0, 0.5))
-objective = L.ObjectiveConfig(pair_budget=50, scaffold_lexicon="coarse")
-tr.compute_gradients(store, lambda enc, scoring, scaffold: [
-    L.document_objective(docs[0], enc, scoring, scaffold, weights, config,
-                         objective)])
-stages["doc_step"] = loaded()
-
 def cluster(*starts):
     return frozenset(SpanRef(s, s) for s in starts)
 
-ev.score_documents([[cluster(1, 2, 3), cluster(4, 5, 6)]],
-                   [[cluster(1, 2, 4), cluster(3, 5, 6)]])
-stages["ceaf_e"] = loaded()
+# One 2x2 block, so CEAF-e solves an assignment.
+BLOCK = [cluster(1, 2, 3), cluster(4, 5, 6)], [cluster(1, 2, 4),
+                                               cluster(3, 5, 6)]
+if sys.argv[1] == "train":
+    weights = L.LossWeights(alpha_k={"coarse": 0.5}, beta=(1.0, 1.0, 0.5))
+    objective = L.ObjectiveConfig(pair_budget=50, scaffold_lexicon="coarse")
+    tr.compute_gradients(store, lambda enc, scoring, scaffold: [
+        L.document_objective(docs[0], enc, scoring, scaffold, weights, config,
+                             objective)])
+    stages["doc_step"] = loaded()
+    ev.score_documents([BLOCK[0]], [BLOCK[1]])
+    stages["ceaf_e"] = loaded()
+else:
+    store.save(sys.argv[2])
+    shapes, solve = [], ev.linear_sum_assignment
+    ev.linear_sum_assignment = lambda matrix, maximize=False: (
+        shapes.append(matrix.shape) or solve(matrix, maximize=maximize))
+    store = tr.ParameterStore.load(sys.argv[2])
+    preds = [ev.predict_clusters(doc, store, config).clusters for doc in docs]
+    ev.score_documents([doc.gold_clusters for doc in docs] + [BLOCK[0]],
+                       preds + [BLOCK[1]])
+    ev.slice_by_concept(docs, preds, "coarse")
+    ev.slice_by_subword_bucket(docs, preds, synthetic.subword_vocab)
+    assert (2, 2) in shapes, shapes
+    stages["evaluate"] = loaded()
 print(json.dumps(stages))
 """
 
 
-def test_scipy_loads_where_it_is_first_used():
-    done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+def scipy_stages(*args) -> dict[str, set[str]]:
+    """The scipy modules loaded by each stage of `SCRIPT`, run in a fresh
+    interpreter with `args`; a stage lists every module loaded so far."""
+    done = subprocess.run([sys.executable, "-c", SCRIPT, *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
-    stages = {name: set(modules)
-              for name, modules in json.loads(done.stdout).items()}
-    assert stages["import"] == set()
-    assert stages["synth_project"] == set()
-    assert "scipy.sparse" in stages["doc_step"]
-    assert not {"scipy.optimize", "scipy.sparse.csgraph"} & stages["doc_step"]
-    assert {"scipy.optimize", "scipy.sparse.csgraph"} <= stages["ceaf_e"]
+    return {name: set(modules)
+            for name, modules in json.loads(done.stdout).items()}
+
+
+def test_scipy_loads_where_it_is_first_used(tmp_path):
+    """Importing kcoref, the synth and project paths and the whole evaluate
+    path load no scipy module; a training doc-step loads what
+    `from scipy import sparse` alone loads, and CEAF-e adds nothing."""
+    sparse = scipy_stages("sparse")["sparse"]
+    assert "scipy.sparse" in sparse
+    train = scipy_stages("train")
+    evaluate = scipy_stages("evaluate", tmp_path / "model.ckpt")
+    for stages in (train, evaluate):
+        assert stages["import"] == set()
+        assert stages["synth_project"] == set()
+    assert evaluate["evaluate"] == set()
+    assert train["doc_step"] == sparse
+    assert train["ceaf_e"] == sparse
+    for modules in (sparse, *train.values(), *evaluate.values()):
+        assert not {"scipy.optimize", "scipy.sparse.csgraph"} & modules
+
+
+def scipy_imports(node: ast.AST, scope: tuple[str, ...] = ()):
+    """(line, enclosing class and function names, module) of each scipy
+    module or name imported in `node`'s tree."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            names = [f"{child.module}.{alias.name}" for alias in child.names]
+        else:
+            names = []
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield child.lineno, scope, name
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            yield from scipy_imports(child, (*scope, child.name))
+        else:
+            yield from scipy_imports(child, scope)
+
+
+def test_scipy_is_imported_only_by_the_cl_scatter():
+    """The one scipy import in src/kcoref is `scipy.sparse`, inside the
+    builder of the CL backward's scatter, so scipy cannot return to the
+    evaluate path unnoticed."""
+    found = [(path.name, *found)
+             for path in sorted((SRC / "kcoref").glob("*.py"))
+             for found in scipy_imports(ast.parse(
+                 path.read_text(encoding="utf-8")))]
+    outside = [f"{name}:{line} imports {module}"
+               for name, line, scope, module in found
+               if (name, scope, module) != ("model.py",
+                                            ("AntecedentPairs", "scatter"),
+                                            "scipy.sparse")]
+    assert not outside, outside
+    assert len(found) == 1, found

@@ -77,6 +77,16 @@ class TestInit:
         with pytest.raises(TrainingError):
             ParameterStore({}, ("a", "b"))
 
+    @pytest.mark.parametrize("fields, problem", [
+        ({"step": -1, "seed": -2}, "seed must be >= 0, not -2"),
+        ({"step": -7}, "step must be >= 0, not -7"),
+        ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+        ({"step": "3"}, "step must be an integer, not '3'"),
+    ])
+    def test_seed_and_step_are_integers_at_least_zero(self, fields, problem):
+        with pytest.raises(TrainingError, match=f"^{re.escape(problem)}$"):
+            ParameterStore({}, ("<unk>",), **fields)
+
     def test_duplicate_vocab_tokens_or_classes_rejected(self):
         with pytest.raises(TrainingError,
                            match=r"duplicate vocab tokens: \['a'\]"):
@@ -843,6 +853,17 @@ MALFORMED_EDITS = [
      False),
     ("line-after-end", lambda lines: [*lines, "end"],
      "is 'end\\n', where save writes the end of the file", True),
+    # a negative count fails on its own line
+    ("seed-negative", lambda lines: replaced(lines, "seed 3", "seed -3"),
+     "line 2 does not parse ('seed -3')", True),
+    ("step-negative", lambda lines: replaced(lines, "step 0", "step -7"),
+     "line 3 does not parse ('step -7')", True),
+    ("vocab-count-negative",
+     lambda lines: replaced(lines, "vocab 4", "vocab -4"),
+     "line 4 does not parse ('vocab -4')", True),
+    ("classes-count-negative",
+     lambda lines: replaced(lines, "classes 2", "classes -2"),
+     "line 9 does not parse ('classes -2')", True),
     ("duplicate-vocab-token", lambda lines: replaced(lines, "b", "a"),
      "duplicate vocab tokens: ['a']", True),
     ("duplicate-scaffold-class", lambda lines: replaced(lines, "y", "x"),
