@@ -49,18 +49,17 @@ def cmd_synth(args) -> int:
     spec = load_synthetic_spec(args.spec)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    held = check_field(ConfigError, "--test-docs", args.test_docs, "integer", 0)
+    if held >= spec.n_documents:
+        raise ConfigError(f"--test-docs must be below n_documents "
+                          f"({spec.n_documents}), not {held}")
     corpus = tk.generate_synthetic_corpus(spec)
     out = _out_dir(args)
 
     docs = corpus.documents
-    if args.test_docs > 0:
-        if args.test_docs >= len(docs):
-            raise ValueError("--test-docs must leave at least one train doc")
-        save_corpus(docs[: len(docs) - args.test_docs], out / "corpus.jsonl")
-        save_corpus(docs[len(docs) - args.test_docs:],
-                    out / "corpus_test.jsonl")
-    else:
-        save_corpus(docs, out / "corpus.jsonl")
+    save_corpus(docs[:len(docs) - held], out / "corpus.jsonl")
+    if held:
+        save_corpus(docs[len(docs) - held:], out / "corpus_test.jsonl")
     save_lexicon(corpus.coarse_lexicon, out / "coarse.lex")
     save_lexicon(corpus.fine_lexicon, out / "fine.lex")
     save_subword_vocab(corpus.subword_vocab, out / "pieces.vocab")
@@ -116,7 +115,7 @@ def _report_rows(section: str, report: ev.MetricReport) -> list[str]:
 
 def cmd_evaluate(args) -> int:
     config = load_config(_resolve(args, "config"))
-    data, _, _ = _prepare(config)
+    data = load_run_data(config)
     store = tr.ParameterStore.load(_resolve(args, "checkpoint"))
     tr.check_parameters(store, config.model)
     if config.eval_corpus not in data.corpora:
@@ -161,7 +160,7 @@ def cmd_project(args) -> int:
     overrides = {name: getattr(args, name) for name in ("sample", "seed")
                  if getattr(args, name) is not None}
     projection = dataclasses.replace(config.projection, **overrides)
-    data, _, _ = _prepare(config)
+    data = load_run_data(config)
     store = tr.ParameterStore.load(_resolve(args, "checkpoint"))
     tr.check_parameters(store, config.model)
     docs = data.corpora[config.eval_corpus if config.eval_corpus in data.corpora

@@ -1,9 +1,9 @@
 """Cluster decoding and the MUC / B-cubed / CEAF-e metric suite.
 
-Decoding lays out a document's enumerated spans from the layout that
-documents of its length share, scores every (candidate, antecedent) pair
-in one batched pass, picks each candidate's antecedent row by row from the
-padded score grid, and joins the links into clusters over candidate rows;
+Decoding prunes a document's enumerated spans with training's forward,
+scores every (candidate, antecedent) pair in one batched pass, picks each
+candidate's antecedent as the last maximal column of its row of the slot
+grid, dummy last, and joins the links into clusters over candidate rows;
 `SpanRef`s are built only for the mentions of the clusters it returns.
 
 `score_documents` is the one scoring entry point: a single document is
@@ -105,27 +105,25 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
                         config: m.ModelConfig) -> Antecedents:
     """Argmax antecedent per candidate mention, as candidate rows.
 
-    Every (candidate, antecedent) pair of `model.antecedent_pairs` is scored
-    in one batched pass; `select_antecedents` then picks per candidate.
-    When candidates have byte-identical representations, they share one
-    row and each distinct pair of rows is scored once, so pairs with
-    identical features tie exactly and the nearest-antecedent rule decides
-    between them.
+    The candidates come from training's forward (`model.document_forward`).
+    Every pair of `model.antecedent_pairs` is scored in one batched pass;
+    `select_antecedents` then picks per row of the slot grid. Candidates
+    with byte-identical representations share one row, and each distinct
+    pair of rows is scored once, so pairs with identical features tie
+    exactly and the nearest-antecedent rule decides between them.
     """
     if len(doc) == 0:
         none = np.zeros(0, dtype=np.intp)
         return Antecedents(none, none, none)
     enc, scoring, _ = store.groups
-    token_vecs, _ = m.encode_tokens(doc, enc)
     layout = m.enumerated_layout(len(doc), config)
-    reps, _ = m.build_span_representations(token_vecs, layout, enc)
-    scores, _ = m.mention_scores(reps, scoring)
-    # Pruning would silently rank NaN scores last.
+    reps, scores, candidates, _, _ = m.document_forward(
+        doc, layout, np.arange(len(layout)), enc, scoring, config)
+    # Pruning ranked any NaN score last without a word.
     if np.isnan(scores).any():
         raise ValueError(f"{doc.doc_id}: NaN mention score")
-    candidates = m.prune_mentions(doc, layout, scores, config.prune_ratio)
-
-    x, s_m = reps[candidates.indices], candidates.scores
+    rows = candidates.indices
+    x, s_m = reps[rows], scores[rows]
     pairs = m.antecedent_pairs(len(x), config.max_antecedents)
     rows_i, rows_j = pairs.mention, pairs.antecedent
     # A repeated hash may be a collision; the byte-level dedupe settles it.
@@ -144,13 +142,10 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     pair_scores = s_a + s_m[rows_i] + s_m[rows_j]
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
-    picks = select_antecedents(
-        np.append(pair_scores, -np.inf)[pairs.grid[:, :-1]])
-    window_start = np.maximum(
-        np.arange(len(picks)) - config.max_antecedents, 0)
-    rows = candidates.indices
+    columns = select_antecedents(pairs.slots(pair_scores))
+    chosen = pairs.grid[np.arange(len(columns)), columns]  # P: padding, P + 1: dummy
     return Antecedents(layout.starts[rows], layout.ends[rows],
-                       np.where(picks >= 0, window_start + picks, -1))
+                       np.append(pairs.antecedent, [-1, -1])[chosen])
 
 
 def row_hashes(x: np.ndarray) -> np.ndarray:
@@ -169,20 +164,15 @@ def _odd_weights(width: int) -> np.ndarray:
     return weights
 
 
-def select_antecedents(grid: np.ndarray) -> np.ndarray:
-    """Row-wise argmax against the implicit zero-scored dummy antecedent.
+def select_antecedents(slots: np.ndarray) -> np.ndarray:
+    """The last maximal column of each row of `model.AntecedentPairs.slots`.
 
-    Row k holds candidate k's antecedent scores in window order, padded at
-    the end with -inf. Returns the window-relative column chosen per row,
-    or -1 for the dummy. Ties break toward the dummy, then toward the
-    nearest (latest) antecedent.
+    Row k holds candidate k's antecedent scores in window order, -inf
+    padding, and the dummy's 0.0 last, so ties go to the dummy, then to
+    the nearest (latest) antecedent.
     """
-    n_rows, width = grid.shape
-    if width == 0:
-        return np.full(n_rows, -1, dtype=np.intp)
-    best = grid.max(axis=1)
-    latest = width - 1 - np.argmax(grid[:, ::-1] == best[:, None], axis=1)
-    return np.where(best > 0.0, latest, -1)
+    best = slots.max(axis=1, keepdims=True)
+    return slots.shape[1] - 1 - np.argmax(slots[:, ::-1] == best, axis=1)
 
 
 def decode_clusters(antecedents: Antecedents) -> PredictedClusters:

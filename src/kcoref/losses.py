@@ -228,15 +228,14 @@ class DocumentIndex:
 
     The table holds the enumerated candidate spans plus, when the objective
     needs them, the gold spans and the scaffold lexicon's labeled spans,
-    sorted by position. Every array below has one entry per table row.
-    `enumerated` is what pruning picks from, the layout that documents of
-    one length share (`model.enumerated_layout`). `memo` keeps what is
-    derived from the index alone, such as the scaffold targets.
+    sorted by position. `enum_rows` maps the enumerated spans, which
+    pruning picks from (`model.enumerated_layout`), into the table; every
+    other array has one entry per table row. `memo` keeps what is derived
+    from the index alone, such as the scaffold targets.
     """
 
     layout: m.SpanLayout               # the table, with its gather plan
     keys: np.ndarray                   # span_keys of the table, ascending
-    enumerated: m.SpanLayout           # enumerate_candidate_spans order
     enum_rows: np.ndarray              # table row of each enumerated span
     cluster: np.ndarray                # gold cluster id, -1 when unclustered
     anaphoric: np.ndarray              # not the first span of its gold cluster
@@ -292,9 +291,8 @@ def _build_index(doc: Document, config: m.ModelConfig, with_gold: bool,
     # Often the extra spans are all enumerated, and the table is the same.
     layout = enumerated if len(keys) == len(enum_keys) \
         else m.span_layout(*span_bounds(keys), config)
-    return DocumentIndex(layout, keys, enumerated,
-                         np.searchsorted(keys, enum_keys), cluster, anaphoric,
-                         concepts, labels)
+    return DocumentIndex(layout, keys, np.searchsorted(keys, enum_keys),
+                         cluster, anaphoric, concepts, labels)
 
 
 def scaffold_targets(index: DocumentIndex, scaffold: ScaffoldParams,
@@ -350,20 +348,16 @@ def document_objective(doc: Document, enc: m.EncoderParams,
     """
     b1, b2, b3 = weights.beta
     if len(doc) == 0:
-        empty = m.CandidateSet(None, np.zeros(0, dtype=np.intp),
-                               np.zeros(0))
+        empty = m.CandidateSet(None, np.zeros(0, dtype=np.intp))
         return DocumentLosses(combined_loss(0.0, 0.0, 0.0, weights), 0.0, 0.0,
                               0.0, 0, empty, None, None, lambda *_: None)
     with_scaffold = b3 > 0 and scaffold is not None
     index = document_index(
         doc, config, with_gold=b2 > 0 or b3 > 0,
         scaffold_lexicon=objective.scaffold_lexicon if with_scaffold else None)
-    token_vecs, encode_backward = m.encode_tokens(doc, enc)
-    reps, reps_backward = m.build_span_representations(token_vecs,
-                                                       index.layout, enc)
-    scores, mention_backward = m.mention_scores(reps, scoring)
-    candidates = m.prune_mentions(doc, index.enumerated,
-                                  scores[index.enum_rows], config.prune_ratio)
+    reps, scores, candidates, mention_backward, reps_backward = \
+        m.document_forward(doc, index.layout, index.enum_rows, enc, scoring,
+                           config)
 
     rows = index.enum_rows[candidates.indices]
     cl, cl_backward, misses = 0.0, None, 0
@@ -414,7 +408,7 @@ def document_objective(doc: Document, enc: m.EncoderParams,
             rl_backward(b2, g_live, at[pool])
         if sl_backward is not None:
             sl_backward(b3, g_live, at[labeled], scaffold_grad.weights)
-        encode_backward(reps_backward(g_live, enc_grad, live), enc_grad)
+        reps_backward(g_live, enc_grad, live)
 
     return DocumentLosses(combined_loss(cl, rl, sl, weights), cl, rl, sl,
                           misses, candidates, reps, pair_set, backward)
@@ -456,8 +450,8 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
                    rows: np.ndarray, pairs: m.AntecedentPairs,
                    numer: np.ndarray,
                    head: m.FeedForward) -> tuple[float, m.Backward]:
-    """sum_k [logsumexp of candidate k's `pairs.grid` row - logsumexp of
-    the slots of that row that `numer` marks], and its backward.
+    """sum_k [logsumexp of candidate k's row of `pairs.slots` - logsumexp
+    of the slots of that row that `numer` marks], and its backward.
 
     Candidate k is row `rows[k]` of `full` and `mention_scores` (the rows
     are distinct); a pair scores s_m(i) + s_m(j) + s_a(i, j), with s_a from
@@ -470,8 +464,7 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
     d = x.shape[1]
     ffn = m.antecedent_scores(x, mention, antecedent, head)
     s = mention_scores[rows]
-    slots = np.concatenate([ffn.scores + s[mention] + s[antecedent],
-                            [-np.inf, 0.0]])[pairs.grid]
+    slots = pairs.slots(ffn.scores + s[mention] + s[antecedent])
     # Row-wise over every slot (denominator) and the marked ones (numerator).
     lse, probs = _logsumexp_rows(np.stack([slots,
                                            np.where(numer, slots, -np.inf)]))

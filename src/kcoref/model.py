@@ -153,8 +153,8 @@ class ScoringParams:
 @dataclass
 class CandidateSet:
     """Pruned candidate mentions in (start, end) order: the rows `indices`
-    of `layout`, the span table their scores were drawn from (None for a
-    document without spans).
+    of `layout`, the span table they were pruned from (None for a document
+    without spans).
 
     Their `SpanRef`s are built on first use of `spans`, so a caller that
     works on rows builds none.
@@ -162,7 +162,6 @@ class CandidateSet:
 
     layout: SpanLayout | None
     indices: np.ndarray
-    scores: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -339,8 +338,26 @@ def prune_mentions(doc: Document, spans: SpanLayout,
         raise ValueError("one score per span required")
     keep = min(len(spans), math.ceil(prune_ratio * len(doc)))
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    chosen = np.sort(order[:keep])
-    return CandidateSet(spans, chosen, np.asarray(scores)[chosen])
+    return CandidateSet(spans, np.sort(order[:keep]))
+
+
+def document_forward(doc: Document, table: SpanLayout, enum_rows: np.ndarray,
+                     enc: EncoderParams, scoring: ScoringParams,
+                     config: ModelConfig) -> tuple:
+    """The forward of training and prediction: encode `doc`, represent and
+    mention-score `table`'s spans, and prune the enumerated ones, its rows
+    `enum_rows`. Returns the representations, scores, candidates, mention
+    head backward, and the `(g, grad, rows)` backward of table rows `rows`."""
+    token_vecs, encode_backward = encode_tokens(doc, enc)
+    reps, reps_backward = build_span_representations(token_vecs, table, enc)
+    scores, mention_backward = mention_scores(reps, scoring)
+    candidates = prune_mentions(doc, enumerated_layout(len(doc), config),
+                                scores[enum_rows], config.prune_ratio)
+
+    def backward(g, grad: EncoderParams, rows: np.ndarray) -> None:
+        encode_backward(reps_backward(g, grad, rows), grad)
+
+    return reps, scores, candidates, mention_backward, backward
 
 
 @dataclass(frozen=True)
@@ -382,8 +399,8 @@ class AntecedentPairs:
     candidate and each window in order. `grid` lays them out as one row per
     candidate with a column per window slot plus a last dummy column; its
     entries index the flat pair scores extended by two slots, P for a
-    padding slot (score -inf) and P + 1 for the dummy (score 0); `inside`
-    marks the window slots that hold a pair.
+    padding slot and P + 1 for the dummy; `inside` marks the window slots
+    that hold a pair. `slots` fills the grid with scores.
     """
 
     mention: np.ndarray
@@ -407,6 +424,11 @@ class AntecedentPairs:
         for array in (scatter.data, scatter.indices, scatter.indptr):
             array.flags.writeable = False
         return scatter
+
+    def slots(self, pair_scores: np.ndarray) -> np.ndarray:
+        """The grid of the flat `pair_scores`, with -inf on padding and
+        the dummy's 0.0 in the last column."""
+        return np.concatenate([pair_scores, [-np.inf, 0.0]])[self.grid]
 
 
 @functools.lru_cache(maxsize=64)

@@ -1175,8 +1175,7 @@ def document_objective_tape(doc, store, weights, config, objective,
     kept = sorted(sorted(range(len(enumerated)),
                          key=lambda i: (-values[i], i))[:keep])
     candidates = m.CandidateSet(span_layout_reference(enumerated, config),
-                                np.array(kept, dtype=np.intp),
-                                np.array([values[i] for i in kept]))
+                                np.array(kept, dtype=np.intp))
     columns = slice(2 * config.d_token, 3 * config.d_token)
 
     cl = rl = sl = Tensor(0.0)
@@ -1254,7 +1253,7 @@ def document_gradient_full_table(doc, store, weights, config, objective,
     reps, reps_backward = m.build_span_representations(token_vecs,
                                                        index.layout, enc)
     scores, mention_backward = m.mention_scores(reps, scoring)
-    candidates = m.prune_mentions(doc, index.enumerated,
+    candidates = m.prune_mentions(doc, m.enumerated_layout(len(doc), config),
                                   scores[index.enum_rows], config.prune_ratio)
     rows = index.enum_rows[candidates.indices]
 

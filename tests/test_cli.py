@@ -70,6 +70,22 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("held, problem", [
+        ("-2", "error: --test-docs must be >= 0, not -2"),
+        ("99", "error: --test-docs must be below n_documents (10), not 99"),
+        ("10", "error: --test-docs must be below n_documents (10), not 10"),
+    ], ids=["negative", "more-than-all", "all"])
+    def test_a_test_docs_count_out_of_range_fails_before_writing(
+            self, workspace, tmp_path, capsys, held, problem):
+        """A negative count would hold out nothing without a word, and one
+        that leaves no training document is refused before `--out` is
+        made."""
+        code = cli.main(["--quiet", "synth", str(workspace / "spec.json"),
+                         "--out", str(tmp_path / "out"), "--test-docs", held])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [problem]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spec, setting", [
         ([1], "must be a mapping, not [1]"),
         ({"bogus": 1}, "'bogus'"),

@@ -78,9 +78,11 @@ class TestUnionFind:
 
 
 def picks(window):
-    """`select_antecedents` on a one-row grid."""
-    return select_antecedents(
-        np.array(window, dtype=np.float64).reshape(1, -1)).tolist()
+    """`select_antecedents` on a one-row grid, the dummy's 0.0 appended;
+    its column reads as -1."""
+    grid = np.append(np.array(window, dtype=np.float64), 0.0).reshape(1, -1)
+    column = select_antecedents(grid)
+    return np.where(column == grid.shape[1] - 1, -1, column).tolist()
 
 
 class TestSelectAntecedent:
@@ -104,11 +106,13 @@ class TestSelectAntecedent:
     def test_padded_rows_follow_the_scalar_rule(self):
         windows = [[], [0.0, 0.0], [0.1, 5.0, 0.2], [-3.0, -0.5],
                    [2.0, 1.0, 2.0], [3.0], [0.5, 0.5, 0.5, 0.5]]
-        grid = np.full((len(windows), 4), -np.inf)
+        grid = np.full((len(windows), 5), -np.inf)
+        grid[:, -1] = 0.0
         for k, w in enumerate(windows):
             grid[k, :len(w)] = w
         want = [select_antecedent(np.array(w)) for w in windows]
-        assert select_antecedents(grid).tolist() == \
+        got = select_antecedents(grid)
+        assert np.where(got == 4, -1, got).tolist() == \
             [-1 if p is None else p for p in want]
 
 
@@ -395,9 +399,31 @@ class TestSharedEnumeratedLayout:
         docs, config, _, _, _ = tiny_setup()
         for doc in docs:
             index = L.document_index(doc, config, True, None)
-            assert index.enumerated is m.enumerated_layout(len(doc), config)
-            if len(index.keys) == len(index.enumerated):
-                assert index.layout is index.enumerated
+            enumerated = m.enumerated_layout(len(doc), config)
+            for table, enum in ((index.layout.starts, enumerated.starts),
+                                (index.layout.ends, enumerated.ends)):
+                assert table[index.enum_rows].tolist() == enum.tolist()
+            if len(index.keys) == len(index.enum_rows):
+                assert index.layout is enumerated
+
+    def test_training_and_prediction_prune_the_same_candidates(self):
+        """With CL alone the objective's span table is the enumerated
+        layout, so the objective and the decode run one forward over the
+        same rows and keep the same candidates."""
+        docs, config, store, weights, objective = tiny_setup(
+            beta=(1.0, 0.0, 0.0))
+        enc, scoring, scaffold = store.groups
+        for doc in docs:
+            enumerated = m.enumerated_layout(len(doc), config)
+            assert L.document_index(doc, config, False, None).layout \
+                is enumerated
+            kept = L.document_objective(doc, enc, scoring, scaffold, weights,
+                                        config, objective).candidates
+            got = predict_antecedents(doc, store, config)
+            assert kept.layout is enumerated and len(kept) > 1
+            assert enumerated.starts[kept.indices].tolist() \
+                == got.starts.tolist()
+            assert enumerated.ends[kept.indices].tolist() == got.ends.tolist()
 
 
 class TestPredictIntegration:

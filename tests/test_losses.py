@@ -266,7 +266,7 @@ class TestScaffoldLoss:
 def zero_candidates(doc, spans):
     layout = m.span_layout(np.array([s.start for s in spans]),
                            np.array([s.end for s in spans]), m.ModelConfig())
-    return m.CandidateSet(layout, np.arange(len(spans)), np.zeros(len(spans)))
+    return m.CandidateSet(layout, np.arange(len(spans)))
 
 
 class TestCorefLoss:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,7 +214,7 @@ class TestSpanLayout:
 
     def test_candidate_spans_build_only_the_kept_rows(self):
         layout = layout_of([SpanRef(0, 0), SpanRef(0, 1), SpanRef(1, 1)])
-        kept = CandidateSet(layout, np.array([0, 2]), np.zeros(2))
+        kept = CandidateSet(layout, np.array([0, 2]))
         assert kept.spans == [SpanRef(0, 0), SpanRef(1, 1)]
         assert not hasattr(layout, "spans")
 
@@ -419,6 +422,52 @@ class TestModelConfigValidation:
 
 def test_candidate_set_len():
     cs = CandidateSet(layout_of([SpanRef(0, 0), SpanRef(1, 2)]),
-                      np.array([1]), np.array([1.0]))
+                      np.array([1]))
     assert len(cs) == 1
     assert cs.spans == [SpanRef(1, 2)]
+
+
+# Each stage of the forward -> the src/kcoref functions that may call it.
+FORWARD_CALLERS = {
+    "mention_scores": {("model.py", "document_forward")},
+    "prune_mentions": {("model.py", "document_forward")},
+    "encode_tokens": {("model.py", "document_forward"),
+                      ("toolkit.py", "span_internals")},
+    "build_span_representations": {("model.py", "document_forward"),
+                                   ("toolkit.py", "span_internals")},
+}
+
+
+def stage_calls(node: ast.AST, scope: tuple[str, ...] = ()):
+    """(line, enclosing class and function names, stage) of each call to
+    a forward stage, by bare name or attribute, in `node`'s tree."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name in FORWARD_CALLERS:
+                yield child.lineno, scope, name
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            yield from stage_calls(child, (*scope, child.name))
+        else:
+            yield from stage_calls(child, scope)
+
+
+def test_only_the_document_forward_runs_the_forward_stages():
+    """Training and prediction share `model.document_forward`: no other
+    function in src/kcoref scores or prunes mentions, and only
+    `toolkit.span_internals` encodes and represents spans without it, so
+    a second copy of the forward cannot come back unnoticed."""
+    src = Path(m.__file__).parent
+    calls = [(path.name, line, scope, stage)
+             for path in sorted(src.glob("*.py"))
+             for line, scope, stage in stage_calls(ast.parse(
+                 path.read_text(encoding="utf-8")))]
+    outside = [f"{name}:{line} calls {stage} in {'.'.join(scope) or '<module>'}"
+               for name, line, scope, stage in calls
+               if (name, ".".join(scope)) not in FORWARD_CALLERS[stage]]
+    assert not outside, outside
+    assert {stage for name, _, scope, stage in calls
+            if scope == ("document_forward",)} == set(FORWARD_CALLERS)
