@@ -174,7 +174,9 @@ def cmd_project(args) -> int:
     records, explained = tk.project_offsets(records)
     out = _out_dir(args)
     tk.write_projection_table(records, out / "projection.csv")
+    within, across = tk.offset_cosine_statistics(records)
     meta = {"explained_variance": [float(v) for v in explained],
+            "offset_cosine": {"within": within, "across": across},
             "records": len(records)}
     (out / "projection_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -73,6 +73,11 @@ class RunConfig:
             if phase.corpus not in self.corpora:
                 raise ConfigError(f"phases[{i}]: corpus {phase.corpus!r} is "
                                   f"not declared under 'corpora'")
+            if (phase.role != "source" and phase.weights.beta[2] > 0
+                    and self.objective.scaffold_lexicon is None):
+                raise ConfigError(f"phases[{i}]: weights.beta[2] is "
+                                  f"{phase.weights.beta[2]!r}, but "
+                                  f"objective.scaffold_lexicon is not set")
 
     def schedule(self) -> TrainingSchedule:
         return TrainingSchedule(list(self.phases))
@@ -172,9 +177,10 @@ class RunData:
 def load_run_data(config: RunConfig) -> RunData:
     """Load corpora and lexicons; apply annotate-enabled lexicons everywhere.
 
-    Every `alpha_k` key must name a loaded lexicon or one that annotates
-    some corpus, the lexicons `scaffold_classes` can draw on; a misspelled
-    id would otherwise set d_k = 1 for every pair.
+    Every lexicon id the config names (`alpha_k` keys, the scaffold and
+    projection lexicons) must be a loaded lexicon or annotate some corpus.
+    A misspelled one would set d_k = 1 for every pair, or leave every
+    concept slice and projection record unlabeled.
     """
     corpora: dict[str, list[Document]] = {}
     for name, corpus_path in config.corpora.items():
@@ -201,12 +207,16 @@ def load_run_data(config: RunConfig) -> RunData:
     known = set(lexicons).union(*(doc.concept_annotations
                                   for docs in corpora.values()
                                   for doc in docs))
-    for i, phase in enumerate(config.phases):
-        for lexicon_id in phase.weights.alpha_k:
-            if lexicon_id not in known:
-                raise ConfigError(f"phases[{i}]: alpha_k names {lexicon_id!r}, "
-                                  f"which no loaded lexicon or corpus "
-                                  f"annotation provides")
+    named = [(f"phases[{i}]: alpha_k", lexicon_id)
+             for i, phase in enumerate(config.phases)
+             for lexicon_id in phase.weights.alpha_k]
+    named += [("objective: scaffold_lexicon",
+               config.objective.scaffold_lexicon),
+              ("projection: lexicon", config.projection.lexicon)]
+    for name, lexicon_id in named:
+        if lexicon_id is not None and lexicon_id not in known:
+            raise ConfigError(f"{name} names {lexicon_id!r}, which no loaded "
+                              f"lexicon or corpus annotation provides")
 
     vocab = None
     if config.subword_vocab is not None:

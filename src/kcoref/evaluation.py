@@ -143,9 +143,9 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
     columns = select_antecedents(pairs.slots(pair_scores))
-    chosen = pairs.grid[np.arange(len(columns)), columns]  # P: padding, P + 1: dummy
+    antecedents = pairs.slots(pairs.antecedent, -1, -1)
     return Antecedents(layout.starts[rows], layout.ends[rows],
-                       np.append(pairs.antecedent, [-1, -1])[chosen])
+                       antecedents[np.arange(len(columns)), columns])
 
 
 def row_hashes(x: np.ndarray) -> np.ndarray:

@@ -426,14 +426,12 @@ def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
     pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
     cluster = index.cluster[rows]
     mention, antecedent = cluster[pairs.mention], cluster[pairs.antecedent]
-    gold = np.append((mention >= 0) & (mention == antecedent),
-                     [False, False])[pairs.grid]
-    has_gold = gold.any(axis=1)
-    misses = int(np.count_nonzero(index.anaphoric[rows] & ~has_gold))
+    numer = pairs.slots((mention >= 0) & (mention == antecedent), False,
+                        False)
+    numer[:, -1] = ~numer.any(axis=1)  # the dummy, without a gold antecedent
+    misses = int(np.count_nonzero(index.anaphoric[rows] & numer[:, -1]))
     if len(pairs.mention) == 0:
         return 0.0, None, misses
-    numer = gold.copy()
-    numer[:, -1] = ~has_gold
     return (*antecedent_nll(reps, scores, rows, pairs, numer,
                             scoring.antecedent), misses)
 

@@ -398,9 +398,9 @@ class AntecedentPairs:
     it. `mention` and `antecedent` list the P pairs flat, candidate by
     candidate and each window in order. `grid` lays them out as one row per
     candidate with a column per window slot plus a last dummy column; its
-    entries index the flat pair scores extended by two slots, P for a
-    padding slot and P + 1 for the dummy; `inside` marks the window slots
-    that hold a pair. `slots` fills the grid with scores.
+    entries index the flat pairs extended by two slots, P for a padding
+    slot and P + 1 for the dummy; `inside` marks the window slots that hold
+    a pair. `slots` fills the grid with any per-pair values.
     """
 
     mention: np.ndarray
@@ -425,10 +425,12 @@ class AntecedentPairs:
             array.flags.writeable = False
         return scatter
 
-    def slots(self, pair_scores: np.ndarray) -> np.ndarray:
-        """The grid of the flat `pair_scores`, with -inf on padding and
-        the dummy's 0.0 in the last column."""
-        return np.concatenate([pair_scores, [-np.inf, 0.0]])[self.grid]
+    def slots(self, values: np.ndarray, padding=-np.inf,
+              dummy=0.0) -> np.ndarray:
+        """The grid of the flat per-pair `values`: `padding` in the slots
+        without a pair and `dummy` in the last column (by default -inf and
+        the dummy's score 0.0, the antecedent softmax's logits)."""
+        return np.concatenate([values, [padding, dummy]])[self.grid]
 
 
 @functools.lru_cache(maxsize=64)

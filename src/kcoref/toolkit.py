@@ -11,6 +11,7 @@ confound the knowledge losses are meant to fix.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -47,13 +48,8 @@ def span_id(doc: Document, span: SpanRef) -> str:
 
 def gold_links(doc: Document) -> list[tuple[SpanRef, SpanRef]]:
     """(mention, nearest preceding gold antecedent) pairs, document order."""
-    links = []
-    for cluster in doc.gold_clusters:
-        spans = sorted(cluster)
-        for i in range(1, len(spans)):
-            links.append((spans[i], spans[i - 1]))
-    links.sort()
-    return links
+    chains = [sorted(cluster) for cluster in doc.gold_clusters]
+    return sorted(link for spans in chains for link in zip(spans[1:], spans))
 
 
 def span_internals(doc: Document, spans: Sequence[SpanRef],
@@ -80,44 +76,39 @@ def mention_antecedent_offsets(docs: Sequence[Document],
     """Sample gold mention-antecedent pairs and their internal-vector offsets.
 
     The offset points from the mention to its antecedent. When fewer than
-    `sample` gold links exist, all of them are used.
+    `sample` gold links exist, all of them are used. A record's concept is
+    its chain's single `lexicon_id` label, else "none".
     """
-    pool: list[tuple[int, SpanRef, SpanRef]] = []
-    for d, doc in enumerate(docs):
-        for mention, antecedent in gold_links(doc):
-            pool.append((d, mention, antecedent))
+    pool = [(d, link) for d, doc in enumerate(docs)
+            for link in gold_links(doc)]
     if len(pool) < sample:
         log.warning("only %d gold mention-antecedent pairs available "
                     "(requested %d)", len(pool), sample)
-        chosen = list(range(len(pool)))
+        chosen = range(len(pool))
     else:
         rng = np.random.default_rng(seed)
         chosen = sorted(rng.choice(len(pool), size=sample, replace=False))
 
-    # Keyed by position: document ids need not be unique here.
-    by_doc: dict[int, list[SpanRef]] = {}
-    for idx in chosen:
-        d, mention, antecedent = pool[idx]
-        by_doc.setdefault(d, []).extend((mention, antecedent))
-
     out: list[ProjectionRecord] = []
-    internals_cache: dict[int, dict[SpanRef, np.ndarray]] = {}
-    for idx in chosen:
-        d, mention, antecedent = pool[idx]
+    # Keyed by position: document ids need not be unique here. The chosen
+    # indices ascend, so each document's links are consecutive.
+    for d, group in itertools.groupby((pool[i] for i in chosen),
+                                      key=lambda entry: entry[0]):
         doc = docs[d]
-        if d not in internals_cache:
-            internals_cache[d] = span_internals(doc, by_doc[d], store, config)
-        vectors = internals_cache[d]
-        offset = vectors[antecedent] - vectors[mention]
-        concept = "none"
-        if lexicon_id is not None:
-            chain = next(c for c in doc.gold_clusters if mention in c)
-            found = chain_concepts(
-                chain, doc.concept_annotations.get(lexicon_id, {}))
-            if len(found) == 1:
-                concept = found.pop()
-        out.append(ProjectionRecord(concept, span_id(doc, mention),
-                                    span_id(doc, antecedent), offset))
+        links = [link for _, link in group]
+        spans = [span for link in links for span in link]
+        vectors = span_internals(doc, spans, store, config)
+        labels = doc.concept_annotations.get(lexicon_id, {})
+        concept_of = {}
+        for chain in doc.gold_clusters:
+            found = chain_concepts(chain, labels)
+            concept_of.update(dict.fromkeys(
+                chain, found.pop() if len(found) == 1 else "none"))
+        for mention, antecedent in links:
+            out.append(ProjectionRecord(
+                concept_of[mention], span_id(doc, mention),
+                span_id(doc, antecedent),
+                vectors[antecedent] - vectors[mention]))
     return out
 
 
@@ -181,21 +172,22 @@ def write_projection_table(records: Sequence[ProjectionRecord], path) -> None:
 
 def offset_cosine_statistics(records: Sequence[ProjectionRecord]
                              ) -> tuple[float, float]:
-    """(within-concept, across-concept) mean pairwise cosine similarity."""
-    within, across = [], []
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            u, v = records[i].offset, records[j].offset
-            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-            if nu == 0 or nv == 0:
-                continue
-            sim = float(np.dot(u, v) / (nu * nv))
-            if records[i].concept == records[j].concept:
-                within.append(sim)
-            else:
-                across.append(sim)
-    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-    return mean(within), mean(across)
+    """(within-concept, across-concept) mean cosine similarity over the
+    pairs of records; a zero offset takes part in no pair, and a side with
+    no pair reads 0.0."""
+    if len(records) < 2:
+        return 0.0, 0.0
+    offsets = np.stack([r.offset for r in records])
+    norms = np.linalg.norm(offsets, axis=1)
+    first, second = np.triu_indices(len(records), 1)
+    live = (norms[first] != 0) & (norms[second] != 0)
+    first, second = first[live], second[live]
+    cosines = (np.einsum("pd,pd->p", offsets[first], offsets[second])
+               / (norms[first] * norms[second]))
+    concepts = np.array([r.concept for r in records])
+    same = concepts[first] == concepts[second]
+    return tuple(float(side.mean()) if len(side) else 0.0
+                 for side in (cosines[same], cosines[~same]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +391,10 @@ def generate_synthetic_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
 def confound_share(corpus: SyntheticCorpus) -> float:
     """Fraction of cross-concept OOV entity pairs sharing a suffix piece."""
     oov = [e for e in corpus.entities if len(e.pieces) > 1]
-    shared = total = 0
-    for i in range(len(oov)):
-        for j in range(i + 1, len(oov)):
-            if oov[i].concept == oov[j].concept:
-                continue
-            total += 1
-            if oov[i].pieces[-1] == oov[j].pieces[-1]:
-                shared += 1
+    first, second = np.triu_indices(len(oov), 1)
+    concepts = np.array([e.concept for e in oov])
+    suffixes = np.array([e.pieces[-1] for e in oov])
+    cross = concepts[first] != concepts[second]
+    total = np.count_nonzero(cross)
+    shared = np.count_nonzero(cross & (suffixes[first] == suffixes[second]))
     return shared / total if total else 0.0

@@ -502,60 +502,54 @@ def run_schedule(schedule: TrainingSchedule,
                  ) -> tuple[ParameterStore, list[EpochRecord]]:
     """Run every phase in order, logging per-epoch loss components.
 
-    Divergence (NaN loss) aborts with a TrainingDiverged carrying the last
-    finite epoch's parameters; they are also written to `checkpoint_dir`
-    when one is given.
+    A step sums the gradients of the next `objective.grad_accumulation`
+    documents in one `compute_gradients` call; document `doc_no` seeds its
+    RL pair sampling with `[pair_seed, phase, epoch, doc_no]`. Divergence
+    (NaN loss) aborts with a TrainingDiverged naming the step's documents
+    and carrying the last finite epoch's parameters, also written to
+    `checkpoint_dir` when one is given.
     """
     records: list[EpochRecord] = []
     last_good = store.copy()
     state = AdamState()
+    size = objective.grad_accumulation
     for phase_no, phase in enumerate(schedule.phases, start=1):
         if phase.corpus not in corpora:
             raise TrainingError(f"phase {phase_no}: unknown corpus "
                                 f"{phase.corpus!r}")
-        docs = list(corpora[phase.corpus])
+        docs = list(enumerate(corpora[phase.corpus]))
         weights = effective_weights(phase, objective)
         rates = LearningRates(phase.base_lr, phase.task_lr)
         for epoch in range(1, phase.epochs + 1):
-            sums = {"cl": 0.0, "rl": 0.0, "sl": 0.0, "total": 0.0}
-            misses = 0
-            pending: np.ndarray | None = None
-            pending_count = 0
-            for doc_no, doc in enumerate(docs):
-                # Seeds RL pair sampling; a generator is built from it only
-                # when a pair set is over budget.
-                seed = [objective.pair_seed, phase_no, epoch, doc_no]
+            sums = {"cl": 0.0, "rl": 0.0, "sl": 0.0, "total": 0.0,
+                    "pruning_misses": 0}
+            for first in range(0, len(docs), size):
+                step = docs[first:first + size]
 
-                def build(enc, scoring, scaffold, doc=doc, seed=seed):
+                def build(enc, scoring, scaffold):
                     return [L.document_objective(
                         doc, enc, scoring, scaffold, weights, config,
-                        objective, seed)]
+                        objective, [objective.pair_seed, phase_no, epoch,
+                                    doc_no])
+                        for doc_no, doc in step]
 
                 try:
-                    grads, (losses,) = compute_gradients(store, build)
+                    grads, step_losses = compute_gradients(store, build)
                 except (TrainingError, L.LossError) as exc:
                     if checkpoint_dir is not None:
                         path = Path(checkpoint_dir) / "last_good.ckpt"
                         path.parent.mkdir(parents=True, exist_ok=True)
                         last_good.save(path)
+                    names = ", ".join(doc.doc_id for _, doc in step)
                     raise TrainingDiverged(
-                        f"phase {phase_no} epoch {epoch} doc {doc.doc_id}: "
-                        f"{exc}", last_good, records) from exc
+                        f"phase {phase_no} epoch {epoch} doc {names}: {exc}",
+                        last_good, records) from exc
 
-                sums["cl"] += losses.cl
-                sums["rl"] += losses.rl
-                sums["sl"] += losses.sl
-                sums["total"] += losses.total
-                misses += losses.pruning_misses
-
-                pending = grads if pending is None else pending + grads
-                pending_count += 1
-                if (pending_count >= objective.grad_accumulation
-                        or doc_no == len(docs) - 1):
-                    optimizer_step(store, pending, rates, state)
-                    pending, pending_count = None, 0
-            records.append(EpochRecord(phase_no, epoch, sums["cl"], sums["rl"],
-                                       sums["sl"], sums["total"], misses))
+                for losses in step_losses:
+                    for key in sums:
+                        sums[key] += getattr(losses, key)
+                optimizer_step(store, grads, rates, state)
+            records.append(EpochRecord(phase_no, epoch, **sums))
             last_good = store.copy()
     return store, records
 

@@ -854,6 +854,44 @@ def cosine_distance(u, v) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Projection and corpus statistics, one pair at a time.
+
+
+def offset_cosine_statistics_reference(records) -> tuple[float, float]:
+    """(within-concept, across-concept) mean cosine over every pair of
+    records whose offsets are both nonzero; 0.0 for a side with no pair."""
+    within, across = [], []
+    for i in range(len(records)):
+        for j in range(i + 1, len(records)):
+            u, v = records[i].offset, records[j].offset
+            nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+            if nu == 0 or nv == 0:
+                continue
+            sim = float(np.dot(u, v) / (nu * nv))
+            if records[i].concept == records[j].concept:
+                within.append(sim)
+            else:
+                across.append(sim)
+    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+    return mean(within), mean(across)
+
+
+def confound_share_reference(entities) -> float:
+    """Among the pairs of multi-piece (OOV) entities of different concepts,
+    the fraction whose last pieces are equal; 0.0 without such a pair."""
+    oov = [e for e in entities if len(e.pieces) > 1]
+    shared = total = 0
+    for i in range(len(oov)):
+        for j in range(i + 1, len(oov)):
+            if oov[i].concept == oov[j].concept:
+                continue
+            total += 1
+            if oov[i].pieces[-1] == oov[j].pieces[-1]:
+                shared += 1
+    return shared / total if total else 0.0
+
+
+# ---------------------------------------------------------------------------
 # Retrofitting pair population, as spelled out before it was vectorized.
 
 

@@ -429,7 +429,7 @@ def test_criterion_8_tokenizer_buckets():
 # 9. Determinism
 
 
-def _run_cli_pipeline(root: Path) -> dict[str, str]:
+def _run_cli_pipeline(root: Path, epochs: int = 5) -> dict[str, str]:
     root.mkdir(parents=True, exist_ok=True)
     spec = {"n_documents": 10, "seed": 9, "chains_per_doc": [2, 3],
             "chain_length": [2, 3], "suffixes": ["ia"],
@@ -447,7 +447,7 @@ def _run_cli_pipeline(root: Path) -> dict[str, str]:
                   "prune_ratio": 0.3, "max_antecedents": 20},
         "objective": {"pair_budget": 200, "pair_seed": 11,
                       "scaffold_lexicon": "coarse"},
-        "phases": [{"corpus": "train", "epochs": 5, "role": "target",
+        "phases": [{"corpus": "train", "epochs": epochs, "role": "target",
                     "weights": {"alpha_c": 1.0,
                                 "alpha_k": {"coarse": 0.5, "fine": 0.2},
                                 "beta": [1.0, 0.5, 0.3]},
@@ -493,6 +493,20 @@ def test_criterion_9_determinism(tmp_path):
     report(9, "determinism", same_names and not mismatched,
            f"{len(first)} artifacts byte-identical across two separate "
            f"processes" + (f"; mismatches: {mismatched}" if mismatched else ""))
+
+
+def test_a_linking_pipeline_reruns_byte_identically(tmp_path):
+    """Criterion 9's pipeline trained for 40 epochs, so that `evaluate`
+    predicts links and the reruns also pin decoding and the non-empty
+    metric arithmetic."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first, second = pool.map(
+            lambda root: _run_cli_pipeline(root, epochs=40),
+            [tmp_path / "run1", tmp_path / "run2"], timeout=600)
+    assert first == second
+    report_json = json.loads((tmp_path / "run1" / "eval" / "report.json")
+                             .read_text(encoding="utf-8"))
+    assert report_json["overall"]["muc"]["precision"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kcoref import cli
 from kcoref import evaluation as ev
+from kcoref import toolkit as tk
 from kcoref import training as tr
 from kcoref.config import (ConfigError, load_config, load_run_data,
                            scaffold_classes)
@@ -232,6 +233,18 @@ class TestProject:
         meta = json.loads((workspace / "proj" / "projection_meta.json")
                           .read_text())
         assert len(meta["explained_variance"]) == 2
+        # The statistic of the records the table lists, as the library
+        # computes it from the same checkpoint and settings.
+        config = load_config(workspace / "config.json")
+        data = load_run_data(config)
+        records = tk.mention_antecedent_offsets(
+            data.corpora["eval"],
+            tr.ParameterStore.load(workspace / "run" / "checkpoint.ckpt"),
+            config.model, lexicon_id="coarse", sample=10, seed=4)
+        within, across = tk.offset_cosine_statistics(records)
+        assert meta["offset_cosine"] == {"within": within, "across": across}
+        assert sorted(meta) == ["explained_variance", "offset_cosine",
+                                "records"]
 
 
 class TestGradcheck:
@@ -558,6 +571,20 @@ class TestConfigModule:
          "phases[0]: weights must be a mapping, not [1, 0, 0]"),
         ({"phases": [{"corpus": "a", "epochs": 1, "base_lr": "fast"}]},
          "phases[0]: base_lr must be a number, not 'fast'"),
+        ({"phases": [{"corpus": "a", "epochs": 1,
+                      "weights": {"beta": [1.0, 1.0, 0.5]}}]},
+         "phases[0]: weights.beta[2] is 0.5, but objective.scaffold_lexicon "
+         "is not set"),
+        ({"phases": [{"corpus": "a", "epochs": 1},
+                     {"corpus": "a", "epochs": 1,
+                      "weights": {"beta": [1.0, 0.0, 0.3]}}]},
+         "phases[1]: weights.beta[2] is 0.3, but objective.scaffold_lexicon "
+         "is not set"),
+        ({"objective": {"scaffold_lexicon": None},
+          "phases": [{"corpus": "a", "epochs": 1, "role": "target",
+                      "weights": {"beta": [0.0, 0.0, 1]}}]},
+         "phases[0]: weights.beta[2] is 1, but objective.scaffold_lexicon "
+         "is not set"),
     ])
     def test_malformed_field_named_with_its_path(self, tmp_path, capsys,
                                                 fields, message):
@@ -674,6 +701,41 @@ class TestConfigModule:
             load_run_data(config)
         assert cli.main(["--quiet", "train", str(path),
                          "--out", str(tmp_path)]) == 1
+
+    def test_a_source_phase_may_weigh_the_scaffold_without_a_lexicon(
+            self, tmp_path):
+        # `effective_weights` trains a source phase without the scaffold.
+        cfg = {"corpora": {"a": "x.jsonl"},
+               "phases": [{"corpus": "a", "epochs": 1,
+                           "weights": {"beta": [1.0, 0.0, 0.5]}},
+                          {"corpus": "a", "epochs": 1}]}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        config = load_config(tmp_path / "c.json")
+        assert [p.role for p in config.phases] == ["source", "target"]
+        assert config.phases[0].weights.beta[2] == 0.5
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["phases"][0]["weights"]["alpha_k"].update(fnie=0.2),
+         "phases[0]: alpha_k names 'fnie'"),
+        (lambda raw: raw["objective"].update(scaffold_lexicon="corse"),
+         "objective: scaffold_lexicon names 'corse'"),
+        (lambda raw: raw["projection"].update(lexicon="corse"),
+         "projection: lexicon names 'corse'"),
+    ], ids=["alpha_k", "scaffold_lexicon", "projection_lexicon"])
+    def test_an_unknown_lexicon_id_is_named_by_its_field(
+            self, workspace, tmp_path, capsys, edit, message):
+        message += ", which no loaded lexicon or corpus annotation provides"
+        path = _config_with(workspace, "unknown-lexicon.json", edit)
+        with pytest.raises(ConfigError) as err:
+            load_run_data(load_config(path))
+        assert str(err.value) == message
+        checkpoint = str(workspace / "run" / "checkpoint.ckpt")
+        for args in (["train", path], ["evaluate", path, checkpoint],
+                     ["project", path, checkpoint]):
+            assert cli.main(["--quiet", *args, "--out",
+                             str(tmp_path / args[0])]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / args[0]).exists()
 
     def test_annotate_adds_fine_labels(self, workspace):
         config = load_config(workspace / "config.json")

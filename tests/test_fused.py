@@ -159,8 +159,8 @@ def coref_case(k, extra_rows, d, hidden, max_antecedents, seed, scale=1.0):
     pairs = m.antecedent_pairs(k, max_antecedents)
     # The gold and dummy marks of losses._coref_loss_graph.
     mention, antecedent = cluster[pairs.mention], cluster[pairs.antecedent]
-    numer = np.append((mention >= 0) & (mention == antecedent),
-                      [False, False])[pairs.grid]
+    numer = pairs.slots((mention >= 0) & (mention == antecedent), False,
+                        False)
     numer[:, -1] = ~numer.any(axis=1)
     values = [rng.normal(size=(n_rows, d)) * scale, rng.normal(size=n_rows)]
     if hidden:

@@ -396,6 +396,28 @@ def test_antecedent_window_caps_lookback():
     assert list(antecedent_window(0, 50)) == []
 
 
+@given(st.integers(0, 9), st.integers(1, 6),
+       st.sampled_from([(-np.inf, 0.0), (-1, -1), (False, False)]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_slots_lay_per_pair_values_out_by_window(n, max_antecedents, extra):
+    """Row k of `AntecedentPairs.slots` holds candidate k's window in order,
+    then `padding` up to the widest window, then `dummy`, for any dtype."""
+    padding, dummy = extra
+    pairs = m.antecedent_pairs(n, max_antecedents)
+    windows = [list(antecedent_window(k, max_antecedents)) for k in range(n)]
+    # Each pair's value is its antecedent, cast to the padding's type.
+    values = np.array([type(padding)(j) for w in windows for j in w],
+                      dtype=np.asarray(padding).dtype)
+    width = max(map(len, windows), default=0)
+    want = [[type(padding)(j) for j in w] + [padding] * (width - len(w))
+            + [dummy] for w in windows]
+    got = pairs.slots(values, padding, dummy)
+    assert got.dtype == values.dtype and got.shape == (n, width + 1)
+    assert got.tolist() == want
+    if padding == -np.inf:
+        assert pairs.slots(values).tolist() == want
+
+
 class TestModelConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("d_token", 0), ("d_width", -1), ("scorer_hidden", -1),
@@ -438,21 +460,36 @@ FORWARD_CALLERS = {
 }
 
 
-def stage_calls(node: ast.AST, scope: tuple[str, ...] = ()):
-    """(line, enclosing class and function names, stage) of each call to
-    a forward stage, by bare name or attribute, in `node`'s tree."""
+def scoped_nodes(node: ast.AST, scope: tuple[str, ...] = ()):
+    """Each node of `node`'s tree with the names of the classes and
+    functions that enclose it."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.attr if isinstance(func, ast.Attribute) \
-                else getattr(func, "id", None)
-            if name in FORWARD_CALLERS:
-                yield child.lineno, scope, name
+        yield child, scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                               ast.AsyncFunctionDef)):
-            yield from stage_calls(child, (*scope, child.name))
+            yield from scoped_nodes(child, (*scope, child.name))
         else:
-            yield from stage_calls(child, scope)
+            yield from scoped_nodes(child, scope)
+
+
+def src_nodes():
+    """(file name, node, enclosing names) of every node in src/kcoref."""
+    for path in sorted(Path(m.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, scope in scoped_nodes(tree):
+            yield path.name, node, scope
+
+
+def stage_calls():
+    """(file name, line, enclosing names, stage) of each call to a forward
+    stage in src/kcoref, by bare name or attribute."""
+    for name, node, scope in src_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            stage = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if stage in FORWARD_CALLERS:
+                yield name, node.lineno, scope, stage
 
 
 def test_only_the_document_forward_runs_the_forward_stages():
@@ -460,14 +497,21 @@ def test_only_the_document_forward_runs_the_forward_stages():
     function in src/kcoref scores or prunes mentions, and only
     `toolkit.span_internals` encodes and represents spans without it, so
     a second copy of the forward cannot come back unnoticed."""
-    src = Path(m.__file__).parent
-    calls = [(path.name, line, scope, stage)
-             for path in sorted(src.glob("*.py"))
-             for line, scope, stage in stage_calls(ast.parse(
-                 path.read_text(encoding="utf-8")))]
+    calls = list(stage_calls())
     outside = [f"{name}:{line} calls {stage} in {'.'.join(scope) or '<module>'}"
                for name, line, scope, stage in calls
                if (name, ".".join(scope)) not in FORWARD_CALLERS[stage]]
     assert not outside, outside
     assert {stage for name, _, scope, stage in calls
             if scope == ("document_forward",)} == set(FORWARD_CALLERS)
+
+
+def test_only_antecedent_pairs_reads_its_slot_grid():
+    """What grid entries P (padding) and P + 1 (the dummy) mean is known to
+    `AntecedentPairs` alone: every other function in src/kcoref lays
+    per-pair values out through `AntecedentPairs.slots`."""
+    outside = [f"{name}:{node.lineno} in {'.'.join(scope) or '<module>'}"
+               for name, node, scope in src_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "grid"
+               and (name, scope[:1]) != ("model.py", ("AntecedentPairs",))]
+    assert not outside, outside

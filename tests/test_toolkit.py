@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcoref import model as m
 from kcoref import toolkit as tk
@@ -13,7 +15,8 @@ from kcoref.toolkit import (ProjectionRecord, SyntheticSpec, confound_share,
                             offset_cosine_statistics, pca_2d, project_offsets,
                             span_id, write_projection_table)
 
-from oracles import eig2x2
+from oracles import (confound_share_reference, eig2x2,
+                     offset_cosine_statistics_reference)
 from test_corpus import make_doc
 from test_losses import tiny_setup
 
@@ -222,6 +225,31 @@ class TestProjectionOutput:
         assert within > 0.99
         assert across < 0.0
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_cosine_statistics_match_the_pairwise_reference(self, data):
+        n = data.draw(st.integers(0, 9))
+        dim = data.draw(st.integers(1, 4))
+        coords = st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)
+        records = [ProjectionRecord(
+            data.draw(st.sampled_from("abc")), "m", "a",
+            np.array(data.draw(st.lists(coords, min_size=dim,
+                                        max_size=dim))))
+            for _ in range(n)]
+        got = offset_cosine_statistics(records)
+        want = offset_cosine_statistics_reference(records)
+        assert all(type(v) is float for v in got)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_zero_offsets_and_empty_sides_read_zero(self):
+        zero = ProjectionRecord("a", "m", "a", np.zeros(3))
+        one = ProjectionRecord("a", "m", "a", np.ones(3))
+        assert offset_cosine_statistics([]) == (0.0, 0.0)
+        assert offset_cosine_statistics([one]) == (0.0, 0.0)
+        assert offset_cosine_statistics([zero, one, zero]) == (0.0, 0.0)
+        within, across = offset_cosine_statistics([one, one])
+        assert within == pytest.approx(1.0) and across == 0.0
+
 
 class TestSyntheticGenerator:
     def test_documents_hold_their_tokens_as_strings(self):
@@ -260,6 +288,17 @@ class TestSyntheticGenerator:
         spec = SyntheticSpec(n_documents=2, entities_per_concept=4,
                              suffixes=("ia",), seed=3)
         assert confound_share(generate_synthetic_corpus(spec)) == 1.0
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(entities=st.lists(st.builds(
+        tk.Entity, st.just("x"),
+        st.lists(st.sampled_from(["x", "##ia", "##oma", "##el"]),
+                 min_size=1, max_size=3).map(tuple),
+        st.sampled_from(["problem", "test", "treatment"]), st.just("C")),
+        max_size=12))
+    def test_confound_share_matches_the_pairwise_reference(self, entities):
+        corpus = tk.SyntheticCorpus([], None, None, None, entities)
+        assert confound_share(corpus) == confound_share_reference(entities)
 
     def test_documents_pass_invariants_and_chains_labeled(self):
         spec = SyntheticSpec(n_documents=8, seed=5)

@@ -616,6 +616,23 @@ class TestSchedule:
         restored = ParameterStore.load(tmp_path / "last_good.ckpt")
         assert np.isfinite(restored.tensors["encoder.embeddings"]).all()
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_a_diverging_accumulated_step_names_each_of_its_documents(
+            self, tmp_path):
+        docs, config, store, weights, objective = tiny_setup()
+        objective.grad_accumulation = 2
+        assert len(docs) == 2 and docs[0].doc_id != docs[1].doc_id
+        sched = TrainingSchedule([Phase("c", 3, weights, 1e200, 1e200)])
+        with pytest.raises(TrainingDiverged) as err:
+            run_schedule(sched, {"c": docs}, config, objective, store,
+                         checkpoint_dir=tmp_path)
+        names = re.escape(f"{docs[0].doc_id}, {docs[1].doc_id}")
+        assert re.match(rf"phase 1 epoch \d doc {names}: ", str(err.value))
+        restored = ParameterStore.load(tmp_path / "last_good.ckpt")
+        assert restored.buffer().tobytes() == \
+            err.value.last_good.buffer().tobytes()
+        assert np.isfinite(restored.buffer()).all()
+
     def test_bitwise_reproducible(self):
         results = []
         for _ in range(2):
