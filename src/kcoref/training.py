@@ -3,11 +3,15 @@
 Training runs one document at a time (optionally accumulating gradients
 over several documents) through the combined objective, with separate
 learning rates for the encoder and the task heads. A source-role phase
-forces the knowledge weights and the scaffold weight to zero.
+forces the knowledge weights and the scaffold weight to zero. Under glibc,
+the schedule keeps freed memory in the process heap, so a doc-step does not
+fault its arrays back in from the kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import logging
 import math
@@ -494,6 +498,33 @@ def effective_weights(phase: Phase,
     return L.LossWeights(phase.weights.alpha_c, alpha_k, (beta1, beta2, 0.0))
 
 
+# glibc's `mallopt` parameters, and the values the schedule sets. A doc-step
+# allocates and frees a few MiB of arrays. At glibc's defaults the heap's
+# free top is trimmed back to the kernel between doc-steps, and the next one
+# faults the pages in again: dozens of faults per short document, about a
+# thousand per 436-token one. The mmap threshold is glibc's 64-bit maximum,
+# so no array a doc-step makes is mmapped; the trim threshold keeps up to
+# 64 MiB of free heap. `M_TOP_PAD` is not the tool: setting it turns off
+# glibc's dynamic mmap threshold, and long documents then fault more.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD = 64 << 20
+MMAP_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def keep_heap() -> bool:
+    """Set the process's malloc thresholds once; False where the C library
+    has no `mallopt`, or rejects a value."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+
+
 def run_schedule(schedule: TrainingSchedule,
                  corpora: Mapping[str, Sequence[Document]],
                  config: ModelConfig, objective: L.ObjectiveConfig,
@@ -508,7 +539,14 @@ def run_schedule(schedule: TrainingSchedule,
     (NaN loss) aborts with a TrainingDiverged naming the step's documents
     and carrying the last finite epoch's parameters, also written to
     `checkpoint_dir` when one is given.
+
+    The first call in a process sets glibc's malloc thresholds
+    (`keep_heap`), so the memory a doc-step frees stays in the heap for the
+    next one. The setting is process-wide, holds for every later
+    allocation, and cannot be undone; it changes no computed number, and
+    where the C library has no `mallopt` training runs without it.
     """
+    keep_heap()
     records: list[EpochRecord] = []
     last_good = store.copy()
     state = AdamState()
@@ -601,7 +639,8 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
     """Compare reverse-mode gradients against central finite differences.
 
     Probes at least `coords_per_tensor` seeded coordinates per tensor (all of
-    them for small tensors).
+    them for small tensors). A non-finite analytic or numeric derivative
+    makes the tensor's error inf, so it fails.
     """
     grads = store.named(compute_gradients(store, build_loss)[0])
     rng = np.random.default_rng(seed)
@@ -626,8 +665,13 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
             flat[c] = original - epsilon
             lo = _loss_only(probe, build_loss)
             flat[c] = original
-            numeric = (hi - lo) / (2 * epsilon)
-            analytic = grads[name].reshape(-1)[c]
+            # in Python floats a non-finite difference is nan or inf without
+            # a warning; it fails the tensor outright
+            numeric = (float(hi) - float(lo)) / (2 * epsilon)
+            analytic = float(grads[name].reshape(-1)[c])
+            if not (math.isfinite(numeric) and math.isfinite(analytic)):
+                worst = math.inf
+                break
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric),
                                                 1e-8)
             worst = max(worst, err)

@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
+import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ TENSOR_NAMES = ("encoder.e", "encoder.mixer_w", "scorer.mention.b2",
 CONFIG = ModelConfig(d_token=5, d_width=3, window_radius=1, scorer_hidden=4,
                      max_span_width=2, prune_ratio=0.5, max_antecedents=10)
 VOCAB = ("<unk>", "a", "b", "c")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestInit:
@@ -800,6 +806,96 @@ class TestSchedule:
                                         "1.75", "2"]
 
 
+# Two 2-epoch schedules on the benchmark's train_full setup (corpus seed 9,
+# fine lexicon annotated, the full objective), in a fresh interpreter whose
+# malloc thresholds no earlier test has moved; prints whether the heap was
+# kept, the doc-steps of the second schedule and the minor page faults
+# they made.
+FAULT_PROBE = """
+import json, resource
+from kcoref import training as tr
+from kcoref.lexicon import MatchPolicy, annotate_documents
+from kcoref.losses import LossWeights, ObjectiveConfig
+from kcoref.model import ModelConfig
+from kcoref.toolkit import SyntheticSpec, generate_synthetic_corpus
+
+corpus = generate_synthetic_corpus(SyntheticSpec(
+    n_documents=16, seed=9, chains_per_doc=(3, 4), chain_length=(2, 4),
+    suffixes=("ia",), entities_per_concept=6))
+docs = annotate_documents(corpus.documents, corpus.fine_lexicon,
+                          MatchPolicy(mode="exact"))
+config = ModelConfig(d_token=24, d_width=4, window_radius=1, scorer_hidden=16,
+                     max_span_width=3, prune_ratio=0.3, max_antecedents=30)
+objective = ObjectiveConfig(pair_budget=600, pair_seed=5,
+                            scaffold_lexicon="coarse")
+weights = LossWeights(alpha_c=1.0, alpha_k={"coarse": 0.5, "fine": 0.2},
+                      beta=(1.0, 1.0, 0.5))
+store = tr.init_parameters(config, tr.build_vocab(docs),
+                           tuple(sorted(corpus.coarse_lexicon.concepts)))
+schedule = tr.TrainingSchedule([tr.Phase("train", 2, weights, 3e-3, 6e-3)])
+tr.run_schedule(schedule, {"train": docs}, config, objective, store.copy())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+tr.run_schedule(schedule, {"train": docs}, config, objective, store.copy())
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"kept": tr.keep_heap(), "steps": 2 * len(docs),
+                  "faults": after - before}))
+"""
+
+
+def train_tiny() -> bytes:
+    docs, config, store, weights, objective = tiny_setup(seed=5)
+    sched = TrainingSchedule([Phase("c", 2, weights, 1e-2, 1e-2)])
+    return run_schedule(sched, {"c": docs}, config, objective,
+                        store)[0].buffer().tobytes()
+
+
+class TestHeapThresholds:
+    def test_a_warmed_doc_step_makes_almost_no_page_faults(self):
+        done = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout)
+        if not probe["kept"]:
+            pytest.skip("the C library has no mallopt")
+        # 34-52 per doc-step at glibc's default thresholds
+        assert probe["faults"] / probe["steps"] < 5
+
+    def test_the_thresholds_are_set_once_per_process(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        kept = train_tiny()
+        monkeypatch.setattr(tr.ctypes, "CDLL",
+                            lambda name: SimpleNamespace(mallopt=mallopt))
+        tr.keep_heap.cache_clear()
+        try:
+            assert [train_tiny(), train_tiny()] == [kept, kept]
+            assert calls == [(tr.M_MMAP_THRESHOLD, 32 << 20),
+                             (tr.M_TRIM_THRESHOLD, 64 << 20)]
+        finally:
+            tr.keep_heap.cache_clear()
+
+    @pytest.mark.parametrize("libc", ["missing", "without mallopt"])
+    def test_training_without_mallopt_is_unchanged(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "missing":
+                raise OSError("no C library")
+            return SimpleNamespace()
+
+        kept = train_tiny()
+        monkeypatch.setattr(tr.ctypes, "CDLL", cdll)
+        tr.keep_heap.cache_clear()
+        try:
+            assert train_tiny() == kept
+            assert tr.keep_heap() is False
+        finally:
+            tr.keep_heap.cache_clear()
+
+
 # A checkpoint of `init_parameters(CONFIG, VOCAB, ("x", "y"), seed=3)` as the
 # v1 writer saved it; `load` still reads v1 files.
 V1_CHECKPOINT = Path(__file__).parent / "data" / "v1.ckpt"
@@ -1234,6 +1330,27 @@ class TestGradientCheck:
 
         report = gradient_check(store, build, threshold=1e-4)
         assert not report.passed
+
+    def test_infinite_finite_differences_fail_their_tensor(self):
+        # the loss is +inf once any coordinate of w1 rises above its start,
+        # so every central difference on w1 is infinite
+        store = init_parameters(CONFIG, VOCAB, seed=6)
+        start = store.tensors["scorer.mention.w1"].copy()
+
+        @O.on_tape
+        def build(enc, scoring, scaffold):
+            w = scoring.mention.w1
+            wall = math.inf if (w.value > start).any() else 0.0
+            return (w * w).sum() + (enc.embeddings * enc.embeddings).sum() \
+                + wall
+
+        report = gradient_check(store, build, threshold=1e-4)
+        assert report.per_tensor["scorer.mention.w1"] == math.inf
+        assert report.per_tensor["encoder.embeddings"] < 1e-8
+        assert not report.passed
+        assert re.search(r"scorer\.mention\.w1 +max_rel_err=inf FAIL",
+                         report.summary())
+        assert report.summary().endswith("overall: FAIL")
 
     def test_summary_mentions_every_tensor(self):
         from test_losses import grad_check_loss
