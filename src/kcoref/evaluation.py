@@ -111,7 +111,12 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     with byte-identical representations share one row, and each distinct
     pair of rows is scored once, so pairs with identical features tie
     exactly and the nearest-antecedent rule decides between them.
+
+    The first call in a process keeps the heap (`training.keep_heap`): like
+    a doc-step, prediction allocates and frees a document's arrays, which at
+    glibc's default thresholds fault back in from the kernel every document.
     """
+    tr.keep_heap()
     if len(doc) == 0:
         none = np.zeros(0, dtype=np.intp)
         return Antecedents(none, none, none)

@@ -144,18 +144,24 @@ def build_pair_set(doc_id: str, index: DocumentIndex,
     The pool is in table order, which is span order. Pairs run in
     itertools.combinations order over it; over-budget sets are thinned by
     sampling without replacement from `np.random.default_rng(rng)`, built
-    only then (a Generator is used as it is).
+    only then (a Generator is used as it is). The sample is drawn as flat
+    pair numbers and decoded, so an over-budget pool's pairs are never
+    listed.
     """
     pooled = index.cluster >= 0
     pooled[candidate_rows] = True
     rows = np.flatnonzero(pooled)
-    # Every (i, j) with i < j, row by row: np.triu_indices(len(rows), 1).
-    order = np.arange(len(rows))
-    first, second = np.nonzero(np.less.outer(order, order))
-    if len(first) > budget:
+    n, order = len(rows), np.arange(len(rows))
+    if n * (n - 1) // 2 <= budget:
+        # Every (i, j) with i < j, row by row: np.triu_indices(n, 1).
+        first, second = np.nonzero(np.less.outer(order, order))
+    else:
         chosen = np.sort(np.random.default_rng(rng).choice(
-            len(first), size=budget, replace=False))
-        first, second = first[chosen], second[chosen]
+            n * (n - 1) // 2, size=budget, replace=False))
+        # In that order, row i's pairs start at number i*n - i*(i+1)/2.
+        starts = order * n - order * (order + 1) // 2
+        first = np.searchsorted(starts, chosen, side="right") - 1
+        second = chosen - starts[first] + first + 1
     return PairSet(doc_id, rows, first, second)
 
 
@@ -493,10 +499,13 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
         g_u, g_v = sums[:, :width], sums[:, width:-1]
         g_scores[rows] += sums[:, -1]
 
-        g_products = g_layer @ w1[2 * d:].T
+        # h_j and h_i per pair, gathered here so that no (2, P, D) copy
+        # lives from the forward to the backward.
+        partners = x[np.concatenate([antecedent, mention])].reshape(
+            2, n_pairs, d)
+        partners *= g_layer @ w1[2 * d:].T
         g_full[at] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
-                       + pairs.scatter @ (ffn.partners * g_products)
-                       .reshape(2 * n_pairs, d))
+                       + pairs.scatter @ partners.reshape(2 * n_pairs, d))
         g_w1 = grad.w1.reshape(3 * d, -1)
         np.matmul(x.T, g_u, out=g_w1[:d])
         np.matmul(x.T, g_v, out=g_w1[d:2 * d])

@@ -365,7 +365,6 @@ class PairScores:
     """The antecedent FFN over a batch of pairs, and what its backward reads."""
 
     scores: np.ndarray           # s_a(i, j) per pair
-    partners: np.ndarray         # (2, P, D): h_j per pair, then h_i
     products: np.ndarray         # h_i * h_j
     hidden: np.ndarray | None    # the tanh layer; None for a linear head
 
@@ -379,15 +378,13 @@ def antecedent_scores(x: np.ndarray, mention: np.ndarray,
     """
     d = x.shape[1]
     w1 = head.w1.reshape(3 * d, -1)
-    partners = x[np.concatenate([antecedent, mention])].reshape(2, -1, d)
-    products = partners[0] * partners[1]
+    products = x[antecedent] * x[mention]
     layer = ((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
              + products @ w1[2 * d:])
     if head.w2 is None:
-        return PairScores(layer[:, 0] + head.b2, partners, products, None)
+        return PairScores(layer[:, 0] + head.b2, products, None)
     hidden = np.tanh(layer + head.b1)
-    return PairScores(hidden @ head.w2 + head.b2, partners,
-                      products, hidden)
+    return PairScores(hidden @ head.w2 + head.b2, products, hidden)
 
 
 @dataclass(frozen=True)

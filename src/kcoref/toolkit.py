@@ -204,6 +204,9 @@ _FILLERS = (
 _QUALIFIERS = "acute chronic focal routine gross subtle".split()
 
 _STEM_LETTERS = "bcdfglmnprstvz"
+# An entity name's stem is three stem letters and its concept's vowel,
+# "aeiou"[c % 5] for concept c; no filler word has that shape.
+_STEMS_PER_VOWEL = len(_STEM_LETTERS) ** 3
 
 
 @dataclass(frozen=True)
@@ -257,6 +260,13 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be [low, high] with low <= "
                                  f"high, not {pair!r}")
             object.__setattr__(self, name, tuple(pair))
+        # Concepts c and c + 5 draw distinct stems from one vowel's pool.
+        sharing = -(-len(self.concepts) // 5)
+        if self.entities_per_concept * sharing > _STEMS_PER_VOWEL:
+            raise ValueError(f"entities_per_concept must be at most "
+                             f"{_STEMS_PER_VOWEL // sharing} for "
+                             f"{len(self.concepts)} concepts, not "
+                             f"{self.entities_per_concept}")
 
 
 @dataclass(frozen=True)

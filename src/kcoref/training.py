@@ -4,8 +4,8 @@ Training runs one document at a time (optionally accumulating gradients
 over several documents) through the combined objective, with separate
 learning rates for the encoder and the task heads. A source-role phase
 forces the knowledge weights and the scaffold weight to zero. Under glibc,
-the schedule keeps freed memory in the process heap, so a doc-step does not
-fault its arrays back in from the kernel.
+the schedule and prediction keep freed memory in the process heap, so a
+doc-step or a document does not fault its arrays back in from the kernel.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class ParameterStore:
     def __post_init__(self):
         for name in ("seed", "step"):
             check_field(TrainingError, name, getattr(self, name), "integer", 0)
-        if self.vocab and self.vocab[0] != UNK_TOKEN:
+        # Prediction maps unknown tokens to row 0: an empty vocab needs it.
+        if tuple(self.vocab[:1]) != (UNK_TOKEN,):
             raise TrainingError(f"vocab must start with {UNK_TOKEN!r}")
         for what, names in (("vocab tokens", self.vocab),
                             ("scaffold classes", self.scaffold_classes)):
@@ -301,31 +302,21 @@ def group_parameters(arrays: Mapping[str, np.ndarray], store: ParameterStore,
                      ) -> tuple[m.EncoderParams, m.ScoringParams,
                                 L.ScaffoldParams | None]:
     """Named arrays in the store's layout (its tensors, or a gradient) as
-    the encoder, scorer and scaffold parameter groups."""
-    enc = m.EncoderParams(
-        embeddings=arrays["encoder.embeddings"],
-        mixer_w=arrays["encoder.mixer_w"],
-        mixer_b=arrays["encoder.mixer_b"],
-        attention_w=arrays["encoder.attention_w"],
-        width_embeddings=arrays["encoder.width_embeddings"],
-        vocab=store.vocab_index)
+    the encoder, scorer and scaffold parameter groups. A group takes the
+    arrays named under its prefix, each as the field the rest of the name
+    spells: `encoder.mixer_w` is `EncoderParams.mixer_w`, and a linear
+    head's `w1` and `b2` leave `FeedForward`'s `b1` and `w2` unset."""
 
-    def head(prefix: str) -> m.FeedForward:
-        if f"{prefix}.w2" in arrays:
-            return m.FeedForward(w1=arrays[f"{prefix}.w1"],
-                                 b1=arrays[f"{prefix}.b1"],
-                                 w2=arrays[f"{prefix}.w2"],
-                                 b2=arrays[f"{prefix}.b2"])
-        return m.FeedForward(w1=arrays[f"{prefix}.w1"],
-                             b2=arrays[f"{prefix}.b2"])
+    def fields(prefix: str) -> dict[str, np.ndarray]:
+        return {name.removeprefix(prefix): array
+                for name, array in arrays.items() if name.startswith(prefix)}
 
-    scoring = m.ScoringParams(mention=head("scorer.mention"),
-                              antecedent=head("scorer.antecedent"))
-    scaffold = None
-    if "scaffold.weights" in arrays:
-        scaffold = L.ScaffoldParams(store.scaffold_classes,
-                                    arrays["scaffold.weights"])
-    return enc, scoring, scaffold
+    enc = m.EncoderParams(**fields("encoder."), vocab=store.vocab_index)
+    scoring = m.ScoringParams(m.FeedForward(**fields("scorer.mention.")),
+                              m.FeedForward(**fields("scorer.antecedent.")))
+    scaffold = fields("scaffold.")
+    return enc, scoring, (L.ScaffoldParams(store.scaffold_classes, **scaffold)
+                          if scaffold else None)
 
 
 # A loss builder returns the objectives whose totals sum to the loss: each
@@ -365,64 +356,47 @@ def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
     return total, objectives
 
 
-@dataclass
-class LearningRates:
-    """Base rate for encoder tensors, task rate for scorer/scaffold heads."""
-
-    base: float
-    task: float
-
-    def rate_for(self, name: str) -> float:
-        if name.startswith(TASK_PREFIXES):
-            return self.task
-        return self.base
+def learning_rates(store: ParameterStore, base: float,
+                   task: float) -> np.ndarray:
+    """The per-element learning rates of the store's buffer: `task` for the
+    scorer and scaffold tensors, `base` for the encoder's."""
+    return np.repeat(
+        [float(task if name.startswith(TASK_PREFIXES) else base)
+         for name, _ in store._layout],
+        [math.prod(shape) for _, shape in store._layout])
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for the adaptive-moment update.
-
-    `m`, `v` and the per-element learning rates `lr` are flat, in the buffer
-    order of `layout`; `lr` is rebuilt from `LearningRates.rate_for` only
-    when the learning rates change.
-    """
+    """First/second moment accumulators for the adaptive-moment update,
+    flat in the buffer order of `layout`, the layout they were sized for."""
 
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    lr: np.ndarray | None = None
     layout: Layout | None = None
-    rates: LearningRates | None = None
-
-    def bind(self, layout: Layout, rates: LearningRates) -> None:
-        """Size the moments for `layout` and build its rate vector."""
-        if layout != self.layout:
-            if self.t:
-                raise TrainingError("the parameters' tensors or shapes "
-                                    "changed after the first optimizer step")
-            size = sum(math.prod(shape) for _, shape in layout)
-            self.m, self.v = np.zeros(size), np.zeros(size)
-            self.layout, self.rates = layout, None
-        if rates != self.rates:
-            self.lr = np.repeat(
-                [float(rates.rate_for(name)) for name, _ in layout],
-                [math.prod(shape) for _, shape in layout])
-            self.rates = LearningRates(rates.base, rates.task)
 
 
-def optimizer_step(store: ParameterStore, grad: np.ndarray,
-                   rates: LearningRates, state: AdamState) -> ParameterStore:
-    """One adaptive-moment update of the store's buffer by `grad`, an array
-    laid out like it, in place; returns the store.
+def optimizer_step(store: ParameterStore, grad: np.ndarray, lr: np.ndarray,
+                   state: AdamState) -> ParameterStore:
+    """One adaptive-moment update of the store's buffer by `grad`, with the
+    per-element rates `lr` (`learning_rates`), both laid out like it, in
+    place; returns the store.
 
     Every element goes through the IEEE operations of the per-tensor update,
     in the same order, so the result is bit-identical to it.
     """
     params = store._buffer
-    if np.shape(grad) != params.shape:
-        raise TrainingError(f"gradient has shape {np.shape(grad)}, the "
-                            f"parameter buffer {params.shape}")
-    state.bind(store._layout, rates)
+    for what, array in (("gradient", grad), ("learning-rate vector", lr)):
+        if np.shape(array) != params.shape:
+            raise TrainingError(f"{what} has shape {np.shape(array)}, the "
+                                f"parameter buffer {params.shape}")
+    if store._layout != state.layout:
+        if state.t:
+            raise TrainingError("the parameters' tensors or shapes changed "
+                                "after the first optimizer step")
+        state.m, state.v = np.zeros(params.size), np.zeros(params.size)
+        state.layout = store._layout
     state.t += 1
     m, v = state.m, state.v
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -435,7 +409,7 @@ def optimizer_step(store: ParameterStore, grad: np.ndarray,
     denom = np.sqrt(np.divide(v, 1 - b2**state.t, out=square), out=square)
     denom += ADAM_EPSILON
     update = np.divide(m, 1 - b1**state.t, out=scaled)
-    update *= state.lr
+    update *= lr
     update /= denom
     params -= update
     store.step += 1
@@ -557,7 +531,7 @@ def run_schedule(schedule: TrainingSchedule,
                                 f"{phase.corpus!r}")
         docs = list(enumerate(corpora[phase.corpus]))
         weights = effective_weights(phase, objective)
-        rates = LearningRates(phase.base_lr, phase.task_lr)
+        lr = learning_rates(store, phase.base_lr, phase.task_lr)
         for epoch in range(1, phase.epochs + 1):
             sums = {"cl": 0.0, "rl": 0.0, "sl": 0.0, "total": 0.0,
                     "pruning_misses": 0}
@@ -586,7 +560,7 @@ def run_schedule(schedule: TrainingSchedule,
                 for losses in step_losses:
                     for key in sums:
                         sums[key] += getattr(losses, key)
-                optimizer_step(store, grads, rates, state)
+                optimizer_step(store, grads, lr, state)
             records.append(EpochRecord(phase_no, epoch, **sums))
             last_good = store.copy()
     return store, records

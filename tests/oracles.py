@@ -906,6 +906,19 @@ def pair_set_reference(doc, extra_spans, budget: int, rng) -> list:
     return pairs
 
 
+def pair_positions_reference(n: int, budget: int, rng) -> tuple:
+    """The pool positions (first, second) of every pair i < j < n, listed
+    row by row and thinned to `budget` by a sorted draw without replacement
+    from `np.random.default_rng(rng)`."""
+    order = np.arange(n)
+    first, second = np.nonzero(np.less.outer(order, order))
+    if len(first) > budget:
+        chosen = np.sort(np.random.default_rng(rng).choice(
+            len(first), size=budget, replace=False))
+        first, second = first[chosen], second[chosen]
+    return first, second
+
+
 # ---------------------------------------------------------------------------
 # Span representations and pair scores, one span or pair at a time, on the
 # reference tape.
@@ -1463,9 +1476,10 @@ class AdamMoments:
     v: dict = field(default_factory=dict)
 
 
-def optimizer_step_reference(tensors: dict, grads: dict, rates,
-                             state: AdamMoments) -> None:
-    """One adaptive-moment update of each named array, in place."""
+def optimizer_step_reference(tensors: dict, grads: dict, base: float,
+                             task: float, state: AdamMoments) -> None:
+    """One adaptive-moment update of each named array, in place: at rate
+    `task` for a scorer or scaffold tensor, `base` for any other."""
     state.t += 1
     for name, grad in grads.items():
         if name not in state.m:
@@ -1476,5 +1490,6 @@ def optimizer_step_reference(tensors: dict, grads: dict, rates,
             + (1 - state.beta2) * grad**2
         m_hat = state.m[name] / (1 - state.beta1**state.t)
         v_hat = state.v[name] / (1 - state.beta2**state.t)
-        tensors[name] -= rates.rate_for(name) * m_hat / (
+        rate = task if name.startswith(("scorer.", "scaffold.")) else base
+        tensors[name] -= rate * m_hat / (
             np.sqrt(v_hat) + state.epsilon)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from kcoref.config import (ConfigError, load_config, load_run_data,
 from kcoref.corpus import (CorpusError, load_corpus, load_subword_vocab,
                            save_corpus)
 from kcoref.lexicon import LexiconError, load_lexicon
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +110,27 @@ class TestSynth:
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {path}") and setting in line
+
+    @pytest.mark.parametrize("concepts, per_concept, most", [
+        (["problem"], 2745, 2744), ([f"c{i}" for i in range(6)], 1400, 1372)])
+    def test_a_spec_with_more_names_than_stems_fails_at_once(
+            self, tmp_path, concepts, per_concept, most):
+        """Concepts c and c + 5 share one pool of 14**3 = 2,744 name stems;
+        a spec that needs more of them is refused, where the generator
+        would draw forever."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"concepts": concepts,
+                                    "entities_per_concept": per_concept}))
+        done = subprocess.run(
+            [sys.executable, "-m", "kcoref.cli", "--quiet", "synth",
+             str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"error: {path}: entities_per_concept must "
+                               f"be at most {most} ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrain:
@@ -462,6 +488,25 @@ class TestErrors:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "scorer.mention.w2" in capsys.readouterr().err
+
+    def test_a_checkpoint_without_vocab_is_one_named_error(self, workspace,
+                                                          tmp_path, capsys):
+        """A checkpoint with no `<unk>` row would pass the config check and
+        fail in prediction, on the first token."""
+        store = tr.ParameterStore.load(workspace / "run" / "checkpoint.ckpt")
+        lines = store.checkpoint_text(1).splitlines()
+        n, d = store.tensors["encoder.embeddings"].shape
+        row = lines.index(f"tensor encoder.embeddings 2 {n} {d}")
+        lines[row:row + 2] = [f"tensor encoder.embeddings 2 0 {d}", ""]
+        start = lines.index(f"vocab {n}")
+        lines[start:start + 1 + n] = ["vocab 0"]
+        bad = tmp_path / "no-vocab.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["--quiet", "evaluate", str(workspace / "config.json"),
+                         str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {bad}: vocab must start with '<unk>'"
 
 
 class TestConfigModule:

@@ -1,6 +1,8 @@
 import gc
 import math
+import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from kcoref.corpus import SpanRef, span_keys, truncate_document
 from kcoref.losses import (LossError, LossWeights, ObjectiveConfig,
                            ScaffoldParams, build_pair_set, combined_loss,
                            document_objective)
+from kcoref.toolkit import SyntheticSpec, generate_synthetic_corpus
 
 import oracles as O
 from oracles import (Tensor, coref_distance, coref_loss, cosine_distance,
@@ -157,6 +160,33 @@ class TestPairSet:
         assert ps1.rows.tolist() == ps2.rows.tolist()
         assert ps1.first.tolist() == ps2.first.tolist()
         assert ps1.second.tolist() == ps2.second.tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(0, 120), budget=st.integers(0, 800),
+           seed=st.integers(0, 2**16))
+    def test_the_decoded_draw_equals_the_listed_pairs(self, n, budget, seed):
+        pool = SimpleNamespace(cluster=np.zeros(n, dtype=np.intp))
+        got = build_pair_set("d", pool, np.zeros(0, dtype=np.intp), budget,
+                             [seed, n])
+        first, second = O.pair_positions_reference(n, budget, [seed, n])
+        assert (got.first.dtype, got.second.dtype) == (first.dtype,
+                                                       second.dtype)
+        assert got.first.tolist() == first.tolist()
+        assert got.second.tolist() == second.tolist()
+
+    def test_an_over_budget_pool_is_not_listed(self):
+        """3,000 pooled rows make 4.5 million pairs: listing them takes
+        tens of MiB, drawing 600 of them a few KiB."""
+        pool = SimpleNamespace(cluster=np.zeros(3000, dtype=np.intp))
+        tracemalloc.start()
+        try:
+            got = build_pair_set("d", pool, np.zeros(0, dtype=np.intp), 600,
+                                 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.count == 600
+        assert peak < 1 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 def internals_for(doc_id, vectors):
@@ -457,8 +487,10 @@ class TestDocumentObjective:
             assert out.sl >= 0
 
 
-def grad_check_loss(beta, seed=0, loss_seed=5):
+def grad_check_loss(beta, seed=0, loss_seed=5, pair_budget=None):
     docs, config, store, weights, objective = tiny_setup(seed=seed, beta=beta)
+    if pair_budget is not None:
+        objective.pair_budget = pair_budget
     rng0 = np.random.default_rng(1)
     store.tensors["scaffold.weights"][...] = rng0.normal(size=(2, 5)) * 0.3
 
@@ -476,6 +508,17 @@ class TestLossGradients:
                                       (0.0, 0.0, 1.0), (1.0, 0.7, 0.4)])
     def test_each_component_passes_fd_check(self, beta):
         store, build, config = grad_check_loss(beta)
+        report = tr.gradient_check(store, build, coords_per_tensor=12,
+                                   seed=2)
+        assert report.passed, report.summary()
+
+    def test_rl_passes_fd_check_where_the_budget_binds(self):
+        """Every document's pair set is a sample of its pool."""
+        store, build, config = grad_check_loss((0.0, 1.0, 0.0),
+                                               pair_budget=4)
+        for out in build(*store.groups):
+            n = len(out.pair_set.rows)
+            assert n * (n - 1) // 2 > 4 and out.pair_set.count == 4
         report = tr.gradient_check(store, build, coords_per_tensor=12,
                                    seed=2)
         assert report.passed, report.summary()
@@ -677,3 +720,49 @@ class TestDocumentIndexLifetime:
         assert int(index.layout.ends.max()) == 3
         assert index.concepts["coarse"].max() == 0   # only "a" is left
         assert self.concept_gap(cut, S(0, 0), S(1, 1)) == 0.0
+
+
+def glued_document(n_documents: int):
+    """The first `n_documents` of the benchmark's confound corpus (seed 9)
+    as one document, their gold clusters shifted to its token positions."""
+    corpus = generate_synthetic_corpus(SyntheticSpec(
+        n_documents=n_documents, seed=9, chains_per_doc=(3, 4),
+        chain_length=(2, 4), suffixes=("ia",), entities_per_concept=6))
+    tokens, clusters = [], []
+    for doc in corpus.documents:
+        clusters += [[(s.start + len(tokens), s.end + len(tokens)) for s in c]
+                     for c in doc.gold_clusters]
+        tokens += doc.tokens
+    return make_doc(tokens, clusters, doc_id="glued")
+
+
+class TestLongDocuments:
+    def test_cl_holds_no_copy_of_the_pair_blocks(self):
+        """On a glued 1,105-token document, a CL doc-step peaks at about
+        6.4 pair blocks: (P, D) float64 arrays of its P pairs over D-wide
+        span rows. Holding both partner rows of every pair from the forward
+        to the backward took it to 8.5."""
+        doc = glued_document(20)
+        config = m.ModelConfig(d_token=24, d_width=4, window_radius=1,
+                               scorer_hidden=16, max_span_width=3,
+                               prune_ratio=0.3, max_antecedents=30)
+        store = tr.init_parameters(config, tr.build_vocab([doc]))
+        weights, objective = LossWeights(beta=(1.0, 0.0, 0.0)), \
+            ObjectiveConfig()
+
+        def build(enc, scoring, scaffold):
+            return [document_objective(doc, enc, scoring, scaffold, weights,
+                                       config, objective)]
+
+        tr.compute_gradients(store, build)  # builds the kept buffers
+        tracemalloc.start()
+        try:
+            _, (out,) = tr.compute_gradients(store, build)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = m.antecedent_pairs(len(out.candidates),
+                                   config.max_antecedents)
+        block = len(pairs.mention) * config.span_dim * 8
+        assert len(doc) == 1105 and len(pairs.mention) > 9000
+        assert peak < 7.5 * block, f"{peak / block:.2f} pair blocks"

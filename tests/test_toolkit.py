@@ -278,6 +278,20 @@ class TestSyntheticGenerator:
         b = generate_synthetic_corpus(SyntheticSpec(n_documents=4, seed=2))
         assert a.documents != b.documents
 
+    @pytest.mark.parametrize("n_concepts, most", [
+        (1, 2744), (5, 2744), (6, 1372), (11, 914)])
+    def test_names_per_concept_are_capped_by_the_shared_stem_pool(
+            self, n_concepts, most):
+        """Concepts c and c + 5 draw distinct stems, three of 14 letters
+        and one vowel, from one pool that no filler word takes from."""
+        assert not [word for word in tk._FILLERS if len(word) == 4
+                    and set(word[:3]) <= set(tk._STEM_LETTERS)
+                    and word[3] in "aeiou"]
+        concepts = tuple(f"c{i}" for i in range(n_concepts))
+        SyntheticSpec(concepts=concepts, entities_per_concept=most)
+        with pytest.raises(ValueError, match="entities_per_concept"):
+            SyntheticSpec(concepts=concepts, entities_per_concept=most + 1)
+
     def test_confound_share_matches_suffix_pool(self):
         spec = SyntheticSpec(n_documents=2, entities_per_concept=8,
                              suffixes=("ia", "oma"), oov_fraction=1.0, seed=3)

@@ -20,12 +20,12 @@ from kcoref import losses as L
 from kcoref import model as m
 from kcoref import training as tr
 from kcoref.model import ModelConfig
-from kcoref.training import (AdamState, LearningRates,
-                             ParameterStore, Phase, TrainingDiverged,
-                             TrainingError, TrainingSchedule, build_vocab,
+from kcoref.training import (AdamState, ParameterStore, Phase,
+                             TrainingDiverged, TrainingError,
+                             TrainingSchedule, build_vocab,
                              compute_gradients, effective_weights,
-                             gradient_check, init_parameters, optimizer_step,
-                             run_schedule, write_loss_log)
+                             gradient_check, init_parameters, learning_rates,
+                             optimizer_step, run_schedule, write_loss_log)
 
 from test_corpus import make_doc
 from test_losses import (INDEX_CONFIG, random_documents, tiny_corpus,
@@ -397,7 +397,7 @@ class TestOptimizerStep:
         store = init_parameters(CONFIG, VOCAB, seed=4)
         before = {k: v.copy() for k, v in store.tensors.items()}
         optimizer_step(store, np.zeros_like(store.buffer()),
-                       LearningRates(0.1, 0.1), AdamState())
+                       learning_rates(store, 0.1, 0.1), AdamState())
         for name in before:
             np.testing.assert_array_equal(store.tensors[name], before[name])
 
@@ -406,8 +406,8 @@ class TestOptimizerStep:
         # r * g / (|g| + eps) = r to within eps
         store = ParameterStore({"scorer.x": np.array([1.0])}, ("<unk>",))
         state = AdamState()
-        optimizer_step(store, np.array([1.0]), LearningRates(0.05, 0.05),
-                       state)
+        optimizer_step(store, np.array([1.0]),
+                       learning_rates(store, 0.05, 0.05), state)
         assert store.tensors["scorer.x"][0] == pytest.approx(1.0 - 0.05,
                                                              rel=1e-6)
 
@@ -416,24 +416,30 @@ class TestOptimizerStep:
                                 "scorer.s": np.array([0.0]),
                                 "scaffold.weights": np.array([0.0])},
                                ("<unk>",))
-        optimizer_step(store, np.ones(3), LearningRates(base=0.01, task=0.1),
-                       AdamState())
+        optimizer_step(store, np.ones(3),
+                       learning_rates(store, base=0.01, task=0.1), AdamState())
         assert store.tensors["encoder.e"][0] == pytest.approx(-0.01, rel=1e-5)
         assert store.tensors["scorer.s"][0] == pytest.approx(-0.1, rel=1e-5)
         assert store.tensors["scaffold.weights"][0] == pytest.approx(-0.1,
                                                                      rel=1e-5)
 
     def test_shape_mismatch_rejected(self):
-        """Only an array laid out like the buffer is a gradient; any other
-        is rejected before the step, `t` or a parameter changes."""
+        """Only an array laid out like the buffer is a gradient or a rate
+        vector, and a scalar rate does not broadcast; any other is rejected
+        before the step, `t` or a parameter changes."""
         store = init_parameters(CONFIG, VOCAB, seed=4)
         before = store.copy()
         size = store.buffer().size
+        grad, lr = np.ones(size), learning_rates(store, 0.1, 0.1)
         state = AdamState()
         for wrong in (np.ones(size - 1), np.ones(size + 1),
                       np.ones((1, size))):
-            with pytest.raises(TrainingError, match="shape"):
-                optimizer_step(store, wrong, LearningRates(0.1, 0.1), state)
+            with pytest.raises(TrainingError, match="gradient has shape"):
+                optimizer_step(store, wrong, lr, state)
+        for wrong in (0.1, np.float64(0.1), lr[:-1], lr[None], [0.1]):
+            with pytest.raises(TrainingError,
+                               match="learning-rate vector has shape"):
+                optimizer_step(store, grad, wrong, state)
         assert state.t == 0 and store.step == 0
         for name in store.tensors:
             assert np.array_equal(store.tensors[name], before.tensors[name])
@@ -453,8 +459,8 @@ class TestOptimizerStep:
             for wrong in ((flat, grads) if flat.size != store.buffer().size
                           else (grads,)):
                 with pytest.raises(TrainingError, match="shape"):
-                    optimizer_step(store, wrong, LearningRates(0.1, 0.1),
-                                   state)
+                    optimizer_step(store, wrong,
+                                   learning_rates(store, 0.1, 0.1), state)
         assert state.t == 0 and store.step == 0
         for name in store.tensors:
             assert np.array_equal(store.tensors[name], before.tensors[name])
@@ -478,15 +484,15 @@ class TestOptimizerStep:
         store = init_parameters(CONFIG, VOCAB, seed=3)
         state = AdamState()
         optimizer_step(store, np.ones_like(store.buffer()),
-                       LearningRates(0.1, 0.1), state)
+                       learning_rates(store, 0.1, 0.1), state)
         with pytest.raises(TypeError):
             store.tensors["scorer.extra"] = np.zeros(2)
         grown = ParameterStore({**store.tensors, "scorer.extra": np.zeros(2)},
                                store.vocab)
-        grads = np.ones_like(grown.buffer())
+        grads, lr = np.ones_like(grown.buffer()), learning_rates(grown, .1, .1)
         with pytest.raises(TrainingError, match="changed after the first"):
-            optimizer_step(grown, grads, LearningRates(0.1, 0.1), state)
-        optimizer_step(grown, grads, LearningRates(0.1, 0.1), AdamState())
+            optimizer_step(grown, grads, lr, state)
+        optimizer_step(grown, grads, lr, AdamState())
         np.testing.assert_allclose(grown.tensors["scorer.extra"], -0.1,
                                    rtol=1e-6)
 
@@ -501,7 +507,7 @@ class TestOptimizerStep:
         clone.tensors["encoder.embeddings"][0, 0] += 1.0
         assert np.array_equal(store.tensors["encoder.embeddings"], original)
         optimizer_step(store, np.ones_like(store.buffer()),
-                       LearningRates(0.1, 0.1), AdamState())
+                       learning_rates(store, 0.1, 0.1), AdamState())
         assert clone.step == 3
         assert clone.tensors["encoder.embeddings"][0, 0] == original[0, 0] + 1
 
@@ -526,12 +532,13 @@ class TestOptimizerStep:
                               max_size=len(TENSOR_NAMES), unique=True))
         shapes = [tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
                   for _ in names]
-        rates = LearningRates(draw(st.sampled_from([0.0, 1e-3, 0.3])),
-                              draw(st.sampled_from([1e-3, 0.05, 2.0])))
+        base = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+        task = draw(st.sampled_from([1e-3, 0.05, 2.0]))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         store = ParameterStore({n: rng.normal(size=s)
                                 for n, s in zip(names, shapes)}, ("<unk>",))
         reference = {n: v.copy() for n, v in store.tensors.items()}
+        lr = learning_rates(store, base, task)
         state, moments = AdamState(), O.AdamMoments()
         for accumulated in draw(st.lists(st.integers(1, 3), min_size=1,
                                          max_size=4)):
@@ -545,11 +552,12 @@ class TestOptimizerStep:
             pending = parts[0]
             for grads in parts[1:]:
                 pending = pending + grads
-            optimizer_step(store, pending, rates, state)
+            optimizer_step(store, pending, lr, state)
             summed = store.named(parts[0])
             for grads in map(store.named, parts[1:]):
                 summed = {n: summed[n] + grads[n] for n in names}
-            O.optimizer_step_reference(reference, summed, rates, moments)
+            O.optimizer_step_reference(reference, summed, base, task,
+                                       moments)
             for name in names:
                 assert store.tensors[name].shape == reference[name].shape
                 assert np.array_equal(store.tensors[name], reference[name])
@@ -557,7 +565,7 @@ class TestOptimizerStep:
 
     def test_step_counter_advances(self):
         store = ParameterStore({"scorer.x": np.zeros(1)}, ("<unk>",))
-        optimizer_step(store, np.zeros(1), LearningRates(0.1, 0.1),
+        optimizer_step(store, np.zeros(1), learning_rates(store, 0.1, 0.1),
                        AdamState())
         assert store.step == 1
 
@@ -663,9 +671,8 @@ class TestSchedule:
         docs, config, store, weights, objective = tiny_setup(seed=2)
         docs = [docs[0], docs[1], docs[0]]
         objective.grad_accumulation = 2
-        rates = LearningRates(1e-2, 3e-2)
-        sched = TrainingSchedule([Phase("c", 2, weights, rates.base,
-                                        rates.task)])
+        base, task = 1e-2, 3e-2
+        sched = TrainingSchedule([Phase("c", 2, weights, base, task)])
         trained, _ = run_schedule(sched, {"c": docs}, config, objective,
                                   store.copy())
         assert trained.step == 4
@@ -689,8 +696,8 @@ class TestSchedule:
                 pending = grads if pending is None else pending + grads
                 if doc_no % 2 == 1 or doc_no == len(docs) - 1:
                     O.optimizer_step_reference(reference,
-                                               current.named(pending), rates,
-                                               moments)
+                                               current.named(pending), base,
+                                               task, moments)
                     pending = None
         for name in reference:
             assert np.array_equal(trained.tensors[name], reference[name])
@@ -806,13 +813,14 @@ class TestSchedule:
                                         "1.75", "2"]
 
 
-# Two 2-epoch schedules on the benchmark's train_full setup (corpus seed 9,
-# fine lexicon annotated, the full objective), in a fresh interpreter whose
-# malloc thresholds no earlier test has moved; prints whether the heap was
-# kept, the doc-steps of the second schedule and the minor page faults
-# they made.
-FAULT_PROBE = """
+# The benchmark's train_full setup (corpus seed 9, fine lexicon annotated,
+# the full objective), for a fresh interpreter whose malloc thresholds no
+# earlier test has moved. Each probe below runs its work twice and prints
+# whether the heap was kept, the doc-steps or documents of the second run
+# and the minor page faults they made.
+PROBE_SETUP = """
 import json, resource
+from kcoref import evaluation as ev
 from kcoref import training as tr
 from kcoref.lexicon import MatchPolicy, annotate_documents
 from kcoref.losses import LossWeights, ObjectiveConfig
@@ -832,12 +840,29 @@ weights = LossWeights(alpha_c=1.0, alpha_k={"coarse": 0.5, "fine": 0.2},
                       beta=(1.0, 1.0, 0.5))
 store = tr.init_parameters(config, tr.build_vocab(docs),
                            tuple(sorted(corpus.coarse_lexicon.concepts)))
+"""
+
+# Two 2-epoch schedules.
+FAULT_PROBE = PROBE_SETUP + """
 schedule = tr.TrainingSchedule([tr.Phase("train", 2, weights, 3e-3, 6e-3)])
 tr.run_schedule(schedule, {"train": docs}, config, objective, store.copy())
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 tr.run_schedule(schedule, {"train": docs}, config, objective, store.copy())
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(json.dumps({"kept": tr.keep_heap(), "steps": 2 * len(docs),
+                  "faults": after - before}))
+"""
+
+# Two prediction passes over the documents with the untrained store, in a
+# process that never trains.
+PREDICTION_FAULT_PROBE = PROBE_SETUP + """
+for doc in docs:
+    ev.predict_clusters(doc, store, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for doc in docs:
+    ev.predict_clusters(doc, store, config)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"kept": tr.keep_heap(), "steps": len(docs),
                   "faults": after - before}))
 """
 
@@ -849,16 +874,26 @@ def train_tiny() -> bytes:
                         store)[0].buffer().tobytes()
 
 
+def fault_probe(script: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    if not probe["kept"]:
+        pytest.skip("the C library has no mallopt")
+    return probe
+
+
 class TestHeapThresholds:
     def test_a_warmed_doc_step_makes_almost_no_page_faults(self):
-        done = subprocess.run(
-            [sys.executable, "-c", FAULT_PROBE], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert done.returncode == 0, done.stderr
-        probe = json.loads(done.stdout)
-        if not probe["kept"]:
-            pytest.skip("the C library has no mallopt")
+        probe = fault_probe(FAULT_PROBE)
         # 34-52 per doc-step at glibc's default thresholds
+        assert probe["faults"] / probe["steps"] < 5
+
+    def test_a_second_prediction_pass_makes_almost_no_page_faults(self):
+        probe = fault_probe(PREDICTION_FAULT_PROBE)
+        # about 14 per document at glibc's default thresholds
         assert probe["faults"] / probe["steps"] < 5
 
     def test_the_thresholds_are_set_once_per_process(self, monkeypatch):
@@ -931,6 +966,16 @@ def with_row(lines, name: str, row: str) -> list[str]:
     return [*lines[:i], row, *lines[i + 1:]]
 
 
+def without_vocab(lines) -> list[str]:
+    """`lines` with no vocab token and a (0, 5) embedding table: a file
+    that parses, with tensors that match `CONFIG` for an empty vocab."""
+    lines = with_row(replaced(lines, "tensor encoder.embeddings 2 4 5",
+                              "tensor encoder.embeddings 2 0 5"),
+                     "encoder.embeddings", "")
+    start = lines.index("vocab 4")
+    return [*lines[:start], "vocab 0", *lines[start + 5:]]
+
+
 # Edits of a checkpoint's lines, and what the error names after the file's
 # path; the last field says whether the edited line is in v2 as well (a v1
 # value row is not).
@@ -981,6 +1026,8 @@ MALFORMED_EDITS = [
      "duplicate vocab tokens: ['a']", True),
     ("duplicate-scaffold-class", lambda lines: replaced(lines, "y", "x"),
      "duplicate scaffold classes: ['x']", True),
+    ("vocab-empty", lambda lines: without_vocab(lines),
+     "vocab must start with '<unk>'", True),
     # edits that the v1 loader accepted, reading a value other than the
     # file's or writing other bytes back
     ("value-as-decimal",
