@@ -220,8 +220,14 @@ def _parse_record(record) -> Document:
     for i, cluster in enumerate(check_field(
             CorpusError, "clusters", record.get("clusters", []), "list")):
         check_field(CorpusError, f"clusters[{i}]", cluster, "list")
-        clusters.append(frozenset(_span_field(mention, "cluster mention")
-                                  for mention in cluster))
+        members: set[SpanRef] = set()
+        for mention in cluster:
+            span = _span_field(mention, "cluster mention")
+            if span in members:
+                raise CorpusError(f"clusters[{i}] lists span [{span.start}, "
+                                  f"{span.end}] twice")
+            members.add(span)
+        clusters.append(frozenset(members))
     annotations: dict[str, dict[SpanRef, str]] = {}
     for entry in check_field(CorpusError, "concepts",
                              record.get("concepts", []), "list"):

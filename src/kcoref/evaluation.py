@@ -128,7 +128,7 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     if np.isnan(scores).any():
         raise ValueError(f"{doc.doc_id}: NaN mention score")
     rows = candidates.indices
-    x, s_m = reps[rows], scores[rows]
+    x, s_m = reps.take(rows, axis=0), scores[rows]
     pairs = m.antecedent_pairs(len(x), config.max_antecedents)
     rows_i, rows_j = pairs.mention, pairs.antecedent
     # A repeated hash may be a collision; the byte-level dedupe settles it.
@@ -148,9 +148,9 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
     columns = select_antecedents(pairs.slots(pair_scores))
-    antecedents = pairs.slots(pairs.antecedent, -1, -1)
     return Antecedents(layout.starts[rows], layout.ends[rows],
-                       antecedents[np.arange(len(columns)), columns])
+                       pairs.antecedent_grid[np.arange(len(columns)),
+                                             columns])
 
 
 def row_hashes(x: np.ndarray) -> np.ndarray:

@@ -105,7 +105,9 @@ class FeedForward:
                 return np.outer(g[rows], self.w1)
 
             return x @ self.w1 + self.b2, linear_backward
-        hidden = np.tanh(x @ self.w1 + self.b1)
+        hidden = x @ self.w1
+        hidden += self.b1
+        np.tanh(hidden, out=hidden)
 
         def backward(g, grad, rows):
             g_hidden = np.outer(g[rows], self.w2) * (1.0 - hidden[rows] ** 2)
@@ -195,9 +197,9 @@ def encode_tokens(doc: Document,
     radius = enc.window_radius
     n, d = len(ids), enc.d_token
     padded = np.zeros((n + 2 * radius, d))
-    padded[radius:radius + n] = enc.embeddings[ids]
-    windows = np.concatenate([padded[k:k + n]
-                              for k in range(2 * radius + 1)], axis=1)
+    padded[radius:radius + n] = enc.embeddings.take(ids, axis=0)
+    windows = padded.take(_window_rows(n, radius), axis=0).reshape(
+        n, (2 * radius + 1) * d)
 
     def backward(g: np.ndarray, grad: EncoderParams) -> None:
         g_windows = g @ enc.mixer_w.T
@@ -210,7 +212,20 @@ def encode_tokens(doc: Document,
         grad.embeddings[...] = scatter_rows(ids, g_padded[radius:radius + n],
                                             enc.embeddings.shape)
 
-    return windows @ enc.mixer_w + enc.mixer_b, backward
+    out = windows @ enc.mixer_w
+    out += enc.mixer_b
+    return out, backward
+
+
+@functools.lru_cache(maxsize=128)
+def _window_rows(n_tokens: int, radius: int) -> np.ndarray:
+    """Row k of token i's window in the zero-padded embeddings: i + k,
+    read-only and kept per (length, radius) among the 128 most recently
+    used."""
+    rows = (np.arange(n_tokens, dtype=np.intp)[:, None]
+            + np.arange(2 * radius + 1, dtype=np.intp))
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -230,6 +245,14 @@ class SpanLayout:
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    @functools.cached_property
+    def bounds(self) -> np.ndarray:
+        """(spans, 2) start and end token per span, read-only: one gather
+        of it reads both boundary vectors."""
+        bounds = np.stack([self.starts, self.ends], axis=1)
+        bounds.flags.writeable = False
+        return bounds
 
 
 def span_layout(starts: np.ndarray, ends: np.ndarray,
@@ -282,19 +305,22 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
     `rows` alone, writes the attention and width gradients into `grad` and
     returns the token vectors' gradient.
     """
-    tokens, mask = layout.tokens, layout.mask
+    tokens = layout.tokens
     x, attention = token_vecs, enc.attention_w
     table = enc.width_embeddings
     d = x.shape[1]
 
     logits = (x @ attention)[tokens]
     # A padding slot repeats the end token, so each row's max is a slot's.
-    exps = np.exp(logits - logits.max(axis=1, keepdims=True)) * mask
-    weights = exps / exps.sum(axis=1, keepdims=True)
-    span_tokens = x[tokens]
-    full = np.concatenate([span_tokens[:, 0], span_tokens[:, -1],
-                           np.einsum("sw,swd->sd", weights, span_tokens),
-                           table[layout.buckets]], axis=1)
+    weights = logits - logits.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights *= layout.mask
+    weights /= weights.sum(axis=1, keepdims=True)
+    span_tokens = x.take(tokens, axis=0)
+    full = np.concatenate([
+        x.take(layout.bounds, axis=0).reshape(len(tokens), 2 * d),
+        np.einsum("sw,swd->sd", weights, span_tokens),
+        table.take(layout.buckets, axis=0)], axis=1)
 
     def backward(g: np.ndarray, grad: EncoderParams,
                  rows: np.ndarray) -> np.ndarray:
@@ -378,13 +404,17 @@ def antecedent_scores(x: np.ndarray, mention: np.ndarray,
     """
     d = x.shape[1]
     w1 = head.w1.reshape(3 * d, -1)
-    products = x[antecedent] * x[mention]
-    layer = ((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
-             + products @ w1[2 * d:])
+    products = x.take(antecedent, axis=0)
+    products *= x.take(mention, axis=0)
+    # In place, in the order ((h_i block + h_j block) + product block) + b1.
+    layer = (x @ w1[:d]).take(mention, axis=0)
+    layer += (x @ w1[d:2 * d]).take(antecedent, axis=0)
+    layer += products @ w1[2 * d:]
     if head.w2 is None:
         return PairScores(layer[:, 0] + head.b2, products, None)
-    hidden = np.tanh(layer + head.b1)
-    return PairScores(hidden @ head.w2 + head.b2, products, hidden)
+    layer += head.b1
+    np.tanh(layer, out=layer)
+    return PairScores(layer @ head.w2 + head.b2, products, layer)
 
 
 @dataclass(frozen=True)
@@ -421,6 +451,14 @@ class AntecedentPairs:
         for array in (scatter.data, scatter.indices, scatter.indptr):
             array.flags.writeable = False
         return scatter
+
+    @functools.cached_property
+    def antecedent_grid(self) -> np.ndarray:
+        """`slots` of the antecedent candidate of each pair, -1 in the
+        padding and dummy slots; read-only, built on first read."""
+        grid = self.slots(self.antecedent, -1, -1)
+        grid.flags.writeable = False
+        return grid
 
     def slots(self, values: np.ndarray, padding=-np.inf,
               dummy=0.0) -> np.ndarray:

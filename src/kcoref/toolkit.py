@@ -238,8 +238,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_documents", "entities_per_concept", "seed"):
-            check_field(ValueError, name, getattr(self, name), "integer", 0)
+        for name, low in (("n_documents", 0), ("entities_per_concept", 1),
+                          ("seed", 0)):
+            check_field(ValueError, name, getattr(self, name), "integer", low)
         for name in ("oov_fraction", "determiner_fraction",
                      "qualifier_fraction"):
             check_field(ValueError, name, getattr(self, name), "number", 0)
@@ -251,6 +252,9 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must not be empty")
             for i, value in enumerate(names):
                 check_field(ValueError, f"{name}[{i}]", value, "string")
+            if len(set(names)) < len(names):
+                twice = next(c for c in names if names.count(c) > 1)
+                raise ValueError(f"{name} lists {twice!r} twice")
             object.__setattr__(self, name, tuple(names))
         for name in ("chains_per_doc", "chain_length", "filler_gap"):
             pair = check_field(ValueError, name, getattr(self, name), "list")

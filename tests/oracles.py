@@ -1171,6 +1171,60 @@ def mean_concept_nll_tape(full: Tensor, columns: slice, rows, classes,
 
 
 # ---------------------------------------------------------------------------
+# The document forward in plain numpy, written with slices, `concatenate`,
+# fancy indexing and out-of-place arithmetic: the package gathers with
+# `take` and works in place, and must give the same bytes.
+
+
+def encode_tokens_reference(doc, enc) -> np.ndarray:
+    """`model.encode_tokens`' value, one window slice per slot."""
+    ids = m.token_ids(doc, enc.vocab)
+    radius = enc.window_radius
+    n, d = len(ids), enc.d_token
+    padded = np.zeros((n + 2 * radius, d))
+    padded[radius:radius + n] = enc.embeddings[ids]
+    windows = np.concatenate([padded[k:k + n]
+                              for k in range(2 * radius + 1)], axis=1)
+    return windows @ enc.mixer_w + enc.mixer_b
+
+
+def span_representations_reference(token_vecs: np.ndarray,
+                                   layout: m.SpanLayout, enc) -> np.ndarray:
+    """`model.build_span_representations`' value, the boundary vectors
+    read as the first and last slot of each span's token block."""
+    x = token_vecs
+    logits = (x @ enc.attention_w)[layout.tokens]
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True)) * layout.mask
+    weights = exps / exps.sum(axis=1, keepdims=True)
+    span_tokens = x[layout.tokens]
+    return np.concatenate([span_tokens[:, 0], span_tokens[:, -1],
+                           np.einsum("sw,swd->sd", weights, span_tokens),
+                           enc.width_embeddings[layout.buckets]], axis=1)
+
+
+def feed_forward_reference(head: m.FeedForward, x: np.ndarray) -> np.ndarray:
+    """`model.FeedForward.apply`'s value."""
+    if head.w2 is None:
+        return x @ head.w1 + head.b2
+    return np.tanh(x @ head.w1 + head.b1) @ head.w2 + head.b2
+
+
+def antecedent_scores_reference(x: np.ndarray, mention: np.ndarray,
+                                antecedent: np.ndarray,
+                                head: m.FeedForward) -> tuple:
+    """`model.antecedent_scores` as (scores, products, hidden)."""
+    d = x.shape[1]
+    w1 = head.w1.reshape(3 * d, -1)
+    products = x[antecedent] * x[mention]
+    layer = ((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
+             + products @ w1[2 * d:])
+    if head.w2 is None:
+        return layer[:, 0] + head.b2, products, None
+    hidden = np.tanh(layer + head.b1)
+    return hidden @ head.w2 + head.b2, products, hidden
+
+
+# ---------------------------------------------------------------------------
 # The training doc-step on the reference tape, over per-tensor leaves.
 
 

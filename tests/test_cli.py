@@ -100,6 +100,10 @@ class TestSynth:
         ({"chains_per_doc": [3, 2]}, "chains_per_doc must be [low, high]"),
         ({"suffixes": ["ia", 2]}, "suffixes[1] must be a string, not 2"),
         ({"oov_fraction": None}, "oov_fraction must be a number, not None"),
+        ({"concepts": ["a", "b", "a"]}, "concepts lists 'a' twice"),
+        ({"suffixes": ["ia", "ia"]}, "suffixes lists 'ia' twice"),
+        ({"entities_per_concept": 0}, "entities_per_concept must be >= 1, "
+                                      "not 0"),
     ])
     def test_malformed_spec_is_one_named_error(self, tmp_path, capsys, spec,
                                                setting):
@@ -428,6 +432,9 @@ class TestErrors:
         ("lexicon", "train", b"coarse\tcoarse\nC0\tdorvi\xe9\n"),
         ("subword_vocab", "train", b"[UNK]\nd\xe9\n"),
         ("checkpoint", "evaluate", b"kcoref-checkpoint v1\nseed \xe9\n"),
+        # a gold cluster listing a mention twice
+        ("corpus", "train", '{"doc_id": "d0", "tokens": ["a", "b"], '
+                            '"clusters": [[[0, 0], [0, 0]]]}\n'),
         # a vocab token listed twice
         ("checkpoint", "evaluate", "kcoref-checkpoint v1\nseed 0\nstep 0\n"
                                    "vocab 2\n<unk>\n<unk>\nclasses 0\nend\n"),

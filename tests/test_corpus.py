@@ -177,6 +177,10 @@ class TestLoadCorpus:
          r"not UTF-8 \(invalid continuation byte\)"),
         ({"doc_id": "d1", "tokens": ["a", ""]},
          "d1: empty token at index 1"),
+        # a mention listed twice in one gold cluster, not loaded as one
+        ({"doc_id": "d1", "tokens": ["a", "b"],
+          "clusters": [[[0, 1], [1, 1]], [[0, 0], [0, 0]]]},
+         r"clusters\[1\] lists span \[0, 0\] twice"),
     ])
     def test_malformed_record_names_file_line_and_field(self, tmp_path,
                                                         record, message):

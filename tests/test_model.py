@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoref import model as m
+from kcoref import training as tr
 from kcoref.corpus import SpanRef, enumerate_candidate_spans
 from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
                           ModelConfig, ScoringParams,
@@ -14,11 +15,14 @@ from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
                           prune_mentions)
 
 from oracles import (OrderingError, SpanRepresentation, Tensor,
-                     antecedent_distribution, antecedent_window, attend_span,
-                     build_span_representation,
-                     enumerate_candidate_spans_reference, finite_difference,
-                     layout_spans, mention_score, pair_score, relative_error,
-                     softmax_by_hand, span_layout_reference)
+                     antecedent_distribution, antecedent_scores_reference,
+                     antecedent_window, attend_span,
+                     build_span_representation, encode_tokens_reference,
+                     enumerate_candidate_spans_reference,
+                     feed_forward_reference, finite_difference, layout_spans,
+                     mention_score, pair_score, relative_error,
+                     softmax_by_hand, span_layout_reference,
+                     span_representations_reference)
 from test_corpus import make_doc
 
 
@@ -239,10 +243,33 @@ class TestEnumeratedLayout:
             assert m.enumerated_layout(n, config) is got
 
     def test_arrays_are_read_only(self):
+        """A layout's arrays and the gather plans kept beside the caches:
+        every caller of one length or candidate count reads the same
+        arrays, so none may write them."""
         layout = m.enumerated_layout(7, LAYOUT_CONFIGS[0])
-        for name in LAYOUT_ARRAYS:
+        plans = [getattr(layout, name) for name in LAYOUT_ARRAYS]
+        plans += [layout.bounds, layout_of([SpanRef(1, 2)]).bounds,
+                  m._window_rows(7, 2),
+                  m.antecedent_pairs(5, 3).antecedent_grid]
+        for array in plans:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(layout, name)[0] = 0
+                array[0] = 0
+
+    def test_gather_plans_are_built_once(self):
+        layout = m.enumerated_layout(7, LAYOUT_CONFIGS[0])
+        assert m.enumerated_layout(7, LAYOUT_CONFIGS[0]).bounds \
+            is layout.bounds
+        assert layout.bounds.tolist() == [
+            [s.start, s.end] for s in layout_spans(layout)]
+        fresh = layout_of([SpanRef(2, 4), SpanRef(0, 0)])
+        assert fresh.bounds is fresh.bounds
+        assert fresh.bounds.tolist() == [[2, 4], [0, 0]]
+        rows = m._window_rows(4, 1)
+        assert m._window_rows(4, 1) is rows
+        assert rows.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]]
+        pairs = m.antecedent_pairs(5, 3)
+        assert m.antecedent_pairs(5, 3).antecedent_grid \
+            is pairs.antecedent_grid
 
     def test_configs_of_one_length_do_not_share_an_entry(self):
         first, second = (m.enumerated_layout(12, c) for c in LAYOUT_CONFIGS)
@@ -414,6 +441,8 @@ def test_slots_lay_per_pair_values_out_by_window(n, max_antecedents, extra):
     got = pairs.slots(values, padding, dummy)
     assert got.dtype == values.dtype and got.shape == (n, width + 1)
     assert got.tolist() == want
+    if padding == -1:
+        assert pairs.antecedent_grid.tolist() == want
     if padding == -np.inf:
         assert pairs.slots(values).tolist() == want
 
@@ -440,6 +469,73 @@ class TestModelConfigValidation:
                              max_antecedents=1, width_bucket_edges=())
         assert config.n_width_buckets == 1
         assert config.span_dim == 3
+
+
+@st.composite
+def forward_cases(draw):
+    """A config, a document over a vocabulary that misses some of its
+    tokens, and a parameter seed."""
+    config = ModelConfig(d_token=draw(st.integers(1, 5)),
+                         d_width=draw(st.integers(0, 3)),
+                         window_radius=draw(st.integers(0, 2)),
+                         scorer_hidden=draw(st.sampled_from([0, 3])),
+                         max_span_width=draw(st.integers(1, 10)),
+                         max_antecedents=draw(st.integers(1, 5)),
+                         width_bucket_edges=(1, 2, 4))
+    tokens = draw(st.lists(st.sampled_from(["a", "b", "c", "zz"]),
+                           min_size=1, max_size=16))
+    return config, tokens, draw(st.integers(0, 2 ** 32 - 1)), \
+        draw(st.integers(2, 9))
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@given(forward_cases())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_forward_is_byte_identical_to_its_slice_forms(case):
+    """The forward's `take` gathers, window and boundary plans and in-place
+    layer arithmetic give the bytes of the slice, `concatenate`,
+    fancy-index and out-of-place forms (`oracles`), for windows of radius
+    0-2, spans up to 10 wide, linear and tanh heads, and 0, 1 or more
+    candidates."""
+    config, tokens, seed, most = case
+    rng = np.random.default_rng(seed)
+    store = tr.init_parameters(config, (m.UNK_TOKEN, "a", "b"), seed=seed)
+    for array in store.tensors.values():
+        array += rng.normal(size=array.shape)
+    enc, scoring, _ = store.groups
+    doc = make_doc(tokens)
+    token_vecs, _ = encode_tokens(doc, enc)
+    assert_same_bytes(token_vecs, encode_tokens_reference(doc, enc))
+
+    enumerated = m.enumerated_layout(len(doc), config)
+    some = rng.permutation(len(enumerated))[:rng.integers(1, 8)]
+    # The enumerated layout last: the candidates are drawn from its rows.
+    layouts = [m.span_layout(enumerated.starts[some], enumerated.ends[some],
+                             config), enumerated]
+    for layout in layouts:
+        reps, _ = build_span_representations(token_vecs, layout, enc)
+        assert_same_bytes(reps, span_representations_reference(
+            token_vecs, layout, enc))
+        scores, _ = m.mention_scores(reps, scoring)
+        assert_same_bytes(scores, feed_forward_reference(scoring.mention,
+                                                         reps))
+    for k in sorted({0, 1, min(most, len(reps))}):
+        x = reps[np.sort(rng.choice(len(reps), size=k, replace=False))]
+        pairs = m.antecedent_pairs(k, config.max_antecedents)
+        got = m.antecedent_scores(x, pairs.mention, pairs.antecedent,
+                                  scoring.antecedent)
+        want = antecedent_scores_reference(x, pairs.mention, pairs.antecedent,
+                                           scoring.antecedent)
+        assert_same_bytes(got.scores, want[0])
+        assert_same_bytes(got.products, want[1])
+        if config.scorer_hidden:
+            assert_same_bytes(got.hidden, want[2])
+        else:
+            assert got.hidden is None and want[2] is None
 
 
 def test_candidate_set_len():
