@@ -44,15 +44,15 @@ _FIELD_KINDS = {
 
 
 def check_field(error: type[Exception], name: str, value, kind: str,
-                low=None):
+                low=None, high=None):
     """`value`, or `error` naming field `name` if it is not of `kind`.
 
     The one rule for settings and records read from JSON: an "integer" is
     an int (numpy's too), a "number" a finite int or float, a "fraction" a
     number in (0, 1], a "switch" true or false, a "string" a str, a "list"
     a list and a "mapping" a JSON object. A bool is no number, and no
-    string is read as a number or a switch. `low` is an inclusive lower
-    bound on an integer or a number.
+    string is read as a number or a switch. `low` and `high` are inclusive
+    bounds on an integer or a number.
     """
     types, noun = _FIELD_KINDS[kind]
     if not isinstance(value, types) \
@@ -65,6 +65,8 @@ def check_field(error: type[Exception], name: str, value, kind: str,
         raise error(f"{name} must be finite, not {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, not {value!r}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, not {value!r}")
     return value
 
 
@@ -361,7 +363,7 @@ class SubwordVocab:
     """Greedy longest-match wordpiece inventory.
 
     `initial` holds word-initial pieces, `continuation` the "##"-marked ones
-    (stored without the marker). Lookup lowercases first.
+    (stored without the marker), all lower-case: lookup lowercases first.
     """
 
     initial: frozenset[str]
@@ -373,6 +375,10 @@ class SubwordVocab:
             raise CorpusError("unknown symbol must be non-empty")
         if "" in self.initial or "" in self.continuation:
             raise CorpusError("empty subword piece")
+        pieces = [*self.initial, *("##" + p for p in self.continuation)]
+        upper = sorted(p for p in pieces if p != p.lower())
+        if upper:
+            raise CorpusError(f"subword piece {upper[0]!r} is not lower-case")
 
 
 def load_subword_vocab(path) -> SubwordVocab:
@@ -383,7 +389,10 @@ def load_subword_vocab(path) -> SubwordVocab:
     unk, pieces = lines[0], lines[1:]
     initial = frozenset(p for p in pieces if not p.startswith("##"))
     continuation = frozenset(p[2:] for p in pieces if p.startswith("##"))
-    return SubwordVocab(initial, continuation, unk)
+    try:
+        return SubwordVocab(initial, continuation, unk)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def save_subword_vocab(vocab: SubwordVocab, path) -> None:

@@ -105,16 +105,13 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
                         config: m.ModelConfig) -> Antecedents:
     """Argmax antecedent per candidate mention, as candidate rows.
 
-    The candidates come from training's forward (`model.document_forward`).
-    Every pair of `model.antecedent_pairs` is scored in one batched pass;
-    `select_antecedents` then picks per row of the slot grid. Candidates
-    with byte-identical representations share one row, and each distinct
-    pair of rows is scored once, so pairs with identical features tie
-    exactly and the nearest-antecedent rule decides between them.
-
-    The first call in a process keeps the heap (`training.keep_heap`): like
-    a doc-step, prediction allocates and frees a document's arrays, which at
-    glibc's default thresholds fault back in from the kernel every document.
+    The candidates come from training's forward (`model.document_forward`),
+    every pair of `model.antecedent_pairs` is scored by `model.pair_scores`
+    in one pass, and `select_antecedents` picks per row of the slot grid.
+    Candidates with byte-identical representations share one row, and each
+    distinct pair of rows is scored once, so pairs with identical features
+    tie exactly and the nearest-antecedent rule decides between them. The
+    first call keeps the heap (`training.keep_heap`), as a doc-step does.
     """
     tr.keep_heap()
     if len(doc) == 0:
@@ -130,21 +127,20 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     rows = candidates.indices
     x, s_m = reps.take(rows, axis=0), scores[rows]
     pairs = m.antecedent_pairs(len(x), config.max_antecedents)
-    rows_i, rows_j = pairs.mention, pairs.antecedent
+    head = scoring.antecedent
     # A repeated hash may be a collision; the byte-level dedupe settles it.
     if len(set(row_hashes(x).tolist())) == len(x):
-        s_a = m.antecedent_scores(x, rows_i, rows_j, scoring.antecedent).scores
+        pair_scores, _ = m.pair_scores(x, s_m, pairs.mention,
+                                       pairs.antecedent, head)
     else:
         keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
         _, first, row_of = np.unique(keys, return_index=True,
                                      return_inverse=True)
-        x, s_m = x[first], s_m[first]
-        rows_i, rows_j = row_of[rows_i], row_of[rows_j]
-        codes, pair_of = np.unique(rows_i * len(first) + rows_j,
+        codes, pair_of = np.unique(row_of[pairs.mention] * len(first)
+                                   + row_of[pairs.antecedent],
                                    return_inverse=True)
-        s_a = m.antecedent_scores(x, codes // len(first), codes % len(first),
-                                  scoring.antecedent).scores[pair_of]
-    pair_scores = s_a + s_m[rows_i] + s_m[rows_j]
+        pair_scores = m.pair_scores(x[first], s_m[first], codes // len(first),
+                                    codes % len(first), head)[0][pair_of]
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
     columns = select_antecedents(pairs.slots(pair_scores))

@@ -1,17 +1,16 @@
 """The training objective: coreference, retrofitting, and scaffold losses.
 
-All three losses follow the minimize convention (coreference and scaffold
-terms are negative log-likelihoods), so the combined objective
-``beta1 * CL + beta2 * RL + beta3 * SL`` is uniformly minimized.
+All three are minimized (CL and SL are negative log-likelihoods), and so
+is the combined ``beta1 * CL + beta2 * RL + beta3 * SL``. CL takes the
+pair scores s(i, j) and their backward from `model.pair_scores` and only
+applies the softmax over each candidate's antecedent slots.
 
-A document's objective runs its forward in plain numpy and comes with the
+A document's objective runs its forward in plain numpy with the
 closed-form backward of the combined loss, which writes every parameter's
 gradient into views of one flat array. It works on the rows of the
-document's span table (`DocumentIndex`) from end to end: the RL pair pool
-and the SL targets are row sets read from the table's arrays, and no
-`SpanRef` is built or hashed in a doc-step. What does not change between
-steps, the table itself and the scaffold targets, is built once per
-document.
+document's span table (`DocumentIndex`): the RL pair pool and the SL
+targets are row sets, no `SpanRef` is built or hashed in a doc-step, and
+the table and the scaffold targets are built once per document.
 """
 
 from __future__ import annotations
@@ -454,21 +453,17 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
                    rows: np.ndarray, pairs: m.AntecedentPairs,
                    numer: np.ndarray,
                    head: m.FeedForward) -> tuple[float, m.Backward]:
-    """sum_k [logsumexp of candidate k's row of `pairs.slots` - logsumexp
-    of the slots of that row that `numer` marks], and its backward.
-
-    Candidate k is row `rows[k]` of `full` and `mention_scores` (the rows
-    are distinct); a pair scores s_m(i) + s_m(j) + s_a(i, j), with s_a from
-    the `head` FFN, and the dummy column scores 0. The backward adds
-    candidate k's gradient into row `at[k]` of `g_full` and row `rows[k]`
-    of `g_scores`, and writes the head's gradients into `grad`.
+    """sum_k [logsumexp of candidate k's row of `pairs.slots` of the pair
+    scores (`model.pair_scores`) - logsumexp of the slots that `numer`
+    marks], and its backward. Candidate k is row `rows[k]` of `full` and
+    `mention_scores` (distinct rows); the backward adds its gradient into
+    row `at[k]` of `g_full` and row `rows[k]` of `g_scores`, and writes
+    the head's gradients into `grad`.
     """
-    x = full[rows]
-    mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
-    d = x.shape[1]
-    ffn = m.antecedent_scores(x, mention, antecedent, head)
-    s = mention_scores[rows]
-    slots = pairs.slots(ffn.scores + s[mention] + s[antecedent])
+    scores, pair_backward = m.pair_scores(
+        full.take(rows, axis=0), mention_scores[rows], pairs.mention,
+        pairs.antecedent, head)
+    slots = pairs.slots(scores)
     # Row-wise over every slot (denominator) and the marked ones (numerator).
     lse, probs = _logsumexp_rows(np.stack([slots,
                                            np.where(numer, slots, -np.inf)]))
@@ -476,41 +471,10 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
     def backward(g, g_full: np.ndarray, at: np.ndarray, g_scores: np.ndarray,
                  grad: m.FeedForward) -> None:
         # Each pair has one window slot, in flat pair order.
-        g_pair = (g * (probs[0] - probs[1]))[:, :-1][inside]
-        n_pairs = len(g_pair)
-        w1 = head.w1.reshape(3 * d, -1)
-        width = w1.shape[1]
-        if ffn.hidden is None:
-            g_layer = g_pair[:, None]
-        else:
-            g_layer = (np.outer(g_pair, head.w2)
-                       * (1.0 - ffn.hidden ** 2))
-            grad.b1[...] = g_layer.sum(axis=0)
-            np.matmul(ffn.hidden.T, g_pair, out=grad.w2)
-        # Per candidate, one sparse product sums the layer gradient over
-        # the pairs it is the mention of, over those it is the antecedent
-        # of, and the pair-score gradient over both.
-        block = np.zeros((2 * n_pairs, 2 * width + 1))
-        block[:n_pairs, :width] = g_layer
-        block[n_pairs:, width:-1] = g_layer
-        block[:n_pairs, -1] = g_pair
-        block[n_pairs:, -1] = g_pair
-        sums = pairs.scatter @ block
-        g_u, g_v = sums[:, :width], sums[:, width:-1]
-        g_scores[rows] += sums[:, -1]
-
-        # h_j and h_i per pair, gathered here so that no (2, P, D) copy
-        # lives from the forward to the backward.
-        partners = x[np.concatenate([antecedent, mention])].reshape(
-            2, n_pairs, d)
-        partners *= g_layer @ w1[2 * d:].T
-        g_full[at] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
-                       + pairs.scatter @ partners.reshape(2 * n_pairs, d))
-        g_w1 = grad.w1.reshape(3 * d, -1)
-        np.matmul(x.T, g_u, out=g_w1[:d])
-        np.matmul(x.T, g_v, out=g_w1[d:2 * d])
-        np.matmul(ffn.products.T, g_layer, out=g_w1[2 * d:])
-        grad.b2[...] = g_pair.sum()
+        g_pair = (g * (probs[0] - probs[1]))[:, :-1][pairs.inside]
+        g_x, g_s = pair_backward(g_pair, pairs, grad)
+        g_scores[rows] += g_s
+        g_full[at] += g_x
 
     return float((lse[0] - lse[1]).sum()), backward
 
@@ -544,7 +508,9 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
     """
     v = full[rows, columns]
     norms = np.sqrt((v * v).sum(axis=1))
-    dots = (v[first] * v[second]).sum(axis=1)
+    products = v.take(first, axis=0)
+    products *= v.take(second, axis=0)
+    dots = products.sum(axis=1)
     norms_i, norms_j = norms[first], norms[second]
     den = norms_i * norms_j + _NORM_EPS
     gaps = targets - (1.0 - dots / den)

@@ -4,13 +4,13 @@ The encoder is a windowed linear mixer over learned token embeddings: each
 token's vector is a linear map of the embeddings in a symmetric window
 around it. Span representations concatenate the two boundary vectors, an
 attention-weighted vector over the span's tokens, and a width-bucket
-feature. Scoring heads are small feed-forward networks.
+feature. Scoring heads are small feed-forward networks; `pair_scores`
+alone scores antecedent pairs, s(i, j), for training and decoding.
 
 Each stage runs in plain numpy and returns its value together with its
 backward: a closure that turns the value's gradient into the gradients of
-its inputs and parameters, in closed form. `scipy.sparse` is imported
-when a CL backward first reads an antecedent-pair scatter, so prediction
-never loads it.
+its inputs and parameters, in closed form. The first pair backward
+imports `scipy.sparse`, so prediction never loads it.
 """
 
 from __future__ import annotations
@@ -386,22 +386,14 @@ def document_forward(doc: Document, table: SpanLayout, enum_rows: np.ndarray,
     return reps, scores, candidates, mention_backward, backward
 
 
-@dataclass(frozen=True)
-class PairScores:
-    """The antecedent FFN over a batch of pairs, and what its backward reads."""
-
-    scores: np.ndarray           # s_a(i, j) per pair
-    products: np.ndarray         # h_i * h_j
-    hidden: np.ndarray | None    # the tanh layer; None for a linear head
-
-
-def antecedent_scores(x: np.ndarray, mention: np.ndarray,
-                      antecedent: np.ndarray, head: FeedForward) -> PairScores:
-    """s_a of each pair (h_i, h_j) = (x[mention[p]], x[antecedent[p]]).
-
-    The first layer applies to [h_i, h_j, h_i * h_j]; its h_i and h_j blocks
-    are applied once per row of `x`, only the product block once per pair.
-    """
+def pair_scores(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
+                antecedent: np.ndarray, head: FeedForward) -> tuple:
+    """s(i, j) = s_a(i, j) + s(i) + s(j) of each pair (i, j) = (mention[p],
+    antecedent[p]) of rows of `x`, s_a being `head` on [h_i, h_j, h_i * h_j]
+    (its h_i and h_j blocks applied per row, the product block per pair),
+    and the backward `(g_pair, pairs, grad) -> (g_x, g_s)`, `pairs` the
+    `AntecedentPairs` listing them, which writes the head's gradients into
+    `grad`."""
     d = x.shape[1]
     w1 = head.w1.reshape(3 * d, -1)
     products = x.take(antecedent, axis=0)
@@ -411,10 +403,45 @@ def antecedent_scores(x: np.ndarray, mention: np.ndarray,
     layer += (x @ w1[d:2 * d]).take(antecedent, axis=0)
     layer += products @ w1[2 * d:]
     if head.w2 is None:
-        return PairScores(layer[:, 0] + head.b2, products, None)
-    layer += head.b1
-    np.tanh(layer, out=layer)
-    return PairScores(layer @ head.w2 + head.b2, products, layer)
+        scores = layer[:, 0] + head.b2
+    else:
+        layer += head.b1
+        np.tanh(layer, out=layer)
+        scores = layer @ head.w2 + head.b2
+    scores += s[mention]
+    scores += s[antecedent]
+
+    def backward(g_pair, pairs: AntecedentPairs, grad: FeedForward):
+        n_pairs, width, scatter = len(g_pair), w1.shape[1], pairs.scatter
+        if head.w2 is None:
+            g_layer = g_pair[:, None]
+        else:
+            g_layer = np.outer(g_pair, head.w2) * (1.0 - layer ** 2)
+            grad.b1[...] = g_layer.sum(axis=0)
+            np.matmul(layer.T, g_pair, out=grad.w2)
+        # One sparse product sums, per row, the layer gradient of the pairs
+        # it is the mention and the antecedent of, and their g_pair.
+        block = np.zeros((2 * n_pairs, 2 * width + 1))
+        block[:n_pairs, :width] = g_layer
+        block[n_pairs:, width:-1] = g_layer
+        block[:n_pairs, -1] = g_pair
+        block[n_pairs:, -1] = g_pair
+        sums = scatter @ block
+        g_u, g_v = sums[:, :width], sums[:, width:-1]
+        # h_j and h_i per pair, gathered again: no (2, P, D) copy is kept.
+        partners = x.take(np.concatenate([antecedent, mention]),
+                          axis=0).reshape(2, n_pairs, d)
+        partners *= g_layer @ w1[2 * d:].T
+        g_x = (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
+               + scatter @ partners.reshape(2 * n_pairs, d))
+        g_w1 = grad.w1.reshape(3 * d, -1)
+        np.matmul(x.T, g_u, out=g_w1[:d])
+        np.matmul(x.T, g_v, out=g_w1[d:2 * d])
+        np.matmul(products.T, g_layer, out=g_w1[2 * d:])
+        grad.b2[...] = g_pair.sum()
+        return g_x, sums[:, -1]
+
+    return scores, backward
 
 
 @dataclass(frozen=True)
@@ -438,9 +465,8 @@ class AntecedentPairs:
     @functools.cached_property
     def scatter(self):
         """The sparse (candidates, 2P) one-hot of [mention, antecedent], a
-        `scipy.sparse.csr_matrix`: it sums per-pair rows, stacked mention
-        side first, onto their candidates. Only the CL backward reads it,
-        so it is built, and scipy.sparse imported, on its first read."""
+        `scipy.sparse.csr_matrix` that sums per-pair rows, mention side
+        first, onto their candidates; built on the first pair backward."""
         from scipy import sparse
         n_pairs = len(self.mention)
         scatter = sparse.csr_matrix(

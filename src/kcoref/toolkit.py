@@ -243,7 +243,7 @@ class SyntheticSpec:
             check_field(ValueError, name, getattr(self, name), "integer", low)
         for name in ("oov_fraction", "determiner_fraction",
                      "qualifier_fraction"):
-            check_field(ValueError, name, getattr(self, name), "number", 0)
+            check_field(ValueError, name, getattr(self, name), "number", 0, 1)
         for name in ("coarse_lexicon_id", "fine_lexicon_id"):
             check_field(ValueError, name, getattr(self, name), "string")
         for name in ("concepts", "suffixes"):
@@ -252,6 +252,9 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must not be empty")
             for i, value in enumerate(names):
                 check_field(ValueError, f"{name}[{i}]", value, "string")
+                if name == "suffixes" and value != value.lower():
+                    raise ValueError(f"suffixes[{i}] must be lower-case, "
+                                     f"not {value!r}")
             if len(set(names)) < len(names):
                 twice = next(c for c in names if names.count(c) > 1)
                 raise ValueError(f"{name} lists {twice!r} twice")

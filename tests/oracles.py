@@ -1209,10 +1209,12 @@ def feed_forward_reference(head: m.FeedForward, x: np.ndarray) -> np.ndarray:
     return np.tanh(x @ head.w1 + head.b1) @ head.w2 + head.b2
 
 
-def antecedent_scores_reference(x: np.ndarray, mention: np.ndarray,
-                                antecedent: np.ndarray,
-                                head: m.FeedForward) -> tuple:
-    """`model.antecedent_scores` as (scores, products, hidden)."""
+def antecedent_head_reference(x: np.ndarray, mention: np.ndarray,
+                              antecedent: np.ndarray,
+                              head: m.FeedForward) -> tuple:
+    """s_a of each pair (x[mention[p]], x[antecedent[p]]), with the pair
+    products and the tanh layer (None for a linear head) that its backward
+    reads."""
     d = x.shape[1]
     w1 = head.w1.reshape(3 * d, -1)
     products = x[antecedent] * x[mention]
@@ -1222,6 +1224,65 @@ def antecedent_scores_reference(x: np.ndarray, mention: np.ndarray,
         return layer[:, 0] + head.b2, products, None
     hidden = np.tanh(layer + head.b1)
     return hidden @ head.w2 + head.b2, products, hidden
+
+
+def pair_scores_reference(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
+                          antecedent: np.ndarray,
+                          head: m.FeedForward) -> np.ndarray:
+    """`model.pair_scores`' value."""
+    s_a = antecedent_head_reference(x, mention, antecedent, head)[0]
+    return s_a + s[mention] + s[antecedent]
+
+
+def antecedent_nll_reference(full, mention_scores, rows, pairs, numer, head):
+    """`losses.antecedent_nll`, forward and backward, with the antecedent
+    head's backward written out inline, its rows gathered by fancy indexing
+    and its products out of place: the package's `model.pair_scores` must
+    give the same bytes."""
+    x = full[rows]
+    mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
+    d = x.shape[1]
+    s_a, products, hidden = antecedent_head_reference(x, mention, antecedent,
+                                                      head)
+    s = mention_scores[rows]
+    slots = pairs.slots(s_a + s[mention] + s[antecedent])
+    both = np.stack([slots, np.where(numer, slots, -np.inf)])
+    shift = both.max(axis=-1, keepdims=True)
+    exps = np.exp(both - shift)
+    total = exps.sum(axis=-1, keepdims=True)
+    lse, probs = (np.log(total) + shift)[..., 0], exps / total
+
+    def backward(g, g_full, at, g_scores, grad) -> None:
+        g_pair = (g * (probs[0] - probs[1]))[:, :-1][inside]
+        n_pairs = len(g_pair)
+        w1 = head.w1.reshape(3 * d, -1)
+        width = w1.shape[1]
+        if hidden is None:
+            g_layer = g_pair[:, None]
+        else:
+            g_layer = np.outer(g_pair, head.w2) * (1.0 - hidden ** 2)
+            grad.b1[...] = g_layer.sum(axis=0)
+            np.matmul(hidden.T, g_pair, out=grad.w2)
+        block = np.zeros((2 * n_pairs, 2 * width + 1))
+        block[:n_pairs, :width] = g_layer
+        block[n_pairs:, width:-1] = g_layer
+        block[:n_pairs, -1] = g_pair
+        block[n_pairs:, -1] = g_pair
+        sums = pairs.scatter @ block
+        g_u, g_v = sums[:, :width], sums[:, width:-1]
+        g_scores[rows] += sums[:, -1]
+        partners = x[np.concatenate([antecedent, mention])].reshape(
+            2, n_pairs, d)
+        partners *= g_layer @ w1[2 * d:].T
+        g_full[at] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
+                       + pairs.scatter @ partners.reshape(2 * n_pairs, d))
+        g_w1 = grad.w1.reshape(3 * d, -1)
+        np.matmul(x.T, g_u, out=g_w1[:d])
+        np.matmul(x.T, g_v, out=g_w1[d:2 * d])
+        np.matmul(products.T, g_layer, out=g_w1[2 * d:])
+        grad.b2[...] = g_pair.sum()
+
+    return float((lse[0] - lse[1]).sum()), backward
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ class TestSynth:
         ({"suffixes": ["ia", "ia"]}, "suffixes lists 'ia' twice"),
         ({"entities_per_concept": 0}, "entities_per_concept must be >= 1, "
                                       "not 0"),
+        ({"suffixes": ["ia", "Oma"]}, "suffixes[1] must be lower-case, "
+                                      "not 'Oma'"),
+        ({"oov_fraction": 1.5}, "oov_fraction must be <= 1, not 1.5"),
+        ({"determiner_fraction": 2}, "determiner_fraction must be <= 1, "
+                                     "not 2"),
+        ({"qualifier_fraction": 1.01}, "qualifier_fraction must be <= 1, "
+                                       "not 1.01"),
     ])
     def test_malformed_spec_is_one_named_error(self, tmp_path, capsys, spec,
                                                setting):
@@ -431,6 +438,8 @@ class TestErrors:
         ("corpus", "train", b'{"doc_id": "d\xe9", "tokens": ["a"]}\n'),
         ("lexicon", "train", b"coarse\tcoarse\nC0\tdorvi\xe9\n"),
         ("subword_vocab", "train", b"[UNK]\nd\xe9\n"),
+        # a piece that lower-cased lookup could never match
+        ("subword_vocab", "train", "[UNK]\nDorv\n##ia\n"),
         ("checkpoint", "evaluate", b"kcoref-checkpoint v1\nseed \xe9\n"),
         # a gold cluster listing a mention twice
         ("corpus", "train", '{"doc_id": "d0", "tokens": ["a", "b"], '

@@ -353,6 +353,23 @@ class TestTokenizer:
             rebuilt = pieces[0] + "".join(p[2:] for p in pieces[1:])
             assert rebuilt == word
 
+    @pytest.mark.parametrize("pieces, named", [
+        (["Dorv", "##ia"], "'Dorv'"), (["dorv", "##IA"], "'##IA'"),
+        (["Dorv", "##IA"], "'##IA'")])
+    def test_an_upper_case_piece_is_refused_by_name(self, tmp_path, pieces,
+                                                    named):
+        """Lookup lowercases the word, so such a piece could never match:
+        `Dorvia` would segment as the unknown symbol alone."""
+        path = tmp_path / "v.vocab"
+        path.write_text("\n".join(["[UNK]", *pieces]) + "\n")
+        with pytest.raises(CorpusError, match=rf"v\.vocab: subword piece "
+                                              rf"{named} is not lower-case"):
+            load_subword_vocab(path)
+        with pytest.raises(CorpusError, match=named):
+            SubwordVocab(frozenset(p for p in pieces if p[0] != "#"),
+                         frozenset(p[2:] for p in pieces if p[0] == "#"),
+                         "[UNK]")
+
     def test_vocab_file_round_trip(self, tmp_path):
         path = tmp_path / "v.vocab"
         save_subword_vocab(SECTION_VOCAB, path)

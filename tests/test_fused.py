@@ -205,6 +205,30 @@ def coref_stage(rows, pairs, numer):
     return stage
 
 
+def assert_nll_bytes_match_reference(case, seed):
+    """The loss, `g_full`, `g_scores` and each head gradient of
+    `losses.antecedent_nll` against `oracles.antecedent_nll_reference`,
+    with `tobytes()`; the backward adds into random table gradients at
+    rows `at` other than `rows`."""
+    rows, pairs, numer, values = case
+    rng = np.random.default_rng(seed)
+    full, scores, head = values[0], values[1], head_of(values[2:])
+    upstream = rng.normal()
+    at = rng.permutation(len(full))[:len(rows)]
+    start_full, start_scores = (rng.normal(size=full.shape),
+                                rng.normal(size=scores.shape))
+    sides = []
+    for nll in (L.antecedent_nll, O.antecedent_nll_reference):
+        value, backward = nll(full, scores, rows, pairs, numer, head)
+        g_full, g_scores = start_full.copy(), start_scores.copy()
+        grad = head_of([np.zeros_like(p) for p in values[2:]])
+        backward(upstream, g_full, at, g_scores, grad)
+        sides.append([np.float64(value), g_full, g_scores,
+                      *head_params(grad)])
+    for got, want in zip(*sides, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestAntecedentNll:
     @SETTINGS
     @given(case=coref_cases())
@@ -216,6 +240,24 @@ class TestAntecedentNll:
                                          head_of(head))
 
         assert_node_matches(coref_stage(rows, pairs, numer), tape, values)
+
+    @SETTINGS
+    @given(case=coref_cases(), seed=st.integers(0, 2**16))
+    def test_backward_is_byte_identical_to_its_inline_form(self, case, seed):
+        """`antecedent_nll` through `model.pair_scores` gives the loss and
+        every gradient of the form with the head's backward written out
+        inline (`oracles.antecedent_nll_reference`), to the byte."""
+        assert_nll_bytes_match_reference(case, seed)
+
+    @pytest.mark.parametrize("k, extra_rows, hidden, max_antecedents", [
+        (2, 0, 0, 1), (2, 3, 3, 4), (7, 2, 3, 2), (8, 4, 0, 3), (6, 0, 2, 8)])
+    def test_one_pair_many_and_cut_windows_match_bytes(
+            self, k, extra_rows, hidden, max_antecedents):
+        """Linear and tanh heads over one pair (k = 2), windows cut by
+        `max_antecedents`, uncut ones and table rows that are no
+        candidate's."""
+        case = coref_case(k, extra_rows, 3, hidden, max_antecedents, seed=k)
+        assert_nll_bytes_match_reference(case, seed=hidden)
 
     def test_windows_cut_by_max_antecedents(self):
         rows, pairs, numer, values = coref_case(7, 2, 2, 3, 2, seed=3)
@@ -247,11 +289,11 @@ class TestAntecedentNll:
     def test_decode_and_training_share_the_pair_scores(self):
         rows, pairs, _, values = coref_case(6, 2, 3, 4, 3, seed=5)
         head = head_of(values[2:])
-        x = values[0][rows]
-        got = m.antecedent_scores(x, pairs.mention, pairs.antecedent,
-                                  head).scores
+        x, s = values[0][rows], values[1][rows]
+        got, _ = m.pair_scores(x, s, pairs.mention, pairs.antecedent, head)
         want = O.feed_forward_tape(head, O.pair_features(
-            Tensor(x[pairs.mention]), Tensor(x[pairs.antecedent]))).value
+            Tensor(x[pairs.mention]), Tensor(x[pairs.antecedent]))).value \
+            + s[pairs.mention] + s[pairs.antecedent]
         assert_close(got, want)
 
 

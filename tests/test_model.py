@@ -15,13 +15,12 @@ from kcoref.model import (CandidateSet, EncoderParams, FeedForward,
                           prune_mentions)
 
 from oracles import (OrderingError, SpanRepresentation, Tensor,
-                     antecedent_distribution, antecedent_scores_reference,
-                     antecedent_window, attend_span,
+                     antecedent_distribution, antecedent_window, attend_span,
                      build_span_representation, encode_tokens_reference,
                      enumerate_candidate_spans_reference,
                      feed_forward_reference, finite_difference, layout_spans,
-                     mention_score, pair_score, relative_error,
-                     softmax_by_hand, span_layout_reference,
+                     mention_score, pair_score, pair_scores_reference,
+                     relative_error, softmax_by_hand, span_layout_reference,
                      span_representations_reference)
 from test_corpus import make_doc
 
@@ -524,18 +523,13 @@ def test_forward_is_byte_identical_to_its_slice_forms(case):
         assert_same_bytes(scores, feed_forward_reference(scoring.mention,
                                                          reps))
     for k in sorted({0, 1, min(most, len(reps))}):
-        x = reps[np.sort(rng.choice(len(reps), size=k, replace=False))]
+        chosen = np.sort(rng.choice(len(reps), size=k, replace=False))
+        x, s = reps[chosen], scores[chosen]
         pairs = m.antecedent_pairs(k, config.max_antecedents)
-        got = m.antecedent_scores(x, pairs.mention, pairs.antecedent,
-                                  scoring.antecedent)
-        want = antecedent_scores_reference(x, pairs.mention, pairs.antecedent,
-                                           scoring.antecedent)
-        assert_same_bytes(got.scores, want[0])
-        assert_same_bytes(got.products, want[1])
-        if config.scorer_hidden:
-            assert_same_bytes(got.hidden, want[2])
-        else:
-            assert got.hidden is None and want[2] is None
+        got, _ = m.pair_scores(x, s, pairs.mention, pairs.antecedent,
+                               scoring.antecedent)
+        assert_same_bytes(got, pair_scores_reference(
+            x, s, pairs.mention, pairs.antecedent, scoring.antecedent))
 
 
 def test_candidate_set_len():
@@ -610,4 +604,21 @@ def test_only_antecedent_pairs_reads_its_slot_grid():
                for name, node, scope in src_nodes()
                if isinstance(node, ast.Attribute) and node.attr == "grid"
                and (name, scope[:1]) != ("model.py", ("AntecedentPairs",))]
+    assert not outside, outside
+
+
+# The antecedent head's tensors and the pair scatter its backward sums with.
+HEAD_ATTRIBUTES = {"w1", "b1", "w2", "b2", "scatter"}
+
+
+def test_only_the_model_reads_the_antecedent_head():
+    """s(i, j) and its backward live in `model.pair_scores` alone: no file
+    of src/kcoref but model.py reads a `FeedForward` tensor or
+    `AntecedentPairs.scatter`, so the losses and decoding cannot re-derive
+    the head."""
+    outside = [f"{name}:{node.lineno} reads .{node.attr} in "
+               f"{'.'.join(scope) or '<module>'}"
+               for name, node, scope in src_nodes()
+               if isinstance(node, ast.Attribute)
+               and node.attr in HEAD_ATTRIBUTES and name != "model.py"]
     assert not outside, outside

@@ -292,6 +292,23 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="entities_per_concept"):
             SyntheticSpec(concepts=concepts, entities_per_concept=most + 1)
 
+    @pytest.mark.parametrize("field", ["oov_fraction", "determiner_fraction",
+                                       "qualifier_fraction"])
+    def test_fractions_are_within_zero_and_one(self, field):
+        SyntheticSpec(**{field: 0.0})
+        SyntheticSpec(**{field: 1})
+        for value in (1.5, 1 + 1e-12, -0.1):
+            with pytest.raises(ValueError, match=field):
+                SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("suffixes", [("IA",), ("ia", "Oma"), ("ɪA",)])
+    def test_a_suffix_must_be_lower_case(self, suffixes):
+        """Subword lookup lowercases each word, so `synth` cannot write a
+        vocab piece that would never match."""
+        with pytest.raises(ValueError, match=r"suffixes\[\d\] must be "
+                                             r"lower-case"):
+            SyntheticSpec(suffixes=suffixes)
+
     def test_confound_share_matches_suffix_pool(self):
         spec = SyntheticSpec(n_documents=2, entities_per_concept=8,
                              suffixes=("ia", "oma"), oov_fraction=1.0, seed=3)
