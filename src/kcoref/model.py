@@ -9,8 +9,9 @@ alone scores antecedent pairs, s(i, j), for training and decoding.
 
 Each stage runs in plain numpy and returns its value together with its
 backward: a closure that turns the value's gradient into the gradients of
-its inputs and parameters, in closed form. The first pair backward
-imports `scipy.sparse`, so prediction never loads it.
+its inputs and parameters, in closed form. The pair backward sums each
+candidate's pair terms through gather plans built on its first run, so
+neither training nor prediction needs scipy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .corpus import (Document, SpanRef, check_field,
                      enumerate_candidate_spans)
 
 UNK_TOKEN = "<unk>"
+
+# Gathered rows per chunk of `AntecedentPairs.candidate_sums`: a chunk takes
+# as many candidates as keep its (slots, candidates) gathers this size, so
+# they stay cache-sized where a whole long document's would not.
+SUM_CHUNK_ROWS = 1024
 
 Backward = Callable[..., object]
 
@@ -412,28 +418,28 @@ def pair_scores(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
     scores += s[antecedent]
 
     def backward(g_pair, pairs: AntecedentPairs, grad: FeedForward):
-        n_pairs, width, scatter = len(g_pair), w1.shape[1], pairs.scatter
+        n_pairs, width = len(g_pair), w1.shape[1]
         if head.w2 is None:
             g_layer = g_pair[:, None]
         else:
             g_layer = np.outer(g_pair, head.w2) * (1.0 - layer ** 2)
             grad.b1[...] = g_layer.sum(axis=0)
             np.matmul(layer.T, g_pair, out=grad.w2)
-        # One sparse product sums, per row, the layer gradient of the pairs
-        # it is the mention and the antecedent of, and their g_pair.
-        block = np.zeros((2 * n_pairs, 2 * width + 1))
+        # Per pair, its layer gradient on the side of each of its two rows
+        # and its g_pair, and the factor its partner row is scaled by in the
+        # product block's gradient; each ends in a zero row for padding.
+        block = np.zeros((2 * n_pairs + 1, 2 * width + 1))
         block[:n_pairs, :width] = g_layer
-        block[n_pairs:, width:-1] = g_layer
+        block[n_pairs:-1, width:-1] = g_layer
         block[:n_pairs, -1] = g_pair
-        block[n_pairs:, -1] = g_pair
-        sums = scatter @ block
+        block[n_pairs:-1, -1] = g_pair
+        factor = np.empty((n_pairs + 1, d))
+        np.matmul(g_layer, w1[2 * d:].T, out=factor[:-1])
+        factor[-1] = 0.0
+        sums, partner_sums = pairs.candidate_sums(
+            block, np.concatenate([x, np.zeros((1, d))]), factor)
         g_u, g_v = sums[:, :width], sums[:, width:-1]
-        # h_j and h_i per pair, gathered again: no (2, P, D) copy is kept.
-        partners = x.take(np.concatenate([antecedent, mention]),
-                          axis=0).reshape(2, n_pairs, d)
-        partners *= g_layer @ w1[2 * d:].T
-        g_x = (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
-               + scatter @ partners.reshape(2 * n_pairs, d))
+        g_x = g_u @ w1[:d].T + g_v @ w1[d:2 * d].T + partner_sums
         g_w1 = grad.w1.reshape(3 * d, -1)
         np.matmul(x.T, g_u, out=g_w1[:d])
         np.matmul(x.T, g_v, out=g_w1[d:2 * d])
@@ -454,7 +460,8 @@ class AntecedentPairs:
     candidate with a column per window slot plus a last dummy column; its
     entries index the flat pairs extended by two slots, P for a padding
     slot and P + 1 for the dummy; `inside` marks the window slots that hold
-    a pair. `slots` fills the grid with any per-pair values.
+    a pair. `slots` fills the grid with any per-pair values, and
+    `candidate_sums` sums per-pair rows onto the candidates.
     """
 
     mention: np.ndarray
@@ -462,21 +469,56 @@ class AntecedentPairs:
     grid: np.ndarray
     inside: np.ndarray
 
+    def candidate_sums(self, block: np.ndarray, x_pad: np.ndarray,
+                       factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per candidate, the sum of `block`'s rows of its pairs, and of its
+        partners' `x_pad` rows times their pair's `factor` row: h_j for the
+        pairs it is the mention of, h_i for those it is the antecedent of.
+        `block` holds the pairs' mention-side rows, then their
+        antecedent-side rows; each array ends in a zero row, which padding
+        slots read.
+
+        The sums add as a CSR one-hot of [mention, antecedent] would: from
+        +0.0, the pairs a candidate is the mention of, then those it is the
+        antecedent of, each in pair order. A padding slot's +0.0 changes no
+        such sum.
+        """
+        n = len(self.grid)
+        sums = np.empty((n, block.shape[1]))
+        partner_sums = np.empty((n, x_pad.shape[1]))
+        for chunk, rows, partner, pair in self.sum_plans:
+            np.add.reduce(block.take(rows, axis=0), axis=0, out=sums[chunk],
+                          initial=0.0)
+            terms = x_pad.take(partner, axis=0)
+            terms *= factor.take(pair, axis=0)
+            np.add.reduce(terms, axis=0, out=partner_sums[chunk], initial=0.0)
+        return sums, partner_sums
+
     @functools.cached_property
-    def scatter(self):
-        """The sparse (candidates, 2P) one-hot of [mention, antecedent], a
-        `scipy.sparse.csr_matrix` that sums per-pair rows, mention side
-        first, onto their candidates; built on the first pair backward."""
-        from scipy import sparse
-        n_pairs = len(self.mention)
-        scatter = sparse.csr_matrix(
-            (np.ones(2 * n_pairs), (np.concatenate([self.mention,
-                                                    self.antecedent]),
-                                    np.arange(2 * n_pairs))),
-            shape=(len(self.grid), 2 * n_pairs))
-        for array in (scatter.data, scatter.indices, scatter.indptr):
-            array.flags.writeable = False
-        return scatter
+    def sum_plans(self) -> tuple:
+        """`candidate_sums`' gather plans, built on first use: per chunk of
+        candidates, its slice and its read-only (slots, chunk) block,
+        partner and pair rows; padding slots name each array's last row."""
+        n, n_pairs = len(self.grid), len(self.mention)
+        owner = np.concatenate([self.mention, self.antecedent])
+        order = np.argsort(owner, kind="stable")
+        counts = np.bincount(owner, minlength=n)
+        slot = np.arange(2 * n_pairs) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        rows = np.full((counts.max(initial=0), n), 2 * n_pairs, dtype=np.intp)
+        rows[slot, owner[order]] = order
+        partner = np.concatenate([self.antecedent, self.mention, [n]])[rows]
+        pair = rows - n_pairs * (rows >= n_pairs)
+        step = max(1, SUM_CHUNK_ROWS // max(1, len(rows)))
+        plans = []
+        for lo in range(0, n, step):
+            chunk = slice(lo, min(lo + step, n))
+            plan = [np.ascontiguousarray(a[:counts[chunk].max(), chunk])
+                    for a in (rows, partner, pair)]
+            for array in plan:
+                array.flags.writeable = False
+            plans.append((chunk, *plan))
+        return tuple(plans)
 
     @functools.cached_property
     def antecedent_grid(self) -> np.ndarray:

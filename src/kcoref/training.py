@@ -614,8 +614,10 @@ def gradient_check(store: ParameterStore, build_loss: LossBuilder,
 
     Probes at least `coords_per_tensor` seeded coordinates per tensor (all of
     them for small tensors). A non-finite analytic or numeric derivative
-    makes the tensor's error inf, so it fails.
+    makes the tensor's error inf, so it fails. It repeats doc-steps, so it
+    keeps the heap (`keep_heap`) as training does.
     """
+    keep_heap()
     grads = store.named(compute_gradients(store, build_loss)[0])
     rng = np.random.default_rng(seed)
     probe = store.copy()

@@ -1234,12 +1234,24 @@ def pair_scores_reference(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
     return s_a + s[mention] + s[antecedent]
 
 
+def pair_scatter_reference(pairs: m.AntecedentPairs) -> sparse.csr_matrix:
+    """The (candidates, 2P) one-hot of [mention, antecedent]: its product
+    sums per-pair rows, mention side first, onto their candidates."""
+    n_pairs = len(pairs.mention)
+    return sparse.csr_matrix(
+        (np.ones(2 * n_pairs), (np.concatenate([pairs.mention,
+                                                pairs.antecedent]),
+                                np.arange(2 * n_pairs))),
+        shape=(len(pairs.grid), 2 * n_pairs))
+
+
 def antecedent_nll_reference(full, mention_scores, rows, pairs, numer, head):
     """`losses.antecedent_nll`, forward and backward, with the antecedent
     head's backward written out inline, its rows gathered by fancy indexing
     and its products out of place: the package's `model.pair_scores` must
-    give the same bytes."""
+    give the same bytes. Its per-candidate sums are a CSR product."""
     x = full[rows]
+    scatter = pair_scatter_reference(pairs)
     mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
     d = x.shape[1]
     s_a, products, hidden = antecedent_head_reference(x, mention, antecedent,
@@ -1268,14 +1280,14 @@ def antecedent_nll_reference(full, mention_scores, rows, pairs, numer, head):
         block[n_pairs:, width:-1] = g_layer
         block[:n_pairs, -1] = g_pair
         block[n_pairs:, -1] = g_pair
-        sums = pairs.scatter @ block
+        sums = scatter @ block
         g_u, g_v = sums[:, :width], sums[:, width:-1]
         g_scores[rows] += sums[:, -1]
         partners = x[np.concatenate([antecedent, mention])].reshape(
             2, n_pairs, d)
         partners *= g_layer @ w1[2 * d:].T
         g_full[at] += (g_u @ w1[:d].T + g_v @ w1[d:2 * d].T
-                       + pairs.scatter @ partners.reshape(2 * n_pairs, d))
+                       + scatter @ partners.reshape(2 * n_pairs, d))
         g_w1 = grad.w1.reshape(3 * d, -1)
         np.matmul(x.T, g_u, out=g_w1[:d])
         np.matmul(x.T, g_v, out=g_w1[d:2 * d])

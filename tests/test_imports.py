@@ -1,13 +1,12 @@
-"""What imports what: the kcoref names the benchmark needs, and which parts
-of scipy a process loads.
+"""What imports what: the kcoref names the benchmark needs, and that no
+kcoref path loads scipy.
 
 Every kcoref name that perfbench's workloads import, read through a module
 alias or wrap as a `tracing.Target` must exist, or every benchmark run
-fails. Importing kcoref loads no scipy module, checked in a fresh
-interpreter. The synth, project and evaluate paths never do; a training
-doc-step loads `scipy.sparse` for the CL backward's scatter and nothing
-else of scipy. The source has one scipy import, where that scatter is
-built.
+fails. No stage of a fresh interpreter's run loads a scipy module: importing
+kcoref, the synth and project paths, a training doc-step, CEAF-e and the
+evaluate path. The source has no scipy import; only the tests use scipy, as
+an oracle.
 """
 
 import ast
@@ -125,10 +124,6 @@ def loaded():
                   if name == "scipy" or name.startswith("scipy."))
 
 stages = {}
-if sys.argv[1] == "sparse":
-    from scipy import sparse
-    print(json.dumps({"sparse": loaded()}))
-    sys.exit()
 import kcoref.cli
 from kcoref import evaluation as ev, losses as L, toolkit as tk
 from kcoref import training as tr
@@ -191,22 +186,17 @@ def scipy_stages(*args) -> dict[str, set[str]]:
             for name, modules in json.loads(done.stdout).items()}
 
 
-def test_scipy_loads_where_it_is_first_used(tmp_path):
-    """Importing kcoref, the synth and project paths and the whole evaluate
-    path load no scipy module; a training doc-step loads what
-    `from scipy import sparse` alone loads, and CEAF-e adds nothing."""
-    sparse = scipy_stages("sparse")["sparse"]
-    assert "scipy.sparse" in sparse
+def test_no_stage_loads_scipy(tmp_path):
+    """Importing kcoref, the synth and project paths, a training doc-step,
+    CEAF-e and the whole evaluate path load no scipy module."""
     train = scipy_stages("train")
     evaluate = scipy_stages("evaluate", tmp_path / "model.ckpt")
-    for stages in (train, evaluate):
-        assert stages["import"] == set()
-        assert stages["synth_project"] == set()
-    assert evaluate["evaluate"] == set()
-    assert train["doc_step"] == sparse
-    assert train["ceaf_e"] == sparse
-    for modules in (sparse, *train.values(), *evaluate.values()):
-        assert not {"scipy.optimize", "scipy.sparse.csgraph"} & modules
+    assert set(train) == {"import", "synth_project", "doc_step", "ceaf_e"}
+    assert set(evaluate) == {"import", "synth_project", "evaluate"}
+    loaded = {f"{stage}: {sorted(modules)}"
+              for stages in (train, evaluate)
+              for stage, modules in stages.items() if modules}
+    assert not loaded, loaded
 
 
 def scipy_imports(node: ast.AST, scope: tuple[str, ...] = ()):
@@ -229,18 +219,12 @@ def scipy_imports(node: ast.AST, scope: tuple[str, ...] = ()):
             yield from scipy_imports(child, scope)
 
 
-def test_scipy_is_imported_only_by_the_cl_scatter():
-    """The one scipy import in src/kcoref is `scipy.sparse`, inside the
-    builder of the CL backward's scatter, so scipy cannot return to the
-    evaluate path unnoticed."""
-    found = [(path.name, *found)
+def test_src_has_no_scipy_import():
+    """No file of src/kcoref imports scipy, at module level or inside a
+    function, so scipy cannot return to a kcoref path unnoticed."""
+    found = [f"{path.name}:{line} imports {module} in "
+             f"{'.'.join(scope) or '<module>'}"
              for path in sorted((SRC / "kcoref").glob("*.py"))
-             for found in scipy_imports(ast.parse(
+             for line, scope, module in scipy_imports(ast.parse(
                  path.read_text(encoding="utf-8")))]
-    outside = [f"{name}:{line} imports {module}"
-               for name, line, scope, module in found
-               if (name, scope, module) != ("model.py",
-                                            ("AntecedentPairs", "scatter"),
-                                            "scipy.sparse")]
-    assert not outside, outside
-    assert len(found) == 1, found
+    assert not found, found

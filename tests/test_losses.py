@@ -739,9 +739,10 @@ def glued_document(n_documents: int):
 class TestLongDocuments:
     def test_cl_holds_no_copy_of_the_pair_blocks(self):
         """On a glued 1,105-token document, a CL doc-step peaks at about
-        6.4 pair blocks: (P, D) float64 arrays of its P pairs over D-wide
+        4.7 pair blocks: (P, D) float64 arrays of its P pairs over D-wide
         span rows. Holding both partner rows of every pair from the forward
-        to the backward took it to 8.5."""
+        to the backward took it to 8.5, and the backward's (2P, D) partner
+        block, summed by one sparse product, to 6.4."""
         doc = glued_document(20)
         config = m.ModelConfig(d_token=24, d_width=4, window_radius=1,
                                scorer_hidden=16, max_span_width=3,
@@ -765,4 +766,4 @@ class TestLongDocuments:
                                    config.max_antecedents)
         block = len(pairs.mention) * config.span_dim * 8
         assert len(doc) == 1105 and len(pairs.mention) > 9000
-        assert peak < 7.5 * block, f"{peak / block:.2f} pair blocks"
+        assert peak < 6.0 * block, f"{peak / block:.2f} pair blocks"

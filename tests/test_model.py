@@ -19,9 +19,9 @@ from oracles import (OrderingError, SpanRepresentation, Tensor,
                      build_span_representation, encode_tokens_reference,
                      enumerate_candidate_spans_reference,
                      feed_forward_reference, finite_difference, layout_spans,
-                     mention_score, pair_score, pair_scores_reference,
-                     relative_error, softmax_by_hand, span_layout_reference,
-                     span_representations_reference)
+                     mention_score, pair_score, pair_scatter_reference,
+                     pair_scores_reference, relative_error, softmax_by_hand,
+                     span_layout_reference, span_representations_reference)
 from test_corpus import make_doc
 
 
@@ -446,6 +446,55 @@ def test_slots_lay_per_pair_values_out_by_window(n, max_antecedents, extra):
         assert pairs.slots(values).tolist() == want
 
 
+@st.composite
+def candidate_sum_cases(draw):
+    """A pair table of 0-150 candidates with windows of 1-40, cut or not,
+    and float rows to sum over it, some of whose entries are exact zeros,
+    -0.0, +0.0 or both."""
+    max_antecedents = draw(st.integers(1, 40))
+    n = draw(st.integers(0, max_antecedents + 1) if draw(st.booleans())
+             else st.integers(max_antecedents + 2, 150))
+    pairs = m.antecedent_pairs(n, max_antecedents)
+    n_pairs = len(pairs.mention)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    signs = draw(st.sampled_from([(-0.0,), (0.0,), (-0.0, 0.0)]))
+
+    def rows(count, width):
+        values = rng.standard_normal((count + 1, width))
+        zeros = rng.random(values.shape) < share
+        values[zeros] = rng.choice(signs, size=int(zeros.sum()))
+        values[-1] = 0.0
+        return values
+
+    width, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return pairs, rows(2 * n_pairs, width), rows(n, d), rows(n_pairs, d)
+
+
+@given(candidate_sum_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_candidate_sums_are_the_csr_product(case):
+    """`AntecedentPairs.candidate_sums`, chunk by chunk over its gather
+    plans, gives the bytes of the CSR one-hot of [mention, antecedent]
+    times the per-pair rows, signed zeros included."""
+    pairs, block, x_pad, factor = case
+    scatter = pair_scatter_reference(pairs)
+    partners = np.concatenate([x_pad[pairs.antecedent],
+                               x_pad[pairs.mention]])
+    partners *= np.concatenate([factor[:-1], factor[:-1]])
+    sums, partner_sums = pairs.candidate_sums(block, x_pad, factor)
+    assert sums.tobytes() == (scatter @ block[:-1]).tobytes()
+    assert partner_sums.tobytes() == (scatter @ partners).tobytes()
+    # The chunks cover the candidates in order, each within the row budget
+    # unless it holds one candidate.
+    chunks = [chunk for chunk, *_ in pairs.sum_plans]
+    assert [k for c in chunks for k in range(c.start, c.stop)] \
+        == list(range(len(pairs.grid)))
+    for _, *plan in pairs.sum_plans:
+        assert plan[0].shape[1] == 1 or plan[0].size <= m.SUM_CHUNK_ROWS
+        assert not any(array.flags.writeable for array in plan)
+
+
 class TestModelConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("d_token", 0), ("d_width", -1), ("scorer_hidden", -1),
@@ -607,15 +656,16 @@ def test_only_antecedent_pairs_reads_its_slot_grid():
     assert not outside, outside
 
 
-# The antecedent head's tensors and the pair scatter its backward sums with.
-HEAD_ATTRIBUTES = {"w1", "b1", "w2", "b2", "scatter"}
+# The antecedent head's tensors, and the per-candidate sums of its backward
+# with their gather plans.
+HEAD_ATTRIBUTES = {"w1", "b1", "w2", "b2", "candidate_sums", "sum_plans"}
 
 
 def test_only_the_model_reads_the_antecedent_head():
     """s(i, j) and its backward live in `model.pair_scores` alone: no file
-    of src/kcoref but model.py reads a `FeedForward` tensor or
-    `AntecedentPairs.scatter`, so the losses and decoding cannot re-derive
-    the head."""
+    of src/kcoref but model.py reads a `FeedForward` tensor,
+    `AntecedentPairs.candidate_sums` or its `sum_plans`, so the losses and
+    decoding cannot re-derive the head."""
     outside = [f"{name}:{node.lineno} reads .{node.attr} in "
                f"{'.'.join(scope) or '<module>'}"
                for name, node, scope in src_nodes()
