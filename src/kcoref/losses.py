@@ -117,7 +117,9 @@ def pair_target_distances(index: DocumentIndex, rows_i: np.ndarray,
     equals it bit for bit; a skipped term adds 0.0.
     """
     c_i, c_j = index.cluster[rows_i], index.cluster[rows_j]
-    total = weights.alpha_c * ((c_i < 0) | (c_i != c_j))
+    # Float from the start, so the terms add in place.
+    total = np.multiply(weights.alpha_c, (c_i < 0) | (c_i != c_j),
+                        dtype=np.float64)
     for lexicon_id, alpha in weights.alpha_k.items():
         if alpha == 0.0:
             continue
@@ -126,7 +128,7 @@ def pair_target_distances(index: DocumentIndex, rows_i: np.ndarray,
         term = alpha * ((a < 0) | (a != b))
         if unlabeled == "skip":
             term = np.where((a >= 0) & (b >= 0), term, 0.0)
-        total = total + term
+        total += term
     return total
 
 
@@ -401,14 +403,14 @@ def document_objective(doc: Document, enc: m.EncoderParams,
         for r in read:
             is_live[r] = True
         live = np.flatnonzero(is_live)
-        at = np.cumsum(is_live) - 1
+        at = np.cumsum(is_live)
+        at -= 1
         g_live = np.zeros((len(live), reps.shape[1]))
         if cl_backward is not None:
-            g_scores = np.zeros(len(scores))
-            cl_backward(b1, g_live, at[rows], g_scores,
-                        scoring_grad.antecedent)
-            g_live[at[rows]] += mention_backward(g_scores,
-                                                 scoring_grad.mention, rows)
+            at_rows, g_scores = at[rows], np.zeros(len(scores))
+            cl_backward(b1, g_live, at_rows, g_scores, scoring_grad.antecedent)
+            g_live[at_rows] += mention_backward(g_scores, scoring_grad.mention,
+                                                rows)
         if rl_backward is not None:
             rl_backward(b2, g_live, at[pool])
         if sl_backward is not None:
@@ -431,9 +433,10 @@ def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
     pairs = m.antecedent_pairs(len(candidates), config.max_antecedents)
     cluster = index.cluster[rows]
     mention, antecedent = cluster[pairs.mention], cluster[pairs.antecedent]
-    numer = pairs.slots((mention >= 0) & (mention == antecedent), False,
-                        False)
-    numer[:, -1] = ~numer.any(axis=1)  # the dummy, without a gold antecedent
+    gold = (mention >= 0) & (mention == antecedent)
+    numer = pairs.slots(gold, False, False)
+    # The dummy, for a candidate without a gold antecedent.
+    numer[:, -1] = np.bincount(pairs.mention, gold, len(rows)) == 0
     misses = int(np.count_nonzero(index.anaphoric[rows] & numer[:, -1]))
     if len(pairs.mention) == 0:
         return 0.0, None, misses
@@ -444,9 +447,13 @@ def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,
 def _logsumexp_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-shifted log-sum-exp over the last axis, and the softmax."""
     shift = values.max(axis=-1, keepdims=True)
-    exps = np.exp(values - shift)
+    exps = values - shift
+    np.exp(exps, out=exps)
     total = exps.sum(axis=-1, keepdims=True)
-    return (np.log(total) + shift)[..., 0], exps / total
+    exps /= total
+    lse = np.log(total)
+    lse += shift
+    return lse[..., 0], exps
 
 
 def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
@@ -463,15 +470,17 @@ def antecedent_nll(full: np.ndarray, mention_scores: np.ndarray,
     scores, pair_backward = m.pair_scores(
         full.take(rows, axis=0), mention_scores[rows], pairs.mention,
         pairs.antecedent, head)
-    slots = pairs.slots(scores)
     # Row-wise over every slot (denominator) and the marked ones (numerator).
-    lse, probs = _logsumexp_rows(np.stack([slots,
-                                           np.where(numer, slots, -np.inf)]))
+    both = np.full((2, *numer.shape), -np.inf)
+    both[0] = pairs.slots(scores)
+    np.copyto(both[1], both[0], where=numer)
+    lse, probs = _logsumexp_rows(both)
 
     def backward(g, g_full: np.ndarray, at: np.ndarray, g_scores: np.ndarray,
                  grad: m.FeedForward) -> None:
-        # Each pair has one window slot, in flat pair order.
-        g_pair = (g * (probs[0] - probs[1]))[:, :-1][pairs.inside]
+        # g * (p - q) of each pair's slot, its factors swapped.
+        g_pair = np.subtract(probs[0], probs[1]).take(pairs.positions)
+        g_pair *= g
         g_x, g_s = pair_backward(g_pair, pairs, grad)
         g_scores[rows] += g_s
         g_full[at] += g_x
@@ -507,26 +516,42 @@ def mean_cosine_gap(full: np.ndarray, columns: slice, rows: np.ndarray,
     passes no gradient (a pair with one has a zero dot product).
     """
     v = full[rows, columns]
-    norms = np.sqrt((v * v).sum(axis=1))
+    norms = np.square(v).sum(axis=1)
+    np.sqrt(norms, out=norms)
     products = v.take(first, axis=0)
     products *= v.take(second, axis=0)
     dots = products.sum(axis=1)
-    norms_i, norms_j = norms[first], norms[second]
-    den = norms_i * norms_j + _NORM_EPS
-    gaps = targets - (1.0 - dots / den)
+    den = norms[first]
+    den *= norms[second]
+    den += _NORM_EPS
+    # targets - (1 - dots / den), in place.
+    gaps = dots / den
+    np.subtract(1.0, gaps, out=gaps)
+    np.subtract(targets, gaps, out=gaps)
 
     def backward(g, g_full: np.ndarray, at: np.ndarray) -> None:
-        g_gaps = g * np.sign(gaps) / float(len(gaps))
+        # g * sign(gaps) / pairs, its first factors swapped.
+        g_gaps = np.sign(gaps)
+        g_gaps *= g
+        g_gaps /= float(len(gaps))
         # d/dv of the pair dots and norm products, through (M, M) grids
-        # over the pooled rows.
-        g_dots = np.zeros((len(v), len(v)))
-        g_dots[first, second] = g_gaps / den
-        g_den = np.zeros((len(v), len(v)))
-        g_den[first, second] = -g_gaps * dots / den ** 2
-        g_norms = g_den @ norms + g_den.T @ norms
-        g_v = g_dots @ v + g_dots.T @ v + np.divide(
-            g_norms, norms, out=np.zeros_like(norms),
-            where=norms > 0)[:, None] * v
+        # over the pooled rows; pair p sits at flat position
+        # first[p] * M + second[p].
+        n = len(v)
+        cells = first * n + second
+        g_dots = np.zeros((n, n))
+        g_dots.reshape(-1)[cells] = g_gaps / den
+        g_den = np.zeros((n, n))
+        g_den_pairs = -g_gaps
+        g_den_pairs *= dots
+        g_den_pairs /= np.square(den)
+        g_den.reshape(-1)[cells] = g_den_pairs
+        g_norms = g_den @ norms
+        g_norms += g_den.T @ norms
+        g_v = g_dots @ v
+        g_v += g_dots.T @ v
+        g_v += np.divide(g_norms, norms, out=np.zeros_like(norms),
+                         where=norms > 0)[:, None] * v
         g_full[at, columns] += g_v
 
     return float(np.abs(gaps).sum() / float(len(gaps))), backward

@@ -77,7 +77,8 @@ def scatter_rows(index, values: np.ndarray, shape: tuple) -> np.ndarray:
     positions where `index` is r: the backward of gathering rows `index`.
 
     One bincount over flat (row, column) positions adds them in input
-    order, as np.add.at would.
+    order, as np.add.at would. The result is float64 for no rows too, where
+    bincount counts in integers.
     """
     rows, width = shape[0], math.prod(shape[1:])
     flat = np.asarray(index).reshape(-1)
@@ -86,7 +87,7 @@ def scatter_rows(index, values: np.ndarray, shape: tuple) -> np.ndarray:
                 + np.arange(width, dtype=np.intp)).reshape(-1)
     full = np.bincount(flat, weights=np.reshape(values, -1),
                        minlength=rows * width)
-    return full.reshape(shape)
+    return full.reshape(shape).astype(np.float64, copy=False)
 
 
 @dataclass
@@ -116,8 +117,12 @@ class FeedForward:
         np.tanh(hidden, out=hidden)
 
         def backward(g, grad, rows):
-            g_hidden = np.outer(g[rows], self.w2) * (1.0 - hidden[rows] ** 2)
-            np.matmul(x[rows].T, g_hidden, out=grad.w1)
+            # (1 - h**2) * outer(g, w2), its factors swapped: the same bytes.
+            g_hidden = hidden.take(rows, axis=0)
+            np.square(g_hidden, out=g_hidden)
+            np.subtract(1.0, g_hidden, out=g_hidden)
+            g_hidden *= np.outer(g[rows], self.w2)
+            np.matmul(x.take(rows, axis=0).T, g_hidden, out=grad.w1)
             grad.b1[...] = g_hidden.sum(axis=0)
             np.matmul(hidden.T, g, out=grad.w2)
             grad.b2[...] = g.sum(axis=0)
@@ -252,14 +257,6 @@ class SpanLayout:
     def __len__(self) -> int:
         return len(self.starts)
 
-    @functools.cached_property
-    def bounds(self) -> np.ndarray:
-        """(spans, 2) start and end token per span, read-only: one gather
-        of it reads both boundary vectors."""
-        bounds = np.stack([self.starts, self.ends], axis=1)
-        bounds.flags.writeable = False
-        return bounds
-
 
 def span_layout(starts: np.ndarray, ends: np.ndarray,
                 config: ModelConfig) -> SpanLayout:
@@ -317,28 +314,37 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
     d = x.shape[1]
 
     logits = (x @ attention)[tokens]
-    # A padding slot repeats the end token, so each row's max is a slot's.
-    weights = logits - logits.max(axis=1, keepdims=True)
+    # Each span's maximum over its slots, a column at a time: the same
+    # maximum as a reduction over the short slot axis, in fewer passes. A
+    # padding slot repeats the end token, so the maximum is a slot's.
+    shift = logits[:, 0].copy()
+    for column in logits.T[1:]:
+        np.maximum(shift, column, out=shift)
+    weights = logits - shift[:, None]
     np.exp(weights, out=weights)
     weights *= layout.mask
     weights /= weights.sum(axis=1, keepdims=True)
     span_tokens = x.take(tokens, axis=0)
+    # Slot 0 of a span is its start token and the last slot its end token.
     full = np.concatenate([
-        x.take(layout.bounds, axis=0).reshape(len(tokens), 2 * d),
+        span_tokens[:, 0], span_tokens[:, -1],
         np.einsum("sw,swd->sd", weights, span_tokens),
         table.take(layout.buckets, axis=0)], axis=1)
 
     def backward(g: np.ndarray, grad: EncoderParams,
                  rows: np.ndarray) -> np.ndarray:
-        row_tokens, row_weights = tokens[rows], weights[rows]
+        row_tokens = tokens.take(rows, axis=0)
+        row_weights = weights.take(rows, axis=0)
         g_internal = g[:, 2 * d:3 * d]
-        g_weights = np.einsum("swd,sd->sw", span_tokens[rows], g_internal)
-        g_logits = row_weights * (g_weights - (row_weights * g_weights)
-                                  .sum(axis=1, keepdims=True))
+        # The weights' gradient g_w, then in place the logits' gradient
+        # w * (g_w - sum(w * g_w)), its factors swapped.
+        g_logits = np.einsum("swd,sd->sw", span_tokens.take(rows, axis=0),
+                             g_internal)
+        g_logits -= (row_weights * g_logits).sum(axis=1, keepdims=True)
+        g_logits *= row_weights
         g_attention = np.bincount(row_tokens.reshape(-1),
                                   g_logits.reshape(-1), minlength=len(x))
-        # Slot 0 of a span is its start token and the last slot its end
-        # token, so one scatter over the slots also carries the boundaries.
+        # One scatter over the slots also carries the boundaries.
         g_slots = row_weights[:, :, None] * g_internal[:, None, :]
         g_slots[:, 0] += g[:, :d]
         g_slots[:, -1] += g[:, d:2 * d]
@@ -346,7 +352,8 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
         np.matmul(g_attention, x, out=grad.attention_w)
         grad.width_embeddings[...] = scatter_rows(
             layout.buckets[rows], g[:, 3 * d:], table.shape)
-        return g_x + np.outer(g_attention, attention)
+        g_x += np.outer(g_attention, attention)
+        return g_x
 
     return full, backward
 
@@ -422,7 +429,10 @@ def pair_scores(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
         if head.w2 is None:
             g_layer = g_pair[:, None]
         else:
-            g_layer = np.outer(g_pair, head.w2) * (1.0 - layer ** 2)
+            # (1 - layer**2) * outer(g_pair, w2), its factors swapped.
+            g_layer = np.square(layer)
+            np.subtract(1.0, g_layer, out=g_layer)
+            g_layer *= np.outer(g_pair, head.w2)
             grad.b1[...] = g_layer.sum(axis=0)
             np.matmul(layer.T, g_pair, out=grad.w2)
         # Per pair, its layer gradient on the side of each of its two rows
@@ -459,15 +469,16 @@ class AntecedentPairs:
     candidate and each window in order. `grid` lays them out as one row per
     candidate with a column per window slot plus a last dummy column; its
     entries index the flat pairs extended by two slots, P for a padding
-    slot and P + 1 for the dummy; `inside` marks the window slots that hold
-    a pair. `slots` fills the grid with any per-pair values, and
+    slot and P + 1 for the dummy; `positions` are the flat positions of the
+    pairs' slots in it, in pair order. `slots` fills the grid with any
+    per-pair values, `take` of `positions` reads them back out, and
     `candidate_sums` sums per-pair rows onto the candidates.
     """
 
     mention: np.ndarray
     antecedent: np.ndarray
     grid: np.ndarray
-    inside: np.ndarray
+    positions: np.ndarray
 
     def candidate_sums(self, block: np.ndarray, x_pad: np.ndarray,
                        factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -549,6 +560,7 @@ def antecedent_pairs(n_candidates: int, max_antecedents: int) -> AntecedentPairs
     grid = np.full((n_candidates, len(slots) + 1), n_pairs, dtype=np.intp)
     grid[:, :-1][inside] = np.arange(n_pairs, dtype=np.intp)
     grid[:, -1] = n_pairs + 1
-    for array in (mention, antecedent, grid, inside):
+    positions = np.flatnonzero(grid < n_pairs)
+    for array in (mention, antecedent, grid, positions):
         array.flags.writeable = False
-    return AntecedentPairs(mention, antecedent, grid, inside)
+    return AntecedentPairs(mention, antecedent, grid, positions)

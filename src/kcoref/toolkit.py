@@ -78,7 +78,11 @@ def mention_antecedent_offsets(docs: Sequence[Document],
     The offset points from the mention to its antecedent. When fewer than
     `sample` gold links exist, all of them are used. A record's concept is
     its chain's single `lexicon_id` label, else "none".
+
+    It encodes document after document, so it keeps the heap as training
+    does (`training.keep_heap`).
     """
+    tr.keep_heap()
     pool = [(d, link) for d, doc in enumerate(docs)
             for link in gold_links(doc)]
     if len(pool) < sample:

@@ -90,7 +90,8 @@ class ParameterStore:
             if broken:
                 raise TrainingError(f"{what} with a line boundary cannot be "
                                     f"saved: {broken}")
-        self._vocab_index = {tok: i for i, tok in enumerate(self.vocab)}
+        self._vocab_index = MappingProxyType(
+            {tok: i for i, tok in enumerate(self.vocab)})
         arrays = {name: np.asarray(self.tensors[name], dtype=np.float64)
                   for name in sorted(self.tensors)}
         self._layout = tuple((name, a.shape) for name, a in arrays.items())
@@ -128,8 +129,14 @@ class ParameterStore:
         return views
 
     def copy(self) -> "ParameterStore":
-        return ParameterStore(self.tensors, self.vocab, self.scaffold_classes,
-                              self.step, self.seed)
+        """A store with its own copy of the buffer. It shares the checked
+        vocabulary, its read-only index and the layout, so nothing is
+        checked or indexed again."""
+        clone = object.__new__(ParameterStore)
+        clone.__dict__.update(self.__dict__, _buffer=self._buffer.copy(),
+                              _groups=None, _gradient=None)
+        clone.tensors = MappingProxyType(clone.named(clone._buffer))
+        return clone
 
     def __reduce__(self):
         # A pickle carries the tensors as plain arrays; loading it builds
@@ -344,11 +351,14 @@ def compute_gradients(store: ParameterStore, build_loss: LossBuilder,
         flat = np.zeros(store._buffer.size)
         store._gradient = flat, group_parameters(store.named(flat), store)
     flat, groups = store._gradient
-    total = np.zeros(flat.size)
+    total = None if objectives else np.zeros(flat.size)
     for objective in objectives:
         flat.fill(0.0)
         objective.backward(*groups)
-        total += flat
+        # The first as flat + 0.0, the bytes of a sum from zeros (-0.0 is
+        # +0.0 there), without the zeros.
+        total = flat + 0.0 if total is None else np.add(total, flat,
+                                                        out=total)
     if not np.isfinite(total).all():
         name = next(name for name, grad in store.named(total).items()
                     if not np.isfinite(grad).all())

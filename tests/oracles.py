@@ -1159,6 +1159,32 @@ def mean_cosine_gap_tape(full: Tensor, columns: slice, rows, first, second,
     return (Tensor(targets) - distances).abs().mean()
 
 
+def mean_cosine_gap_reference(full, columns: slice, rows, first, second,
+                              targets):
+    """`losses.mean_cosine_gap`, forward and backward, with fancy-index
+    gathers and out-of-place arithmetic: the package's in-place form must
+    give the same bytes."""
+    v = full[rows, columns]
+    norms = np.sqrt((v * v).sum(axis=1))
+    dots = (v[first] * v[second]).sum(axis=1)
+    den = norms[first] * norms[second] + 1e-30
+    gaps = targets - (1.0 - dots / den)
+
+    def backward(g, g_full, at) -> None:
+        g_gaps = g * np.sign(gaps) / float(len(gaps))
+        g_dots = np.zeros((len(v), len(v)))
+        g_dots[first, second] = g_gaps / den
+        g_den = np.zeros((len(v), len(v)))
+        g_den[first, second] = -g_gaps * dots / den ** 2
+        g_norms = g_den @ norms + g_den.T @ norms
+        g_v = g_dots @ v + g_dots.T @ v + np.divide(
+            g_norms, norms, out=np.zeros_like(norms),
+            where=norms > 0)[:, None] * v
+        g_full[at, columns] += g_v
+
+    return float(np.abs(gaps).sum() / float(len(gaps))), backward
+
+
 def mean_concept_nll_tape(full: Tensor, columns: slice, rows, classes,
                           weights: Tensor) -> Tensor:
     """`losses.mean_concept_nll`."""
@@ -1202,11 +1228,56 @@ def span_representations_reference(token_vecs: np.ndarray,
                            enc.width_embeddings[layout.buckets]], axis=1)
 
 
+def span_representations_backward_reference(token_vecs: np.ndarray,
+                                            layout: m.SpanLayout, enc,
+                                            g: np.ndarray, rows: np.ndarray
+                                            ) -> tuple:
+    """`model.build_span_representations`' backward for the gradient `g` of
+    the spans `rows`: the token vectors', attention's and width table's
+    gradients, from fancy-index gathers, out-of-place arithmetic and
+    `np.add.at` row scatters."""
+    x, attention, d = token_vecs, enc.attention_w, token_vecs.shape[1]
+    logits = (x @ attention)[layout.tokens]
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True)) * layout.mask
+    weights = exps / exps.sum(axis=1, keepdims=True)
+    row_tokens, row_weights = layout.tokens[rows], weights[rows]
+    g_internal = g[:, 2 * d:3 * d]
+    g_weights = np.einsum("swd,sd->sw", x[layout.tokens][rows], g_internal)
+    g_logits = row_weights * (g_weights - (row_weights * g_weights)
+                              .sum(axis=1, keepdims=True))
+    g_attention = np.zeros(len(x))
+    np.add.at(g_attention, row_tokens, g_logits)
+    g_slots = row_weights[:, :, None] * g_internal[:, None, :]
+    g_slots[:, 0] += g[:, :d]
+    g_slots[:, -1] += g[:, d:2 * d]
+    g_x = np.zeros(x.shape)
+    np.add.at(g_x, row_tokens, g_slots)
+    g_width = np.zeros(enc.width_embeddings.shape)
+    np.add.at(g_width, layout.buckets[rows], g[:, 3 * d:])
+    return g_x + np.outer(g_attention, attention), g_attention @ x, g_width
+
+
 def feed_forward_reference(head: m.FeedForward, x: np.ndarray) -> np.ndarray:
     """`model.FeedForward.apply`'s value."""
     if head.w2 is None:
         return x @ head.w1 + head.b2
     return np.tanh(x @ head.w1 + head.b1) @ head.w2 + head.b2
+
+
+def feed_forward_backward_reference(head: m.FeedForward, x: np.ndarray,
+                                    g: np.ndarray, rows: np.ndarray) -> tuple:
+    """`model.FeedForward.apply`'s backward for the output gradient `g`,
+    zero outside `rows`: the parameter gradients as a `FeedForward` and the
+    input gradient of `rows`, from fancy-index gathers and out-of-place
+    arithmetic."""
+    if head.w2 is None:
+        return (m.FeedForward(w1=x.T @ g, b2=g.sum(axis=0)),
+                np.outer(g[rows], head.w1))
+    hidden = np.tanh(x @ head.w1 + head.b1)
+    g_hidden = np.outer(g[rows], head.w2) * (1.0 - hidden[rows] ** 2)
+    grad = m.FeedForward(w1=x[rows].T @ g_hidden, b1=g_hidden.sum(axis=0),
+                         w2=hidden.T @ g, b2=g.sum(axis=0))
+    return grad, g_hidden @ head.w1.T
 
 
 def antecedent_head_reference(x: np.ndarray, mention: np.ndarray,
@@ -1252,7 +1323,8 @@ def antecedent_nll_reference(full, mention_scores, rows, pairs, numer, head):
     give the same bytes. Its per-candidate sums are a CSR product."""
     x = full[rows]
     scatter = pair_scatter_reference(pairs)
-    mention, antecedent, inside = pairs.mention, pairs.antecedent, pairs.inside
+    mention, antecedent = pairs.mention, pairs.antecedent
+    inside = pairs.grid[:, :-1] < len(mention)
     d = x.shape[1]
     s_a, products, hidden = antecedent_head_reference(x, mention, antecedent,
                                                       head)

@@ -344,6 +344,29 @@ class TestMeanCosineGap:
         full, *args = case
         assert_node_matches(*gap_nodes(*args), [full])
 
+    @SETTINGS
+    @given(case=gap_cases(), seed=st.integers(0, 2**16))
+    def test_backward_is_byte_identical_to_its_out_of_place_form(self, case,
+                                                                 seed):
+        """The in-place loss and flat-position grids give the bytes of the
+        fancy-index, out-of-place form (`oracles.mean_cosine_gap_reference`),
+        zero-norm rows included; the backward adds into a random gradient
+        at rows `at` other than `rows`."""
+        full, columns, rows, first, second, targets = case
+        rng = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            full[rows[first[0]], columns] = 0.0
+        at = rng.permutation(len(full))[:len(rows)]
+        start, upstream = rng.normal(size=full.shape), rng.normal()
+        sides = []
+        for gap in (L.mean_cosine_gap, O.mean_cosine_gap_reference):
+            value, backward = gap(full, columns, rows, first, second, targets)
+            g_full = start.copy()
+            backward(upstream, g_full, at)
+            sides.append((np.float64(value), g_full))
+        for got, want in zip(*sides, strict=True):
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_norm_rows(self):
         full, columns, rows, first, second, targets = gap_case(
             8, 3, 2, pool=5, n_pairs=7, seed=6)

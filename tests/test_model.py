@@ -18,10 +18,13 @@ from oracles import (OrderingError, SpanRepresentation, Tensor,
                      antecedent_distribution, antecedent_window, attend_span,
                      build_span_representation, encode_tokens_reference,
                      enumerate_candidate_spans_reference,
-                     feed_forward_reference, finite_difference, layout_spans,
-                     mention_score, pair_score, pair_scatter_reference,
+                     feed_forward_backward_reference, feed_forward_reference,
+                     finite_difference, layout_spans, mention_score,
+                     pair_score, pair_scatter_reference,
                      pair_scores_reference, relative_error, softmax_by_hand,
-                     span_layout_reference, span_representations_reference)
+                     span_layout_reference,
+                     span_representations_backward_reference,
+                     span_representations_reference)
 from test_corpus import make_doc
 
 
@@ -247,28 +250,24 @@ class TestEnumeratedLayout:
         arrays, so none may write them."""
         layout = m.enumerated_layout(7, LAYOUT_CONFIGS[0])
         plans = [getattr(layout, name) for name in LAYOUT_ARRAYS]
-        plans += [layout.bounds, layout_of([SpanRef(1, 2)]).bounds,
-                  m._window_rows(7, 2),
-                  m.antecedent_pairs(5, 3).antecedent_grid]
+        plans += [m._window_rows(7, 2),
+                  m.antecedent_pairs(5, 3).antecedent_grid,
+                  m.antecedent_pairs(5, 3).positions]
         for array in plans:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     def test_gather_plans_are_built_once(self):
-        layout = m.enumerated_layout(7, LAYOUT_CONFIGS[0])
-        assert m.enumerated_layout(7, LAYOUT_CONFIGS[0]).bounds \
-            is layout.bounds
-        assert layout.bounds.tolist() == [
-            [s.start, s.end] for s in layout_spans(layout)]
-        fresh = layout_of([SpanRef(2, 4), SpanRef(0, 0)])
-        assert fresh.bounds is fresh.bounds
-        assert fresh.bounds.tolist() == [[2, 4], [0, 0]]
         rows = m._window_rows(4, 1)
         assert m._window_rows(4, 1) is rows
         assert rows.tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]]
         pairs = m.antecedent_pairs(5, 3)
         assert m.antecedent_pairs(5, 3).antecedent_grid \
             is pairs.antecedent_grid
+        assert m.antecedent_pairs(5, 3).positions is pairs.positions
+        # Rows of 4 slots (3 window slots and the dummy): candidate k's
+        # pairs fill its first min(k, 3) slots.
+        assert pairs.positions.tolist() == [4, 8, 9, 12, 13, 14, 16, 17, 18]
 
     def test_configs_of_one_length_do_not_share_an_entry(self):
         first, second = (m.enumerated_layout(12, c) for c in LAYOUT_CONFIGS)
@@ -440,6 +439,8 @@ def test_slots_lay_per_pair_values_out_by_window(n, max_antecedents, extra):
     got = pairs.slots(values, padding, dummy)
     assert got.dtype == values.dtype and got.shape == (n, width + 1)
     assert got.tolist() == want
+    # `positions` reads the pairs back out, in pair order.
+    assert got.take(pairs.positions).tolist() == values.tolist()
     if padding == -1:
         assert pairs.antecedent_grid.tolist() == want
     if padding == -np.inf:
@@ -579,6 +580,70 @@ def test_forward_is_byte_identical_to_its_slice_forms(case):
                                scoring.antecedent)
         assert_same_bytes(got, pair_scores_reference(
             x, s, pairs.mention, pairs.antecedent, scoring.antecedent))
+
+
+SHARES = ("none", "one", "some", "all")
+
+
+@given(forward_cases(), st.sampled_from(SHARES))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_backward_is_byte_identical_to_its_fancy_index_forms(case, share):
+    """The span-representation and mention-head backwards, with their
+    `take` gathers, column maxima and in-place layer gradients, give every
+    gradient's bytes of the fancy-index, out-of-place forms (`oracles`),
+    for spans up to 10 wide, linear and tanh heads, and no live row, one,
+    some or all of them."""
+    config, tokens, seed, _ = case
+    assert_backward_bytes(config, tokens, seed, share)
+
+
+@pytest.mark.parametrize("max_span_width", [8, 9, 10])
+@pytest.mark.parametrize("hidden", [0, 3])
+@pytest.mark.parametrize("share", SHARES)
+def test_wide_span_backward_matches_bytes(max_span_width, hidden, share):
+    """Slots of 8 and more, where numpy's sums over a row turn pairwise."""
+    config = ModelConfig(d_token=3, d_width=2, window_radius=1,
+                         scorer_hidden=hidden, max_span_width=max_span_width,
+                         width_bucket_edges=(1, 2, 4))
+    tokens = ["a", "b", "zz", "c"] * 3
+    assert_backward_bytes(config, tokens, max_span_width + hidden, share)
+
+
+def assert_backward_bytes(config, tokens, seed, share):
+    rng = np.random.default_rng(seed)
+    store = tr.init_parameters(config, (m.UNK_TOKEN, "a", "b"), seed=seed)
+    for array in store.tensors.values():
+        array += rng.normal(size=array.shape)
+    enc, scoring, _ = store.groups
+    grad_enc, grad_scoring, _ = tr.group_parameters(
+        store.named(np.zeros(store.buffer().size)), store)
+    token_vecs, _ = encode_tokens(make_doc(tokens), enc)
+    layout = m.enumerated_layout(len(tokens), config)
+    n = len(layout)
+    k = {"none": 0, "one": 1, "some": int(rng.integers(1, n + 1)),
+         "all": n}[share]
+    rows = np.sort(rng.choice(n, size=k, replace=False))
+
+    reps, reps_backward = build_span_representations(token_vecs, layout, enc)
+    g = rng.normal(size=(k, reps.shape[1]))
+    got = (reps_backward(g, grad_enc, rows), grad_enc.attention_w,
+           grad_enc.width_embeddings)
+    want = span_representations_backward_reference(token_vecs, layout, enc,
+                                                   g, rows)
+    for got_array, want_array in zip(got, want, strict=True):
+        assert_same_bytes(got_array, want_array)
+
+    _, head_backward = m.mention_scores(reps, scoring)
+    g_scores = np.zeros(n)
+    g_scores[rows] = rng.normal(size=k)
+    got_rows = head_backward(g_scores, grad_scoring.mention, rows)
+    want_grad, want_rows = feed_forward_backward_reference(
+        scoring.mention, reps, g_scores, rows)
+    assert_same_bytes(got_rows, want_rows)
+    for name in ("w1", "b1", "w2", "b2"):
+        if getattr(want_grad, name) is not None:
+            assert_same_bytes(getattr(grad_scoring.mention, name),
+                              np.asarray(getattr(want_grad, name)))
 
 
 def test_candidate_set_len():

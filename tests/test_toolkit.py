@@ -80,6 +80,21 @@ class TestOffsets:
         assert len(records) == 2  # one gold link per tiny document
         assert "available" in caplog.text
 
+    def test_projection_keeps_the_heap(self, monkeypatch):
+        """`project` encodes document after document, as training does, so
+        it sets the same malloc thresholds before the first one."""
+        docs, config, store, _, _ = tiny_setup()
+        calls, span_internals = [], tk.span_internals
+
+        def encode(*args):
+            calls.append("encode")
+            return span_internals(*args)
+
+        monkeypatch.setattr(tk.tr, "keep_heap", lambda: calls.append("heap"))
+        monkeypatch.setattr(tk, "span_internals", encode)
+        mention_antecedent_offsets(docs, store, config, sample=2)
+        assert calls == ["heap", "encode", "encode"]
+
     def test_same_seed_same_sample(self):
         docs, config, store, _, _ = tiny_setup()
         a = mention_antecedent_offsets(docs, store, config, sample=1, seed=3)

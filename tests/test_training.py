@@ -511,6 +511,22 @@ class TestOptimizerStep:
         assert clone.step == 3
         assert clone.tensors["encoder.embeddings"][0, 0] == original[0, 0] + 1
 
+    def test_copy_shares_the_checked_vocabulary_index(self):
+        """A copy checks and indexes nothing again: it shares the store's
+        read-only vocabulary index, while a store built from outside, even
+        from a copy's own fields, is checked."""
+        store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=5)
+        clone = store.copy()
+        assert clone.vocab_index is store.vocab_index
+        assert clone.groups[0].vocab is store.vocab_index
+        assert dict(clone.vocab_index) == {t: i for i, t in enumerate(VOCAB)}
+        with pytest.raises(TypeError):
+            clone.vocab_index["new"] = 0
+        with pytest.raises(TrainingError, match="duplicate vocab tokens"):
+            ParameterStore(dict(clone.tensors), (*clone.vocab, VOCAB[1]))
+        with pytest.raises(TrainingError, match="line boundary"):
+            ParameterStore(dict(clone.tensors), (*clone.vocab, "a\nb"))
+
     def test_pickle_rebuilds_the_store(self):
         store = init_parameters(CONFIG, VOCAB, ("x", "y"), seed=5)
         store.step = 3
