@@ -5,6 +5,9 @@ scores every (candidate, antecedent) pair in one batched pass, picks each
 candidate's antecedent as the last maximal column of its row of the slot
 grid, dummy last, and joins the links into clusters over candidate rows;
 `SpanRef`s are built only for the mentions of the clusters it returns.
+The forward's matrix-vector products are row-stable einsums (see `model`),
+so spans and pairs with byte-identical features score byte-identically
+wherever they sit, and the tie rules of pruning and decoding hold exactly.
 
 `score_documents` is the one scoring entry point: a single document is
 scored as a corpus of one. All three metrics are functions of one table,
@@ -27,7 +30,6 @@ sum over those rows as its size.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -108,10 +110,10 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     The candidates come from training's forward (`model.document_forward`),
     every pair of `model.antecedent_pairs` is scored by `model.pair_scores`
     in one pass, and `select_antecedents` picks per row of the slot grid.
-    Candidates with byte-identical representations share one row, and each
-    distinct pair of rows is scored once, so pairs with identical features
-    tie exactly and the nearest-antecedent rule decides between them. The
-    first call keeps the heap (`training.keep_heap`), as a doc-step does.
+    `pair_scores` gives a pair's score the same bytes wherever it sits in
+    the batch, so pairs with byte-identical features tie exactly and the
+    nearest-antecedent rule decides between them. The first call keeps the
+    heap (`training.keep_heap`), as a doc-step does.
     """
     tr.keep_heap()
     if len(doc) == 0:
@@ -127,42 +129,14 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     rows = candidates.indices
     x, s_m = reps.take(rows, axis=0), scores[rows]
     pairs = m.antecedent_pairs(len(x), config.max_antecedents)
-    head = scoring.antecedent
-    # A repeated hash may be a collision; the byte-level dedupe settles it.
-    if len(set(row_hashes(x).tolist())) == len(x):
-        pair_scores, _ = m.pair_scores(x, s_m, pairs.mention,
-                                       pairs.antecedent, head)
-    else:
-        keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1])))[:, 0]
-        _, first, row_of = np.unique(keys, return_index=True,
-                                     return_inverse=True)
-        codes, pair_of = np.unique(row_of[pairs.mention] * len(first)
-                                   + row_of[pairs.antecedent],
-                                   return_inverse=True)
-        pair_scores = m.pair_scores(x[first], s_m[first], codes // len(first),
-                                    codes % len(first), head)[0][pair_of]
+    pair_scores, _ = m.pair_scores(x, s_m, pairs.mention, pairs.antecedent,
+                                   scoring.antecedent)
     if np.isnan(pair_scores).any():
         raise ValueError(f"{doc.doc_id}: NaN antecedent score")
     columns = select_antecedents(pairs.slots(pair_scores))
     return Antecedents(layout.starts[rows], layout.ends[rows],
                        pairs.antecedent_grid[np.arange(len(columns)),
                                              columns])
-
-
-def row_hashes(x: np.ndarray) -> np.ndarray:
-    """One integer per row of the float64 matrix `x`, equal for rows that
-    are byte-identical: the row's 64-bit words times fixed odd weights,
-    summed modulo 2**64. Rows that differ may still collide."""
-    words = np.ascontiguousarray(x).view(np.uint64)
-    return np.dot(words, _odd_weights(words.shape[1]))
-
-
-@functools.lru_cache(maxsize=8)
-def _odd_weights(width: int) -> np.ndarray:
-    weights = np.arange(1, 2 * width, 2, dtype=np.uint64) \
-        * np.uint64(0x9E3779B97F4A7C15)
-    weights.flags.writeable = False
-    return weights
 
 
 def select_antecedents(slots: np.ndarray) -> np.ndarray:

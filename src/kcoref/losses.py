@@ -212,7 +212,6 @@ class DocumentLosses:
     """One document's loss components, its forward-pass artifacts, and the
     backward of `total`.
 
-    `reps` is the span table's representations, one row per table row.
     `backward(enc, scoring, scaffold)` writes the gradient of `total` into
     those parameter groups, views of one zeroed flat array; a tensor the
     objective does not reach is left as it is.
@@ -224,7 +223,6 @@ class DocumentLosses:
     sl: float
     pruning_misses: int
     candidates: m.CandidateSet
-    reps: np.ndarray | None
     pair_set: PairSet | None
     backward: Callable[..., None]
 
@@ -357,7 +355,7 @@ def document_objective(doc: Document, enc: m.EncoderParams,
     if len(doc) == 0:
         empty = m.CandidateSet(None, np.zeros(0, dtype=np.intp))
         return DocumentLosses(combined_loss(0.0, 0.0, 0.0, weights), 0.0, 0.0,
-                              0.0, 0, empty, None, None, lambda *_: None)
+                              0.0, 0, empty, None, lambda *_: None)
     with_scaffold = b3 > 0 and scaffold is not None
     index = document_index(
         doc, config, with_gold=b2 > 0 or b3 > 0,
@@ -418,7 +416,7 @@ def document_objective(doc: Document, enc: m.EncoderParams,
         reps_backward(g_live, enc_grad, live)
 
     return DocumentLosses(combined_loss(cl, rl, sl, weights), cl, rl, sl,
-                          misses, candidates, reps, pair_set, backward)
+                          misses, candidates, pair_set, backward)
 
 
 def _coref_loss_graph(index: DocumentIndex, candidates: m.CandidateSet,

@@ -12,6 +12,15 @@ backward: a closure that turns the value's gradient into the gradients of
 its inputs and parameters, in closed form. The pair backward sums each
 candidate's pair terms through gather plans built on its first run, so
 neither training nor prediction needs scipy.
+
+Every matrix-vector product of the forward (the attention logits, each
+head's output layer and the linear heads) is an `np.einsum`, whose sum
+over a row runs in one fixed order whatever the batch around it. BLAS's
+gemv, which `@` takes for a vector or a one-column weight, may give a
+row other bytes at another position or batch size, so that identical
+rows would score apart and break the tie rules of pruning and decoding.
+The hidden layers stay `@`: BLAS's gemm gives identical rows of a
+product of two or more rows the same bytes.
 """
 
 from __future__ import annotations
@@ -104,14 +113,17 @@ class FeedForward:
         output gradient `g`, zero outside `rows`, it writes the parameter
         gradients into `grad`, a FeedForward of views, and returns the input
         gradient of `rows`. The output layer sums all of `g`, zeros too:
-        without them its sums would differ in the last bits."""
+        without them its sums would differ in the last bits.
+
+        The output layer's product is row-stable (an einsum, see the module
+        docstring): a row's output has the same bytes wherever it sits."""
         if self.w2 is None:
             def linear_backward(g, grad, rows):
                 np.matmul(x.T, g, out=grad.w1)
                 grad.b2[...] = g.sum(axis=0)
                 return np.outer(g[rows], self.w1)
 
-            return x @ self.w1 + self.b2, linear_backward
+            return np.einsum("nd,d->n", x, self.w1) + self.b2, linear_backward
         hidden = x @ self.w1
         hidden += self.b1
         np.tanh(hidden, out=hidden)
@@ -128,7 +140,7 @@ class FeedForward:
             grad.b2[...] = g.sum(axis=0)
             return g_hidden @ self.w1.T
 
-        return hidden @ self.w2 + self.b2, backward
+        return np.einsum("nh,h->n", hidden, self.w2) + self.b2, backward
 
 
 @dataclass
@@ -313,7 +325,7 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
     table = enc.width_embeddings
     d = x.shape[1]
 
-    logits = (x @ attention)[tokens]
+    logits = np.einsum("td,d->t", x, attention)[tokens]
     # Each span's maximum over its slots, a column at a time: the same
     # maximum as a reduction over the short slot axis, in fewer passes. A
     # padding slot repeats the end token, so the maximum is a slot's.
@@ -406,21 +418,30 @@ def pair_scores(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
     (its h_i and h_j blocks applied per row, the product block per pair),
     and the backward `(g_pair, pairs, grad) -> (g_x, g_s)`, `pairs` the
     `AntecedentPairs` listing them, which writes the head's gradients into
-    `grad`."""
+    `grad`.
+
+    The output layer and the linear head's three blocks are einsums, so a
+    pair's score has the same bytes wherever the pair and its rows sit, and
+    pairs of byte-identical rows tie exactly."""
     d = x.shape[1]
     w1 = head.w1.reshape(3 * d, -1)
     products = x.take(antecedent, axis=0)
     products *= x.take(mention, axis=0)
-    # In place, in the order ((h_i block + h_j block) + product block) + b1.
-    layer = (x @ w1[:d]).take(mention, axis=0)
-    layer += (x @ w1[d:2 * d]).take(antecedent, axis=0)
-    layer += products @ w1[2 * d:]
+    # In place, in the order ((h_i block + h_j block) + product block)
+    # + bias.
     if head.w2 is None:
-        scores = layer[:, 0] + head.b2
+        w = head.w1
+        scores = np.einsum("nd,d->n", x, w[:d]).take(mention)
+        scores += np.einsum("nd,d->n", x, w[d:2 * d]).take(antecedent)
+        scores += np.einsum("pd,d->p", products, w[2 * d:])
+        scores += head.b2
     else:
+        layer = (x @ w1[:d]).take(mention, axis=0)
+        layer += (x @ w1[d:2 * d]).take(antecedent, axis=0)
+        layer += products @ w1[2 * d:]
         layer += head.b1
         np.tanh(layer, out=layer)
-        scores = layer @ head.w2 + head.b2
+        scores = np.einsum("ph,h->p", layer, head.w2) + head.b2
     scores += s[mention]
     scores += s[antecedent]
 

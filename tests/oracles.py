@@ -1219,7 +1219,7 @@ def span_representations_reference(token_vecs: np.ndarray,
     """`model.build_span_representations`' value, the boundary vectors
     read as the first and last slot of each span's token block."""
     x = token_vecs
-    logits = (x @ enc.attention_w)[layout.tokens]
+    logits = np.einsum("td,d->t", x, enc.attention_w)[layout.tokens]
     exps = np.exp(logits - logits.max(axis=1, keepdims=True)) * layout.mask
     weights = exps / exps.sum(axis=1, keepdims=True)
     span_tokens = x[layout.tokens]
@@ -1237,7 +1237,7 @@ def span_representations_backward_reference(token_vecs: np.ndarray,
     gradients, from fancy-index gathers, out-of-place arithmetic and
     `np.add.at` row scatters."""
     x, attention, d = token_vecs, enc.attention_w, token_vecs.shape[1]
-    logits = (x @ attention)[layout.tokens]
+    logits = np.einsum("td,d->t", x, attention)[layout.tokens]
     exps = np.exp(logits - logits.max(axis=1, keepdims=True)) * layout.mask
     weights = exps / exps.sum(axis=1, keepdims=True)
     row_tokens, row_weights = layout.tokens[rows], weights[rows]
@@ -1258,10 +1258,12 @@ def span_representations_backward_reference(token_vecs: np.ndarray,
 
 
 def feed_forward_reference(head: m.FeedForward, x: np.ndarray) -> np.ndarray:
-    """`model.FeedForward.apply`'s value."""
+    """`model.FeedForward.apply`'s value, its output layer a row-stable
+    einsum as there."""
     if head.w2 is None:
-        return x @ head.w1 + head.b2
-    return np.tanh(x @ head.w1 + head.b1) @ head.w2 + head.b2
+        return np.einsum("nd,d->n", x, head.w1) + head.b2
+    return np.einsum("nh,h->n", np.tanh(x @ head.w1 + head.b1),
+                     head.w2) + head.b2
 
 
 def feed_forward_backward_reference(head: m.FeedForward, x: np.ndarray,
@@ -1285,16 +1287,20 @@ def antecedent_head_reference(x: np.ndarray, mention: np.ndarray,
                               head: m.FeedForward) -> tuple:
     """s_a of each pair (x[mention[p]], x[antecedent[p]]), with the pair
     products and the tanh layer (None for a linear head) that its backward
-    reads."""
+    reads. Its matrix-vector products are row-stable einsums, as in
+    `model.pair_scores`."""
     d = x.shape[1]
-    w1 = head.w1.reshape(3 * d, -1)
     products = x[antecedent] * x[mention]
-    layer = ((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
-             + products @ w1[2 * d:])
     if head.w2 is None:
-        return layer[:, 0] + head.b2, products, None
-    hidden = np.tanh(layer + head.b1)
-    return hidden @ head.w2 + head.b2, products, hidden
+        w = head.w1
+        return (np.einsum("nd,d->n", x, w[:d])[mention]
+                + np.einsum("nd,d->n", x, w[d:2 * d])[antecedent]
+                + np.einsum("pd,d->p", products, w[2 * d:])
+                + head.b2), products, None
+    w1 = head.w1
+    hidden = np.tanh((x @ w1[:d])[mention] + (x @ w1[d:2 * d])[antecedent]
+                     + products @ w1[2 * d:] + head.b1)
+    return np.einsum("ph,h->p", hidden, head.w2) + head.b2, products, hidden
 
 
 def pair_scores_reference(x: np.ndarray, s: np.ndarray, mention: np.ndarray,

@@ -147,8 +147,59 @@ def assert_decodes_as_reference(doc, store, config):
     return got
 
 
-def constant_hashes(x):
-    return np.zeros(len(x), dtype=np.uint64)
+TIE_CONFIG = m.ModelConfig(d_token=4, d_width=2, window_radius=1,
+                           max_span_width=3, prune_ratio=1.0)
+# Init seeds on which a pruning cut falls inside a group of identical spans
+# and a link passes over an identical antecedent further back.
+TIE_SEEDS = [0, 2, 9]
+
+
+def assert_ties_hold(seed):
+    """On `x a x a x a x b` with spans up to 3 wide, spans whose tokens and
+    one token of context on each side are the same get byte-identical
+    representations, through the attention softmax, and mention scores;
+    every pruning cut keeps the earlier ones of them, and a link goes to
+    the nearest of identical antecedents. Returns whether a cut fell
+    inside such a group and whether a link had an identical antecedent
+    further back to pass over, which make the rules bite."""
+    doc = make_doc("x a x a x a x b".split())
+    store = tr.init_parameters(TIE_CONFIG, tr.build_vocab([doc]), seed=seed)
+    store.tensors["scorer.antecedent.b2"][...] = 2.0
+    enc, scoring, _ = store.groups
+    layout = m.enumerated_layout(len(doc), TIE_CONFIG)
+    reps, scores, _, _, _ = m.document_forward(
+        doc, layout, np.arange(len(layout)), enc, scoring, TIE_CONFIG)
+    padded = (None, *doc.tokens, None)
+    spans = list(zip(layout.starts.tolist(), layout.ends.tolist()))
+    window_of = {(s, e): padded[s:e + 3] for s, e in spans}
+    groups = {}
+    for row, span in enumerate(spans):
+        groups.setdefault(window_of[span], []).append(row)
+    tied = [rows for rows in groups.values() if len(rows) > 1]
+    assert len(tied) >= 4
+    for rows in tied:
+        for row in rows[1:]:
+            assert reps[row].tobytes() == reps[rows[0]].tobytes()
+            assert scores[row].tobytes() == scores[rows[0]].tobytes()
+
+    cut = False
+    for keep in range(1, len(doc) + 1):
+        kept = set(m.prune_mentions(doc, layout, scores,
+                                    keep / len(doc)).indices.tolist())
+        for rows in tied:
+            flags = [row in kept for row in rows]
+            assert flags == sorted(flags, reverse=True), (keep, rows)
+            cut |= any(flags) and not all(flags)
+
+    got = assert_decodes_as_reference(doc, store, TIE_CONFIG)
+    windows = [window_of[span]
+               for span in zip(got.starts.tolist(), got.ends.tolist())]
+    passed_over = False
+    for k, j in enumerate(got.antecedent.tolist()):
+        if j >= 0:
+            assert windows[j] not in windows[j + 1:k], (k, j)
+            passed_over |= windows[j] in windows[:j]
+    return cut, passed_over
 
 
 class TestBatchedDecodeMatchesReference:
@@ -162,31 +213,6 @@ class TestBatchedDecodeMatchesReference:
         got = assert_decodes_as_reference(doc, store, INDEX_CONFIG)
         # The antecedent window binds.
         assert len(got.antecedent) > INDEX_CONFIG.max_antecedents
-
-    @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(doc=random_documents(), seed=st.integers(0, 2**16),
-           bias=st.sampled_from([0.3, 2.0]))
-    def test_a_row_hash_collision_takes_the_shared_row_path(self, doc, seed,
-                                                            bias):
-        # Every row hashing alike sends distinct rows through the path for
-        # byte-identical ones; it must decode the same clusters.
-        store = tr.init_parameters(INDEX_CONFIG, tr.build_vocab([doc]),
-                                   seed=seed)
-        store.tensors["scorer.antecedent.b2"][...] = bias
-        plain = predict_clusters(doc, store, INDEX_CONFIG).clusters
-        with mock.patch.object(ev, "row_hashes",
-                               side_effect=constant_hashes) as hashes:
-            assert_decodes_as_reference(doc, store, INDEX_CONFIG)
-            assert predict_clusters(doc, store, INDEX_CONFIG).clusters \
-                == plain
-        assert hashes.called
-
-    def test_row_hashes_are_equal_for_equal_rows(self):
-        x = np.random.default_rng(0).normal(size=(6, 5))
-        x[4] = x[1]
-        hashes = ev.row_hashes(x).tolist()
-        assert hashes[4] == hashes[1] and len(set(hashes)) == 5
-        assert ev.row_hashes(x[:0]).shape == (0,)
 
     def test_empty_and_one_candidate_documents(self):
         config = INDEX_CONFIG
@@ -229,6 +255,10 @@ class TestBatchedDecodeMatchesReference:
         store = tr.init_parameters(config, tr.build_vocab([doc]), seed=seed)
         got = assert_decodes_as_reference(doc, store, config)
         assert links_of(got)[S(6, 6)] == S(5, 5)
+
+    @pytest.mark.parametrize("seed", TIE_SEEDS)
+    def test_identical_windows_tie_through_the_attention_softmax(self, seed):
+        assert assert_ties_hold(seed) == (True, True)
 
     def test_nan_score_rejected(self):
         docs, config, store, _, _ = tiny_setup()

@@ -434,12 +434,13 @@ class TestDocumentObjective:
         rng = np.random.default_rng(7)
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective, rng)
-        spans = O.layout_spans(L.document_index(docs[0], config, True,
-                                                None).layout)
-        assert len(spans) == len(out.reps)
+        index = L.document_index(docs[0], config, True, None)
+        spans, full = O.layout_spans(index.layout), table_reps(
+            docs[0], index, enc, scoring, config)
+        assert len(spans) == len(full)
         ps = out.pair_set
         internals = {docs[0].doc_id: dict(zip(
-            spans, map(Tensor, out.reps[:, enc.internal_columns])))}
+            spans, map(Tensor, full[:, enc.internal_columns])))}
         pairs = [(spans[a], spans[b]) for a, b in zip(
             ps.rows[ps.first].tolist(), ps.rows[ps.second].tolist())]
         expected = retrofit_loss([docs[0]], {docs[0].doc_id: pairs},
@@ -455,11 +456,13 @@ class TestDocumentObjective:
         out = L.document_objective(docs[0], enc, scoring, scaffold, weights,
                                    config, objective)
         labels = docs[0].concept_annotations["i2b2"]
-        spans = O.layout_spans(L.document_index(
-            docs[0], config, True, objective.scaffold_lexicon).layout)
-        assert len(spans) == len(out.reps)
+        index = L.document_index(docs[0], config, True,
+                                 objective.scaffold_lexicon)
+        spans, full = O.layout_spans(index.layout), table_reps(
+            docs[0], index, enc, scoring, config)
+        assert len(spans) == len(full)
         internals = {docs[0].doc_id: dict(zip(
-            spans, map(Tensor, out.reps[:, enc.internal_columns])))}
+            spans, map(Tensor, full[:, enc.internal_columns])))}
         labeled = {docs[0].doc_id: sorted(labels.items())}
         expected = scaffold_loss(labeled, internals, scaffold)
         assert out.sl == pytest.approx(float(expected.value), abs=1e-9)
@@ -554,15 +557,24 @@ def random_documents(draw):
                     [c for c in clusters if c], concepts)
 
 
-def reference_distributions(out, spans, scoring, config):
-    """Antecedent distributions, one window at a time, from the pair-score
-    definition over the document's span representations, whose rows are
-    `spans`."""
-    full = out.reps
+def table_reps(doc, index, enc, scoring, config):
+    """The representations of `index`'s span table, one row per table row,
+    from `model.document_forward`."""
+    return m.document_forward(doc, index.layout, index.enum_rows, enc,
+                              scoring, config)[0]
+
+
+def reference_distributions(doc, index, candidates, store, config):
+    """Antecedent distributions of `candidates`, one window at a time, from
+    the pair-score definition over the representations of `index`'s span
+    table."""
+    enc, scoring, _ = store.groups
+    spans = O.layout_spans(index.layout)
+    full = table_reps(doc, index, enc, scoring, config)
     assert len(spans) == len(full)
     mention = O.feed_forward_tape(scoring.mention, Tensor(full)).value
     row = {s: i for i, s in enumerate(spans)}
-    rows = [row[s] for s in out.candidates.spans]
+    rows = [row[s] for s in candidates.spans]
     dists = []
     for k in range(len(rows)):
         scores = []
@@ -589,9 +601,9 @@ class TestIndexedPathsMatchReferences:
         assert len(out.candidates) > INDEX_CONFIG.max_antecedents
         expected, misses = O.coref_loss_with_misses(
             doc, out.candidates,
-            reference_distributions(out, O.layout_spans(L.document_index(
-                doc, INDEX_CONFIG, False, None).layout), scoring,
-                INDEX_CONFIG),
+            reference_distributions(
+                doc, L.document_index(doc, INDEX_CONFIG, False, None),
+                out.candidates, store, INDEX_CONFIG),
             INDEX_CONFIG.max_antecedents)
         assert out.cl == pytest.approx(expected, abs=1e-9)
         assert out.pruning_misses == misses

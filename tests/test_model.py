@@ -646,6 +646,135 @@ def assert_backward_bytes(config, tokens, seed, share):
                               np.asarray(getattr(want_grad, name)))
 
 
+# (d_token, d_width): the benchmark's shapes, and those of the document
+# `x a x a x a x b` whose identical antecedents once scored an ulp apart.
+ROW_STABLE_SHAPES = ((24, 4), (4, 2))
+
+
+@st.composite
+def row_stable_cases(draw):
+    """Shapes, a head's hidden width (0 for a linear head), the number of
+    units of a batch, rows before the first unit, the batch's row offset in
+    its buffer, two or more units that hold the probe, and a seed."""
+    n_units = draw(st.integers(2, 40))
+    return (draw(st.sampled_from(ROW_STABLE_SHAPES)),
+            draw(st.sampled_from([0, 16])), n_units, draw(st.integers(0, 3)),
+            draw(st.integers(0, 5)),
+            draw(st.lists(st.integers(0, n_units - 1), min_size=2,
+                          max_size=4, unique=True)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def batch_holding(block, n_units, lead, units, offset, rng):
+    """A batch of `lead` random rows and then `n_units` units of
+    `len(block)` rows, random but for the units `units`, which are copies of
+    `block`: a view `offset` rows into its buffer, and each copy's first
+    row."""
+    k = len(block)
+    buffer = rng.normal(size=(offset + lead + n_units * k, block.shape[1]))
+    batch = buffer[offset:]
+    starts = [lead + u * k for u in units]
+    for start in starts:
+        batch[start:start + k] = block
+    return batch, np.array(starts)
+
+
+def random_head(rng, d_in, hidden):
+    if hidden == 0:
+        return FeedForward(w1=rng.normal(size=d_in), b2=rng.normal(size=()))
+    return FeedForward(w1=rng.normal(size=(d_in, hidden)),
+                       b1=rng.normal(size=hidden), w2=rng.normal(size=hidden),
+                       b2=rng.normal(size=()))
+
+
+class TestRowStableScoring:
+    """A span's or pair's score has the same bytes at any position of any
+    batch of two rows or more, at any row offset of the batch in its
+    buffer, and so do byte-identical rows of one batch: the tie rules of
+    pruning and decoding rest on it.
+
+    Every batch here, the two-unit one that gives the expected bytes too,
+    has at least two rows in each product. A 1-row batch is left out: its
+    hidden-layer product takes BLAS's gemv path, whose bytes may differ from
+    a gemm row's, and it has no tie partner. On a BLAS whose gemm rows
+    depend on their position these tests fail, as they should: the tie
+    rules would no longer hold exactly.
+    """
+
+    @given(row_stable_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_span_representations(self, case):
+        """The attention logits, through the softmax of span
+        representations over identical token windows."""
+        (d, d_width), _, n_units, lead, offset, units, seed = case
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(2, 4))
+        config = ModelConfig(d_token=d, d_width=d_width)
+        enc = encoder(np.zeros((1, d)), attention=rng.normal(size=d),
+                      width_emb=rng.normal(size=(6, d_width)))
+        window = rng.normal(size=(width, d))
+
+        def reps(n_units, lead, units, offset):
+            vecs, starts = batch_holding(window, n_units, lead, units,
+                                         offset, rng)
+            layout = m.span_layout(starts, starts + width - 1, config)
+            return build_span_representations(vecs, layout, enc)[0]
+
+        want = reps(2, 0, [0], 0)[0]
+        for row in reps(n_units, lead, units, offset):
+            assert_same_bytes(row, want)
+
+    @given(row_stable_cases())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_mention_scores(self, case):
+        (d, d_width), hidden, n_units, lead, offset, units, seed = case
+        rng = np.random.default_rng(seed)
+        span_dim = 3 * d + d_width
+        scoring = ScoringParams(random_head(rng, span_dim, hidden), None)
+        rep = rng.normal(size=(1, span_dim))
+
+        def scores(n_units, lead, units, offset):
+            batch, starts = batch_holding(rep, n_units, lead, units, offset,
+                                          rng)
+            return m.mention_scores(batch, scoring)[0][starts]
+
+        want = scores(2, 0, [0], 0)[0]
+        for score in scores(n_units, lead, units, offset):
+            assert_same_bytes(score, want)
+
+    @given(row_stable_cases(), st.integers(0, 30))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_pair_scores(self, case, n_other):
+        """A pair of an antecedent row and a mention row, both copied to
+        the same units of the candidates, at random places among other
+        pairs: each copy of the rows pairs with each other copy."""
+        (d, d_width), hidden, n_units, lead, offset, units, seed = case
+        rng = np.random.default_rng(seed)
+        span_dim = 3 * d + d_width
+        head = random_head(rng, 3 * span_dim, hidden)
+        # Each unit is an antecedent row and then a mention row.
+        block = rng.normal(size=(2, span_dim))
+        block_s = rng.normal(size=(2, 1))
+
+        def pair_scores(n_units, lead, units, offset, n_other):
+            x, starts = batch_holding(block, n_units, lead, units, offset,
+                                      rng)
+            s = batch_holding(block_s, n_units, lead, units, offset,
+                              rng)[0][:, 0]
+            probes = [(a + 1, b) for a in starts for b in starts]
+            n_pairs = len(probes) + n_other
+            mention = rng.integers(0, len(x), size=n_pairs)
+            antecedent = rng.integers(0, len(x), size=n_pairs)
+            at = rng.permutation(n_pairs)[:len(probes)]
+            mention[at], antecedent[at] = np.array(probes).T
+            scores, _ = m.pair_scores(x, s, mention, antecedent, head)
+            return scores[at]
+
+        want = pair_scores(2, 0, [0], 0, 1)[0]
+        for score in pair_scores(n_units, lead, units, offset, n_other):
+            assert_same_bytes(score, want)
+
+
 def test_candidate_set_len():
     cs = CandidateSet(layout_of([SpanRef(0, 0), SpanRef(1, 2)]),
                       np.array([1]))

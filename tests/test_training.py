@@ -337,7 +337,7 @@ class TestLiveRowBackward:
         def recording(token_vecs, layout, enc):
             reps, backward = build_span_representations(token_vecs, layout,
                                                         enc)
-            layouts.append(layout)
+            layouts.append((layout, reps))
 
             def spy(g, grad, rows):
                 received.append(rows)
@@ -359,8 +359,8 @@ class TestLiveRowBackward:
                         objective)]
 
                 _, (out,) = compute_gradients(store, build)
-                [layout] = layouts
-                assert len(out.reps) == len(layout)
+                [(layout, reps)] = layouts
+                assert len(reps) == len(layout)
                 spans = O.layout_spans(layout)
                 row = {span: i for i, span in enumerate(spans)}
                 read = set(out.candidates.spans)
