@@ -434,19 +434,22 @@ def mean_subwords_per_span(chain: Iterable[SpanRef], doc: Document,
     """Mean over spans of the span's total wordpiece count.
 
     `counts` memoizes wordpiece counts by surface under `vocab`; one dict
-    passed to several calls segments each distinct surface once.
+    passed to several calls segments each distinct surface once. The
+    counts are integers, so one running sum over every token of every span
+    is the sum of the span totals.
     """
-    totals = []
+    tokens, get = doc.tokens, counts.get
+    total = n_spans = 0
     for span in chain:
-        total = 0
-        for token in doc.tokens[span.start:span.end + 1]:
-            if token not in counts:
-                counts[token] = len(tokenize_subwords(token, vocab))
-            total += counts[token]
-        totals.append(total)
-    if not totals:
+        n_spans += 1
+        for token in tokens[span.start:span.end + 1]:
+            count = get(token)
+            if count is None:
+                count = counts[token] = len(tokenize_subwords(token, vocab))
+            total += count
+    if not n_spans:
         raise ValueError("empty chain")
-    return sum(totals) / len(totals)
+    return total / n_spans
 
 
 # The subword slices' bucket width and count, in mean wordpieces per span.

@@ -14,22 +14,24 @@ scored as a corpus of one. All three metrics are functions of one table,
 `Overlap`: the sparse contingency |G_i ∩ P_j| (entries only for cluster
 pairs that share a mention) plus the cluster sizes of both sides.
 Mentions become int64 ids once (`mention_ids`), and the table is filled
-from one sort of both sides' (document, id) pairs, clusters numbered
-across documents; every metric decomposes over documents, so one table
-over all of them equals micro-averaging. MUC and B-cubed sum over the
-table with exact integer and rational arithmetic, converted to float at
-the boundary. CEAF-e labels the table's connected blocks, since clusters
-in different blocks have similarity 0: a block with one gold or one
-predicted cluster aligns its largest entry, and only a block with at
-least two of each solves an assignment. The labelling is numpy label
-propagation and the assignment a port of scipy's solver, so scoring loads
-no scipy module. A slice of the gold chains is a subset of the table's
-rows: a predicted cluster cut down to the slice's mentions has its column
-sum over those rows as its size.
+from one argsort of an integer key that ranks both sides' (document, id,
+side) triples, clusters numbered across documents; every metric
+decomposes over documents, so one table over all of them equals
+micro-averaging. MUC and B-cubed sum over the table with exact integer
+and rational arithmetic, converted to float at the boundary. CEAF-e
+labels the table's connected blocks, since clusters in different blocks
+have similarity 0: a block with one gold or one predicted cluster aligns
+its largest entry, and only a block with at least two of each solves an
+assignment. The labelling is numpy label propagation and the assignment
+a port of scipy's solver, so scoring loads no scipy module. A slice of
+the gold chains is a subset of the table's rows: a predicted cluster cut
+down to the slice's mentions has its column sum over those rows as its
+size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -122,7 +124,7 @@ def predict_antecedents(doc: Document, store: tr.ParameterStore,
     enc, scoring, _ = store.groups
     layout = m.enumerated_layout(len(doc), config)
     reps, scores, candidates, _, _ = m.document_forward(
-        doc, layout, np.arange(len(layout)), enc, scoring, config)
+        doc, layout, slice(None), enc, scoring, config)
     # Pruning ranked any NaN score last without a word.
     if np.isnan(scores).any():
         raise ValueError(f"{doc.doc_id}: NaN mention score")
@@ -144,10 +146,11 @@ def select_antecedents(slots: np.ndarray) -> np.ndarray:
 
     Row k holds candidate k's antecedent scores in window order, -inf
     padding, and the dummy's 0.0 last, so ties go to the dummy, then to
-    the nearest (latest) antecedent.
+    the nearest (latest) antecedent. `argmax` returns a row's first
+    maximum, so over the reversed row it finds the last one; the rows
+    hold no NaN (`predict_antecedents` rejects it first).
     """
-    best = slots.max(axis=1, keepdims=True)
-    return slots.shape[1] - 1 - np.argmax(slots[:, ::-1] == best, axis=1)
+    return slots.shape[1] - 1 - slots[:, ::-1].argmax(axis=1)
 
 
 def decode_clusters(antecedents: Antecedents) -> PredictedClusters:
@@ -208,10 +211,10 @@ def _flatten(docs: Sequence[Clustering]
     """Every mention of `docs`' clusters, with the cluster sizes (clusters
     numbered across documents in order), and each mention's cluster and
     document."""
-    clusters = [cluster for clustering in docs for cluster in clustering]
+    clusters = list(itertools.chain.from_iterable(docs))
     sizes = np.fromiter(map(len, clusters), np.int64, len(clusters))
     per_doc = np.fromiter(map(len, docs), np.intp, len(docs))
-    mentions = [mention for cluster in clusters for mention in cluster]
+    mentions = list(itertools.chain.from_iterable(clusters))
     doc_of = np.repeat(np.arange(len(docs)), per_doc)
     return (mentions, sizes, np.repeat(np.arange(len(clusters)), sizes),
             np.repeat(doc_of, sizes))
@@ -236,9 +239,12 @@ class Overlap:
     def pooled(cls, gold_docs: Sequence[Clustering],
                pred_docs: Sequence[Clustering]) -> "Overlap":
         """One table over all documents, clusters numbered across documents
-        in order, from one sort of both sides' mentions by (document,
-        `mention_ids`, side): a gold mention next to the same predicted
-        mention adds one to their clusters' entry.
+        in order, from one sort of both sides' mentions by the key
+        (document * n + rank) * 2 + side, where rank numbers the n distinct
+        `mention_ids` in order: a gold mention next to the same predicted
+        mention adds one to their clusters' entry. The key orders as
+        (document, id, side) does, and two mentions share it only where one
+        side of one document lists a mention twice.
 
         A mention listed twice in a document, on either side, raises
         ValueError naming the document, checked document by document and
@@ -248,24 +254,32 @@ class Overlap:
             raise ValueError("gold and predicted document counts differ")
         gold_mentions, gold_sizes, gold_cluster, gold_doc = _flatten(gold_docs)
         pred_mentions, pred_sizes, pred_cluster, pred_doc = _flatten(pred_docs)
-        ids = mention_ids(gold_mentions + pred_mentions)
-        doc = np.concatenate([gold_doc, pred_doc])
-        side = np.repeat([0, 1], [len(gold_mentions), len(pred_mentions)])
-        order = np.lexsort((side, ids, doc))
-        doc, ids, side = doc[order], ids[order], side[order]
-        cluster = np.concatenate([gold_cluster, pred_cluster])[order]
-        meet = (doc[1:] == doc[:-1]) & (ids[1:] == ids[:-1])
-        repeated = np.flatnonzero(meet & (side[1:] == side[:-1]))
+        distinct, rank = np.unique(mention_ids(gold_mentions + pred_mentions),
+                                   return_inverse=True)
+        key = np.concatenate([gold_doc, pred_doc])
+        key *= len(distinct)
+        key += rank
+        key *= 2
+        key[len(gold_mentions):] += 1
+        order = key.argsort()
+        key = key.take(order)
+        repeated = np.flatnonzero(key[1:] == key[:-1])
         if len(repeated):
-            d = int(doc[repeated].min())
-            pred_side = bool(side[repeated][doc[repeated] == d].any())
+            doc, side = np.divmod(key.take(repeated), 2)
+            doc //= len(distinct)
+            d = int(doc.min())
             raise ValueError(f"document {d}: " + (
-                _repeated_mention(pred_docs[d], "predicted") if pred_side
+                _repeated_mention(pred_docs[d], "predicted")
+                if side[doc == d].any()
                 else _repeated_mention(gold_docs[d], "gold")))
-        at = np.flatnonzero(meet)  # gold at `at`, predicted at `at + 1`
+        key >>= 1
+        at = np.flatnonzero(key[1:] == key[:-1])
+        # Gold at `at`, predicted at `at + 1`.
         stride = max(len(pred_sizes), 1)
-        codes, counts = np.unique(cluster[at] * stride + cluster[at + 1],
-                                  return_counts=True)
+        codes = gold_cluster.take(order.take(at))
+        codes *= stride
+        codes += pred_cluster.take(order.take(at + 1) - len(gold_mentions))
+        codes, counts = np.unique(codes, return_counts=True)
         return cls(codes // stride, codes % stride, counts, gold_sizes,
                    pred_sizes)
 

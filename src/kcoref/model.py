@@ -81,7 +81,8 @@ class ModelConfig:
         return 3 * self.d_token + self.d_width
 
 
-def scatter_rows(index, values: np.ndarray, shape: tuple) -> np.ndarray:
+def scatter_rows(index: np.ndarray, values: np.ndarray,
+                 shape: tuple) -> np.ndarray:
     """An array of `shape` whose row r sums the rows of `values` at the
     positions where `index` is r: the backward of gathering rows `index`.
 
@@ -90,13 +91,15 @@ def scatter_rows(index, values: np.ndarray, shape: tuple) -> np.ndarray:
     bincount counts in integers.
     """
     rows, width = shape[0], math.prod(shape[1:])
-    flat = np.asarray(index).reshape(-1)
+    flat = index.reshape(-1)
     if width != 1:
         flat = (flat[:, None] * width
                 + np.arange(width, dtype=np.intp)).reshape(-1)
-    full = np.bincount(flat, weights=np.reshape(values, -1),
+    full = np.bincount(flat, weights=values.reshape(-1),
                        minlength=rows * width)
-    return full.reshape(shape).astype(np.float64, copy=False)
+    if not len(flat):
+        full = full.astype(np.float64)
+    return full.reshape(shape)
 
 
 @dataclass
@@ -121,7 +124,7 @@ class FeedForward:
             def linear_backward(g, grad, rows):
                 np.matmul(x.T, g, out=grad.w1)
                 grad.b2[...] = g.sum(axis=0)
-                return np.outer(g[rows], self.w1)
+                return g[rows][:, None] * self.w1
 
             return np.einsum("nd,d->n", x, self.w1) + self.b2, linear_backward
         hidden = x @ self.w1
@@ -133,7 +136,7 @@ class FeedForward:
             g_hidden = hidden.take(rows, axis=0)
             np.square(g_hidden, out=g_hidden)
             np.subtract(1.0, g_hidden, out=g_hidden)
-            g_hidden *= np.outer(g[rows], self.w2)
+            g_hidden *= g[rows][:, None] * self.w2
             np.matmul(x.take(rows, axis=0).T, g_hidden, out=grad.w1)
             grad.b1[...] = g_hidden.sum(axis=0)
             np.matmul(hidden.T, g, out=grad.w2)
@@ -320,7 +323,7 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
     `rows` alone, writes the attention and width gradients into `grad` and
     returns the token vectors' gradient.
     """
-    tokens = layout.tokens
+    tokens, n_slots = layout.tokens, layout.tokens.shape[1]
     x, attention = token_vecs, enc.attention_w
     table = enc.width_embeddings
     d = x.shape[1]
@@ -337,11 +340,14 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
     weights *= layout.mask
     weights /= weights.sum(axis=1, keepdims=True)
     span_tokens = x.take(tokens, axis=0)
-    # Slot 0 of a span is its start token and the last slot its end token.
-    full = np.concatenate([
-        span_tokens[:, 0], span_tokens[:, -1],
-        np.einsum("sw,swd->sd", weights, span_tokens),
-        table.take(layout.buckets, axis=0)], axis=1)
+    # Written in place, block by block. Slot 0 of a span is its start token
+    # and the last slot its end token, so one strided copy writes both
+    # boundaries; a single slot is both.
+    full = np.empty((len(tokens), 3 * d + table.shape[1]))
+    full[:, :2 * d].reshape(-1, 2, d)[...] = \
+        span_tokens[:, ::max(n_slots - 1, 1)]
+    np.einsum("sw,swd->sd", weights, span_tokens, out=full[:, 2 * d:3 * d])
+    full[:, 3 * d:] = table.take(layout.buckets, axis=0)
 
     def backward(g: np.ndarray, grad: EncoderParams,
                  rows: np.ndarray) -> np.ndarray:
@@ -358,13 +364,18 @@ def build_span_representations(token_vecs: np.ndarray, layout: SpanLayout,
                                   g_logits.reshape(-1), minlength=len(x))
         # One scatter over the slots also carries the boundaries.
         g_slots = row_weights[:, :, None] * g_internal[:, None, :]
-        g_slots[:, 0] += g[:, :d]
-        g_slots[:, -1] += g[:, d:2 * d]
+        # Each boundary adds once into its slot: both in one strided add,
+        # or one after the other into the single slot.
+        if n_slots == 1:
+            g_slots[:, 0] += g[:, :d]
+            g_slots[:, 0] += g[:, d:2 * d]
+        else:
+            g_slots[:, ::n_slots - 1] += g[:, :2 * d].reshape(-1, 2, d)
         g_x = scatter_rows(row_tokens, g_slots, x.shape)
         np.matmul(g_attention, x, out=grad.attention_w)
         grad.width_embeddings[...] = scatter_rows(
             layout.buckets[rows], g[:, 3 * d:], table.shape)
-        g_x += np.outer(g_attention, attention)
+        g_x += g_attention[:, None] * attention
         return g_x
 
     return full, backward
@@ -388,16 +399,18 @@ def prune_mentions(doc: Document, spans: SpanLayout,
     if len(scores) != len(spans):
         raise ValueError("one score per span required")
     keep = min(len(spans), math.ceil(prune_ratio * len(doc)))
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    return CandidateSet(spans, np.sort(order[:keep]))
+    kept = (-scores).argsort(kind="stable")[:keep]
+    kept.sort()
+    return CandidateSet(spans, kept)
 
 
-def document_forward(doc: Document, table: SpanLayout, enum_rows: np.ndarray,
-                     enc: EncoderParams, scoring: ScoringParams,
-                     config: ModelConfig) -> tuple:
+def document_forward(doc: Document, table: SpanLayout,
+                     enum_rows: np.ndarray | slice, enc: EncoderParams,
+                     scoring: ScoringParams, config: ModelConfig) -> tuple:
     """The forward of training and prediction: encode `doc`, represent and
     mention-score `table`'s spans, and prune the enumerated ones, its rows
-    `enum_rows`. Returns the representations, scores, candidates, mention
+    `enum_rows` (`slice(None)` where `table` is the enumerated layout, as
+    in prediction). Returns the representations, scores, candidates, mention
     head backward, and the `(g, grad, rows)` backward of table rows `rows`."""
     token_vecs, encode_backward = encode_tokens(doc, enc)
     reps, reps_backward = build_span_representations(token_vecs, table, enc)
@@ -453,7 +466,7 @@ def pair_scores(x: np.ndarray, s: np.ndarray, mention: np.ndarray,
             # (1 - layer**2) * outer(g_pair, w2), its factors swapped.
             g_layer = np.square(layer)
             np.subtract(1.0, g_layer, out=g_layer)
-            g_layer *= np.outer(g_pair, head.w2)
+            g_layer *= g_pair[:, None] * head.w2
             grad.b1[...] = g_layer.sum(axis=0)
             np.matmul(layer.T, g_pair, out=grad.w2)
         # Per pair, its layer gradient on the side of each of its two rows

@@ -728,6 +728,45 @@ def contingency_reference(gold, pred) -> dict:
     return table
 
 
+def overlap_pooled_reference(gold_docs, pred_docs) -> ev.Overlap:
+    """`evaluation.Overlap.pooled` as a three-key `np.lexsort` of both
+    sides' mentions by (document, `mention_ids`, side), with list
+    comprehensions for the flattening."""
+    if len(gold_docs) != len(pred_docs):
+        raise ValueError("gold and predicted document counts differ")
+
+    def flatten(docs):
+        clusters = [cluster for clustering in docs for cluster in clustering]
+        sizes = np.array([len(c) for c in clusters], dtype=np.int64)
+        mentions = [mention for cluster in clusters for mention in cluster]
+        doc_of = np.repeat(np.arange(len(docs)), [len(c) for c in docs])
+        return (mentions, sizes, np.repeat(np.arange(len(clusters)), sizes),
+                np.repeat(doc_of, sizes))
+
+    gold_mentions, gold_sizes, gold_cluster, gold_doc = flatten(gold_docs)
+    pred_mentions, pred_sizes, pred_cluster, pred_doc = flatten(pred_docs)
+    ids = ev.mention_ids(gold_mentions + pred_mentions)
+    doc = np.concatenate([gold_doc, pred_doc])
+    side = np.repeat([0, 1], [len(gold_mentions), len(pred_mentions)])
+    order = np.lexsort((side, ids, doc))
+    doc, ids, side = doc[order], ids[order], side[order]
+    cluster = np.concatenate([gold_cluster, pred_cluster])[order]
+    meet = (doc[1:] == doc[:-1]) & (ids[1:] == ids[:-1])
+    repeated = np.flatnonzero(meet & (side[1:] == side[:-1]))
+    if len(repeated):
+        d = int(doc[repeated].min())
+        pred_side = bool(side[repeated][doc[repeated] == d].any())
+        raise ValueError(f"document {d}: " + (
+            ev._repeated_mention(pred_docs[d], "predicted") if pred_side
+            else ev._repeated_mention(gold_docs[d], "gold")))
+    at = np.flatnonzero(meet)
+    stride = max(len(pred_sizes), 1)
+    codes, counts = np.unique(cluster[at] * stride + cluster[at + 1],
+                              return_counts=True)
+    return ev.Overlap(codes // stride, codes % stride, counts, gold_sizes,
+                      pred_sizes)
+
+
 def score_documents_reference(gold_docs, pred_docs) -> ev.MetricReport:
     if len(gold_docs) != len(pred_docs):
         raise ValueError("gold and predicted document counts differ")
@@ -771,6 +810,22 @@ def slice_by_concept_reference(docs, pred_docs, lexicon_id):
     rows = [[(c, label(c, doc.concept_annotations.get(lexicon_id, {})))
              for c in doc.gold_clusters] for doc in docs]
     return _slices_reference(rows, pred_docs, str)
+
+
+def mean_subwords_per_span_reference(chain, doc, vocab, counts) -> float:
+    """`corpus.mean_subwords_per_span` as a total per span, a membership
+    test and a lookup per token, and the mean of the totals."""
+    totals = []
+    for span in chain:
+        total = 0
+        for token in doc.tokens[span.start:span.end + 1]:
+            if token not in counts:
+                counts[token] = len(tokenize_subwords(token, vocab))
+            total += counts[token]
+        totals.append(total)
+    if not totals:
+        raise ValueError("empty chain")
+    return sum(totals) / len(totals)
 
 
 def slice_by_subword_bucket_reference(docs, pred_docs, vocab, width=1.7,

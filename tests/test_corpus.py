@@ -13,7 +13,8 @@ from kcoref.corpus import (CorpusError, Document, SpanRef, SubwordVocab,
                            save_subword_vocab, subword_bucket,
                            tokenize_subwords, truncate_document)
 
-from oracles import enumerate_spans_brute, width_bucket_index
+from oracles import (enumerate_spans_brute, mean_subwords_per_span_reference,
+                     width_bucket_index)
 
 
 def make_doc(tokens, clusters=(), concepts=None, doc_id="d0"):
@@ -416,6 +417,39 @@ class TestMeanSubwords:
         assert means == [5.0, 4.5]
         assert sorted(segmented) == ["laparoscopy", "open"]
         assert counts == {"open": 1, "laparoscopy": 4}
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_one_running_sum_matches_the_per_span_totals(self, seed):
+        """Chains of one- to four-token spans over known words, unknown
+        words and "##" pieces, with one memo dict per side shared by every
+        call: the same means and the same memo as the per-span form, and
+        the same error for an empty chain."""
+        rng = np.random.default_rng(seed)
+        words = ("open", "laparoscopy", "Laparotomy", "lap", "##aro", "##y",
+                 "##zz", "xq", "opening")
+        tokens = [words[k] for k in rng.integers(0, len(words),
+                                                  int(rng.integers(1, 12)))]
+        doc = make_doc(tokens)
+        counts, reference_counts = {}, {}
+        for _ in range(int(rng.integers(1, 6))):
+            chain = set()
+            for _ in range(int(rng.integers(0, 4))):
+                start = int(rng.integers(0, len(tokens)))
+                end = min(start + int(rng.integers(0, 4)), len(tokens) - 1)
+                chain.add(SpanRef(start, end))
+            try:
+                want = mean_subwords_per_span_reference(
+                    chain, doc, SECTION_VOCAB, reference_counts)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    mean_subwords_per_span(chain, doc, SECTION_VOCAB, counts)
+                continue
+            got = mean_subwords_per_span(chain, doc, SECTION_VOCAB, counts)
+            assert (type(got), got) == (type(want), want)
+            assert counts == reference_counts
+        with pytest.raises(ValueError, match="^empty chain$"):
+            mean_subwords_per_span(iter(()), doc, SECTION_VOCAB, counts)
 
 
 class TestBuckets:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import re
 from unittest import mock
 
@@ -22,7 +24,7 @@ from kcoref import losses as L
 from oracles import (UnionFind, b_cubed_reference, blocks_reference,
                      ceaf_e_brute_force, ceaf_e_dense, ceaf_e_reference,
                      contingency_reference, decode_clusters_reference,
-                     muc_reference,
+                     muc_reference, overlap_pooled_reference,
                      pool_documents, predict_antecedents_reference,
                      random_clustering, score_documents_reference,
                      select_antecedent, slice_by_concept_reference,
@@ -105,7 +107,8 @@ class TestSelectAntecedent:
 
     def test_padded_rows_follow_the_scalar_rule(self):
         windows = [[], [0.0, 0.0], [0.1, 5.0, 0.2], [-3.0, -0.5],
-                   [2.0, 1.0, 2.0], [3.0], [0.5, 0.5, 0.5, 0.5]]
+                   [2.0, 1.0, 2.0], [3.0], [0.5, 0.5, 0.5, 0.5],
+                   [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0]]
         grid = np.full((len(windows), 5), -np.inf)
         grid[:, -1] = 0.0
         for k, w in enumerate(windows):
@@ -1241,6 +1244,155 @@ class TestKeyJoinMatchesReferences:
             slice_by_concept(docs, preds, "coarse")
         with pytest.raises(ValueError, match=f"^{message}$"):
             slice_by_subword_bucket(docs, preds, SLICE_VOCAB)
+
+
+# Span starts near 2**31 give span keys near 2**63: any key that multiplied
+# a document number into a mention's id, not its rank, would overflow.
+HIGH_START = 2**31 - 16
+MENTION_KINDS = ("span", "high span", "text", "mixed")
+REPEATS = (None, "gold", "predicted", "both")
+
+
+def overlap_corpus(seed, kind, repeat):
+    """Gold and predicted clusterings of 0-5 documents, for `Overlap.pooled`.
+
+    Spans come from a few token positions, so the same span recurs across
+    documents. A side of a document may be empty, and whole documents may
+    be. `kind` picks the mentions: `SpanRef`s from position 0 or from
+    `HIGH_START`, strings, or strings and `SpanRef`s mixed (the last two
+    through `mention_ids`' dict). `repeat` lists one mention of a random
+    document twice on the gold side, the predicted side or both.
+    """
+    rng = np.random.default_rng(seed)
+    base = HIGH_START if kind == "high span" else 0
+
+    def mention(start, end):
+        if kind == "text" or kind == "mixed" and rng.random() < 0.5:
+            return f"{start}-{end}"
+        return S(base + start, base + end)
+
+    def clustering(mentions):
+        chosen = [x for x in mentions if rng.random() < 0.8]
+        owner = rng.integers(0, 4, len(chosen))
+        return [frozenset(x for x, o in zip(chosen, owner) if o == k)
+                for k in range(4) if (owner == k).any()]
+
+    gold, pred, pools = [], [], []
+    for _ in range(int(rng.integers(0, 6))):
+        starts = rng.integers(0, 6, int(rng.integers(0, 9)))
+        spans = sorted({(int(s), int(s + rng.integers(0, 2))) for s in starts})
+        mentions = [mention(*span) for span in spans]
+        gold.append(clustering(mentions) if rng.random() < 0.85 else [])
+        pred.append(clustering(mentions) if rng.random() < 0.85 else [])
+        pools.append(mentions)
+    for side, docs in (("gold", gold), ("predicted", pred)):
+        if gold and repeat in (side, "both"):
+            d = int(rng.integers(0, len(docs)))
+            shared = pools[d][0] if pools[d] else mention(6, 6)
+            docs[d] = [*docs[d], frozenset({shared, mention(7, 7)}),
+                       frozenset({shared, mention(8, 8)})]
+    return gold, pred
+
+
+def same_overlap(gold, pred):
+    """`Overlap.pooled` against its lexsort form: the five arrays byte for
+    byte, or the same ValueError text. Returns the reference's outcome."""
+    try:
+        want = overlap_pooled_reference(gold, pred)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ev.Overlap.pooled(gold, pred)
+        assert str(raised.value) == str(exc)
+        return str(exc)
+    got = ev.Overlap.pooled(gold, pred)
+    for name in ("rows", "cols", "counts", "gold_sizes", "pred_sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == \
+            (b.dtype, b.shape, b.tobytes()), name
+    return want
+
+
+class TestRankKeyedSortMatchesLexsort:
+    """`Overlap.pooled` sorts one key, (document * n + rank) * 2 + side,
+    where `oracles.overlap_pooled_reference` lexsorts (document, id,
+    side)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(MENTION_KINDS),
+           repeat=st.sampled_from(REPEATS))
+    def test_random_corpora(self, seed, kind, repeat):
+        same_overlap(*overlap_corpus(seed, kind, repeat))
+
+    def test_random_corpora_hold_every_case(self):
+        seen = set()
+        for seed in range(40):
+            for kind in MENTION_KINDS:
+                for repeat in REPEATS:
+                    gold, pred = overlap_corpus(seed, kind, repeat)
+                    outcome = same_overlap(gold, pred)
+                    if isinstance(outcome, str):
+                        seen.add(outcome.split(" clusters")[0].split()[-1])
+                        continue
+                    seen.add(("documents", min(len(gold), 2)))
+                    seen.add(("entries", len(outcome.counts) > 0))
+                    seen.update(("empty side", not any(docs))
+                                for docs in (gold, pred) if docs)
+                    seen.update(("empty document", not g and not p)
+                                for g, p in zip(gold, pred))
+                    homes = {}
+                    for d, docs in enumerate(gold):
+                        for x in itertools.chain.from_iterable(docs):
+                            homes.setdefault(x, set()).add(d)
+                    seen.add(("span in two documents", any(
+                        len(h) > 1 and isinstance(x, S)
+                        for x, h in homes.items())))
+                    seen.add(("high start", any(
+                        isinstance(x, S) and x.start >= HIGH_START
+                        for x in homes)))
+        assert {"gold", "predicted", ("documents", 0), ("documents", 1),
+                ("documents", 2), ("entries", True), ("empty side", True),
+                ("empty document", True), ("span in two documents", True),
+                ("high start", True)} <= seen
+
+    def test_a_repeat_on_both_sides_names_the_predicted_one(self):
+        a, b, c = S(0, 0), S(1, 1), S(2, 2)
+        for mentions in ((a, b, c), ("a", "b", "c"), (a, "b", c)):
+            x, y, z = mentions
+            repeated = [[C(x, y), C(y, z)]]
+            message = same_overlap(repeated, repeated)
+            assert message == (f"document 0: mention {y!r} is listed twice "
+                               f"in the predicted clusters")
+            message = same_overlap([[C(x, y)], repeated[0]], [[], [C(x, z)]])
+            assert message == (f"document 1: mention {y!r} is listed twice "
+                               f"in the gold clusters")
+
+
+def test_evaluate_passes_keep_nothing_on_the_documents(tmp_path):
+    """Two evaluate passes over the same documents, each after a fresh
+    `ParameterStore.load`, as two `kcoref evaluate` runs would make: the
+    only per-document entry either pass leaves is `token_ids`, so a second
+    pass repeats the first one's work and reads nothing the first kept."""
+    docs = [doc for seed in range(4) for doc in random_corpus(seed)[0]]
+    config = m.ModelConfig(d_token=6, d_width=2, window_radius=1,
+                           scorer_hidden=4, max_span_width=3,
+                           prune_ratio=0.6, max_antecedents=4)
+    tr.init_parameters(config, tr.build_vocab(docs), ("person", "problem"),
+                       seed=3).save(tmp_path / "model.ckpt")
+    fields = {field.name for field in dataclasses.fields(docs[0])}
+    reports = []
+    for _ in range(2):
+        store = tr.ParameterStore.load(tmp_path / "model.ckpt")
+        preds = [predict_clusters(doc, store, config).clusters
+                 for doc in docs]
+        gold = [doc.gold_clusters for doc in docs]
+        reports.append((score_documents(gold, preds),
+                        slice_by_concept(docs, preds, "coarse"),
+                        slice_by_subword_bucket(docs, preds, SLICE_VOCAB)))
+        for doc in docs:
+            assert set(vars(doc)) <= fields | {"_derived"}
+            assert set(vars(doc).get("_derived", {})) <= {"token_ids"}
+    assert reports[0] == reports[1]
 
 
 def test_scoring_hashes_each_mention_a_bounded_number_of_times(monkeypatch):
