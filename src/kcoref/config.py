@@ -24,7 +24,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class LexiconEntry:
     path: Path
     annotate: bool = False
@@ -34,7 +34,7 @@ class LexiconEntry:
         check_field(ConfigError, "annotate", self.annotate, "switch")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionSettings:
     sample: int = 200
     seed: int = 0
@@ -47,13 +47,13 @@ class ProjectionSettings:
             check_field(ConfigError, "lexicon", self.lexicon, "string")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     corpora: dict[str, Path]
     lexicons: list[LexiconEntry]
     model: ModelConfig
     objective: ObjectiveConfig
-    phases: list[Phase]
+    phases: tuple[Phase, ...]
     seed: int = 0
     subword_vocab: Path | None = None
     eval_corpus: str = "eval"
@@ -62,6 +62,7 @@ class RunConfig:
     projection: ProjectionSettings = field(default_factory=ProjectionSettings)
 
     def __post_init__(self):
+        object.__setattr__(self, "phases", tuple(self.phases))
         check_field(ConfigError, "seed", self.seed, "integer", 0)
         check_field(ConfigError, "eval_corpus", self.eval_corpus, "string")
         if self.truncate_tokens is not None:
@@ -80,7 +81,7 @@ class RunConfig:
                                   f"objective.scaffold_lexicon is not set")
 
     def schedule(self) -> TrainingSchedule:
-        return TrainingSchedule(list(self.phases))
+        return TrainingSchedule(self.phases)
 
 
 def _build(cls, raw, name: str, sep: str = ": ", **parsed):

@@ -181,7 +181,7 @@ def combined_loss(cl, rl, sl, weights: LossWeights):
     return b1 * cl + b2 * rl + b3 * sl
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveConfig:
     """Loss-assembly knobs independent of the model architecture."""
 
@@ -256,9 +256,9 @@ class DocumentIndex:
 
 def document_index(doc: Document, config: m.ModelConfig, with_gold: bool,
                    scaffold_lexicon: str | None) -> DocumentIndex:
-    """The index of `doc` for one span rule, built once and kept on `doc`."""
-    key = ("objective_index", config.max_span_width,
-           tuple(config.width_bucket_edges), with_gold, scaffold_lexicon)
+    """The index of `doc` for one config, built once and kept on `doc`
+    under (`config`, `with_gold`, `scaffold_lexicon`)."""
+    key = ("objective_index", config, with_gold, scaffold_lexicon)
     return doc.cached(key, lambda: _build_index(doc, config, with_gold,
                                                 scaffold_lexicon))
 

@@ -45,7 +45,7 @@ SUM_CHUNK_ROWS = 1024
 Backward = Callable[..., object]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     d_token: int = 16
     d_width: int = 4
@@ -70,7 +70,7 @@ class ModelConfig:
         if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError(f"width_bucket_edges must be strictly "
                              f"increasing, not {edges}")
-        self.width_bucket_edges = tuple(edges)
+        object.__setattr__(self, "width_bucket_edges", tuple(edges))
 
     @property
     def n_width_buckets(self) -> int:
@@ -287,24 +287,18 @@ def span_layout(starts: np.ndarray, ends: np.ndarray,
     return SpanLayout(starts, ends, tokens, mask, buckets)
 
 
+@functools.lru_cache(maxsize=128)
 def enumerated_layout(n_tokens: int, config: ModelConfig) -> SpanLayout:
     """The layout of every span of a `n_tokens`-token document up to
     `config.max_span_width` wide, in (start, end) order.
 
-    It depends only on the length and the span rule, so documents of one
-    length share one layout, built on first use and kept among the 128
-    most recently used; its arrays are read-only.
+    Documents of one length and config share one layout, built on first
+    use and kept per (length, `ModelConfig`) among the 128 most recently
+    used; its arrays are read-only.
     """
-    return _enumerated_layout(n_tokens, config.max_span_width,
-                              tuple(config.width_bucket_edges))
-
-
-@functools.lru_cache(maxsize=128)
-def _enumerated_layout(n_tokens: int, max_span_width: int,
-                       width_bucket_edges: tuple[int, ...]) -> SpanLayout:
-    starts, ends = enumerate_candidate_spans(range(n_tokens), max_span_width)
-    layout = span_layout(starts, ends, ModelConfig(
-        max_span_width=max_span_width, width_bucket_edges=width_bucket_edges))
+    starts, ends = enumerate_candidate_spans(range(n_tokens),
+                                             config.max_span_width)
+    layout = span_layout(starts, ends, config)
     for array in (layout.starts, layout.ends, layout.tokens, layout.mask,
                   layout.buckets):
         array.flags.writeable = False

@@ -430,7 +430,7 @@ def optimizer_step(store: ParameterStore, grad: np.ndarray, lr: np.ndarray,
 # Schedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class Phase:
     """One stretch of training on one corpus with fixed weights and rates."""
 
@@ -450,11 +450,12 @@ class Phase:
             check_field(TrainingError, name, getattr(self, name), "number", 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingSchedule:
-    phases: list[Phase]
+    phases: tuple[Phase, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "phases", tuple(self.phases))
         if not self.phases:
             raise TrainingError("schedule needs at least one phase")
 

@@ -350,23 +350,53 @@ def test_criterion_6_scaffold(confound_data, seed_runs):
 
 
 def test_criterion_7_direction_of_effect(confound_data, seed_runs):
-    _, _, test, _, _ = confound_data
+    """Overall precision decides; the table beside it puts each claim of
+    the abstract next to its number, per seed and arm, on the test split."""
+    corpus, _, test, _, _ = confound_data
     config = confound_config()
-    rows = []
+    gold = [doc.gold_clusters for doc in test]
+    rows, slices = [], {"coarse": {}, "fine": {}}
     for seed in range(6):
-        precisions = {}
-        for name in ("cl", "full"):
-            rep = score_documents(
-                [doc.gold_clusters for doc in test],
-                [ev.predict_clusters(doc, seed_runs[(seed, name)],
-                                     config).clusters for doc in test])
-            precisions[name] = rep.average.precision
-        rows.append((seed, precisions["cl"], precisions["full"]))
-    print("\n  seed  P(CL-only)  P(CL+RL+SL)")
-    for seed, p_cl, p_full in rows:
-        print(f"  {seed:4d}  {p_cl:10.4f}  {p_full:11.4f}")
-    mean_cl = float(np.mean([r[1] for r in rows]))
-    mean_full = float(np.mean([r[2] for r in rows]))
+        for name in ARMS:
+            store = seed_runs[(seed, name)]
+            preds = [ev.predict_clusters(doc, store, config).clusters
+                     for doc in test]
+            overall = score_documents(gold, preds).average
+            rows.append((seed, name, overall,
+                         scaffold_accuracy(test, store, config),
+                         tracked_gold_gap(test, store, config, FULL_WEIGHTS),
+                         *concept_cosine_means(test, store, config)))
+            for lexicon_id, table in slices.items():
+                table[seed, name] = ev.slice_by_concept(test, preds,
+                                                        lexicon_id)
+    # A chain's bucket depends on its gold spans alone.
+    subword = ev.slice_by_subword_bucket(test, gold, corpus.subword_vocab)
+
+    print(f"\n  {len(test)} test documents; the RL gap is against the "
+          f"CL+RL+SL target for both arms")
+    print("  seed  arm        P       R      F1  scaffold  RL gap  "
+          "cos within  cos across")
+    for seed, name, rpf, accuracy, gap, within, across in rows:
+        print(f"  {seed:4d}  {name:4s}  {rpf.precision:6.4f}  "
+              f"{rpf.recall:6.4f}  {rpf.f1:6.4f}  {accuracy:8.3f}  "
+              f"{gap:6.4f}  {within:10.4f}  {across:10.4f}")
+    for lexicon_id, table in slices.items():
+        keys = [f"{s.key} ({s.gold_chains})" for s in table[0, "cl"]]
+        print(f"  {lexicon_id} concept slice F1, gold chains in brackets: "
+              f"{', '.join(keys)}")
+        for (seed, name), found in table.items():
+            print(f"  {seed:4d}  {name:4s}  "
+                  + " ".join(f"{s.report.average.f1:.3f}" for s in found))
+    buckets = ", ".join(f"{s.key}: {s.gold_chains} chains" for s in subword)
+    print(f"  subword buckets of the test chains: {buckets}"
+          + ("; one bucket holds every chain, so the subword slice is "
+             "degenerate and no evidence on domain-specific spans"
+             if len(subword) == 1 else ""))
+
+    precision = {name: [r[2].precision for r in rows if r[1] == name]
+                 for name in ARMS}
+    mean_cl = float(np.mean(precision["cl"]))
+    mean_full = float(np.mean(precision["full"]))
     report(7, "direction of effect", mean_full >= mean_cl,
            f"mean test precision CL+RL+SL {mean_full:.4f} >= "
            f"CL-only {mean_cl:.4f} over 6 seeds")

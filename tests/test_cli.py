@@ -18,6 +18,7 @@ from kcoref.config import (ConfigError, load_config, load_run_data,
 from kcoref.corpus import (CorpusError, load_corpus, load_subword_vocab,
                            save_corpus)
 from kcoref.lexicon import LexiconError, load_lexicon
+from kcoref.losses import LossError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -523,6 +524,61 @@ class TestErrors:
         assert code == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: {bad}: vocab must start with '<unk>'"
+
+
+FROZEN_CONFIG = {"corpora": {"a": "x.jsonl"},
+                 "lexicons": [{"path": "c.lex"}],
+                 "phases": [{"corpus": "a", "epochs": 1},
+                            {"corpus": "a", "epochs": 2}]}
+
+
+class TestFrozenConfigs:
+    """Configs are values: a field is set by the validating constructor or
+    by `dataclasses.replace`, which validates again, never by assignment."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps(FROZEN_CONFIG))
+        return load_config(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("part, field, value", [
+        (lambda c: c, "seed", 3),
+        (lambda c: c, "phases", []),
+        (lambda c: c.model, "max_antecedents", 0),
+        (lambda c: c.objective, "unlabeled_knowledge", "skp"),
+        (lambda c: c.phases[0], "epochs", 0),
+        (lambda c: c.schedule(), "phases", []),
+        (lambda c: c.projection, "sample", 0),
+        (lambda c: c.lexicons[0], "annotate", "yes"),
+    ], ids=["RunConfig", "RunConfig-phases", "ModelConfig", "ObjectiveConfig",
+            "Phase", "TrainingSchedule", "ProjectionSettings",
+            "LexiconEntry"])
+    def test_assigning_a_field_raises(self, config, part, field, value):
+        target = part(config)
+        before = getattr(target, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, field, value)
+        assert getattr(target, field) == before
+
+    def test_phases_are_tuples_the_caller_cannot_reach(self, config):
+        phases = list(config.phases)
+        rebuilt = dataclasses.replace(config, phases=phases)
+        schedule = tr.TrainingSchedule(phases)
+        phases.clear()
+        for held in (config, rebuilt, schedule, config.schedule()):
+            assert isinstance(held.phases, tuple) and len(held.phases) == 2
+        with pytest.raises(tr.TrainingError, match="at least one phase"):
+            dataclasses.replace(schedule, phases=[])
+        with pytest.raises(ConfigError, match="phases must not be empty"):
+            dataclasses.replace(config, phases=())
+
+    def test_replace_validates_again(self, config):
+        """The two settings that assignment used to break without a word:
+        no antecedent slot (CL 0.0, no clusters) and a misspelled rule."""
+        with pytest.raises(ValueError, match="max_antecedents must be >= 1"):
+            dataclasses.replace(config.model, max_antecedents=0)
+        with pytest.raises(LossError, match="unlabeled_knowledge"):
+            dataclasses.replace(config.objective, unlabeled_knowledge="skp")
 
 
 class TestConfigModule:

@@ -358,7 +358,7 @@ class TestSpanRefBudget:
         enumerated layout made for it, builds no `SpanRef` either."""
         docs, config, store, weights, objective = tiny_setup(
             beta=(1.0, 0.5, 0.5))
-        m._enumerated_layout.cache_clear()
+        m.enumerated_layout.cache_clear()
         built.clear()
         for doc in docs:
             outs = []
@@ -406,9 +406,9 @@ class TestSharedEnumeratedLayout:
             return real(starts, ends, config)
 
         monkeypatch.setattr(m, "span_layout", counting)
-        m._enumerated_layout.cache_clear()
+        m.enumerated_layout.cache_clear()
         yield built
-        m._enumerated_layout.cache_clear()
+        m.enumerated_layout.cache_clear()
 
     def test_predict_clusters_builds_one_layout_per_length(self, layouts):
         lengths = (6, 9, 6, 12, 9, 6, 12)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -493,7 +494,7 @@ class TestDocumentObjective:
 def grad_check_loss(beta, seed=0, loss_seed=5, pair_budget=None):
     docs, config, store, weights, objective = tiny_setup(seed=seed, beta=beta)
     if pair_budget is not None:
-        objective.pair_budget = pair_budget
+        objective = dataclasses.replace(objective, pair_budget=pair_budget)
     rng0 = np.random.default_rng(1)
     store.tensors["scaffold.weights"][...] = rng0.normal(size=(2, 5)) * 0.3
 
@@ -703,6 +704,10 @@ class TestDocumentIndexLifetime:
         doc = self.doc()
         index = L.document_index(doc, INDEX_CONFIG, True, "coarse")
         assert L.document_index(doc, INDEX_CONFIG, True, "coarse") is index
+        twin = dataclasses.replace(INDEX_CONFIG)
+        assert twin is not INDEX_CONFIG
+        assert L.document_index(doc, twin, True, "coarse") is index
+        assert L.document_index(doc, twin, False, "coarse") is not index
         doc_ref, index_ref = weakref.ref(doc), weakref.ref(index)
         del doc, index
         gc.collect()

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,22 @@ class TestEnumeratedLayout:
         config = ModelConfig(max_span_width=3, width_bucket_edges=[1, 2])
         assert m.enumerated_layout(9, config) \
             is m.enumerated_layout(9, LAYOUT_CONFIGS[0])
+
+    def test_equal_configs_share_one_entry(self):
+        config = ModelConfig(d_token=7, max_span_width=4)
+        twin = dataclasses.replace(config)
+        assert twin is not config and twin == config
+        assert m.enumerated_layout(11, twin) \
+            is m.enumerated_layout(11, config)
+
+    def test_a_miss_builds_no_config(self, monkeypatch):
+        config = ModelConfig(max_span_width=2, width_bucket_edges=(1,))
+        built = []
+        monkeypatch.setattr(ModelConfig, "__post_init__",
+                            lambda self: built.append(self))
+        m.enumerated_layout.cache_clear()
+        assert len(m.enumerated_layout(5, config)) == 9
+        assert built == []
 
 
 class TestMentionScore:

@@ -650,7 +650,7 @@ class TestSchedule:
     def test_a_diverging_accumulated_step_names_each_of_its_documents(
             self, tmp_path):
         docs, config, store, weights, objective = tiny_setup()
-        objective.grad_accumulation = 2
+        objective = dataclasses.replace(objective, grad_accumulation=2)
         assert len(docs) == 2 and docs[0].doc_id != docs[1].doc_id
         sched = TrainingSchedule([Phase("c", 3, weights, 1e200, 1e200)])
         with pytest.raises(TrainingDiverged) as err:
@@ -678,7 +678,7 @@ class TestSchedule:
 
     def test_gradient_accumulation_changes_step_count(self):
         docs, config, store, weights, objective = tiny_setup()
-        objective.grad_accumulation = 2
+        objective = dataclasses.replace(objective, grad_accumulation=2)
         sched = TrainingSchedule([Phase("c", 1, weights, 1e-3, 1e-3)])
         store, _ = run_schedule(sched, {"c": docs}, config, objective, store)
         assert store.step == 1  # two docs, one accumulated step
@@ -686,7 +686,7 @@ class TestSchedule:
     def test_accumulated_steps_match_the_per_tensor_reference(self):
         docs, config, store, weights, objective = tiny_setup(seed=2)
         docs = [docs[0], docs[1], docs[0]]
-        objective.grad_accumulation = 2
+        objective = dataclasses.replace(objective, grad_accumulation=2)
         base, task = 1e-2, 3e-2
         sched = TrainingSchedule([Phase("c", 2, weights, base, task)])
         trained, _ = run_schedule(sched, {"c": docs}, config, objective,
@@ -744,13 +744,13 @@ class TestSchedule:
                      {"c": docs}, config, objective, store.copy())
         assert seeds == [] and offered == []
         # a source phase drops RL when source_phase_rl is off
-        objective.source_phase_rl = False
+        objective = dataclasses.replace(objective, source_phase_rl=False)
         run_schedule(TrainingSchedule([Phase("c", 2, weights,
                                              role="source")]),
                      {"c": docs}, config, objective, store.copy())
         assert seeds == [] and offered == []
 
-        objective.pair_budget = 10 ** 6
+        objective = dataclasses.replace(objective, pair_budget=10 ** 6)
         run_schedule(TrainingSchedule([Phase("c", 1, weights)]),
                      {"c": docs}, config, objective, store.copy())
         assert seeds == []
@@ -758,7 +758,7 @@ class TestSchedule:
             [objective.pair_seed, 1, 1, d] for d in range(len(docs))]
         # a budget between the sets' sizes thins some of them, not all
         sizes = sorted(n for _, n in offered)
-        objective.pair_budget = sizes[0]
+        objective = dataclasses.replace(objective, pair_budget=sizes[0])
         assert sizes[0] < sizes[-1]
         offered.clear()
         run_schedule(TrainingSchedule([Phase("c", 2, weights)]),
